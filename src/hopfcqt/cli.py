@@ -171,12 +171,7 @@ def _dispatch(args):
         checks = args.checks.split(",") if args.checks else None
         bundle = catalog.run_entry(args.entry, checks=checks, word_bound=args.maxlen)
         if args.json:
-            out = {"entry": bundle["entry"], "all_match": bundle["all_match"],
-                   "records": [{"check": rec["check"], "observed": rec["observed"],
-                                "expected": rec["expected"], "matches": rec["matches"],
-                                "reports": [r.to_json() for r in rec["reports"]]}
-                               for rec in bundle["records"]]}
-            print(json.dumps(out, indent=2, sort_keys=True))
+            print(json.dumps(serialize.bundle_to_json(bundle), indent=2, sort_keys=True))
         else:
             print("entry %s (window %s): %s" % (bundle["entry"], bundle["word_bound"],
                                                 bundle["note"]))

@@ -11,7 +11,7 @@ supplied by catalog entries.
 
 from __future__ import annotations
 
-from .errors import MissingEntry, WrongGroup
+from .errors import MissingEntry, SchemaError, WrongGroup
 from .reports import FAIL, PASS, ConditionReport
 from .scalars import ONE
 
@@ -45,9 +45,19 @@ class CocyclePair:
 
         Lookups fall back to the default; a None default turns misses into
         MissingEntry errors.  Total tables are only possible for finite F.
+        A zero value or a zero default raises SchemaError.
         """
         sigma = dict(sigma)
         tau = dict(tau)
+        for tag, table, default in (("sigma", sigma, sigma_default),
+                                    ("tau", tau, tau_default)):
+            if default is not None and default.is_zero():
+                raise SchemaError("%s default is zero; cocycle values must be nonzero" % tag,
+                                  tag)
+            for key, v in table.items():
+                if v.is_zero():
+                    raise SchemaError("%s value at %r is zero; cocycle values must be "
+                                      "nonzero" % (tag, key), tag)
 
         def sig(g, f, fp):
             v = sigma.get((g.key, f.key, fp.key), sigma_default)

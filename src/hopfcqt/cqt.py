@@ -476,20 +476,16 @@ def check_dual_orbit_commutation(mp):
     return ConditionReport("dual-orbit-product-commutation", PASS, checked=checked)
 
 
-def _simples_at(H, f, registered):
-    "Auto-enumerable plus registered simples over the stabilizer coalgebra at f."
-    out = []
+def _onedim_simples_at(H, f):
+    "The auto-enumerable one-dimensional simples over the stabilizer coalgebra at f."
     try:
         C = TwistedCoalgebra(H, f)
         stab = C.stabilizer
         if all(H.G.mul(a, b) == H.G.mul(b, a) for a in stab for b in stab):
-            out.extend(enumerate_onedim(C))
+            return enumerate_onedim(C)
     except (NonAbelianStabilizer, NotARootOfUnity):
         pass
-    for V in registered:
-        if V.coalgebra.f == f:
-            out.append(V)
-    return out
+    return []
 
 
 def _char_values(V):
@@ -514,6 +510,18 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
     reports = [check_orbit_commutation(mp, word_bound),
                check_dual_orbit_commutation(mp)]
 
+    # one stabilizer coalgebra per base point for the whole battery
+    onedim = {}
+
+    def onedim_at(f):
+        if f.key not in onedim:
+            onedim[f.key] = _onedim_simples_at(H, f)
+        return onedim[f.key]
+
+    def simples_at(f):
+        "Auto-enumerable plus registered simples over the stabilizer coalgebra at f."
+        return onedim_at(f) + [V for V in registered if V.coalgebra.f == f]
+
     left_trivial = mp.left_action_trivial(word_bound)
     central = mp.is_central(word_bound)
     sigma_triv = cp.sigma_trivial_on(word_bound)
@@ -521,7 +529,7 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
     g_ab = G.is_abelian()
     f_ab = F.is_abelian()
 
-    wlist = _simples_at(H, F.one, registered)
+    wlist = simples_at(F.one)
     for pi in quotients:
         wlist.extend(group_comodules(H, quotient=pi))
 
@@ -542,7 +550,7 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
         checked = 0
         for f in reps:
             od = mp.orbit_data(f)
-            for V in _simples_at(H, f, registered):
+            for V in simples_at(f):
                 for W in wlist:
                     for g in od.stabilizer:
                         a = V.diagonal_sum(g)
@@ -662,9 +670,9 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
         witness = None
         checked = 0
         for f in fs:
-            vlist = _simples_at(H, f, registered)
+            vlist = simples_at(f)
             for fp in fs:
-                wl = _simples_at(H, fp, registered)
+                wl = simples_at(fp)
                 for V in vlist:
                     for W in wl:
                         for g in G.elements():
@@ -701,7 +709,7 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
             continue
         chars = []
         if g_ab:
-            chars.extend(_simples_at(H, F.one, ()))
+            chars.extend(onedim_at(F.one))
         for pi in quotients:
             chars.extend(group_comodules(H, quotient=pi))
         for V in registered:

@@ -127,6 +127,11 @@ class FiniteGroup(Group):
     Index 0 is the identity.  Construction checks the group axioms outright:
     associativity, two-sided identity, inverses (which forces Latin-square
     rows and columns).
+
+    Elements are interned: the group builds its |G| GroupElement objects once,
+    and `one`, `elements`, `mul`, `inv` and every other constructor return
+    those same objects.  Equal but distinct group instances keep separate
+    element objects, which still compare equal.
     """
 
     family = "finite"
@@ -139,6 +144,7 @@ class FiniteGroup(Group):
         self.builtin = builtin
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("table shape does not match element list")
+        self._elements = [GroupElement(self, i) for i in range(n)]
         self._inv = [None] * n
         if check:
             self._check_axioms()
@@ -193,24 +199,27 @@ class FiniteGroup(Group):
             frontier = new
         return seen
 
+    def _element(self, key):
+        return self._elements[key]
+
     @property
     def one(self):
-        return self._element(0)
+        return self._elements[0]
 
     def order(self):
         return len(self.element_names)
 
     def elements(self):
-        return [self._element(i) for i in range(len(self.element_names))]
+        return list(self._elements)
 
     def mul(self, a, b):
         self._member(a)
         self._member(b)
-        return self._element(self.table[a.key][b.key])
+        return self._elements[self.table[a.key][b.key]]
 
     def inv(self, a):
         self._member(a)
-        return self._element(self._inv[a.key])
+        return self._elements[self._inv[a.key]]
 
     def generators(self):
         return [self._element(i) for i in self.generator_indices]
@@ -677,12 +686,23 @@ class DirectProductGroup(Group):
 # -- descriptors --------------------------------------------------------------
 
 def group_from_descriptor(desc):
-    "Rebuild a group from its JSON descriptor."
+    "Rebuild a group from its JSON descriptor; a malformed one raises SchemaError."
     if not isinstance(desc, dict) or "family" not in desc:
         raise SchemaError("group descriptor must be an object with a 'family'", "group")
     fam = desc["family"]
+    try:
+        return _group_from_family(fam, desc)
+    except (LookupError, TypeError, ValueError) as e:
+        # the constructors reject bad arguments with these errors
+        raise SchemaError("bad %r group descriptor: %s" % (fam, e), "group")
+
+
+def _group_from_family(fam, desc):
     if fam == "Zn":
-        return cyclic_group(int(desc["n"]), gen_name=desc.get("gen", "g"))
+        n = int(desc["n"])
+        if n < 1:
+            raise ValueError("n must be >= 1, got %d" % n)
+        return cyclic_group(n, gen_name=desc.get("gen", "g"))
     if fam == "K4":
         return klein_four_group()
     if fam == "S3":

@@ -6,10 +6,12 @@ A matched pair carries a right action <| of F on the set G and a left action
     g |> (f f') = (g |> f) ((g <| f) |> f')
     (g g') <| f = (g <| (g' |> f)) (g' <| f)
 
-Actions are stored on generator letters and extended to arbitrary elements by
-folding those identities along the normal-form word; for finite F the full
-tables are built once.  Orbits O_f = {g |> f}, stabilizers G_f, transversals
-T_f (1 in T_f) and dual orbits O'_g = {g <| f} feed the comodule machinery.
+Actions are given on generator letters and extended to arbitrary elements by
+folding those identities along the normal-form word.  Each MatchedPair keeps
+one action table (g.key, f.key) -> (g <| f, g |> f): for finite F it is filled
+in full at construction, for infinite F each entry is folded once, on its
+first use.  Orbits O_f = {g |> f}, stabilizers G_f, transversals T_f (1 in
+T_f) and dual orbits O'_g = {g <| f} feed the comodule machinery.
 """
 
 from __future__ import annotations
@@ -68,9 +70,14 @@ class OrbitData:
 
 
 class MatchedPair:
-    "The pair (G finite, F) with its two actions."
+    """The pair (G finite, F) with its two actions.
 
-    def __init__(self, G, F, left_letter, right_letter, name="", full_left=None, full_right=None):
+    `act_left`, `act_right` and the orbit data read one action table,
+    (g.key, f.key) -> (g <| f, g |> f), total from construction for finite F
+    and filled on first use for infinite F, so each pair is folded at most once.
+    """
+
+    def __init__(self, G, F, left_letter, right_letter, name=""):
         # left_letter/right_letter: dict (g.key, letter.key) -> GroupElement
         self.G = G
         self.F = F
@@ -78,8 +85,7 @@ class MatchedPair:
         self._letters = {u.key: u for u in F.letters()}
         self._left_letter = left_letter
         self._right_letter = right_letter
-        self._full_left = full_left
-        self._full_right = full_right
+        self._table = {}
         self._orbit_cache = {}
         self._dual_cache = {}
 
@@ -97,12 +103,10 @@ class MatchedPair:
         mp = cls(G, F, left_letter, right_letter, name=name)
         mp._check_letter_bijections()
         if F.is_finite:
-            full_left, full_right = {}, {}
             for g in G.elements():
                 for f in F.elements():
-                    full_left[(g.key, f.key)] = F._member(left(g, f))
-                    full_right[(g.key, f.key)] = G._member(right(g, f))
-            mp._full_left, mp._full_right = full_left, full_right
+                    mp._table[(g.key, f.key)] = (G._member(right(g, f)),
+                                                 F._member(left(g, f)))
         return mp
 
     @classmethod
@@ -138,14 +142,9 @@ class MatchedPair:
         mp = cls(G, F, left_letter, right_letter, name=name)
         mp._check_letter_bijections()
         if F.is_finite:
-            full_left, full_right = {}, {}
             for g in G.elements():
                 for f in F.elements():
-                    word = F.letter_decomposition(f)
-                    gf, ff = mp._fold(g, word)
-                    full_left[(g.key, f.key)] = ff
-                    full_right[(g.key, f.key)] = gf
-            mp._full_left, mp._full_right = full_left, full_right
+                    mp._action(g, f)
         return mp
 
     def _check_letter_bijections(self):
@@ -166,21 +165,25 @@ class MatchedPair:
             cur = self._right_letter[(cur.key, u.key)]
         return cur, F.product(parts)
 
+    def _action(self, g, f):
+        "(g <| f, g |> f) from the action table, folding a missing entry once."
+        key = (g.key, f.key)
+        hit = self._table.get(key)
+        if hit is None:
+            hit = self._table[key] = self._fold(g, self.F.letter_decomposition(f))
+        return hit
+
     def act_left(self, g, f):
         "g |> f"
         self.G._member(g)
         self.F._member(f)
-        if self._full_left is not None:
-            return self._full_left[(g.key, f.key)]
-        return self._fold(g, self.F.letter_decomposition(f))[1]
+        return self._action(g, f)[1]
 
     def act_right(self, g, f):
         "g <| f"
         self.G._member(g)
         self.F._member(f)
-        if self._full_right is not None:
-            return self._full_right[(g.key, f.key)]
-        return self._fold(g, self.F.letter_decomposition(f))[0]
+        return self._action(g, f)[0]
 
     def act_word(self, g, word):
         "Fold an explicit letter word; for consistency tests against normal forms."

@@ -410,6 +410,12 @@ def parse_scalar(text):
         state["i"] += 1
         return tok
 
+    def integer():
+        tok = take()
+        if tok is None or not tok.isdigit():
+            raise SchemaError("expected an integer in scalar literal %r" % text)
+        return int(tok)
+
     def factor():
         tok = peek()
         if tok == "-":
@@ -423,18 +429,23 @@ def parse_scalar(text):
         if tok == "zeta":
             take()
             take("(")
-            n = int(take())
+            n = integer()
+            if n < 1:
+                raise SchemaError("zeta order must be >= 1 in scalar literal %r" % text)
             take(",")
             sign = 1
             if peek() == "-":
                 take()
                 sign = -1
-            j = sign * int(take())
+            j = sign * integer()
             take(")")
             return root_of_unity(n, j)
         if tok is not None and re.fullmatch(r"\d+(/\d+)?", tok):
             take()
-            return rational(Fraction(tok))
+            try:
+                return rational(Fraction(tok))
+            except ZeroDivisionError:
+                raise SchemaError("zero denominator in scalar literal %r" % text)
         raise SchemaError("bad scalar literal %r" % text)
 
     def term():

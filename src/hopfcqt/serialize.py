@@ -143,6 +143,17 @@ def _cocycle_table_from_json(obj, A, B, C, loc):
     return table, default
 
 
+# -- catalog runs -------------------------------------------------------------------
+
+def bundle_to_json(bundle):
+    "The `run --json` document of a catalog.run_entry bundle."
+    return {"entry": bundle["entry"], "all_match": bundle["all_match"],
+            "records": [{"check": rec["check"], "observed": rec["observed"],
+                         "expected": rec["expected"], "matches": rec["matches"],
+                         "reports": [r.to_json() for r in rec["reports"]]}
+                        for rec in bundle["records"]]}
+
+
 # -- elements, R-forms, comodules --------------------------------------------------
 
 def element_to_json(x):

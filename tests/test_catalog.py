@@ -1,7 +1,13 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from hopfcqt.catalog import CHECKS, entry_ids, get_entry, run_entry
 from hopfcqt.errors import UnknownEntry
+from hopfcqt.serialize import bundle_to_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_entry_listing():
@@ -24,6 +30,9 @@ def test_every_entry_reproduces_expected_verdicts(entry_id):
     bad = [(rec["check"], rec["observed"], rec["expected"])
            for rec in bundle["records"] if not rec["matches"]]
     assert bundle["all_match"], bad
+    # byte for byte what `hopfcqt run --entry <id> --json` printed when pinned
+    text = json.dumps(bundle_to_json(bundle), indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / (entry_id + ".json")).read_text()
 
 
 def test_run_entry_subset_of_checks():

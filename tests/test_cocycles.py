@@ -4,11 +4,11 @@ import pytest
 
 from hopfcqt.catalog import get_entry
 from hopfcqt.cocycles import CocyclePair
-from hopfcqt.errors import MissingEntry, WrongGroup
+from hopfcqt.errors import MissingEntry, SchemaError, WrongGroup
 from hopfcqt.groups import cyclic_group
 from hopfcqt.matched_pair import MatchedPair
 from hopfcqt.reports import all_passed
-from hopfcqt.scalars import MINUS_ONE, ONE, root_of_unity
+from hopfcqt.scalars import MINUS_ONE, ONE, ZERO, root_of_unity
 
 
 def _trivial_mp(n_g=2, n_f=2):
@@ -41,6 +41,24 @@ def test_missing_entry():
     cp = CocyclePair.from_tables(mp, {}, {(g.key, g.key, t.key): MINUS_ONE},
                                  sigma_default=None)
     with pytest.raises(MissingEntry):
+        cp.sigma(g, t, t)
+
+
+def test_zero_table_values_rejected():
+    mp = _trivial_mp()
+    g = mp.G.parse("g")
+    t = mp.F.parse("t")
+    with pytest.raises(SchemaError):
+        CocyclePair.from_tables(mp, {}, {}, sigma_default=ZERO)
+    with pytest.raises(SchemaError):
+        CocyclePair.from_tables(mp, {}, {}, tau_default=ZERO)
+    with pytest.raises(SchemaError):
+        CocyclePair.from_tables(mp, {(g.key, t.key, t.key): ZERO}, {})
+    with pytest.raises(SchemaError):
+        CocyclePair.from_tables(mp, {}, {(g.key, g.key, t.key): ZERO})
+    # rule-based cocycles are still checked on every lookup
+    cp = CocyclePair.from_functions(mp, lambda a, f, fp: ZERO, lambda a, b, f: ONE)
+    with pytest.raises(ValueError):
         cp.sigma(g, t, t)
 
 

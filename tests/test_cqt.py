@@ -188,6 +188,24 @@ def test_necessary_battery_reproduces_example_verdicts():
     assert by["dual-orbit-product-commutation"].status == PASS
 
 
+def test_battery_builds_one_coalgebra_per_base_point(monkeypatch):
+    import hopfcqt.cqt
+
+    builds = {}
+
+    class Counting(hopfcqt.cqt.TwistedCoalgebra):
+        def __init__(self, H, f):
+            super().__init__(H, f)
+            builds[self.f.key] = builds.get(self.f.key, 0) + 1
+
+    monkeypatch.setattr(hopfcqt.cqt, "TwistedCoalgebra", Counting)
+    ent = get_entry("Q8_Dinf")
+    necessary_battery(ent.context(), ent.default_bound,
+                      ent.registered_comodules(), ent.quotient_homs())
+    assert builds  # the battery does build stabilizer coalgebras here
+    assert max(builds.values()) == 1, builds
+
+
 def test_orbit_commutation_witness_at_x_y():
     mp = get_entry("Z2_Dinf").context().mp
     ok, wit = mp.orbit_product_commutes(mp.F.parse("x"), mp.F.parse("y"))

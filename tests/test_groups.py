@@ -91,6 +91,32 @@ def test_mixed_groups_raise():
     Z3 = cyclic_group(3)
     with pytest.raises(MixedGroups):
         Z2.parse("g") * Z3.parse("g")
+    with pytest.raises(MixedGroups):
+        Z3.inv(Z2.parse("g"))
+    with pytest.raises(MixedGroups):
+        Z3.inv(IntegerGroup().parse("1"))
+    with pytest.raises(MixedGroups):
+        Z3.inv("g")
+    # an element of an equal but distinct instance is still accepted
+    other = cyclic_group(3)
+    assert other is not Z3
+    assert Z3.mul(other.parse("g"), Z3.parse("g")) == Z3.parse("g^2")
+    assert Z3.inv(other.parse("g")) == other.parse("g^2")
+
+
+def test_finite_group_elements_are_interned():
+    for G in (cyclic_group(4), klein_four_group(), symmetric_group_s3(),
+              quaternion_group_q8()):
+        elems = G.elements()
+        assert elems is not G.elements()  # callers get their own list
+        assert all(a is b for a, b in zip(elems, G.elements()))
+        assert G.one is elems[0]
+        for a in elems:
+            assert G.inv(a) is elems[G.inv(a).key]
+            assert G.parse(str(a)) is a
+            for b in elems:
+                assert G.mul(a, b) is elems[G.mul(a, b).key]
+        assert all(g is elems[g.key] for g in G.generators())
 
 
 def test_direct_product():

@@ -1,6 +1,6 @@
 import pytest
 
-from hopfcqt.catalog import get_entry
+from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.groups import (IntegerGroup, InfiniteDihedralGroup, cyclic_group,
                             symmetric_group_s3)
 from hopfcqt.matched_pair import MatchedPair
@@ -106,6 +106,24 @@ def test_fold_is_word_independent():
     # y x = x y^-1: two words for the same element
     r = mpd.G.parse("r")
     assert mpd.act_word(r, [y, x]) == mpd.act_word(r, [x, yinv])
+
+
+@pytest.mark.parametrize("entry_id", entry_ids())
+def test_action_table_matches_word_folding(entry_id):
+    mp = _mp(entry_id)
+    G, F = mp.G, mp.F
+    fs = mp.window(4)
+    # the window, and products of two window elements, which leave it
+    points = {f.key: f for f in fs}
+    for a in fs:
+        for b in fs:
+            ab = F.mul(a, b)
+            points.setdefault(ab.key, ab)
+    for g in G.elements():
+        for f in points.values():
+            right, left = mp.act_word(g, F.letter_decomposition(f))
+            assert mp.act_left(g, f) == left, (g, f)
+            assert mp.act_right(g, f) == right, (g, f)
 
 
 def test_orbit_product_commutation():

@@ -172,3 +172,25 @@ def test_cli_json_output(capsys):
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert payload["all_match"] is True
+
+
+def _malformed_context(tmp_path, edit):
+    obj = serialize.context_to_json(get_entry("Z2_Z2_trivial").context())
+    edit(obj)
+    path = tmp_path / "ctx.json"
+    serialize.save_json(obj, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj["sigma"].update(default="0"),
+    lambda obj: obj.update(G={"family": "Zn", "n": 0}),
+    lambda obj: obj["sigma"].update(default="1/0"),
+    lambda obj: obj["tau"].update(default="zeta(0,1)"),
+], ids=["zero-sigma-default", "Zn-n-0", "scalar-1/0", "zeta-order-0"])
+def test_cli_malformed_context_exits_2(tmp_path, capsys, edit):
+    path = _malformed_context(tmp_path, edit)
+    assert cli.main(["verify-cocycles", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
