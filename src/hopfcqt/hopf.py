@@ -17,7 +17,7 @@ import random
 
 from .errors import ContextMismatch
 from .reports import FAIL, PASS, ConditionReport
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 class HopfAlgebra:
@@ -50,7 +50,7 @@ class HopfAlgebra:
                 f = self.F.parse(f)
             c = _coerce_scalar(c)
             key = (g, f)
-            acc[key] = acc.get(key, Scalar(1, (0,))) + c
+            acc[key] = acc.get(key, ZERO) + c
         return HopfElement(self, acc)
 
     def zero(self):
@@ -99,7 +99,7 @@ class HopfElement:
             g = H.G.parse(g)
         if isinstance(f, str):
             f = H.F.parse(f)
-        return self.terms.get((g, f), Scalar(1, (0,)))
+        return self.terms.get((g, f), ZERO)
 
     def support(self):
         return list(self.terms.keys())
@@ -111,7 +111,7 @@ class HopfElement:
         _same_context(self, other)
         acc = dict(self.terms)
         for k, v in other.terms.items():
-            acc[k] = acc.get(k, Scalar(1, (0,))) + v
+            acc[k] = acc.get(k, ZERO) + v
         return HopfElement(self.context, acc)
 
     def __sub__(self, other):
@@ -167,14 +167,14 @@ class TensorElement:
         _same_context(self, other)
         acc = dict(self.terms)
         for k, v in other.terms.items():
-            acc[k] = acc.get(k, Scalar(1, (0,))) + v
+            acc[k] = acc.get(k, ZERO) + v
         return TensorElement(self.context, acc)
 
     def __sub__(self, other):
         _same_context(self, other)
         acc = dict(self.terms)
         for k, v in other.terms.items():
-            acc[k] = acc.get(k, Scalar(1, (0,))) - v
+            acc[k] = acc.get(k, ZERO) - v
         return TensorElement(self.context, acc)
 
     def __mul__(self, other):
@@ -193,7 +193,7 @@ class TensorElement:
                 (key1, s1), (key2, s2) = left, right
                 key = (key1, key2)
                 val = c * d * s1 * s2
-                acc[key] = acc.get(key, Scalar(1, (0,))) + val
+                acc[key] = acc.get(key, ZERO) + val
         return TensorElement(self.context, acc)
 
     def __eq__(self, other):
@@ -215,7 +215,7 @@ class TensorElement:
             if hit is None:
                 continue
             key, s = hit
-            acc[key] = acc.get(key, Scalar(1, (0,))) + c * s
+            acc[key] = acc.get(key, ZERO) + c * s
         return HopfElement(H, acc)
 
     def map_left(self, fn):
@@ -225,7 +225,7 @@ class TensorElement:
         for (k1, k2), c in self.terms.items():
             for key, s in fn(k1).terms.items():
                 kk = (key, k2)
-                acc[kk] = acc.get(kk, Scalar(1, (0,))) + c * s
+                acc[kk] = acc.get(kk, ZERO) + c * s
         return TensorElement(H, acc)
 
     def map_right(self, fn):
@@ -234,7 +234,7 @@ class TensorElement:
         for (k1, k2), c in self.terms.items():
             for key, s in fn(k2).terms.items():
                 kk = (k1, key)
-                acc[kk] = acc.get(kk, Scalar(1, (0,))) + c * s
+                acc[kk] = acc.get(kk, ZERO) + c * s
         return TensorElement(H, acc)
 
     def __repr__(self):
@@ -265,7 +265,7 @@ def multiply(a, b):
             if hit is None:
                 continue
             key, s = hit
-            acc[key] = acc.get(key, Scalar(1, (0,))) + c * d * s
+            acc[key] = acc.get(key, ZERO) + c * d * s
     return HopfElement(H, acc)
 
 
@@ -286,13 +286,13 @@ def comultiply(a):
     acc = {}
     for key, c in a.terms.items():
         for kk, t in _basis_coproduct(H, key).items():
-            acc[kk] = acc.get(kk, Scalar(1, (0,))) + c * t
+            acc[kk] = acc.get(kk, ZERO) + c * t
     return TensorElement(H, acc)
 
 
 def counit(a):
     "eps(p_g # f) = [g = 1], linearly extended."
-    total = Scalar(1, (0,))
+    total = ZERO
     for (g, f), c in a.terms.items():
         if g.is_identity():
             total = total + c
@@ -315,7 +315,7 @@ def antipode(a):
     acc = {}
     for key, c in a.terms.items():
         kk, s = antipode_basis(H, key)
-        acc[kk] = acc.get(kk, Scalar(1, (0,))) + c * s
+        acc[kk] = acc.get(kk, ZERO) + c * s
     return HopfElement(H, acc)
 
 
@@ -328,7 +328,7 @@ def _triple_coproduct(H, key, left_first):
         inner = _basis_coproduct(H, k1 if left_first else k2)
         for (k3, k4), d in inner.items():
             kk = (k3, k4, k2) if left_first else (k1, k3, k4)
-            acc[kk] = acc.get(kk, Scalar(1, (0,))) + c * d
+            acc[kk] = acc.get(kk, ZERO) + c * d
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
 
@@ -426,9 +426,9 @@ def verify_hopf_axioms(H, word_bound=4, exhaustive_limit=40000, pair_limit=4096,
         right = {}
         for (k1, k2), c in _basis_coproduct(H, key).items():
             if k1[0].is_identity():
-                left[k2] = left.get(k2, Scalar(1, (0,))) + c
+                left[k2] = left.get(k2, ZERO) + c
             if k2[0].is_identity():
-                right[k1] = right.get(k1, Scalar(1, (0,))) + c
+                right[k1] = right.get(k1, ZERO) + c
         if HopfElement(H, left) != belem(key) or HopfElement(H, right) != belem(key):
             witness = (key,)
             break

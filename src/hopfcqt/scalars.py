@@ -4,6 +4,15 @@ Every number in the library is a Scalar: a polynomial in zeta_N with rational
 coefficients, reduced modulo the N-th cyclotomic polynomial Phi_N.  Mixing
 orders embeds both operands into Q(zeta_lcm) lazily.  There is no floating
 point anywhere.
+
+Representation.  A Scalar of order N holds exactly phi(N) coefficients, each
+an ``int`` when it is integral and a ``Fraction`` (denominator > 1) otherwise,
+so the common rational x rational case is plain int arithmetic.  A value that
+turns out to be rational is collapsed to order 1.  ``Scalar(...)`` and
+``rational(...)`` are the validating public constructors; they accept ints and
+Fractions only.  The internal constructors ``Scalar._trusted`` (canonical
+coefficients, no checks) and ``_rat`` (one int or Fraction result) skip the
+validation and are for results computed in this module only.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from numbers import Rational
 
 from .errors import DimensionMismatch, DivisionByZero, NotARootOfUnity, SchemaError
 
@@ -44,6 +54,13 @@ def euler_phi(n):
     if m > 1:
         result -= result // m
     return result
+
+
+def _norm(c):
+    "Canonical coefficient: an int when c is integral, else the Fraction c."
+    if c.__class__ is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def _poly_mul_int(a, b):
@@ -82,7 +99,7 @@ def cyclotomic_polynomial(n):
 
 
 def _reduce_mod_cyclotomic(coeffs, n):
-    "Reduce a Fraction polynomial modulo Phi_n; returns exactly phi(n) coefficients."
+    "Reduce a rational polynomial modulo Phi_n; returns phi(n) canonical coefficients."
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     c = list(coeffs)
@@ -94,18 +111,27 @@ def _reduce_mod_cyclotomic(coeffs, n):
                 c[base + j] -= top * phi[j]
     c = c[:deg]
     if len(c) < deg:
-        c += [Fraction(0)] * (deg - len(c))
-    return tuple(c)
+        c += [0] * (deg - len(c))
+    return tuple(map(_norm, c))
 
 
 def _embed(coeffs, n, m):
     "Rewrite coefficients over zeta_n as coefficients over zeta_m (n | m)."
     step = m // n
-    out = [Fraction(0)] * ((len(coeffs) - 1) * step + 1 or 1)
+    out = [0] * ((len(coeffs) - 1) * step + 1 or 1)
     for i, c in enumerate(coeffs):
         if c:
             out[i * step] += c
     return _reduce_mod_cyclotomic(out, m)
+
+
+def _coefficient(c):
+    "Validate one public coefficient and return it in canonical form."
+    if c.__class__ is int:
+        return c
+    if isinstance(c, Rational):
+        return _norm(Fraction(c))
+    raise TypeError("scalar coefficients must be int or Fraction, got %r" % (c,))
 
 
 class Scalar:
@@ -120,15 +146,25 @@ class Scalar:
     def __init__(self, order, coeffs):
         if order < 1:
             raise ValueError("order must be >= 1")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(map(_coefficient, coeffs))
         deg = euler_phi(order)
         if len(coeffs) != deg:
             raise DimensionMismatch(
                 "expected %d coefficients for order %d, got %d" % (deg, order, len(coeffs)))
         if order > 1 and not any(coeffs[1:]):
             order, coeffs = 1, coeffs[:1]
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set_order(self, order)
+        _set_coeffs(self, coeffs)
+
+    @staticmethod
+    def _trusted(order, coeffs):
+        "Internal constructor: coeffs are phi(order) canonical coefficients."
+        s = _new(Scalar)
+        if order > 1 and not any(coeffs[1:]):
+            order, coeffs = 1, coeffs[:1]
+        _set_order(s, order)
+        _set_coeffs(s, coeffs)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -139,8 +175,10 @@ class Scalar:
     def _coerce(v):
         if isinstance(v, Scalar):
             return v
+        if v.__class__ is int:
+            return _rat(v)
         if isinstance(v, (int, Fraction)):
-            return Scalar(1, (Fraction(v),))
+            return _rat(Fraction(v))
         return None
 
     def _aligned(self, other):
@@ -152,23 +190,28 @@ class Scalar:
     # -- ring/field operations -----------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if self.order == 1 and other.order == 1:
-            return Scalar(1, (self.coeffs[0] + other.coeffs[0],))
+            return _rat(self.coeffs[0] + other.coeffs[0])
         m, a, b = self._aligned(other)
-        return Scalar(m, tuple(x + y for x, y in zip(a, b)))
+        return Scalar._trusted(m, tuple(_norm(x + y) for x, y in zip(a, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.order, tuple(-c for c in self.coeffs))
+        if self.order == 1:
+            return _rat(-self.coeffs[0])
+        return Scalar._trusted(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.order == 1 and other.order == 1:
+            return _rat(self.coeffs[0] - other.coeffs[0])
         return self + (-other)
 
     def __rsub__(self, other):
@@ -178,23 +221,26 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if other.order == 1:
             c = other.coeffs[0]
-            return Scalar(self.order, tuple(x * c for x in self.coeffs))
+            if self.order == 1:
+                return _rat(self.coeffs[0] * c)
+            return Scalar._trusted(self.order, tuple(_norm(x * c) for x in self.coeffs))
         if self.order == 1:
             c = self.coeffs[0]
-            return Scalar(other.order, tuple(c * y for y in other.coeffs))
+            return Scalar._trusted(other.order, tuple(_norm(c * y) for y in other.coeffs))
         m, a, b = self._aligned(other)
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return Scalar(m, _reduce_mod_cyclotomic(prod, m))
+        return Scalar._trusted(m, _reduce_mod_cyclotomic(prod, m))
 
     __rmul__ = __mul__
 
@@ -203,18 +249,18 @@ class Scalar:
         if self.is_zero():
             raise DivisionByZero("scalar is zero")
         if self.order == 1:
-            return Scalar(1, (1 / self.coeffs[0],))
-        # extended Euclid in Q[x] against Phi_N
+            return _rat(1 / Fraction(self.coeffs[0]))
+        # extended Euclid in Q[x] against Phi_N, over Fractions so `/` is exact
         n = self.order
         phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r0, r1 = phi, list(self.coeffs)
+        r0, r1 = phi, [Fraction(c) for c in self.coeffs]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while True:
             while r1 and not r1[-1]:
                 r1.pop()
             if len(r1) == 1:
                 inv = 1 / r1[0]
-                return Scalar(n, _reduce_mod_cyclotomic([c * inv for c in s1], n))
+                return Scalar._trusted(n, _reduce_mod_cyclotomic([c * inv for c in s1], n))
             q = _poly_divmod(r0, r1)
             r0, r1 = r1, _poly_mod(r0, r1)
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
@@ -247,6 +293,8 @@ class Scalar:
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):
+        if self.order == 1:
+            return not self.coeffs[0]
         return not any(self.coeffs)
 
     def is_one(self):
@@ -258,7 +306,7 @@ class Scalar:
     def as_rational(self):
         if self.order != 1:
             raise ValueError("not a rational scalar: %r" % self)
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def __bool__(self):
         return not self.is_zero()
@@ -343,14 +391,34 @@ def _poly_mod(a, b):
     return a[:len(b) - 1] or [Fraction(0)]
 
 
-ZERO = Scalar(1, (0,))
-ONE = Scalar(1, (1,))
-MINUS_ONE = Scalar(1, (-1,))
+_new = object.__new__
+_set_order = Scalar.order.__set__
+_set_coeffs = Scalar.coeffs.__set__
+
+
+def _rat(q):
+    "Internal constructor of the rational Scalar q (int or Fraction); 0 and +-1 are shared."
+    if q.__class__ is int:
+        if -1 <= q <= 1:
+            return _UNITS[q]
+    elif q.denominator == 1:
+        return _rat(q.numerator)
+    s = _new(Scalar)
+    _set_order(s, 1)
+    _set_coeffs(s, (q,))
+    return s
+
+
+ZERO, ONE, MINUS_ONE = (Scalar._trusted(1, (q,)) for q in (0, 1, -1))
+_UNITS = {0: ZERO, 1: ONE, -1: MINUS_ONE}
 
 
 def rational(p, q=1):
-    "The rational number p/q as a Scalar."
-    return Scalar(1, (Fraction(p, q),))
+    "The rational number p/q as a Scalar; p and q are ints or Fractions."
+    p, q = _coefficient(p), _coefficient(q)
+    if not q:
+        raise DivisionByZero("rational %s/0" % (p,))
+    return _rat(Fraction(p, q))
 
 
 def root_of_unity(n, j=1):
@@ -358,9 +426,9 @@ def root_of_unity(n, j=1):
     if n < 1:
         raise ValueError("n must be >= 1")
     j %= n
-    coeffs = [Fraction(0)] * (j + 1)
-    coeffs[j] = Fraction(1)
-    return Scalar(n, _reduce_mod_cyclotomic(coeffs, n))
+    coeffs = [0] * (j + 1)
+    coeffs[j] = 1
+    return Scalar._trusted(n, _reduce_mod_cyclotomic(coeffs, n))
 
 
 def sqrt_root_of_unity(x):
@@ -380,6 +448,8 @@ def sqrt_root_of_unity(x):
 # -- scalar literals ------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(zeta|\d+/\d+|\d+|[()*+,-])")
+# parentheses recurse three frames deep each; unary minus is a loop
+MAX_LITERAL_DEPTH = 100
 
 
 def parse_scalar(text):
@@ -416,14 +486,22 @@ def parse_scalar(text):
             raise SchemaError("expected an integer in scalar literal %r" % text)
         return int(tok)
 
-    def factor():
+    def factor(depth):
+        negate = False
+        while peek() == "-":
+            take()
+            negate = not negate
+        v = atom(depth)
+        return -v if negate else v
+
+    def atom(depth):
         tok = peek()
-        if tok == "-":
-            take()
-            return -factor()
         if tok == "(":
+            if depth >= MAX_LITERAL_DEPTH:
+                raise SchemaError("scalar literal nests deeper than %d parentheses"
+                                  % MAX_LITERAL_DEPTH)
             take()
-            v = expr()
+            v = expr(depth + 1)
             take(")")
             return v
         if tok == "zeta":
@@ -448,23 +526,23 @@ def parse_scalar(text):
                 raise SchemaError("zero denominator in scalar literal %r" % text)
         raise SchemaError("bad scalar literal %r" % text)
 
-    def term():
-        v = factor()
+    def term(depth):
+        v = factor(depth)
         while peek() == "*":
             take()
-            v = v * factor()
+            v = v * factor(depth)
         return v
 
-    def expr():
-        v = term()
+    def expr(depth):
+        v = term(depth)
         while peek() in ("+", "-"):
             if take() == "+":
-                v = v + term()
+                v = v + term(depth)
             else:
-                v = v - term()
+                v = v - term(depth)
         return v
 
-    value = expr()
+    value = expr(0)
     if peek() is not None:
         raise SchemaError("trailing junk in scalar literal %r" % text)
     return value

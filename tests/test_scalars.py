@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcqt.errors import DivisionByZero, NotARootOfUnity
+from hopfcqt.errors import DivisionByZero, NotARootOfUnity, SchemaError
 from hopfcqt.scalars import (Matrix, ONE, MINUS_ONE, Scalar, ZERO,
                              commutant_dimension, cyclotomic_polynomial,
                              euler_phi, format_scalar, parse_scalar, rational,
@@ -54,6 +54,31 @@ def test_division_by_zero():
         ZERO.inverse()
     with pytest.raises(ZeroDivisionError):
         (root_of_unity(3) - root_of_unity(3)).inverse()
+
+
+def test_public_constructors_reject_bad_input():
+    for bad in (1.5, 2.0, "1/2"):
+        with pytest.raises(TypeError):
+            Scalar(1, (bad,))
+        with pytest.raises(TypeError):
+            rational(bad)
+    with pytest.raises(TypeError):
+        Scalar(4, (1, 0.5))
+    with pytest.raises(DivisionByZero):
+        rational(1, 0)
+    with pytest.raises(DivisionByZero):
+        rational(Fraction(1, 2), Fraction(0))
+    assert Scalar(1, (True,)).coeffs == (1,) and type(Scalar(1, (True,)).coeffs[0]) is int
+    assert Scalar(3, (Fraction(4, 2), 0)) == rational(2)
+
+
+def test_deeply_nested_literals():
+    assert parse_scalar("-" * 5000 + "1") == ONE
+    assert parse_scalar("-" * 5001 + "1") == MINUS_ONE
+    assert parse_scalar("(" * 100 + "zeta(4,1)" + ")" * 100) == root_of_unity(4)
+    for text in ["(" * 101 + "1" + ")" * 101, "(" * 2000 + "1" + ")" * 2000]:
+        with pytest.raises(SchemaError):
+            parse_scalar(text)
 
 
 def test_sqrt_squares_back_randomized():

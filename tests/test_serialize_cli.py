@@ -187,7 +187,8 @@ def _malformed_context(tmp_path, edit):
     lambda obj: obj.update(G={"family": "Zn", "n": 0}),
     lambda obj: obj["sigma"].update(default="1/0"),
     lambda obj: obj["tau"].update(default="zeta(0,1)"),
-], ids=["zero-sigma-default", "Zn-n-0", "scalar-1/0", "zeta-order-0"])
+    lambda obj: obj["sigma"].update(default="(" * 2000 + "1" + ")" * 2000),
+], ids=["zero-sigma-default", "Zn-n-0", "scalar-1/0", "zeta-order-0", "deep-nesting"])
 def test_cli_malformed_context_exits_2(tmp_path, capsys, edit):
     path = _malformed_context(tmp_path, edit)
     assert cli.main(["verify-cocycles", "--input", path]) == 2
