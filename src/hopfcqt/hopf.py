@@ -9,10 +9,21 @@ Basis symbols p_g # f for g in G, f in F.  Structure maps:
                  p_((g <| f)^-1) # (g |> f)^-1
 
 Elements are finitely supported; no zero coefficient is ever stored.
+
+verify_hopf_axioms does not build HopfElements per instance.  Each call gives
+every basis key it reaches an int index, including products and coproduct
+legs outside the F window, and keeps per index the keys of g and g <| f, so
+a zero product is one int compare.  Nonzero products (one dict per left
+index), coproducts and antipodes are evaluated once per call through
+_basis_product, _basis_coproduct and antipode_basis, and the six axioms run
+on int-keyed dicts of Scalars.  The memo is dropped when the call returns.
+The tests keep the object-path sweep as a reference and require identical
+reports, witnesses and `checked` counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .errors import ContextMismatch
@@ -108,6 +119,8 @@ class HopfElement:
         return not self.terms
 
     def __add__(self, other):
+        if not isinstance(other, HopfElement):
+            return NotImplemented
         _same_context(self, other)
         acc = dict(self.terms)
         for k, v in other.terms.items():
@@ -115,6 +128,8 @@ class HopfElement:
         return HopfElement(self.context, acc)
 
     def __sub__(self, other):
+        if not isinstance(other, HopfElement):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
@@ -164,6 +179,8 @@ class TensorElement:
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
 
     def __add__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         _same_context(self, other)
         acc = dict(self.terms)
         for k, v in other.terms.items():
@@ -171,6 +188,8 @@ class TensorElement:
         return TensorElement(self.context, acc)
 
     def __sub__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         _same_context(self, other)
         acc = dict(self.terms)
         for k, v in other.terms.items():
@@ -179,6 +198,8 @@ class TensorElement:
 
     def __mul__(self, other):
         "(a (x) b)(c (x) d) = ac (x) bd, bilinearly."
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         _same_context(self, other)
         H = self.context
         acc = {}
@@ -321,15 +342,145 @@ def antipode(a):
 
 # -- axiom verification --------------------------------------------------------
 
-def _triple_coproduct(H, key, left_first):
-    "(Delta (x) id)Delta or (id (x) Delta)Delta on a basis symbol, keyed by triples."
-    acc = {}
-    for (k1, k2), c in _basis_coproduct(H, key).items():
-        inner = _basis_coproduct(H, k1 if left_first else k2)
-        for (k3, k4), d in inner.items():
-            kk = (k3, k4, k2) if left_first else (k1, k3, k4)
-            acc[kk] = acc.get(kk, ZERO) + c * d
+class _StructureConstants:
+    """Int-indexed basis keys and memoized structure constants for one sweep.
+
+    Keys are interned by (g.key, f.key) on first sight, products and
+    coproduct legs that leave the F window included.  gkey[i] and rkey[i] are
+    the keys of g and of g <| f, so the product of i and j is zero exactly
+    when rkey[i] != gkey[j].  Each nonzero product, coproduct and antipode is
+    evaluated once, by _basis_product, _basis_coproduct and antipode_basis.
+
+    Elements are {index: Scalar} dicts and tensors {(index, index): Scalar}
+    dicts, neither holding a zero value.
+    """
+
+    def __init__(self, H):
+        self.H = H
+        self.one_g = H.G.one.key
+        self.keys = []
+        self.gkey = []
+        self.rkey = []
+        self._index = {}
+        self._rows = []
+        self._coproducts = {}
+        self._antipodes = {}
+
+    def index(self, key):
+        "The index of a basis key, interning it on first sight."
+        g, f = key
+        i = self._index.get((g.key, f.key))
+        if i is None:
+            i = self._index[(g.key, f.key)] = len(self.keys)
+            self.keys.append(key)
+            self.gkey.append(g.key)
+            self.rkey.append(self.H.mp.act_right(g, f).key)
+            self._rows.append({})
+        return i
+
+    def find(self, gkey, fkey):
+        "The index of an interned key, from the keys of its G and F parts."
+        return self._index[(gkey, fkey)]
+
+    def product(self, i, j):
+        "(k, sigma) with p_i p_j = sigma p_k, or None when the product is zero."
+        if self.rkey[i] != self.gkey[j]:
+            return None
+        row = self._rows[i]
+        hit = row.get(j)
+        if hit is None:
+            key, s = _basis_product(self.H, self.keys[i], self.keys[j])
+            hit = row[j] = (self.index(key), s)
+        return hit
+
+    def coproduct(self, i):
+        "Delta(p_i) as a list of (j1, j2, tau)."
+        out = self._coproducts.get(i)
+        if out is None:
+            out = self._coproducts[i] = [
+                (self.index(k1), self.index(k2), t)
+                for (k1, k2), t in _basis_coproduct(self.H, self.keys[i]).items()]
+        return out
+
+    def antipode(self, i):
+        "(j, c) with S(p_i) = c p_j."
+        hit = self._antipodes.get(i)
+        if hit is None:
+            key, c = antipode_basis(self.H, self.keys[i])
+            hit = self._antipodes[i] = (self.index(key), c)
+        return hit
+
+    def mul(self, a, b):
+        acc = {}
+        for i, c in a.items():
+            for j, d in b.items():
+                hit = self.product(i, j)
+                if hit is not None:
+                    k, s = hit
+                    acc[k] = acc.get(k, ZERO) + c * d * s
+        return _nonzero(acc)
+
+    def comul(self, a):
+        acc = {}
+        for i, c in a.items():
+            for j1, j2, t in self.coproduct(i):
+                acc[(j1, j2)] = acc.get((j1, j2), ZERO) + c * t
+        return _nonzero(acc)
+
+    def tensor_mul(self, x, y):
+        "(a (x) b)(c (x) d) = ac (x) bd, bilinearly."
+        acc = {}
+        for (k1, k2), c in x.items():
+            for (l1, l2), d in y.items():
+                left = self.product(k1, l1)
+                if left is None:
+                    continue
+                right = self.product(k2, l2)
+                if right is None:
+                    continue
+                key = (left[0], right[0])
+                acc[key] = acc.get(key, ZERO) + c * d * left[1] * right[1]
+        return _nonzero(acc)
+
+    def counit(self, a):
+        total = ZERO
+        for i, c in a.items():
+            if self.gkey[i] == self.one_g:
+                total = total + c
+        return total
+
+    def antipode_leg(self, x, leg):
+        "S applied to leg 0 or leg 1 of a tensor."
+        acc = {}
+        for kk, c in x.items():
+            j, s = self.antipode(kk[leg])
+            kk = (j, kk[1]) if leg == 0 else (kk[0], j)
+            acc[kk] = acc.get(kk, ZERO) + c * s
+        return _nonzero(acc)
+
+    def multiply_legs(self, x):
+        "The multiplication H (x) H -> H."
+        acc = {}
+        for (k1, k2), c in x.items():
+            hit = self.product(k1, k2)
+            if hit is not None:
+                k, s = hit
+                acc[k] = acc.get(k, ZERO) + c * s
+        return _nonzero(acc)
+
+
+def _nonzero(acc):
     return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
+def _first_failure(instances, ok):
+    "(failing instance or None, number of instances checked)."
+    checked = 0
+    for inst in instances:
+        checked += 1
+        if not ok(*inst):
+            return inst, checked
+    return None, checked
 
 
 def verify_hopf_axioms(H, word_bound=4, exhaustive_limit=40000, pair_limit=4096,
@@ -341,152 +492,97 @@ def verify_hopf_axioms(H, word_bound=4, exhaustive_limit=40000, pair_limit=4096,
     every potentially-nonzero product pattern plus a deterministic random
     sample of the remaining instances.
     """
-    G, F, mp, cp = H.G, H.F, H.mp, H.cp
-    basis = H.basis_window(word_bound)
-    fs = mp.window(word_bound)
+    sc = _StructureConstants(H)
+    ids = [sc.index(key) for key in H.basis_window(word_bound)]
+    fkeys = [f.key for f in H.mp.window(word_bound)]
+    product, find, gkey, rkey, one_g = sc.product, sc.find, sc.gkey, sc.rkey, sc.one_g
     rng = random.Random(seed)
     reports = []
 
-    def belem(key):
-        return HopfElement(H, {key: ONE})
+    def report(check, instances, ok):
+        witness, checked = _first_failure(instances, ok)
+        if witness is not None:
+            witness = tuple(sc.keys[i] for i in witness)
+        reports.append(ConditionReport(check, FAIL if witness else PASS,
+                                       witness=witness, checked=checked))
+
+    def sampled(width):
+        # drawn lazily, so a failure among the patterns leaves rng untouched
+        return (tuple(rng.choice(ids) for _ in range(width)) for _ in range(sample))
 
     # associativity (and unit)
-    def assoc_ok(k1, k2, k3):
-        a, b, c = belem(k1), belem(k2), belem(k3)
-        return (a * b) * c == a * (b * c)
+    def assoc_ok(i, j, k):
+        ij, jk = product(i, j), product(j, k)
+        left = ij and product(ij[0], k)
+        right = jk and product(i, jk[0])
+        if not (left and right):
+            return not left and not right
+        return left[0] == right[0] and ij[1] * left[1] == jk[1] * right[1]
 
-    n = len(basis)
-    checked = 0
-    witness = None
-    if n ** 3 <= exhaustive_limit:
-        for k1 in basis:
-            for k2 in basis:
-                for k3 in basis:
-                    checked += 1
-                    if not assoc_ok(k1, k2, k3):
-                        witness = (k1, k2, k3)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+    def assoc_patterns():
+        for i in ids:
+            for fp in fkeys:
+                j = find(rkey[i], fp)
+                for fpp in fkeys:
+                    yield i, j, find(rkey[j], fpp)
+
+    if len(ids) ** 3 <= exhaustive_limit:
+        report("associativity", itertools.product(ids, repeat=3), assoc_ok)
     else:
-        for g, f in basis:
-            for fp in fs:
-                for fpp in fs:
-                    b = mp.act_right(g, f)
-                    c = mp.act_right(b, fp)
-                    checked += 1
-                    if not assoc_ok((g, f), (b, fp), (c, fpp)):
-                        witness = ((g, f), (b, fp), (c, fpp))
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if not witness:
-            for _ in range(sample):
-                k1, k2, k3 = rng.choice(basis), rng.choice(basis), rng.choice(basis)
-                checked += 1
-                if not assoc_ok(k1, k2, k3):
-                    witness = (k1, k2, k3)
-                    break
-    reports.append(ConditionReport("associativity", FAIL if witness else PASS,
-                                   witness=witness, checked=checked))
+        report("associativity", itertools.chain(assoc_patterns(), sampled(3)), assoc_ok)
 
-    one = H.unit()
-    witness = None
-    checked = 0
-    for key in basis:
-        a = belem(key)
-        checked += 1
-        if one * a != a or a * one != a:
-            witness = (key,)
-            break
-    reports.append(ConditionReport("unit", FAIL if witness else PASS,
-                                   witness=witness, checked=checked))
+    one = {sc.index((g, H.F.one)): ONE for g in H.G.elements()}
 
-    # coassociativity
-    witness = None
-    checked = 0
-    for key in basis:
-        checked += 1
-        if _triple_coproduct(H, key, True) != _triple_coproduct(H, key, False):
-            witness = (key,)
-            break
-    reports.append(ConditionReport("coassociativity", FAIL if witness else PASS,
-                                   witness=witness, checked=checked))
+    def unit_ok(i):
+        a = {i: ONE}
+        return sc.mul(one, a) == a and sc.mul(a, one) == a
 
-    # counit axioms
-    witness = None
-    checked = 0
-    for key in basis:
-        checked += 1
-        left = {}
-        right = {}
-        for (k1, k2), c in _basis_coproduct(H, key).items():
-            if k1[0].is_identity():
-                left[k2] = left.get(k2, ZERO) + c
-            if k2[0].is_identity():
-                right[k1] = right.get(k1, ZERO) + c
-        if HopfElement(H, left) != belem(key) or HopfElement(H, right) != belem(key):
-            witness = (key,)
-            break
-    reports.append(ConditionReport("counit", FAIL if witness else PASS,
-                                   witness=witness, checked=checked))
+    report("unit", ((i,) for i in ids), unit_ok)
+
+    def triple_coproduct(i, left_first):
+        acc = {}
+        for j1, j2, c in sc.coproduct(i):
+            for k1, k2, d in sc.coproduct(j1 if left_first else j2):
+                kk = (k1, k2, j2) if left_first else (j1, k1, k2)
+                acc[kk] = acc.get(kk, ZERO) + c * d
+        return _nonzero(acc)
+
+    report("coassociativity", ((i,) for i in ids),
+           lambda i: triple_coproduct(i, True) == triple_coproduct(i, False))
+
+    def counit_ok(i):
+        left, right = {}, {}
+        for j1, j2, c in sc.coproduct(i):
+            if gkey[j1] == one_g:
+                left[j2] = left.get(j2, ZERO) + c
+            if gkey[j2] == one_g:
+                right[j1] = right.get(j1, ZERO) + c
+        a = {i: ONE}
+        return _nonzero(left) == a and _nonzero(right) == a
+
+    report("counit", ((i,) for i in ids), counit_ok)
 
     # bialgebra compatibility: Delta(ab) = Delta(a)Delta(b), eps(ab) = eps(a)eps(b)
-    def bialg_ok(k1, k2):
-        a, b = belem(k1), belem(k2)
-        ab = a * b
-        if comultiply(ab) != comultiply(a) * comultiply(b):
+    def bialg_ok(i, j):
+        a, b = {i: ONE}, {j: ONE}
+        ab = sc.mul(a, b)
+        if sc.comul(ab) != sc.tensor_mul(sc.comul(a), sc.comul(b)):
             return False
-        return counit(ab) == counit(a) * counit(b)
+        return sc.counit(ab) == sc.counit(a) * sc.counit(b)
 
-    witness = None
-    checked = 0
-    if n * n <= pair_limit:
-        for k1 in basis:
-            for k2 in basis:
-                checked += 1
-                if not bialg_ok(k1, k2):
-                    witness = (k1, k2)
-                    break
-            if witness:
-                break
+    if len(ids) ** 2 <= pair_limit:
+        report("bialgebra-compatibility", itertools.product(ids, repeat=2), bialg_ok)
     else:
-        for g, f in basis:
-            for fp in fs:
-                checked += 1
-                k2 = (mp.act_right(g, f), fp)
-                if not bialg_ok((g, f), k2):
-                    witness = ((g, f), k2)
-                    break
-            if witness:
-                break
-        if not witness:
-            for _ in range(sample):
-                k1, k2 = rng.choice(basis), rng.choice(basis)
-                checked += 1
-                if not bialg_ok(k1, k2):
-                    witness = (k1, k2)
-                    break
-    reports.append(ConditionReport("bialgebra-compatibility", FAIL if witness else PASS,
-                                   witness=witness, checked=checked))
+        patterns = ((i, find(rkey[i], fp)) for i in ids for fp in fkeys)
+        report("bialgebra-compatibility", itertools.chain(patterns, sampled(2)), bialg_ok)
 
     # antipode convolution identities: m(S (x) id)Delta = unit . eps = m(id (x) S)Delta
-    witness = None
-    checked = 0
-    for key in basis:
-        checked += 1
-        a = belem(key)
-        target = one.scaled(counit(a))
-        d = comultiply(a)
-        left = d.map_left(lambda k: antipode(belem(k))).multiply_legs()
-        right = d.map_right(lambda k: antipode(belem(k))).multiply_legs()
-        if left != target or right != target:
-            witness = (key,)
-            break
-    reports.append(ConditionReport("antipode-convolution", FAIL if witness else PASS,
-                                   witness=witness, checked=checked))
+    def antipode_ok(i):
+        target = one if gkey[i] == one_g else {}
+        d = sc.comul({i: ONE})
+        left = sc.multiply_legs(sc.antipode_leg(d, 0))
+        right = sc.multiply_legs(sc.antipode_leg(d, 1))
+        return left == target and right == target
+
+    report("antipode-convolution", ((i,) for i in ids), antipode_ok)
     return reports

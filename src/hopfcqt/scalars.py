@@ -450,12 +450,18 @@ def sqrt_root_of_unity(x):
 _TOKEN = re.compile(r"\s*(zeta|\d+/\d+|\d+|[()*+,-])")
 # parentheses recurse three frames deep each; unary minus is a loop
 MAX_LITERAL_DEPTH = 100
+# largest N of Q(zeta_N) a literal may name or reach through its + - *: the cost
+# of Phi_N and of reducing by it grows with N (zeta(30030,1) runs for minutes),
+# while the library itself works at orders <= 8
+MAX_LITERAL_ORDER = 1000
 
 
 def parse_scalar(text):
     """Parse a scalar literal: rationals, zeta(N,j), and +/-/* combinations.
 
     Examples: "2", "-1/2", "zeta(4,1)", "-1/2*zeta(4,1)", "1/2 + 1/2*zeta(3,1)".
+    A zeta order above MAX_LITERAL_ORDER, named or reached by combining two
+    orders, raises SchemaError before any arithmetic at that order.
     """
     tokens = []
     pos = 0
@@ -510,6 +516,7 @@ def parse_scalar(text):
             n = integer()
             if n < 1:
                 raise SchemaError("zeta order must be >= 1 in scalar literal %r" % text)
+            order_bound(n)
             take(",")
             sign = 1
             if peek() == "-":
@@ -526,20 +533,27 @@ def parse_scalar(text):
                 raise SchemaError("zero denominator in scalar literal %r" % text)
         raise SchemaError("bad scalar literal %r" % text)
 
+    def order_bound(n):
+        if n > MAX_LITERAL_ORDER:
+            raise SchemaError("scalar literal %r reaches zeta order %d, above %d"
+                              % (text, n, MAX_LITERAL_ORDER))
+
     def term(depth):
         v = factor(depth)
         while peek() == "*":
             take()
-            v = v * factor(depth)
+            w = factor(depth)
+            order_bound(lcm(v.order, w.order))
+            v = v * w
         return v
 
     def expr(depth):
         v = term(depth)
         while peek() in ("+", "-"):
-            if take() == "+":
-                v = v + term(depth)
-            else:
-                v = v - term(depth)
+            plus = take() == "+"
+            w = term(depth)
+            order_bound(lcm(v.order, w.order))
+            v = v + w if plus else v - w
         return v
 
     value = expr(0)

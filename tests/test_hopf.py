@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from hopfcqt.catalog import get_entry
+from hopf_reference import verify_hopf_axioms_reference
+from hopfcqt import hopf
+from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.errors import ContextMismatch
 from hopfcqt.groups import cyclic_group, symmetric_group_s3
@@ -138,3 +140,78 @@ def test_context_mismatch():
     H2 = get_entry("S3_Z2").context()
     with pytest.raises(ContextMismatch):
         multiply(H1.basis("g", "0"), H2.basis("g", "()"))
+
+
+def test_foreign_operands_raise_type_error():
+    H = get_entry("Z2_Z2_trivial").context()
+    a = H.basis("1", "1")
+    t = comultiply(a)
+    for x in (a, t):
+        for other in (1.5, 2, "p"):
+            with pytest.raises(TypeError):
+                x + other
+            with pytest.raises(TypeError):
+                x - other
+        with pytest.raises(TypeError):
+            t * other
+    with pytest.raises(ContextMismatch):
+        a + get_entry("Z2_Z3_trivial").context().basis("1", "1")
+
+
+def _report_json(verify, H, bound):
+    return [r.to_json() for r in verify(H, bound)]
+
+
+@pytest.mark.parametrize("eid", entry_ids())
+def test_sweep_matches_object_reference_on_catalog(eid):
+    entry = get_entry(eid)
+    for bound in sorted({2, entry.default_bound}):
+        assert (_report_json(verify_hopf_axioms, entry.context(), bound)
+                == _report_json(verify_hopf_axioms_reference, entry.context(), bound)), bound
+
+
+def _perturbed_context(eid, seed):
+    "The entry's cocycles with one to three sigma/tau table entries overridden."
+    rng = random.Random(seed)
+    cp = get_entry(eid).context().cp
+    mp = cp.mp
+    gs, fs = mp.G.elements(), mp.window(2)
+    sigma, tau = dict(cp.sigma_table), dict(cp.tau_table)
+    values = [MINUS_ONE, root_of_unity(4), rational(2), root_of_unity(3)]
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            key = (rng.choice(gs).key, rng.choice(fs).key, rng.choice(fs).key)
+            sigma[key] = rng.choice(values)
+        else:
+            key = (rng.choice(gs).key, rng.choice(gs).key, rng.choice(fs).key)
+            tau[key] = rng.choice(values)
+    return HopfAlgebra(CocyclePair.from_tables(mp, sigma, tau, cp.sigma_default,
+                                               cp.tau_default, name="%s~%d" % (eid, seed)))
+
+
+def test_sweep_matches_object_reference_on_perturbed_cocycles():
+    ids = entry_ids()
+    failing = 0
+    for seed in range(52):
+        H = _perturbed_context(ids[seed % len(ids)], seed)
+        new = _report_json(verify_hopf_axioms, H, 2)
+        assert new == _report_json(verify_hopf_axioms_reference, H, 2), H.name
+        failing += any(r["status"] == "fail" for r in new)
+    assert failing >= 50
+
+
+def test_sweep_evaluates_each_nonzero_product_once(monkeypatch):
+    H = get_entry("Q8_Dinf").context()
+    pairs = []
+    basis_product = hopf._basis_product
+
+    def counted(H, key1, key2):
+        pairs.append((key1, key2))
+        return basis_product(H, key1, key2)
+
+    monkeypatch.setattr(hopf, "_basis_product", counted)
+    assert all_passed(verify_hopf_axioms(H))
+    seen = [((g.key, f.key), (gp.key, fp.key)) for (g, f), (gp, fp) in pairs]
+    assert len(set(seen)) == len(seen)
+    assert all(H.mp.act_right(g, f) == gp for (g, f), (gp, _) in pairs)
+    assert len(pairs) < 20000

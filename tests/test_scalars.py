@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from hopfcqt.errors import DivisionByZero, NotARootOfUnity, SchemaError
-from hopfcqt.scalars import (Matrix, ONE, MINUS_ONE, Scalar, ZERO,
-                             commutant_dimension, cyclotomic_polynomial,
+from hopfcqt.scalars import (MAX_LITERAL_ORDER, Matrix, ONE, MINUS_ONE, Scalar,
+                             ZERO, commutant_dimension, cyclotomic_polynomial,
                              euler_phi, format_scalar, parse_scalar, rational,
                              root_of_unity, solve_linear, sqrt_root_of_unity)
 
@@ -77,6 +77,16 @@ def test_deeply_nested_literals():
     assert parse_scalar("-" * 5001 + "1") == MINUS_ONE
     assert parse_scalar("(" * 100 + "zeta(4,1)" + ")" * 100) == root_of_unity(4)
     for text in ["(" * 101 + "1" + ")" * 101, "(" * 2000 + "1" + ")" * 2000]:
+        with pytest.raises(SchemaError):
+            parse_scalar(text)
+
+
+def test_literal_orders_are_bounded():
+    assert parse_scalar("zeta(%d,1)" % MAX_LITERAL_ORDER) == root_of_unity(MAX_LITERAL_ORDER)
+    assert parse_scalar("zeta(997,1)*zeta(997,996)") == ONE
+    for text in ["zeta(30030,1)", "zeta(%d,1)" % (MAX_LITERAL_ORDER + 1),
+                 "zeta(997,1)*zeta(991,1)", "zeta(997,1) + zeta(991,1)",
+                 "1 - zeta(8,1)*(zeta(997,1) - zeta(991,1))"]:
         with pytest.raises(SchemaError):
             parse_scalar(text)
 

@@ -188,7 +188,9 @@ def _malformed_context(tmp_path, edit):
     lambda obj: obj["sigma"].update(default="1/0"),
     lambda obj: obj["tau"].update(default="zeta(0,1)"),
     lambda obj: obj["sigma"].update(default="(" * 2000 + "1" + ")" * 2000),
-], ids=["zero-sigma-default", "Zn-n-0", "scalar-1/0", "zeta-order-0", "deep-nesting"])
+    lambda obj: obj["tau"].update(default="zeta(30030,1)"),
+], ids=["zero-sigma-default", "Zn-n-0", "scalar-1/0", "zeta-order-0", "deep-nesting",
+        "zeta-order-30030"])
 def test_cli_malformed_context_exits_2(tmp_path, capsys, edit):
     path = _malformed_context(tmp_path, edit)
     assert cli.main(["verify-cocycles", "--input", path]) == 2
