@@ -8,6 +8,8 @@ executes requested checks and diffs the outcomes against the expectations.
 
 from __future__ import annotations
 
+import itertools
+
 from .cocycles import CocyclePair
 from .cqt import (battery_obstructed, check_dual_orbit_commutation,
                   check_orbit_commutation, necessary_battery)
@@ -19,7 +21,7 @@ from .grothendieck import (Z2Simples, character_commutation_sweep,
                            multiset_equal, z2_S_abelian_check)
 from .hopf import HopfAlgebra, verify_hopf_axioms
 from .matched_pair import MatchedPair
-from .reports import FAIL, PASS, ConditionReport, all_passed
+from .reports import FAIL, PASS, ConditionReport, all_passed, sweep
 from .scalars import MINUS_ONE
 
 
@@ -317,15 +319,9 @@ def _check_gr_commutation(entry, H, bound):
 def _check_z2_table(entry, H, bound):
     simples = Z2Simples(H)
     labels = simples.labels(min(bound, 2))
-    checked = 0
-    for l1 in labels:
-        for l2 in labels:
-            checked += 1
-            if not multiset_equal(simples.tensor_rule(l1, l2),
-                                  simples.tensor_by_decomposition(l1, l2)):
-                return [ConditionReport("z2-closed-table", FAIL,
-                                        witness=(l1, l2), checked=checked)]
-    return [ConditionReport("z2-closed-table", PASS, checked=checked)]
+    return [sweep("z2-closed-table", itertools.product(labels, repeat=2),
+                  lambda l1, l2: multiset_equal(simples.tensor_rule(l1, l2),
+                                                simples.tensor_by_decomposition(l1, l2)))]
 
 
 def _check_z2_s_abelian(entry, H, bound):

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import catalog, serialize
+from . import catalog, cqt, serialize
 from .comodules import character, induce
 from .cqt import (RForm, bicharacter_restriction_check, necessary_battery,
                   structural_zeros, verify_R, z2_r11_solve, z2_shape_classify)
@@ -30,6 +30,18 @@ def _load_context(args):
     if args.input:
         return serialize.load_context(args.input)
     raise HopfCqtError("need --entry ID or --input FILE")
+
+
+def _levels(text):
+    "The --levels list, each name checked against the CQT condition families."
+    names = {str(level): level for level in cqt._LEVELS}
+    levels = []
+    for name in text.split(","):
+        if name.strip() not in names:
+            raise HopfCqtError("unknown CQT level %r (choose from %s)"
+                               % (name, ", ".join(names)))
+        levels.append(names[name.strip()])
+    return levels
 
 
 def _bound(args, H=None):
@@ -285,8 +297,7 @@ def _dispatch(args):
         return 0
     if cmd == "cqt-verify":
         R = serialize.rform_from_json(serialize.load_json(args.rform), H)
-        levels = [int(l) if l != "inv" else "inv" for l in args.levels.split(",")]
-        return _emit_reports(args, verify_R(R, levels, qbound=args.maxlen))
+        return _emit_reports(args, verify_R(R, _levels(args.levels), qbound=args.maxlen))
     if cmd == "cqt-necessary":
         registered, quotients = [], []
         if args.entry:

@@ -11,8 +11,10 @@ supplied by catalog entries.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import MissingEntry, SchemaError, WrongGroup
-from .reports import FAIL, PASS, ConditionReport
+from .reports import sweep
 from .scalars import ONE
 
 
@@ -110,50 +112,33 @@ class CocyclePair:
         G, F = mp.G, mp.F
         gs = G.elements()
         fs = mp.window(word_bound)
-        reports = []
-
-        def sweep(check, instances, predicate):
-            checked = 0
-            for inst in instances:
-                checked += 1
-                if not predicate(*inst):
-                    return ConditionReport(check, FAIL, witness=inst, checked=checked)
-            return ConditionReport(check, PASS, checked=checked)
-
         one_G, one_F = G.one, F.one
-        reports.append(sweep(
-            "normalization",
-            ([g, gp, f, fp] for g in gs for gp in gs for f in fs for fp in fs),
-            lambda g, gp, f, fp: (self.sigma(g, one_F, f).is_one() and
-                                  self.sigma(g, f, one_F).is_one() and
-                                  self.sigma(one_G, f, fp).is_one() and
-                                  self.tau(one_G, g, f).is_one() and
-                                  self.tau(g, one_G, f).is_one() and
-                                  self.tau(g, gp, one_F).is_one())))
-        reports.append(sweep(
-            "sigma-cocycle",
-            ([g, f, fp, fpp] for g in gs for f in fs for fp in fs for fpp in fs),
-            lambda g, f, fp, fpp:
-                self.sigma(mp.act_right(g, f), fp, fpp) * self.sigma(g, f, F.mul(fp, fpp))
-                == self.sigma(g, f, fp) * self.sigma(g, F.mul(f, fp), fpp)))
-        reports.append(sweep(
-            "tau-cocycle",
-            ([g, gp, gpp, f] for g in gs for gp in gs for gpp in gs for f in fs),
-            lambda g, gp, gpp, f:
-                self.tau(g, gp, mp.act_left(gpp, f)) * self.tau(G.mul(g, gp), gpp, f)
-                == self.tau(g, G.mul(gp, gpp), f) * self.tau(gp, gpp, f)))
-        reports.append(sweep(
-            "compatibility",
-            ([g, gp, f, fp] for g in gs for gp in gs for f in fs for fp in fs),
-            lambda g, gp, f, fp:
-                self.sigma(G.mul(g, gp), f, fp) * self.tau(g, gp, F.mul(f, fp))
-                == (self.sigma(g, mp.act_left(gp, f),
-                               mp.act_left(mp.act_right(gp, f), fp))
-                    * self.sigma(gp, f, fp)
-                    * self.tau(g, gp, f)
-                    * self.tau(mp.act_right(g, mp.act_left(gp, f)),
-                               mp.act_right(gp, f), fp))))
-        return reports
+        return [
+            sweep("normalization", product(gs, gs, fs, fs),
+                  lambda g, gp, f, fp: (self.sigma(g, one_F, f).is_one() and
+                                        self.sigma(g, f, one_F).is_one() and
+                                        self.sigma(one_G, f, fp).is_one() and
+                                        self.tau(one_G, g, f).is_one() and
+                                        self.tau(g, one_G, f).is_one() and
+                                        self.tau(g, gp, one_F).is_one())),
+            sweep("sigma-cocycle", product(gs, fs, fs, fs),
+                  lambda g, f, fp, fpp:
+                      self.sigma(mp.act_right(g, f), fp, fpp) * self.sigma(g, f, F.mul(fp, fpp))
+                      == self.sigma(g, f, fp) * self.sigma(g, F.mul(f, fp), fpp)),
+            sweep("tau-cocycle", product(gs, gs, gs, fs),
+                  lambda g, gp, gpp, f:
+                      self.tau(g, gp, mp.act_left(gpp, f)) * self.tau(G.mul(g, gp), gpp, f)
+                      == self.tau(g, G.mul(gp, gpp), f) * self.tau(gp, gpp, f)),
+            sweep("compatibility", product(gs, gs, fs, fs),
+                  lambda g, gp, f, fp:
+                      self.sigma(G.mul(g, gp), f, fp) * self.tau(g, gp, F.mul(f, fp))
+                      == (self.sigma(g, mp.act_left(gp, f),
+                                     mp.act_left(mp.act_right(gp, f), fp))
+                          * self.sigma(gp, f, fp)
+                          * self.tau(g, gp, f)
+                          * self.tau(mp.act_right(g, mp.act_left(gp, f)),
+                                     mp.act_right(gp, f), fp))),
+        ]
 
     def tau_square_identity_check(self, f, fp):
         """For |G| = 2: tau(g,g;ff') = sigma(g;f,f')^2 tau(g,g;f) tau(g,g;f').

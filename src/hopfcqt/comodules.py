@@ -21,7 +21,7 @@ import itertools
 from .errors import (NonAbelianStabilizer, NotARootOfUnity, NotInStabilizer,
                      WrongGroup)
 from .hopf import HopfElement
-from .reports import FAIL, PASS, ConditionReport
+from .reports import FAIL, PASS, ConditionReport, sweep
 from .scalars import Matrix, ONE, Scalar, ZERO, commutant_dimension, root_of_unity
 
 
@@ -138,21 +138,10 @@ class Comodule:
         reports.append(ConditionReport(
             "comodule-counit", PASS if ident_ok else FAIL,
             witness=None if ident_ok else (G.one,), checked=1))
-        witness = None
-        checked = 0
-        for a in C.stabilizer:
-            for b in C.stabilizer:
-                checked += 1
-                lhs = self.matrices[a.key] * self.matrices[b.key]
-                rhs = self.matrices[G.mul(a, b).key] * C.tau(a, b)
-                if lhs != rhs:
-                    witness = (a, b)
-                    break
-            if witness:
-                break
-        reports.append(ConditionReport("comodule-coassociativity",
-                                       FAIL if witness else PASS,
-                                       witness=witness, checked=checked))
+        M = self.matrices
+        reports.append(sweep(
+            "comodule-coassociativity", itertools.product(C.stabilizer, repeat=2),
+            lambda a, b: M[a.key] * M[b.key] == M[G.mul(a, b).key] * C.tau(a, b)))
         return reports
 
     def is_valid(self):
@@ -333,32 +322,24 @@ class InducedComodule:
             for v in mp.orbit(u):
                 fparts.setdefault(v.key, v)
         U = list(fparts.values())
-        witness = None
-        checked = 0
         zero = Matrix.zeros(self.dim, self.dim)
-        for g in G.elements():
-            for fk in U:
-                B1 = self.blocks.get((g, fk), zero)
-                for h in G.elements():
-                    for u in U:
-                        checked += 1
-                        lhs = B1 * self.blocks.get((h, u), zero)
-                        if fk == mp.act_left(h, u):
-                            rhs = self.blocks.get((G.mul(g, h), u), zero) * cp.tau(g, h, u)
-                        else:
-                            rhs = zero
-                        if lhs != rhs:
-                            witness = ((g, fk), (h, u))
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        reports.append(ConditionReport("induced-coassociativity",
-                                       FAIL if witness else PASS,
-                                       witness=witness, checked=checked))
+
+        def instances():
+            for g in G.elements():
+                for fk in U:
+                    B1 = self.blocks.get((g, fk), zero)
+                    for h in G.elements():
+                        for u in U:
+                            yield g, fk, h, u, B1
+
+        def holds(g, fk, h, u, B1):
+            lhs = B1 * self.blocks.get((h, u), zero)
+            if fk == mp.act_left(h, u):
+                return lhs == self.blocks.get((G.mul(g, h), u), zero) * cp.tau(g, h, u)
+            return lhs == zero
+
+        reports.append(sweep("induced-coassociativity", instances(), holds,
+                             witness=lambda inst: ((inst[0], inst[1]), (inst[2], inst[3]))))
         return reports
 
     def is_valid(self):

@@ -15,13 +15,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .comodules import (TwistedCoalgebra, enumerate_onedim, group_comodules,
-                        trivial_comodule)
+from .comodules import TwistedCoalgebra, enumerate_onedim, group_comodules
 from .errors import (NonAbelianStabilizer, NotARootOfUnity, SearchSpaceTooLarge,
                      WrongGroup)
-from .hopf import HopfElement, antipode_basis, comultiply
-from .reports import FAIL, OUT_OF_WINDOW, PASS, SKIPPED, ConditionReport
-from .scalars import Matrix, ONE, Scalar, ZERO, rational
+from .hopf import HopfElement, antipode_basis
+from .reports import FAIL, PASS, SKIPPED, ConditionReport, sweep
+from .scalars import ONE, Scalar, ZERO, rational
 
 
 class RForm:
@@ -121,61 +120,12 @@ def eps_tensor_eps(H, window=None):
 
 # -- the CQT condition families -----------------------------------------------
 
-class _Sweep:
-    "Accumulates one condition family's pass/fail/out-of-window instances."
-
-    def __init__(self, check):
-        self.check = check
-        self.checked = 0
-        self.unevaluated = 0
-        self.witness = None
-
-    def instance(self, values, verdict):
-        "values: list of R lookups (None = out of window); verdict: callable -> bool."
-        if any(v is None for v in values):
-            self.unevaluated += 1
-            return True
-        self.checked += 1
-        if not verdict():
-            return False
-        return True
-
-    def fail(self, witness):
-        self.witness = witness
-
-    def report(self):
-        if self.witness is not None:
-            return ConditionReport(self.check, FAIL, witness=self.witness,
-                                   checked=self.checked, unevaluated=self.unevaluated)
-        status = OUT_OF_WINDOW if (self.unevaluated and not self.checked) else PASS
-        return ConditionReport(self.check, status, checked=self.checked,
-                               unevaluated=self.unevaluated)
-
-
 def _qrange(R, qbound):
     H = R.H
     if H.F.is_finite:
         return H.F.elements()
     bound = qbound if qbound is not None else (R.window if R.window is not None else 2)
     return H.F.elements_up_to_length(bound)
-
-
-def _cqt0(R, fs):
-    H = R.H
-    G = H.G
-    sw = _Sweep("CQT0")
-    one = G.one
-    for g in G.elements():
-        for f in fs:
-            want = ONE if g.is_identity() else ZERO
-            rows = [R.try_value((x, H.F.one), (g, f)) for x in G.elements()]
-            cols = [R.try_value((g, f), (x, H.F.one)) for x in G.elements()]
-            ok = sw.instance(rows + cols, lambda: (
-                _ssum(rows) == want and _ssum(cols) == want))
-            if not ok:
-                sw.fail((g, f))
-                return sw.report()
-    return sw.report()
 
 
 def _ssum(vals):
@@ -185,202 +135,167 @@ def _ssum(vals):
     return t
 
 
+def _quotients(G):
+    "g.key -> [(g x^-1, x) for x in G]: the coproduct legs of p_g."
+    gs = G.elements()
+    return {g.key: [(G.mul(g, G.inv(x)), x) for x in gs] for g in gs}
+
+
+def _unknown(terms):
+    "True when some (..., r1, r2) term needs an R value outside the window."
+    return any(t[-1] is None or t[-2] is None for t in terms)
+
+
+def _tau_sum(cp, terms, f):
+    "sum of tau(a, x; f) r1 r2 over (a, x, r1, r2), skipping zero R values."
+    total = ZERO
+    for a, x, r1, r2 in terms:
+        if r1 and r2:
+            total = total + cp.tau(a, x, f) * r1 * r2
+    return total
+
+
+def _cqt0(R, fs):
+    H = R.H
+    gs, one_f, try_value = H.G.elements(), H.F.one, R.try_value
+
+    def ok(g, f):
+        rows = [try_value((x, one_f), (g, f)) for x in gs]
+        cols = [try_value((g, f), (x, one_f)) for x in gs]
+        if any(v is None for v in rows + cols):
+            return None
+        want = ONE if g.is_identity() else ZERO
+        return _ssum(rows) == want and _ssum(cols) == want
+
+    return sweep("CQT0", itertools.product(gs, fs), ok)
+
+
 def _cqt1(R, fs):
     H = R.H
-    G, F, mp, cp = H.G, H.F, H.mp, H.cp
-    sw = _Sweep("CQT1")
-    gs = G.elements()
-    for h in gs:
-        for fp in fs:
+    F, mp, cp, try_value = H.F, H.mp, H.cp, R.try_value
+    gs, quot = H.G.elements(), _quotients(H.G)
+
+    def instances():
+        for h, fp in itertools.product(gs, fs):
             hfp = mp.act_right(h, fp)
             for l in gs:
                 delta = hfp == l
-                for g in gs:
-                    for f in fs:
-                        for fpp in fs:
-                            needed = []
-                            lhs_val = None
-                            if delta:
-                                lhs_val = R.try_value((g, f), (h, F.mul(fp, fpp)))
-                                needed.append(lhs_val)
-                            rhs_terms = []
-                            for x in gs:
-                                r1 = R.try_value((G.mul(g, G.inv(x)), mp.act_left(x, f)),
-                                                 (l, fpp))
-                                r2 = R.try_value((x, f), (h, fp))
-                                needed.extend((r1, r2))
-                                rhs_terms.append((G.mul(g, G.inv(x)), x, r1, r2))
+                for g, f, fpp in itertools.product(gs, fs, fs):
+                    yield g, h, l, f, fp, fpp, delta
 
-                            def verdict():
-                                lhs = (cp.sigma(h, fp, fpp) * lhs_val) if delta else ZERO
-                                rhs = ZERO
-                                for gx, x, r1, r2 in rhs_terms:
-                                    if r1 and r2:
-                                        rhs = rhs + cp.tau(gx, x, f) * r1 * r2
-                                return lhs == rhs
+    def ok(g, h, l, f, fp, fpp, delta):
+        lhs_val = try_value((g, f), (h, F.mul(fp, fpp))) if delta else ZERO
+        terms = [(gx, x, try_value((gx, mp.act_left(x, f)), (l, fpp)),
+                  try_value((x, f), (h, fp))) for gx, x in quot[g.key]]
+        if lhs_val is None or _unknown(terms):
+            return None
+        lhs = (cp.sigma(h, fp, fpp) * lhs_val) if delta else ZERO
+        return lhs == _tau_sum(cp, terms, f)
 
-                            if not sw.instance(needed, verdict):
-                                sw.fail((g, h, l, f, fp, fpp))
-                                return sw.report()
-    return sw.report()
+    return sweep("CQT1", instances(), ok, witness=lambda inst: inst[:6])
 
 
 def _cqt2(R, fs):
     H = R.H
-    G, F, mp, cp = H.G, H.F, H.mp, H.cp
-    sw = _Sweep("CQT2")
-    gs = G.elements()
-    for g in gs:
-        for f in fs:
+    F, mp, cp, try_value = H.F, H.mp, H.cp, R.try_value
+    gs, quot = H.G.elements(), _quotients(H.G)
+
+    def instances():
+        for g, f in itertools.product(gs, fs):
             gf = mp.act_right(g, f)
             for h in gs:
                 delta = gf == h
-                for l in gs:
-                    for fp in fs:
-                        for fpp in fs:
-                            needed = []
-                            lhs_val = None
-                            if delta:
-                                lhs_val = R.try_value((g, F.mul(f, fp)), (l, fpp))
-                                needed.append(lhs_val)
-                            rhs_terms = []
-                            for x in gs:
-                                r1 = R.try_value((g, f),
-                                                 (G.mul(l, G.inv(x)), mp.act_left(x, fpp)))
-                                r2 = R.try_value((h, fp), (x, fpp))
-                                needed.extend((r1, r2))
-                                rhs_terms.append((G.mul(l, G.inv(x)), x, r1, r2))
+                for l, fp, fpp in itertools.product(gs, fs, fs):
+                    yield g, h, l, f, fp, fpp, delta
 
-                            def verdict():
-                                lhs = (cp.sigma(g, f, fp) * lhs_val) if delta else ZERO
-                                rhs = ZERO
-                                for lx, x, r1, r2 in rhs_terms:
-                                    if r1 and r2:
-                                        rhs = rhs + cp.tau(lx, x, fpp) * r1 * r2
-                                return lhs == rhs
+    def ok(g, h, l, f, fp, fpp, delta):
+        lhs_val = try_value((g, F.mul(f, fp)), (l, fpp)) if delta else ZERO
+        terms = [(lx, x, try_value((g, f), (lx, mp.act_left(x, fpp))),
+                  try_value((h, fp), (x, fpp))) for lx, x in quot[l.key]]
+        if lhs_val is None or _unknown(terms):
+            return None
+        lhs = (cp.sigma(g, f, fp) * lhs_val) if delta else ZERO
+        return lhs == _tau_sum(cp, terms, fpp)
 
-                            if not sw.instance(needed, verdict):
-                                sw.fail((g, h, l, f, fp, fpp))
-                                return sw.report()
-    return sw.report()
+    return sweep("CQT2", instances(), ok, witness=lambda inst: inst[:6])
 
 
 def _cqt3(R, fs):
     H = R.H
-    G, F, mp, cp = H.G, H.F, H.mp, H.cp
-    sw = _Sweep("CQT3")
+    G, F, mp, cp, try_value = H.G, H.F, H.mp, H.cp, R.try_value
     gs = G.elements()
-    for g in gs:
-        for h in gs:
-            for l in gs:
-                linv = G.inv(l)
-                lh = G.mul(linv, h)
-                for f in fs:
-                    lf = mp.act_right(l, f)
-                    ltf = mp.act_left(l, f)
-                    for fp in fs:
-                        hfp = mp.act_right(h, fp)
-                        lhfp = mp.act_right(lh, fp)
-                        # left side: coefficient of p_l # ff'
-                        a_left = G.mul(g, linv)
-                        b_left = G.mul(h, G.inv(lf))
-                        f2_left = mp.act_left(lf, fp)
-                        rL = R.try_value((a_left, ltf), (b_left, f2_left))
-                        # right side: coefficient of p_l # (l^-1 h |> f')(w |> f)
-                        w = G.mul(G.mul(lhfp, G.inv(hfp)), g)
-                        rR = R.try_value((w, f), (lh, fp))
-                        uL = F.mul(f, fp)
-                        uR = F.mul(mp.act_left(lh, fp), mp.act_left(w, f))
 
-                        def verdict():
-                            cL = (cp.tau(a_left, l, f)
-                                  * cp.tau(b_left, lf, fp)
-                                  * rL * cp.sigma(l, f, fp))
-                            cR = (cp.tau(G.mul(hfp, G.inv(lhfp)), w, f)
-                                  * cp.tau(l, lh, fp)
-                                  * rR
-                                  * cp.sigma(l, mp.act_left(lh, fp), mp.act_left(w, f)))
-                            if uL == uR:
-                                return cL == cR
-                            return cL.is_zero() and cR.is_zero()
+    def instances():
+        for g, h, l in itertools.product(gs, repeat=3):
+            linv = G.inv(l)
+            lh = G.mul(linv, h)
+            for f in fs:
+                lf, ltf = mp.act_right(l, f), mp.act_left(l, f)
+                for fp in fs:
+                    yield (g, h, l, f, fp, linv, lh, lf, ltf,
+                           mp.act_right(h, fp), mp.act_right(lh, fp))
 
-                        if not sw.instance([rL, rR], verdict):
-                            sw.fail((g, h, l, f, fp))
-                            return sw.report()
-    return sw.report()
+    def ok(g, h, l, f, fp, linv, lh, lf, ltf, hfp, lhfp):
+        # left side: coefficient of p_l # ff'
+        a_left = G.mul(g, linv)
+        b_left = G.mul(h, G.inv(lf))
+        rL = try_value((a_left, ltf), (b_left, mp.act_left(lf, fp)))
+        # right side: coefficient of p_l # (l^-1 h |> f')(w |> f)
+        w = G.mul(G.mul(lhfp, G.inv(hfp)), g)
+        rR = try_value((w, f), (lh, fp))
+        if rL is None or rR is None:
+            return None
+        lh_fp, w_f = mp.act_left(lh, fp), mp.act_left(w, f)
+        cL = cp.tau(a_left, l, f) * cp.tau(b_left, lf, fp) * rL * cp.sigma(l, f, fp)
+        cR = (cp.tau(G.mul(hfp, G.inv(lhfp)), w, f) * cp.tau(l, lh, fp) * rR
+              * cp.sigma(l, lh_fp, w_f))
+        if F.mul(f, fp) == F.mul(lh_fp, w_f):
+            return cL == cR
+        return cL.is_zero() and cR.is_zero()
+
+    return sweep("CQT3", instances(), ok, witness=lambda inst: inst[:5])
+
+
+def _convolution_sweep(check, R, fs, antipode):
+    """sum_(x,y) tau(g x^-1, x; f) tau(h y^-1, y; f') r1 r2 = [g = h = 1].
+
+    CQT4 takes r1 = R(p_(g x^-1) # (x |> f), p_(h y^-1) # (y |> f')) and
+    r2 = R(p_y # f', p_x # f); the convolution-inverse identity puts S on the
+    first key of r1, with its coefficient, and takes r2 = R(p_x # f, p_y # f').
+    """
+    H = R.H
+    mp, cp, try_value = H.mp, H.cp, R.try_value
+    gs, quot = H.G.elements(), _quotients(H.G)
+
+    def ok(g, h, f, fp):
+        terms = []
+        for gx, x in quot[g.key]:
+            key, coef = (gx, mp.act_left(x, f)), None
+            if antipode:
+                key, coef = antipode_basis(H, key)
+            for hy, y in quot[h.key]:
+                r1 = try_value(key, (hy, mp.act_left(y, fp)))
+                r2 = try_value((x, f), (y, fp)) if antipode else try_value((y, fp), (x, f))
+                terms.append((gx, x, hy, y, coef, r1, r2))
+        if _unknown(terms):
+            return None
+        total = ZERO
+        for gx, x, hy, y, coef, r1, r2 in terms:
+            if r1 and r2:
+                t = cp.tau(gx, x, f) * cp.tau(hy, y, fp)
+                total = total + (t if coef is None else t * coef) * r1 * r2
+        return total == (ONE if (g.is_identity() and h.is_identity()) else ZERO)
+
+    return sweep(check, itertools.product(gs, gs, fs, fs), ok)
 
 
 def _cqt4(R, fs):
-    H = R.H
-    G, mp, cp = H.G, H.mp, H.cp
-    sw = _Sweep("CQT4")
-    gs = G.elements()
-    for g in gs:
-        for h in gs:
-            want = ONE if (g.is_identity() and h.is_identity()) else ZERO
-            for f in fs:
-                for fp in fs:
-                    needed = []
-                    terms = []
-                    for x in gs:
-                        gx = G.mul(g, G.inv(x))
-                        for y in gs:
-                            hy = G.mul(h, G.inv(y))
-                            r1 = R.try_value((gx, mp.act_left(x, f)),
-                                             (hy, mp.act_left(y, fp)))
-                            r2 = R.try_value((y, fp), (x, f))
-                            needed.extend((r1, r2))
-                            terms.append((gx, x, hy, y, r1, r2))
-
-                    def verdict():
-                        total = ZERO
-                        for gx, x, hy, y, r1, r2 in terms:
-                            if r1 and r2:
-                                total = total + (cp.tau(gx, x, f) * cp.tau(hy, y, fp)
-                                                 * r1 * r2)
-                        return total == want
-
-                    if not sw.instance(needed, verdict):
-                        sw.fail((g, h, f, fp))
-                        return sw.report()
-    return sw.report()
+    return _convolution_sweep("CQT4", R, fs, antipode=False)
 
 
 def _cqt_inverse(R, fs):
     "R(S(.), .) is a two-sided convolution inverse of R: (R^-1 * R) = eps (x) eps."
-    H = R.H
-    G, cp, mp = H.G, H.cp, H.mp
-    sw = _Sweep("CQT-convolution-inverse")
-    gs = G.elements()
-    for g in gs:
-        for h in gs:
-            want = ONE if (g.is_identity() and h.is_identity()) else ZERO
-            for f in fs:
-                for fp in fs:
-                    needed = []
-                    terms = []
-                    for x in gs:
-                        gx = G.mul(g, G.inv(x))
-                        skey, scoef = antipode_basis(H, (gx, mp.act_left(x, f)))
-                        for y in gs:
-                            hy = G.mul(h, G.inv(y))
-                            r1 = R.try_value(skey, (hy, mp.act_left(y, fp)))
-                            r2 = R.try_value((x, f), (y, fp))
-                            needed.extend((r1, r2))
-                            terms.append((gx, x, hy, y, scoef, r1, r2))
-
-                    def verdict():
-                        total = ZERO
-                        for gx, x, hy, y, scoef, r1, r2 in terms:
-                            if r1 and r2:
-                                total = total + (cp.tau(gx, x, f) * cp.tau(hy, y, fp)
-                                                 * scoef * r1 * r2)
-                        return total == want
-
-                    if not sw.instance(needed, verdict):
-                        sw.fail((g, h, f, fp))
-                        return sw.report()
-    return sw.report()
+    return _convolution_sweep("CQT-convolution-inverse", R, fs, antipode=True)
 
 
 _LEVELS = {0: _cqt0, 1: _cqt1, 2: _cqt2, 3: _cqt3, 4: _cqt4, "inv": _cqt_inverse}
@@ -448,16 +363,12 @@ def structural_zeros(R):
 def check_orbit_commutation(mp, word_bound=4):
     "O_f O_f' = O_f' O_f for all pairs on the window."
     fs = mp.window(word_bound)
-    checked = 0
-    for f in fs:
-        for fp in fs:
-            checked += 1
-            ok, wit = mp.orbit_product_commutes(f, fp)
-            if not ok:
-                return ConditionReport("orbit-product-commutation", FAIL,
-                                       witness=(f, fp, wit), checked=checked,
-                                       detail="product element in only one of the two orbit sets")
-    return ConditionReport("orbit-product-commutation", PASS, checked=checked)
+    report = sweep("orbit-product-commutation", itertools.product(fs, fs),
+                   lambda f, fp: mp.orbit_product_commutes(f, fp)[0],
+                   witness=lambda pair: pair + (mp.orbit_product_commutes(*pair)[1],))
+    if report.failed:
+        report.detail = "product element in only one of the two orbit sets"
+    return report
 
 
 def check_dual_orbit_commutation(mp):
@@ -465,15 +376,10 @@ def check_dual_orbit_commutation(mp):
     if not mp.F.is_finite:
         return ConditionReport("dual-orbit-product-commutation", SKIPPED,
                                detail="F infinite: the dual-orbit condition needs finite F")
-    checked = 0
-    for g in mp.G.elements():
-        for gp in mp.G.elements():
-            checked += 1
-            ok, wit = mp.dual_orbit_product_commutes(g, gp)
-            if not ok:
-                return ConditionReport("dual-orbit-product-commutation", FAIL,
-                                       witness=(g, gp, wit), checked=checked)
-    return ConditionReport("dual-orbit-product-commutation", PASS, checked=checked)
+    gs = mp.G.elements()
+    return sweep("dual-orbit-product-commutation", itertools.product(gs, gs),
+                 lambda g, gp: mp.dual_orbit_product_commutes(g, gp)[0],
+                 witness=lambda pair: pair + (mp.dual_orbit_product_commutes(*pair)[1],))
 
 
 def _onedim_simples_at(H, f):
@@ -505,6 +411,7 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
     """
     mp, cp = H.mp, H.cp
     G, F = H.G, H.F
+    gs = G.elements()
     fs = mp.window(word_bound)
     registered = list(registered)
     reports = [check_orbit_commutation(mp, word_bound),
@@ -533,6 +440,17 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
     for pi in quotients:
         wlist.extend(group_comodules(H, quotient=pi))
 
+    def moved(f, g, z):
+        "(z^-1 g z, (z^-1 g z) <| (z^-1 |> f))"
+        zgz = G.mul(G.mul(G.inv(z), g), z)
+        return zgz, mp.act_right(zgz, mp.act_left(G.inv(z), f))
+
+    def orbit_pairs():
+        for f in fs:
+            odf = mp.orbit_data(f)
+            for fp in fs:
+                yield f, odf, fp, mp.orbit_data(fp)
+
     # character-product commutation constraint
     reps = []
     seen = set()
@@ -546,31 +464,23 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
         reports.append(ConditionReport(name, SKIPPED,
                                        detail="no simple comodules over the dual of G available"))
     else:
-        witness = None
-        checked = 0
-        for f in reps:
-            od = mp.orbit_data(f)
-            for V in simples_at(f):
-                for W in wlist:
-                    for g in od.stabilizer:
-                        a = V.diagonal_sum(g)
-                        for z in od.transversal:
-                            checked += 1
-                            zgz = G.mul(G.mul(G.inv(z), g), z)
-                            moved = mp.act_right(zgz, mp.act_left(G.inv(z), f))
-                            if a * W.diagonal_sum(moved) != a * W.diagonal_sum(zgz):
-                                witness = (f, _char_values(V), _char_values(W), g, z)
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        reports.append(ConditionReport(name, FAIL if witness else PASS,
-                                       witness=witness, checked=checked))
+        def char_products():
+            for f in reps:
+                od = mp.orbit_data(f)
+                for V in simples_at(f):
+                    for W in wlist:
+                        for g in od.stabilizer:
+                            a = V.diagonal_sum(g)
+                            for z in od.transversal:
+                                yield f, V, W, g, z, a
+
+        def char_products_commute(f, V, W, g, z, a):
+            zgz, gmoved = moved(f, g, z)
+            return a * W.diagonal_sum(gmoved) == a * W.diagonal_sum(zgz)
+
+        reports.append(sweep(name, char_products(), char_products_commute,
+                             witness=lambda i: (i[0], _char_values(i[1]),
+                                                _char_values(i[2]), i[3], i[4])))
 
     # stabilizer action constraint (abelian G, trivial tau)
     name = "stabilizer-action-constraint"
@@ -578,33 +488,21 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
         reports.append(ConditionReport(name, SKIPPED,
                                        detail="needs abelian G and trivial tau"))
     else:
-        witness = None
-        checked = 0
-        for f in fs:
-            odf = mp.orbit_data(f)
-            for fp in fs:
-                odp = mp.orbit_data(fp)
-                for g in G.elements():
-                    checked += 1
-                    gin_f = odf.in_stabilizer(g)
-                    gin_fp = odp.in_stabilizer(g)
-                    hits_fp = any(odp.in_stabilizer(mp.act_right(g, fpp))
-                                  for fpp in odf.orbit)
-                    if gin_f and not gin_fp and hits_fp:
-                        witness = ("part-1", g, f, fp)
-                        break
-                    if gin_f and gin_fp:
-                        hits_f = any(odf.in_stabilizer(mp.act_right(g, fppp))
-                                     for fppp in odp.orbit)
-                        if hits_fp != hits_f:
-                            witness = ("part-2", g, f, fp)
-                            break
-                if witness:
-                    break
-            if witness:
-                break
-        reports.append(ConditionReport(name, FAIL if witness else PASS,
-                                       witness=witness, checked=checked))
+        def stabilizer_action_ok(g, f, fp, odf, odp):
+            gin_f = odf.in_stabilizer(g)
+            gin_fp = odp.in_stabilizer(g)
+            hits_fp = any(odp.in_stabilizer(mp.act_right(g, fpp)) for fpp in odf.orbit)
+            if gin_f and not gin_fp and hits_fp:
+                return False  # part 1
+            if gin_f and gin_fp:  # part 2
+                return hits_fp == any(odf.in_stabilizer(mp.act_right(g, fppp))
+                                      for fppp in odp.orbit)
+            return True
+
+        reports.append(sweep(
+            name, ((g, f, fp, odf, odp) for f, odf, fp, odp in orbit_pairs() for g in gs),
+            stabilizer_action_ok,
+            witness=lambda i: ("part-2" if i[4].in_stabilizer(i[0]) else "part-1",) + i[:3]))
 
     # sigma symmetry on central abelian contexts
     name = "sigma-symmetry-on-central-abelian"
@@ -612,24 +510,10 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
         reports.append(ConditionReport(name, SKIPPED,
                                        detail="needs abelian G and F, trivial tau, central extension"))
     else:
-        witness = None
-        checked = 0
-        for f in fs:
-            odf = mp.orbit_data(f)
-            for fp in fs:
-                odp = mp.orbit_data(fp)
-                for g in G.elements():
-                    if odf.in_stabilizer(g) and odp.in_stabilizer(g):
-                        checked += 1
-                        if cp.sigma(g, f, fp) != cp.sigma(g, fp, f):
-                            witness = (g, f, fp)
-                            break
-                if witness:
-                    break
-            if witness:
-                break
-        reports.append(ConditionReport(name, FAIL if witness else PASS,
-                                       witness=witness, checked=checked))
+        reports.append(sweep(
+            name, ((g, f, fp) for f, odf, fp, odp in orbit_pairs() for g in gs
+                   if odf.in_stabilizer(g) and odp.in_stabilizer(g)),
+            lambda g, f, fp: cp.sigma(g, f, fp) == cp.sigma(g, fp, f)))
 
     # class-sum invariance (trivial tau)
     name = "class-sum-action-invariance"
@@ -639,27 +523,20 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
         reports.append(ConditionReport(name, SKIPPED,
                                        detail="no simple comodules over the dual of G available"))
     else:
-        witness = None
-        checked = 0
-        for f in fs:
-            od = mp.orbit_data(f)
-            for W in wlist:
-                for g in od.stabilizer:
-                    for z in od.transversal:
-                        checked += 1
-                        zgz = G.mul(G.mul(G.inv(z), g), z)
-                        moved = mp.act_right(zgz, mp.act_left(G.inv(z), f))
-                        if W.diagonal_sum(moved) != W.diagonal_sum(zgz):
-                            witness = (f, _char_values(W), g, z)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        reports.append(ConditionReport(name, FAIL if witness else PASS,
-                                       witness=witness, checked=checked))
+        def class_sums():
+            for f in fs:
+                od = mp.orbit_data(f)
+                for W in wlist:
+                    for g in od.stabilizer:
+                        for z in od.transversal:
+                            yield f, W, g, z
+
+        def class_sum_invariant(f, W, g, z):
+            zgz, gmoved = moved(f, g, z)
+            return W.diagonal_sum(gmoved) == W.diagonal_sum(zgz)
+
+        reports.append(sweep(name, class_sums(), class_sum_invariant,
+                             witness=lambda i: (i[0], _char_values(i[1]), i[2], i[3])))
 
     # exchange identity when the left action is trivial
     name = "central-character-exchange"
@@ -667,38 +544,27 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
         reports.append(ConditionReport(name, SKIPPED,
                                        detail="needs trivial |> (every stabilizer is G)"))
     else:
-        witness = None
-        checked = 0
-        for f in fs:
-            vlist = simples_at(f)
-            for fp in fs:
-                wl = simples_at(fp)
-                for V in vlist:
-                    for W in wl:
-                        for g in G.elements():
-                            checked += 1
-                            lhs = (V.diagonal_sum(g)
-                                   * W.diagonal_sum(mp.act_right(g, f))
-                                   * cp.sigma(g, f, fp))
-                            rhs = (V.diagonal_sum(mp.act_right(g, fp))
-                                   * W.diagonal_sum(g) * cp.sigma(g, fp, f))
-                            if lhs != rhs:
-                                witness = (f, fp, _char_values(V), _char_values(W), g)
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if checked == 0 and witness is None:
-            reports.append(ConditionReport(name, SKIPPED,
-                                           detail="no simple comodules available"))
-        else:
-            reports.append(ConditionReport(name, FAIL if witness else PASS,
-                                           witness=witness, checked=checked))
+        def exchanges():
+            for f in fs:
+                vlist = simples_at(f)
+                for fp in fs:
+                    wl = simples_at(fp)
+                    for V, W, g in itertools.product(vlist, wl, gs):
+                        yield f, fp, V, W, g
+
+        def exchange_ok(f, fp, V, W, g):
+            lhs = (V.diagonal_sum(g) * W.diagonal_sum(mp.act_right(g, f))
+                   * cp.sigma(g, f, fp))
+            rhs = (V.diagonal_sum(mp.act_right(g, fp))
+                   * W.diagonal_sum(g) * cp.sigma(g, fp, f))
+            return lhs == rhs
+
+        report = sweep(name, exchanges(), exchange_ok,
+                       witness=lambda i: (i[0], i[1], _char_values(i[2]),
+                                          _char_values(i[3]), i[4]))
+        if report.checked == 0:
+            report = ConditionReport(name, SKIPPED, detail="no simple comodules available")
+        reports.append(report)
 
     # quotient-character exchange and one-dimensional invariance (trivial cocycles)
     for name, needs in (("quotient-character-exchange", "quot"),
@@ -719,46 +585,19 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
             reports.append(ConditionReport(name, SKIPPED,
                                            detail="no one-dimensional characters available"))
             continue
-        witness = None
-        checked = 0
         if needs == "quot":
-            for a in chars:
-                for b in chars:
-                    for g in G.elements():
-                        for f in fs:
-                            for fp in fs:
-                                checked += 1
-                                lhs = (a.diagonal_sum(g)
-                                       * b.diagonal_sum(mp.act_right(g, f)))
-                                rhs = (a.diagonal_sum(mp.act_right(g, fp))
-                                       * b.diagonal_sum(g))
-                                if lhs != rhs:
-                                    witness = (_char_values(a), _char_values(b), g, f, fp)
-                                    break
-                            if witness:
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
+            reports.append(sweep(
+                name, itertools.product(chars, chars, gs, fs, fs),
+                lambda a, b, g, f, fp: (a.diagonal_sum(g) * b.diagonal_sum(mp.act_right(g, f))
+                                        == a.diagonal_sum(mp.act_right(g, fp))
+                                        * b.diagonal_sum(g)),
+                witness=lambda i: (_char_values(i[0]), _char_values(i[1])) + i[2:]))
         else:
-            for a in chars:
-                for g in G.elements():
-                    for f in fs:
-                        checked += 1
-                        gf = mp.act_right(g, f)
-                        if a.diagonal_sum(g) != a.diagonal_sum(gf):
-                            witness = (_char_values(a), g, f,
-                                       a.diagonal_sum(g), a.diagonal_sum(gf))
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-        reports.append(ConditionReport(name, FAIL if witness else PASS,
-                                       witness=witness, checked=checked))
+            reports.append(sweep(
+                name, itertools.product(chars, gs, fs),
+                lambda a, g, f: a.diagonal_sum(g) == a.diagonal_sum(mp.act_right(g, f)),
+                witness=lambda i: (_char_values(i[0]), i[1], i[2], i[0].diagonal_sum(i[1]),
+                                   i[0].diagonal_sum(mp.act_right(i[1], i[2])))))
     return reports
 
 
@@ -811,17 +650,8 @@ def bicharacter_restriction_check(R, word_bound=None):
     reports.append(ConditionReport("fixed-part-abelian", FAIL if witness else PASS,
                                    witness=witness, checked=len(S) ** 2))
 
-    witness = None
-    for g in G.elements():
-        for a in S:
-            for b in S:
-                if cp.sigma(g, a, b) != cp.sigma(g, b, a):
-                    witness = (g, a, b)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(((g, a, b) for g in G.elements() for a in S for b in S
+                    if cp.sigma(g, a, b) != cp.sigma(g, b, a)), None)
     reports.append(ConditionReport("sigma-symmetric-on-fixed-part",
                                    FAIL if witness else PASS, witness=witness,
                                    checked=G.order() * len(S) ** 2))
@@ -849,37 +679,38 @@ def bicharacter_restriction_check(R, word_bound=None):
 
     one_elem = H.unit()
     elems = [e for (_, _, e) in gls]
-    sw = _Sweep("bicharacter-unit")
-    for e in elems:
-        v1 = R.bilinear(one_elem, e)
-        v2 = R.bilinear(e, one_elem)
-        if not sw.instance([v1, v2], lambda: v1.is_one() and v2.is_one()):
-            sw.fail(("unit law", e))
-            break
-    reports.append(sw.report())
 
-    sw = _Sweep("bicharacter-multiplicative")
-    for e1 in elems:
-        for e2 in elems:
+    def unit_ok(e):
+        v1, v2 = R.bilinear(one_elem, e), R.bilinear(e, one_elem)
+        if v1 is None or v2 is None:
+            return None
+        return v1.is_one() and v2.is_one()
+
+    reports.append(sweep("bicharacter-unit", ((e,) for e in elems), unit_ok,
+                         witness=lambda inst: ("unit law",) + inst))
+
+    def triples():
+        for e1, e2 in itertools.product(elems, elems):
             prod = e1 * e2
             if any(not R.in_window(k[1]) for k in prod.terms):
-                sw.unevaluated += 1
+                yield e1, e2, None, prod  # one unevaluated instance per product
                 continue
             for e3 in elems:
-                left = R.bilinear(prod, e3)
-                parts = (R.bilinear(e1, e3), R.bilinear(e2, e3))
-                right = R.bilinear(e3, prod)
-                parts2 = (R.bilinear(e3, e1), R.bilinear(e3, e2))
-                vals = [left, right, *parts, *parts2]
-                if not sw.instance(vals, lambda: (left == parts[0] * parts[1]
-                                                  and right == parts2[0] * parts2[1])):
-                    sw.fail((e1, e2, e3))
-                    break
-            if sw.witness:
-                break
-        if sw.witness:
-            break
-    reports.append(sw.report())
+                yield e1, e2, e3, prod
+
+    def multiplicative(e1, e2, e3, prod):
+        if e3 is None:
+            return None
+        left = R.bilinear(prod, e3)
+        parts = (R.bilinear(e1, e3), R.bilinear(e2, e3))
+        right = R.bilinear(e3, prod)
+        parts2 = (R.bilinear(e3, e1), R.bilinear(e3, e2))
+        if any(v is None for v in (left, right, *parts, *parts2)):
+            return None
+        return left == parts[0] * parts[1] and right == parts2[0] * parts2[1]
+
+    reports.append(sweep("bicharacter-multiplicative", triples(), multiplicative,
+                         witness=lambda inst: inst[:3]))
     return reports
 
 
@@ -955,49 +786,41 @@ def z2_remark_diagnostics(R, qbound=None):
     fs = _qrange(R, qbound)
     half = rational(1, 2)
     quarter = rational(1, 4)
+    gs = G.elements()
     if k == half:
-        sw = _Sweep("z2-remark-quarter-identity")
-        for x in G.elements():
-            for h in G.elements():
-                for f in fs:
-                    gf = mp.act_left(g, f)
-                    for fp in fs:
-                        r1 = R.try_value((G.mul(x, g), gf), (h, fp))
-                        r2 = R.try_value((g, f), (h, one_f))
-                        r3 = R.try_value((g, gf), (h, one_f))
-                        vals = [r1, r2, r3]
-
-                        def verdict():
-                            if (r1 * r2).is_zero():
-                                return True
-                            return cp.tau(g, g, f) * r3 * r2 == quarter
-
-                        if not sw.instance(vals, verdict):
-                            sw.fail((x, h, f, fp))
-                            return sw.report()
-        return sw.report()
-    if k == ZERO:
-        sw = _Sweep("z2-remark-unit-products")
-        for x in G.elements():
-            for f in fs:
+        def quarter_instances():
+            for x, h, f in itertools.product(gs, gs, fs):
+                gf = mp.act_left(g, f)
                 for fp in fs:
-                    ra = R.try_value((x, f), (one, fp))
-                    rb1 = R.try_value((one, f), (one, one_f))
-                    rb2 = R.try_value((x, one_f), (one, fp))
-                    rc = R.try_value((x, f), (g, fp))
-                    rd1 = R.try_value((one, f), (g, one_f))
-                    rd2 = R.try_value((x, one_f), (one, mp.act_left(g, fp)))
-                    vals = [ra, rb1, rb2, rc, rd1, rd2]
+                    yield x, h, f, fp, gf
 
-                    def verdict():
-                        first = ra.is_zero() or (rb1.is_one() and rb2.is_one())
-                        second = rc.is_zero() or (rd1.is_one() and rd2.is_one())
-                        return first and second
+        def quarter_ok(x, h, f, fp, gf):
+            r1 = R.try_value((G.mul(x, g), gf), (h, fp))
+            r2 = R.try_value((g, f), (h, one_f))
+            r3 = R.try_value((g, gf), (h, one_f))
+            if r1 is None or r2 is None or r3 is None:
+                return None
+            return (r1 * r2).is_zero() or cp.tau(g, g, f) * r3 * r2 == quarter
 
-                    if not sw.instance(vals, verdict):
-                        sw.fail((x, f, fp))
-                        return sw.report()
-        return sw.report()
+        return sweep("z2-remark-quarter-identity", quarter_instances(), quarter_ok,
+                     witness=lambda inst: inst[:4])
+    if k == ZERO:
+        def unit_products_ok(x, f, fp):
+            vals = (R.try_value((x, f), (one, fp)),
+                    R.try_value((one, f), (one, one_f)),
+                    R.try_value((x, one_f), (one, fp)),
+                    R.try_value((x, f), (g, fp)),
+                    R.try_value((one, f), (g, one_f)),
+                    R.try_value((x, one_f), (one, mp.act_left(g, fp))))
+            if any(v is None for v in vals):
+                return None
+            ra, rb1, rb2, rc, rd1, rd2 = vals
+            first = ra.is_zero() or (rb1.is_one() and rb2.is_one())
+            second = rc.is_zero() or (rd1.is_one() and rd2.is_one())
+            return first and second
+
+        return sweep("z2-remark-unit-products", itertools.product(gs, fs, fs),
+                     unit_products_ok)
     return ConditionReport("z2-remark-diagnostics", SKIPPED,
                            detail="identity block has k = %r, outside the 0 / 1/2 dichotomy" % k)
 
@@ -1029,40 +852,25 @@ def z2_shape_classify(R, qbound=None):
     def fixed(f):
         return mp.act_left(g, f) == f
 
-    shape1 = True
-    shape1_witness = None
-    shape2 = True
-    shape2_witness = None
-    for ((x, f), (y, fp)), v in R.table.items():
-        if not (x.is_identity() and y.is_identity()):
-            if shape1:
-                shape1 = False
-                shape1_witness = (x, f, y, fp)
+    def conforms(x, f, y, fp):
+        "One of the four fixed/moved membership patterns of shape (2)."
         xi, yi = x.is_identity(), y.is_identity()
-        ok = ((xi and yi and fixed(f) and fixed(fp)) or
-              (xi and not yi and not fixed(f) and fixed(fp)) or
-              (not xi and yi and fixed(f) and not fixed(fp)) or
-              (not xi and not yi and not fixed(f) and not fixed(fp)))
-        if shape2 and not ok:
-            shape2 = False
-            shape2_witness = (x, f, y, fp)
+        return ((xi and yi and fixed(f) and fixed(fp)) or
+                (xi and not yi and not fixed(f) and fixed(fp)) or
+                (not xi and yi and fixed(f) and not fixed(fp)) or
+                (not xi and not yi and not fixed(f) and not fixed(fp)))
 
-    zero_product_witness = None
-    support = list(R.table.items())
-    for ((x1, f1), (y1, f2)), v1 in support:
-        if not (x1.is_identity() and y1.is_identity()):
-            continue
-        for ((x2, f3), (y2, f4)), v2 in support:
-            if x2.is_identity() or y2.is_identity():
-                continue
-            if f3 == f1 and not fixed(f1) and not fixed(f4):
-                zero_product_witness = ((x1, f1, y1, f2), (x2, f3, y2, f4))
-                break
-            if f4 == f2 and not fixed(f2) and not fixed(f3):
-                zero_product_witness = ((x1, f1, y1, f2), (x2, f3, y2, f4))
-                break
-        if zero_product_witness:
-            break
+    entries = [(x, f, y, fp) for (x, f), (y, fp) in R.table]
+    ones = [e for e in entries if e[0].is_identity() and e[2].is_identity()]
+    gg = [e for e in entries if not (e[0].is_identity() or e[2].is_identity())]
+    shape1_witness = next((e for e in entries
+                           if not (e[0].is_identity() and e[2].is_identity())), None)
+    shape2_witness = next((e for e in entries if not conforms(*e)), None)
+    shape1, shape2 = shape1_witness is None, shape2_witness is None
+    zero_product_witness = next(
+        ((a, b) for a in ones for b in gg
+         if (b[1] == a[1] and not fixed(a[1]) and not fixed(b[3]))
+         or (b[3] == a[3] and not fixed(a[3]) and not fixed(b[1]))), None)
 
     if shape1:
         verdict = "shape(1)"

@@ -22,7 +22,7 @@ from .comodules import Character, TwistedCoalgebra, character, enumerate_onedim,
 from .errors import (ContextMismatch, HopfCqtError, NonIntegralMultiplicity,
                      NotInSpan, WrongGroup)
 from .hopf import HopfElement, multiply
-from .reports import FAIL, PASS, ConditionReport
+from .reports import sweep
 from .scalars import Matrix, ONE, ZERO, solve_linear, sqrt_root_of_unity
 
 
@@ -269,17 +269,11 @@ def z2_S_abelian_check(mp, word_bound=4):
 
 def character_commutation_sweep(chars):
     "Pairwise commutation of a character list; one report."
-    checked = 0
-    for i, c1 in enumerate(chars):
-        for c2 in chars[i + 1:]:
-            checked += 1
-            ok, key = commutes(c1, c2)
-            if not ok:
-                return ConditionReport("character-ring-commutation", FAIL,
-                                       witness=(getattr(c1, "label", "?"),
-                                                getattr(c2, "label", "?"), key),
-                                       checked=checked)
-    return ConditionReport("character-ring-commutation", PASS, checked=checked)
+    return sweep("character-ring-commutation",
+                 ((c1, c2) for i, c1 in enumerate(chars) for c2 in chars[i + 1:]),
+                 lambda c1, c2: commutes(c1, c2)[0],
+                 witness=lambda pair: (getattr(pair[0], "label", "?"),
+                                       getattr(pair[1], "label", "?"), commutes(*pair)[1]))
 
 
 def multiset_equal(labels1, labels2):

@@ -27,7 +27,7 @@ import itertools
 import random
 
 from .errors import ContextMismatch
-from .reports import FAIL, PASS, ConditionReport
+from .reports import sweep
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -473,16 +473,6 @@ def _nonzero(acc):
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
 
-def _first_failure(instances, ok):
-    "(failing instance or None, number of instances checked)."
-    checked = 0
-    for inst in instances:
-        checked += 1
-        if not ok(*inst):
-            return inst, checked
-    return None, checked
-
-
 def verify_hopf_axioms(H, word_bound=4, exhaustive_limit=40000, pair_limit=4096,
                        sample=2000, seed=7):
     """Axiom sweep over basis elements with F part in the window.
@@ -500,11 +490,8 @@ def verify_hopf_axioms(H, word_bound=4, exhaustive_limit=40000, pair_limit=4096,
     reports = []
 
     def report(check, instances, ok):
-        witness, checked = _first_failure(instances, ok)
-        if witness is not None:
-            witness = tuple(sc.keys[i] for i in witness)
-        reports.append(ConditionReport(check, FAIL if witness else PASS,
-                                       witness=witness, checked=checked))
+        reports.append(sweep(check, instances, ok,
+                             witness=lambda inst: tuple(sc.keys[i] for i in inst)))
 
     def sampled(width):
         # drawn lazily, so a failure among the patterns leaves rng untouched

@@ -16,8 +16,10 @@ T_f) and dual orbits O'_g = {g <| f} feed the comodule machinery.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import UndefinedGeneratorAction
-from .reports import FAIL, PASS, ConditionReport
+from .reports import sweep
 
 
 class OrbitData:
@@ -204,53 +206,32 @@ class MatchedPair:
         G, F = self.G, self.F
         gs = G.elements()
         fs = self.window(word_bound)
-        reports = []
-
-        def sweep(check, instances, predicate):
-            checked = 0
-            for inst in instances:
-                checked += 1
-                if not predicate(*inst):
-                    return ConditionReport(check, FAIL, witness=inst, checked=checked)
-            return ConditionReport(check, PASS, checked=checked)
-
-        reports.append(sweep(
-            "unit-laws",
-            ([g, f] for g in gs for f in fs),
-            lambda g, f: (self.act_right(g, F.one) == g and
-                          self.act_left(g, F.one) == F.one and
-                          self.act_right(G.one, f) == G.one and
-                          self.act_left(G.one, f) == f)))
-        reports.append(sweep(
-            "right-action",
-            ([g, f, fp] for g in gs for f in fs for fp in fs),
-            lambda g, f, fp: self.act_right(g, F.mul(f, fp))
-                             == self.act_right(self.act_right(g, f), fp)))
-        reports.append(sweep(
-            "left-action",
-            ([g, gp, f] for g in gs for gp in gs for f in fs),
-            lambda g, gp, f: self.act_left(G.mul(g, gp), f)
-                             == self.act_left(g, self.act_left(gp, f))))
-        reports.append(sweep(
-            "matched-pair-left",
-            ([g, f, fp] for g in gs for f in fs for fp in fs),
-            lambda g, f, fp: self.act_left(g, F.mul(f, fp))
-                             == F.mul(self.act_left(g, f),
-                                      self.act_left(self.act_right(g, f), fp))))
-        reports.append(sweep(
-            "matched-pair-right",
-            ([g, gp, f] for g in gs for gp in gs for f in fs),
-            lambda g, gp, f: self.act_right(G.mul(g, gp), f)
-                             == G.mul(self.act_right(g, self.act_left(gp, f)),
-                                      self.act_right(gp, f))))
-        reports.append(sweep(
-            "action-inverses",
-            ([g, f] for g in gs for f in fs),
-            lambda g, f: (F.inv(self.act_left(g, f))
-                          == self.act_left(self.act_right(g, f), F.inv(f)) and
-                          G.inv(self.act_right(g, f))
-                          == self.act_right(G.inv(g), self.act_left(g, f)))))
-        return reports
+        return [
+            sweep("unit-laws", product(gs, fs),
+                  lambda g, f: (self.act_right(g, F.one) == g and
+                                self.act_left(g, F.one) == F.one and
+                                self.act_right(G.one, f) == G.one and
+                                self.act_left(G.one, f) == f)),
+            sweep("right-action", product(gs, fs, fs),
+                  lambda g, f, fp: self.act_right(g, F.mul(f, fp))
+                                   == self.act_right(self.act_right(g, f), fp)),
+            sweep("left-action", product(gs, gs, fs),
+                  lambda g, gp, f: self.act_left(G.mul(g, gp), f)
+                                   == self.act_left(g, self.act_left(gp, f))),
+            sweep("matched-pair-left", product(gs, fs, fs),
+                  lambda g, f, fp: self.act_left(g, F.mul(f, fp))
+                                   == F.mul(self.act_left(g, f),
+                                            self.act_left(self.act_right(g, f), fp))),
+            sweep("matched-pair-right", product(gs, gs, fs),
+                  lambda g, gp, f: self.act_right(G.mul(g, gp), f)
+                                   == G.mul(self.act_right(g, self.act_left(gp, f)),
+                                            self.act_right(gp, f))),
+            sweep("action-inverses", product(gs, fs),
+                  lambda g, f: (F.inv(self.act_left(g, f))
+                                == self.act_left(self.act_right(g, f), F.inv(f)) and
+                                G.inv(self.act_right(g, f))
+                                == self.act_right(G.inv(g), self.act_left(g, f)))),
+        ]
 
     # -- orbits -----------------------------------------------------------------
 

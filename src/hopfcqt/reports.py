@@ -3,6 +3,21 @@
 Every verifier in the library (matched-pair axioms, cocycle identities, Hopf
 axioms, CQT levels, necessary-condition battery) returns ConditionReports so
 the CLI and the catalog can diff outcomes against expectations.
+
+Every quantified check runs through one loop, `sweep(check, instances, ok,
+witness=tuple)`:
+
+* `instances` is a lazy iterable of argument tuples; it is consumed only up
+  to the first failure.  Values hoisted out of inner loops travel in the
+  tuple, so they are computed once.
+* `ok(*inst)` returns True (the instance holds), False (it fails) or None
+  (it needs a value outside the declared window).
+* The first False ends the sweep with a FAIL report whose witness is
+  `witness(inst)`; `checked` includes the failing instance.  A witness that
+  is not part of the instance is built there, on failure only.
+* None counts as unevaluated, never as a pass.  With no failure the status
+  is OUT_OF_WINDOW when nothing was checked and something was unevaluated,
+  and PASS otherwise (an empty sweep passes with `checked` = 0).
 """
 
 PASS = "pass"
@@ -19,17 +34,15 @@ class ConditionReport:
     window.
     """
 
-    __slots__ = ("check", "status", "witness", "detail", "note", "checked", "unevaluated")
+    __slots__ = ("check", "status", "witness", "detail", "checked", "unevaluated")
 
-    def __init__(self, check, status, witness=None, detail=None, note=None,
-                 checked=0, unevaluated=0):
+    def __init__(self, check, status, witness=None, detail=None, checked=0, unevaluated=0):
         if status == FAIL and witness is None:
             raise ValueError("fail report without witness: %s" % check)
         self.check = check
         self.status = status
         self.witness = witness
         self.detail = detail
-        self.note = note
         self.checked = checked
         self.unevaluated = unevaluated
 
@@ -47,8 +60,6 @@ class ConditionReport:
             out["witness"] = [str(w) for w in self.witness]
         if self.detail:
             out["detail"] = self.detail
-        if self.note:
-            out["note"] = self.note
         if self.unevaluated:
             out["unevaluated"] = self.unevaluated
         return out
@@ -60,6 +71,22 @@ class ConditionReport:
         if self.detail:
             bits.append(self.detail)
         return "<" + "  ".join(bits) + ">"
+
+
+def sweep(check, instances, ok, witness=tuple):
+    "One quantified check over lazily generated instances; see the module docstring."
+    checked = unevaluated = 0
+    for inst in instances:
+        verdict = ok(*inst)
+        if verdict is None:
+            unevaluated += 1
+            continue
+        checked += 1
+        if not verdict:
+            return ConditionReport(check, FAIL, witness=witness(inst), checked=checked,
+                                   unevaluated=unevaluated)
+    status = OUT_OF_WINDOW if unevaluated and not checked else PASS
+    return ConditionReport(check, status, checked=checked, unevaluated=unevaluated)
 
 
 def all_passed(reports):

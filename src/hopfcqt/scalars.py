@@ -461,8 +461,11 @@ def parse_scalar(text):
 
     Examples: "2", "-1/2", "zeta(4,1)", "-1/2*zeta(4,1)", "1/2 + 1/2*zeta(3,1)".
     A zeta order above MAX_LITERAL_ORDER, named or reached by combining two
-    orders, raises SchemaError before any arithmetic at that order.
+    orders, raises SchemaError before any arithmetic at that order.  A
+    non-string (a JSON number, say) raises SchemaError too.
     """
+    if not isinstance(text, str):
+        raise SchemaError("scalar literal must be a string, got %r" % (text,))
     tokens = []
     pos = 0
     while pos < len(text):

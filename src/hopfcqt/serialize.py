@@ -31,10 +31,39 @@ def _split_key(key, parts, location):
     return [b.strip() for b in bits]
 
 
+def _object(obj, location):
+    "obj itself when it is a JSON object."
+    if not isinstance(obj, dict):
+        raise SchemaError("expected a JSON object, got %r" % (obj,), location)
+    return obj
+
+
 def _require(obj, field, location):
-    if field not in obj:
+    if field not in _object(obj, location):
         raise SchemaError("missing field %r" % field, location)
     return obj[field]
+
+
+def _literal(value, location):
+    "value itself when it is a JSON string (an element or scalar literal)."
+    if not isinstance(value, str):
+        raise SchemaError("expected a string literal, got %r" % (value,), location)
+    return value
+
+
+def _element(group, obj, field, location):
+    "The element literal obj[field], parsed by group."
+    return group.parse(_literal(_require(obj, field, location), location))
+
+
+def _int(value, location):
+    "A JSON integer, or a string holding one."
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        return int(_literal(value, location))
+    except ValueError:
+        raise SchemaError("expected an integer, got %r" % (value,), location)
 
 
 # -- contexts -------------------------------------------------------------------
@@ -107,16 +136,14 @@ def context_from_json(obj):
     G = group_from_descriptor(_require(obj, "G", "context"))
     F = group_from_descriptor(_require(obj, "F", "context"))
     left_tables, right_tables = {}, {}
-    left_json = _require(obj, "left_action", "context")
-    right_json = _require(obj, "right_action", "context")
-    for src, dst, parser, loc in ((left_json, left_tables, F.parse, "left_action"),
-                                  (right_json, right_tables, G.parse, "right_action")):
-        for key, val in src.items():
+    for dst, parser, loc in ((left_tables, F.parse, "left_action"),
+                             (right_tables, G.parse, "right_action")):
+        for key, val in _object(_require(obj, loc, "context"), loc).items():
             gtxt, gentxt = _split_key(key, 2, loc)
             try:
                 g = G.parse(gtxt)
                 gen = F.parse(gentxt)
-                dst[(g.key, gen.key)] = parser(val)
+                dst[(g.key, gen.key)] = parser(_literal(val, loc))
             except SchemaError as e:
                 raise SchemaError(str(e), "%s[%r]" % (loc, key))
     mp = MatchedPair.from_generator_tables(G, F, left_tables, right_tables,
@@ -131,7 +158,7 @@ def context_from_json(obj):
 def _cocycle_table_from_json(obj, A, B, C, loc):
     default = ONE
     table = {}
-    for key, val in obj.items():
+    for key, val in _object(obj, loc).items():
         if key == "default":
             default = parse_scalar(val)
             continue
@@ -168,8 +195,7 @@ def element_from_json(obj, H):
     terms = []
     for i, item in enumerate(obj):
         loc = "element[%d]" % i
-        terms.append((H.G.parse(_require(item, "g", loc)),
-                      H.F.parse(_require(item, "f", loc)),
+        terms.append((_element(H.G, item, "g", loc), _element(H.F, item, "f", loc),
                       parse_scalar(_require(item, "c", loc))))
     return H.element(terms)
 
@@ -192,14 +218,20 @@ def rform_from_json(obj, H):
         raise SchemaError("R-form must be a JSON object")
     window = None
     if obj.get("window") is not None:
-        window = int(_require(obj["window"], "maxlen", "window"))
+        window = _int(_require(obj["window"], "maxlen", "window"), "window.maxlen")
+    items = _require(obj, "entries", "rform")
+    if not isinstance(items, list):
+        raise SchemaError("entries must be a JSON list", "rform")
     entries = {}
-    for i, item in enumerate(_require(obj, "entries", "rform")):
+    for i, item in enumerate(items):
         loc = "entries[%d]" % i
-        key = ((H.G.parse(_require(item, "g", loc)), H.F.parse(_require(item, "f", loc))),
-               (H.G.parse(_require(item, "h", loc)), H.F.parse(_require(item, "f2", loc))))
+        key = ((_element(H.G, item, "g", loc), _element(H.F, item, "f", loc)),
+               (_element(H.G, item, "h", loc), _element(H.F, item, "f2", loc)))
         entries[key] = parse_scalar(_require(item, "c", loc))
-    return RForm(H, entries, window=window)
+    try:
+        return RForm(H, entries, window=window)
+    except ValueError as e:  # no window over infinite F, or an entry outside it
+        raise SchemaError(str(e), "rform")
 
 
 def comodule_to_json(V):
@@ -219,13 +251,13 @@ def comodule_to_json(V):
 def comodule_from_json(obj, H):
     if not isinstance(obj, dict):
         raise SchemaError("comodule must be a JSON object")
-    f = H.F.parse(_require(obj, "f", "comodule"))
-    dim = int(_require(obj, "dim", "comodule"))
+    f = _element(H.F, obj, "f", "comodule")
+    dim = _int(_require(obj, "dim", "comodule"), "comodule.dim")
     C = TwistedCoalgebra(H, f)
     coeffs = {}
-    for key, val in _require(obj, "a", "comodule").items():
+    for key, val in _object(_require(obj, "a", "comodule"), "comodule.a").items():
         l, i, g = _split_key(key, 3, "comodule.a")
-        coeffs[(int(l), int(i), H.G.parse(g))] = parse_scalar(val)
+        coeffs[(_int(l, "comodule.a"), _int(i, "comodule.a"), H.G.parse(g))] = parse_scalar(val)
     return Comodule.from_coefficients(C, dim, coeffs)
 
 

@@ -1,0 +1,57 @@
+import pytest
+
+from hopfcqt.reports import FAIL, OUT_OF_WINDOW, PASS, ConditionReport, sweep
+
+
+def test_sweep_pass_counts_every_instance():
+    r = sweep("c", ((i,) for i in range(5)), lambda i: True)
+    assert (r.check, r.status, r.checked, r.unevaluated, r.witness) == ("c", PASS, 5, 0, None)
+
+
+def test_sweep_stops_at_the_kth_instance():
+    seen = []
+
+    def instances():
+        for i in range(10):
+            seen.append(i)
+            yield i, i * i
+
+    r = sweep("c", instances(), lambda i, sq: i != 3)
+    assert r.status == FAIL and r.witness == (3, 9)
+    assert r.checked == 4  # the failing instance counts
+    assert seen == [0, 1, 2, 3]  # the generator was not advanced past it
+
+
+def test_sweep_failure_keeps_the_unevaluated_count():
+    r = sweep("c", [(None,), (True,), (None,), (False,), (True,)], lambda v: v)
+    assert (r.status, r.checked, r.unevaluated, r.witness) == (FAIL, 2, 2, (False,))
+
+
+def test_sweep_unevaluated_is_never_a_pass():
+    r = sweep("c", [(None,), (True,), (None,)], lambda v: v)
+    assert (r.status, r.checked, r.unevaluated) == (PASS, 1, 2)
+    assert r.to_json() == {"check": "c", "status": PASS, "checked": 1, "unevaluated": 2}
+
+
+def test_sweep_all_unevaluated_is_out_of_window():
+    r = sweep("c", [(None,)] * 3, lambda v: v)
+    assert (r.status, r.checked, r.unevaluated) == (OUT_OF_WINDOW, 0, 3)
+
+
+def test_sweep_custom_witness_sees_the_whole_instance():
+    r = sweep("c", [(1, "hoisted"), (2, "hoisted")], lambda i, extra: i < 2,
+              witness=lambda inst: ("at", inst[0]))
+    assert r.witness == ("at", 2)
+    assert r.to_json()["witness"] == ["at", "2"]
+
+
+def test_sweep_empty_passes():
+    r = sweep("c", iter(()), lambda: False)
+    assert (r.status, r.checked, r.unevaluated) == (PASS, 0, 0)
+
+
+def test_fail_report_needs_a_witness():
+    with pytest.raises(ValueError):
+        ConditionReport("c", FAIL)
+    with pytest.raises(TypeError):
+        ConditionReport("c", PASS, note="gone")

@@ -189,11 +189,51 @@ def _malformed_context(tmp_path, edit):
     lambda obj: obj["tau"].update(default="zeta(0,1)"),
     lambda obj: obj["sigma"].update(default="(" * 2000 + "1" + ")" * 2000),
     lambda obj: obj["tau"].update(default="zeta(30030,1)"),
+    lambda obj: obj["sigma"].update(default=2),
+    lambda obj: obj.update(left_action=[]),
+    lambda obj: obj["left_action"].update({"g|t": 1}),
+    lambda obj: obj.update(sigma=["1"]),
 ], ids=["zero-sigma-default", "Zn-n-0", "scalar-1/0", "zeta-order-0", "deep-nesting",
-        "zeta-order-30030"])
+        "zeta-order-30030", "scalar-number", "action-list", "action-value-number",
+        "sigma-list"])
 def test_cli_malformed_context_exits_2(tmp_path, capsys, edit):
     path = _malformed_context(tmp_path, edit)
     assert cli.main(["verify-cocycles", "--input", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _cqt_verify_args(tmp_path, entry, edit, levels):
+    obj = serialize.rform_to_json(eps_tensor_eps(get_entry(entry).context(), window=1))
+    edit(obj)
+    path = tmp_path / "rform.json"
+    serialize.save_json(obj, path)
+    return ["cqt-verify", "--entry", entry, "--rform", str(path), "--levels", levels]
+
+
+@pytest.mark.parametrize("entry, edit, levels", [
+    ("Z2_Z2_tau", lambda obj: obj["window"].update(maxlen="x"), "0"),
+    ("Z2_Z2_tau", lambda obj: obj.update(entries=["g"]), "0"),
+    ("Z2_Z2_tau", lambda obj: obj.update(entries={"g": "1"}), "0"),
+    ("Z2_Z2_tau", lambda obj: obj.update(window=3), "0"),
+    ("Z2_Z", lambda obj: obj.pop("window"), "0"),
+    ("Z2_Z", lambda obj: obj["window"].update(maxlen=0), "0"),
+    ("Z2_Z2_tau", lambda obj: None, "7"),
+    ("Z2_Z2_tau", lambda obj: None, "foo"),
+    ("Z2_Z2_tau", lambda obj: None, "0,,1"),
+], ids=["window-maxlen-text", "entry-not-object", "entries-not-list", "window-not-object",
+        "no-window-infinite-F", "entry-outside-window", "level-7", "level-foo",
+        "level-empty"])
+def test_cli_malformed_cqt_verify_exits_2(tmp_path, capsys, entry, edit, levels):
+    assert cli.main(_cqt_verify_args(tmp_path, entry, edit, levels)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_cqt_verify_levels(tmp_path, capsys):
+    args = _cqt_verify_args(tmp_path, "Z2_Z2_tau", lambda obj: None, " 4,inv ,0")
+    assert cli.main(args + ["--json"]) == 0
+    checks = [r["check"] for r in json.loads(capsys.readouterr().out)["reports"]]
+    assert checks == ["CQT4", "CQT-convolution-inverse", "CQT0"]
