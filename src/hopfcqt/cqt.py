@@ -256,13 +256,28 @@ def _cqt3(R, fs):
     return sweep("CQT3", instances(), ok, witness=lambda inst: inst[:5])
 
 
-def _convolution_sweep(check, R, fs, antipode):
-    """sum_(x,y) tau(g x^-1, x; f) tau(h y^-1, y; f') r1 r2 = [g = h = 1].
+def _cqt4(R, fs):
+    H = R.H
+    mp, cp, try_value = H.mp, H.cp, R.try_value
+    gs, quot = H.G.elements(), _quotients(H.G)
 
-    CQT4 takes r1 = R(p_(g x^-1) # (x |> f), p_(h y^-1) # (y |> f')) and
-    r2 = R(p_y # f', p_x # f); the convolution-inverse identity puts S on the
-    first key of r1, with its coefficient, and takes r2 = R(p_x # f, p_y # f').
-    """
+    def ok(g, h, f, fp):
+        terms = [(gx, x, hy, y, try_value((gx, mp.act_left(x, f)), (hy, mp.act_left(y, fp))),
+                  try_value((y, fp), (x, f)))
+                 for gx, x in quot[g.key] for hy, y in quot[h.key]]
+        if _unknown(terms):
+            return None
+        total = ZERO
+        for gx, x, hy, y, r1, r2 in terms:
+            if r1 and r2:
+                total = total + cp.tau(gx, x, f) * cp.tau(hy, y, fp) * r1 * r2
+        return total == (ONE if (g.is_identity() and h.is_identity()) else ZERO)
+
+    return sweep("CQT4", itertools.product(gs, gs, fs, fs), ok)
+
+
+def _cqt_inverse(R, fs):
+    "R(S(.), .) is a two-sided convolution inverse of R: (R^-1 * R) = eps (x) eps."
     H = R.H
     mp, cp, try_value = H.mp, H.cp, R.try_value
     gs, quot = H.G.elements(), _quotients(H.G)
@@ -270,32 +285,19 @@ def _convolution_sweep(check, R, fs, antipode):
     def ok(g, h, f, fp):
         terms = []
         for gx, x in quot[g.key]:
-            key, coef = (gx, mp.act_left(x, f)), None
-            if antipode:
-                key, coef = antipode_basis(H, key)
+            skey, scoef = antipode_basis(H, (gx, mp.act_left(x, f)))
             for hy, y in quot[h.key]:
-                r1 = try_value(key, (hy, mp.act_left(y, fp)))
-                r2 = try_value((x, f), (y, fp)) if antipode else try_value((y, fp), (x, f))
-                terms.append((gx, x, hy, y, coef, r1, r2))
+                terms.append((gx, x, hy, y, scoef, try_value(skey, (hy, mp.act_left(y, fp))),
+                              try_value((x, f), (y, fp))))
         if _unknown(terms):
             return None
         total = ZERO
-        for gx, x, hy, y, coef, r1, r2 in terms:
+        for gx, x, hy, y, scoef, r1, r2 in terms:
             if r1 and r2:
-                t = cp.tau(gx, x, f) * cp.tau(hy, y, fp)
-                total = total + (t if coef is None else t * coef) * r1 * r2
+                total = total + (cp.tau(gx, x, f) * cp.tau(hy, y, fp) * scoef * r1 * r2)
         return total == (ONE if (g.is_identity() and h.is_identity()) else ZERO)
 
-    return sweep(check, itertools.product(gs, gs, fs, fs), ok)
-
-
-def _cqt4(R, fs):
-    return _convolution_sweep("CQT4", R, fs, antipode=False)
-
-
-def _cqt_inverse(R, fs):
-    "R(S(.), .) is a two-sided convolution inverse of R: (R^-1 * R) = eps (x) eps."
-    return _convolution_sweep("CQT-convolution-inverse", R, fs, antipode=True)
+    return sweep("CQT-convolution-inverse", itertools.product(gs, gs, fs, fs), ok)
 
 
 _LEVELS = {0: _cqt0, 1: _cqt1, 2: _cqt2, 3: _cqt3, 4: _cqt4, "inv": _cqt_inverse}
