@@ -37,10 +37,11 @@ def _levels(text):
     names = {str(level): level for level in cqt._LEVELS}
     levels = []
     for name in text.split(","):
-        if name.strip() not in names:
+        name = name.strip()
+        if name not in names:
             raise HopfCqtError("unknown CQT level %r (choose from %s)"
                                % (name, ", ".join(names)))
-        levels.append(names[name.strip()])
+        levels.append(names[name])
     return levels
 
 
