@@ -15,11 +15,11 @@ import sys
 
 from . import catalog, cqt, serialize
 from .comodules import character, induce
-from .cqt import (RForm, bicharacter_restriction_check, necessary_battery,
-                  structural_zeros, verify_R, z2_r11_solve, z2_shape_classify)
+from .cqt import (bicharacter_restriction_check, necessary_battery, structural_zeros,
+                  verify_R, z2_r11_solve, z2_shape_classify)
 from .errors import HopfCqtError
 from .grothendieck import Z2Simples, char_product, commutes, decompose
-from .hopf import antipode, comultiply, counit, verify_hopf_axioms
+from .hopf import antipode, comultiply, verify_hopf_axioms
 from .reports import ConditionReport, FAIL
 from .scalars import format_scalar
 

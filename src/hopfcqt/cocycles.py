@@ -6,15 +6,14 @@ tau:   G x G x F -> k*   twists the comultiplication,
 subject to normalization, the two cocycle identities, and the compatibility
 equation tying them together.  Values are Scalars (roots of unity times
 rationals); finite F uses tables, the infinite families use rule callables
-supplied by catalog entries.
+supplied by catalog entries.  `verify` runs on matched_pair.PairTables, so
+each distinct sigma/tau argument triple is looked up once.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
-from .errors import MissingEntry, SchemaError, WrongGroup
-from .reports import sweep
+from .errors import InvalidCocycle, MissingEntry, SchemaError, WrongGroup
+from .matched_pair import PairTables
 from .scalars import ONE
 
 
@@ -88,7 +87,7 @@ class CocyclePair:
         self.mp.F._member(fp)
         v = self._sigma(g, f, fp)
         if v.is_zero():
-            raise ValueError("sigma value is zero at (%r; %r, %r)" % (g, f, fp))
+            raise InvalidCocycle("sigma value is zero at (%r; %r, %r)" % (g, f, fp))
         return v
 
     def tau(self, g, gp, f):
@@ -97,7 +96,7 @@ class CocyclePair:
         self.mp.F._member(f)
         v = self._tau(g, gp, f)
         if v.is_zero():
-            raise ValueError("tau value is zero at (%r, %r; %r)" % (g, gp, f))
+            raise InvalidCocycle("tau value is zero at (%r, %r; %r)" % (g, gp, f))
         return v
 
     # -- verification ---------------------------------------------------------
@@ -108,36 +107,27 @@ class CocyclePair:
         Exhaustive over finite F; over words of length <= word_bound in the
         infinite families.
         """
-        mp = self.mp
-        G, F = mp.G, mp.F
-        gs = G.elements()
-        fs = mp.window(word_bound)
-        one_G, one_F = G.one, F.one
+        T = PairTables(self.mp, word_bound, self)
+        o, e = T.gid[self.mp.G.one.key], T.fid(self.mp.F.one)
+        gmul, fmul, left, right, sigma, tau = T.gmul, T.fmul, T.left, T.right, T.sigma, T.tau
         return [
-            sweep("normalization", product(gs, gs, fs, fs),
-                  lambda g, gp, f, fp: (self.sigma(g, one_F, f).is_one() and
-                                        self.sigma(g, f, one_F).is_one() and
-                                        self.sigma(one_G, f, fp).is_one() and
-                                        self.tau(one_G, g, f).is_one() and
-                                        self.tau(g, one_G, f).is_one() and
-                                        self.tau(g, gp, one_F).is_one())),
-            sweep("sigma-cocycle", product(gs, fs, fs, fs),
-                  lambda g, f, fp, fpp:
-                      self.sigma(mp.act_right(g, f), fp, fpp) * self.sigma(g, f, F.mul(fp, fpp))
-                      == self.sigma(g, f, fp) * self.sigma(g, F.mul(f, fp), fpp)),
-            sweep("tau-cocycle", product(gs, gs, gs, fs),
-                  lambda g, gp, gpp, f:
-                      self.tau(g, gp, mp.act_left(gpp, f)) * self.tau(G.mul(g, gp), gpp, f)
-                      == self.tau(g, G.mul(gp, gpp), f) * self.tau(gp, gpp, f)),
-            sweep("compatibility", product(gs, gs, fs, fs),
-                  lambda g, gp, f, fp:
-                      self.sigma(G.mul(g, gp), f, fp) * self.tau(g, gp, F.mul(f, fp))
-                      == (self.sigma(g, mp.act_left(gp, f),
-                                     mp.act_left(mp.act_right(gp, f), fp))
-                          * self.sigma(gp, f, fp)
-                          * self.tau(g, gp, f)
-                          * self.tau(mp.act_right(g, mp.act_left(gp, f)),
-                                     mp.act_right(gp, f), fp))),
+            T.sweep("normalization", "GGFF",
+                    lambda g, gp, f, fp: (sigma[g, e, f].is_one() and sigma[g, f, e].is_one()
+                                          and sigma[o, f, fp].is_one() and tau[o, g, f].is_one()
+                                          and tau[g, o, f].is_one() and tau[g, gp, e].is_one())),
+            T.sweep("sigma-cocycle", "GFFF",
+                    lambda g, f, fp, fpp:
+                        sigma[right[g, f], fp, fpp] * sigma[g, f, fmul[fp, fpp]]
+                        == sigma[g, f, fp] * sigma[g, fmul[f, fp], fpp]),
+            T.sweep("tau-cocycle", "GGGF",
+                    lambda g, gp, gpp, f:
+                        tau[g, gp, left[gpp, f]] * tau[gmul[g][gp], gpp, f]
+                        == tau[g, gmul[gp][gpp], f] * tau[gp, gpp, f]),
+            T.sweep("compatibility", "GGFF",
+                    lambda g, gp, f, fp:
+                        sigma[gmul[g][gp], f, fp] * tau[g, gp, fmul[f, fp]]
+                        == (sigma[g, left[gp, f], left[right[gp, f], fp]] * sigma[gp, f, fp]
+                            * tau[g, gp, f] * tau[right[g, left[gp, f]], right[gp, f], fp])),
         ]
 
     def tau_square_identity_check(self, f, fp):

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (NonAbelianStabilizer, NotARootOfUnity, NotInStabilizer,
-                     WrongGroup)
+from .errors import (InvalidCocycle, NonAbelianStabilizer, NotARootOfUnity,
+                     NotInStabilizer, WrongGroup)
 from .hopf import HopfElement
 from .reports import FAIL, PASS, ConditionReport, sweep
 from .scalars import Matrix, ONE, Scalar, ZERO, commutant_dimension, root_of_unity
@@ -72,15 +72,15 @@ class TwistedCoalgebra:
                     lhs = self.tau(G.mul(a, b), c) * self.tau(a, b)
                     rhs = self.tau(a, G.mul(b, c)) * self.tau(b, c)
                     if lhs != rhs:
-                        raise ValueError("twisted coproduct not coassociative at "
-                                         "(%r, %r, %r) over %r" % (a, b, c, abc))
+                        raise InvalidCocycle("twisted coproduct not coassociative at "
+                                             "(%r, %r, %r) over %r" % (a, b, c, abc))
         for g in self.stabilizer:
             d = self.delta(g)
             for (x, y), c in d.items():
                 if x.is_identity() and (y != g or not c.is_one()):
-                    raise ValueError("counit law fails at %r" % g)
+                    raise InvalidCocycle("counit law fails at %r" % g)
                 if y.is_identity() and (x != g or not c.is_one()):
-                    raise ValueError("counit law fails at %r" % g)
+                    raise InvalidCocycle("counit law fails at %r" % g)
 
     def __repr__(self):
         return "TwistedCoalgebra(f=%r, |G_f|=%d)" % (self.f, len(self.stabilizer))

@@ -33,6 +33,10 @@ class MissingEntry(HopfCqtError):
     "Cocycle table lookup failed and no default was declared."
 
 
+class InvalidCocycle(HopfCqtError, ValueError):
+    "A zero sigma/tau value, or a tau whose twisted coproduct is not a coalgebra."
+
+
 class ContextMismatch(HopfCqtError):
     "Operation on elements over different Hopf-algebra contexts."
 

@@ -16,12 +16,9 @@ is +1 for trivial cocycles.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .comodules import Character, TwistedCoalgebra, character, enumerate_onedim, trivial_comodule
-from .errors import (ContextMismatch, HopfCqtError, NonIntegralMultiplicity,
-                     NotInSpan, WrongGroup)
-from .hopf import HopfElement, multiply
+from .comodules import Character, TwistedCoalgebra, enumerate_onedim, trivial_comodule
+from .errors import HopfCqtError, NonIntegralMultiplicity, NotInSpan, WrongGroup
+from .hopf import multiply
 from .reports import sweep
 from .scalars import Matrix, ONE, ZERO, solve_linear, sqrt_root_of_unity
 

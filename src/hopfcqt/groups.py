@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (InfiniteGroup, MixedGroups, SchemaError,
-                     UndefinedGeneratorAction)
+from .errors import InfiniteGroup, MixedGroups, SchemaError
 
 
 class GroupElement:

@@ -12,6 +12,9 @@ one action table (g.key, f.key) -> (g <| f, g |> f): for finite F it is filled
 in full at construction, for infinite F each entry is folded once, on its
 first use.  Orbits O_f = {g |> f}, stabilizers G_f, transversals T_f (1 in
 T_f) and dual orbits O'_g = {g <| f} feed the comodule machinery.
+
+`verify` and `CocyclePair.verify` sweep int ids over one PairTables per call,
+so each pair (g, f) is acted on once.
 """
 
 from __future__ import annotations
@@ -203,34 +206,26 @@ class MatchedPair:
 
     def verify(self, word_bound=4):
         "Check the action laws, the matched-pair axioms, and the inverse identities."
-        G, F = self.G, self.F
-        gs = G.elements()
-        fs = self.window(word_bound)
+        T = PairTables(self, word_bound)
+        o, e = T.gid[self.G.one.key], T.fid(self.F.one)
+        gmul, ginv, fmul, finv, left, right = T.gmul, T.ginv, T.fmul, T.finv, T.left, T.right
         return [
-            sweep("unit-laws", product(gs, fs),
-                  lambda g, f: (self.act_right(g, F.one) == g and
-                                self.act_left(g, F.one) == F.one and
-                                self.act_right(G.one, f) == G.one and
-                                self.act_left(G.one, f) == f)),
-            sweep("right-action", product(gs, fs, fs),
-                  lambda g, f, fp: self.act_right(g, F.mul(f, fp))
-                                   == self.act_right(self.act_right(g, f), fp)),
-            sweep("left-action", product(gs, gs, fs),
-                  lambda g, gp, f: self.act_left(G.mul(g, gp), f)
-                                   == self.act_left(g, self.act_left(gp, f))),
-            sweep("matched-pair-left", product(gs, fs, fs),
-                  lambda g, f, fp: self.act_left(g, F.mul(f, fp))
-                                   == F.mul(self.act_left(g, f),
-                                            self.act_left(self.act_right(g, f), fp))),
-            sweep("matched-pair-right", product(gs, gs, fs),
-                  lambda g, gp, f: self.act_right(G.mul(g, gp), f)
-                                   == G.mul(self.act_right(g, self.act_left(gp, f)),
-                                            self.act_right(gp, f))),
-            sweep("action-inverses", product(gs, fs),
-                  lambda g, f: (F.inv(self.act_left(g, f))
-                                == self.act_left(self.act_right(g, f), F.inv(f)) and
-                                G.inv(self.act_right(g, f))
-                                == self.act_right(G.inv(g), self.act_left(g, f)))),
+            T.sweep("unit-laws", "GF",
+                    lambda g, f: (right[g, e] == g and left[g, e] == e and
+                                  right[o, f] == o and left[o, f] == f)),
+            T.sweep("right-action", "GFF",
+                    lambda g, f, fp: right[g, fmul[f, fp]] == right[right[g, f], fp]),
+            T.sweep("left-action", "GGF",
+                    lambda g, gp, f: left[gmul[g][gp], f] == left[g, left[gp, f]]),
+            T.sweep("matched-pair-left", "GFF",
+                    lambda g, f, fp: left[g, fmul[f, fp]]
+                                     == fmul[left[g, f], left[right[g, f], fp]]),
+            T.sweep("matched-pair-right", "GGF",
+                    lambda g, gp, f: right[gmul[g][gp], f]
+                                     == gmul[right[g, left[gp, f]]][right[gp, f]]),
+            T.sweep("action-inverses", "GF",
+                    lambda g, f: (finv[left[g, f]] == left[right[g, f], finv[f]] and
+                                  ginv[right[g, f]] == right[ginv[g], left[g, f]])),
         ]
 
     # -- orbits -----------------------------------------------------------------
@@ -326,3 +321,57 @@ class MatchedPair:
 
     def __repr__(self):
         return "MatchedPair(%s: G=%r, F=%r)" % (self.name or "?", self.G, self.F)
+
+
+class _Memo(dict):
+    "A dict that computes each missing entry once, as fn(key)."
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class PairTables:
+    """Int ids and memo tables for one matched-pair or cocycle verify call.
+
+    G ids follow G.elements(); F ids start with the window and append each
+    image that leaves it.  gmul/ginv are lists; fmul, finv, left (|>), right
+    (<|) and, given cp, sigma/tau fill an entry on its first lookup through
+    the public methods, so their checks and errors stay.
+    """
+
+    def __init__(self, mp, word_bound, cp=None):
+        G, F = mp.G, mp.F
+        gs = self.gs = G.elements()
+        fs = self.fs = list(mp.window(word_bound))
+        self.nf = len(fs)
+        gid = self.gid = {g.key: i for i, g in enumerate(gs)}
+        index = {f.key: i for i, f in enumerate(fs)}
+
+        def fid(f):
+            "The id of an F element, appending it on first sight."
+            if f.key not in index:
+                index[f.key] = len(fs)
+                fs.append(f)
+            return index[f.key]
+
+        # the memos close over fid, not self: no cycle, so the tables go with the call
+        self.fid = fid
+        self.gmul = [[gid[G.mul(a, b).key] for b in gs] for a in gs]
+        self.ginv = [gid[G.inv(a).key] for a in gs]
+        self.fmul = _Memo(lambda k: fid(F.mul(fs[k[0]], fs[k[1]])))
+        self.finv = _Memo(lambda f: fid(F.inv(fs[f])))
+        self.left = _Memo(lambda k: fid(mp.act_left(gs[k[0]], fs[k[1]])))
+        self.right = _Memo(lambda k: gid[mp.act_right(gs[k[0]], fs[k[1]]).key])
+        self.sigma = _Memo(lambda k: cp.sigma(gs[k[0]], fs[k[1]], fs[k[2]]))
+        self.tau = _Memo(lambda k: cp.tau(gs[k[0]], gs[k[1]], fs[k[2]]))
+
+    def sweep(self, check, kinds, ok):
+        "reports.sweep over window ids, one G or F id per letter of kinds (e.g. 'GFF')."
+        seqs = [self.gs if k == "G" else self.fs for k in kinds]
+        ids = [range(len(self.gs) if k == "G" else self.nf) for k in kinds]
+        return sweep(check, product(*ids), ok,
+                     witness=lambda inst: tuple(seq[i] for seq, i in zip(seqs, inst)))

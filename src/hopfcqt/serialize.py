@@ -15,9 +15,9 @@ from .comodules import Comodule, TwistedCoalgebra
 from .cqt import RForm
 from .errors import SchemaError
 from .groups import group_from_descriptor
-from .hopf import HopfAlgebra, HopfElement
+from .hopf import HopfAlgebra
 from .matched_pair import MatchedPair
-from .scalars import ONE, Scalar, format_scalar, parse_scalar
+from .scalars import ONE, format_scalar, parse_scalar
 
 
 def _split_key(key, parts, location):

@@ -1,0 +1,111 @@
+"""The int-indexed matched-pair and cocycle sweeps against the object path."""
+
+import pytest
+
+from pair_reference import verify_cocycles_reference, verify_matched_pair_reference
+from test_hopf import _perturbed_context
+from hopfcqt.catalog import entry_ids, get_entry
+from hopfcqt.cocycles import CocyclePair
+from hopfcqt.errors import HopfCqtError, InvalidCocycle, MissingEntry
+from hopfcqt.groups import cyclic_group
+from hopfcqt.matched_pair import MatchedPair
+from hopfcqt.reports import all_passed
+from hopfcqt.scalars import ONE, ZERO
+
+
+def _json(reports):
+    return [r.to_json() for r in reports]
+
+
+@pytest.mark.parametrize("eid", entry_ids())
+def test_sweeps_match_object_reference_on_catalog(eid):
+    entry = get_entry(eid)
+    H = entry.context()
+    for bound in sorted({2, entry.default_bound}):
+        assert _json(H.mp.verify(bound)) == _json(verify_matched_pair_reference(H.mp, bound))
+        assert _json(H.cp.verify(bound)) == _json(verify_cocycles_reference(H.cp, bound))
+
+
+def test_cocycle_sweep_matches_object_reference_on_perturbed_cocycles():
+    ids = entry_ids()
+    failing = 0
+    for seed in range(52):
+        cp = _perturbed_context(ids[seed % len(ids)], seed).cp
+        new = _json(cp.verify(2))
+        assert new == _json(verify_cocycles_reference(cp, 2)), cp.name
+        failing += any(r["status"] == "fail" for r in new)
+    assert failing >= 50
+
+
+def _total_tables(G, F):
+    sigma = {(g.key, f.key, fp.key): ONE
+             for g in G.elements() for f in F.elements() for fp in F.elements()}
+    tau = {(g.key, gp.key, f.key): ONE
+           for g in G.elements() for gp in G.elements() for f in F.elements()}
+    return sigma, tau
+
+
+@pytest.mark.parametrize("table, key", [
+    ("sigma", (0, 1, 1)), ("sigma", (1, 1, 2)), ("sigma", (1, 2, 2)), ("tau", (1, 1, 2)),
+], ids=["sigma-normalization", "sigma-cocycle", "sigma-late", "tau-cocycle"])
+def test_missing_entry_raises_like_reference(table, key):
+    G, F = cyclic_group(2), cyclic_group(3, gen_name="t")
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: f, right=lambda g, f: g)
+    tables = dict(zip(("sigma", "tau"), _total_tables(G, F)))
+    del tables[table][key]
+    cp = CocyclePair.from_tables(mp, tables["sigma"], tables["tau"],
+                                 sigma_default=None, tau_default=None)
+    with pytest.raises(MissingEntry) as new:
+        cp.verify()
+    with pytest.raises(MissingEntry) as ref:
+        verify_cocycles_reference(cp)
+    assert str(new.value) == str(ref.value)
+
+
+def test_zero_rule_value_raises_library_error():
+    G, F = cyclic_group(2), cyclic_group(2, gen_name="t")
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: f, right=lambda g, f: g)
+    cp = CocyclePair.from_functions(
+        mp, lambda a, f, fp: ZERO if not (a.is_identity() or f.is_identity()) else ONE,
+        lambda a, b, f: ONE)
+    with pytest.raises(InvalidCocycle) as new:
+        cp.verify()
+    assert isinstance(new.value, HopfCqtError) and isinstance(new.value, ValueError)
+    with pytest.raises(InvalidCocycle) as ref:
+        verify_cocycles_reference(cp)
+    assert str(new.value) == str(ref.value)
+
+
+def _record_calls(monkeypatch, cls, names):
+    "Wrap the named methods of cls; return the list of (name, argument keys) calls."
+    calls = []
+    for name in names:
+        def counted(self, *args, _name=name, _orig=getattr(cls, name)):
+            calls.append((_name,) + tuple(a.key for a in args))
+            return _orig(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_cocycle_sweep_looks_up_each_triple_once(monkeypatch):
+    # once per triple, and in the order the object path first reaches each
+    # triple, so every identity keeps its operand order
+    cp = get_entry("Q8_Dinf").context().cp
+    calls = _record_calls(monkeypatch, CocyclePair, ("sigma", "tau"))
+    assert all_passed(cp.verify())
+    new = list(calls)
+    assert new and len(set(new)) == len(new)
+    calls.clear()
+    verify_cocycles_reference(cp)
+    assert new == list(dict.fromkeys(calls))
+
+
+def test_matched_pair_sweep_acts_once_per_pair(monkeypatch):
+    mp = get_entry("Q8_Dinf").context().mp
+    calls = _record_calls(monkeypatch, MatchedPair, ("act_left", "act_right"))
+    assert all_passed(mp.verify())
+    new = list(calls)
+    assert new and len(set(new)) == len(new)
+    calls.clear()
+    verify_matched_pair_reference(mp)
+    assert new == list(dict.fromkeys(calls))

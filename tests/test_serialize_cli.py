@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from test_hopf import _perturbed_context
 from hopfcqt import cli, serialize
 from hopfcqt.catalog import get_entry
 from hopfcqt.comodules import TwistedCoalgebra, enumerate_onedim
@@ -201,6 +202,16 @@ def test_cli_malformed_context_exits_2(tmp_path, capsys, edit):
     assert cli.main(["verify-cocycles", "--input", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_non_cocycle_tau_exits_2(tmp_path, capsys):
+    # one tau entry overridden: a stabilizer's twisted coproduct is not coassociative
+    path = tmp_path / "ctx.json"
+    serialize.save_context(_perturbed_context("Q8_Dinf", 0), path)
+    assert cli.main(["cqt-necessary", "--input", str(path), "--maxlen", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: twisted coproduct not coassociative")
     assert "Traceback" not in err
 
 
