@@ -2,23 +2,29 @@
 
 RForm holds a finitely supported bilinear table R(p_g # f, p_h # f') with a
 declared window (all of F x F when F is finite, a word-length bound
-otherwise).  verify_R evaluates the five defining condition families CQT0 to
-CQT4 plus the explicit convolution-inverse identity; structural_zeros scans a
-support for forced-zero violations; necessary_battery bundles the
-orbit/character necessary conditions; the z2_* operations specialize to
-|G| = 2.  Condition instances that would need R values beyond the window are
-counted as unevaluated, never as passes.
+otherwise).  verify_R evaluates the defining families of a coquasitriangular
+form, CQT0 to CQT3 and the convolution-inverse identity (Larson-Towber;
+Kassel, Quantum Groups, VIII.5), and on request CQT4, the cotriangular
+identity R * R21 = eps (x) eps, which is not a defining family: the zeta_3
+bicharacter on Z3_Z3_trivial passes the others and fails it.
+structural_zeros scans a support for forced-zero violations;
+necessary_battery bundles the orbit/character necessary conditions; the z2_*
+operations specialize to |G| = 2.  Condition instances that would need R
+values beyond the window are counted as unevaluated, never as passes.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .comodules import TwistedCoalgebra, enumerate_onedim, group_comodules
-from .errors import (NonAbelianStabilizer, NotARootOfUnity, SearchSpaceTooLarge,
-                     WrongGroup)
-from .hopf import HopfElement, antipode_basis
+from .errors import (BadWindow, IrrationalRoots, NonAbelianStabilizer, NotARootOfUnity,
+                     NotAScalar, OutOfWindow, SearchSpaceTooLarge, UnknownLevel, WrongGroup)
+from .hopf import HopfElement, StructureConstants
+from .matched_pair import Memo
 from .reports import FAIL, PASS, SKIPPED, ConditionReport, sweep
 from .scalars import ONE, Scalar, ZERO, rational
 
@@ -34,19 +40,19 @@ class RForm:
     def __init__(self, H, entries, window=None):
         self.H = H
         if window is None and not H.F.is_finite:
-            raise ValueError("an RForm over infinite F needs a word-length window")
+            raise BadWindow("an RForm over infinite F needs a word-length window")
         self.window = window
         table = {}
         for (k1, k2), v in entries.items():
             v = Scalar._coerce(v)
             if v is None:
-                raise TypeError("bad R value")
+                raise NotAScalar("bad R value")
             if v.is_zero():
                 continue
             k1 = self._normalize_key(k1)
             k2 = self._normalize_key(k2)
             if not (self.in_window(k1[1]) and self.in_window(k2[1])):
-                raise ValueError("support entry outside the declared window: %r, %r"
+                raise BadWindow("support entry outside the declared window: %r, %r"
                                  % (k1, k2))
             table[(k1, k2)] = v
         self.table = table
@@ -75,7 +81,7 @@ class RForm:
     def value(self, key1, key2):
         v = self.try_value(self._normalize_key(key1), self._normalize_key(key2))
         if v is None:
-            raise KeyError("R value outside the declared window")
+            raise OutOfWindow("R value outside the declared window")
         return v
 
     def support(self):
@@ -84,13 +90,8 @@ class RForm:
     def perturbed(self, key1, key2, value):
         "Copy with one entry replaced; for sensitivity tests."
         entries = dict(self.table)
-        k = (self._normalize_key(key1), self._normalize_key(key2))
-        v = Scalar._coerce(value)
-        if v.is_zero():
-            entries.pop(k, None)
-        else:
-            entries[k] = v
-        return RForm(self.H, entries, window=self.window)
+        entries[(self._normalize_key(key1), self._normalize_key(key2))] = value
+        return RForm(self.H, entries, window=self.window)  # drops a zero value
 
     def bilinear(self, x, y):
         "R extended bilinearly to elements; None if any needed value is out of window."
@@ -111,7 +112,7 @@ class RForm:
 def eps_tensor_eps(H, window=None):
     "R(p_x # f, p_y # f') = [x = 1][y = 1]; the standard form on a commutative context."
     if window is None and not H.F.is_finite:
-        raise ValueError("need a window over infinite F")
+        raise BadWindow("need a window over infinite F")
     fs = H.mp.window(window) if window is not None else H.F.elements()
     one = H.G.one
     entries = {((one, f), (one, fp)): ONE for f in fs for fp in fs}
@@ -119,6 +120,13 @@ def eps_tensor_eps(H, window=None):
 
 
 # -- the CQT condition families -----------------------------------------------
+#
+# Each family is its defining identity over the int-indexed basis of one
+# StructureConstants: a, b, c are basis indices, a1 (x) a2 the coproduct legs
+# of a, and grid[g][f] the index of the window key (g, f).  A side of an
+# identity is a list of terms (coef, out, pair, ...), each adding
+# coef * rv[pair] * ... to its component `out` (None for a scalar identity),
+# where rv memoizes RForm.try_value on index pairs.
 
 def _qrange(R, qbound):
     H = R.H
@@ -128,176 +136,102 @@ def _qrange(R, qbound):
     return H.F.elements_up_to_length(bound)
 
 
-def _ssum(vals):
-    t = ZERO
-    for v in vals:
-        t = t + v
-    return t
+def _holds(rv, lhs, rhs):
+    "lhs == rhs on every component; None when a term needs an R value outside the window."
+    sides = ({}, {})
+    for acc, terms in zip(sides, (lhs, rhs)):
+        for coef, out, *pairs in terms:
+            vals = [rv[p] for p in pairs]
+            if None in vals:
+                return None
+            if all(vals):
+                acc[out] = acc.get(out, ZERO) + reduce(mul, vals, coef)
+    left, right = ({k: v for k, v in acc.items() if v} for acc in sides)
+    return left == right
 
 
-def _quotients(G):
-    "g.key -> [(g x^-1, x) for x in G]: the coproduct legs of p_g."
-    gs = G.elements()
-    return {g.key: [(G.mul(g, G.inv(x)), x) for x in gs] for g in gs}
+def _keys(sc):
+    "Witness of an instance of basis indices: their G parts, then their F parts."
+    return lambda inst: tuple(sc.keys[i][0] for i in inst) + tuple(sc.keys[i][1] for i in inst)
 
 
-def _unknown(terms):
-    "True when some (..., r1, r2) term needs an R value outside the window."
-    return any(t[-1] is None or t[-2] is None for t in terms)
+def _cqt0(sc, rv, grid):
+    "R(1, b) = eps(b) (component 0) and R(b, 1) = eps(b) (component 1)."
+    units = [sc.index((x, sc.H.F.one)) for x in sc.H.G.elements()]
+
+    def ok(b):
+        eps = ONE if sc.gkey[b] == sc.one_g else ZERO
+        return _holds(rv, [(ONE, 0, (u, b)) for u in units] + [(ONE, 1, (b, u)) for u in units],
+                      [(eps, 0), (eps, 1)])
+
+    return sweep("CQT0", ((b,) for row in grid for b in row), ok, witness=_keys(sc))
 
 
-def _tau_sum(cp, terms, f):
-    "sum of tau(a, x; f) r1 r2 over (a, x, r1, r2), skipping zero R values."
-    total = ZERO
-    for a, x, r1, r2 in terms:
-        if r1 and r2:
-            total = total + cp.tau(a, x, f) * r1 * r2
-    return total
+def _cqt1(sc, rv, grid):
+    "R(a, bc) = R(a1, c) R(a2, b)."
+    ids = [i for row in grid for i in row]
+
+    def ok(a, b, c):
+        bc = sc.product(b, c)
+        return _holds(rv, [(bc[1], None, (a, bc[0]))] if bc else [],
+                      [(t, None, (a1, c), (a2, b)) for a1, a2, t in sc.coproduct(a)])
+
+    return sweep("CQT1", ((a, b, c) for b in ids for row in grid for a in ids for c in row),
+                 ok, witness=_keys(sc))
 
 
-def _cqt0(R, fs):
-    H = R.H
-    gs, one_f, try_value = H.G.elements(), H.F.one, R.try_value
+def _cqt2(sc, rv, grid):
+    "R(ab, c) = R(a, c1) R(b, c2)."
+    def ok(a, b, c):
+        ab = sc.product(a, b)
+        return _holds(rv, [(ab[1], None, (ab[0], c))] if ab else [],
+                      [(t, None, (a, c1), (b, c2)) for c1, c2, t in sc.coproduct(c)])
 
-    def ok(g, f):
-        rows = [try_value((x, one_f), (g, f)) for x in gs]
-        cols = [try_value((g, f), (x, one_f)) for x in gs]
-        if any(v is None for v in rows + cols):
-            return None
-        want = ONE if g.is_identity() else ZERO
-        return _ssum(rows) == want and _ssum(cols) == want
-
-    return sweep("CQT0", itertools.product(gs, fs), ok)
+    return sweep("CQT2", ((a, b, c) for row in grid for a in row for brow in grid
+                          for crow in grid for b in brow for c in crow), ok, witness=_keys(sc))
 
 
-def _cqt1(R, fs):
-    H = R.H
-    F, mp, cp, try_value = H.F, H.mp, H.cp, R.try_value
-    gs, quot = H.G.elements(), _quotients(H.G)
+def _cqt3(sc, rv, grid):
+    """y1 x1 R(x2, y2) = R(x1, y1) x2 y2 on the p_l component, l the G part of m."""
+    def side(x, y, l, left):
+        for x1, x2, s in sc.coproduct(x):
+            for y1, y2, t in sc.coproduct(y):
+                hit = sc.product(y1, x1) if left else sc.product(x2, y2)
+                if hit and sc.gkey[hit[0]] == l:
+                    yield s * t * hit[1], hit[0], (x2, y2) if left else (x1, y1)
 
-    def instances():
-        for h, fp in itertools.product(gs, fs):
-            hfp = mp.act_right(h, fp)
-            for l in gs:
-                delta = hfp == l
-                for g, f, fpp in itertools.product(gs, fs, fs):
-                    yield g, h, l, f, fp, fpp, delta
+    def ok(x, y, m):
+        return _holds(rv, side(x, y, sc.gkey[m], True), side(x, y, sc.gkey[m], False))
 
-    def ok(g, h, l, f, fp, fpp, delta):
-        lhs_val = try_value((g, f), (h, F.mul(fp, fpp))) if delta else ZERO
-        terms = [(gx, x, try_value((gx, mp.act_left(x, f)), (l, fpp)),
-                  try_value((x, f), (h, fp))) for gx, x in quot[g.key]]
-        if lhs_val is None or _unknown(terms):
-            return None
-        lhs = (cp.sigma(h, fp, fpp) * lhs_val) if delta else ZERO
-        return lhs == _tau_sum(cp, terms, f)
-
-    return sweep("CQT1", instances(), ok, witness=lambda inst: inst[:6])
+    witness = _keys(sc)  # (g, h, l, f, f') of the basis keys (g, f), (h, f'), (l, .)
+    return sweep("CQT3", ((x, y, lrow[0]) for xrow in grid for yrow in grid for lrow in grid
+                          for x in xrow for y in yrow), ok, witness=lambda inst: witness(inst)[:5])
 
 
-def _cqt2(R, fs):
-    H = R.H
-    F, mp, cp, try_value = H.F, H.mp, H.cp, R.try_value
-    gs, quot = H.G.elements(), _quotients(H.G)
+def _convolution(check, sc, rv, grid, term):
+    "The sum over the legs of a and b of term(a1, a2, b1, b2, coef) = eps(a) eps(b)."
+    def ok(a, b):
+        lhs = [term(a1, a2, b1, b2, s * t) for a1, a2, s in sc.coproduct(a)
+               for b1, b2, t in sc.coproduct(b)]
+        return _holds(rv, lhs, [(ONE, None)] if sc.gkey[a] == sc.one_g == sc.gkey[b] else [])
 
-    def instances():
-        for g, f in itertools.product(gs, fs):
-            gf = mp.act_right(g, f)
-            for h in gs:
-                delta = gf == h
-                for l, fp, fpp in itertools.product(gs, fs, fs):
-                    yield g, h, l, f, fp, fpp, delta
-
-    def ok(g, h, l, f, fp, fpp, delta):
-        lhs_val = try_value((g, F.mul(f, fp)), (l, fpp)) if delta else ZERO
-        terms = [(lx, x, try_value((g, f), (lx, mp.act_left(x, fpp))),
-                  try_value((h, fp), (x, fpp))) for lx, x in quot[l.key]]
-        if lhs_val is None or _unknown(terms):
-            return None
-        lhs = (cp.sigma(g, f, fp) * lhs_val) if delta else ZERO
-        return lhs == _tau_sum(cp, terms, fpp)
-
-    return sweep("CQT2", instances(), ok, witness=lambda inst: inst[:6])
+    return sweep(check, ((a, b) for arow in grid for brow in grid for a in arow for b in brow),
+                 ok, witness=_keys(sc))
 
 
-def _cqt3(R, fs):
-    H = R.H
-    G, F, mp, cp, try_value = H.G, H.F, H.mp, H.cp, R.try_value
-    gs = G.elements()
-
-    def instances():
-        for g, h, l in itertools.product(gs, repeat=3):
-            linv = G.inv(l)
-            lh = G.mul(linv, h)
-            for f in fs:
-                lf, ltf = mp.act_right(l, f), mp.act_left(l, f)
-                for fp in fs:
-                    yield (g, h, l, f, fp, linv, lh, lf, ltf,
-                           mp.act_right(h, fp), mp.act_right(lh, fp))
-
-    def ok(g, h, l, f, fp, linv, lh, lf, ltf, hfp, lhfp):
-        # left side: coefficient of p_l # ff'
-        a_left = G.mul(g, linv)
-        b_left = G.mul(h, G.inv(lf))
-        rL = try_value((a_left, ltf), (b_left, mp.act_left(lf, fp)))
-        # right side: coefficient of p_l # (l^-1 h |> f')(w |> f)
-        w = G.mul(G.mul(lhfp, G.inv(hfp)), g)
-        rR = try_value((w, f), (lh, fp))
-        if rL is None or rR is None:
-            return None
-        lh_fp, w_f = mp.act_left(lh, fp), mp.act_left(w, f)
-        cL = cp.tau(a_left, l, f) * cp.tau(b_left, lf, fp) * rL * cp.sigma(l, f, fp)
-        cR = (cp.tau(G.mul(hfp, G.inv(lhfp)), w, f) * cp.tau(l, lh, fp) * rR
-              * cp.sigma(l, lh_fp, w_f))
-        if F.mul(f, fp) == F.mul(lh_fp, w_f):
-            return cL == cR
-        return cL.is_zero() and cR.is_zero()
-
-    return sweep("CQT3", instances(), ok, witness=lambda inst: inst[:5])
+def _cqt4(sc, rv, grid):
+    "R(a1, b1) R(b2, a2) = eps(a) eps(b), the cotriangular R * R21 = eps (x) eps."
+    return _convolution("CQT4", sc, rv, grid,
+                        lambda a1, a2, b1, b2, c: (c, None, (a1, b1), (b2, a2)))
 
 
-def _cqt4(R, fs):
-    H = R.H
-    mp, cp, try_value = H.mp, H.cp, R.try_value
-    gs, quot = H.G.elements(), _quotients(H.G)
+def _cqt_inverse(sc, rv, grid):
+    "R(S(a1), b1) R(a2, b2) = eps(a) eps(b): R(S(.), .) is a convolution inverse of R."
+    def term(a1, a2, b1, b2, c):
+        s, d = sc.antipode(a1)
+        return c * d, None, (s, b1), (a2, b2)
 
-    def ok(g, h, f, fp):
-        terms = [(gx, x, hy, y, try_value((gx, mp.act_left(x, f)), (hy, mp.act_left(y, fp))),
-                  try_value((y, fp), (x, f)))
-                 for gx, x in quot[g.key] for hy, y in quot[h.key]]
-        if _unknown(terms):
-            return None
-        total = ZERO
-        for gx, x, hy, y, r1, r2 in terms:
-            if r1 and r2:
-                total = total + cp.tau(gx, x, f) * cp.tau(hy, y, fp) * r1 * r2
-        return total == (ONE if (g.is_identity() and h.is_identity()) else ZERO)
-
-    return sweep("CQT4", itertools.product(gs, gs, fs, fs), ok)
-
-
-def _cqt_inverse(R, fs):
-    "R(S(.), .) is a two-sided convolution inverse of R: (R^-1 * R) = eps (x) eps."
-    H = R.H
-    mp, cp, try_value = H.mp, H.cp, R.try_value
-    gs, quot = H.G.elements(), _quotients(H.G)
-
-    def ok(g, h, f, fp):
-        terms = []
-        for gx, x in quot[g.key]:
-            skey, scoef = antipode_basis(H, (gx, mp.act_left(x, f)))
-            for hy, y in quot[h.key]:
-                terms.append((gx, x, hy, y, scoef, try_value(skey, (hy, mp.act_left(y, fp))),
-                              try_value((x, f), (y, fp))))
-        if _unknown(terms):
-            return None
-        total = ZERO
-        for gx, x, hy, y, scoef, r1, r2 in terms:
-            if r1 and r2:
-                total = total + (cp.tau(gx, x, f) * cp.tau(hy, y, fp) * scoef * r1 * r2)
-        return total == (ONE if (g.is_identity() and h.is_identity()) else ZERO)
-
-    return sweep("CQT-convolution-inverse", itertools.product(gs, gs, fs, fs), ok)
+    return _convolution("CQT-convolution-inverse", sc, rv, grid, term)
 
 
 _LEVELS = {0: _cqt0, 1: _cqt1, 2: _cqt2, 3: _cqt3, 4: _cqt4, "inv": _cqt_inverse}
@@ -305,13 +239,13 @@ _LEVELS = {0: _cqt0, 1: _cqt1, 2: _cqt2, 3: _cqt3, 4: _cqt4, "inv": _cqt_inverse
 
 def verify_R(R, levels=(0, 1, 2, 3), qbound=None):
     "Run the requested condition families over the quantifier range."
-    fs = _qrange(R, qbound)
-    reports = []
     for lv in levels:
         if lv not in _LEVELS:
-            raise ValueError("unknown CQT level %r" % (lv,))
-        reports.append(_LEVELS[lv](R, fs))
-    return reports
+            raise UnknownLevel("unknown CQT level %r" % (lv,))
+    sc = StructureConstants(R.H)
+    grid = [[sc.index((g, f)) for f in _qrange(R, qbound)] for g in R.H.G.elements()]
+    rv = Memo(lambda p: R.try_value(sc.keys[p[0]], sc.keys[p[1]]))
+    return [_LEVELS[lv](sc, rv, grid) for lv in levels]
 
 
 def passes_cqt(R, levels=(0, 1, 2, 3), qbound=None):
@@ -420,16 +354,11 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
                check_dual_orbit_commutation(mp)]
 
     # one stabilizer coalgebra per base point for the whole battery
-    onedim = {}
-
-    def onedim_at(f):
-        if f.key not in onedim:
-            onedim[f.key] = _onedim_simples_at(H, f)
-        return onedim[f.key]
+    onedim_at = Memo(lambda f: _onedim_simples_at(H, f))
 
     def simples_at(f):
         "Auto-enumerable plus registered simples over the stabilizer coalgebra at f."
-        return onedim_at(f) + [V for V in registered if V.coalgebra.f == f]
+        return onedim_at[f] + [V for V in registered if V.coalgebra.f == f]
 
     left_trivial = mp.left_action_trivial(word_bound)
     central = mp.is_central(word_bound)
@@ -454,13 +383,7 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
                 yield f, odf, fp, mp.orbit_data(fp)
 
     # character-product commutation constraint
-    reps = []
-    seen = set()
-    for f in fs:
-        rep = mp.orbit_representative(f)
-        if rep.key not in seen:
-            seen.add(rep.key)
-            reps.append(rep)
+    reps = list({rep.key: rep for rep in map(mp.orbit_representative, fs)}.values())
     name = "character-product-commutation"
     if not wlist:
         reports.append(ConditionReport(name, SKIPPED,
@@ -577,7 +500,7 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
             continue
         chars = []
         if g_ab:
-            chars.extend(onedim_at(F.one))
+            chars.extend(onedim_at[F.one])
         for pi in quotients:
             chars.extend(group_comodules(H, quotient=pi))
         for V in registered:
@@ -736,7 +659,7 @@ def solve_rational_quadratic(a, b, c):
     disc = b * b - 4 * a * c
     root = _sqrt_fraction(disc)
     if root is None:
-        raise ValueError("discriminant %s is not a rational square" % disc)
+        raise IrrationalRoots("discriminant %s is not a rational square" % disc)
     return sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)})
 
 

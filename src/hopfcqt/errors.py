@@ -29,12 +29,36 @@ class UndefinedGeneratorAction(HopfCqtError):
     "Action table misses a generator, or a generator does not act bijectively."
 
 
+class InvalidAction(HopfCqtError):
+    "The actions break an orbit law: a stabilizer that is not a subgroup, say."
+
+
 class MissingEntry(HopfCqtError):
     "Cocycle table lookup failed and no default was declared."
 
 
 class InvalidCocycle(HopfCqtError, ValueError):
     "A zero sigma/tau value, or a tau whose twisted coproduct is not a coalgebra."
+
+
+class NotAScalar(HopfCqtError, TypeError):
+    "A value that should be a scalar (an R-form entry) is not one."
+
+
+class BadWindow(HopfCqtError, ValueError):
+    "An R-form over infinite F without a word-length window, or an entry outside it."
+
+
+class OutOfWindow(HopfCqtError, KeyError):
+    "An R value requested outside the form's declared window."
+
+
+class UnknownLevel(HopfCqtError, ValueError):
+    "A CQT level that is not one of the condition families."
+
+
+class IrrationalRoots(HopfCqtError, ValueError):
+    "A quadratic whose discriminant is not a rational square."
 
 
 class ContextMismatch(HopfCqtError):

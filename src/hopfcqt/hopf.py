@@ -18,7 +18,8 @@ index), coproducts and antipodes are evaluated once per call through
 _basis_product, _basis_coproduct and antipode_basis, and the six axioms run
 on int-keyed dicts of Scalars.  The memo is dropped when the call returns.
 The tests keep the object-path sweep as a reference and require identical
-reports, witnesses and `checked` counts.
+reports, witnesses and `checked` counts.  cqt.verify_R evaluates the CQT
+families on the same StructureConstants, one per call.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ def antipode(a):
 
 # -- axiom verification --------------------------------------------------------
 
-class _StructureConstants:
+class StructureConstants:
     """Int-indexed basis keys and memoized structure constants for one sweep.
 
     Keys are interned by (g.key, f.key) on first sight, products and
@@ -482,7 +483,7 @@ def verify_hopf_axioms(H, word_bound=4, exhaustive_limit=40000, pair_limit=4096,
     every potentially-nonzero product pattern plus a deterministic random
     sample of the remaining instances.
     """
-    sc = _StructureConstants(H)
+    sc = StructureConstants(H)
     ids = [sc.index(key) for key in H.basis_window(word_bound)]
     fkeys = [f.key for f in H.mp.window(word_bound)]
     product, find, gkey, rkey, one_g = sc.product, sc.find, sc.gkey, sc.rkey, sc.one_g

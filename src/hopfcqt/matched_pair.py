@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import UndefinedGeneratorAction
+from .errors import InvalidAction, UndefinedGeneratorAction
 from .reports import sweep
 
 
@@ -45,26 +45,33 @@ class OrbitData:
         self.orbit = orbit
         self.stabilizer = stab
         self._stab_keys = {g.key for g in stab}
+
+        def require(ok, what):
+            if not ok:
+                raise InvalidAction("%s at base point %r: |> is not a group action"
+                                    % (what, f))
+
         for a in stab:
             for b in stab:
-                assert G.mul(a, b).key in self._stab_keys, "stabilizer not closed"
-            assert G.inv(a).key in self._stab_keys, "stabilizer not inverse-closed"
+                require(G.mul(a, b).key in self._stab_keys, "stabilizer not closed")
+            require(G.inv(a).key in self._stab_keys, "stabilizer not inverse-closed")
         trans = []
         for x in G.elements():
             if not any(G.mul(x, G.inv(z)).key in self._stab_keys for z in trans):
                 trans.append(x)
         self.transversal = trans
-        assert trans[0].is_identity()
-        assert len(trans) * len(stab) == G.order()
+        require(trans[0].is_identity(), "transversal does not start at 1")
+        require(len(trans) * len(stab) == G.order(), "cosets do not partition G")
         self._factor = {}
         for x in G.elements():
             hits = [z for z in trans if G.mul(x, G.inv(z)).key in self._stab_keys]
-            assert len(hits) == 1, "coset representatives are not a transversal"
+            require(len(hits) == 1, "coset representatives are not a transversal")
             z = hits[0]
             self._factor[x.key] = (G.mul(x, G.inv(z)), z)
         # the transversal reaches the whole orbit: {z^-1 |> f} = O_f, no repeats
         reached = {mp.act_left(G.inv(z), f).key for z in trans}
-        assert reached == seen and len(reached) == len(trans)
+        require(reached == seen and len(reached) == len(trans),
+                "the transversal does not reach the orbit once")
 
     def in_stabilizer(self, g):
         return g.key in self._stab_keys
@@ -323,7 +330,7 @@ class MatchedPair:
         return "MatchedPair(%s: G=%r, F=%r)" % (self.name or "?", self.G, self.F)
 
 
-class _Memo(dict):
+class Memo(dict):
     "A dict that computes each missing entry once, as fn(key)."
 
     def __init__(self, fn):
@@ -362,12 +369,12 @@ class PairTables:
         self.fid = fid
         self.gmul = [[gid[G.mul(a, b).key] for b in gs] for a in gs]
         self.ginv = [gid[G.inv(a).key] for a in gs]
-        self.fmul = _Memo(lambda k: fid(F.mul(fs[k[0]], fs[k[1]])))
-        self.finv = _Memo(lambda f: fid(F.inv(fs[f])))
-        self.left = _Memo(lambda k: fid(mp.act_left(gs[k[0]], fs[k[1]])))
-        self.right = _Memo(lambda k: gid[mp.act_right(gs[k[0]], fs[k[1]]).key])
-        self.sigma = _Memo(lambda k: cp.sigma(gs[k[0]], fs[k[1]], fs[k[2]]))
-        self.tau = _Memo(lambda k: cp.tau(gs[k[0]], gs[k[1]], fs[k[2]]))
+        self.fmul = Memo(lambda k: fid(F.mul(fs[k[0]], fs[k[1]])))
+        self.finv = Memo(lambda f: fid(F.inv(fs[f])))
+        self.left = Memo(lambda k: fid(mp.act_left(gs[k[0]], fs[k[1]])))
+        self.right = Memo(lambda k: gid[mp.act_right(gs[k[0]], fs[k[1]]).key])
+        self.sigma = Memo(lambda k: cp.sigma(gs[k[0]], fs[k[1]], fs[k[2]]))
+        self.tau = Memo(lambda k: cp.tau(gs[k[0]], gs[k[1]], fs[k[2]]))
 
     def sweep(self, check, kinds, ok):
         "reports.sweep over window ids, one G or F id per letter of kinds (e.g. 'GFF')."

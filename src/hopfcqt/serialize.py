@@ -257,7 +257,10 @@ def comodule_from_json(obj, H):
     coeffs = {}
     for key, val in _object(_require(obj, "a", "comodule"), "comodule.a").items():
         l, i, g = _split_key(key, 3, "comodule.a")
-        coeffs[(_int(l, "comodule.a"), _int(i, "comodule.a"), H.G.parse(g))] = parse_scalar(val)
+        l, i = _int(l, "comodule.a"), _int(i, "comodule.a")
+        if not (1 <= l <= dim and 1 <= i <= dim):
+            raise SchemaError("index in key %r outside 1..%d" % (key, dim), "comodule.a")
+        coeffs[(l, i, H.G.parse(g))] = parse_scalar(val)
     return Comodule.from_coefficients(C, dim, coeffs)
 
 

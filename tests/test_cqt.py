@@ -11,7 +11,8 @@ from hopfcqt.cqt import (RForm, bicharacter_restriction_check, battery_obstructe
                          solve_rational_quadratic, structural_zeros, verify_R,
                          z2_r11_rform, z2_r11_solve, z2_remark_diagnostics,
                          z2_shape_classify)
-from hopfcqt.errors import WrongGroup
+from hopfcqt.errors import (BadWindow, HopfCqtError, IrrationalRoots, NotAScalar, OutOfWindow,
+                           UnknownLevel, WrongGroup)
 from hopfcqt.groups import GroupHom, cyclic_group, klein_four_group
 from hopfcqt.hopf import HopfAlgebra
 from hopfcqt.matched_pair import MatchedPair
@@ -332,3 +333,28 @@ def test_out_of_window_reporting():
               window=1)
     reports = verify_R(R, (1,), qbound=1)
     assert reports[0].unevaluated > 0
+
+
+def _windowed_form():
+    H = get_entry("Z2_Z").context()
+    return RForm(H, {((H.G.one, H.F.parse("1")), (H.G.one, H.F.parse("1"))): ONE}, window=1)
+
+
+@pytest.mark.parametrize("call, error, builtin", [
+    (lambda: RForm(get_entry("Z2_Z").context(), {}), BadWindow, ValueError),
+    (lambda: eps_tensor_eps(get_entry("Z2_Z").context()), BadWindow, ValueError),
+    (lambda: RForm(get_entry("Z2_Z").context(), {(("1", "2"), ("1", "0")): ONE}, window=1),
+     BadWindow, ValueError),
+    (lambda: RForm(get_entry("Z2_Z2_tau").context(), {(("1", "1"), ("1", "1")): "x"}),
+     NotAScalar, TypeError),
+    (lambda: _windowed_form().perturbed(("1", "1"), ("1", "1"), "x"), NotAScalar, TypeError),
+    (lambda: _windowed_form().value(("1", "2"), ("1", "0")), OutOfWindow, KeyError),
+    (lambda: verify_R(_windowed_form(), (0, 7)), UnknownLevel, ValueError),
+    (lambda: solve_rational_quadratic(1, 0, -2), IrrationalRoots, ValueError),
+], ids=["rform-no-window", "eps-no-window", "entry-outside-window", "value-not-scalar",
+        "perturbed-not-scalar", "value-outside-window", "unknown-level", "irrational-roots"])
+def test_cqt_errors_are_library_errors(call, error, builtin):
+    # each raise keeps its builtin base, so callers that catch the builtin still work
+    with pytest.raises(error) as err:
+        call()
+    assert isinstance(err.value, HopfCqtError) and isinstance(err.value, builtin)

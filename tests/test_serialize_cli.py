@@ -248,3 +248,24 @@ def test_cli_cqt_verify_levels(tmp_path, capsys):
     assert cli.main(args + ["--json"]) == 0
     checks = [r["check"] for r in json.loads(capsys.readouterr().out)["reports"]]
     assert checks == ["CQT4", "CQT-convolution-inverse", "CQT0"]
+
+
+def test_cli_non_action_exits_2(tmp_path, capsys):
+    # g^2 |> t = 1 while g |> t = t: the stabilizer of t is {1, g}, not a subgroup
+    obj = serialize.context_to_json(get_entry("Z3_Z2_trivial").context())
+    obj["left_action"]["g^2|t"] = "1"
+    path = str(tmp_path / "ctx.json")
+    serialize.save_json(obj, path)
+    for args in (["orbits", "--f", "t"], ["cqt-necessary"]):
+        assert cli.main(args + ["--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stabilizer not closed at base point t")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim, key", [(1, "0,0,1"), (2, "3,1,1"), (2, "1,-1,1")])
+def test_comodule_index_outside_dim(dim, key):
+    H = get_entry("Z2_Z2_trivial").context()
+    with pytest.raises(SchemaError) as err:
+        serialize.comodule_from_json({"f": "1", "dim": dim, "a": {key: "1"}}, H)
+    assert "outside 1..%d" % dim in str(err.value)
