@@ -114,7 +114,9 @@ def main(argv=None):
         p.add_argument("--entry", help="catalog entry id")
         p.add_argument("--input", help="context JSON file")
         p.add_argument("--maxlen", type=int, help="word-length window for infinite F")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        # SUPPRESS: an absent subcommand --json keeps the global one
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                       help="machine-readable output")
         for flag, kw in extra_args.items():
             p.add_argument(flag, **kw)
         return p

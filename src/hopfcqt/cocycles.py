@@ -112,9 +112,9 @@ class CocyclePair:
         gmul, fmul, left, right, sigma, tau = T.gmul, T.fmul, T.left, T.right, T.sigma, T.tau
         return [
             T.sweep("normalization", "GGFF",
-                    lambda g, gp, f, fp: (sigma[g, e, f].is_one() and sigma[g, f, e].is_one()
-                                          and sigma[o, f, fp].is_one() and tau[o, g, f].is_one()
-                                          and tau[g, o, f].is_one() and tau[g, gp, e].is_one())),
+                    lambda g, gp, f, fp: (sigma[g, e, f] == 1 and sigma[g, f, e] == 1
+                                          and sigma[o, f, fp] == 1 and tau[o, g, f] == 1
+                                          and tau[g, o, f] == 1 and tau[g, gp, e] == 1)),
             T.sweep("sigma-cocycle", "GFFF",
                     lambda g, f, fp, fpp:
                         sigma[right[g, f], fp, fpp] * sigma[g, f, fmul[fp, fpp]]

@@ -26,7 +26,7 @@ from .errors import (BadWindow, IrrationalRoots, NonAbelianStabilizer, NotARootO
 from .hopf import HopfElement, StructureConstants
 from .matched_pair import Memo
 from .reports import FAIL, PASS, SKIPPED, ConditionReport, sweep
-from .scalars import ONE, Scalar, ZERO, rational
+from .scalars import ONE, Scalar, ZERO, bare, rational
 
 
 class RForm:
@@ -126,7 +126,9 @@ def eps_tensor_eps(H, window=None):
 # of a, and grid[g][f] the index of the window key (g, f).  A side of an
 # identity is a list of terms (coef, out, pair, ...), each adding
 # coef * rv[pair] * ... to its component `out` (None for a scalar identity),
-# where rv memoizes RForm.try_value on index pairs.
+# where rv memoizes RForm.try_value on index pairs.  R values, like the
+# structure constants, are kept bare (scalars.bare): an int or Fraction when
+# rational, so the sums run on Python rationals, else a Scalar.
 
 def _qrange(R, qbound):
     H = R.H
@@ -145,7 +147,7 @@ def _holds(rv, lhs, rhs):
             if None in vals:
                 return None
             if all(vals):
-                acc[out] = acc.get(out, ZERO) + reduce(mul, vals, coef)
+                acc[out] = acc.get(out, 0) + reduce(mul, vals, coef)
     left, right = ({k: v for k, v in acc.items() if v} for acc in sides)
     return left == right
 
@@ -160,8 +162,8 @@ def _cqt0(sc, rv, grid):
     units = [sc.index((x, sc.H.F.one)) for x in sc.H.G.elements()]
 
     def ok(b):
-        eps = ONE if sc.gkey[b] == sc.one_g else ZERO
-        return _holds(rv, [(ONE, 0, (u, b)) for u in units] + [(ONE, 1, (b, u)) for u in units],
+        eps = int(sc.gkey[b] == sc.one_g)
+        return _holds(rv, [(1, 0, (u, b)) for u in units] + [(1, 1, (b, u)) for u in units],
                       [(eps, 0), (eps, 1)])
 
     return sweep("CQT0", ((b,) for row in grid for b in row), ok, witness=_keys(sc))
@@ -213,7 +215,7 @@ def _convolution(check, sc, rv, grid, term):
     def ok(a, b):
         lhs = [term(a1, a2, b1, b2, s * t) for a1, a2, s in sc.coproduct(a)
                for b1, b2, t in sc.coproduct(b)]
-        return _holds(rv, lhs, [(ONE, None)] if sc.gkey[a] == sc.one_g == sc.gkey[b] else [])
+        return _holds(rv, lhs, [(1, None)] if sc.gkey[a] == sc.one_g == sc.gkey[b] else [])
 
     return sweep(check, ((a, b) for arow in grid for brow in grid for a in arow for b in brow),
                  ok, witness=_keys(sc))
@@ -244,7 +246,7 @@ def verify_R(R, levels=(0, 1, 2, 3), qbound=None):
             raise UnknownLevel("unknown CQT level %r" % (lv,))
     sc = StructureConstants(R.H)
     grid = [[sc.index((g, f)) for f in _qrange(R, qbound)] for g in R.H.G.elements()]
-    rv = Memo(lambda p: R.try_value(sc.keys[p[0]], sc.keys[p[1]]))
+    rv = Memo(lambda p: bare(R.try_value(sc.keys[p[0]], sc.keys[p[1]])))
     return [_LEVELS[lv](sc, rv, grid) for lv in levels]
 
 

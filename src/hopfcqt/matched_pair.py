@@ -23,6 +23,7 @@ from itertools import product
 
 from .errors import InvalidAction, UndefinedGeneratorAction
 from .reports import sweep
+from .scalars import bare
 
 
 class OrbitData:
@@ -347,7 +348,9 @@ class PairTables:
     G ids follow G.elements(); F ids start with the window and append each
     image that leaves it.  gmul/ginv are lists; fmul, finv, left (|>), right
     (<|) and, given cp, sigma/tau fill an entry on its first lookup through
-    the public methods, so their checks and errors stay.
+    the public methods, so their checks and errors stay.  A sigma or tau
+    value is kept bare (scalars.bare): an int or Fraction when rational, so
+    the cocycle identities multiply Python rationals, else a Scalar.
     """
 
     def __init__(self, mp, word_bound, cp=None):
@@ -373,8 +376,8 @@ class PairTables:
         self.finv = Memo(lambda f: fid(F.inv(fs[f])))
         self.left = Memo(lambda k: fid(mp.act_left(gs[k[0]], fs[k[1]])))
         self.right = Memo(lambda k: gid[mp.act_right(gs[k[0]], fs[k[1]]).key])
-        self.sigma = Memo(lambda k: cp.sigma(gs[k[0]], fs[k[1]], fs[k[2]]))
-        self.tau = Memo(lambda k: cp.tau(gs[k[0]], gs[k[1]], fs[k[2]]))
+        self.sigma = Memo(lambda k: bare(cp.sigma(gs[k[0]], fs[k[1]], fs[k[2]])))
+        self.tau = Memo(lambda k: bare(cp.tau(gs[k[0]], gs[k[1]], fs[k[2]])))
 
     def sweep(self, check, kinds, ok):
         "reports.sweep over window ids, one G or F id per letter of kinds (e.g. 'GFF')."

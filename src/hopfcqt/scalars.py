@@ -12,7 +12,9 @@ turns out to be rational is collapsed to order 1.  ``Scalar(...)`` and
 ``rational(...)`` are the validating public constructors; they accept ints and
 Fractions only.  The internal constructors ``Scalar._trusted`` (canonical
 coefficients, no checks) and ``_rat`` (one int or Fraction result) skip the
-validation and are for results computed in this module only.
+validation and are for results computed in this module only.  The sweeps'
+memo tables hold a rational value bare, as its int or Fraction (``bare``),
+and rely on Scalar's reflected operators where it meets a cyclotomic one.
 """
 
 from __future__ import annotations
@@ -411,6 +413,11 @@ def _rat(q):
 
 ZERO, ONE, MINUS_ONE = (Scalar._trusted(1, (q,)) for q in (0, 1, -1))
 _UNITS = {0: ZERO, 1: ONE, -1: MINUS_ONE}
+
+
+def bare(v):
+    "A rational Scalar as its int or Fraction; anything else, None included, unchanged."
+    return v.coeffs[0] if v.__class__ is Scalar and v.order == 1 else v
 
 
 def rational(p, q=1):

@@ -3,16 +3,18 @@ import random
 import pytest
 
 from hopf_reference import verify_hopf_axioms_reference
+from pair_reference import verify_cocycles_reference
 from hopfcqt import hopf
 from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.cocycles import CocyclePair
-from hopfcqt.errors import ContextMismatch
+from hopfcqt.cqt import eps_tensor_eps, verify_R
+from hopfcqt.errors import ContextMismatch, MissingEntry
 from hopfcqt.groups import cyclic_group, symmetric_group_s3
 from hopfcqt.hopf import (HopfAlgebra, antipode, comultiply, counit, multiply,
                           verify_hopf_axioms)
 from hopfcqt.matched_pair import MatchedPair
-from hopfcqt.reports import all_passed
-from hopfcqt.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
+from hopfcqt.reports import PASS, all_passed
+from hopfcqt.scalars import MINUS_ONE, ONE, ZERO, Scalar, rational, root_of_unity
 
 
 def test_multiply_examples():
@@ -215,3 +217,77 @@ def test_sweep_evaluates_each_nonzero_product_once(monkeypatch):
     assert len(set(seen)) == len(seen)
     assert all(H.mp.act_right(g, f) == gp for (g, f), (gp, _) in pairs)
     assert len(pairs) < 20000
+
+
+def _total_cocycles(eid):
+    "The entry's matched pair with its sigma and tau as total tables keyed by element keys."
+    H = get_entry(eid).context()
+    mp, cp = H.mp, H.cp
+    gs, fs = mp.G.elements(), mp.F.elements()
+    sigma = {(g.key, f.key, fp.key): cp.sigma(g, f, fp) for g in gs for f in fs for fp in fs}
+    tau = {(g.key, gp.key, f.key): cp.tau(g, gp, f) for g in gs for gp in gs for f in fs}
+    return mp, sigma, tau
+
+
+@pytest.mark.parametrize("eid", ["Z2_Z3_trivial", "S3_Z2"])
+def test_missing_entry_raises_like_reference(eid):
+    # with no default, the first undeclared lookup raises; both sweeps must
+    # reach the same one first, whichever key is missing
+    mp, sigma, tau = _total_cocycles(eid)
+    for table, key in [("sigma", k) for k in sigma] + [("tau", k) for k in tau]:
+        tables = {"sigma": dict(sigma), "tau": dict(tau)}
+        del tables[table][key]
+        H = HopfAlgebra(CocyclePair.from_tables(mp, tables["sigma"], tables["tau"],
+                                                sigma_default=None, tau_default=None))
+        with pytest.raises(MissingEntry) as new:
+            verify_hopf_axioms(H)
+        with pytest.raises(MissingEntry) as ref:
+            verify_hopf_axioms_reference(H)
+        assert str(new.value) == str(ref.value), (table, key)
+
+
+def test_rational_constants_skip_scalar_products(monkeypatch):
+    # rational structure constants are stored as ints and Fractions, so on
+    # Q8_Dinf only antipode_basis, once per window basis element, multiplies
+    # Scalars; the cocycle sweep multiplies none
+    H = get_entry("Q8_Dinf").context()
+    calls = []
+    scalar_mul = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return scalar_mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    assert all_passed(verify_hopf_axioms(H))
+    assert 0 < len(calls) <= len(H.basis_window())
+    calls.clear()
+    assert all_passed(H.cp.verify())
+    assert calls == []
+
+
+def _zeta4_context():
+    "Z4 x Z4, trivial actions, sigma(g^a; t^b, t^c) = zeta_4^(abc), tau = 1."
+    G, F = cyclic_group(4), cyclic_group(4, gen_name="t")
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: f, right=lambda g, f: g)
+    gs, fs = G.elements(), F.elements()
+    sigma = {(g.key, f.key, fp.key): root_of_unity(4, a * b * c)
+             for a, g in enumerate(gs) for b, f in enumerate(fs) for c, fp in enumerate(fs)}
+    return HopfAlgebra(CocyclePair.from_tables(mp, sigma, {}, name="Z4_Z4_zeta4"))
+
+
+def test_cyclotomic_sigma_context_passes_every_sweep():
+    # ints and zeta_4 Scalars meet in the sweeps' sums and must cancel exactly
+    H = _zeta4_context()
+    assert {v.order for v in H.cp.sigma_table.values()} == {1, 4}
+    reports = verify_hopf_axioms(H, 4)
+    assert all_passed(reports)
+    assert [r.to_json() for r in reports] == [
+        r.to_json() for r in verify_hopf_axioms_reference(H, 4)]
+    reports = H.cp.verify(4)
+    assert all_passed(reports)
+    assert [r.to_json() for r in reports] == [
+        r.to_json() for r in verify_cocycles_reference(H.cp, 4)]
+    levels = (0, 1, 2, 3, 4, "inv")
+    assert [r.status for r in verify_R(eps_tensor_eps(H), levels)] == [PASS] * len(levels)

@@ -3,7 +3,7 @@
 import pytest
 
 from pair_reference import verify_cocycles_reference, verify_matched_pair_reference
-from test_hopf import _perturbed_context
+from test_hopf import _perturbed_context, _total_cocycles
 from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.errors import HopfCqtError, InvalidCocycle, MissingEntry
@@ -37,21 +37,12 @@ def test_cocycle_sweep_matches_object_reference_on_perturbed_cocycles():
     assert failing >= 50
 
 
-def _total_tables(G, F):
-    sigma = {(g.key, f.key, fp.key): ONE
-             for g in G.elements() for f in F.elements() for fp in F.elements()}
-    tau = {(g.key, gp.key, f.key): ONE
-           for g in G.elements() for gp in G.elements() for f in F.elements()}
-    return sigma, tau
-
-
 @pytest.mark.parametrize("table, key", [
     ("sigma", (0, 1, 1)), ("sigma", (1, 1, 2)), ("sigma", (1, 2, 2)), ("tau", (1, 1, 2)),
 ], ids=["sigma-normalization", "sigma-cocycle", "sigma-late", "tau-cocycle"])
 def test_missing_entry_raises_like_reference(table, key):
-    G, F = cyclic_group(2), cyclic_group(3, gen_name="t")
-    mp = MatchedPair.from_functions(G, F, left=lambda g, f: f, right=lambda g, f: g)
-    tables = dict(zip(("sigma", "tau"), _total_tables(G, F)))
+    mp, sigma, tau = _total_cocycles("Z2_Z3_trivial")
+    tables = {"sigma": sigma, "tau": tau}
     del tables[table][key]
     cp = CocyclePair.from_tables(mp, tables["sigma"], tables["tau"],
                                  sigma_default=None, tau_default=None)

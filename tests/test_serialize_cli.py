@@ -94,8 +94,11 @@ def test_cli_orbits_and_r11(capsys):
     assert cli.main(["orbits", "--entry", "S3_Z2", "--f", "(1 2 3)"]) == 0
     out = capsys.readouterr().out
     assert "(1 3 2)" in out
-    assert cli.main(["--json", "cqt-z2-r11"]) == 0 or True
-    capsys.readouterr()
+    # the global --json before the subcommand, and the subcommand's own after it
+    for argv in (["--json", "cqt-z2-r11"], ["cqt-z2-r11", "--json"]):
+        assert cli.main(argv) == 0
+        cases = json.loads(capsys.readouterr().out)
+        assert [c["k"] for c in cases] == ["0", "1/2"]
 
 
 def test_cli_cqt_verify(tmp_path, capsys):
