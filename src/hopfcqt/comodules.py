@@ -20,6 +20,7 @@ import itertools
 
 from .errors import (InvalidCocycle, NonAbelianStabilizer, NotARootOfUnity,
                      NotInStabilizer, WrongGroup)
+from .groups import closure
 from .hopf import HopfElement
 from .reports import FAIL, PASS, ConditionReport, sweep
 from .scalars import Matrix, ONE, Scalar, ZERO, commutant_dimension, root_of_unity
@@ -163,67 +164,32 @@ def _generating_subset(elements, mul_key, one_key):
     pool = [e for e in elements if e.key != one_key]
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
-            seen = {one_key}
-            frontier = [one_key]
-            while frontier:
-                new = []
-                for k in frontier:
-                    for g in combo:
-                        kk = mul_key(k, g.key)
-                        if kk not in seen:
-                            seen.add(kk)
-                            new.append(kk)
-                frontier = new
-            if len(seen) == len(elements):
+            if len(closure(one_key, combo, lambda k, g: mul_key(k, g.key))) == len(elements):
                 return list(combo)
     raise AssertionError("unreachable")
 
 
-def enumerate_onedim(coalgebra):
-    """All one-dimensional comodules over an abelian twisted stabilizer coalgebra.
+def _onedim_tables(G, elements, tau):
+    """Solutions a: K -> k* of a^1 = 1, a^g a^h = tau(g, h) a^(g h) on the finite
+    abelian subgroup K = `elements` of G, as {element key: Scalar} dicts.
 
-    Solutions a: G_f -> k* of a^1 = 1, a^g a^h = tau(g, h; f) a^(g h); the value
-    on each generator h is an n-th root of the telescoped tau product, so the
-    candidate sets are finite and the search is complete.  Exactly |G_f| many
-    when any exist.
+    The value on each generator h is an n-th root of the telescoped tau product,
+    so the candidate sets are finite and the search is complete.  Exactly |K|
+    many when any exist; tau = 1 gives the characters of K.
     """
-    C = coalgebra
-    G = C.H.G
-    stab = C.stabilizer
-    if not all(G.mul(a, b) == G.mul(b, a) for a in stab for b in stab):
-        raise NonAbelianStabilizer("stabilizer of %r is non-abelian" % C.f)
-
+    one = G.one.key
     mul_key = lambda k, l: G.mul(G._element(k), G._element(l)).key
-    gens = _generating_subset(stab, mul_key, G.one.key)
-
-    # fixed decomposition of every stabilizer element as a generator word
-    words = {G.one.key: ()}
-    frontier = [G.one.key]
-    while frontier:
-        new = []
-        for k in frontier:
-            for gi, g in enumerate(gens):
-                kk = mul_key(k, g.key)
-                if kk not in words:
-                    words[kk] = words[k] + (gi,)
-                    new.append(kk)
-        frontier = new
-
-    def elem_order(g):
-        n, acc = 1, g
-        while not acc.is_identity():
-            acc = G.mul(acc, g)
-            n += 1
-        return n
+    gens = _generating_subset(elements, mul_key, one)
+    # fixed decomposition of every element as a generator word
+    words = closure(one, range(len(gens)), lambda k, gi: mul_key(k, gens[gi].key))
 
     candidate_sets = []
     for g in gens:
-        n = elem_order(g)
+        powers = list(closure(one, (g.key,), mul_key))  # 1, g, ..., g^(n-1)
+        n = len(powers)
         c = ONE
-        acc = g
-        for _ in range(n - 1):
-            c = c * C.tau(g, acc)
-            acc = G.mul(acc, g)
+        for k in powers[1:]:
+            c = c * tau(g, G._element(k))
         ru = c.as_root_of_unity()
         if ru is None:
             raise NotARootOfUnity(
@@ -235,25 +201,30 @@ def enumerate_onedim(coalgebra):
 
     out = []
     for values in itertools.product(*candidate_sets):
-        a = {G.one.key: ONE}
-        ok = True
+        a = {}
         for k, word in words.items():
-            acc_key, acc_val = G.one.key, ONE
+            acc_key, acc_val = one, ONE
             for gi in word:
                 g = gens[gi]
-                acc_val = acc_val * values[gi] / C.tau(G._element(acc_key), g)
+                acc_val = acc_val * values[gi] / tau(G._element(acc_key), g)
                 acc_key = mul_key(acc_key, g.key)
             a[k] = acc_val
-        for x in stab:
-            for y in stab:
-                if a[x.key] * a[y.key] != C.tau(x, y) * a[G.mul(x, y).key]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(Comodule(C, 1, {G._element(k): Matrix([[v]]) for k, v in a.items()}))
+        if all(a[x.key] * a[y.key] == tau(x, y) * a[G.mul(x, y).key]
+               for x in elements for y in elements):
+            out.append(a)
     return out
+
+
+def enumerate_onedim(coalgebra):
+    """All one-dimensional comodules over an abelian twisted stabilizer coalgebra:
+    the solutions of `_onedim_tables` with tau = tau(., .; f)."""
+    C = coalgebra
+    G = C.H.G
+    stab = C.stabilizer
+    if not all(G.mul(a, b) == G.mul(b, a) for a in stab for b in stab):
+        raise NonAbelianStabilizer("stabilizer of %r is non-abelian" % C.f)
+    return [Comodule(C, 1, {G._element(k): Matrix([[v]]) for k, v in a.items()})
+            for a in _onedim_tables(G, stab, C.tau)]
 
 
 # -- induction and characters ----------------------------------------------------
@@ -447,43 +418,5 @@ def _hom_tag(pi):
 
 
 def _abelian_character_tables(G):
-    "Characters of a finite abelian group as {element key: Scalar} dicts."
-    elems = G.elements()
-    mul_key = lambda k, l: G.mul(G._element(k), G._element(l)).key
-    gens = _generating_subset(elems, mul_key, G.one.key)
-    words = {G.one.key: ()}
-    frontier = [G.one.key]
-    while frontier:
-        new = []
-        for k in frontier:
-            for gi, g in enumerate(gens):
-                kk = mul_key(k, g.key)
-                if kk not in words:
-                    words[kk] = words[k] + (gi,)
-                    new.append(kk)
-        frontier = new
-
-    def elem_order(g):
-        n, acc = 1, g
-        while not acc.is_identity():
-            acc = G.mul(acc, g)
-            n += 1
-        return n
-
-    orders = [elem_order(g) for g in gens]
-    out = []
-    for exps in itertools.product(*[range(n) for n in orders]):
-        char = {}
-        good = True
-        for k, word in words.items():
-            v = ONE
-            for gi in word:
-                v = v * root_of_unity(orders[gi], exps[gi])
-            if k in char and char[k] != v:
-                good = False
-                break
-            char[k] = v
-        if good and all(char[mul_key(a.key, b.key)] == char[a.key] * char[b.key]
-                        for a in elems for b in elems):
-            out.append(char)
-    return out
+    "Characters of a finite abelian group: the tau = 1 solutions of `_onedim_tables`."
+    return _onedim_tables(G, G.elements(), lambda a, b: ONE)

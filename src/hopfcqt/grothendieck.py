@@ -212,7 +212,7 @@ class Z2Simples:
                 out.append(self.label("W", part))
         return out
 
-    def tensor_by_decomposition(self, l1, l2, extra_basis=()):
+    def tensor_by_decomposition(self, l1, l2):
         """The same product through the generic pipeline: multiply the two
         characters in H and decompose against the simples based at orbit
         representatives seen in the product's support.
@@ -228,8 +228,6 @@ class Z2Simples:
             else:
                 lab = self.label("W", u)
                 cand[("W", lab.f.key)] = lab
-        for lab in extra_basis:
-            cand[(lab.kind, lab.f.key)] = lab
         labels = sorted(cand.values(), key=lambda l: (l.kind, repr(l.f)))
         mults = decompose(prod, [self.character(l) for l in labels])
         out = []

@@ -5,6 +5,11 @@ Elements are value objects in a fixed normal form per family.  The infinite
 dihedral group stores y^k x^e; its multiplication is the closed form coming
 from x^2 = 1 and x y x = y^-1, and the tests check it against an independent
 word-rewriting oracle (the affine action i |-> +-i + c on the integers).
+
+`closure` is the breadth-first search behind generation checks, shortest
+letter words, permutation groups, dual orbits and the generator words of the
+character solver; each reads its {node: first word} table.  Only
+`GroupHom._close_finite` walks its own, since it checks every edge it crosses.
 """
 
 from __future__ import annotations
@@ -12,6 +17,51 @@ from __future__ import annotations
 import itertools
 
 from .errors import InfiniteGroup, MixedGroups, SchemaError
+
+
+def closure(start, letters, step):
+    """Breadth-first closure of `start` under `step(node, letter)`.
+
+    Returns {node: first word}, the word being the tuple of letters that
+    reaches the node from `start`, in discovery order: level by level, each
+    node's letters in the order of the sequence `letters`.
+    """
+    words = {start: ()}
+    frontier = [start]
+    while frontier:
+        new = []
+        for node in frontier:
+            word = words[node]
+            for u in letters:
+                nxt = step(node, u)
+                if nxt not in words:
+                    words[nxt] = word + (u,)
+                    new.append(nxt)
+        frontier = new
+    return words
+
+
+def _read_word(G, text, names):
+    "The element `a*b^k*...` over `names` (name -> element), k an integer."
+    text = text.strip()
+    if text in names:
+        return names[text]
+    where = getattr(G, "name", G.family)
+    out = G.one
+    for chunk in text.split("*"):
+        name, caret, exp = chunk.rpartition("^")
+        if not caret:
+            name, exp = exp, "1"
+        name = name.strip()
+        if name not in names:
+            raise SchemaError("unknown element %r of %s" % (chunk.strip(), where))
+        try:
+            power = int(exp)
+        except ValueError:
+            raise SchemaError("exponent %r in element %r of %s is not an integer"
+                              % (exp.strip(), chunk.strip(), where)) from None
+        out = G.mul(out, G.power(names[name], power))
+    return out
 
 
 class GroupElement:
@@ -135,7 +185,7 @@ class FiniteGroup(Group):
 
     family = "finite"
 
-    def __init__(self, name, element_names, table, generators, builtin=None, check=True):
+    def __init__(self, name, element_names, table, generators, builtin=None):
         self.name = name
         self.element_names = list(element_names)
         self.table = [list(row) for row in table]
@@ -144,24 +194,15 @@ class FiniteGroup(Group):
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("table shape does not match element list")
         self._elements = [GroupElement(self, i) for i in range(n)]
+        # a repeated name parses as its first element
+        self._by_name = dict(reversed(list(zip(self.element_names, self._elements))))
         self._inv = [None] * n
-        if check:
-            self._check_axioms()
-        else:
-            for i in range(n):
-                self._inv[i] = next(j for j in range(n) if self.table[i][j] == 0)
-        self.generator_indices = [self._name_index(g) if isinstance(g, str) else g
+        self._check_axioms()
+        self.generator_indices = [self.parse(g).key if isinstance(g, str) else g
                                   for g in generators]
-        gen_closure = self._closure(self.generator_indices)
-        if len(gen_closure) != n:
+        if len(closure(0, self.generator_indices, lambda i, g: self.table[i][g])) != n:
             raise ValueError("declared generators do not generate %s" % name)
         self._decomp_cache = None
-
-    def _name_index(self, name):
-        try:
-            return self.element_names.index(name)
-        except ValueError:
-            raise SchemaError("unknown element %r of %s" % (name, self.name))
 
     def _check_axioms(self):
         n = len(self.element_names)
@@ -182,21 +223,6 @@ class FiniteGroup(Group):
             if len(invs) != 1 or self.table[invs[0]][i] != 0:
                 raise ValueError("element %d lacks a two-sided inverse" % i)
             self._inv[i] = invs[0]
-
-    def _closure(self, seed):
-        seen = {0}
-        frontier = [0]
-        gens = list(seed)
-        while frontier:
-            new = []
-            for i in frontier:
-                for g in gens:
-                    j = self.table[i][g]
-                    if j not in seen:
-                        seen.add(j)
-                        new.append(j)
-            frontier = new
-        return seen
 
     def _element(self, key):
         return self._elements[key]
@@ -230,19 +256,7 @@ class FiniteGroup(Group):
     def letter_decomposition(self, a):
         "Shortest word in the generator letters, via breadth-first search."
         if self._decomp_cache is None:
-            letters = self.letters()
-            cache = {0: ()}
-            frontier = [0]
-            while frontier:
-                new = []
-                for i in frontier:
-                    for g in letters:
-                        j = self.table[i][g.key]
-                        if j not in cache:
-                            cache[j] = cache[i] + (g,)
-                            new.append(j)
-                frontier = new
-            self._decomp_cache = cache
+            self._decomp_cache = closure(0, self.letters(), lambda i, u: self.table[i][u.key])
         return list(self._decomp_cache[self._member(a).key])
 
     def is_abelian(self):
@@ -251,22 +265,7 @@ class FiniteGroup(Group):
                    for i in range(n) for j in range(i + 1, n))
 
     def parse(self, text):
-        text = text.strip()
-        if text in self.element_names:
-            return self._element(self.element_names.index(text))
-        # word in element names: factors separated by '*', optional '^power'
-        out = self.one
-        for chunk in text.split("*"):
-            chunk = chunk.strip()
-            name, power = chunk, 1
-            if "^" in chunk:
-                name, _, exp = chunk.rpartition("^")
-                name = name.strip()
-                power = int(exp)
-            if name not in self.element_names:
-                raise SchemaError("unknown element %r of %s" % (chunk, self.name))
-            out = self.mul(out, self.power(self._element(self.element_names.index(name)), power))
-        return out
+        return _read_word(self, text, self._by_name)
 
     def format(self, a):
         return self.element_names[self._member(a).key]
@@ -355,20 +354,7 @@ def permutation_group(generator_images, name="perm"):
     for p in gens:
         if sorted(p) != list(range(degree)):
             raise SchemaError("not a permutation: %r" % (p,))
-    ident = tuple(range(degree))
-    elems = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gens:
-                h = _perm_mul(e, g)
-                if h not in seen:
-                    seen.add(h)
-                    elems.append(h)
-                    new.append(h)
-        frontier = new
+    elems = list(closure(tuple(range(degree)), gens, _perm_mul))
     names = [_cycle_name(p) for p in elems]
     return finite_group_from_elements(
         name, elems, _perm_mul, names, [_cycle_name(g) for g in gens],
@@ -519,24 +505,7 @@ class InfiniteDihedralGroup(Group):
         return False
 
     def parse(self, text):
-        text = text.strip()
-        if text == "1":
-            return self.one
-        out = self.one
-        for chunk in text.split("*"):
-            chunk = chunk.strip()
-            name, power = chunk, 1
-            if "^" in chunk:
-                name, _, exp = chunk.partition("^")
-                power = int(exp)
-            if name == "x":
-                base = self.x
-            elif name == "y":
-                base = self.y
-            else:
-                raise SchemaError("bad infinite-dihedral element %r" % text)
-            out = self.mul(out, self.power(base, power))
-        return out
+        return _read_word(self, text, {"1": self.one, "x": self.x, "y": self.y})
 
     def format(self, a):
         k, e = self._member(a).key

@@ -45,27 +45,24 @@ class HopfAlgebra:
         self.F = self.mp.F
         self.name = name or cocycles.name or self.mp.name
 
-    def basis(self, g, f):
-        "The basis element p_g # f."
+    def _key(self, g, f):
+        "The basis key (g, f); strings are parsed, elements of other groups rejected."
         if isinstance(g, str):
             g = self.G.parse(g)
         if isinstance(f, str):
             f = self.F.parse(f)
-        self.G._member(g)
-        self.F._member(f)
-        return HopfElement(self, {(g, f): ONE})
+        return self.G._member(g), self.F._member(f)
+
+    def basis(self, g, f):
+        "The basis element p_g # f."
+        return HopfElement(self, {self._key(g, f): ONE})
 
     def element(self, terms):
         "Element from (g, f, coefficient) triples."
         acc = {}
         for g, f, c in terms:
-            if isinstance(g, str):
-                g = self.G.parse(g)
-            if isinstance(f, str):
-                f = self.F.parse(f)
-            c = _coerce_scalar(c)
-            key = (g, f)
-            acc[key] = acc.get(key, ZERO) + c
+            key = self._key(g, f)
+            acc[key] = acc.get(key, ZERO) + _coerce_scalar(c)
         return HopfElement(self, acc)
 
     def zero(self):

@@ -22,6 +22,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import InvalidAction, UndefinedGeneratorAction
+from .groups import closure
 from .reports import sweep
 from .scalars import bare
 
@@ -264,18 +265,9 @@ class MatchedPair:
         "O'_g = {g <| f : f in F}, the closure of {g} under the letter actions."
         self.G._member(g)
         if g.key not in self._dual_cache:
-            seen = {g.key: g}
-            frontier = [g]
-            while frontier:
-                new = []
-                for h in frontier:
-                    for u in self._letters.values():
-                        hu = self._right_letter[(h.key, u.key)]
-                        if hu.key not in seen:
-                            seen[hu.key] = hu
-                            new.append(hu)
-                frontier = new
-            self._dual_cache[g.key] = list(seen.values())
+            right = self._right_letter
+            self._dual_cache[g.key] = list(closure(g, list(self._letters),
+                                                   lambda h, u: right[(h.key, u)]))
         return list(self._dual_cache[g.key])
 
     def orbit_product_commutes(self, f, fp):

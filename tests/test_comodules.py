@@ -1,11 +1,12 @@
 import pytest
 
 from hopfcqt.catalog import get_entry
-from hopfcqt.comodules import (Comodule, TwistedCoalgebra, character,
-                               enumerate_onedim, group_comodules, induce,
+from hopfcqt.comodules import (Comodule, TwistedCoalgebra, _abelian_character_tables,
+                               character, enumerate_onedim, group_comodules, induce,
                                trivial_comodule)
 from hopfcqt.errors import NonAbelianStabilizer, NotInStabilizer
-from hopfcqt.groups import GroupHom, klein_four_group
+from hopfcqt.groups import (DirectProductGroup, GroupHom, cyclic_group,
+                            klein_four_group)
 from hopfcqt.hopf import HopfElement
 from hopfcqt.reports import all_passed
 from hopfcqt.scalars import (Matrix, MINUS_ONE, ONE, ZERO, rational,
@@ -183,3 +184,41 @@ def test_group_comodules_quotient_lift():
             want = MINUS_ONE if k % 2 else ONE
             assert X.matrix(name)[0, 0] == want
     assert X.is_valid() and X.is_simple()
+
+
+def _assert_character_group(G, chars):
+    "chars: |G| distinct multiplicative maps G -> k*, closed under pointwise product."
+    elems = G.elements()
+    tables = [[chi(a) for a in elems] for chi in chars]
+    assert len(tables) == G.order()
+    assert all(tables[i] != tables[j]
+               for i in range(len(tables)) for j in range(i))
+    for chi in chars:
+        assert chi(G.one) == ONE
+        assert all(chi(G.mul(a, b)) == chi(a) * chi(b) for a in elems for b in elems)
+    for s in tables:
+        for t in tables:
+            assert [x * y for x, y in zip(s, t)] in tables
+
+
+@pytest.mark.parametrize("G", [
+    cyclic_group(4), klein_four_group(),
+    DirectProductGroup([cyclic_group(2, gen_name="a"), cyclic_group(3, gen_name="b")]),
+], ids=["Z4", "K4", "Z2xZ3"])
+def test_abelian_characters_form_the_dual_group(G):
+    chars = [lambda a, c=c: c[a.key] for c in _abelian_character_tables(G)]
+    _assert_character_group(G, chars)
+
+
+def test_quotient_lift_characters_form_the_dual_group():
+    # the Q8 -> K4 lifts are the characters of K4 composed with the quotient
+    H = get_entry("Q8_Z").context()
+    K4 = klein_four_group()
+    pi = GroupHom(H.G, K4, {"r": "a", "s": "b"})
+    lifts = group_comodules(H, quotient=pi)
+    preimage = {pi(g).key: g for g in H.G.elements()}
+    chars = [lambda a, V=V: V.matrix(preimage[a.key])[0, 0] for V in lifts]
+    _assert_character_group(K4, chars)
+    for V in lifts:
+        for g in H.G.elements():
+            assert V.matrix(g) == V.matrix(preimage[pi(g).key])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -179,3 +180,38 @@ def test_parse_errors():
         cyclic_group(3).parse("h")
     with pytest.raises(SchemaError):
         IntegerGroup().parse("x")
+    for G, text in ((symmetric_group_s3(), "(1 2)^x"), (cyclic_group(3), "g^"),
+                    (InfiniteDihedralGroup(), "y^q"), (InfiniteDihedralGroup(), "z")):
+        with pytest.raises(SchemaError):
+            G.parse(text)
+
+
+def test_element_words():
+    # one reader for both families: names, a*b^k with an integer k, spaces around ^
+    D = InfiniteDihedralGroup()
+    assert D.parse("y ^2") == D.parse("y^2") == D.y * D.y
+    assert D.parse(" y^-1 * x ") == D.y.inverse() * D.x
+    S3 = symmetric_group_s3()
+    assert S3.parse("(1 2) ^ 3") == S3.parse("(1 2)")
+    assert S3.parse("(1 2)*(1 2 3)^-1") == S3.parse("(1 2)") * S3.parse("(1 3 2)")
+    Q8 = quaternion_group_q8()
+    assert Q8.parse("r^2*s") == Q8.parse("r^2") * Q8.parse("s")
+
+
+@pytest.mark.parametrize("G", [symmetric_group_s3(), quaternion_group_q8(),
+                               permutation_group([[1, 0, 2, 3], [1, 2, 3, 0]])],
+                         ids=["S3", "Q8", "S4"])
+def test_letter_decomposition_is_a_shortest_word(G):
+    letters = G.letters()
+    # word length of each element, by multiplying out every word of each length
+    length = {}
+    n = 0
+    while len(length) < G.order():
+        for word in itertools.product(letters, repeat=n):
+            length.setdefault(G.product(word).key, n)
+        n += 1
+    for a in G.elements():
+        word = G.letter_decomposition(a)
+        assert all(u in letters for u in word)
+        assert G.product(word) == a
+        assert len(word) == length[a.key]

@@ -8,7 +8,7 @@ from hopfcqt import hopf
 from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.cqt import eps_tensor_eps, verify_R
-from hopfcqt.errors import ContextMismatch, MissingEntry
+from hopfcqt.errors import ContextMismatch, MissingEntry, MixedGroups
 from hopfcqt.groups import cyclic_group, symmetric_group_s3
 from hopfcqt.hopf import (HopfAlgebra, antipode, comultiply, counit, multiply,
                           verify_hopf_axioms)
@@ -142,6 +142,18 @@ def test_context_mismatch():
     H2 = get_entry("S3_Z2").context()
     with pytest.raises(ContextMismatch):
         multiply(H1.basis("g", "0"), H2.basis("g", "()"))
+
+
+def test_element_rejects_foreign_group_elements():
+    # element() checks membership as basis() does: a Z3 element, or a swapped (f, g, c)
+    H = get_entry("Z2_Z2_tau").context()
+    g, t = H.G.parse("g"), H.F.parse("t")
+    for terms in ([(cyclic_group(3).parse("g"), H.F.one, 1)], [(t, g, 1)]):
+        with pytest.raises(MixedGroups):
+            H.element(terms)
+        with pytest.raises(MixedGroups):
+            H.basis(*terms[0][:2])
+    assert H.element([(g, t, 2), ("g", "t", -1)]) == H.basis(g, t)
 
 
 def test_foreign_operands_raise_type_error():

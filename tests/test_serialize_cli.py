@@ -197,9 +197,10 @@ def _malformed_context(tmp_path, edit):
     lambda obj: obj.update(left_action=[]),
     lambda obj: obj["left_action"].update({"g|t": 1}),
     lambda obj: obj.update(sigma=["1"]),
+    lambda obj: obj["left_action"].update({"g^x|t": "t"}),
 ], ids=["zero-sigma-default", "Zn-n-0", "scalar-1/0", "zeta-order-0", "deep-nesting",
         "zeta-order-30030", "scalar-number", "action-list", "action-value-number",
-        "sigma-list"])
+        "sigma-list", "action-key-exponent"])
 def test_cli_malformed_context_exits_2(tmp_path, capsys, edit):
     path = _malformed_context(tmp_path, edit)
     assert cli.main(["verify-cocycles", "--input", path]) == 2
@@ -215,6 +216,15 @@ def test_cli_non_cocycle_tau_exits_2(tmp_path, capsys):
     assert cli.main(["cqt-necessary", "--input", str(path), "--maxlen", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: twisted coproduct not coassociative")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry, f", [("S3_Z2", "(1 2)^x"), ("Q8_Dinf", "y^q"),
+                                      ("Q8_Dinf", "g^")])
+def test_cli_bad_element_exponent_exits_2(capsys, entry, f):
+    assert cli.main(["orbits", "--entry", entry, "--f", f]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert "Traceback" not in err
 
 
