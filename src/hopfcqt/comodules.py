@@ -12,14 +12,20 @@ Induction along the transversal T_f produces a comodule over the full Hopf
 algebra; its character is both computed by the closed one-line formula and,
 independently, as the trace of the induced coaction (two code paths that the
 tests compare).
+
+A TwistedCoalgebra memoizes, for its own lifetime, the G_f product table
+(built with it) and tau(a, b; f) per pair (each filled on its first lookup
+through `CocyclePair.tau`, so its checks and errors are those of the cocycle
+pair); its coalgebra check, comodules and one-dimensional solver read both.
+Nothing is cached on the Hopf algebra.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import (InvalidCocycle, NonAbelianStabilizer, NotARootOfUnity,
-                     NotInStabilizer, WrongGroup)
+from .errors import (DimensionMismatch, InvalidCocycle, NonAbelianStabilizer,
+                     NotARootOfUnity, NotInStabilizer, WrongGroup)
 from .groups import closure
 from .hopf import HopfElement
 from .reports import FAIL, PASS, ConditionReport, sweep
@@ -27,7 +33,11 @@ from .scalars import Matrix, ONE, Scalar, ZERO, commutant_dimension, root_of_uni
 
 
 class TwistedCoalgebra:
-    "k^(G_f) with the comultiplication twisted by tau(., .; f)."
+    """k^(G_f) with the comultiplication twisted by tau(., .; f).
+
+    Holds the G_f product table and a memo of tau(., .; f), each value filled
+    on its first lookup through `CocyclePair.tau`, for the life of the object.
+    """
 
     def __init__(self, H, f):
         if isinstance(f, str):
@@ -39,10 +49,16 @@ class TwistedCoalgebra:
         self.stabilizer = od.stabilizer
         self.transversal = od.transversal
         self._od = od
+        self._prod = _product_table(H.G, od.stabilizer)
+        self._taus = {}
         self._check_coalgebra()
 
     def tau(self, a, b):
-        return self.H.cp.tau(a, b, self.f)
+        "tau(a, b; f); keyed by the elements, so a foreign one misses and is rejected."
+        v = self._taus.get((a, b))
+        if v is None:
+            v = self._taus[a, b] = self.H.cp.tau(a, b, self.f)
+        return v
 
     def contains(self, g):
         return self._od.in_stabilizer(g)
@@ -52,9 +68,11 @@ class TwistedCoalgebra:
         if not self.contains(g):
             raise NotInStabilizer("%r does not stabilize %r" % (g, self.f))
         G = self.H.G
+        G._member(g)  # the product table below is keyed by element keys
         out = {}
         for x in self.stabilizer:
-            out[(G.mul(g, G.inv(x)), x)] = self.tau(G.mul(g, G.inv(x)), x)
+            gx = self._prod[g.key, G.inv(x).key]
+            out[(gx, x)] = self.tau(gx, x)
         return out
 
     def counit(self, g):
@@ -64,17 +82,19 @@ class TwistedCoalgebra:
 
     def _check_coalgebra(self):
         "Coassociativity and counit of the twisted coproduct, exhaustively over G_f."
-        G = self.H.G
+        tau, prod = self.tau, self._prod
         for a in self.stabilizer:
             for b in self.stabilizer:
+                ab = prod[a.key, b.key]
                 for c in self.stabilizer:
                     # coefficient of p_a (x) p_b (x) p_c in both triple coproducts of p_(abc)
-                    abc = G.mul(G.mul(a, b), c)
-                    lhs = self.tau(G.mul(a, b), c) * self.tau(a, b)
-                    rhs = self.tau(a, G.mul(b, c)) * self.tau(b, c)
+                    bc = prod[b.key, c.key]
+                    lhs = tau(ab, c) * tau(a, b)
+                    rhs = tau(a, bc) * tau(b, c)
                     if lhs != rhs:
                         raise InvalidCocycle("twisted coproduct not coassociative at "
-                                             "(%r, %r, %r) over %r" % (a, b, c, abc))
+                                             "(%r, %r, %r) over %r"
+                                             % (a, b, c, prod[ab.key, c.key]))
         for g in self.stabilizer:
             d = self.delta(g)
             for (x, y), c in d.items():
@@ -101,7 +121,7 @@ class Comodule:
             if not coalgebra.contains(g):
                 raise NotInStabilizer("coefficient at %r outside the stabilizer" % g)
             if M.rows != dim or M.cols != dim:
-                raise ValueError("coefficient block at %r is not %dx%d" % (g, dim, dim))
+                raise DimensionMismatch("coefficient block at %r is not %dx%d" % (g, dim, dim))
             self.matrices[g.key] = M
         for g in coalgebra.stabilizer:
             self.matrices.setdefault(g.key, Matrix.zeros(dim, dim))
@@ -139,10 +159,10 @@ class Comodule:
         reports.append(ConditionReport(
             "comodule-counit", PASS if ident_ok else FAIL,
             witness=None if ident_ok else (G.one,), checked=1))
-        M = self.matrices
+        M, prod = self.matrices, C._prod
         reports.append(sweep(
             "comodule-coassociativity", itertools.product(C.stabilizer, repeat=2),
-            lambda a, b: M[a.key] * M[b.key] == M[G.mul(a, b).key] * C.tau(a, b)))
+            lambda a, b: M[a.key] * M[b.key] == M[prod[a.key, b.key].key] * C.tau(a, b)))
         return reports
 
     def is_valid(self):
@@ -169,16 +189,23 @@ def _generating_subset(elements, mul_key, one_key):
     raise AssertionError("unreachable")
 
 
-def _onedim_tables(G, elements, tau):
+def _product_table(G, elements):
+    "{(a.key, b.key): a b} over a finite subgroup of G."
+    return {(a.key, b.key): G.mul(a, b) for a in elements for b in elements}
+
+
+def _onedim_tables(G, elements, prod, tau):
     """Solutions a: K -> k* of a^1 = 1, a^g a^h = tau(g, h) a^(g h) on the finite
-    abelian subgroup K = `elements` of G, as {element key: Scalar} dicts.
+    abelian subgroup K = `elements` of G, with product table `prod`
+    (`_product_table`), as {element key: Scalar} dicts.
 
     The value on each generator h is an n-th root of the telescoped tau product,
     so the candidate sets are finite and the search is complete.  Exactly |K|
     many when any exist; tau = 1 gives the characters of K.
     """
     one = G.one.key
-    mul_key = lambda k, l: G.mul(G._element(k), G._element(l)).key
+    by_key = {e.key: e for e in elements}
+    mul_key = lambda k, l: prod[k, l].key
     gens = _generating_subset(elements, mul_key, one)
     # fixed decomposition of every element as a generator word
     words = closure(one, range(len(gens)), lambda k, gi: mul_key(k, gens[gi].key))
@@ -189,7 +216,7 @@ def _onedim_tables(G, elements, tau):
         n = len(powers)
         c = ONE
         for k in powers[1:]:
-            c = c * tau(g, G._element(k))
+            c = c * tau(g, by_key[k])
         ru = c.as_root_of_unity()
         if ru is None:
             raise NotARootOfUnity(
@@ -206,10 +233,10 @@ def _onedim_tables(G, elements, tau):
             acc_key, acc_val = one, ONE
             for gi in word:
                 g = gens[gi]
-                acc_val = acc_val * values[gi] / tau(G._element(acc_key), g)
+                acc_val = acc_val * values[gi] / tau(by_key[acc_key], g)
                 acc_key = mul_key(acc_key, g.key)
             a[k] = acc_val
-        if all(a[x.key] * a[y.key] == tau(x, y) * a[G.mul(x, y).key]
+        if all(a[x.key] * a[y.key] == tau(x, y) * a[prod[x.key, y.key].key]
                for x in elements for y in elements):
             out.append(a)
     return out
@@ -221,10 +248,11 @@ def enumerate_onedim(coalgebra):
     C = coalgebra
     G = C.H.G
     stab = C.stabilizer
-    if not all(G.mul(a, b) == G.mul(b, a) for a in stab for b in stab):
+    prod = C._prod
+    if not all(prod[a.key, b.key] == prod[b.key, a.key] for a in stab for b in stab):
         raise NonAbelianStabilizer("stabilizer of %r is non-abelian" % C.f)
     return [Comodule(C, 1, {G._element(k): Matrix([[v]]) for k, v in a.items()})
-            for a in _onedim_tables(G, stab, C.tau)]
+            for a in _onedim_tables(G, stab, prod, C.tau)]
 
 
 # -- induction and characters ----------------------------------------------------
@@ -419,4 +447,5 @@ def _hom_tag(pi):
 
 def _abelian_character_tables(G):
     "Characters of a finite abelian group: the tau = 1 solutions of `_onedim_tables`."
-    return _onedim_tables(G, G.elements(), lambda a, b: ONE)
+    elements = G.elements()
+    return _onedim_tables(G, elements, _product_table(G, elements), lambda a, b: ONE)

@@ -85,6 +85,14 @@ class NonIntegralMultiplicity(HopfCqtError):
     "Decomposition multiplicities are not nonnegative integers."
 
 
+class DependentCharacters(HopfCqtError, ValueError):
+    "A decomposition basis of characters that is not linearly independent."
+
+
+class UnknownLabelKind(HopfCqtError, ValueError):
+    "A |G| = 2 simple label whose kind is not U, V or W."
+
+
 class UnknownEntry(HopfCqtError):
     "Catalog id not found."
 

@@ -17,7 +17,8 @@ is +1 for trivial cocycles.
 from __future__ import annotations
 
 from .comodules import Character, TwistedCoalgebra, enumerate_onedim, trivial_comodule
-from .errors import HopfCqtError, NonIntegralMultiplicity, NotInSpan, WrongGroup
+from .errors import (DependentCharacters, HopfCqtError, NonIntegralMultiplicity, NotInSpan,
+                     UnknownLabelKind, WrongGroup)
 from .hopf import multiply
 from .reports import sweep
 from .scalars import Matrix, ONE, ZERO, solve_linear, sqrt_root_of_unity
@@ -62,7 +63,7 @@ def decompose(x, basis):
     if sol.status == "inconsistent":
         raise NotInSpan("element is not a combination of the given characters")
     if sol.status != "unique":
-        raise ValueError("characters are not linearly independent")
+        raise DependentCharacters("characters are not linearly independent")
     mults = []
     for v in sol.particular:
         if not v.is_rational():
@@ -83,7 +84,7 @@ class Z2Label:
 
     def __init__(self, kind, f):
         if kind not in ("U", "V", "W"):
-            raise ValueError("kind must be U, V or W")
+            raise UnknownLabelKind("kind must be U, V or W, got %r" % (kind,))
         self.kind = kind
         self.f = f
 
@@ -100,7 +101,12 @@ class Z2Label:
 
 
 class Z2Simples:
-    "The simple comodules of a |G| = 2 context, by label."
+    """The simple comodules of a |G| = 2 context, by label.
+
+    For the life of the instance it memoizes the twisted coalgebra and
+    sqrt(tau(g, g; f)) per base point f and the closed character per label,
+    each computed on first use; a returned Character is shared, not copied.
+    """
 
     def __init__(self, H):
         if H.G.order() != 2:
@@ -108,6 +114,8 @@ class Z2Simples:
         self.H = H
         self.g = H.G.elements()[1]
         self._coalgebras = {}
+        self._sqrt_taus = {}
+        self._characters = {}
 
     def in_fixed_part(self, f):
         "True when g |> f = f (the base point carries two one-dimensional simples)."
@@ -120,15 +128,20 @@ class Z2Simples:
                    key=lambda u: (F.element_length(u), F.format(u)))
 
     def sqrt_tau(self, f):
-        return sqrt_root_of_unity(self.H.cp.tau(self.g, self.g, f))
+        "sqrt(tau(g, g; f)), keyed by f itself, so a foreign element misses and is rejected."
+        s = self._sqrt_taus.get(f)
+        if s is None:
+            s = self._sqrt_taus[f] = sqrt_root_of_unity(self.H.cp.tau(self.g, self.g, f))
+        return s
 
     def label(self, kind, f):
         if isinstance(f, str):
             f = self.H.F.parse(f)
+        lab = Z2Label(kind, f)  # rejects a kind other than U, V and W
         if kind in ("U", "V"):
             if not self.in_fixed_part(f):
                 raise HopfCqtError("label %s needs a fixed base point, %r is moved" % (kind, f))
-            return Z2Label(kind, f)
+            return lab
         if self.in_fixed_part(f):
             raise HopfCqtError("label W needs a moved base point, %r is fixed" % f)
         return Z2Label("W", self.canonical_w_base(f))
@@ -165,6 +178,12 @@ class Z2Simples:
 
     def character(self, label):
         "chi(U_f) = p_1#f + sqrt(tau) p_g#f, chi(V_f) with -sqrt, chi(W_f) = p_1#f + p_1#(g|>f)."
+        chi = self._characters.get(label)
+        if chi is None:
+            chi = self._characters[label] = self._closed_character(label)
+        return chi
+
+    def _closed_character(self, label):
         H, g = self.H, self.g
         f = label.f
         if label.kind == "W":

@@ -194,8 +194,11 @@ class FiniteGroup(Group):
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("table shape does not match element list")
         self._elements = [GroupElement(self, i) for i in range(n)]
-        # a repeated name parses as its first element
-        self._by_name = dict(reversed(list(zip(self.element_names, self._elements))))
+        self._by_name = dict(zip(self.element_names, self._elements))
+        if len(self._by_name) != n:
+            repeated = next(x for i, x in enumerate(self.element_names)
+                            if x in self.element_names[:i])
+            raise ValueError("element name %r is repeated" % (repeated,))
         self._inv = [None] * n
         self._check_axioms()
         self.generator_indices = [self.parse(g).key if isinstance(g, str) else g

@@ -11,10 +11,12 @@ so the common rational x rational case is plain int arithmetic.  A value that
 turns out to be rational is collapsed to order 1.  ``Scalar(...)`` and
 ``rational(...)`` are the validating public constructors; they accept ints and
 Fractions only.  The internal constructors ``Scalar._trusted`` (canonical
-coefficients, no checks) and ``_rat`` (one int or Fraction result) skip the
-validation and are for results computed in this module only.  The sweeps'
-memo tables hold a rational value bare, as its int or Fraction (``bare``),
-and rely on Scalar's reflected operators where it meets a cyclotomic one.
+coefficients, no checks), ``_rat`` (one int or Fraction result) and
+``Matrix._trusted`` (rows of Scalars) skip the validation and are for results
+computed in this module only.  The sweeps' memo tables hold a rational value
+bare, as its int or Fraction (``bare``), and rely on Scalar's reflected
+operators where it meets a cyclotomic one.  ``as_root_of_unity`` is memoized
+per distinct value, like ``euler_phi`` and ``cyclotomic_polynomial`` per order.
 """
 
 from __future__ import annotations
@@ -332,19 +334,29 @@ class Scalar:
     def as_root_of_unity(self):
         """Recognize self as zeta_m^j with m minimal; returns (m, j) or None.
 
-        The torsion units of Q(zeta_N) are exactly the M-th roots of unity for
-        M = N (N even) or 2N (N odd), so the scan is finite and complete.
+        Memoized per distinct value (`_root_of_unity_index`).
         """
-        if self.is_zero():
-            return None
-        M = self.order if self.order % 2 == 0 else 2 * self.order
-        if self ** M != ONE:
-            return None
-        m = next(d for d in divisors(M) if self ** d == ONE)
-        for j in range(m):
-            if gcd(j, m) == 1 and self == root_of_unity(m, j):
-                return (m, j)
+        return _root_of_unity_index(self.order, self.coeffs)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity_index(order, coeffs):
+    """(m, j) with Scalar._trusted(order, coeffs) == zeta_m^j, m minimal, or None.
+
+    The torsion units of Q(zeta_N) are exactly the M-th roots of unity for
+    M = N (N even) or 2N (N odd), so the scan is finite and complete.
+    """
+    x = Scalar._trusted(order, coeffs)
+    if x.is_zero():
         return None
+    M = x.order if x.order % 2 == 0 else 2 * x.order
+    if x ** M != ONE:
+        return None
+    m = next(d for d in divisors(M) if x ** d == ONE)
+    for j in range(m):
+        if gcd(j, m) == 1 and x == root_of_unity(m, j):
+            return (m, j)
+    return None
 
 
 def _poly_mul(a, b):
@@ -618,6 +630,15 @@ class Matrix:
         object.__setattr__(self, "cols", w)
         object.__setattr__(self, "entries", entries)
 
+    @staticmethod
+    def _trusted(entries):
+        "Internal constructor: entries is a non-empty rectangular list of Scalar rows."
+        m = _new(Matrix)
+        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "cols", len(entries[0]))
+        object.__setattr__(m, "entries", entries)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -650,23 +671,23 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix add: %dx%d vs %dx%d"
                                     % (self.rows, self.cols, other.rows, other.cols))
-        return Matrix([[self.entries[i][j] + other.entries[i][j]
-                        for j in range(self.cols)] for i in range(self.rows)])
+        return Matrix._trusted([[a + b for a, b in zip(r, s)]
+                                for r, s in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
-        return self + Matrix([[-v for v in row] for row in other.entries])
+        return self + Matrix._trusted([[-v for v in row] for row in other.entries])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch("matrix mul: %dx%d by %dx%d"
                                         % (self.rows, self.cols, other.rows, other.cols))
-            return Matrix([[_dot(self.entries[i], [other.entries[k][j] for k in range(other.rows)])
-                            for j in range(other.cols)] for i in range(self.rows)])
+            cols = list(zip(*other.entries))
+            return Matrix._trusted([[_dot(row, col) for col in cols] for row in self.entries])
         s = Scalar._coerce(other)
         if s is None:
             return NotImplemented
-        return Matrix([[v * s for v in row] for row in self.entries])
+        return Matrix._trusted([[v * s for v in row] for row in self.entries])
 
     __rmul__ = __mul__
 

@@ -4,10 +4,12 @@ from hopfcqt.catalog import get_entry
 from hopfcqt.comodules import (Comodule, TwistedCoalgebra, _abelian_character_tables,
                                character, enumerate_onedim, group_comodules, induce,
                                trivial_comodule)
-from hopfcqt.errors import NonAbelianStabilizer, NotInStabilizer
+from hopfcqt.cocycles import CocyclePair
+from hopfcqt.errors import (DimensionMismatch, InvalidCocycle, MissingEntry, MixedGroups,
+                            NonAbelianStabilizer, NotInStabilizer)
 from hopfcqt.groups import (DirectProductGroup, GroupHom, cyclic_group,
                             klein_four_group)
-from hopfcqt.hopf import HopfElement
+from hopfcqt.hopf import HopfAlgebra, HopfElement
 from hopfcqt.reports import all_passed
 from hopfcqt.scalars import (Matrix, MINUS_ONE, ONE, ZERO, rational,
                              root_of_unity)
@@ -39,6 +41,56 @@ def test_twisted_coassociativity_all_catalog_points():
         H = get_entry(eid).context()
         for f in H.mp.window(2):
             TwistedCoalgebra(H, f)  # construction raises on failure
+
+
+def _q8_z_tau_table(edit):
+    "Q8_Z's tau at base point 0 as a table without default, changed by edit."
+    H = get_entry("Q8_Z").context()
+    G, f = H.G, H.F.parse("0")
+    tau = {(a.key, b.key, f.key): H.cp.tau(a, b, f) for a in G.elements() for b in G.elements()}
+    edit(tau, lambda a, b: (G.parse(a).key, G.parse(b).key, f.key))
+    cp = CocyclePair.from_tables(H.mp, H.cp.sigma_table, tau, H.cp.sigma_default, None)
+    return HopfAlgebra(cp), f
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda t, k: (t.pop(k("r^3*s", "r^3*s")), t.pop(k("r^3*s", "r"))),
+     MissingEntry, "tau(r^3*s, r; 0) undeclared"),
+    (lambda t, k: (t.pop(k("r", "r^3*s")), t.pop(k("r^3*s", "r"))),
+     MissingEntry, "tau(r, r^3*s; 0) undeclared"),
+    (lambda t, k: t.update({k("r^3*s", "r"): MINUS_ONE}),
+     InvalidCocycle, "twisted coproduct not coassociative at (r, r^2*s, r) over r^2*s"),
+    (lambda t, k: t.update({k("s", "r^2"): MINUS_ONE}),
+     InvalidCocycle, "twisted coproduct not coassociative at (r, s, r^2) over r^3*s"),
+], ids=["missing-pair", "missing-first-reached", "non-coassociative", "non-coassociative-2"])
+def test_twisted_coalgebra_errors_keep_first_reach(edit, error, message):
+    # the tau memo is filled lookup by lookup in the order of the coassociativity
+    # sweep, so the first bad entry it reaches names the error, as without a memo
+    H, f = _q8_z_tau_table(edit)
+    with pytest.raises(error) as err:
+        TwistedCoalgebra(H, f)
+    assert str(err.value) == message
+
+
+def test_twisted_tau_memo_matches_cocycle_pair():
+    H = get_entry("Q8_Z").context()
+    C = TwistedCoalgebra(H, "0")
+    for a in C.stabilizer:
+        for b in C.stabilizer:
+            assert C.tau(a, b) == H.cp.tau(a, b, C.f)
+    foreign = cyclic_group(8).parse("g")
+    assert foreign.key in {g.key for g in C.stabilizer}
+    with pytest.raises(MixedGroups):
+        C.tau(foreign, C.stabilizer[0])
+    with pytest.raises(MixedGroups):
+        C.delta(foreign)
+
+
+def test_comodule_block_shape_checked():
+    H = get_entry("Z2_Z").context()
+    C = TwistedCoalgebra(H, "0")
+    with pytest.raises(DimensionMismatch, match="is not 1x1"):
+        Comodule(C, 1, {H.G.parse("g"): Matrix.identity(2)})
 
 
 def test_comodule_validity_and_simplicity():

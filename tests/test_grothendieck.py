@@ -1,8 +1,9 @@
 import pytest
 
 from hopfcqt.catalog import get_entry
-from hopfcqt.errors import HopfCqtError, NonIntegralMultiplicity, NotInSpan, WrongGroup
-from hopfcqt.grothendieck import (Z2Simples, char_product, commutes, decompose,
+from hopfcqt.errors import (DependentCharacters, HopfCqtError, NonIntegralMultiplicity,
+                            NotInSpan, UnknownLabelKind, WrongGroup)
+from hopfcqt.grothendieck import (Z2Label, Z2Simples, char_product, commutes, decompose,
                                   multiset_equal, z2_S_abelian_check,
                                   z2_tensor_rule)
 from hopfcqt.scalars import rational
@@ -51,6 +52,9 @@ def test_decompose_examples():
         decompose(H.basis("g", "0"), [U0, V0])
     with pytest.raises(NotInSpan):
         decompose(H.basis("1", "3"), [U0, V0])
+    with pytest.raises(DependentCharacters) as err:
+        decompose(U0, [U0, V0, U0])
+    assert isinstance(err.value, ValueError)
 
 
 def test_commutes_examples():
@@ -81,6 +85,10 @@ def test_z2_label_constraints():
         simples.label("W", "0")  # fixed base point cannot carry W
     with pytest.raises(WrongGroup):
         Z2Simples(get_entry("Z3_Z").context())
+    for make in (lambda: Z2Label("X", H.F.parse("0")), lambda: simples.label("X", "1")):
+        with pytest.raises(UnknownLabelKind, match="kind must be U, V or W, got 'X'") as err:
+            make()
+        assert isinstance(err.value, ValueError)
 
 
 def test_z2_tensor_rule_examples():
@@ -187,3 +195,22 @@ def test_module_level_rule_wrapper():
     simples = Z2Simples(H)
     out = z2_tensor_rule(H, simples.label("U", "0"), simples.label("W", "2"))
     assert [x.kind for x in out] == ["W"]
+
+
+@pytest.mark.parametrize("eid, bound", [("Z2_Dinf", 2), ("Z2_Z", 2), ("Z2_Z2_tau", 1)])
+def test_memoized_simples_match_fresh(eid, bound):
+    # one Z2Simples answers every call from its memos; each fresh one computes anew
+    H = get_entry(eid).context()
+    simples = Z2Simples(H)
+    labels = simples.labels(bound)
+    for lab in labels:
+        chi, fresh = simples.character(lab), Z2Simples(H).character(lab)
+        assert simples.character(lab) is chi
+        assert (chi, chi.dim, chi.label, chi.base_point) == \
+            (fresh, fresh.dim, fresh.label, fresh.base_point)
+        assert simples.sqrt_tau(lab.f) == Z2Simples(H).sqrt_tau(lab.f)
+    for l1 in labels:
+        for l2 in labels:
+            for name in ("tensor_rule", "tensor_by_decomposition"):
+                memoized = getattr(simples, name)(l1, l2)
+                assert memoized == getattr(Z2Simples(H), name)(l1, l2), (name, l1, l2)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hopfcqt.errors import InfiniteGroup, MixedGroups, SchemaError
-from hopfcqt.groups import (DirectProductGroup, GroupHom, IntegerGroup,
+from hopfcqt.groups import (DirectProductGroup, FiniteGroup, GroupHom, IntegerGroup,
                             InfiniteDihedralGroup, cyclic_group,
                             group_from_descriptor, klein_four_group,
                             permutation_group, quaternion_group_q8,
@@ -166,6 +166,20 @@ def test_descriptors_round_trip():
               DirectProductGroup([cyclic_group(2, gen_name="a"), IntegerGroup()])):
         G2 = group_from_descriptor(G.descriptor())
         assert G2 == G
+
+
+# K4 with its second and third elements both named "a"
+REPEATED_NAME_K4 = {"family": "finite", "name": "K4", "names": ["1", "a", "a", "b"],
+                    "table": [[i ^ j for j in range(4)] for i in range(4)],
+                    "generators": ["a", "b"]}
+
+
+def test_repeated_element_names_rejected():
+    desc = REPEATED_NAME_K4
+    with pytest.raises(ValueError, match="element name 'a' is repeated"):
+        FiniteGroup(desc["name"], desc["names"], desc["table"], desc["generators"])
+    with pytest.raises(SchemaError, match="element name 'a' is repeated"):
+        group_from_descriptor(desc)
 
 
 def test_permutation_group_descriptor():

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from hopfcqt.errors import DivisionByZero, NotARootOfUnity, SchemaError
 from hopfcqt.scalars import (MAX_LITERAL_ORDER, Matrix, ONE, MINUS_ONE, Scalar,
                              ZERO, commutant_dimension, cyclotomic_polynomial,
-                             euler_phi, format_scalar, parse_scalar, rational,
-                             root_of_unity, solve_linear, sqrt_root_of_unity)
+                             _embed, divisors, euler_phi, format_scalar,
+                             parse_scalar, rational, root_of_unity, solve_linear,
+                             sqrt_root_of_unity)
 
 
 def test_cyclotomic_polynomials():
@@ -34,6 +36,40 @@ def test_root_of_unity_examples():
     assert root_of_unity(1, 5) == ONE
     assert root_of_unity(6, 3) == MINUS_ONE
     assert root_of_unity(5, 0) == ONE
+
+
+def _scan_root_of_unity(x):
+    "The uncached scan: (m, j) with x = zeta_m^j, m minimal, or None."
+    if x.is_zero():
+        return None
+    M = x.order if x.order % 2 == 0 else 2 * x.order
+    if x ** M != ONE:
+        return None
+    m = next(d for d in divisors(M) if x ** d == ONE)
+    for j in range(m):
+        if gcd(j, m) == 1 and x == root_of_unity(m, j):
+            return (m, j)
+    return None
+
+
+def test_root_of_unity_cache_matches_scan():
+    # every zeta_m^j (m <= 24) at its own order and stored at twice that order,
+    # zeta_4 stored at order 12, and three non-roots
+    values = []
+    for m in range(1, 25):
+        for j in range(m):
+            x = root_of_unity(m, j)
+            values.append(x)
+            values.append(Scalar._trusted(2 * x.order, _embed(x.coeffs, x.order, 2 * x.order)))
+    z4_at_12 = Scalar._trusted(12, _embed(root_of_unity(4).coeffs, 4, 12))
+    assert z4_at_12.order == 12
+    values += [z4_at_12, rational(2), ONE + root_of_unity(4), ZERO]
+    for x in values:
+        want = _scan_root_of_unity(x)
+        assert x.as_root_of_unity() == want, x
+        assert x.as_root_of_unity() == want, x
+    assert z4_at_12.as_root_of_unity() == (4, 1)
+    assert [v.as_root_of_unity() for v in values[-3:]] == [None, None, None]
 
 
 def test_sqrt_examples():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from test_groups import REPEATED_NAME_K4
 from test_hopf import _perturbed_context
 from hopfcqt import cli, serialize
 from hopfcqt.catalog import get_entry
@@ -206,6 +207,15 @@ def test_cli_malformed_context_exits_2(tmp_path, capsys, edit):
     assert cli.main(["verify-cocycles", "--input", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_repeated_element_name_exits_2(tmp_path, capsys):
+    path = _malformed_context(tmp_path, lambda obj: obj.update(F=REPEATED_NAME_K4))
+    assert cli.main(["verify-cocycles", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "element name 'a' is repeated" in err
     assert "Traceback" not in err
 
 
