@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 
 from .comodules import TwistedCoalgebra, enumerate_onedim, group_comodules
 from .errors import (BadWindow, IrrationalRoots, NonAbelianStabilizer, NotARootOfUnity,
                      NotAScalar, OutOfWindow, SearchSpaceTooLarge, UnknownLevel, WrongGroup)
-from .hopf import HopfElement, StructureConstants
+from .hopf import HopfElement, StructureConstants, _nonzero
 from .matched_pair import Memo
 from .reports import FAIL, PASS, SKIPPED, ConditionReport, sweep
 from .scalars import ONE, Scalar, ZERO, bare, rational
@@ -123,12 +121,11 @@ def eps_tensor_eps(H, window=None):
 #
 # Each family is its defining identity over the int-indexed basis of one
 # StructureConstants: a, b, c are basis indices, a1 (x) a2 the coproduct legs
-# of a, and grid[g][f] the index of the window key (g, f).  A side of an
-# identity is a list of terms (coef, out, pair, ...), each adding
-# coef * rv[pair] * ... to its component `out` (None for a scalar identity),
-# where rv memoizes RForm.try_value on index pairs.  R values, like the
-# structure constants, are kept bare (scalars.bare): an int or Fraction when
-# rational, so the sums run on Python rationals, else a Scalar.
+# of a, and grid[g][f] the index of the window key (g, f).  An instance sums
+# each side of its identity exactly, reading R through rv, a memo of
+# RForm.try_value on index pairs; CQT3, whose sides are elements, sums them
+# per basis index.  R values, like the structure constants, are kept bare
+# (scalars.bare): an int or Fraction when rational, else a Scalar.
 
 def _qrange(R, qbound):
     H = R.H
@@ -138,18 +135,18 @@ def _qrange(R, qbound):
     return H.F.elements_up_to_length(bound)
 
 
-def _holds(rv, lhs, rhs):
-    "lhs == rhs on every component; None when a term needs an R value outside the window."
-    sides = ({}, {})
-    for acc, terms in zip(sides, (lhs, rhs)):
-        for coef, out, *pairs in terms:
-            vals = [rv[p] for p in pairs]
-            if None in vals:
-                return None
-            if all(vals):
-                acc[out] = acc.get(out, 0) + reduce(mul, vals, coef)
-    left, right = ({k: v for k, v in acc.items() if v} for acc in sides)
-    return left == right
+def _sum(rv, terms):
+    """Sum of coef * R(p) * R(q) over the terms (coef, p, q).  None as soon as a
+    term has a factor outside the window, even when its other factor is zero."""
+    total = 0
+    for coef, p, q in terms:
+        v = rv[p]
+        w = rv[q]
+        if v is None or w is None:
+            return None
+        if v and w:
+            total += coef * v * w
+    return total
 
 
 def _keys(sc):
@@ -158,13 +155,17 @@ def _keys(sc):
 
 
 def _cqt0(sc, rv, grid):
-    "R(1, b) = eps(b) (component 0) and R(b, 1) = eps(b) (component 1)."
+    "R(1, b) = eps(b) and R(b, 1) = eps(b), where 1 is the sum of the p_u # 1."
     units = [sc.index((x, sc.H.F.one)) for x in sc.H.G.elements()]
 
     def ok(b):
-        eps = int(sc.gkey[b] == sc.one_g)
-        return _holds(rv, [(1, 0, (u, b)) for u in units] + [(1, 1, (b, u)) for u in units],
-                      [(eps, 0), (eps, 1)])
+        sums = [0, 0]
+        for side, p in [(0, (u, b)) for u in units] + [(1, (b, u)) for u in units]:
+            v = rv[p]
+            if v is None:
+                return None
+            sums[side] += v
+        return sums[0] == sums[1] == int(sc.gkey[b] == sc.one_g)
 
     return sweep("CQT0", ((b,) for row in grid for b in row), ok, witness=_keys(sc))
 
@@ -175,8 +176,10 @@ def _cqt1(sc, rv, grid):
 
     def ok(a, b, c):
         bc = sc.product(b, c)
-        return _holds(rv, [(bc[1], None, (a, bc[0]))] if bc else [],
-                      [(t, None, (a1, c), (a2, b)) for a1, a2, t in sc.coproduct(a)])
+        lhs = rv[a, bc[0]] if bc else 0  # R(a, bc) = bc[1] * lhs
+        rhs = None if lhs is None else _sum(rv, [(t, (a1, c), (a2, b))
+                                                 for a1, a2, t in sc.coproduct(a)])
+        return None if rhs is None else (lhs and lhs * bc[1]) == rhs
 
     return sweep("CQT1", ((a, b, c) for b in ids for row in grid for a in ids for c in row),
                  ok, witness=_keys(sc))
@@ -186,8 +189,10 @@ def _cqt2(sc, rv, grid):
     "R(ab, c) = R(a, c1) R(b, c2)."
     def ok(a, b, c):
         ab = sc.product(a, b)
-        return _holds(rv, [(ab[1], None, (ab[0], c))] if ab else [],
-                      [(t, None, (a, c1), (b, c2)) for c1, c2, t in sc.coproduct(c)])
+        lhs = rv[ab[0], c] if ab else 0  # R(ab, c) = ab[1] * lhs
+        rhs = None if lhs is None else _sum(rv, [(t, (a, c1), (b, c2))
+                                                 for c1, c2, t in sc.coproduct(c)])
+        return None if rhs is None else (lhs and lhs * ab[1]) == rhs
 
     return sweep("CQT2", ((a, b, c) for row in grid for a in row for brow in grid
                           for crow in grid for b in brow for c in crow), ok, witness=_keys(sc))
@@ -195,27 +200,38 @@ def _cqt2(sc, rv, grid):
 
 def _cqt3(sc, rv, grid):
     """y1 x1 R(x2, y2) = R(x1, y1) x2 y2 on the p_l component, l the G part of m."""
-    def side(x, y, l, left):
+    def compare(xy):
+        "{l: both sides of (x, y) agree on p_l, None if a term is out of window}; absent l: 0 = 0."
+        x, y = xy
+        comps = {}  # l -> (left, right) as {basis index: coefficient}, or None
         for x1, x2, s in sc.coproduct(x):
             for y1, y2, t in sc.coproduct(y):
-                hit = sc.product(y1, x1) if left else sc.product(x2, y2)
-                if hit and sc.gkey[hit[0]] == l:
-                    yield s * t * hit[1], hit[0], (x2, y2) if left else (x1, y1)
+                for side, hit, pair in ((0, sc.product(y1, x1), (x2, y2)),
+                                        (1, sc.product(x2, y2), (x1, y1))):
+                    if hit:
+                        k, c = hit
+                        l, v = sc.gkey[k], rv[pair]
+                        comp = comps.setdefault(l, ({}, {}))
+                        if v is None:
+                            comps[l] = None
+                        elif v and comp:
+                            comp[side][k] = comp[side].get(k, 0) + s * t * c * v
+        return {l: comp and _nonzero(comp[0]) == _nonzero(comp[1]) for l, comp in comps.items()}
 
-    def ok(x, y, m):
-        return _holds(rv, side(x, y, sc.gkey[m], True), side(x, y, sc.gkey[m], False))
-
+    sides = Memo(compare)
     witness = _keys(sc)  # (g, h, l, f, f') of the basis keys (g, f), (h, f'), (l, .)
     return sweep("CQT3", ((x, y, lrow[0]) for xrow in grid for yrow in grid for lrow in grid
-                          for x in xrow for y in yrow), ok, witness=lambda inst: witness(inst)[:5])
+                          for x in xrow for y in yrow),
+                 lambda x, y, m: sides[x, y].get(sc.gkey[m], True),
+                 witness=lambda inst: witness(inst)[:5])
 
 
 def _convolution(check, sc, rv, grid, term):
     "The sum over the legs of a and b of term(a1, a2, b1, b2, coef) = eps(a) eps(b)."
     def ok(a, b):
-        lhs = [term(a1, a2, b1, b2, s * t) for a1, a2, s in sc.coproduct(a)
-               for b1, b2, t in sc.coproduct(b)]
-        return _holds(rv, lhs, [(1, None)] if sc.gkey[a] == sc.one_g == sc.gkey[b] else [])
+        total = _sum(rv, [term(a1, a2, b1, b2, s * t) for a1, a2, s in sc.coproduct(a)
+                          for b1, b2, t in sc.coproduct(b)])
+        return None if total is None else total == int(sc.gkey[a] == sc.one_g == sc.gkey[b])
 
     return sweep(check, ((a, b) for arow in grid for brow in grid for a in arow for b in brow),
                  ok, witness=_keys(sc))
@@ -224,14 +240,14 @@ def _convolution(check, sc, rv, grid, term):
 def _cqt4(sc, rv, grid):
     "R(a1, b1) R(b2, a2) = eps(a) eps(b), the cotriangular R * R21 = eps (x) eps."
     return _convolution("CQT4", sc, rv, grid,
-                        lambda a1, a2, b1, b2, c: (c, None, (a1, b1), (b2, a2)))
+                        lambda a1, a2, b1, b2, c: (c, (a1, b1), (b2, a2)))
 
 
 def _cqt_inverse(sc, rv, grid):
     "R(S(a1), b1) R(a2, b2) = eps(a) eps(b): R(S(.), .) is a convolution inverse of R."
     def term(a1, a2, b1, b2, c):
         s, d = sc.antipode(a1)
-        return c * d, None, (s, b1), (a2, b2)
+        return c * d, (s, b1), (a2, b2)
 
     return _convolution("CQT-convolution-inverse", sc, rv, grid, term)
 

@@ -25,6 +25,14 @@ class InfiniteGroup(HopfCqtError):
     "Full enumeration requested for an infinite group."
 
 
+class InvalidGroup(HopfCqtError, ValueError):
+    "Group data that define no group: a bad table or name list, or too few factors."
+
+
+class InvalidHomomorphism(HopfCqtError, ValueError):
+    "Generator images that are missing or do not extend to a homomorphism."
+
+
 class UndefinedGeneratorAction(HopfCqtError):
     "Action table misses a generator, or a generator does not act bijectively."
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InfiniteGroup, MixedGroups, SchemaError
+from .errors import InfiniteGroup, InvalidGroup, InvalidHomomorphism, MixedGroups, SchemaError
 
 
 def closure(start, letters, step):
@@ -192,39 +192,39 @@ class FiniteGroup(Group):
         n = len(self.element_names)
         self.builtin = builtin
         if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise ValueError("table shape does not match element list")
+            raise InvalidGroup("table shape does not match element list")
         self._elements = [GroupElement(self, i) for i in range(n)]
         self._by_name = dict(zip(self.element_names, self._elements))
         if len(self._by_name) != n:
             repeated = next(x for i, x in enumerate(self.element_names)
                             if x in self.element_names[:i])
-            raise ValueError("element name %r is repeated" % (repeated,))
+            raise InvalidGroup("element name %r is repeated" % (repeated,))
         self._inv = [None] * n
         self._check_axioms()
         self.generator_indices = [self.parse(g).key if isinstance(g, str) else g
                                   for g in generators]
         if len(closure(0, self.generator_indices, lambda i, g: self.table[i][g])) != n:
-            raise ValueError("declared generators do not generate %s" % name)
+            raise InvalidGroup("declared generators do not generate %s" % name)
         self._decomp_cache = None
 
     def _check_axioms(self):
         n = len(self.element_names)
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
-                raise ValueError("index 0 is not a two-sided identity")
+                raise InvalidGroup("index 0 is not a two-sided identity")
         for i in range(n):
             for j in range(n):
                 if not (0 <= self.table[i][j] < n):
-                    raise ValueError("table entry out of range")
+                    raise InvalidGroup("table entry out of range")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
-                        raise ValueError("multiplication table is not associative")
+                        raise InvalidGroup("multiplication table is not associative")
         for i in range(n):
             invs = [j for j in range(n) if self.table[i][j] == 0]
             if len(invs) != 1 or self.table[invs[0]][i] != 0:
-                raise ValueError("element %d lacks a two-sided inverse" % i)
+                raise InvalidGroup("element %d lacks a two-sided inverse" % i)
             self._inv[i] = invs[0]
 
     def _element(self, key):
@@ -543,7 +543,7 @@ class DirectProductGroup(Group):
 
     def __init__(self, factors):
         if len(factors) < 2:
-            raise ValueError("need at least two factors")
+            raise InvalidGroup("need at least two factors")
         self.factors = list(factors)
 
     @property
@@ -672,7 +672,7 @@ def _group_from_family(fam, desc):
     if fam == "Zn":
         n = int(desc["n"])
         if n < 1:
-            raise ValueError("n must be >= 1, got %d" % n)
+            raise InvalidGroup("n must be >= 1, got %d" % n)
         return cyclic_group(n, gen_name=desc.get("gen", "g"))
     if fam == "K4":
         return klein_four_group()
@@ -720,23 +720,23 @@ class GroupHom:
             self._map = self._close_finite()
         elif isinstance(domain, IntegerGroup):
             if domain._element(1).key not in self.images:
-                raise ValueError("image of the generator 1 required")
+                raise InvalidHomomorphism("image of the generator 1 required")
         elif isinstance(domain, InfiniteDihedralGroup):
             ix = self.images.get(domain.x.key)
             iy = self.images.get(domain.y.key)
             if ix is None or iy is None:
-                raise ValueError("images of x and y required")
+                raise InvalidHomomorphism("images of x and y required")
             C = self.codomain
             if C.mul(ix, ix) != C.one or C.mul(C.mul(ix, iy), ix) != C.inv(iy):
-                raise ValueError("generator images do not satisfy the relations")
+                raise InvalidHomomorphism("generator images do not satisfy the relations")
         else:
-            raise ValueError("unsupported homomorphism domain %r" % domain)
+            raise InvalidHomomorphism("unsupported homomorphism domain %r" % domain)
 
     def _close_finite(self):
         D, C = self.domain, self.codomain
         for idx in D.generator_indices:
             if idx not in self.images:
-                raise ValueError("missing image of generator %r"
+                raise InvalidHomomorphism("missing image of generator %r"
                                  % D.element_names[idx])
         full = {0: C.one}
         frontier = [0]
@@ -748,7 +748,7 @@ class GroupHom:
                     img = C.mul(full[i], self.images[gidx])
                     if j in full:
                         if full[j] != img:
-                            raise ValueError("generator images are inconsistent")
+                            raise InvalidHomomorphism("generator images are inconsistent")
                     else:
                         full[j] = img
                         new.append(j)
@@ -757,7 +757,7 @@ class GroupHom:
         for i in range(n):
             for j in range(n):
                 if full[D.table[i][j]] != C.mul(full[i], full[j]):
-                    raise ValueError("not a homomorphism at (%s, %s)"
+                    raise InvalidHomomorphism("not a homomorphism at (%s, %s)"
                                      % (D.element_names[i], D.element_names[j]))
         return full
 

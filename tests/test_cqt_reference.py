@@ -4,15 +4,15 @@ import random
 
 import pytest
 
-from cqt_reference import LEVELS, families
+from cqt_reference import LEVELS, _legs, families
 from hopfcqt.catalog import get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.cqt import RForm, eps_tensor_eps, verify_R, z2_r11_rform, z2_r11_solve
 from hopfcqt.groups import cyclic_group
-from hopfcqt.hopf import HopfAlgebra
+from hopfcqt.hopf import HopfAlgebra, antipode, counit
 from hopfcqt.matched_pair import MatchedPair
 from hopfcqt.reports import FAIL, PASS
-from hopfcqt.scalars import MINUS_ONE, ONE, rational, root_of_unity
+from hopfcqt.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
 
 TENSOR_ENTRIES = ("Z2_Z2_trivial", "Z2_Z3_trivial", "Z3_Z2_trivial", "Z3_Z3_trivial")
 
@@ -104,3 +104,21 @@ def test_cqt4_is_cotriangularity_not_a_defining_family():
     reports = verify_R(R, LEVELS)
     assert {level: r.passed for level, r in zip(LEVELS, reports)} == expected
     assert [str(w) for w in reports[4].witness] == ["1", "1", "t", "t"]
+
+
+def test_tau_signs_enter_the_convolution_sums():
+    # on Z2_Z2_tau, Delta(p_1 # t) = p_1 # t (x) p_1 # t + tau(g, g; t) p_g # t (x) p_g # t
+    # with tau(g, g; t) = -1; with R(p_g # 1, p_g # t) = 1 that sign decides the
+    # inverse sum at (p_1 # 1, p_1 # t), so a sweep that drops it sees a
+    # different first failure
+    H = get_entry("Z2_Z2_tau").context()
+    one, g = H.G.elements()
+    e, t = H.F.elements()
+    R = RForm(H, {((one, e), (one, e)): ONE, ((g, e), (g, t)): ONE})
+    x, y = H.basis(one, e), H.basis(one, t)
+    total = sum((c * d * R.bilinear(antipode(x1), y1) * R.bilinear(x2, y2)
+                 for c, x1, x2 in _legs(x) for d, y1, y2 in _legs(y)), ZERO)
+    assert total == MINUS_ONE and counit(x) * counit(y) == ONE
+    report = verify_R(R, ("inv",))[0]
+    assert report.failed and report.checked == 2
+    assert [str(w) for w in report.witness] == ["1", "1", "1", "t"]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hopfcqt.errors import InfiniteGroup, MixedGroups, SchemaError
+from hopfcqt.errors import HopfCqtError, InfiniteGroup, MixedGroups, SchemaError
 from hopfcqt.groups import (DirectProductGroup, FiniteGroup, GroupHom, IntegerGroup,
                             InfiniteDihedralGroup, cyclic_group,
                             group_from_descriptor, klein_four_group,
@@ -180,6 +180,39 @@ def test_repeated_element_names_rejected():
         FiniteGroup(desc["name"], desc["names"], desc["table"], desc["generators"])
     with pytest.raises(SchemaError, match="element name 'a' is repeated"):
         group_from_descriptor(desc)
+
+
+BAD_CONSTRUCTIONS = [
+    (lambda: FiniteGroup("G", ["1", "a"], [[0, 1]], ["a"]), "table shape"),
+    (lambda: FiniteGroup("G", REPEATED_NAME_K4["names"], REPEATED_NAME_K4["table"], ["b"]),
+     "is repeated"),
+    (lambda: FiniteGroup("G", ["1", "a", "b", "c"],
+                         [[(i + j) % 4 for j in range(4)] for i in range(4)], ["b"]),
+     "do not generate"),
+    (lambda: FiniteGroup("G", ["1", "a"], [[1, 0], [0, 1]], ["a"]), "two-sided identity"),
+    (lambda: FiniteGroup("G", ["1", "a"], [[0, 1], [1, 5]], ["a"]), "out of range"),
+    (lambda: FiniteGroup("G", ["1", "a", "b"], [[0, 1, 2], [1, 0, 0], [2, 0, 0]], ["a"]),
+     "not associative"),
+    (lambda: FiniteGroup("G", ["1", "z"], [[0, 1], [1, 1]], ["z"]), "lacks a two-sided inverse"),
+    (lambda: DirectProductGroup([cyclic_group(2)]), "two factors"),
+    (lambda: GroupHom(IntegerGroup(), cyclic_group(2), {}), "generator 1 required"),
+    (lambda: GroupHom(InfiniteDihedralGroup(), cyclic_group(2), {"x": "g"}), "x and y required"),
+    (lambda: GroupHom(InfiniteDihedralGroup(), cyclic_group(3), {"x": "g", "y": "1"}),
+     "relations"),
+    (lambda: GroupHom(DirectProductGroup([cyclic_group(2), cyclic_group(2)]), cyclic_group(2),
+                      {}), "unsupported homomorphism domain"),
+    (lambda: GroupHom(cyclic_group(4), cyclic_group(2), {}), "missing image of generator"),
+    (lambda: GroupHom(cyclic_group(4), cyclic_group(3), {"g": "g"}), "inconsistent"),
+]
+
+
+@pytest.mark.parametrize("build, message", BAD_CONSTRUCTIONS)
+def test_group_constructors_raise_library_errors(build, message):
+    # called directly, as a census of matched pairs would; ValueError stays a base
+    # so group_from_descriptor still turns these into SchemaError
+    with pytest.raises(HopfCqtError, match=message) as info:
+        build()
+    assert isinstance(info.value, ValueError)
 
 
 def test_permutation_group_descriptor():

@@ -258,6 +258,39 @@ def test_missing_entry_raises_like_reference(eid):
         assert str(new.value) == str(ref.value), (table, key)
 
 
+def test_missing_entry_order_on_infinite_f():
+    # On Z2_Dinf at word bound 1, tau(1, 1; y) = tau(1, 1; y^-1) = -1 stops the
+    # counit and coassociativity sweeps at their first instances, so
+    # bialgebra-compatibility reaches coproducts no earlier check memoized, of
+    # products outside the window among them.  Tables holding a prefix of the
+    # reference's first-reach order of tau keys then pin that order: both sweeps
+    # must raise for the same first undeclared key, and with every reached key
+    # declared both must finish with the same reports.
+    mp = get_entry("Z2_Dinf").context().mp
+    reached = {}  # tau key -> value, in the reference's first-reach order
+
+    def logged_tau(g, gp, f):
+        flip = g.is_identity() and gp.is_identity() and str(f) in ("y", "y^-1")
+        return reached.setdefault((g.key, gp.key, f.key), MINUS_ONE if flip else ONE)
+
+    verify_hopf_axioms_reference(HopfAlgebra(CocyclePair(mp, lambda g, f, fp: ONE, logged_tau)),
+                                 word_bound=1)
+    keys = list(reached)
+    for n in range(len(keys)):
+        H = HopfAlgebra(CocyclePair.from_tables(mp, {}, {k: reached[k] for k in keys[:n]},
+                                                tau_default=None))
+        with pytest.raises(MissingEntry) as new:
+            verify_hopf_axioms(H, word_bound=1)
+        with pytest.raises(MissingEntry) as ref:
+            verify_hopf_axioms_reference(H, word_bound=1)
+        assert str(new.value) == str(ref.value), n
+    H = HopfAlgebra(CocyclePair.from_tables(mp, {}, reached, tau_default=None))
+    new = [r.to_json() for r in verify_hopf_axioms(H, word_bound=1)]
+    assert new == [r.to_json() for r in verify_hopf_axioms_reference(H, word_bound=1)]
+    assert [(r["check"], r["checked"]) for r in new if r["status"] != PASS] == [
+        ("coassociativity", 1), ("counit", 1), ("bialgebra-compatibility", 4)]
+
+
 def test_rational_constants_skip_scalar_products(monkeypatch):
     # rational structure constants are stored as ints and Fractions, so on
     # Q8_Dinf only antipode_basis, once per window basis element, multiplies
