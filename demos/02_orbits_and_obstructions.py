@@ -27,9 +27,7 @@ print("  witness element in only one product set:", witness)
 for eid in ("Q8_Dinf", "Z3_Z", "Q8_Z", "S3_Z2"):
     entry = get_entry(eid)
     H = entry.context()
-    reports = necessary_battery(H, word_bound=3,
-                                registered=entry.registered_comodules(),
-                                quotients=entry.quotient_homs())
+    reports = necessary_battery(H, word_bound=3, quotients=entry.quotient_homs())
     verdict = ("no coquasitriangular structure can exist"
                if battery_obstructed(reports) else
                "no applicable necessary condition fails")

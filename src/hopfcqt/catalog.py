@@ -1,9 +1,10 @@
 """Built-in catalog: every worked example context, with expected verdicts.
 
-Each entry builds its Hopf context lazily, registers the comodules and
-quotients its checks need, and records which named checks must pass or fail,
-together with a free-text note explaining the mathematical reason.  run_entry
-executes requested checks and diffs the outcomes against the expectations.
+Each entry builds its Hopf context lazily, registers the quotient maps the
+battery lifts characters along, and records which named checks must pass or
+fail, together with a free-text note explaining the mathematical reason.
+run_entry executes requested checks and diffs the outcomes against the
+expectations.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ class CatalogEntry:
     "One example context plus its expected check outcomes."
 
     def __init__(self, entry_id, summary, build, expected, note="", default_bound=4,
-                 registered=None, quotients=None):
+                 quotients=None):
         self.id = entry_id
         self.summary = summary
         self._build = build
         self.expected = expected
         self.note = note
         self.default_bound = default_bound
-        self._registered = registered or (lambda H: [])
         self._quotients = quotients or (lambda H: [])
         self._context = None
 
@@ -44,9 +44,6 @@ class CatalogEntry:
         if self._context is None:
             self._context = self._build()
         return self._context
-
-    def registered_comodules(self):
-        return self._registered(self.context())
 
     def quotient_homs(self):
         return self._quotients(self.context())
@@ -297,9 +294,7 @@ def _check_dual_orbit(entry, H, bound):
 
 
 def _check_battery(entry, H, bound):
-    reports = necessary_battery(H, bound,
-                                registered=entry.registered_comodules(),
-                                quotients=entry.quotient_homs())
+    reports = necessary_battery(H, bound, quotients=entry.quotient_homs())
     verdict = ConditionReport(
         "battery-verdict",
         FAIL if battery_obstructed(reports) else PASS,

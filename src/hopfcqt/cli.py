@@ -302,12 +302,8 @@ def _dispatch(args):
         R = serialize.rform_from_json(serialize.load_json(args.rform), H)
         return _emit_reports(args, verify_R(R, _levels(args.levels), qbound=args.maxlen))
     if cmd == "cqt-necessary":
-        registered, quotients = [], []
-        if args.entry:
-            entry = catalog.get_entry(args.entry)
-            registered = entry.registered_comodules()
-            quotients = entry.quotient_homs()
-        return _emit_reports(args, necessary_battery(H, bound, registered, quotients))
+        quotients = catalog.get_entry(args.entry).quotient_homs() if args.entry else []
+        return _emit_reports(args, necessary_battery(H, bound, quotients))
     if cmd == "cqt-zeros":
         R = serialize.rform_from_json(serialize.load_json(args.rform), H)
         violations = structural_zeros(R)

@@ -7,10 +7,12 @@ form, CQT0 to CQT3 and the convolution-inverse identity (Larson-Towber;
 Kassel, Quantum Groups, VIII.5), and on request CQT4, the cotriangular
 identity R * R21 = eps (x) eps, which is not a defining family: the zeta_3
 bicharacter on Z3_Z3_trivial passes the others and fails it.
-structural_zeros scans a support for forced-zero violations;
-necessary_battery bundles the orbit/character necessary conditions; the z2_*
-operations specialize to |G| = 2.  Condition instances that would need R
-values beyond the window are counted as unevaluated, never as passes.
+structural_zeros scans a support against the forced-zero rules of
+_zero_rules, whose two mismatch rules also prune search_R's key set;
+necessary_battery bundles the orbit/character necessary conditions, each
+gated on its structural hypotheses; the z2_* operations specialize to
+|G| = 2.  Condition instances that would need R values beyond the window are
+counted as unevaluated, never as passes.
 """
 
 from __future__ import annotations
@@ -47,23 +49,12 @@ class RForm:
                 raise NotAScalar("bad R value")
             if v.is_zero():
                 continue
-            k1 = self._normalize_key(k1)
-            k2 = self._normalize_key(k2)
+            k1, k2 = H._key(*k1), H._key(*k2)
             if not (self.in_window(k1[1]) and self.in_window(k2[1])):
                 raise BadWindow("support entry outside the declared window: %r, %r"
                                  % (k1, k2))
             table[(k1, k2)] = v
         self.table = table
-
-    def _normalize_key(self, key):
-        g, f = key
-        if isinstance(g, str):
-            g = self.H.G.parse(g)
-        if isinstance(f, str):
-            f = self.H.F.parse(f)
-        self.H.G._member(g)
-        self.H.F._member(f)
-        return (g, f)
 
     def in_window(self, f):
         if self.window is None:
@@ -77,7 +68,7 @@ class RForm:
         return self.table.get((key1, key2), ZERO)
 
     def value(self, key1, key2):
-        v = self.try_value(self._normalize_key(key1), self._normalize_key(key2))
+        v = self.try_value(self.H._key(*key1), self.H._key(*key2))
         if v is None:
             raise OutOfWindow("R value outside the declared window")
         return v
@@ -88,7 +79,7 @@ class RForm:
     def perturbed(self, key1, key2, value):
         "Copy with one entry replaced; for sensitivity tests."
         entries = dict(self.table)
-        entries[(self._normalize_key(key1), self._normalize_key(key2))] = value
+        entries[(self.H._key(*key1), self.H._key(*key2))] = value
         return RForm(self.H, entries, window=self.window)  # drops a zero value
 
     def bilinear(self, x, y):
@@ -111,7 +102,7 @@ def eps_tensor_eps(H, window=None):
     "R(p_x # f, p_y # f') = [x = 1][y = 1]; the standard form on a commutative context."
     if window is None and not H.F.is_finite:
         raise BadWindow("need a window over infinite F")
-    fs = H.mp.window(window) if window is not None else H.F.elements()
+    fs = H.mp.window(window)
     one = H.G.one
     entries = {((one, f), (one, fp)): ONE for f in fs for fp in fs}
     return RForm(H, entries, window=window)
@@ -128,11 +119,9 @@ def eps_tensor_eps(H, window=None):
 # (scalars.bare): an int or Fraction when rational, else a Scalar.
 
 def _qrange(R, qbound):
-    H = R.H
-    if H.F.is_finite:
-        return H.F.elements()
-    bound = qbound if qbound is not None else (R.window if R.window is not None else 2)
-    return H.F.elements_up_to_length(bound)
+    "The F elements a CQT instance quantifies over: qbound, else R's window, else 2."
+    return R.H.mp.window(qbound if qbound is not None else
+                         (R.window if R.window is not None else 2))
 
 
 def _sum(rv, terms):
@@ -272,44 +261,39 @@ def passes_cqt(R, levels=(0, 1, 2, 3), qbound=None):
 
 # -- structural zeros -----------------------------------------------------------
 
-def structural_zeros(R):
-    """Support entries that contradict a forced-zero rule.
+def _zero_rules(H):
+    """The forced-zero rules as (check, detail, forced): forced(g, f, h, f') is
+    True when R(p_g # f, p_h # f') must vanish, detail formats its value.
 
-    Rules: the product-mismatch zero ff' != (h |> f')(g |> f); the abelian-F
+    The product-mismatch zero ff' != (h |> f')(g |> f); the abelian-F
     stabilizer-mismatch zero (exactly one of g in G_f, h in G_f'); and the
-    identity-column zeros R(p_g # f, p_h # 1) = 0 for g outside G_f or
-    G_(g |> f), with the mirrored left-slot version.
+    identity-column zero R(p_g # f, p_h # 1) = 0 for g outside G_f, with the
+    mirrored identity-row zero.
     """
-    H = R.H
-    F, mp = H.F, H.mp
-    violations = []
-    f_abelian = F.is_abelian()
+    F, act = H.F, H.mp.act_left
 
-    def in_stab(g, f):
-        return mp.act_left(g, f) == f
+    def moves(g, f):
+        return act(g, f) != f
 
-    for ((g, f), (h, fp)), v in R.table.items():
-        if F.mul(f, fp) != F.mul(mp.act_left(h, fp), mp.act_left(g, f)):
-            violations.append(ConditionReport(
-                "structural-zero:product-mismatch", FAIL,
-                witness=(g, f, h, fp),
-                detail="ff' differs from (h|>f')(g|>f) but R = %r" % v))
-        if f_abelian and (in_stab(g, f) != in_stab(h, fp)):
-            violations.append(ConditionReport(
-                "structural-zero:stabilizer-mismatch", FAIL,
-                witness=(g, f, h, fp),
-                detail="exactly one of g, h stabilizes its base point"))
-        if fp.is_identity() and (not in_stab(g, f)
-                                 or not in_stab(g, mp.act_left(g, f))):
-            violations.append(ConditionReport(
-                "structural-zero:identity-column", FAIL, witness=(g, f, h, fp),
-                detail="g moves f or g|>f yet R(p_g#f, p_h#1) = %r" % v))
-        if f.is_identity() and (not in_stab(h, fp)
-                                or not in_stab(h, mp.act_left(h, fp))):
-            violations.append(ConditionReport(
-                "structural-zero:identity-row", FAIL, witness=(g, f, h, fp),
-                detail="h moves f' or h|>f' yet R(p_g#1, p_h#f') = %r" % v))
-    return violations
+    rules = [("product-mismatch", "ff' differs from (h|>f')(g|>f) but R = {!r}",
+              lambda g, f, h, fp: F.mul(f, fp) != F.mul(act(h, fp), act(g, f)))]
+    if F.is_abelian():
+        rules.append(("stabilizer-mismatch", "exactly one of g, h stabilizes its base point",
+                      lambda g, f, h, fp: moves(g, f) != moves(h, fp)))
+    return rules + [
+        ("identity-column", "g moves f or g|>f yet R(p_g#f, p_h#1) = {!r}",
+         lambda g, f, h, fp: fp.is_identity() and moves(g, f)),
+        ("identity-row", "h moves f' or h|>f' yet R(p_g#1, p_h#f') = {!r}",
+         lambda g, f, h, fp: f.is_identity() and moves(h, fp))]
+
+
+def structural_zeros(R):
+    "Support entries that contradict a forced-zero rule, per entry in rule order."
+    rules = _zero_rules(R.H)
+    return [ConditionReport("structural-zero:" + check, FAIL, witness=(g, f, h, fp),
+                            detail=detail.format(v))
+            for ((g, f), (h, fp)), v in R.table.items()
+            for check, detail, forced in rules if forced(g, f, h, fp)]
 
 
 # -- necessary-condition battery --------------------------------------------------
@@ -354,40 +338,40 @@ def _char_values(V):
     return "(" + ", ".join("%r:%r" % (g, V.matrix(g)[0, 0]) for g in C.stabilizer) + ")"
 
 
-def necessary_battery(H, word_bound=4, registered=(), quotients=()):
+def necessary_battery(H, word_bound=4, quotients=()):
     """Every necessary condition for a coquasitriangular structure to exist.
 
-    Each sub-check runs only when its structural hypotheses hold on the
-    window; comodule-quantified checks range over auto-enumerated simples
-    (abelian stabilizers) plus registered comodules and quotient-lifted
-    characters.  Any failure certifies that no coquasitriangular structure
-    exists.
+    Past the two orbit checks, each sub-check runs through one gate: it is
+    SKIPPED, with the first of its structural hypotheses that fails on the
+    window as the detail, or else swept.  The character-quantified checks
+    range over one list of characters of G: the auto-enumerated simples at
+    1_F (abelian G) plus the lifts along the quotient maps.  Any failure
+    certifies that no coquasitriangular structure exists.
     """
     mp, cp = H.mp, H.cp
     G, F = H.G, H.F
     gs = G.elements()
     fs = mp.window(word_bound)
-    registered = list(registered)
     reports = [check_orbit_commutation(mp, word_bound),
                check_dual_orbit_commutation(mp)]
 
-    # one stabilizer coalgebra per base point for the whole battery
-    onedim_at = Memo(lambda f: _onedim_simples_at(H, f))
+    def gate(name, hypotheses, instances, ok, witness=tuple):
+        "SKIPPED with the detail of the first failing (holds, detail), else the sweep."
+        unmet = next((detail for holds, detail in hypotheses if not holds), None)
+        reports.append(sweep(name, instances, ok, witness) if unmet is None
+                       else ConditionReport(name, SKIPPED, detail=unmet))
 
-    def simples_at(f):
-        "Auto-enumerable plus registered simples over the stabilizer coalgebra at f."
-        return onedim_at[f] + [V for V in registered if V.coalgebra.f == f]
+    # one stabilizer coalgebra per base point for the whole battery; the stabilizer
+    # at 1_F is G, so its simples are characters of G, enumerated for abelian G only
+    simples_at = Memo(lambda f: _onedim_simples_at(H, f))
+    chars = simples_at[F.one] + [V for pi in quotients for V in group_comodules(H, quotient=pi)]
 
     left_trivial = mp.left_action_trivial(word_bound)
     central = mp.is_central(word_bound)
     sigma_triv = cp.sigma_trivial_on(word_bound)
     tau_triv = cp.tau_trivial_on(word_bound)
     g_ab = G.is_abelian()
-    f_ab = F.is_abelian()
-
-    wlist = simples_at(F.one)
-    for pi in quotients:
-        wlist.extend(group_comodules(H, quotient=pi))
+    have_chars = (chars, "no simple comodules over the dual of G available")
 
     def moved(f, g, z):
         "(z^-1 g z, (z^-1 g z) <| (z^-1 |> f))"
@@ -402,145 +386,100 @@ def necessary_battery(H, word_bound=4, registered=(), quotients=()):
 
     # character-product commutation constraint
     reps = list({rep.key: rep for rep in map(mp.orbit_representative, fs)}.values())
-    name = "character-product-commutation"
-    if not wlist:
-        reports.append(ConditionReport(name, SKIPPED,
-                                       detail="no simple comodules over the dual of G available"))
-    else:
-        def char_products():
-            for f in reps:
-                od = mp.orbit_data(f)
-                for V in simples_at(f):
-                    for W in wlist:
-                        for g in od.stabilizer:
-                            a = V.diagonal_sum(g)
-                            for z in od.transversal:
-                                yield f, V, W, g, z, a
 
-        def char_products_commute(f, V, W, g, z, a):
-            zgz, gmoved = moved(f, g, z)
-            return a * W.diagonal_sum(gmoved) == a * W.diagonal_sum(zgz)
+    def char_products():
+        for f in reps:
+            od = mp.orbit_data(f)
+            for V in simples_at[f]:
+                for W in chars:
+                    for g in od.stabilizer:
+                        a = V.diagonal_sum(g)
+                        for z in od.transversal:
+                            yield f, V, W, g, z, a
 
-        reports.append(sweep(name, char_products(), char_products_commute,
-                             witness=lambda i: (i[0], _char_values(i[1]),
-                                                _char_values(i[2]), i[3], i[4])))
+    def char_products_commute(f, V, W, g, z, a):
+        zgz, gmoved = moved(f, g, z)
+        return a * W.diagonal_sum(gmoved) == a * W.diagonal_sum(zgz)
+
+    gate("character-product-commutation", [have_chars], char_products(),
+         char_products_commute,
+         witness=lambda i: (i[0], _char_values(i[1]), _char_values(i[2]), i[3], i[4]))
 
     # stabilizer action constraint (abelian G, trivial tau)
-    name = "stabilizer-action-constraint"
-    if not (g_ab and tau_triv):
-        reports.append(ConditionReport(name, SKIPPED,
-                                       detail="needs abelian G and trivial tau"))
-    else:
-        def stabilizer_action_ok(g, f, fp, odf, odp):
-            gin_f = odf.in_stabilizer(g)
-            gin_fp = odp.in_stabilizer(g)
-            hits_fp = any(odp.in_stabilizer(mp.act_right(g, fpp)) for fpp in odf.orbit)
-            if gin_f and not gin_fp and hits_fp:
-                return False  # part 1
-            if gin_f and gin_fp:  # part 2
-                return hits_fp == any(odf.in_stabilizer(mp.act_right(g, fppp))
-                                      for fppp in odp.orbit)
-            return True
+    def stabilizer_action_ok(g, f, fp, odf, odp):
+        gin_f = odf.in_stabilizer(g)
+        gin_fp = odp.in_stabilizer(g)
+        hits_fp = any(odp.in_stabilizer(mp.act_right(g, fpp)) for fpp in odf.orbit)
+        if gin_f and not gin_fp and hits_fp:
+            return False  # part 1
+        if gin_f and gin_fp:  # part 2
+            return hits_fp == any(odf.in_stabilizer(mp.act_right(g, fppp))
+                                  for fppp in odp.orbit)
+        return True
 
-        reports.append(sweep(
-            name, ((g, f, fp, odf, odp) for f, odf, fp, odp in orbit_pairs() for g in gs),
-            stabilizer_action_ok,
-            witness=lambda i: ("part-2" if i[4].in_stabilizer(i[0]) else "part-1",) + i[:3]))
+    gate("stabilizer-action-constraint",
+         [(g_ab and tau_triv, "needs abelian G and trivial tau")],
+         ((g, f, fp, odf, odp) for f, odf, fp, odp in orbit_pairs() for g in gs),
+         stabilizer_action_ok,
+         witness=lambda i: ("part-2" if i[4].in_stabilizer(i[0]) else "part-1",) + i[:3])
 
     # sigma symmetry on central abelian contexts
-    name = "sigma-symmetry-on-central-abelian"
-    if not (g_ab and f_ab and tau_triv and central):
-        reports.append(ConditionReport(name, SKIPPED,
-                                       detail="needs abelian G and F, trivial tau, central extension"))
-    else:
-        reports.append(sweep(
-            name, ((g, f, fp) for f, odf, fp, odp in orbit_pairs() for g in gs
-                   if odf.in_stabilizer(g) and odp.in_stabilizer(g)),
-            lambda g, f, fp: cp.sigma(g, f, fp) == cp.sigma(g, fp, f)))
+    gate("sigma-symmetry-on-central-abelian",
+         [(g_ab and F.is_abelian() and tau_triv and central,
+           "needs abelian G and F, trivial tau, central extension")],
+         ((g, f, fp) for f, odf, fp, odp in orbit_pairs() for g in gs
+          if odf.in_stabilizer(g) and odp.in_stabilizer(g)),
+         lambda g, f, fp: cp.sigma(g, f, fp) == cp.sigma(g, fp, f))
 
     # class-sum invariance (trivial tau)
-    name = "class-sum-action-invariance"
-    if not tau_triv:
-        reports.append(ConditionReport(name, SKIPPED, detail="needs trivial tau"))
-    elif not wlist:
-        reports.append(ConditionReport(name, SKIPPED,
-                                       detail="no simple comodules over the dual of G available"))
-    else:
-        def class_sums():
-            for f in fs:
-                od = mp.orbit_data(f)
-                for W in wlist:
-                    for g in od.stabilizer:
-                        for z in od.transversal:
-                            yield f, W, g, z
+    def class_sums():
+        for f in fs:
+            od = mp.orbit_data(f)
+            for W in chars:
+                for g in od.stabilizer:
+                    for z in od.transversal:
+                        yield f, W, g, z
 
-        def class_sum_invariant(f, W, g, z):
-            zgz, gmoved = moved(f, g, z)
-            return W.diagonal_sum(gmoved) == W.diagonal_sum(zgz)
+    def class_sum_invariant(f, W, g, z):
+        zgz, gmoved = moved(f, g, z)
+        return W.diagonal_sum(gmoved) == W.diagonal_sum(zgz)
 
-        reports.append(sweep(name, class_sums(), class_sum_invariant,
-                             witness=lambda i: (i[0], _char_values(i[1]), i[2], i[3])))
+    gate("class-sum-action-invariance", [(tau_triv, "needs trivial tau"), have_chars],
+         class_sums(), class_sum_invariant,
+         witness=lambda i: (i[0], _char_values(i[1]), i[2], i[3]))
 
     # exchange identity when the left action is trivial
-    name = "central-character-exchange"
-    if not left_trivial:
-        reports.append(ConditionReport(name, SKIPPED,
-                                       detail="needs trivial |> (every stabilizer is G)"))
-    else:
-        def exchanges():
-            for f in fs:
-                vlist = simples_at(f)
-                for fp in fs:
-                    wl = simples_at(fp)
-                    for V, W, g in itertools.product(vlist, wl, gs):
-                        yield f, fp, V, W, g
+    def exchanges():
+        for f in fs:
+            for fp in fs:
+                for V, W, g in itertools.product(simples_at[f], simples_at[fp], gs):
+                    yield f, fp, V, W, g
 
-        def exchange_ok(f, fp, V, W, g):
-            lhs = (V.diagonal_sum(g) * W.diagonal_sum(mp.act_right(g, f))
-                   * cp.sigma(g, f, fp))
-            rhs = (V.diagonal_sum(mp.act_right(g, fp))
-                   * W.diagonal_sum(g) * cp.sigma(g, fp, f))
-            return lhs == rhs
+    def exchange_ok(f, fp, V, W, g):
+        lhs = (V.diagonal_sum(g) * W.diagonal_sum(mp.act_right(g, f))
+               * cp.sigma(g, f, fp))
+        rhs = (V.diagonal_sum(mp.act_right(g, fp))
+               * W.diagonal_sum(g) * cp.sigma(g, fp, f))
+        return lhs == rhs
 
-        report = sweep(name, exchanges(), exchange_ok,
-                       witness=lambda i: (i[0], i[1], _char_values(i[2]),
-                                          _char_values(i[3]), i[4]))
-        if report.checked == 0:
-            report = ConditionReport(name, SKIPPED, detail="no simple comodules available")
-        reports.append(report)
+    gate("central-character-exchange",
+         [(left_trivial, "needs trivial |> (every stabilizer is G)"),
+          # the simples are built only when the first hypothesis holds
+          (left_trivial and any(simples_at[f] for f in fs), "no simple comodules available")],
+         exchanges(), exchange_ok,
+         witness=lambda i: (i[0], i[1], _char_values(i[2]), _char_values(i[3]), i[4]))
 
     # quotient-character exchange and one-dimensional invariance (trivial cocycles)
-    for name, needs in (("quotient-character-exchange", "quot"),
-                        ("onedim-character-action-invariance", "inv")):
-        if not (left_trivial and sigma_triv and tau_triv):
-            reports.append(ConditionReport(
-                name, SKIPPED, detail="needs trivial |> and trivial cocycles"))
-            continue
-        chars = []
-        if g_ab:
-            chars.extend(onedim_at[F.one])
-        for pi in quotients:
-            chars.extend(group_comodules(H, quotient=pi))
-        for V in registered:
-            if V.coalgebra.f == F.one and V.dim == 1:
-                chars.append(V)
-        if not chars:
-            reports.append(ConditionReport(name, SKIPPED,
-                                           detail="no one-dimensional characters available"))
-            continue
-        if needs == "quot":
-            reports.append(sweep(
-                name, itertools.product(chars, chars, gs, fs, fs),
-                lambda a, b, g, f, fp: (a.diagonal_sum(g) * b.diagonal_sum(mp.act_right(g, f))
-                                        == a.diagonal_sum(mp.act_right(g, fp))
-                                        * b.diagonal_sum(g)),
-                witness=lambda i: (_char_values(i[0]), _char_values(i[1])) + i[2:]))
-        else:
-            reports.append(sweep(
-                name, itertools.product(chars, gs, fs),
-                lambda a, g, f: a.diagonal_sum(g) == a.diagonal_sum(mp.act_right(g, f)),
-                witness=lambda i: (_char_values(i[0]), i[1], i[2], i[0].diagonal_sum(i[1]),
-                                   i[0].diagonal_sum(mp.act_right(i[1], i[2])))))
+    trivial = [(left_trivial and sigma_triv and tau_triv, "needs trivial |> and trivial cocycles"),
+               (chars, "no one-dimensional characters available")]
+    gate("quotient-character-exchange", trivial, itertools.product(chars, chars, gs, fs, fs),
+         lambda a, b, g, f, fp: (a.diagonal_sum(g) * b.diagonal_sum(mp.act_right(g, f))
+                                 == a.diagonal_sum(mp.act_right(g, fp)) * b.diagonal_sum(g)),
+         witness=lambda i: (_char_values(i[0]), _char_values(i[1])) + i[2:])
+    gate("onedim-character-action-invariance", trivial, itertools.product(chars, gs, fs),
+         lambda a, g, f: a.diagonal_sum(g) == a.diagonal_sum(mp.act_right(g, f)),
+         witness=lambda i: (_char_values(i[0]), i[1], i[2], i[0].diagonal_sum(i[1]),
+                            i[0].diagonal_sum(mp.act_right(i[1], i[2]))))
     return reports
 
 
@@ -841,24 +780,19 @@ def z2_shape_classify(R, qbound=None):
 def search_R(H, values, levels=(0, 1, 2, 3), max_nodes=10 ** 6):
     """Enumerate R tables over a finite value set that pass the CQT levels.
 
-    Only for finite contexts with |G| * |F| <= 8.  Structural zeros prune the
-    key set; the identity row/column sums (CQT0) prune during assignment; the
-    survivors are verified in full.  Raises SearchSpaceTooLarge beyond the
-    node budget.
+    Only for finite contexts with |G| * |F| <= 8.  The two mismatch zeros of
+    _zero_rules prune the key set; the identity row/column sums (CQT0) prune
+    during assignment; the survivors are verified in full.  Raises
+    SearchSpaceTooLarge beyond the node budget.
     """
-    G, F, mp = H.G, H.F, H.mp
+    G, F = H.G, H.F
     if not F.is_finite or G.order() * F.order() > 8:
         raise WrongGroup("search limited to |G| * |F| <= 8")
     values = [Scalar._coerce(v) for v in values]
-    keys = []
-    for gf in itertools.product(G.elements(), F.elements()):
-        for hfp in itertools.product(G.elements(), F.elements()):
-            (g, f), (h, fp) = gf, hfp
-            if F.mul(f, fp) != F.mul(mp.act_left(h, fp), mp.act_left(g, f)):
-                continue  # forced zero
-            if F.is_abelian() and ((mp.act_left(g, f) == f) != (mp.act_left(h, fp) == fp)):
-                continue  # forced zero
-            keys.append((gf, hfp))
+    mismatch = [forced for check, _, forced in _zero_rules(H) if check.endswith("-mismatch")]
+    basis = list(itertools.product(G.elements(), F.elements()))
+    keys = [(gf, hfp) for gf in basis for hfp in basis
+            if not any(forced(*gf, *hfp) for forced in mismatch)]
 
     one_f = F.one
     row_groups = {}

@@ -105,10 +105,6 @@ class UnknownEntry(HopfCqtError):
     "Catalog id not found."
 
 
-class HypothesisNotMet(HopfCqtError):
-    "A check's structural hypothesis fails for the given context."
-
-
 class SearchSpaceTooLarge(HopfCqtError):
     "Enumerative search aborted: node budget exceeded."
 

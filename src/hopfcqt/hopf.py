@@ -450,21 +450,28 @@ def _nonzero(acc):
     return {k: v for k, v in acc.items() if v}
 
 
-def verify_hopf_axioms(H, word_bound=4, exhaustive_limit=40000, pair_limit=4096,
-                       sample=2000, seed=7):
+# verify_hopf_axioms: exhaustive budgets for associativity triples and
+# bialgebra pairs, and the size and seed of the sample drawn beyond them
+EXHAUSTIVE_LIMIT = 40000
+PAIR_LIMIT = 4096
+SAMPLE = 2000
+SEED = 7
+
+
+def verify_hopf_axioms(H, word_bound=4):
     """Axiom sweep over basis elements with F part in the window.
 
     Associativity and the bialgebra law quantify over all basis triples/pairs
-    when that stays under the exhaustive budgets; beyond them the sweep covers
-    every potentially-nonzero product pattern plus a deterministic random
-    sample of the remaining instances.
+    when that stays under EXHAUSTIVE_LIMIT/PAIR_LIMIT; beyond them the sweep
+    covers every potentially-nonzero product pattern plus a deterministic
+    random sample (SAMPLE instances, seeded with SEED) of the remaining ones.
     """
     sc = StructureConstants(H)
     ids = [sc.index(key) for key in H.basis_window(word_bound)]
     fkeys = [f.key for f in H.mp.window(word_bound)]
     product, coproduct, find = sc.product, sc.coproduct, sc.find
     gkey, rkey, one_g = sc.gkey, sc.rkey, sc.one_g
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     reports = []
 
     def report(check, instances, ok):
@@ -473,7 +480,7 @@ def verify_hopf_axioms(H, word_bound=4, exhaustive_limit=40000, pair_limit=4096,
 
     def sampled(width):
         # drawn lazily, so a failure among the patterns leaves rng untouched
-        return (tuple(rng.choice(ids) for _ in range(width)) for _ in range(sample))
+        return (tuple(rng.choice(ids) for _ in range(width)) for _ in range(SAMPLE))
 
     # associativity (and unit)
     def assoc_ok(i, j, k):
@@ -491,7 +498,7 @@ def verify_hopf_axioms(H, word_bound=4, exhaustive_limit=40000, pair_limit=4096,
                 for fpp in fkeys:
                     yield i, j, find(rkey[j], fpp)
 
-    if len(ids) ** 3 <= exhaustive_limit:
+    if len(ids) ** 3 <= EXHAUSTIVE_LIMIT:
         report("associativity", itertools.product(ids, repeat=3), assoc_ok)
     else:
         report("associativity", itertools.chain(assoc_patterns(), sampled(3)), assoc_ok)
@@ -547,7 +554,7 @@ def verify_hopf_axioms(H, word_bound=4, exhaustive_limit=40000, pair_limit=4096,
             return False
         return (ij[1] if ij and gkey[ij[0]] == one_g else 0) == int(gkey[i] == one_g == gkey[j])
 
-    if len(ids) ** 2 <= pair_limit:
+    if len(ids) ** 2 <= PAIR_LIMIT:
         report("bialgebra-compatibility", itertools.product(ids, repeat=2), bialg_ok)
     else:
         patterns = ((i, find(rkey[i], fp)) for i in ids for fp in fkeys)

@@ -8,6 +8,7 @@ the comma form accepted on input when unambiguous.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .cocycles import CocyclePair
@@ -80,54 +81,32 @@ def context_to_json(H, word_bound=4):
             right[key] = G.format(mp.act_right(g, gen))
     out = {"name": H.name, "G": G.descriptor(), "F": F.descriptor(),
            "left_action": left, "right_action": right}
-    for tag, table, default, fmt in (
-            ("sigma", cp.sigma_table, cp.sigma_default, _sigma_items),
-            ("tau", cp.tau_table, cp.tau_default, _tau_items)):
-        if table is None:
-            if F.is_finite:
-                out[tag] = fmt(H, None)
-                out[tag]["default"] = "1"
-            elif (cp.sigma_trivial_on(word_bound) if tag == "sigma"
-                  else cp.tau_trivial_on(word_bound)):
-                out[tag] = {"default": "1"}
-            else:
-                raise SchemaError("rule-based %s over infinite F is not serializable" % tag)
-        else:
-            out[tag] = fmt(H, table)
+    for tag, table, default, groups, lookup, trivial_on in (
+            ("sigma", cp.sigma_table, cp.sigma_default, (G, F, F), cp.sigma, cp.sigma_trivial_on),
+            ("tau", cp.tau_table, cp.tau_default, (G, G, F), cp.tau, cp.tau_trivial_on)):
+        if table is not None:
+            out[tag] = _cocycle_items(table, groups, lookup)
             out[tag]["default"] = format_scalar(default if default is not None else ONE)
+        elif F.is_finite:  # every value other than 1 is listed
+            out[tag] = _cocycle_items(None, groups, lookup)
+            out[tag]["default"] = "1"
+        elif trivial_on(word_bound):
+            out[tag] = {"default": "1"}
+        else:
+            raise SchemaError("rule-based %s over infinite F is not serializable" % tag)
     return out
 
 
-def _sigma_items(H, table):
-    G, F = H.G, H.F
-    out = {}
+def _cocycle_items(table, groups, lookup):
+    """{'a|b|c': value} for the values other than 1 of a cocycle on groups
+    (A, B, C): those of its table, or without one, lookup over A x B x C."""
     if table is None:
-        items = (((g.key, f.key, fp.key), H.cp.sigma(g, f, fp))
-                 for g in G.elements() for f in F.elements() for fp in F.elements())
+        items = (((a.key, b.key, c.key), lookup(a, b, c))
+                 for a, b, c in itertools.product(*(X.elements() for X in groups)))
     else:
         items = table.items()
-    for (gk, fk, fpk), v in items:
-        if not v.is_one():
-            key = "%s|%s|%s" % (G.format(G._element(gk)), F.format(F._element(fk)),
-                                F.format(F._element(fpk)))
-            out[key] = format_scalar(v)
-    return out
-
-
-def _tau_items(H, table):
-    G, F = H.G, H.F
-    out = {}
-    if table is None:
-        items = (((g.key, gp.key, f.key), H.cp.tau(g, gp, f))
-                 for g in G.elements() for gp in G.elements() for f in F.elements())
-    else:
-        items = table.items()
-    for (gk, gpk, fk), v in items:
-        if not v.is_one():
-            key = "%s|%s|%s" % (G.format(G._element(gk)), G.format(G._element(gpk)),
-                                F.format(F._element(fk)))
-            out[key] = format_scalar(v)
-    return out
+    return {"|".join(X.format(X._element(k)) for X, k in zip(groups, keys)): format_scalar(v)
+            for keys, v in items if not v.is_one()}
 
 
 def context_from_json(obj):

@@ -29,7 +29,8 @@ def _triple_coproduct(H, key, left_first):
 
 def verify_hopf_axioms_reference(H, word_bound=4, exhaustive_limit=40000, pair_limit=4096,
                                  sample=2000, seed=7):
-    "The object-path sweep; same arguments and reports as verify_hopf_axioms."
+    """The object-path sweep; with the default budgets, sample and seed (the
+    constants of hopfcqt.hopf) it gives the reports of verify_hopf_axioms."""
     G, F, mp, cp = H.G, H.F, H.mp, H.cp
     basis = H.basis_window(word_bound)
     fs = mp.window(word_bound)

@@ -124,6 +124,50 @@ def test_structural_zero_examples():
     assert "structural-zero:stabilizer-mismatch" not in rules3
 
 
+def _zero_scan(eid, pairs, window=None):
+    "structural_zeros of the form with value 1 on the named entries, as readable rows."
+    H = get_entry(eid).context()
+    G, F = H.G, H.F
+    R = RForm(H, {((G.parse(g), F.parse(f)), (G.parse(h), F.parse(fp))): ONE
+                  for g, f, h, fp in pairs}, window=window)
+    return [(v.check[len("structural-zero:"):], tuple(str(w) for w in v.witness), v.detail)
+            for v in structural_zeros(R)]
+
+
+def test_structural_zeros_pin_every_rule():
+    # Z2 negating Z: g moves every nonzero integer; F abelian, so all four rules apply
+    product = "ff' differs from (h|>f')(g|>f) but R = 1"
+    stab = "exactly one of g, h stabilizes its base point"
+    column = "g moves f or g|>f yet R(p_g#f, p_h#1) = 1"
+    row = "h moves f' or h|>f' yet R(p_g#1, p_h#f') = 1"
+    scan = _zero_scan("Z2_Z", [("g", "1", "1", "0"), ("1", "0", "g", "1"),
+                               ("1", "1", "1", "2"), ("g", "2", "g", "-2"),
+                               ("g", "-2", "1", "0"), ("g", "0", "1", "-1")], window=2)
+    assert scan == [
+        ("product-mismatch", ("g", "1", "1", "0"), product),
+        ("stabilizer-mismatch", ("g", "1", "1", "0"), stab),
+        ("identity-column", ("g", "1", "1", "0"), column),
+        ("product-mismatch", ("1", "0", "g", "1"), product),
+        ("stabilizer-mismatch", ("1", "0", "g", "1"), stab),
+        ("identity-row", ("1", "0", "g", "1"), row),
+        ("product-mismatch", ("g", "-2", "1", "0"), product),
+        ("stabilizer-mismatch", ("g", "-2", "1", "0"), stab),
+        ("identity-column", ("g", "-2", "1", "0"), column),
+    ]
+
+    # S3 twisted by the conjugation by (1 2): F is not abelian, so the stabilizer
+    # rule stays silent even on (p_g # (1 2), p_g # (1 3)), where g fixes (1 2),
+    # moves (1 3) and the products agree
+    scan = _zero_scan("S3_Z2", [("g", "(1 3)", "1", "()"), ("1", "()", "g", "(1 2 3)"),
+                                ("g", "(1 2)", "g", "(1 3)")])
+    assert scan == [
+        ("product-mismatch", ("g", "(1 3)", "1", "()"), product),
+        ("identity-column", ("g", "(1 3)", "1", "()"), column),
+        ("product-mismatch", ("1", "()", "g", "(1 2 3)"), product),
+        ("identity-row", ("1", "()", "g", "(1 2 3)"), row),
+    ]
+
+
 def test_structural_zeros_empty_for_passing_forms():
     for n_g in (2, 3):
         for n_f in (2, 3):
@@ -201,8 +245,7 @@ def test_battery_builds_one_coalgebra_per_base_point(monkeypatch):
 
     monkeypatch.setattr(hopfcqt.cqt, "TwistedCoalgebra", Counting)
     ent = get_entry("Q8_Dinf")
-    necessary_battery(ent.context(), ent.default_bound,
-                      ent.registered_comodules(), ent.quotient_homs())
+    necessary_battery(ent.context(), ent.default_bound, ent.quotient_homs())
     assert builds  # the battery does build stabilizer coalgebras here
     assert max(builds.values()) == 1, builds
 

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from hopfcqt.errors import HopfCqtError, InfiniteGroup, MixedGroups, SchemaError
+from hopfcqt.errors import (HopfCqtError, InfiniteGroup, InvalidHomomorphism, MixedGroups,
+                            SchemaError)
 from hopfcqt.groups import (DirectProductGroup, FiniteGroup, GroupHom, IntegerGroup,
                             InfiniteDihedralGroup, cyclic_group,
                             group_from_descriptor, klein_four_group,
@@ -213,6 +214,45 @@ def test_group_constructors_raise_library_errors(build, message):
     with pytest.raises(HopfCqtError, match=message) as info:
         build()
     assert isinstance(info.value, ValueError)
+
+
+def _extend_along_words(D, C, images):
+    "a -> the product in C of the images along some word in D's generators for a."
+    gens = D.generators()
+    phi = {D.one: C.one}
+    frontier = [D.one]
+    while frontier:
+        new = []
+        for a in frontier:
+            for s in gens:
+                if a * s not in phi:
+                    phi[a * s] = phi[a] * images[s]
+                    new.append(a * s)
+        frontier = new
+    return phi
+
+
+def test_group_hom_from_random_generator_images():
+    # generator images extend to a homomorphism exactly when the extension along
+    # words passes the |D|^2 check; GroupHom must build it or raise
+    groups = [cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four_group(),
+              symmetric_group_s3(), quaternion_group_q8()]
+    rng = random.Random(2024)
+    outcomes = []
+    for D, C in itertools.product(groups, groups):
+        for _ in range(8):
+            images = {s: rng.choice(C.elements()) for s in D.generators()}
+            phi = _extend_along_words(D, C, images)
+            is_hom = all(phi[a * b] == phi[a] * phi[b]
+                         for a in D.elements() for b in D.elements())
+            outcomes.append(is_hom)
+            if is_hom:
+                hom = GroupHom(D, C, images)
+                assert all(hom(a) == phi[a] for a in D.elements())
+            else:
+                with pytest.raises(InvalidHomomorphism):
+                    GroupHom(D, C, images)
+    assert 50 < sum(outcomes) < len(outcomes) - 50, sum(outcomes)
 
 
 def test_permutation_group_descriptor():

@@ -6,10 +6,12 @@ from test_groups import REPEATED_NAME_K4
 from test_hopf import _perturbed_context
 from hopfcqt import cli, serialize
 from hopfcqt.catalog import get_entry
+from hopfcqt.cocycles import CocyclePair
 from hopfcqt.comodules import TwistedCoalgebra, enumerate_onedim
 from hopfcqt.cqt import RForm, eps_tensor_eps
 from hopfcqt.errors import SchemaError
-from hopfcqt.scalars import ONE, rational
+from hopfcqt.hopf import HopfAlgebra
+from hopfcqt.scalars import MINUS_ONE, ONE, rational
 
 
 def test_context_round_trip_finite(tmp_path):
@@ -40,6 +42,33 @@ def test_context_round_trip_nontrivial_tau(tmp_path):
     g = H2.G.parse("g")
     t = H2.F.parse("t")
     assert H2.cp.tau(g, g, t) == rational(-1)
+
+
+def _rule_based(eid, sigma, tau):
+    "The entry's matched pair with sigma and tau given as rules, not tables."
+    mp = get_entry(eid).context().mp
+    return HopfAlgebra(CocyclePair.from_functions(mp, sigma, tau), name=eid)
+
+
+def test_context_json_of_rule_based_cocycles():
+    H = get_entry("Z2_Z2_tau").context()
+    g, t = H.G.parse("g"), H.F.parse("t")
+    Hr = _rule_based("Z2_Z2_tau", lambda a, f, fp: ONE,
+                     lambda a, b, f: MINUS_ONE if a == b == g and f == t else ONE)
+    obj, ref = serialize.context_to_json(Hr), serialize.context_to_json(H)
+    assert (obj["sigma"], obj["tau"]) == (ref["sigma"], ref["tau"])
+    assert obj["tau"] == {"g|g|t": "-1", "default": "1"}
+    assert serialize.contexts_equal(Hr, serialize.context_from_json(obj))
+
+    # over infinite F a rule serializes only when it is trivial on the window
+    trivial = _rule_based("Z2_Z", lambda a, f, fp: ONE, lambda a, b, f: ONE)
+    obj = serialize.context_to_json(trivial)
+    assert obj["sigma"] == obj["tau"] == {"default": "1"}
+    assert serialize.contexts_equal(trivial, serialize.context_from_json(obj), word_bound=3)
+    odd = _rule_based("Z2_Z", lambda a, f, fp: MINUS_ONE if f.key % 2 and fp.key % 2 else ONE,
+                      lambda a, b, f: ONE)
+    with pytest.raises(SchemaError, match="rule-based sigma"):
+        serialize.context_to_json(odd)
 
 
 def test_rform_round_trip_with_window(tmp_path):

@@ -144,9 +144,7 @@ def _z2_cases(out):
 
 def _comodule_cases(out):
     for eid in entry_ids():
-        entry = get_entry(eid)
-        H = entry.context()
-        registered = entry.registered_comodules()
+        H = get_entry(eid).context()
         for f in H.mp.window(1):
             C = TwistedCoalgebra(H, f)
             try:
@@ -154,7 +152,6 @@ def _comodule_cases(out):
             except (NonAbelianStabilizer, NotARootOfUnity) as e:
                 out["comodules/%s/%s" % (eid, f)] = type(e).__name__
                 continue
-            simples += [V for V in registered if V.coalgebra.f == f]
             for i, V in enumerate(simples):
                 out["comodules/%s/%s/%d" % (eid, f, i)] = {
                     "comodule": _json(V.verify()), "induced": _json(induce(V).verify())}
@@ -210,9 +207,8 @@ def _structure_cases(out):
     for eid in entry_ids():
         entry = get_entry(eid)
         H = entry.context()
-        extra = dict(registered=entry.registered_comodules(),
-                     quotients=entry.quotient_homs())
-        out["battery/%s/2" % eid] = _json(necessary_battery(H, 2, **extra))
+        quotients = entry.quotient_homs()
+        out["battery/%s/2" % eid] = _json(necessary_battery(H, 2, quotients))
         cp, mp = H.cp, H.mp
         fs = mp.window(2)
         sigma = dict(cp.sigma_table)
@@ -220,7 +216,7 @@ def _structure_cases(out):
                rng.choice(fs).key)] = MINUS_ONE
         Hs = HopfAlgebra(CocyclePair.from_tables(mp, sigma, cp.tau_table,
                                                  cp.sigma_default, cp.tau_default))
-        out["battery/sigma-flipped/%s/2" % eid] = _json(necessary_battery(Hs, 2, **extra))
+        out["battery/sigma-flipped/%s/2" % eid] = _json(necessary_battery(Hs, 2, quotients))
 
 
 def snapshot():
