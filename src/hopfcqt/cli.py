@@ -10,6 +10,7 @@ expectation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -101,7 +102,9 @@ def _load_element_arg(H, text):
     return serialize.element_from_json(json.loads(text), H)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    "The argparse tree, built on the first main call and reused by every later one."
     parser = argparse.ArgumentParser(
         prog="hopfcqt",
         description="bicrossed-product Hopf algebras: construction, characters, "
@@ -159,8 +162,11 @@ def main(argv=None):
     add("cqt-z2-classify", "support-shape classification of a candidate R",
         **{"--rform": {"required": True}})
     add("cqt-z2-r11", "the forced identity-block dichotomy for |G| = 2")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except HopfCqtError as e:
@@ -268,7 +274,12 @@ def _dispatch(args):
             raise HopfCqtError("gr-product needs exactly two labels")
         prod = char_product(simples.character(labels[0]), simples.character(labels[1]))
         rule = simples.tensor_rule(labels[0], labels[1])
-        return _emit_element(args, prod, "product") or print("closed form: %s" % rule) or 0
+        if args.json:
+            print(json.dumps({"product": serialize.element_to_json(prod),
+                              "closed_form": [repr(label) for label in rule]}, indent=2))
+        else:
+            print("product: %r\nclosed form: %s" % (prod, rule))
+        return 0
     if cmd == "gr-decompose":
         simples, labels = _parse_labels(H, args.labels)
         if len(labels) != 2:

@@ -17,7 +17,8 @@ A TwistedCoalgebra memoizes, for its own lifetime, the G_f product table
 (built with it) and tau(a, b; f) per pair (each filled on its first lookup
 through `CocyclePair.tau`, so its checks and errors are those of the cocycle
 pair); its coalgebra check, comodules and one-dimensional solver read both.
-Nothing is cached on the Hopf algebra.
+This module caches nothing on the Hopf algebra; the one table the Hopf
+algebra holds, HopfAlgebra.structure_constants, serves cqt.verify_R.
 """
 
 from __future__ import annotations

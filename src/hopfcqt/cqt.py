@@ -23,7 +23,7 @@ from fractions import Fraction
 from .comodules import TwistedCoalgebra, enumerate_onedim, group_comodules
 from .errors import (BadWindow, IrrationalRoots, NonAbelianStabilizer, NotARootOfUnity,
                      NotAScalar, OutOfWindow, SearchSpaceTooLarge, UnknownLevel, WrongGroup)
-from .hopf import HopfElement, StructureConstants, _nonzero
+from .hopf import HopfElement
 from .matched_pair import Memo
 from .reports import FAIL, PASS, SKIPPED, ConditionReport, sweep
 from .scalars import ONE, Scalar, ZERO, bare, rational
@@ -110,13 +110,16 @@ def eps_tensor_eps(H, window=None):
 
 # -- the CQT condition families -----------------------------------------------
 #
-# Each family is its defining identity over the int-indexed basis of one
-# StructureConstants: a, b, c are basis indices, a1 (x) a2 the coproduct legs
-# of a, and grid[g][f] the index of the window key (g, f).  An instance sums
-# each side of its identity exactly, reading R through rv, a memo of
-# RForm.try_value on index pairs; CQT3, whose sides are elements, sums them
-# per basis index.  R values, like the structure constants, are kept bare
-# (scalars.bare): an int or Fraction when rational, else a Scalar.
+# Each family is its defining identity over the int-indexed basis of the
+# context's shared StructureConstants (HopfAlgebra.structure_constants, kept
+# for the life of the context and grown by every verify_R on it): a, b, c are
+# basis indices, a1 (x) a2 the coproduct legs of a, and grid[g][f] the index
+# of the window key (g, f).  An instance sums each side of its identity
+# exactly, reading R through rv, a memo of RForm.try_value on index pairs,
+# one per call.  CQT3, whose sides are elements, compiles each (x, y) once
+# per table into R-independent rows (see _cqt3).  R values, like the
+# structure constants, are kept bare (scalars.bare): an int or Fraction when
+# rational, else a Scalar.
 
 def _qrange(R, qbound):
     "The F elements a CQT instance quantifies over: qbound, else R's window, else 2."
@@ -188,30 +191,84 @@ def _cqt2(sc, rv, grid):
 
 
 def _cqt3(sc, rv, grid):
-    """y1 x1 R(x2, y2) = R(x1, y1) x2 y2 on the p_l component, l the G part of m."""
-    def compare(xy):
-        "{l: both sides of (x, y) agree on p_l, None if a term is out of window}; absent l: 0 = 0."
+    """y1 x1 R(x2, y2) = R(x1, y1) x2 y2 on the p_l component, l the G part of m.
+
+    No term of either side depends on R, so (x, y) is compiled once per table,
+    on its second visit, into sc.cqt3_rows[x, y]: the R arguments its terms
+    read, in read order, and per component l the arguments l reads and one
+    row per basis index k, [(argument, merged coefficient of left - right)]
+    with zero merges dropped.  A component with a read out of the window is
+    None; else it holds when every row sums to 0.  The first visit sums the
+    terms on rv directly, so a context used once compiles and keeps nothing.
+    """
+    gkey, visited, compiled = sc.gkey, sc.cqt3_visited, sc.cqt3_rows
+
+    def terms(xy):
+        "(l, k, R argument, coefficient of left - right) for each term of (x, y), in read order."
         x, y = xy
-        comps = {}  # l -> (left, right) as {basis index: coefficient}, or None
         for x1, x2, s in sc.coproduct(x):
             for y1, y2, t in sc.coproduct(y):
-                for side, hit, pair in ((0, sc.product(y1, x1), (x2, y2)),
-                                        (1, sc.product(x2, y2), (x1, y1))):
+                st = s * t
+                for coef, hit, pair in ((st, sc.product(y1, x1), (x2, y2)),
+                                        (-st, sc.product(x2, y2), (x1, y1))):
                     if hit:
                         k, c = hit
-                        l, v = sc.gkey[k], rv[pair]
-                        comp = comps.setdefault(l, ({}, {}))
-                        if v is None:
-                            comps[l] = None
-                        elif v and comp:
-                            comp[side][k] = comp[side].get(k, 0) + s * t * c * v
-        return {l: comp and _nonzero(comp[0]) == _nonzero(comp[1]) for l, comp in comps.items()}
+                        yield gkey[k], k, pair, coef * c
+
+    def first_visit(xy):
+        sums = {}  # l -> {k: left - right}, None once l reads out of window
+        for l, k, pair, coef in terms(xy):
+            v, acc = rv[pair], sums.setdefault(l, {})
+            if v is None:
+                sums[l] = None
+            elif v and acc is not None:
+                acc[k] = acc.get(k, 0) + coef * v
+        visited.add(xy)
+        return {l: None if acc is None else not any(acc.values()) for l, acc in sums.items()}
+
+    def compile_rows(xy):
+        merged = {}
+        for l, k, pair, coef in terms(xy):
+            merged[l, k, pair] = merged.get((l, k, pair), 0) + coef
+        comps = {}  # l -> (arguments read, {k: row})
+        for (l, k, pair), c in merged.items():
+            reads, rows = comps.setdefault(l, ([], {}))
+            reads.append(pair)
+            if c:
+                rows.setdefault(k, []).append((pair, c))
+        compiled[xy] = (list(dict.fromkeys(pair for _, _, pair in merged)),
+                        [(l, reads, list(rows.values())) for l, (reads, rows) in comps.items()])
+
+    def compare(xy):
+        "{l: both sides of (x, y) agree on p_l, None if a term is out of window}; absent l: 0 = 0."
+        if xy not in compiled:
+            if xy not in visited:
+                return first_visit(xy)
+            compile_rows(xy)
+        reads, comps = compiled[xy]
+        vals = {p: rv[p] for p in reads}
+        out = {}
+        for l, lreads, rows in comps:
+            if any(vals[p] is None for p in lreads):
+                out[l] = None
+                continue
+            out[l] = True
+            for row in rows:
+                total = 0
+                for p, c in row:
+                    v = vals[p]
+                    if v:
+                        total += c * v
+                if total:
+                    out[l] = False
+                    break
+        return out
 
     sides = Memo(compare)
     witness = _keys(sc)  # (g, h, l, f, f') of the basis keys (g, f), (h, f'), (l, .)
     return sweep("CQT3", ((x, y, lrow[0]) for xrow in grid for yrow in grid for lrow in grid
                           for x in xrow for y in yrow),
-                 lambda x, y, m: sides[x, y].get(sc.gkey[m], True),
+                 lambda x, y, m: sides[x, y].get(gkey[m], True),
                  witness=lambda inst: witness(inst)[:5])
 
 
@@ -249,7 +306,7 @@ def verify_R(R, levels=(0, 1, 2, 3), qbound=None):
     for lv in levels:
         if lv not in _LEVELS:
             raise UnknownLevel("unknown CQT level %r" % (lv,))
-    sc = StructureConstants(R.H)
+    sc = R.H.structure_constants
     grid = [[sc.index((g, f)) for f in _qrange(R, qbound)] for g in R.H.G.elements()]
     rv = Memo(lambda p: bare(R.try_value(sc.keys[p[0]], sc.keys[p[1]])))
     return [_LEVELS[lv](sc, rv, grid) for lv in levels]

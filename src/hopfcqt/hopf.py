@@ -10,23 +10,31 @@ Basis symbols p_g # f for g in G, f in F.  Structure maps:
 
 Elements are finitely supported; no zero coefficient is ever stored.
 
-verify_hopf_axioms does not build HopfElements per instance.  Each call gives
-every basis key it reaches an int index, including products and coproduct
-legs outside the F window, and keeps per index the keys of g and g <| f, so
-a zero product is one int compare.  Nonzero products (one dict per left
-index), coproducts and antipodes are evaluated once per call through
-_basis_product, _basis_coproduct and antipode_basis, and the six axioms run
-on int-keyed dicts.  A rational structure constant is stored bare, as its int
+verify_hopf_axioms does not build HopfElements per instance.  Each call
+builds its own StructureConstants, which gives every basis key it reaches an
+int index, including products and coproduct legs outside the F window, and
+keeps per index the keys of g and g <| f, so a zero product is one int
+compare.  Nonzero products (one dict per left index), coproducts and
+antipodes are evaluated once per call through _basis_product,
+_basis_coproduct and antipode_basis, and the six axioms run on int-keyed
+dicts.  A rational structure constant is stored bare, as its int
 or Fraction (scalars.bare), so the sweeps multiply Python rationals; a
 cyclotomic one stays a Scalar, whose reflected operators take the mixed
-cases.  The memo is dropped when the call returns.  The tests keep the
+cases.  That table is dropped when the call returns.  The tests keep the
 object-path sweep as a reference and require identical reports, witnesses
-and `checked` counts.  cqt.verify_R evaluates the CQT families on the same
-StructureConstants, one per call.
+and `checked` counts.
+
+cqt.verify_R evaluates the CQT families on the same kind of table, but not
+one per call: a HopfAlgebra owns one StructureConstants,
+`HopfAlgebra.structure_constants`, built on first use and kept for the life
+of the context, and every verify_R on that context shares it, since no
+structure constant depends on R.  It grows with the union of the quantifier
+ranges used on the context.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -75,6 +83,11 @@ class HopfAlgebra:
     def basis_window(self, word_bound=4):
         "All basis keys with F part inside the window."
         return [(g, f) for g in self.G.elements() for f in self.mp.window(word_bound)]
+
+    @functools.cached_property
+    def structure_constants(self):
+        "The StructureConstants that every verify_R on this context shares, built on first use."
+        return StructureConstants(self)
 
     def dimension(self):
         n = self.F.order()
@@ -344,13 +357,20 @@ def antipode(a):
 # -- axiom verification --------------------------------------------------------
 
 class StructureConstants:
-    """Int-indexed basis keys and memoized structure constants for one sweep.
+    """Int-indexed basis keys and memoized structure constants.
+
+    Its owner decides how long it lives: verify_hopf_axioms builds one per
+    call, and HopfAlgebra.structure_constants holds the one that every
+    cqt.verify_R on the context shares.  On that one cqt._cqt3 notes in
+    `cqt3_visited` the (x, y) it has evaluated once and keeps in `cqt3_rows`
+    the R-independent rows it compiles for an (x, y) on its second visit.
 
     Keys are interned by (g.key, f.key) on first sight, products and
     coproduct legs that leave the F window included.  gkey[i] and rkey[i] are
     the keys of g and of g <| f, so the product of i and j is zero exactly
     when rkey[i] != gkey[j].  Each nonzero product, coproduct and antipode is
-    evaluated once, by _basis_product, _basis_coproduct and antipode_basis.
+    evaluated once, by _basis_product, _basis_coproduct and antipode_basis;
+    a lookup that raises stores nothing, so the next visit raises again.
 
     A memoized constant is bare (scalars.bare): an int or Fraction when it is
     rational, as nearly every catalog value is, else a Scalar.  Most are +-1,
@@ -369,6 +389,8 @@ class StructureConstants:
         self._rows = []
         self._coproducts = {}
         self._antipodes = {}
+        self.cqt3_visited = set()
+        self.cqt3_rows = {}
 
     def index(self, key):
         "The index of a basis key, interning it on first sight."

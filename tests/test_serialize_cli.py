@@ -208,6 +208,41 @@ def test_cli_json_output(capsys):
     assert payload["all_match"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["list-entries"],
+    ["run", "--entry", "Z2_Z2_trivial"],
+    ["verify-mp", "--entry", "Z2_Z", "--maxlen", "2"],
+    ["verify-cocycles", "--entry", "Z2_Z", "--maxlen", "2"],
+    ["hopf-verify", "--entry", "Z2_Z", "--maxlen", "1"],
+    ["gr-product", "--entry", "Z2_Z", "--labels", "W:1,W:1"],
+    ["gr-decompose", "--entry", "Z2_Z", "--labels", "W:1,W:1", "--basis", "W:2,U:0,V:0"],
+    ["gr-commutes", "--entry", "Z2_Dinf", "--labels", "U:x,U:y"],
+    ["gr-z2-table", "--entry", "Z2_Z", "--maxlen", "1"],
+    ["cqt-necessary", "--entry", "Z2_Z2_trivial"],
+    ["cqt-z2-r11"],
+], ids=lambda argv: argv[0])
+def test_cli_json_stdout_is_one_document(argv, capsys):
+    assert cli.main(argv + ["--json"]) in (0, 1)
+    json.loads(capsys.readouterr().out)
+
+
+def test_cli_gr_product_json_carries_the_closed_form(capsys):
+    argv = ["gr-product", "--entry", "Z2_Z", "--labels", "W:1,W:1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "closed form: [W[-2], U[0], V[0]]"
+    assert cli.main(["--json"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["closed_form"] == ["W[-2]", "U[0]", "V[0]"]
+
+
+def test_cli_parser_is_reused_without_carrying_state(capsys):
+    # the parser is built once per process; a flag of one call must not leak into the next
+    assert cli.main(["--json", "cqt-z2-r11"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert cli.main(["cqt-z2-r11"]) == 0
+    assert capsys.readouterr().out.startswith("[{'k'")
+    assert cli._parser() is cli._parser()
+
+
 def _malformed_context(tmp_path, edit):
     obj = serialize.context_to_json(get_entry("Z2_Z2_trivial").context())
     edit(obj)
