@@ -193,19 +193,19 @@ def _cqt2(sc, rv, grid):
 def _cqt3(sc, rv, grid):
     """y1 x1 R(x2, y2) = R(x1, y1) x2 y2 on the p_l component, l the G part of m.
 
-    No term of either side depends on R, so (x, y) is compiled once per table,
-    on its second visit, into sc.cqt3_rows[x, y]: the R arguments its terms
-    read, in read order, and per component l the arguments l reads and one
-    row per basis index k, [(argument, merged coefficient of left - right)]
-    with zero merges dropped.  A component with a read out of the window is
-    None; else it holds when every row sums to 0.  The first visit sums the
-    terms on rv directly, so a context used once compiles and keeps nothing.
+    No term of either side depends on R, so each (x, y) is compiled on its
+    first visit into sc.cqt3_rows[x, y], kept for the life of the table:
+    (reads, components), reads the R arguments of its terms in read order,
+    and per component l a triple (l, the arguments l reads, rows), one row
+    per basis index k, [(argument, merged coefficient of left - right)] with
+    zero merges dropped.  Every visit evaluates the rows: a component with a
+    read out of the window is None, else it holds when every row sums to 0.
     """
-    gkey, visited, compiled = sc.gkey, sc.cqt3_visited, sc.cqt3_rows
+    gkey, compiled = sc.gkey, sc.cqt3_rows
 
-    def terms(xy):
-        "(l, k, R argument, coefficient of left - right) for each term of (x, y), in read order."
+    def compile_rows(xy):
         x, y = xy
+        merged = {}  # (l, k, R argument) -> coefficient of left - right, in read order
         for x1, x2, s in sc.coproduct(x):
             for y1, y2, t in sc.coproduct(y):
                 st = s * t
@@ -213,23 +213,8 @@ def _cqt3(sc, rv, grid):
                                         (-st, sc.product(x2, y2), (x1, y1))):
                     if hit:
                         k, c = hit
-                        yield gkey[k], k, pair, coef * c
-
-    def first_visit(xy):
-        sums = {}  # l -> {k: left - right}, None once l reads out of window
-        for l, k, pair, coef in terms(xy):
-            v, acc = rv[pair], sums.setdefault(l, {})
-            if v is None:
-                sums[l] = None
-            elif v and acc is not None:
-                acc[k] = acc.get(k, 0) + coef * v
-        visited.add(xy)
-        return {l: None if acc is None else not any(acc.values()) for l, acc in sums.items()}
-
-    def compile_rows(xy):
-        merged = {}
-        for l, k, pair, coef in terms(xy):
-            merged[l, k, pair] = merged.get((l, k, pair), 0) + coef
+                        key = gkey[k], k, pair
+                        merged[key] = merged.get(key, 0) + coef * c
         comps = {}  # l -> (arguments read, {k: row})
         for (l, k, pair), c in merged.items():
             reads, rows = comps.setdefault(l, ([], {}))
@@ -238,14 +223,11 @@ def _cqt3(sc, rv, grid):
                 rows.setdefault(k, []).append((pair, c))
         compiled[xy] = (list(dict.fromkeys(pair for _, _, pair in merged)),
                         [(l, reads, list(rows.values())) for l, (reads, rows) in comps.items()])
+        return compiled[xy]
 
     def compare(xy):
         "{l: both sides of (x, y) agree on p_l, None if a term is out of window}; absent l: 0 = 0."
-        if xy not in compiled:
-            if xy not in visited:
-                return first_visit(xy)
-            compile_rows(xy)
-        reads, comps = compiled[xy]
+        reads, comps = compiled.get(xy) or compile_rows(xy)
         vals = {p: rv[p] for p in reads}
         out = {}
         for l, lreads, rows in comps:

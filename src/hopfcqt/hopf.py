@@ -361,9 +361,8 @@ class StructureConstants:
 
     Its owner decides how long it lives: verify_hopf_axioms builds one per
     call, and HopfAlgebra.structure_constants holds the one that every
-    cqt.verify_R on the context shares.  On that one cqt._cqt3 notes in
-    `cqt3_visited` the (x, y) it has evaluated once and keeps in `cqt3_rows`
-    the R-independent rows it compiles for an (x, y) on its second visit.
+    cqt.verify_R on the context shares.  `cqt3_rows` belongs to cqt._cqt3,
+    which documents it.
 
     Keys are interned by (g.key, f.key) on first sight, products and
     coproduct legs that leave the F window included.  gkey[i] and rkey[i] are
@@ -389,7 +388,6 @@ class StructureConstants:
         self._rows = []
         self._coproducts = {}
         self._antipodes = {}
-        self.cqt3_visited = set()
         self.cqt3_rows = {}
 
     def index(self, key):

@@ -11,7 +11,8 @@ from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.cqt import RForm, eps_tensor_eps, verify_R, z2_r11_rform, z2_r11_solve
 from hopfcqt.errors import MissingEntry
-from hopfcqt.hopf import HopfAlgebra
+from hopfcqt.hopf import HopfAlgebra, StructureConstants
+from hopfcqt.reports import PASS
 from hopfcqt.scalars import ONE, root_of_unity
 
 LEVELS = (0, 1, 2, 3, 4, "inv")
@@ -53,18 +54,16 @@ def test_forms_in_either_order_match_a_fresh_context(eid, qbound):
     H = HopfAlgebra(get_entry(eid).context().cp)
     forms = _forms(H)
     expected = [_json(_fresh(R), qbound) for R in forms]
-    # forwards, then backwards on the same context: first visits, compiles and
-    # compiled CQT3 rows all meet forms other than the one that led to them
+    # forwards, then backwards on the same context: products, coproducts and
+    # compiled CQT3 rows all meet forms other than the one that built them
     for order in (range(len(forms)), reversed(range(len(forms)))):
         for n in order:
             assert _json(forms[n], qbound) == expected[n], n
     assert H.structure_constants.cqt3_rows
 
 
-@pytest.mark.parametrize("levels", [LEVELS, (3,)])  # CQT3 alone reads R first
-@pytest.mark.parametrize("eid,qbound", [("S3_Z2", None), ("Z2_Z2_tau", None),
-                                        ("Z3_Z3_trivial", None), ("Z2_Z2xZ_central", 2)])
-def test_warm_context_reads_R_in_the_fresh_order(eid, qbound, levels, monkeypatch):
+def _log_reads(monkeypatch):
+    "The list that every later RForm.try_value call appends its (key1, key2) to."
     reads = []
     try_value = RForm.try_value
 
@@ -73,6 +72,14 @@ def test_warm_context_reads_R_in_the_fresh_order(eid, qbound, levels, monkeypatc
         return try_value(self, key1, key2)
 
     monkeypatch.setattr(RForm, "try_value", logged)
+    return reads
+
+
+@pytest.mark.parametrize("levels", [LEVELS, (3,)])  # CQT3 alone reads R first
+@pytest.mark.parametrize("eid,qbound", [("S3_Z2", None), ("Z2_Z2_tau", None),
+                                        ("Z3_Z3_trivial", None), ("Z2_Z2xZ_central", 2)])
+def test_warm_context_reads_R_in_the_fresh_order(eid, qbound, levels, monkeypatch):
+    reads = _log_reads(monkeypatch)
     H = HopfAlgebra(get_entry(eid).context().cp)
     R, *others = _forms(H)
     reads.clear()
@@ -80,10 +87,37 @@ def test_warm_context_reads_R_in_the_fresh_order(eid, qbound, levels, monkeypatc
     fresh = list(reads)
     for S in others:
         verify_R(S, levels, qbound)
-    for _ in range(2):  # the CQT3 rows are compiled, then reused
+    for _ in range(2):  # on the rows the calls before compiled
         reads.clear()
         verify_R(R, levels, qbound)
         assert reads == fresh
+
+
+@pytest.mark.parametrize("eid,window", [("Z2_Z2_tau", None), ("Z3_Z3_trivial", None),
+                                        ("Z2_Z", 1), ("Z2_Z2xZ_central", 1), ("Z2_Z2xZ_central", 2)])
+def test_cqt3_reads_R_in_term_order(eid, window, monkeypatch):
+    # on a form that passes, CQT3 visits every (x, y) in sweep order and reads
+    # each R argument at its first term: over the legs x1 (x) x2 of x and
+    # y1 (x) y2 of y, R(x2, y2) of the left side, then R(x1, y1) of the right,
+    # each when its product is nonzero; window 1 at qbound 2 reads outside R's window
+    reads = _log_reads(monkeypatch)
+    R = eps_tensor_eps(HopfAlgebra(get_entry(eid).context().cp), window=window)
+    (report,) = verify_R(R, (3,), 2)
+    assert report.status == PASS
+    sc = StructureConstants(HopfAlgebra(R.H.cp))
+    grid = [[sc.index((g, f)) for f in R.H.mp.window(2)] for g in R.H.G.elements()]
+    expected = {}
+    for xrow in grid:
+        for yrow in grid:
+            for x in xrow:
+                for y in yrow:
+                    for x1, x2, _ in sc.coproduct(x):
+                        for y1, y2, _ in sc.coproduct(y):
+                            if sc.product(y1, x1):
+                                expected.setdefault((sc.keys[x2], sc.keys[y2]))
+                            if sc.product(x2, y2):
+                                expected.setdefault((sc.keys[x1], sc.keys[y1]))
+    assert reads == list(expected)
 
 
 def _outcome(R):
