@@ -6,8 +6,11 @@ tau:   G x G x F -> k*   twists the comultiplication,
 subject to normalization, the two cocycle identities, and the compatibility
 equation tying them together.  Values are Scalars (roots of unity times
 rationals); finite F uses tables, the infinite families use rule callables
-supplied by catalog entries.  `verify` runs on matched_pair.PairTables, so
-each distinct sigma/tau argument triple is looked up once.
+supplied by catalog entries.  `verify` runs on matched_pair.PairTables: its
+identities read sigma[g][f][f'] and tau[g][g'][f] from nested lists indexed
+by id, filling an entry through `sigma`/`tau` on its first lookup, so each
+distinct argument triple is looked up once per call, in the order the
+object path first reaches it.
 """
 
 from __future__ import annotations
@@ -107,28 +110,45 @@ class CocyclePair:
         Exhaustive over finite F; over words of length <= word_bound in the
         infinite families.
         """
-        T = PairTables(self.mp, word_bound, self)
-        o, e = T.gid[self.mp.G.one.key], T.fid(self.mp.F.one)
-        gmul, fmul, left, right, sigma, tau = T.gmul, T.fmul, T.left, T.right, T.sigma, T.tau
-        return [
-            T.sweep("normalization", "GGFF",
-                    lambda g, gp, f, fp: (sigma[g, e, f] == 1 and sigma[g, f, e] == 1
-                                          and sigma[o, f, fp] == 1 and tau[o, g, f] == 1
-                                          and tau[g, o, f] == 1 and tau[g, gp, e] == 1)),
-            T.sweep("sigma-cocycle", "GFFF",
-                    lambda g, f, fp, fpp:
-                        sigma[right[g, f], fp, fpp] * sigma[g, f, fmul[fp, fpp]]
-                        == sigma[g, f, fp] * sigma[g, fmul[f, fp], fpp]),
-            T.sweep("tau-cocycle", "GGGF",
-                    lambda g, gp, gpp, f:
-                        tau[g, gp, left[gpp, f]] * tau[gmul[g][gp], gpp, f]
-                        == tau[g, gmul[gp][gpp], f] * tau[gp, gpp, f]),
-            T.sweep("compatibility", "GGFF",
-                    lambda g, gp, f, fp:
-                        sigma[gmul[g][gp], f, fp] * tau[g, gp, fmul[f, fp]]
-                        == (sigma[g, left[gp, f], left[right[gp, f], fp]] * sigma[gp, f, fp]
-                            * tau[g, gp, f] * tau[right[g, left[gp, f]], right[gp, f], fp])),
-        ]
+        P = PairTables(self.mp, word_bound, self)
+        o, e = P.gid[self.mp.G.one.key], P.fid(self.mp.F.one)
+        gmul, fmul, left, right = P.gmul, P.mul, P.act_left, P.act_right
+        S, T, sig, tau = P.sigma, P.tau, P.fill_sigma, P.fill_tau
+
+        def normalization(g, gp, f, fp):
+            """sigma(g; 1, f), sigma(g; f, 1), sigma(1; f, f'), tau(1, g; f), tau(g, 1; f)
+            and tau(g, g'; 1) are 1"""
+            return ((S[g][e][f] or sig(g, e, f)) == 1 and (S[g][f][e] or sig(g, f, e)) == 1
+                    and (S[o][f][fp] or sig(o, f, fp)) == 1
+                    and (T[o][g][f] or tau(o, g, f)) == 1
+                    and (T[g][o][f] or tau(g, o, f)) == 1
+                    and (T[g][gp][e] or tau(g, gp, e)) == 1)
+
+        def sigma_cocycle(g, f, fp, fpp):
+            "sigma(g <| f; f', f'') sigma(g; f, f'f'') = sigma(g; f, f') sigma(g; ff', f'')"
+            h, q, p = right(g, f), fmul(fp, fpp), fmul(f, fp)
+            return ((S[h][fp][fpp] or sig(h, fp, fpp)) * (S[g][f][q] or sig(g, f, q))
+                    == (S[g][f][fp] or sig(g, f, fp)) * (S[g][p][fpp] or sig(g, p, fpp)))
+
+        def tau_cocycle(g, gp, gpp, f):
+            "tau(g, g'; g'' |> f) tau(gg', g''; f) = tau(g, g'g''; f) tau(g', g''; f)"
+            h, a, b = left(gpp, f), gmul[g][gp], gmul[gp][gpp]
+            return ((T[g][gp][h] or tau(g, gp, h)) * (T[a][gpp][f] or tau(a, gpp, f))
+                    == (T[g][b][f] or tau(g, b, f)) * (T[gp][gpp][f] or tau(gp, gpp, f)))
+
+        def compatibility(g, gp, f, fp):
+            """sigma(gg'; f, f') tau(g, g'; ff') = sigma(g; u, v |> f') sigma(g'; f, f')
+            tau(g, g'; f) tau(g <| u, v; f'), with u = g' |> f and v = g' <| f"""
+            a, ff, u, v = gmul[g][gp], fmul(f, fp), left(gp, f), right(gp, f)
+            w, x = left(v, fp), right(g, u)
+            return ((S[a][f][fp] or sig(a, f, fp)) * (T[g][gp][ff] or tau(g, gp, ff))
+                    == ((S[g][u][w] or sig(g, u, w)) * (S[gp][f][fp] or sig(gp, f, fp))
+                        * (T[g][gp][f] or tau(g, gp, f)) * (T[x][v][fp] or tau(x, v, fp))))
+
+        return [P.sweep("normalization", "GGFF", normalization),
+                P.sweep("sigma-cocycle", "GFFF", sigma_cocycle),
+                P.sweep("tau-cocycle", "GGGF", tau_cocycle),
+                P.sweep("compatibility", "GGFF", compatibility)]
 
     def tau_square_identity_check(self, f, fp):
         """For |G| = 2: tau(g,g;ff') = sigma(g;f,f')^2 tau(g,g;f) tau(g,g;f').

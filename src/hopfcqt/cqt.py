@@ -24,7 +24,6 @@ from .comodules import TwistedCoalgebra, enumerate_onedim, group_comodules
 from .errors import (BadWindow, IrrationalRoots, NonAbelianStabilizer, NotARootOfUnity,
                      NotAScalar, OutOfWindow, SearchSpaceTooLarge, UnknownLevel, WrongGroup)
 from .hopf import HopfElement
-from .matched_pair import Memo
 from .reports import FAIL, PASS, SKIPPED, ConditionReport, sweep
 from .scalars import ONE, Scalar, ZERO, bare, rational
 
@@ -106,6 +105,17 @@ def eps_tensor_eps(H, window=None):
     one = H.G.one
     entries = {((one, f), (one, fp)): ONE for f in fs for fp in fs}
     return RForm(H, entries, window=window)
+
+
+class Memo(dict):
+    "A dict that computes each missing entry once, as fn(key)."
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 # -- the CQT condition families -----------------------------------------------

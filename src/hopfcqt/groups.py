@@ -19,12 +19,13 @@ import itertools
 from .errors import InfiniteGroup, InvalidGroup, InvalidHomomorphism, MixedGroups, SchemaError
 
 
-def closure(start, letters, step):
+def closure(start, letters, step, limit=None):
     """Breadth-first closure of `start` under `step(node, letter)`.
 
     Returns {node: first word}, the word being the tuple of letters that
     reaches the node from `start`, in discovery order: level by level, each
-    node's letters in the order of the sequence `letters`.
+    node's letters in the order of the sequence `letters`.  With a limit, a
+    level that takes the closure past `limit` nodes raises InvalidGroup.
     """
     words = {start: ()}
     frontier = [start]
@@ -37,6 +38,8 @@ def closure(start, letters, step):
                 if nxt not in words:
                     words[nxt] = word + (u,)
                     new.append(nxt)
+        if limit is not None and len(words) > limit:
+            raise InvalidGroup("the closure has more than %d elements" % limit)
         frontier = new
     return words
 
@@ -351,13 +354,17 @@ def symmetric_group_s3():
 
 
 def permutation_group(generator_images, name="perm"):
-    "Closure of permutation generators given as 0-indexed image lists."
+    """Closure of permutation generators given as 0-indexed image lists.
+
+    A closure past MAX_DESCRIPTOR_ORDER elements raises InvalidGroup while it
+    is built, since a "perm" descriptor names its group this way.
+    """
     degree = len(generator_images[0])
     gens = [tuple(p) for p in generator_images]
     for p in gens:
         if sorted(p) != list(range(degree)):
             raise SchemaError("not a permutation: %r" % (p,))
-    elems = list(closure(tuple(range(degree)), gens, _perm_mul))
+    elems = list(closure(tuple(range(degree)), gens, _perm_mul, limit=MAX_DESCRIPTOR_ORDER))
     names = [_cycle_name(p) for p in elems]
     return finite_group_from_elements(
         name, elems, _perm_mul, names, [_cycle_name(g) for g in gens],
@@ -656,21 +663,36 @@ class DirectProductGroup(Group):
 
 # -- descriptors --------------------------------------------------------------
 
+# The largest finite group a descriptor may name.  FiniteGroup checks
+# associativity in |G|^3 steps and the sweeps enumerate G, so a larger order is
+# refused before its table is built.
+MAX_DESCRIPTOR_ORDER = 128
+
+
 def group_from_descriptor(desc):
     "Rebuild a group from its JSON descriptor; a malformed one raises SchemaError."
     if not isinstance(desc, dict) or "family" not in desc:
         raise SchemaError("group descriptor must be an object with a 'family'", "group")
     fam = desc["family"]
     try:
-        return _group_from_family(fam, desc)
-    except (LookupError, TypeError, ValueError) as e:
+        G = _group_from_family(fam, desc)
+        _at_most_max_order(G.order() or 0)  # a direct product of factors within it
+    except (LookupError, TypeError, ValueError, OverflowError) as e:
         # the constructors reject bad arguments with these errors
         raise SchemaError("bad %r group descriptor: %s" % (fam, e), "group")
+    return G
+
+
+def _at_most_max_order(n):
+    if n > MAX_DESCRIPTOR_ORDER:
+        raise InvalidGroup("order %d is above the descriptor limit %d"
+                           % (n, MAX_DESCRIPTOR_ORDER))
+    return n
 
 
 def _group_from_family(fam, desc):
     if fam == "Zn":
-        n = int(desc["n"])
+        n = _at_most_max_order(int(desc["n"]))
         if n < 1:
             raise InvalidGroup("n must be >= 1, got %d" % n)
         return cyclic_group(n, gen_name=desc.get("gen", "g"))
@@ -687,6 +709,7 @@ def _group_from_family(fam, desc):
     if fam == "perm":
         return permutation_group(desc["generators"], name=desc.get("name", "perm"))
     if fam == "finite":
+        _at_most_max_order(len(desc["names"]))
         return FiniteGroup(desc.get("name", "finite"), desc["names"], desc["table"],
                            desc.get("generators", [desc["names"][1]]))
     if fam == "product":

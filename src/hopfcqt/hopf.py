@@ -14,10 +14,11 @@ verify_hopf_axioms does not build HopfElements per instance.  Each call
 builds its own StructureConstants, which gives every basis key it reaches an
 int index, including products and coproduct legs outside the F window, and
 keeps per index the keys of g and g <| f, so a zero product is one int
-compare.  Nonzero products (one dict per left index), coproducts and
-antipodes are evaluated once per call through _basis_product,
-_basis_coproduct and antipode_basis, and the six axioms run on int-keyed
-dicts.  A rational structure constant is stored bare, as its int
+compare.  Products live in one dense table[i][j], filled on first lookup;
+products, coproducts and antipodes are evaluated once per call through
+_basis_product, _basis_coproduct and antipode_basis, the associativity and
+bialgebra sweeps read the product table inline, and the six axioms run on
+int-keyed dicts.  A rational structure constant is stored bare, as its int
 or Fraction (scalars.bare), so the sweeps multiply Python rationals; a
 cyclotomic one stays a Scalar, whose reflected operators take the mixed
 cases.  That table is dropped when the call returns.  The tests keep the
@@ -367,9 +368,14 @@ class StructureConstants:
     Keys are interned by (g.key, f.key) on first sight, products and
     coproduct legs that leave the F window included.  gkey[i] and rkey[i] are
     the keys of g and of g <| f, so the product of i and j is zero exactly
-    when rkey[i] != gkey[j].  Each nonzero product, coproduct and antipode is
-    evaluated once, by _basis_product, _basis_coproduct and antipode_basis;
-    a lookup that raises stores nothing, so the next visit raises again.
+    when rkey[i] != gkey[j].  table[i][j] holds the product of i and j: None
+    while not filled, False when it is zero, else (k, sigma) with
+    p_i p_j = sigma p_k; index() adds a row and a column for each new key.
+    product() is the one path that fills it, so a reader may take a filled
+    entry straight from the table and call product() on None.  Each nonzero
+    product, coproduct and antipode is evaluated once, by _basis_product,
+    _basis_coproduct and antipode_basis; a lookup that raises stores
+    nothing, so the next visit raises again.
 
     A memoized constant is bare (scalars.bare): an int or Fraction when it is
     rational, as nearly every catalog value is, else a Scalar.  Most are +-1,
@@ -385,7 +391,7 @@ class StructureConstants:
         self.gkey = []
         self.rkey = []
         self._index = {}
-        self._rows = []
+        self.table = []
         self._coproducts = {}
         self._antipodes = {}
         self.cqt3_rows = {}
@@ -399,22 +405,21 @@ class StructureConstants:
             self.keys.append(key)
             self.gkey.append(g.key)
             self.rkey.append(self.H.mp.act_right(g, f).key)
-            self._rows.append({})
+            for row in self.table:
+                row.append(None)
+            self.table.append([None] * (i + 1))
         return i
 
-    def find(self, gkey, fkey):
-        "The index of an interned key, from the keys of its G and F parts."
-        return self._index[(gkey, fkey)]
-
     def product(self, i, j):
-        "(k, sigma) with p_i p_j = sigma p_k, or None when the product is zero."
-        if self.rkey[i] != self.gkey[j]:
-            return None
-        row = self._rows[i]
-        hit = row.get(j)
+        "(k, sigma) with p_i p_j = sigma p_k, or False when the product is zero."
+        hit = self.table[i][j]
         if hit is None:
-            key, s = _basis_product(self.H, self.keys[i], self.keys[j])
-            hit = row[j] = (self.index(key), bare(s))
+            if self.rkey[i] != self.gkey[j]:
+                hit = False
+            else:
+                key, s = _basis_product(self.H, self.keys[i], self.keys[j])
+                hit = (self.index(key), bare(s))
+            self.table[i][j] = hit
         return hit
 
     def coproduct(self, i):
@@ -439,7 +444,7 @@ class StructureConstants:
         for i, c in a.items():
             for j, d in b.items():
                 hit = self.product(i, j)
-                if hit is not None:
+                if hit:
                     k, s = hit
                     acc[k] = acc.get(k, 0) + c * d * s
         return _nonzero(acc)
@@ -460,7 +465,7 @@ class StructureConstants:
         acc = {}
         for (k1, k2), c in x.items():
             hit = self.product(k1, k2)
-            if hit is not None:
+            if hit:
                 k, s = hit
                 acc[k] = acc.get(k, 0) + c * s
         return _nonzero(acc)
@@ -488,9 +493,11 @@ def verify_hopf_axioms(H, word_bound=4):
     """
     sc = StructureConstants(H)
     ids = [sc.index(key) for key in H.basis_window(word_bound)]
-    fkeys = [f.key for f in H.mp.window(word_bound)]
-    product, coproduct, find = sc.product, sc.coproduct, sc.find
+    table, product, coproduct = sc.table, sc.product, sc.coproduct
     gkey, rkey, one_g = sc.gkey, sc.rkey, sc.one_g
+    row = {}  # G key -> the window indices with that G part, in window order
+    for i in ids:
+        row.setdefault(gkey[i], []).append(i)
     rng = random.Random(SEED)
     reports = []
 
@@ -503,25 +510,30 @@ def verify_hopf_axioms(H, word_bound=4):
         return (tuple(rng.choice(ids) for _ in range(width)) for _ in range(SAMPLE))
 
     # associativity (and unit)
+    # the bodies below read sc.table inline and call product only on an
+    # unfilled (None) entry, in the order the object path multiplies
     def assoc_ok(i, j, k):
-        ij, jk = product(i, j), product(j, k)
-        left = ij and product(ij[0], k)
-        right = jk and product(i, jk[0])
+        ij = table[i][j]
+        if ij is None:
+            ij = product(i, j)
+        jk = table[j][k]
+        if jk is None:
+            jk = product(j, k)
+        left = ij and table[ij[0]][k]
+        if left is None:
+            left = product(ij[0], k)
+        right = jk and table[i][jk[0]]
+        if right is None:
+            right = product(i, jk[0])
         if not (left and right):
             return not left and not right
         return left[0] == right[0] and ij[1] * left[1] == jk[1] * right[1]
 
-    def assoc_patterns():
-        for i in ids:
-            for fp in fkeys:
-                j = find(rkey[i], fp)
-                for fpp in fkeys:
-                    yield i, j, find(rkey[j], fpp)
-
     if len(ids) ** 3 <= EXHAUSTIVE_LIMIT:
         report("associativity", itertools.product(ids, repeat=3), assoc_ok)
     else:
-        report("associativity", itertools.chain(assoc_patterns(), sampled(3)), assoc_ok)
+        patterns = ((i, j, k) for i in ids for j in row[rkey[i]] for k in row[rkey[j]])
+        report("associativity", itertools.chain(patterns, sampled(3)), assoc_ok)
 
     one = {sc.index((g, H.F.one)): 1 for g in H.G.elements()}
 
@@ -556,7 +568,9 @@ def verify_hopf_axioms(H, word_bound=4):
 
     # bialgebra compatibility: Delta(ab) = Delta(a)Delta(b), eps(ab) = eps(a)eps(b)
     def bialg_ok(i, j):
-        ij = product(i, j)
+        ij = table[i][j]
+        if ij is None:
+            ij = product(i, j)
         lhs = {(k1, k2): ij[1] * t for k1, k2, t in coproduct(ij[0])} if ij else {}
         # x1 y1 = 0 unless y1's G key is x1's rkey, and the legs of Delta(p_j)
         # have distinct G keys in front, so each leg of Delta(p_i) meets one
@@ -566,8 +580,12 @@ def verify_hopf_axioms(H, word_bound=4):
             hit = db.get(rkey[k1])
             if hit is not None:
                 l1, l2, d = hit
-                left, right = product(k1, l1), product(k2, l2)
-                if right is not None:
+                left, right = table[k1][l1], table[k2][l2]
+                if left is None:
+                    left = product(k1, l1)
+                if right is None:
+                    right = product(k2, l2)
+                if right:
                     key = (left[0], right[0])
                     rhs[key] = rhs.get(key, 0) + c * d * left[1] * right[1]
         if lhs != _nonzero(rhs):
@@ -577,7 +595,7 @@ def verify_hopf_axioms(H, word_bound=4):
     if len(ids) ** 2 <= PAIR_LIMIT:
         report("bialgebra-compatibility", itertools.product(ids, repeat=2), bialg_ok)
     else:
-        patterns = ((i, find(rkey[i], fp)) for i in ids for fp in fkeys)
+        patterns = ((i, j) for i in ids for j in row[rkey[i]])
         report("bialgebra-compatibility", itertools.chain(patterns, sampled(2)), bialg_ok)
 
     # antipode convolution identities: m(S (x) id)Delta = unit . eps = m(id (x) S)Delta

@@ -13,8 +13,10 @@ in full at construction, for infinite F each entry is folded once, on its
 first use.  Orbits O_f = {g |> f}, stabilizers G_f, transversals T_f (1 in
 T_f) and dual orbits O'_g = {g <| f} feed the comodule machinery.
 
-`verify` and `CocyclePair.verify` sweep int ids over one PairTables per call,
-so each pair (g, f) is acted on once.
+`verify` and `CocyclePair.verify` sweep int ids over one PairTables per call:
+nested lists indexed by id, each entry filled on its first lookup through the
+public act_left/act_right, F.mul/F.inv or CocyclePair.sigma/tau, so each pair
+(g, f) is acted on once and each sigma/tau triple looked up once per call.
 """
 
 from __future__ import annotations
@@ -217,24 +219,24 @@ class MatchedPair:
         "Check the action laws, the matched-pair axioms, and the inverse identities."
         T = PairTables(self, word_bound)
         o, e = T.gid[self.G.one.key], T.fid(self.F.one)
-        gmul, ginv, fmul, finv, left, right = T.gmul, T.ginv, T.fmul, T.finv, T.left, T.right
+        gmul, ginv, fmul, finv, left, right = T.gmul, T.ginv, T.mul, T.inv, T.act_left, T.act_right
         return [
             T.sweep("unit-laws", "GF",
-                    lambda g, f: (right[g, e] == g and left[g, e] == e and
-                                  right[o, f] == o and left[o, f] == f)),
+                    lambda g, f: (right(g, e) == g and left(g, e) == e and
+                                  right(o, f) == o and left(o, f) == f)),
             T.sweep("right-action", "GFF",
-                    lambda g, f, fp: right[g, fmul[f, fp]] == right[right[g, f], fp]),
+                    lambda g, f, fp: right(g, fmul(f, fp)) == right(right(g, f), fp)),
             T.sweep("left-action", "GGF",
-                    lambda g, gp, f: left[gmul[g][gp], f] == left[g, left[gp, f]]),
+                    lambda g, gp, f: left(gmul[g][gp], f) == left(g, left(gp, f))),
             T.sweep("matched-pair-left", "GFF",
-                    lambda g, f, fp: left[g, fmul[f, fp]]
-                                     == fmul[left[g, f], left[right[g, f], fp]]),
+                    lambda g, f, fp: left(g, fmul(f, fp))
+                                     == fmul(left(g, f), left(right(g, f), fp))),
             T.sweep("matched-pair-right", "GGF",
-                    lambda g, gp, f: right[gmul[g][gp], f]
-                                     == gmul[right[g, left[gp, f]]][right[gp, f]]),
+                    lambda g, gp, f: right(gmul[g][gp], f)
+                                     == gmul[right(g, left(gp, f))][right(gp, f)]),
             T.sweep("action-inverses", "GF",
-                    lambda g, f: (finv[left[g, f]] == left[right[g, f], finv[f]] and
-                                  ginv[right[g, f]] == right[ginv[g], left[g, f]])),
+                    lambda g, f: (finv(left(g, f)) == left(right(g, f), finv(f)) and
+                                  ginv[right(g, f)] == right(ginv[g], left(g, f)))),
         ]
 
     # -- orbits -----------------------------------------------------------------
@@ -323,24 +325,43 @@ class MatchedPair:
         return "MatchedPair(%s: G=%r, F=%r)" % (self.name or "?", self.G, self.F)
 
 
-class Memo(dict):
-    "A dict that computes each missing entry once, as fn(key)."
+def _blank(kinds, ng, nf):
+    "A nested list of None, one axis per letter of kinds: ng ids on a G axis, nf on an F axis."
+    size = ng if kinds[0] == "G" else nf
+    if len(kinds) == 1:
+        return [None] * size
+    return [_blank(kinds[1:], ng, nf) for _ in range(size)]
 
-    def __init__(self, fn):
-        self.fn = fn
 
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
+def _widen(table, kinds, ng, nf, grown):
+    "Grow every F axis of a _blank table from nf to grown ids."
+    if len(kinds) > 1:
+        for row in table:
+            _widen(row, kinds[1:], ng, nf, grown)
+    if kinds[0] == "F":
+        table.extend([None] * (grown - nf) if len(kinds) == 1 else
+                     [_blank(kinds[1:], ng, grown) for _ in range(grown - nf)])
 
 
 class PairTables:
-    """Int ids and memo tables for one matched-pair or cocycle verify call.
+    """Int ids and lazily filled tables for one matched-pair or cocycle verify call.
 
     G ids follow G.elements(); F ids start with the window and append each
-    image that leaves it.  gmul/ginv are lists; fmul, finv, left (|>), right
-    (<|) and, given cp, sigma/tau fill an entry on its first lookup through
-    the public methods, so their checks and errors stay.  A sigma or tau
+    image that leaves it.  gmul[g][g'] and ginv[g] are filled in full.  The
+    other tables are nested lists indexed by id, None where not yet filled:
+    fmul[f][f'], finv[f], left[g][f] (g |> f), right[g][f] (g <| f) and,
+    given cp, sigma[g][f][f'] and tau[g][g'][f].  Every F axis has room for
+    the window at first; when fid appends past the room, every F axis of
+    every table doubles, so an out-of-window id indexes like a window id.
+
+    An entry is filled on its first lookup, through the public F.mul, F.inv,
+    act_left, act_right, CocyclePair.sigma or CocyclePair.tau, so their
+    checks and errors stay and each key is looked up once per call, in the
+    order the object path first reaches it.  mul, inv, act_left and
+    act_right read an id table and fill a missing entry; they test `is
+    None`, since id 0 is falsy.  A sweep body reads sigma and tau inline, as
+    `sigma[g][f][f'] or fill_sigma(g, f, f')`, which is safe because a
+    cocycle value is never zero (CocyclePair raises InvalidCocycle).  The
     value is kept bare (scalars.bare): an int or Fraction when rational, so
     the cocycle identities multiply Python rationals, else a Scalar.
     """
@@ -349,27 +370,69 @@ class PairTables:
         G, F = mp.G, mp.F
         gs = self.gs = G.elements()
         fs = self.fs = list(mp.window(word_bound))
-        self.nf = len(fs)
+        ng, nf = len(gs), len(fs)
+        self.nf = room = nf
         gid = self.gid = {g.key: i for i, g in enumerate(gs)}
         index = {f.key: i for i, f in enumerate(fs)}
-
-        def fid(f):
-            "The id of an F element, appending it on first sight."
-            if f.key not in index:
-                index[f.key] = len(fs)
-                fs.append(f)
-            return index[f.key]
-
-        # the memos close over fid, not self: no cycle, so the tables go with the call
-        self.fid = fid
+        fmul, finv = self.fmul, self.finv = _blank("FF", ng, nf), _blank("F", ng, nf)
+        left, right = self.left, self.right = _blank("GF", ng, nf), _blank("GF", ng, nf)
+        tables = [(fmul, "FF"), (finv, "F"), (left, "GF"), (right, "GF")]
+        if cp is not None:
+            sigma, tau = self.sigma, self.tau = _blank("GFF", ng, nf), _blank("GGF", ng, nf)
+            tables += [(sigma, "GFF"), (tau, "GGF")]
         self.gmul = [[gid[G.mul(a, b).key] for b in gs] for a in gs]
         self.ginv = [gid[G.inv(a).key] for a in gs]
-        self.fmul = Memo(lambda k: fid(F.mul(fs[k[0]], fs[k[1]])))
-        self.finv = Memo(lambda f: fid(F.inv(fs[f])))
-        self.left = Memo(lambda k: fid(mp.act_left(gs[k[0]], fs[k[1]])))
-        self.right = Memo(lambda k: gid[mp.act_right(gs[k[0]], fs[k[1]]).key])
-        self.sigma = Memo(lambda k: bare(cp.sigma(gs[k[0]], fs[k[1]], fs[k[2]])))
-        self.tau = Memo(lambda k: bare(cp.tau(gs[k[0]], gs[k[1]], fs[k[2]])))
+
+        # the fills close over the tables, not self: no cycle, so they go with the call
+        def fid(f):
+            "The id of an F element, appending it on first sight; a full F axis doubles."
+            nonlocal room
+            i = index.get(f.key)
+            if i is None:
+                i = index[f.key] = len(fs)
+                fs.append(f)
+                if i == room:
+                    for table, kinds in tables:
+                        _widen(table, kinds, ng, room, 2 * room)
+                    room *= 2
+            return i
+
+        def mul(f, fp):
+            v = fmul[f][fp]
+            if v is None:
+                v = fmul[f][fp] = fid(F.mul(fs[f], fs[fp]))
+            return v
+
+        def inv(f):
+            v = finv[f]
+            if v is None:
+                v = finv[f] = fid(F.inv(fs[f]))
+            return v
+
+        def act_left(g, f):
+            v = left[g][f]
+            if v is None:
+                v = left[g][f] = fid(mp.act_left(gs[g], fs[f]))
+            return v
+
+        def act_right(g, f):
+            v = right[g][f]
+            if v is None:
+                v = right[g][f] = gid[mp.act_right(gs[g], fs[f]).key]
+            return v
+
+        self.fid, self.mul, self.inv = fid, mul, inv
+        self.act_left, self.act_right = act_left, act_right
+        if cp is not None:
+            def fill_sigma(g, f, fp):
+                v = sigma[g][f][fp] = bare(cp.sigma(gs[g], fs[f], fs[fp]))
+                return v
+
+            def fill_tau(g, gp, f):
+                v = tau[g][gp][f] = bare(cp.tau(gs[g], gs[gp], fs[f]))
+                return v
+
+            self.fill_sigma, self.fill_tau = fill_sigma, fill_tau
 
     def sweep(self, check, kinds, ok):
         "reports.sweep over window ids, one G or F id per letter of kinds (e.g. 'GFF')."

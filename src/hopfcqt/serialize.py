@@ -213,6 +213,10 @@ def rform_from_json(obj, H):
         raise SchemaError(str(e), "rform")
 
 
+# The largest comodule dimension comodule_from_json accepts.
+MAX_COMODULE_DIM = 64
+
+
 def comodule_to_json(V):
     C = V.coalgebra
     H = C.H
@@ -232,6 +236,10 @@ def comodule_from_json(obj, H):
         raise SchemaError("comodule must be a JSON object")
     f = _element(H.F, obj, "f", "comodule")
     dim = _int(_require(obj, "dim", "comodule"), "comodule.dim")
+    if not 1 <= dim <= MAX_COMODULE_DIM:
+        # Comodule allocates a dim x dim block per stabilizer element before any check
+        raise SchemaError("dim must be between 1 and %d, got %d" % (MAX_COMODULE_DIM, dim),
+                          "comodule.dim")
     C = TwistedCoalgebra(H, f)
     coeffs = {}
     for key, val in _object(_require(obj, "a", "comodule"), "comodule.a").items():

@@ -3,9 +3,10 @@
 These are `MatchedPair.verify` and `CocyclePair.verify` as they were written
 on group elements: every instance calls the public actions, group products
 and sigma/tau lookups, with no memo.  The library runs the same identities
-on int ids and per-call memo tables (`hopfcqt.matched_pair.PairTables`); the
-tests require both to return the same reports, witnesses and `checked`
-counts included, and to raise the same error on a missing table entry.
+on int ids and per-call, lazily filled nested lists
+(`hopfcqt.matched_pair.PairTables`); the tests require both to return the
+same reports, witnesses and `checked` counts included, and to raise the same
+error on a missing table entry.
 """
 
 from itertools import product
