@@ -46,7 +46,7 @@ def _levels(text):
     return levels
 
 
-def _bound(args, H=None):
+def _bound(args):
     if args.maxlen is not None:
         return args.maxlen
     if args.entry:

@@ -30,7 +30,7 @@ from .errors import (DimensionMismatch, InvalidCocycle, NonAbelianStabilizer,
 from .groups import closure
 from .hopf import HopfElement
 from .reports import FAIL, PASS, ConditionReport, sweep
-from .scalars import Matrix, ONE, Scalar, ZERO, commutant_dimension, root_of_unity
+from .scalars import Matrix, ONE, ZERO, as_scalar, commutant_dimension, root_of_unity
 
 
 class TwistedCoalgebra:
@@ -135,7 +135,7 @@ class Comodule:
             if isinstance(g, str):
                 g = coalgebra.H.G.parse(g)
             M = mats.setdefault(g.key, [[ZERO] * dim for _ in range(dim)])
-            M[l - 1][i - 1] = M[l - 1][i - 1] + Scalar._coerce(c)
+            M[l - 1][i - 1] = M[l - 1][i - 1] + as_scalar(c)
         G = coalgebra.H.G
         return cls(coalgebra, dim,
                    {G._element(k): Matrix(rows) for k, rows in mats.items()}, label=label)
@@ -347,12 +347,7 @@ class InducedComodule:
 
     def character_by_trace(self):
         "Trace of the coaction blocks; an independent route to the character."
-        acc = {}
-        for key, M in self.blocks.items():
-            t = M.trace()
-            if t:
-                acc[key] = acc.get(key, ZERO) + t
-        return HopfElement(self.H, acc)
+        return HopfElement(self.H, {key: M.trace() for key, M in self.blocks.items()})
 
     def __repr__(self):
         return "InducedComodule(dim %d at f=%r)" % (self.dim, self.base_point)

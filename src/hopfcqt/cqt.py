@@ -22,10 +22,11 @@ from fractions import Fraction
 
 from .comodules import TwistedCoalgebra, enumerate_onedim, group_comodules
 from .errors import (BadWindow, IrrationalRoots, NonAbelianStabilizer, NotARootOfUnity,
-                     NotAScalar, OutOfWindow, SearchSpaceTooLarge, UnknownLevel, WrongGroup)
+                     OutOfWindow, SearchSpaceTooLarge, UnknownLevel, WrongGroup)
 from .hopf import HopfElement
+from .matched_pair import check_window
 from .reports import FAIL, PASS, SKIPPED, ConditionReport, sweep
-from .scalars import ONE, Scalar, ZERO, bare, rational
+from .scalars import ONE, ZERO, as_scalar, bare, rational
 
 
 class RForm:
@@ -40,12 +41,10 @@ class RForm:
         self.H = H
         if window is None and not H.F.is_finite:
             raise BadWindow("an RForm over infinite F needs a word-length window")
-        self.window = window
+        self.window = check_window(window)
         table = {}
         for (k1, k2), v in entries.items():
-            v = Scalar._coerce(v)
-            if v is None:
-                raise NotAScalar("bad R value")
+            v = as_scalar(v)
             if v.is_zero():
                 continue
             k1, k2 = H._key(*k1), H._key(*k2)
@@ -99,8 +98,6 @@ class RForm:
 
 def eps_tensor_eps(H, window=None):
     "R(p_x # f, p_y # f') = [x = 1][y = 1]; the standard form on a commutative context."
-    if window is None and not H.F.is_finite:
-        raise BadWindow("need a window over infinite F")
     fs = H.mp.window(window)
     one = H.G.one
     entries = {((one, f), (one, fp)): ONE for f in fs for fp in fs}
@@ -837,7 +834,7 @@ def search_R(H, values, levels=(0, 1, 2, 3), max_nodes=10 ** 6):
     G, F = H.G, H.F
     if not F.is_finite or G.order() * F.order() > 8:
         raise WrongGroup("search limited to |G| * |F| <= 8")
-    values = [Scalar._coerce(v) for v in values]
+    values = [as_scalar(v) for v in values]
     mismatch = [forced for check, _, forced in _zero_rules(H) if check.endswith("-mismatch")]
     basis = list(itertools.product(G.elements(), F.elements()))
     keys = [(gf, hfp) for gf in basis for hfp in basis

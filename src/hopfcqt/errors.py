@@ -50,11 +50,11 @@ class InvalidCocycle(HopfCqtError, ValueError):
 
 
 class NotAScalar(HopfCqtError, TypeError):
-    "A value that should be a scalar (an R-form entry) is not one."
+    "A value that should be a scalar (a coefficient, matrix or R-form entry) is not one."
 
 
 class BadWindow(HopfCqtError, ValueError):
-    "An R-form over infinite F without a word-length window, or an entry outside it."
+    "A window outside 0..MAX_WINDOW, none over infinite F, or an R-form entry outside it."
 
 
 class OutOfWindow(HopfCqtError, KeyError):

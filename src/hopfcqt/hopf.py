@@ -9,6 +9,9 @@ Basis symbols p_g # f for g in G, f in F.  Structure maps:
                  p_((g <| f)^-1) # (g |> f)^-1
 
 Elements are finitely supported; no zero coefficient is ever stored.
+HopfElement and TensorElement share one linear-combination core,
+_Combination (storage, +, -, ==), and every map that sums terms builds its
+result through _collect.
 
 verify_hopf_axioms does not build HopfElements per instance.  Each call
 builds its own StructureConstants, which gives every basis key it reaches an
@@ -41,7 +44,7 @@ import random
 
 from .errors import ContextMismatch
 from .reports import sweep
-from .scalars import ONE, ZERO, Scalar, bare
+from .scalars import ONE, ZERO, Scalar, as_scalar, bare
 
 
 class HopfAlgebra:
@@ -68,11 +71,8 @@ class HopfAlgebra:
 
     def element(self, terms):
         "Element from (g, f, coefficient) triples."
-        acc = {}
-        for g, f, c in terms:
-            key = self._key(g, f)
-            acc[key] = acc.get(key, ZERO) + _coerce_scalar(c)
-        return HopfElement(self, acc)
+        return _collect(HopfElement, self,
+                        ((self._key(g, f), as_scalar(c)) for g, f, c in terms))
 
     def zero(self):
         return HopfElement(self, {})
@@ -98,34 +98,28 @@ class HopfAlgebra:
         return "HopfAlgebra(%s)" % (self.name or "?")
 
 
-def _coerce_scalar(c):
-    s = Scalar._coerce(c)
-    if s is None:
-        raise TypeError("cannot use %r as a coefficient" % (c,))
-    return s
-
-
 def _same_context(a, b):
     if a.context is not b.context:
         raise ContextMismatch("elements live over different Hopf contexts")
 
 
-class HopfElement:
-    "Finitely supported linear combination of basis symbols p_g # f."
+def _collect(cls, context, pairs):
+    "The cls over context summing the (key, Scalar) pairs; a key whose sum is zero drops out."
+    acc = {}
+    for key, value in pairs:
+        old = acc.get(key)
+        acc[key] = value if old is None else old + value
+    return cls(context, acc)
+
+
+class _Combination:
+    "Finitely supported linear combination {key: nonzero Scalar} over one Hopf context."
 
     __slots__ = ("context", "terms")
 
     def __init__(self, context, terms):
         self.context = context
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def coefficient(self, g, f):
-        H = self.context
-        if isinstance(g, str):
-            g = H.G.parse(g)
-        if isinstance(f, str):
-            f = H.F.parse(f)
-        return self.terms.get((g, f), ZERO)
 
     def support(self):
         return list(self.terms.keys())
@@ -134,24 +128,47 @@ class HopfElement:
         return not self.terms
 
     def __add__(self, other):
-        if not isinstance(other, HopfElement):
+        if type(other) is not type(self):
             return NotImplemented
         _same_context(self, other)
-        acc = dict(self.terms)
-        for k, v in other.terms.items():
-            acc[k] = acc.get(k, ZERO) + v
-        return HopfElement(self.context, acc)
+        return _collect(type(self), self.context,
+                        itertools.chain(self.terms.items(), other.terms.items()))
+
+    def __neg__(self):
+        return type(self)(self.context, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, HopfElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
-    def __neg__(self):
-        return HopfElement(self.context, {k: -v for k, v in self.terms.items()})
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        _same_context(self, other)
+        return self.terms == other.terms
+
+    __hash__ = None
+
+
+def _term(key):
+    return "p[%r]#(%r)" % key
+
+
+def _coeff(c):
+    return "" if c.is_one() else "(%r)*" % c
+
+
+class HopfElement(_Combination):
+    "Finitely supported linear combination of basis symbols p_g # f."
+
+    __slots__ = ()
+
+    def coefficient(self, g, f):
+        return self.terms.get(self.context._key(g, f), ZERO)
 
     def scaled(self, c):
-        c = _coerce_scalar(c)
+        c = as_scalar(c)
         return HopfElement(self.context, {k: v * c for k, v in self.terms.items()})
 
     def __rmul__(self, other):
@@ -164,52 +181,15 @@ class HopfElement:
             return multiply(self, other)
         return self.scaled(other)
 
-    def __eq__(self, other):
-        if not isinstance(other, HopfElement):
-            return NotImplemented
-        _same_context(self, other)
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(v == other.terms[k] for k, v in self.terms.items())
-
-    __hash__ = None
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (g, f), c in sorted(self.terms.items(), key=lambda kv: (repr(kv[0][1]), repr(kv[0][0]))):
-            coeff = "" if c.is_one() else "(%r)*" % c
-            bits.append("%sp[%r]#(%r)" % (coeff, g, f))
-        return " + ".join(bits)
+        terms = sorted(self.terms.items(), key=lambda kv: (repr(kv[0][1]), repr(kv[0][0])))
+        return " + ".join(_coeff(c) + _term(key) for key, c in terms) or "0"
 
 
-class TensorElement:
+class TensorElement(_Combination):
     "Finitely supported element of H (x) H, keyed by pairs of basis keys."
 
-    __slots__ = ("context", "terms")
-
-    def __init__(self, context, terms):
-        self.context = context
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        _same_context(self, other)
-        acc = dict(self.terms)
-        for k, v in other.terms.items():
-            acc[k] = acc.get(k, ZERO) + v
-        return TensorElement(self.context, acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        _same_context(self, other)
-        acc = dict(self.terms)
-        for k, v in other.terms.items():
-            acc[k] = acc.get(k, ZERO) - v
-        return TensorElement(self.context, acc)
+    __slots__ = ()
 
     def __mul__(self, other):
         "(a (x) b)(c (x) d) = ac (x) bd, bilinearly."
@@ -217,68 +197,31 @@ class TensorElement:
             return NotImplemented
         _same_context(self, other)
         H = self.context
-        acc = {}
-        for (k1, k2), c in self.terms.items():
-            for (l1, l2), d in other.terms.items():
-                left = _basis_product(H, k1, l1)
-                if left is None:
-                    continue
-                right = _basis_product(H, k2, l2)
-                if right is None:
-                    continue
-                (key1, s1), (key2, s2) = left, right
-                key = (key1, key2)
-                val = c * d * s1 * s2
-                acc[key] = acc.get(key, ZERO) + val
-        return TensorElement(self.context, acc)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        _same_context(self, other)
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(v == other.terms[k] for k, v in self.terms.items())
-
-    __hash__ = None
+        return _collect(TensorElement, H, (
+            ((left[0], right[0]), c * d * left[1] * right[1])
+            for (k1, k2), c in self.terms.items() for (l1, l2), d in other.terms.items()
+            if (left := _basis_product(H, k1, l1)) and (right := _basis_product(H, k2, l2))))
 
     def multiply_legs(self):
         "Apply the multiplication H (x) H -> H."
         H = self.context
-        acc = {}
-        for (k1, k2), c in self.terms.items():
-            hit = _basis_product(H, k1, k2)
-            if hit is None:
-                continue
-            key, s = hit
-            acc[key] = acc.get(key, ZERO) + c * s
-        return HopfElement(H, acc)
+        return _collect(HopfElement, H, ((hit[0], c * hit[1]) for (k1, k2), c in self.terms.items()
+                                         if (hit := _basis_product(H, k1, k2))))
 
     def map_left(self, fn):
         "Apply a basis-key -> HopfElement map to the left leg, linearly."
-        H = self.context
-        acc = {}
-        for (k1, k2), c in self.terms.items():
-            for key, s in fn(k1).terms.items():
-                kk = (key, k2)
-                acc[kk] = acc.get(kk, ZERO) + c * s
-        return TensorElement(H, acc)
+        return _collect(TensorElement, self.context, (
+            ((key, k2), c * s) for (k1, k2), c in self.terms.items()
+            for key, s in fn(k1).terms.items()))
 
     def map_right(self, fn):
-        H = self.context
-        acc = {}
-        for (k1, k2), c in self.terms.items():
-            for key, s in fn(k2).terms.items():
-                kk = (k1, key)
-                acc[kk] = acc.get(kk, ZERO) + c * s
-        return TensorElement(H, acc)
+        return _collect(TensorElement, self.context, (
+            ((k1, key), c * s) for (k1, k2), c in self.terms.items()
+            for key, s in fn(k2).terms.items()))
 
     def __repr__(self):
-        bits = []
-        for ((g, f), (gp, fp)), c in self.terms.items():
-            coeff = "" if c.is_one() else "(%r)*" % c
-            bits.append("%sp[%r]#(%r) (x) p[%r]#(%r)" % (coeff, g, f, gp, fp))
-        return " + ".join(bits) if bits else "0"
+        return " + ".join(_coeff(c) + _term(k1) + " (x) " + _term(k2)
+                          for (k1, k2), c in self.terms.items()) or "0"
 
 
 def _basis_product(H, key1, key2):
@@ -294,15 +237,9 @@ def multiply(a, b):
     "Bilinear extension of the basis product."
     _same_context(a, b)
     H = a.context
-    acc = {}
-    for k1, c in a.terms.items():
-        for k2, d in b.terms.items():
-            hit = _basis_product(H, k1, k2)
-            if hit is None:
-                continue
-            key, s = hit
-            acc[key] = acc.get(key, ZERO) + c * d * s
-    return HopfElement(H, acc)
+    return _collect(HopfElement, H, (
+        (hit[0], c * d * hit[1]) for k1, c in a.terms.items() for k2, d in b.terms.items()
+        if (hit := _basis_product(H, k1, k2))))
 
 
 def _basis_coproduct(H, key):
@@ -319,11 +256,8 @@ def _basis_coproduct(H, key):
 def comultiply(a):
     "Delta, linearly extended."
     H = a.context
-    acc = {}
-    for key, c in a.terms.items():
-        for kk, t in _basis_coproduct(H, key).items():
-            acc[kk] = acc.get(kk, ZERO) + c * t
-    return TensorElement(H, acc)
+    return _collect(TensorElement, H, ((kk, c * t) for key, c in a.terms.items()
+                                       for kk, t in _basis_coproduct(H, key).items()))
 
 
 def counit(a):
@@ -348,11 +282,8 @@ def antipode_basis(H, key):
 def antipode(a):
     "Antipode, linearly extended."
     H = a.context
-    acc = {}
-    for key, c in a.terms.items():
-        kk, s = antipode_basis(H, key)
-        acc[kk] = acc.get(kk, ZERO) + c * s
-    return HopfElement(H, acc)
+    images = ((antipode_basis(H, key), c) for key, c in a.terms.items())
+    return _collect(HopfElement, H, ((kk, c * s) for (kk, s), c in images))
 
 
 # -- axiom verification --------------------------------------------------------

@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import gcd
 from numbers import Rational
 
-from .errors import DimensionMismatch, DivisionByZero, NotARootOfUnity, SchemaError
+from .errors import DimensionMismatch, DivisionByZero, NotARootOfUnity, NotAScalar, SchemaError
 
 
 def lcm(a, b):
@@ -135,7 +135,7 @@ def _coefficient(c):
         return c
     if isinstance(c, Rational):
         return _norm(Fraction(c))
-    raise TypeError("scalar coefficients must be int or Fraction, got %r" % (c,))
+    raise NotAScalar("scalar coefficients must be int or Fraction, got %r" % (c,))
 
 
 class Scalar:
@@ -265,8 +265,8 @@ class Scalar:
             if len(r1) == 1:
                 inv = 1 / r1[0]
                 return Scalar._trusted(n, _reduce_mod_cyclotomic([c * inv for c in s1], n))
-            q = _poly_divmod(r0, r1)
-            r0, r1 = r1, _poly_mod(r0, r1)
+            q, r = _poly_divmod(r0, r1)
+            r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
 
     def __truediv__(self, other):
@@ -379,7 +379,7 @@ def _poly_sub(a, b):
 
 
 def _poly_divmod(a, b):
-    "Quotient of a by b over Q (b need not be monic)."
+    "Quotient and remainder of a by b over Q (b need not be monic)."
     a = list(a)
     while b and not b[-1]:
         b = b[:-1]
@@ -390,19 +390,7 @@ def _poly_divmod(a, b):
         if c:
             for j, d in enumerate(b):
                 a[i + j] -= c * d
-    return q
-
-
-def _poly_mod(a, b):
-    a = list(a)
-    while b and not b[-1]:
-        b = b[:-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / b[-1]
-        if c:
-            for j, d in enumerate(b):
-                a[i + j] -= c * d
-    return a[:len(b) - 1] or [Fraction(0)]
+    return q, a[:len(b) - 1] or [Fraction(0)]
 
 
 _new = object.__new__
@@ -607,10 +595,11 @@ def format_scalar(x):
 
 # -- exact linear algebra --------------------------------------------------
 
-def _as_scalar(v):
+def as_scalar(v):
+    "v as a Scalar; v is a Scalar, int or Fraction, else NotAScalar is raised."
     s = Scalar._coerce(v)
     if s is None:
-        raise TypeError("cannot coerce %r to Scalar" % (v,))
+        raise NotAScalar("cannot use %r as a scalar" % (v,))
     return s
 
 
@@ -620,7 +609,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = [[_as_scalar(v) for v in row] for row in entries]
+        entries = [[as_scalar(v) for v in row] for row in entries]
         if not entries:
             raise DimensionMismatch("empty matrix")
         w = len(entries[0])

@@ -15,7 +15,7 @@ from hopfcqt.errors import (BadWindow, HopfCqtError, IrrationalRoots, NotAScalar
                            UnknownLevel, WrongGroup)
 from hopfcqt.groups import GroupHom, cyclic_group, klein_four_group
 from hopfcqt.hopf import HopfAlgebra
-from hopfcqt.matched_pair import MatchedPair
+from hopfcqt.matched_pair import MAX_WINDOW, MatchedPair
 from hopfcqt.reports import FAIL, PASS
 from hopfcqt.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
 
@@ -394,8 +394,19 @@ def _windowed_form():
     (lambda: _windowed_form().value(("1", "2"), ("1", "0")), OutOfWindow, KeyError),
     (lambda: verify_R(_windowed_form(), (0, 7)), UnknownLevel, ValueError),
     (lambda: solve_rational_quadratic(1, 0, -2), IrrationalRoots, ValueError),
+    (lambda: RForm(get_entry("Z2_Z").context(), {}, window=-2), BadWindow, ValueError),
+    (lambda: RForm(get_entry("Z2_Z2_tau").context(), {}, window=-2), BadWindow, ValueError),
+    (lambda: RForm(get_entry("Z2_Z").context(), {}, window=MAX_WINDOW + 1), BadWindow,
+     ValueError),
+    (lambda: get_entry("Z2_Dinf").context().mp.window(-1), BadWindow, ValueError),
+    (lambda: get_entry("Z2_Dinf").context().mp.window(None), BadWindow, ValueError),
+    (lambda: get_entry("S3_Z2").context().mp.window(MAX_WINDOW + 1), BadWindow, ValueError),
+    (lambda: verify_R(_windowed_form(), (0,), qbound=-1), BadWindow, ValueError),
 ], ids=["rform-no-window", "eps-no-window", "entry-outside-window", "value-not-scalar",
-        "perturbed-not-scalar", "value-outside-window", "unknown-level", "irrational-roots"])
+        "perturbed-not-scalar", "value-outside-window", "unknown-level", "irrational-roots",
+        "rform-negative-window", "rform-negative-window-finite-F", "rform-window-above-limit",
+        "negative-sweep-window", "no-sweep-window-infinite-F", "sweep-window-above-limit",
+        "negative-qbound"])
 def test_cqt_errors_are_library_errors(call, error, builtin):
     # each raise keeps its builtin base, so callers that catch the builtin still work
     with pytest.raises(error) as err:

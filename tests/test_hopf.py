@@ -7,14 +7,15 @@ from pair_reference import verify_cocycles_reference
 from hopfcqt import hopf
 from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.cocycles import CocyclePair
-from hopfcqt.cqt import eps_tensor_eps, verify_R
-from hopfcqt.errors import ContextMismatch, MissingEntry, MixedGroups
+from hopfcqt.comodules import Comodule, TwistedCoalgebra
+from hopfcqt.cqt import eps_tensor_eps, search_R, verify_R
+from hopfcqt.errors import ContextMismatch, HopfCqtError, MissingEntry, MixedGroups, NotAScalar
 from hopfcqt.groups import cyclic_group, symmetric_group_s3
 from hopfcqt.hopf import (HopfAlgebra, antipode, comultiply, counit, multiply,
                           verify_hopf_axioms)
 from hopfcqt.matched_pair import MatchedPair
 from hopfcqt.reports import PASS, all_passed
-from hopfcqt.scalars import MINUS_ONE, ONE, ZERO, Scalar, rational, root_of_unity
+from hopfcqt.scalars import MINUS_ONE, ONE, ZERO, Matrix, Scalar, rational, root_of_unity
 
 
 def test_multiply_examples():
@@ -170,6 +171,55 @@ def test_foreign_operands_raise_type_error():
             t * other
     with pytest.raises(ContextMismatch):
         a + get_entry("Z2_Z3_trivial").context().basis("1", "1")
+
+
+def test_elements_and_tensors_do_not_mix():
+    H = get_entry("Z2_Z").context()
+    a = H.basis("g", "2")
+    t = comultiply(a)
+    for x, y in ((a, t), (t, a)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+    assert not a == t and a != t
+    other = comultiply(get_entry("Z3_Z").context().basis("1", "2"))
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x == y):
+        with pytest.raises(ContextMismatch):
+            op(t, other)
+    assert (t - t).terms == {}
+
+
+def test_tensor_repr_keeps_term_order():
+    H = get_entry("Z2_Z").context()
+    a, b = hopf.TensorElement(H, {}), comultiply(H.basis("g", "2"))
+    assert repr(a) == "0"
+    assert repr(b) == "p[g]#(2) (x) p[1]#(2) + p[1]#(-2) (x) p[g]#(2)"
+    flipped = hopf.TensorElement(H, dict(reversed(list(b.terms.items()))))
+    assert repr(flipped) == "p[1]#(-2) (x) p[g]#(2) + p[g]#(2) (x) p[1]#(2)"
+    assert repr(flipped + b - b) == repr(flipped)
+
+
+def test_coefficient_rejects_foreign_group_elements():
+    H = get_entry("Z2_Z2_tau").context()
+    a = H.basis("g", "t").scaled(3)
+    assert a.coefficient("g", "t") == rational(3) and a.coefficient("1", "t") == ZERO
+    with pytest.raises(MixedGroups):
+        a.coefficient(cyclic_group(3).parse("g"), H.F.one)
+    with pytest.raises(MixedGroups):
+        a.coefficient(H.F.parse("t"), H.G.parse("g"))
+
+
+def test_non_scalar_coefficients_raise_library_errors():
+    H = get_entry("Z2_Z2_tau").context()
+    coalgebra = TwistedCoalgebra(H, "1")
+    for call in (lambda: H.element([("g", "t", 1.5)]), lambda: H.basis("g", "t").scaled("2"),
+                 lambda: Scalar(1, (0.5,)), lambda: Matrix([[1.5]]),
+                 lambda: Comodule.from_coefficients(coalgebra, 1, {(1, 1, "g"): 0.5}),
+                 lambda: search_R(H, [ONE, 0.5])):
+        with pytest.raises(NotAScalar):
+            call()
+    assert issubclass(NotAScalar, HopfCqtError) and issubclass(NotAScalar, TypeError)
 
 
 def _report_json(verify, H, bound):

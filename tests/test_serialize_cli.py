@@ -11,6 +11,7 @@ from hopfcqt.comodules import TwistedCoalgebra, enumerate_onedim
 from hopfcqt.cqt import RForm, eps_tensor_eps
 from hopfcqt.errors import SchemaError
 from hopfcqt.hopf import HopfAlgebra
+from hopfcqt.matched_pair import MAX_WINDOW
 from hopfcqt.scalars import MINUS_ONE, ONE, rational
 
 
@@ -317,17 +318,41 @@ def _cqt_verify_args(tmp_path, entry, edit, levels):
     ("Z2_Z2_tau", lambda obj: obj.update(window=3), "0"),
     ("Z2_Z", lambda obj: obj.pop("window"), "0"),
     ("Z2_Z", lambda obj: obj["window"].update(maxlen=0), "0"),
+    ("Z2_Z2_tau", lambda obj: obj.update(entries=[], window={"maxlen": -2}), "0,1,2,3"),
+    ("Z2_Z", lambda obj: obj["window"].update(maxlen=MAX_WINDOW + 1), "0"),
     ("Z2_Z2_tau", lambda obj: None, "7"),
     ("Z2_Z2_tau", lambda obj: None, "foo"),
     ("Z2_Z2_tau", lambda obj: None, "0,,1"),
 ], ids=["window-maxlen-text", "entry-not-object", "entries-not-list", "window-not-object",
-        "no-window-infinite-F", "entry-outside-window", "level-7", "level-foo",
-        "level-empty"])
+        "no-window-infinite-F", "entry-outside-window", "window-negative-empty-form",
+        "window-above-limit", "level-7", "level-foo", "level-empty"])
 def test_cli_malformed_cqt_verify_exits_2(tmp_path, capsys, entry, edit, levels):
     assert cli.main(_cqt_verify_args(tmp_path, entry, edit, levels)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("maxlen", [-1, MAX_WINDOW + 1])
+@pytest.mark.parametrize("argv", [
+    ["--json", "verify-cocycles", "--entry", "Z2_Dinf"],
+    ["verify-mp", "--entry", "S3_Z2"],
+    ["run", "--entry", "Z2_Dinf", "--checks", "cocycles"],
+    ["cqt-necessary", "--entry", "Z2_Z"],
+], ids=["verify-cocycles", "verify-mp-finite-F", "run", "cqt-necessary"])
+def test_cli_window_outside_limits_exits_2(capsys, argv, maxlen):
+    assert cli.main(argv + ["--maxlen", str(maxlen)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: word-length window %d is outside 0..%d"
+                              % (maxlen, MAX_WINDOW))
+    assert out.out == ""
+
+
+def test_cli_cqt_verify_qbound_outside_limits_exits_2(tmp_path, capsys):
+    args = _cqt_verify_args(tmp_path, "Z2_Z", lambda obj: None, "0")
+    for maxlen in (-1, MAX_WINDOW + 1):
+        assert cli.main(args + ["--maxlen", str(maxlen)]) == 2
+        assert capsys.readouterr().err.startswith("error: word-length window")
 
 
 def test_cli_cqt_verify_levels(tmp_path, capsys):
