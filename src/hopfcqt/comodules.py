@@ -62,14 +62,14 @@ class TwistedCoalgebra:
         return v
 
     def contains(self, g):
-        return self._od.in_stabilizer(g)
+        "Whether g stabilizes f; an element of another group raises MixedGroups."
+        return self._od.in_stabilizer(self.H.G._member(g))
 
     def delta(self, g):
         "The twisted coproduct of p_g, as {(g1, g2): coeff} over G_f x G_f."
         if not self.contains(g):
             raise NotInStabilizer("%r does not stabilize %r" % (g, self.f))
         G = self.H.G
-        G._member(g)  # the product table below is keyed by element keys
         out = {}
         for x in self.stabilizer:
             gx = self._prod[g.key, G.inv(x).key]

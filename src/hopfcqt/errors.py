@@ -9,6 +9,10 @@ class DivisionByZero(HopfCqtError, ZeroDivisionError):
     "Division or inversion of a zero scalar."
 
 
+class InvalidScalar(HopfCqtError, ValueError):
+    "A cyclotomic order that is not an int >= 1, or an irrational scalar asked to be rational."
+
+
 class NotARootOfUnity(HopfCqtError):
     "A scalar that was required to be zeta_N^j is not of that form."
 

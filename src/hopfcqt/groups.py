@@ -166,10 +166,6 @@ class Group:
             return self.elements()
         raise NotImplementedError
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
 
 # -- finite groups ----------------------------------------------------------
 

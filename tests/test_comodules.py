@@ -86,6 +86,22 @@ def test_twisted_tau_memo_matches_cocycle_pair():
         C.delta(foreign)
 
 
+def test_comodules_reject_foreign_group_elements():
+    # the key of cyclic_group(5)'s generator lies in the stabilizer's key set,
+    # so a key-only membership test accepted it
+    H = get_entry("Z2_Z2_tau").context()
+    C = TwistedCoalgebra(H, H.F.one)
+    V = trivial_comodule(C)
+    x = cyclic_group(5).parse("g")
+    assert x.key in {g.key for g in C.stabilizer}
+    for call in (lambda: C.contains(x), lambda: C.counit(x), lambda: C.delta(x),
+                 lambda: V.matrix(x), lambda: Comodule(C, 1, {x: Matrix([[ONE]])})):
+        with pytest.raises(MixedGroups):
+            call()
+    g = H.G.parse("g")
+    assert C.counit(g) == ZERO and V.matrix(g) == Matrix([[ONE]])
+
+
 def test_comodule_block_shape_checked():
     H = get_entry("Z2_Z").context()
     C = TwistedCoalgebra(H, "0")

@@ -16,8 +16,8 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hopfcqt.errors import DivisionByZero  # noqa: E402
-from hopfcqt.scalars import (Scalar, euler_phi, format_scalar, lcm,  # noqa: E402
-                             parse_scalar)
+from hopfcqt.scalars import (Scalar, cyclotomic_polynomial, euler_phi,  # noqa: E402
+                             format_scalar, lcm, parse_scalar)
 
 ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
 t = sympy.Symbol("t")
@@ -53,6 +53,16 @@ def _assert_canonical(x):
     if x.is_rational():
         assert type(x.as_rational()) is Fraction
     assert parse_scalar(format_scalar(x)) == x
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    # n = 105 is the first n with a coefficient outside {-1, 0, 1}
+    for n in range(1, 121):
+        phi = cyclotomic_polynomial(n)
+        assert all(type(c) is int for c in phi), n
+        assert phi == tuple(_phi(n).all_coeffs()[::-1]), n
+    assert min(cyclotomic_polynomial(105)) == -2
+    assert all(min(cyclotomic_polynomial(n)) >= -1 for n in range(1, 105))
 
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)

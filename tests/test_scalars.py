@@ -4,12 +4,14 @@ from math import gcd
 
 import pytest
 
-from hopfcqt.errors import DivisionByZero, NotARootOfUnity, SchemaError
+from hopfcqt.catalog import get_entry
+from hopfcqt.errors import (DivisionByZero, HopfCqtError, InvalidScalar, NotARootOfUnity,
+                            NotAScalar, SchemaError)
 from hopfcqt.scalars import (MAX_LITERAL_ORDER, Matrix, ONE, MINUS_ONE, Scalar,
                              ZERO, commutant_dimension, cyclotomic_polynomial,
                              _embed, divisors, euler_phi, format_scalar,
-                             parse_scalar, rational, root_of_unity, solve_linear,
-                             sqrt_root_of_unity)
+                             as_scalar, parse_scalar, rational, root_of_unity,
+                             solve_linear, sqrt_root_of_unity)
 
 
 def test_cyclotomic_polynomials():
@@ -106,6 +108,25 @@ def test_public_constructors_reject_bad_input():
         rational(Fraction(1, 2), Fraction(0))
     assert Scalar(1, (True,)).coeffs == (1,) and type(Scalar(1, (True,)).coeffs[0]) is int
     assert Scalar(3, (Fraction(4, 2), 0)) == rational(2)
+    for call in (lambda: Scalar(0, ()), lambda: Scalar(2.0, (1,)), lambda: root_of_unity(0),
+                 lambda: root_of_unity(-3, 1), lambda: root_of_unity(4.0),
+                 lambda: root_of_unity(4).as_rational()):
+        with pytest.raises(InvalidScalar):
+            call()
+    assert issubclass(InvalidScalar, HopfCqtError) and issubclass(InvalidScalar, ValueError)
+
+
+def test_one_coercion_rule_for_every_entry_point():
+    # int (bool included) and Fraction are scalars; numbers.Rational alone is not
+    sympy = pytest.importorskip("sympy")
+    H = get_entry("Z2_Z2_tau").context()
+    half = sympy.Rational(1, 2)
+    for call in (lambda: rational(half), lambda: as_scalar(half),
+                 lambda: H.element([("g", "t", half)])):
+        with pytest.raises(NotAScalar):
+            call()
+    for v in (True, 3, Fraction(1, 2)):
+        assert rational(v) == as_scalar(v) == H.element([("g", "t", v)]).coefficient("g", "t")
 
 
 def test_deeply_nested_literals():
