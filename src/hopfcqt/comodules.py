@@ -14,11 +14,19 @@ independently, as the trace of the induced coaction (two code paths that the
 tests compare).
 
 A TwistedCoalgebra memoizes, for its own lifetime, the G_f product table
-(built with it) and tau(a, b; f) per pair (each filled on its first lookup
-through `CocyclePair.tau`, so its checks and errors are those of the cocycle
-pair); its coalgebra check, comodules and one-dimensional solver read both.
-This module caches nothing on the Hopf algebra; the one table the Hopf
+(built with it) and tau(a, b; f) per pair of G elements (each filled on its
+first lookup through `CocyclePair.tau`, so its checks and errors are those of
+the cocycle pair); its coalgebra check, comodules and one-dimensional solver
+read both, and `induce` and `character` read tau at their base point f
+through it.  Nothing is cached on the Hopf algebra; the one table the Hopf
 algebra holds, HopfAlgebra.structure_constants, serves cqt.verify_R.
+
+An InducedComodule keeps its coaction as a public dict of dense Matrix blocks,
+which callers may read and replace.  Each block is mostly zero: from a source
+of dimension m, one m x m sub-block per block is nonzero.  So `verify` builds
+sparse row views {row: {col: nonzero value}} of the current blocks once per
+call, together with the action and product tables over G x U, and its
+coassociativity sweep multiplies, scales by tau and compares those views.
 """
 
 from __future__ import annotations
@@ -132,6 +140,8 @@ class Comodule:
         "coeffs maps (l, i, g) with 1-based l, i to scalars: rho(v_i) = sum v_l (x) a_li^g p_g."
         mats = {}
         for (l, i, g), c in coeffs.items():
+            if not all(isinstance(n, int) and 1 <= n <= dim for n in (l, i)):
+                raise DimensionMismatch("index (%r, %r) outside 1..%d" % (l, i, dim))
             if isinstance(g, str):
                 g = coalgebra.H.G.parse(g)
             M = mats.setdefault(g.key, [[ZERO] * dim for _ in range(dim)])
@@ -252,7 +262,7 @@ def enumerate_onedim(coalgebra):
     prod = C._prod
     if not all(prod[a.key, b.key] == prod[b.key, a.key] for a in stab for b in stab):
         raise NonAbelianStabilizer("stabilizer of %r is non-abelian" % C.f)
-    return [Comodule(C, 1, {G._element(k): Matrix([[v]]) for k, v in a.items()})
+    return [Comodule(C, 1, {G._element(k): Matrix._trusted([[v]]) for k, v in a.items()})
             for a in _onedim_tables(G, stab, prod, C.tau)]
 
 
@@ -272,7 +282,7 @@ class InducedComodule:
     def __init__(self, source):
         C = source.coalgebra
         H = C.H
-        G, F, mp, cp = H.G, H.F, H.mp, H.cp
+        G, mp = H.G, H.mp
         f = C.f
         m = source.dim
         trans = C.transversal
@@ -288,9 +298,8 @@ class InducedComodule:
             ftarget = mp.act_left(zinv, f)
             for x in G.elements():
                 gx, zx = C._od.factorize(x)
-                gxi = G.inv(gx)
-                coeff = (cp.tau(G.inv(zx), gxi, f).inverse()
-                         * cp.tau(G.mul(G.mul(G.inv(zx), gxi), z), zinv, f))
+                gxi, zxi = G.inv(gx), G.inv(zx)
+                coeff = C.tau(zxi, gxi).inverse() * C.tau(G.mul(G.mul(zxi, gxi), z), zinv)
                 A = source.matrices[gxi.key]
                 hkey = (G.mul(G.inv(x), z), ftarget)
                 M = blocks.setdefault(hkey, [[ZERO] * self.dim for _ in range(self.dim)])
@@ -299,11 +308,15 @@ class InducedComodule:
                         if A.entries[l][i]:
                             r, c = pos[(l, zx.key)], pos[(i, z.key)]
                             M[r][c] = M[r][c] + coeff * A.entries[l][i]
-        self.blocks = {k: Matrix(rows) for k, rows in blocks.items()
+        self.blocks = {k: Matrix._trusted(rows) for k, rows in blocks.items()
                        if any(any(v for v in row) for row in rows)}
 
     def verify(self):
-        "Comodule axioms over the full Hopf algebra, on the block support."
+        """Comodule axioms over the full Hopf algebra, on the block support.
+
+        The coassociativity sweep multiplies and compares sparse row views of
+        the current blocks (`_sparse_rows`), built once per call.
+        """
         H = self.H
         G, mp, cp = H.G, H.mp, H.cp
         reports = []
@@ -322,21 +335,26 @@ class InducedComodule:
             for v in mp.orbit(u):
                 fparts.setdefault(v.key, v)
         U = list(fparts.values())
-        zero = Matrix.zeros(self.dim, self.dim)
+        elems = G.elements()
+        views = {(g.key, u.key): _sparse_rows(M, self.dim) for (g, u), M in self.blocks.items()}
+        act = {(h.key, u.key): mp.act_left(h, u).key for h in elems for u in U}
+        prod = _product_table(G, elems)
+        empty = {}
 
         def instances():
-            for g in G.elements():
+            for g in elems:
                 for fk in U:
-                    B1 = self.blocks.get((g, fk), zero)
-                    for h in G.elements():
+                    B1 = views.get((g.key, fk.key), empty)
+                    for h in elems:
                         for u in U:
                             yield g, fk, h, u, B1
 
         def holds(g, fk, h, u, B1):
-            lhs = B1 * self.blocks.get((h, u), zero)
-            if fk == mp.act_left(h, u):
-                return lhs == self.blocks.get((G.mul(g, h), u), zero) * cp.tau(g, h, u)
-            return lhs == zero
+            lhs = _sparse_mul(B1, views.get((h.key, u.key), empty))
+            if fk.key == act[h.key, u.key]:
+                rhs = views.get((prod[g.key, h.key].key, u.key), empty)
+                return lhs == _sparse_scale(rhs, cp.tau(g, h, u))
+            return not lhs
 
         reports.append(sweep("induced-coassociativity", instances(), holds,
                              witness=lambda inst: ((inst[0], inst[1]), (inst[2], inst[3]))))
@@ -351,6 +369,39 @@ class InducedComodule:
 
     def __repr__(self):
         return "InducedComodule(dim %d at f=%r)" % (self.dim, self.base_point)
+
+
+def _sparse_rows(M, n):
+    "{row: {col: value}} over the nonzero entries of M, which must be n x n."
+    if M.rows != n or M.cols != n:
+        raise DimensionMismatch("coaction block is %dx%d, not %dx%d" % (M.rows, M.cols, n, n))
+    out = {}
+    for r, row in enumerate(M.entries):
+        nonzero = {c: v for c, v in enumerate(row) if v}
+        if nonzero:
+            out[r] = nonzero
+    return out
+
+
+def _sparse_mul(A, B):
+    "Product of two sparse row views; entries that cancel to zero are dropped."
+    out = {}
+    for r, row in A.items():
+        acc = {}
+        for k, a in row.items():
+            brow = B.get(k)
+            if brow:
+                for c, b in brow.items():
+                    acc[c] = acc[c] + a * b if c in acc else a * b
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
+
+
+def _sparse_scale(A, s):
+    "The sparse row view of A * s for a nonzero scalar s; the support is A's."
+    return {r: {c: v * s for c, v in row.items()} for r, row in A.items()}
 
 
 def induce(V):
@@ -389,7 +440,7 @@ def character(V, label=""):
     """
     C = V.coalgebra
     H = C.H
-    G, mp, cp = H.G, H.mp, H.cp
+    G, mp = H.G, H.mp
     f = C.f
     acc = {}
     for z in C.transversal:
@@ -400,7 +451,7 @@ def character(V, label=""):
             if not diag:
                 continue
             zgz = G.mul(G.mul(zinv, g), z)
-            coeff = cp.tau(zinv, g, f).inverse() * cp.tau(zgz, zinv, f) * diag
+            coeff = C.tau(zinv, g).inverse() * C.tau(zgz, zinv) * diag
             key = (zgz, fz)
             acc[key] = acc.get(key, ZERO) + coeff
     elem = HopfElement(H, acc)

@@ -56,9 +56,11 @@ def decompose(x, basis):
     keys = set(x.terms)
     for c in basis:
         keys |= set(_as_element(c).terms)
+    if not keys:
+        raise DependentCharacters("every given character is zero")
     keys = sorted(keys, key=repr)
-    A = Matrix([[_as_element(c).terms.get(k, ZERO) for c in basis] for k in keys])
-    b = Matrix.column([x.terms.get(k, ZERO) for k in keys])
+    A = Matrix._trusted([[_as_element(c).terms.get(k, ZERO) for c in basis] for k in keys])
+    b = Matrix._trusted([[x.terms.get(k, ZERO)] for k in keys])
     sol = solve_linear(A, b)
     if sol.status == "inconsistent":
         raise NotInSpan("element is not a combination of the given characters")

@@ -261,7 +261,10 @@ class Scalar:
         if self.is_zero():
             raise DivisionByZero("scalar is zero")
         if self.order == 1:
-            return _rat(1 / Fraction(self.coeffs[0]))
+            c = self.coeffs[0]
+            if c == 1 or c == -1:
+                return self
+            return _rat(Fraction(c.denominator, c.numerator))
         # extended Euclid in Q[x] against Phi_N: s1 * self = r1 (mod Phi_N)
         n = self.order
         r0, r1 = cyclotomic_polynomial(n), list(self.coeffs)

@@ -5,8 +5,8 @@ from hopfcqt.comodules import (Comodule, TwistedCoalgebra, _abelian_character_ta
                                character, enumerate_onedim, group_comodules, induce,
                                trivial_comodule)
 from hopfcqt.cocycles import CocyclePair
-from hopfcqt.errors import (DimensionMismatch, InvalidCocycle, MissingEntry, MixedGroups,
-                            NonAbelianStabilizer, NotInStabilizer)
+from hopfcqt.errors import (DimensionMismatch, HopfCqtError, InvalidCocycle, MissingEntry,
+                            MixedGroups, NonAbelianStabilizer, NotInStabilizer)
 from hopfcqt.groups import (DirectProductGroup, GroupHom, cyclic_group,
                             klein_four_group)
 from hopfcqt.hopf import HopfAlgebra, HopfElement
@@ -107,6 +107,19 @@ def test_comodule_block_shape_checked():
     C = TwistedCoalgebra(H, "0")
     with pytest.raises(DimensionMismatch, match="is not 1x1"):
         Comodule(C, 1, {H.G.parse("g"): Matrix.identity(2)})
+
+
+def test_from_coefficients_checks_indices():
+    # 0 and -1 would reach rows 2 and 1 through Python's negative indexing
+    H = get_entry("Z2_Z2_tau").context()
+    C = TwistedCoalgebra(H, "t")
+    base = {(1, 1, "1"): 1, (2, 2, "1"): 1}
+    for l, i in ((0, 1), (-1, 1), (3, 1), (1, 0), (1, 3), (1.0, 1)):
+        with pytest.raises(DimensionMismatch, match="outside 1..2") as err:
+            Comodule.from_coefficients(C, 2, {**base, (l, i, "g"): 1})
+        assert isinstance(err.value, HopfCqtError)
+    V = Comodule.from_coefficients(C, 2, {**base, (2, 1, "g"): 1})
+    assert V.matrix("g") == Matrix([[0, 0], [1, 0]])
 
 
 def test_comodule_validity_and_simplicity():

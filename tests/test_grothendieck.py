@@ -55,6 +55,9 @@ def test_decompose_examples():
     with pytest.raises(DependentCharacters) as err:
         decompose(U0, [U0, V0, U0])
     assert isinstance(err.value, ValueError)
+    zero = H.basis("1", "0").scaled(0)
+    with pytest.raises(DependentCharacters):
+        decompose(zero, [zero])
 
 
 def test_commutes_examples():
