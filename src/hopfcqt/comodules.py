@@ -13,13 +13,17 @@ algebra; its character is both computed by the closed one-line formula and,
 independently, as the trace of the induced coaction (two code paths that the
 tests compare).
 
-A TwistedCoalgebra memoizes, for its own lifetime, the G_f product table
-(built with it) and tau(a, b; f) per pair of G elements (each filled on its
-first lookup through `CocyclePair.tau`, so its checks and errors are those of
-the cocycle pair); its coalgebra check, comodules and one-dimensional solver
-read both, and `induce` and `character` read tau at their base point f
-through it.  Nothing is cached on the Hopf algebra; the one table the Hopf
-algebra holds, HopfAlgebra.structure_constants, serves cqt.verify_R.
+A TwistedCoalgebra indexes G by position, stabilizer first, and holds for
+its own lifetime the G_f product as a position table (built with it) and one
+tau(., .; f) memo indexed by two positions, each value filled on its first
+read through `CocyclePair.tau` (so its checks and errors are those of the
+cocycle pair) and kept bare (scalars.bare): an int or Fraction when
+rational, else a Scalar.  Its coalgebra check multiplies those bare values,
+and the comodule check and one-dimensional solver read both tables by
+position; the public `tau(a, b)`, which `induce` and `character` read at
+their base point f, returns the memo's value as a Scalar.  Nothing is cached
+on the Hopf algebra; the one table the Hopf algebra holds,
+HopfAlgebra.structure_constants, serves cqt.verify_R.
 
 An InducedComodule keeps its coaction as a public dict of dense Matrix blocks,
 which callers may read and replace.  Each block is mostly zero: from a source
@@ -38,14 +42,18 @@ from .errors import (DimensionMismatch, InvalidCocycle, NonAbelianStabilizer,
 from .groups import closure
 from .hopf import HopfElement
 from .reports import FAIL, PASS, ConditionReport, sweep
-from .scalars import Matrix, ONE, ZERO, as_scalar, commutant_dimension, root_of_unity
+from .scalars import (Matrix, ONE, ZERO, as_scalar, bare, commutant_dimension,
+                      root_of_unity)
 
 
 class TwistedCoalgebra:
     """k^(G_f) with the comultiplication twisted by tau(., .; f).
 
-    Holds the G_f product table and a memo of tau(., .; f), each value filled
-    on its first lookup through `CocyclePair.tau`, for the life of the object.
+    `_elements` lists G with the stabilizer first, so position i < |G_f| is a
+    stabilizer element.  _mul[i][j] and _inv[i] are the positions of products
+    and inverses in G_f, and one memo, _taus[i][j], holds tau(., .; f) at two
+    positions, each value filled on its first read through `CocyclePair.tau`
+    and kept bare (scalars.bare), for the life of the object.
     """
 
     def __init__(self, H, f):
@@ -55,19 +63,32 @@ class TwistedCoalgebra:
         self.H = H
         self.f = f
         od = H.mp.orbit_data(f)
-        self.stabilizer = od.stabilizer
+        stab = self.stabilizer = od.stabilizer
         self.transversal = od.transversal
         self._od = od
-        self._prod = _product_table(H.G, od.stabilizer)
-        self._taus = {}
+        self._elements = stab + [g for g in H.G.elements() if not od.in_stabilizer(g)]
+        self._pos = {g: i for i, g in enumerate(self._elements)}
+        self._one = self._pos[H.G.one]
+        self._mul = _product_positions(H.G, stab)
+        self._inv = [row.index(self._one) for row in self._mul]
+        n = len(self._elements)
+        self._taus = [[None] * n for _ in range(n)]
         self._check_coalgebra()
 
-    def tau(self, a, b):
-        "tau(a, b; f); keyed by the elements, so a foreign one misses and is rejected."
-        v = self._taus.get((a, b))
+    def _tau(self, i, j):
+        "tau(., .; f) at positions i, j, bare; filled on its first read."
+        v = self._taus[i][j]
         if v is None:
-            v = self._taus[a, b] = self.H.cp.tau(a, b, self.f)
+            v = self._taus[i][j] = bare(self.H.cp.tau(self._elements[i], self._elements[j],
+                                                      self.f))
         return v
+
+    def tau(self, a, b):
+        "tau(a, b; f) as a Scalar; CocyclePair.tau rejects an element of another group."
+        i, j = self._pos.get(a), self._pos.get(b)
+        if i is None or j is None:
+            return self.H.cp.tau(a, b, self.f)
+        return as_scalar(self._tau(i, j))
 
     def contains(self, g):
         "Whether g stabilizes f; an element of another group raises MixedGroups."
@@ -77,11 +98,11 @@ class TwistedCoalgebra:
         "The twisted coproduct of p_g, as {(g1, g2): coeff} over G_f x G_f."
         if not self.contains(g):
             raise NotInStabilizer("%r does not stabilize %r" % (g, self.f))
-        G = self.H.G
+        stab, row = self.stabilizer, self._mul[self._pos[g]]
         out = {}
-        for x in self.stabilizer:
-            gx = self._prod[g.key, G.inv(x).key]
-            out[(gx, x)] = self.tau(gx, x)
+        for x, xinv in enumerate(self._inv):
+            gx = row[xinv]
+            out[(stab[gx], stab[x])] = as_scalar(self._tau(gx, x))
         return out
 
     def counit(self, g):
@@ -91,26 +112,26 @@ class TwistedCoalgebra:
 
     def _check_coalgebra(self):
         "Coassociativity and counit of the twisted coproduct, exhaustively over G_f."
-        tau, prod = self.tau, self._prod
-        for a in self.stabilizer:
-            for b in self.stabilizer:
-                ab = prod[a.key, b.key]
-                for c in self.stabilizer:
+        stab, mul, taus, tau, one = self.stabilizer, self._mul, self._taus, self._tau, self._one
+        n = len(stab)
+        # a tau value is never zero (CocyclePair.tau raises), so `or` only fills
+        for a in range(n):
+            for b in range(n):
+                ab = mul[a][b]
+                for c in range(n):
                     # coefficient of p_a (x) p_b (x) p_c in both triple coproducts of p_(abc)
-                    bc = prod[b.key, c.key]
-                    lhs = tau(ab, c) * tau(a, b)
-                    rhs = tau(a, bc) * tau(b, c)
-                    if lhs != rhs:
+                    bc = mul[b][c]
+                    if ((taus[ab][c] or tau(ab, c)) * (taus[a][b] or tau(a, b))
+                            != (taus[a][bc] or tau(a, bc)) * (taus[b][c] or tau(b, c))):
                         raise InvalidCocycle("twisted coproduct not coassociative at "
                                              "(%r, %r, %r) over %r"
-                                             % (a, b, c, prod[ab.key, c.key]))
-        for g in self.stabilizer:
-            d = self.delta(g)
-            for (x, y), c in d.items():
-                if x.is_identity() and (y != g or not c.is_one()):
-                    raise InvalidCocycle("counit law fails at %r" % g)
-                if y.is_identity() and (x != g or not c.is_one()):
-                    raise InvalidCocycle("counit law fails at %r" % g)
+                                             % (stab[a], stab[b], stab[c], stab[mul[ab][c]]))
+        # (eps (x) id) Delta(p_g) and (id (x) eps) Delta(p_g) are p_g: tau(1, g) = tau(g, 1) = 1
+        for g in range(n):
+            for x, xinv in enumerate(self._inv):
+                gx = mul[g][xinv]
+                if one in (gx, x) and (taus[gx][x] or tau(gx, x)) != 1:
+                    raise InvalidCocycle("counit law fails at %r" % stab[g])
 
     def __repr__(self):
         return "TwistedCoalgebra(f=%r, |G_f|=%d)" % (self.f, len(self.stabilizer))
@@ -170,10 +191,12 @@ class Comodule:
         reports.append(ConditionReport(
             "comodule-counit", PASS if ident_ok else FAIL,
             witness=None if ident_ok else (G.one,), checked=1))
-        M, prod = self.matrices, C._prod
+        stab, mul = C.stabilizer, C._mul
+        M = [self.matrices[g.key] for g in stab]
         reports.append(sweep(
-            "comodule-coassociativity", itertools.product(C.stabilizer, repeat=2),
-            lambda a, b: M[a.key] * M[b.key] == M[prod[a.key, b.key].key] * C.tau(a, b)))
+            "comodule-coassociativity", itertools.product(range(len(stab)), repeat=2),
+            lambda a, b: M[a] * M[b] == M[mul[a][b]] * C._tau(a, b),
+            witness=lambda inst: (stab[inst[0]], stab[inst[1]])))
         return reports
 
     def is_valid(self):
@@ -190,12 +213,12 @@ class Comodule:
 
 # -- one-dimensional enumeration ----------------------------------------------
 
-def _generating_subset(elements, mul_key, one_key):
-    "Smallest-by-size generating subset of a small group, in stable order."
-    pool = [e for e in elements if e.key != one_key]
+def _generating_subset(mul, one):
+    "Smallest-by-size generating subset of a small group on positions, in stable order."
+    pool = [i for i in range(len(mul)) if i != one]
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
-            if len(closure(one_key, combo, lambda k, g: mul_key(k, g.key))) == len(elements):
+            if len(closure(one, combo, lambda k, g: mul[k][g])) == len(mul):
                 return list(combo)
     raise AssertionError("unreachable")
 
@@ -205,50 +228,54 @@ def _product_table(G, elements):
     return {(a.key, b.key): G.mul(a, b) for a in elements for b in elements}
 
 
-def _onedim_tables(G, elements, prod, tau):
+def _product_positions(G, elements):
+    "mul[i][j], the position in `elements` of elements[i] elements[j], over a finite subgroup of G."
+    index = {e.key: i for i, e in enumerate(elements)}
+    return [[index[G.mul(a, b).key] for b in elements] for a in elements]
+
+
+def _onedim_tables(elements, mul, one, tau):
     """Solutions a: K -> k* of a^1 = 1, a^g a^h = tau(g, h) a^(g h) on the finite
-    abelian subgroup K = `elements` of G, with product table `prod`
-    (`_product_table`), as {element key: Scalar} dicts.
+    abelian group K = `elements`, taken by position: mul[i][j] is the position
+    of the product (`_product_positions`), one that of the identity, and tau a
+    function of two positions.  Returns {position: Scalar} dicts.
 
     The value on each generator h is an n-th root of the telescoped tau product,
     so the candidate sets are finite and the search is complete.  Exactly |K|
     many when any exist; tau = 1 gives the characters of K.
     """
-    one = G.one.key
-    by_key = {e.key: e for e in elements}
-    mul_key = lambda k, l: prod[k, l].key
-    gens = _generating_subset(elements, mul_key, one)
+    gens = _generating_subset(mul, one)
     # fixed decomposition of every element as a generator word
-    words = closure(one, range(len(gens)), lambda k, gi: mul_key(k, gens[gi].key))
+    words = closure(one, range(len(gens)), lambda k, gi: mul[k][gens[gi]])
 
     candidate_sets = []
     for g in gens:
-        powers = list(closure(one, (g.key,), mul_key))  # 1, g, ..., g^(n-1)
+        powers = list(closure(one, (g,), lambda k, h: mul[k][h]))  # 1, g, ..., g^(n-1)
         n = len(powers)
         c = ONE
         for k in powers[1:]:
-            c = c * tau(g, by_key[k])
+            c = c * tau(g, k)
         ru = c.as_root_of_unity()
         if ru is None:
             raise NotARootOfUnity(
-                "telescoped tau product at %r is not a root of unity: %r" % (g, c))
+                "telescoped tau product at %r is not a root of unity: %r" % (elements[g], c))
         m, j = ru
         cands = [root_of_unity(n * m, j + m * i) for i in range(n)]
         assert all(t ** n == c for t in cands)
         candidate_sets.append(cands)
 
     out = []
+    size = range(len(mul))
     for values in itertools.product(*candidate_sets):
         a = {}
         for k, word in words.items():
-            acc_key, acc_val = one, ONE
+            acc, acc_val = one, ONE
             for gi in word:
                 g = gens[gi]
-                acc_val = acc_val * values[gi] / tau(by_key[acc_key], g)
-                acc_key = mul_key(acc_key, g.key)
+                acc_val = acc_val * values[gi] / tau(acc, g)
+                acc = mul[acc][g]
             a[k] = acc_val
-        if all(a[x.key] * a[y.key] == tau(x, y) * a[prod[x.key, y.key].key]
-               for x in elements for y in elements):
+        if all(a[x] * a[y] == tau(x, y) * a[mul[x][y]] for x in size for y in size):
             out.append(a)
     return out
 
@@ -257,13 +284,11 @@ def enumerate_onedim(coalgebra):
     """All one-dimensional comodules over an abelian twisted stabilizer coalgebra:
     the solutions of `_onedim_tables` with tau = tau(., .; f)."""
     C = coalgebra
-    G = C.H.G
-    stab = C.stabilizer
-    prod = C._prod
-    if not all(prod[a.key, b.key] == prod[b.key, a.key] for a in stab for b in stab):
+    stab, mul = C.stabilizer, C._mul
+    if any(mul[a][b] != mul[b][a] for a in range(len(stab)) for b in range(a)):
         raise NonAbelianStabilizer("stabilizer of %r is non-abelian" % C.f)
-    return [Comodule(C, 1, {G._element(k): Matrix._trusted([[v]]) for k, v in a.items()})
-            for a in _onedim_tables(G, stab, prod, C.tau)]
+    return [Comodule(C, 1, {stab[i]: Matrix._trusted([[v]]) for i, v in a.items()})
+            for a in _onedim_tables(stab, mul, C._one, C._tau)]
 
 
 # -- induction and characters ----------------------------------------------------
@@ -495,4 +520,7 @@ def _hom_tag(pi):
 def _abelian_character_tables(G):
     "Characters of a finite abelian group: the tau = 1 solutions of `_onedim_tables`."
     elements = G.elements()
-    return _onedim_tables(G, elements, _product_table(G, elements), lambda a, b: ONE)
+    one = next(i for i, e in enumerate(elements) if e.is_identity())
+    return [{elements[i].key: v for i, v in a.items()}
+            for a in _onedim_tables(elements, _product_positions(G, elements), one,
+                                    lambda i, j: ONE)]

@@ -9,9 +9,11 @@ identity R * R21 = eps (x) eps, which is not a defining family: the zeta_3
 bicharacter on Z3_Z3_trivial passes the others and fails it.
 structural_zeros scans a support against the forced-zero rules of
 _zero_rules, whose two mismatch rules also prune search_R's key set;
-necessary_battery bundles the orbit/character necessary conditions, each
-gated on its structural hypotheses; the z2_* operations specialize to
-|G| = 2.  Condition instances that would need R values beyond the window are
+necessary_battery bundles the orbit/character conditions, each gated on its
+structural hypotheses and swept on integer-id tables; all of them are
+necessary except dual-orbit-product-commutation, a module-side condition
+with a known counterexample (its docstring names it); the z2_* operations
+specialize to |G| = 2.  Condition instances that would need R values beyond the window are
 counted as unevaluated, never as passes.
 """
 
@@ -22,9 +24,10 @@ from fractions import Fraction
 
 from .comodules import TwistedCoalgebra, enumerate_onedim, group_comodules
 from .errors import (BadWindow, IrrationalRoots, NonAbelianStabilizer, NotARootOfUnity,
-                     OutOfWindow, SearchSpaceTooLarge, UnknownLevel, WrongGroup)
+                     NotInStabilizer, OutOfWindow, SearchSpaceTooLarge, UnknownLevel,
+                     WrongGroup)
 from .hopf import HopfElement
-from .matched_pair import check_window
+from .matched_pair import PairTables, check_window
 from .reports import FAIL, PASS, SKIPPED, ConditionReport, sweep
 from .scalars import ONE, ZERO, as_scalar, bare, rational
 
@@ -369,13 +372,9 @@ def check_dual_orbit_commutation(mp):
 def _onedim_simples_at(H, f):
     "The auto-enumerable one-dimensional simples over the stabilizer coalgebra at f."
     try:
-        C = TwistedCoalgebra(H, f)
-        stab = C.stabilizer
-        if all(H.G.mul(a, b) == H.G.mul(b, a) for a in stab for b in stab):
-            return enumerate_onedim(C)
+        return enumerate_onedim(TwistedCoalgebra(H, f))
     except (NonAbelianStabilizer, NotARootOfUnity):
-        pass
-    return []
+        return []
 
 
 def _char_values(V):
@@ -384,20 +383,54 @@ def _char_values(V):
     return "(" + ", ".join("%r:%r" % (g, V.matrix(g)[0, 0]) for g in C.stabilizer) + ")"
 
 
+class _OffStabilizer:
+    "The character value at a g outside its comodule's stabilizer: using it raises."
+
+    __slots__ = ("g",)
+
+    def __init__(self, g):
+        self.g = g
+
+    def _raise(self, other):
+        raise NotInStabilizer("%r outside the stabilizer" % self.g)
+
+    __mul__ = __rmul__ = __eq__ = __ne__ = _raise
+    __hash__ = None
+
+
+def _traces(V, gs):
+    """(V, its character as a list of bare traces by G id), read once from V.matrices;
+    at a g outside V's stabilizer the entry raises NotInStabilizer when used, as
+    V.diagonal_sum(g) does."""
+    C, M = V.coalgebra, V.matrices
+    return V, [bare(M[g.key].trace()) if C.contains(g) else _OffStabilizer(g) for g in gs]
+
+
 def necessary_battery(H, word_bound=4, quotients=()):
-    """Every necessary condition for a coquasitriangular structure to exist.
+    """The orbit and character conditions for a coquasitriangular structure to exist.
 
     Past the two orbit checks, each sub-check runs through one gate: it is
     SKIPPED, with the first of its structural hypotheses that fails on the
     window as the detail, or else swept.  The character-quantified checks
     range over one list of characters of G: the auto-enumerated simples at
-    1_F (abelian G) plus the lifts along the quotient maps.  Any failure
-    certifies that no coquasitriangular structure exists.
+    1_F (abelian G) plus the lifts along the quotient maps.
+
+    A failure of any sub-check but one certifies that no coquasitriangular
+    structure exists.  The exception is dual-orbit-product-commutation: the
+    dual orbits O'_g index the simple H-modules, so commuting their products
+    is a module-side (quasitriangular) condition, and it fails on X = S4,
+    F = K4, G = S3 with trivial cocycles, where H is commutative and
+    eps (x) eps is coquasitriangular (tests/test_battery_tables.py pins it).
+
+    The gates run on integer ids.  One matched_pair.PairTables per call holds
+    g <| f, g |> f and sigma as right[g][f], left[g][f] and sigma[g][f][f'],
+    each filled on its first read through MatchedPair.act_left/act_right or
+    CocyclePair.sigma, and each one-dimensional character is read once per
+    call into a list of bare traces by G id (`_traces`).  Witnesses are
+    mapped back to elements.
     """
     mp, cp = H.mp, H.cp
     G, F = H.G, H.F
-    gs = G.elements()
-    fs = mp.window(word_bound)
     reports = [check_orbit_commutation(mp, word_bound),
                check_dual_orbit_commutation(mp)]
 
@@ -407,10 +440,17 @@ def necessary_battery(H, word_bound=4, quotients=()):
         reports.append(sweep(name, instances, ok, witness) if unmet is None
                        else ConditionReport(name, SKIPPED, detail=unmet))
 
+    T = PairTables(mp, word_bound, cp)
+    gs, fs, gid = T.gs, T.fs, T.gid  # fs grows past the window as images get ids
+    gids, fids = range(len(gs)), range(T.nf)
+    gmul, ginv, left, right = T.gmul, T.ginv, T.act_left, T.act_right
+    S, sig = T.sigma, T.fill_sigma  # a sigma value is never 0, so `or` only fills
+
     # one stabilizer coalgebra per base point for the whole battery; the stabilizer
     # at 1_F is G, so its simples are characters of G, enumerated for abelian G only
-    simples_at = Memo(lambda f: _onedim_simples_at(H, f))
-    chars = simples_at[F.one] + [V for pi in quotients for V in group_comodules(H, quotient=pi)]
+    simples_at = Memo(lambda f: [_traces(V, gs) for V in _onedim_simples_at(H, fs[f])])
+    chars = simples_at[T.fid(F.one)] + [_traces(V, gs) for pi in quotients
+                                        for V in group_comodules(H, quotient=pi)]
 
     left_trivial = mp.left_action_trivial(word_bound)
     central = mp.is_central(word_bound)
@@ -419,113 +459,119 @@ def necessary_battery(H, word_bound=4, quotients=()):
     g_ab = G.is_abelian()
     have_chars = (chars, "no simple comodules over the dual of G available")
 
+    def orbit_ids(f):
+        "(stabilizer ids, their set, transversal ids, orbit ids) at the F id f."
+        od = mp.orbit_data(fs[f])
+        stab = [gid[g.key] for g in od.stabilizer]
+        return (stab, set(stab), [gid[z.key] for z in od.transversal],
+                [T.fid(u) for u in od.orbit])
+
+    orbits = Memo(orbit_ids)
+
     def moved(f, g, z):
         "(z^-1 g z, (z^-1 g z) <| (z^-1 |> f))"
-        zgz = G.mul(G.mul(G.inv(z), g), z)
-        return zgz, mp.act_right(zgz, mp.act_left(G.inv(z), f))
-
-    def orbit_pairs():
-        for f in fs:
-            odf = mp.orbit_data(f)
-            for fp in fs:
-                yield f, odf, fp, mp.orbit_data(fp)
+        zi = ginv[z]
+        zgz = gmul[gmul[zi][g]][z]
+        return zgz, right(zgz, left(zi, f))
 
     # character-product commutation constraint
-    reps = list({rep.key: rep for rep in map(mp.orbit_representative, fs)}.values())
+    reps = [T.fid(rep) for rep in {rep.key: rep for rep in map(mp.orbit_representative,
+                                                                fs[:T.nf])}.values()]
 
     def char_products():
         for f in reps:
-            od = mp.orbit_data(f)
-            for V in simples_at[f]:
-                for W in chars:
-                    for g in od.stabilizer:
-                        a = V.diagonal_sum(g)
-                        for z in od.transversal:
-                            yield f, V, W, g, z, a
+            stab, _, trans, _ = orbits[f]
+            for V, v in simples_at[f]:
+                for W, w in chars:
+                    for g in stab:
+                        a = v[g]
+                        for z in trans:
+                            yield f, V, W, g, z, a, w
 
-    def char_products_commute(f, V, W, g, z, a):
+    def char_products_commute(f, V, W, g, z, a, w):
         zgz, gmoved = moved(f, g, z)
-        return a * W.diagonal_sum(gmoved) == a * W.diagonal_sum(zgz)
+        return a * w[gmoved] == a * w[zgz]
 
     gate("character-product-commutation", [have_chars], char_products(),
          char_products_commute,
-         witness=lambda i: (i[0], _char_values(i[1]), _char_values(i[2]), i[3], i[4]))
+         witness=lambda i: (fs[i[0]], _char_values(i[1]), _char_values(i[2]), gs[i[3]],
+                            gs[i[4]]))
 
     # stabilizer action constraint (abelian G, trivial tau)
-    def stabilizer_action_ok(g, f, fp, odf, odp):
-        gin_f = odf.in_stabilizer(g)
-        gin_fp = odp.in_stabilizer(g)
-        hits_fp = any(odp.in_stabilizer(mp.act_right(g, fpp)) for fpp in odf.orbit)
+    def stabilizer_action_ok(g, f, fp, of, op):
+        (_, stab_f, _, orbit_f), (_, stab_p, _, orbit_p) = of, op
+        gin_f, gin_fp = g in stab_f, g in stab_p
+        hits_fp = any(right(g, u) in stab_p for u in orbit_f)
         if gin_f and not gin_fp and hits_fp:
             return False  # part 1
         if gin_f and gin_fp:  # part 2
-            return hits_fp == any(odf.in_stabilizer(mp.act_right(g, fppp))
-                                  for fppp in odp.orbit)
+            return hits_fp == any(right(g, u) in stab_f for u in orbit_p)
         return True
 
     gate("stabilizer-action-constraint",
          [(g_ab and tau_triv, "needs abelian G and trivial tau")],
-         ((g, f, fp, odf, odp) for f, odf, fp, odp in orbit_pairs() for g in gs),
+         ((g, f, fp, orbits[f], orbits[fp]) for f in fids for fp in fids for g in gids),
          stabilizer_action_ok,
-         witness=lambda i: ("part-2" if i[4].in_stabilizer(i[0]) else "part-1",) + i[:3])
+         witness=lambda i: ("part-2" if i[0] in i[4][1] else "part-1",
+                            gs[i[0]], fs[i[1]], fs[i[2]]))
 
     # sigma symmetry on central abelian contexts
     gate("sigma-symmetry-on-central-abelian",
          [(g_ab and F.is_abelian() and tau_triv and central,
            "needs abelian G and F, trivial tau, central extension")],
-         ((g, f, fp) for f, odf, fp, odp in orbit_pairs() for g in gs
-          if odf.in_stabilizer(g) and odp.in_stabilizer(g)),
-         lambda g, f, fp: cp.sigma(g, f, fp) == cp.sigma(g, fp, f))
+         ((g, f, fp) for f in fids for fp in fids for g in gids
+          if g in orbits[f][1] and g in orbits[fp][1]),
+         lambda g, f, fp: (S[g][f][fp] or sig(g, f, fp)) == (S[g][fp][f] or sig(g, fp, f)),
+         witness=lambda i: (gs[i[0]], fs[i[1]], fs[i[2]]))
 
     # class-sum invariance (trivial tau)
     def class_sums():
-        for f in fs:
-            od = mp.orbit_data(f)
-            for W in chars:
-                for g in od.stabilizer:
-                    for z in od.transversal:
-                        yield f, W, g, z
+        for f in fids:
+            stab, _, trans, _ = orbits[f]
+            for W, w in chars:
+                for g in stab:
+                    for z in trans:
+                        yield f, W, g, z, w
 
-    def class_sum_invariant(f, W, g, z):
+    def class_sum_invariant(f, W, g, z, w):
         zgz, gmoved = moved(f, g, z)
-        return W.diagonal_sum(gmoved) == W.diagonal_sum(zgz)
+        return w[gmoved] == w[zgz]
 
     gate("class-sum-action-invariance", [(tau_triv, "needs trivial tau"), have_chars],
          class_sums(), class_sum_invariant,
-         witness=lambda i: (i[0], _char_values(i[1]), i[2], i[3]))
+         witness=lambda i: (fs[i[0]], _char_values(i[1]), gs[i[2]], gs[i[3]]))
 
     # exchange identity when the left action is trivial
     def exchanges():
-        for f in fs:
-            for fp in fs:
-                for V, W, g in itertools.product(simples_at[f], simples_at[fp], gs):
-                    yield f, fp, V, W, g
+        for f in fids:
+            for fp in fids:
+                for (V, v), (W, w), g in itertools.product(simples_at[f], simples_at[fp], gids):
+                    yield f, fp, V, W, g, v, w
 
-    def exchange_ok(f, fp, V, W, g):
-        lhs = (V.diagonal_sum(g) * W.diagonal_sum(mp.act_right(g, f))
-               * cp.sigma(g, f, fp))
-        rhs = (V.diagonal_sum(mp.act_right(g, fp))
-               * W.diagonal_sum(g) * cp.sigma(g, fp, f))
-        return lhs == rhs
+    def exchange_ok(f, fp, V, W, g, v, w):
+        return (v[g] * w[right(g, f)] * (S[g][f][fp] or sig(g, f, fp))
+                == v[right(g, fp)] * w[g] * (S[g][fp][f] or sig(g, fp, f)))
 
     gate("central-character-exchange",
          [(left_trivial, "needs trivial |> (every stabilizer is G)"),
           # the simples are built only when the first hypothesis holds
-          (left_trivial and any(simples_at[f] for f in fs), "no simple comodules available")],
+          (left_trivial and any(simples_at[f] for f in fids), "no simple comodules available")],
          exchanges(), exchange_ok,
-         witness=lambda i: (i[0], i[1], _char_values(i[2]), _char_values(i[3]), i[4]))
+         witness=lambda i: (fs[i[0]], fs[i[1]], _char_values(i[2]), _char_values(i[3]),
+                            gs[i[4]]))
 
     # quotient-character exchange and one-dimensional invariance (trivial cocycles)
     trivial = [(left_trivial and sigma_triv and tau_triv, "needs trivial |> and trivial cocycles"),
                (chars, "no one-dimensional characters available")]
-    gate("quotient-character-exchange", trivial, itertools.product(chars, chars, gs, fs, fs),
-         lambda a, b, g, f, fp: (a.diagonal_sum(g) * b.diagonal_sum(mp.act_right(g, f))
-                                 == a.diagonal_sum(mp.act_right(g, fp)) * b.diagonal_sum(g)),
-         witness=lambda i: (_char_values(i[0]), _char_values(i[1])) + i[2:])
-    gate("onedim-character-action-invariance", trivial, itertools.product(chars, gs, fs),
-         lambda a, g, f: a.diagonal_sum(g) == a.diagonal_sum(mp.act_right(g, f)),
-         witness=lambda i: (_char_values(i[0]), i[1], i[2], i[0].diagonal_sum(i[1]),
-                            i[0].diagonal_sum(mp.act_right(i[1], i[2]))))
+    gate("quotient-character-exchange", trivial, itertools.product(chars, chars, gids, fids, fids),
+         lambda a, b, g, f, fp: (a[1][g] * b[1][right(g, f)] == a[1][right(g, fp)] * b[1][g]),
+         witness=lambda i: (_char_values(i[0][0]), _char_values(i[1][0]),
+                            gs[i[2]], fs[i[3]], fs[i[4]]))
+    gate("onedim-character-action-invariance", trivial, itertools.product(chars, gids, fids),
+         lambda a, g, f: a[1][g] == a[1][right(g, f)],
+         witness=lambda i: (_char_values(i[0][0]), gs[i[1]], fs[i[2]],
+                            i[0][0].diagonal_sum(gs[i[1]]),
+                            i[0][0].diagonal_sum(gs[right(i[1], i[2])])))
     return reports
 
 

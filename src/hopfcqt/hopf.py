@@ -200,13 +200,13 @@ class TensorElement(_Combination):
         return _collect(TensorElement, H, (
             ((left[0], right[0]), c * d * left[1] * right[1])
             for (k1, k2), c in self.terms.items() for (l1, l2), d in other.terms.items()
-            if (left := _basis_product(H, k1, l1)) and (right := _basis_product(H, k2, l2))))
+            if (left := _product_or_none(H, k1, l1)) and (right := _product_or_none(H, k2, l2))))
 
     def multiply_legs(self):
         "Apply the multiplication H (x) H -> H."
         H = self.context
         return _collect(HopfElement, H, ((hit[0], c * hit[1]) for (k1, k2), c in self.terms.items()
-                                         if (hit := _basis_product(H, k1, k2))))
+                                         if (hit := _product_or_none(H, k1, k2))))
 
     def map_left(self, fn):
         "Apply a basis-key -> HopfElement map to the left leg, linearly."
@@ -225,12 +225,17 @@ class TensorElement(_Combination):
 
 
 def _basis_product(H, key1, key2):
-    "Product of two basis symbols: None, or ((g, ff'), sigma coefficient)."
+    """Product of two basis symbols (g, f), (g', f') whose product is nonzero, that is
+    g <| f = g': ((g, ff'), sigma coefficient).  The caller settles that it is nonzero."""
     g, f = key1
-    gp, fp = key2
-    if H.mp.act_right(g, f) != gp:
+    return (g, H.F.mul(f, key2[1])), H.cp.sigma(g, f, key2[1])
+
+
+def _product_or_none(H, key1, key2):
+    "Product of two basis symbols: None when g <| f differs from g', else _basis_product."
+    if H.mp.act_right(*key1) != key2[0]:
         return None
-    return (g, H.F.mul(f, fp)), H.cp.sigma(g, f, fp)
+    return _basis_product(H, key1, key2)
 
 
 def multiply(a, b):
@@ -239,7 +244,7 @@ def multiply(a, b):
     H = a.context
     return _collect(HopfElement, H, (
         (hit[0], c * d * hit[1]) for k1, c in a.terms.items() for k2, d in b.terms.items()
-        if (hit := _basis_product(H, k1, k2))))
+        if (hit := _product_or_none(H, k1, k2))))
 
 
 def _basis_coproduct(H, key):
