@@ -10,7 +10,8 @@ supplied by catalog entries.  `verify` runs on matched_pair.PairTables: its
 identities read sigma[g][f][f'] and tau[g][g'][f] from nested lists indexed
 by id, filling an entry through `sigma`/`tau` on its first lookup, so each
 distinct argument triple is looked up once per call, in the order the
-object path first reaches it.
+object path first reaches it.  sigma-cocycle and compatibility evaluate a
+whole row of their last F id per kernel call (PairTables.sweep_rows).
 """
 
 from __future__ import annotations
@@ -114,6 +115,7 @@ class CocyclePair:
         o, e = P.gid[self.mp.G.one.key], P.fid(self.mp.F.one)
         gmul, fmul, left, right = P.gmul, P.mul, P.act_left, P.act_right
         S, T, sig, tau = P.sigma, P.tau, P.fill_sigma, P.fill_tau
+        M, L = P.fmul, P.left
 
         def normalization(g, gp, f, fp):
             """sigma(g; 1, f), sigma(g; f, 1), sigma(1; f, f'), tau(1, g; f), tau(g, 1; f)
@@ -124,11 +126,21 @@ class CocyclePair:
                     and (T[g][o][f] or tau(g, o, f)) == 1
                     and (T[g][gp][e] or tau(g, gp, e)) == 1)
 
-        def sigma_cocycle(g, f, fp, fpp):
+        # row kernels (PairTables.sweep_rows): ids and rows of the outer ids are
+        # read once per row, every sigma/tau value inline in its turn
+        def sigma_cocycle(prefix, fpps):
             "sigma(g <| f; f', f'') sigma(g; f, f'f'') = sigma(g; f, f') sigma(g; ff', f'')"
-            h, q, p = right(g, f), fmul(fp, fpp), fmul(f, fp)
-            return ((S[h][fp][fpp] or sig(h, fp, fpp)) * (S[g][f][q] or sig(g, f, q))
-                    == (S[g][f][fp] or sig(g, f, fp)) * (S[g][p][fpp] or sig(g, p, fpp)))
+            g, f, fp = prefix
+            h, p = right(g, f), fmul(f, fp)
+            s_h, s_g, s_p, m_fp = S[h][fp], S[g][f], S[g][p], M[fp]
+            for n, fpp in enumerate(fpps):
+                q = m_fp[fpp]
+                if q is None:
+                    q = fmul(fp, fpp)
+                if ((s_h[fpp] or sig(h, fp, fpp)) * (s_g[q] or sig(g, f, q))
+                        != (s_g[fp] or sig(g, f, fp)) * (s_p[fpp] or sig(g, p, fpp))):
+                    return n
+            return None
 
         def tau_cocycle(g, gp, gpp, f):
             "tau(g, g'; g'' |> f) tau(gg', g''; f) = tau(g, g'g''; f) tau(g', g''; f)"
@@ -136,19 +148,30 @@ class CocyclePair:
             return ((T[g][gp][h] or tau(g, gp, h)) * (T[a][gpp][f] or tau(a, gpp, f))
                     == (T[g][b][f] or tau(g, b, f)) * (T[gp][gpp][f] or tau(gp, gpp, f)))
 
-        def compatibility(g, gp, f, fp):
+        def compatibility(prefix, fps):
             """sigma(gg'; f, f') tau(g, g'; ff') = sigma(g; u, v |> f') sigma(g'; f, f')
             tau(g, g'; f) tau(g <| u, v; f'), with u = g' |> f and v = g' <| f"""
-            a, ff, u, v = gmul[g][gp], fmul(f, fp), left(gp, f), right(gp, f)
-            w, x = left(v, fp), right(g, u)
-            return ((S[a][f][fp] or sig(a, f, fp)) * (T[g][gp][ff] or tau(g, gp, ff))
-                    == ((S[g][u][w] or sig(g, u, w)) * (S[gp][f][fp] or sig(gp, f, fp))
-                        * (T[g][gp][f] or tau(g, gp, f)) * (T[x][v][fp] or tau(x, v, fp))))
+            g, gp, f = prefix
+            a, u, v = gmul[g][gp], left(gp, f), right(gp, f)
+            x = right(g, u)
+            s_a, t_g, s_u, s_gp, t_x = S[a][f], T[g][gp], S[g][u], S[gp][f], T[x][v]
+            m_f, l_v = M[f], L[v]
+            for n, fp in enumerate(fps):
+                ff, w = m_f[fp], l_v[fp]
+                if ff is None:
+                    ff = fmul(f, fp)
+                if w is None:
+                    w = left(v, fp)
+                if ((s_a[fp] or sig(a, f, fp)) * (t_g[ff] or tau(g, gp, ff))
+                        != ((s_u[w] or sig(g, u, w)) * (s_gp[fp] or sig(gp, f, fp))
+                            * (t_g[f] or tau(g, gp, f)) * (t_x[fp] or tau(x, v, fp)))):
+                    return n
+            return None
 
         return [P.sweep("normalization", "GGFF", normalization),
-                P.sweep("sigma-cocycle", "GFFF", sigma_cocycle),
+                P.sweep_rows("sigma-cocycle", "GFFF", sigma_cocycle),
                 P.sweep("tau-cocycle", "GGGF", tau_cocycle),
-                P.sweep("compatibility", "GGFF", compatibility)]
+                P.sweep_rows("compatibility", "GGFF", compatibility)]
 
     def tau_square_identity_check(self, f, fp):
         """For |G| = 2: tau(g,g;ff') = sigma(g;f,f')^2 tau(g,g;f) tau(g,g;f').

@@ -19,12 +19,20 @@ int index, including products and coproduct legs outside the F window, and
 keeps per index the keys of g and g <| f, so a zero product is one int
 compare.  Products live in one dense table[i][j], filled on first lookup;
 products, coproducts and antipodes are evaluated once per call through
-_basis_product, _basis_coproduct and antipode_basis, the associativity and
-bialgebra sweeps read the product table inline, and the six axioms run on
-int-keyed dicts.  A rational structure constant is stored bare, as its int
-or Fraction (scalars.bare), so the sweeps multiply Python rationals; a
-cyclotomic one stays a Scalar, whose reflected operators take the mixed
-cases.  That table is dropped when the call returns.  The tests keep the
+_basis_product, _basis_coproduct and antipode_basis, and the six axioms run
+on int-keyed dicts.  Associativity and bialgebra compatibility run on the
+row engine (reports.sweep_rows): one kernel call per row of the innermost
+quantifier (k for a fixed (i, j), j for a fixed i), which reads the product
+table through rows hoisted out of its loop and calls product only on an
+unfilled entry, in the order the object path multiplies.  One kernel serves
+the exhaustive rows, the pattern rows and the seeded sample, whose draws are
+one-item rows.  The bialgebra kernel memoizes, per call, Delta(p_m) as a dict
+and Delta(p_j) keyed by the G key of its left leg, and compares the legs of
+Delta(p_i) Delta(p_j) with Delta(p_i p_j) term by term.  A rational
+structure constant is stored bare, as its int or Fraction (scalars.bare), so
+the sweeps multiply Python rationals; a cyclotomic one stays a Scalar, whose
+reflected operators take the mixed cases.  That table is dropped when the
+call returns.  The tests keep the
 object-path sweep as a reference and require identical reports, witnesses
 and `checked` counts.
 
@@ -43,8 +51,8 @@ import itertools
 import random
 
 from .errors import ContextMismatch
-from .reports import sweep
-from .scalars import ONE, ZERO, Scalar, as_scalar, bare
+from .reports import sweep, sweep_rows
+from .scalars import ONE, ZERO, as_scalar, bare
 
 
 class HopfAlgebra:
@@ -172,9 +180,8 @@ class HopfElement(_Combination):
         return HopfElement(self.context, {k: v * c for k, v in self.terms.items()})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)) or other.__class__.__name__ == "Fraction":
-            return self.scaled(other)
-        return NotImplemented
+        "c * x = x * c for a scalar c; anything else raises NotAScalar, as x * c does."
+        return self.scaled(other)
 
     def __mul__(self, other):
         if isinstance(other, HopfElement):
@@ -425,7 +432,8 @@ def verify_hopf_axioms(H, word_bound=4):
     Associativity and the bialgebra law quantify over all basis triples/pairs
     when that stays under EXHAUSTIVE_LIMIT/PAIR_LIMIT; beyond them the sweep
     covers every potentially-nonzero product pattern plus a deterministic
-    random sample (SAMPLE instances, seeded with SEED) of the remaining ones.
+    random sample (SAMPLE instances, seeded with SEED) of all triples/pairs,
+    and `checked` counts both.
     """
     sc = StructureConstants(H)
     ids = [sc.index(key) for key in H.basis_window(word_bound)]
@@ -437,39 +445,56 @@ def verify_hopf_axioms(H, word_bound=4):
     rng = random.Random(SEED)
     reports = []
 
+    def witness(inst):
+        return tuple(sc.keys[i] for i in inst)
+
     def report(check, instances, ok):
-        reports.append(sweep(check, instances, ok,
-                             witness=lambda inst: tuple(sc.keys[i] for i in inst)))
+        reports.append(sweep(check, instances, ok, witness=witness))
+
+    def report_rows(check, rows, first_bad):
+        reports.append(sweep_rows(check, rows, first_bad,
+                                  witness=lambda prefix, i: witness(prefix + (i,))))
 
     def sampled(width):
-        # drawn lazily, so a failure among the patterns leaves rng untouched
-        return (tuple(rng.choice(ids) for _ in range(width)) for _ in range(SAMPLE))
+        # one-item rows drawn lazily in instance order, so a failure among the
+        # patterns leaves rng untouched
+        return ((tuple(rng.choice(ids) for _ in range(width - 1)), (rng.choice(ids),))
+                for _ in range(SAMPLE))
 
-    # associativity (and unit)
-    # the bodies below read sc.table inline and call product only on an
-    # unfilled (None) entry, in the order the object path multiplies
-    def assoc_ok(i, j, k):
+    # associativity (and unit), one row of k per (i, j)
+    # the kernels below read sc.table through hoisted rows and call product
+    # only on an unfilled (None) entry, in the order the object path multiplies
+    def assoc_first_bad(prefix, ks):
+        i, j = prefix
         ij = table[i][j]
         if ij is None:
             ij = product(i, j)
-        jk = table[j][k]
-        if jk is None:
-            jk = product(j, k)
-        left = ij and table[ij[0]][k]
-        if left is None:
-            left = product(ij[0], k)
-        right = jk and table[i][jk[0]]
-        if right is None:
-            right = product(i, jk[0])
-        if not (left and right):
-            return not left and not right
-        return left[0] == right[0] and ij[1] * left[1] == jk[1] * right[1]
+        ti, tj = table[i], table[j]
+        tm = ij and table[ij[0]]
+        for n, k in enumerate(ks):
+            # (p_i p_j) p_k first, then p_i (p_j p_k)
+            left = tm and tm[k]
+            if left is None:
+                left = product(ij[0], k)
+            jk = tj[k]
+            if jk is None:
+                jk = product(j, k)
+            right = jk and ti[jk[0]]
+            if right is None:
+                right = product(i, jk[0])
+            if left and right:
+                if left[0] != right[0] or ij[1] * left[1] != jk[1] * right[1]:
+                    return n
+            elif left or right:
+                return n
+        return None
 
     if len(ids) ** 3 <= EXHAUSTIVE_LIMIT:
-        report("associativity", itertools.product(ids, repeat=3), assoc_ok)
+        rows = (((i, j), ids) for i in ids for j in ids)
     else:
-        patterns = ((i, j, k) for i in ids for j in row[rkey[i]] for k in row[rkey[j]])
-        report("associativity", itertools.chain(patterns, sampled(3)), assoc_ok)
+        rows = itertools.chain((((i, j), row[rkey[j]]) for i in ids for j in row[rkey[i]]),
+                               sampled(3))
+    report_rows("associativity", rows, assoc_first_bad)
 
     one = {sc.index((g, H.F.one)): 1 for g in H.G.elements()}
 
@@ -502,37 +527,61 @@ def verify_hopf_axioms(H, word_bound=4):
 
     report("counit", ((i,) for i in ids), counit_ok)
 
-    # bialgebra compatibility: Delta(ab) = Delta(a)Delta(b), eps(ab) = eps(a)eps(b)
-    def bialg_ok(i, j):
-        ij = table[i][j]
-        if ij is None:
-            ij = product(i, j)
-        lhs = {(k1, k2): ij[1] * t for k1, k2, t in coproduct(ij[0])} if ij else {}
-        # x1 y1 = 0 unless y1's G key is x1's rkey, and the legs of Delta(p_j)
-        # have distinct G keys in front, so each leg of Delta(p_i) meets one
-        da, db = coproduct(i), {gkey[l1]: (l1, l2, d) for l1, l2, d in coproduct(j)}
-        rhs = {}
-        for k1, k2, c in da:
-            hit = db.get(rkey[k1])
-            if hit is not None:
-                l1, l2, d = hit
-                left, right = table[k1][l1], table[k2][l2]
-                if left is None:
-                    left = product(k1, l1)
-                if right is None:
-                    right = product(k2, l2)
-                if right:
-                    key = (left[0], right[0])
-                    rhs[key] = rhs.get(key, 0) + c * d * left[1] * right[1]
-        if lhs != _nonzero(rhs):
-            return False
-        return (ij[1] if ij and gkey[ij[0]] == one_g else 0) == int(gkey[i] == one_g == gkey[j])
+    # bialgebra compatibility: Delta(ab) = Delta(a)Delta(b), eps(ab) = eps(a)eps(b),
+    # one row of j per i.  x1 y1 = 0 unless y1's G key is x1's rkey, and the
+    # legs of Delta(p_j) have distinct G keys in front, so each leg of
+    # Delta(p_i) meets at most one; the product of two legs has the G key of the
+    # right leg of Delta(p_i) in front of its right factor, so the terms of
+    # Delta(p_i)Delta(p_j) have distinct keys and are compared with
+    # Delta(p_i p_j) one by one, with no sum
+    deltas = {}  # m -> Delta(p_m) as {(k1, k2): tau}
+    fronts = {}  # j -> Delta(p_j) keyed by the G key of its left leg
+
+    def bialg_first_bad(prefix, js):
+        i, = prefix
+        ti, unit_i, legs = table[i], gkey[i] == one_g, None
+        for n, j in enumerate(js):
+            ij = ti[j]
+            if ij is None:
+                ij = product(i, j)
+            lhs = {}
+            if ij:
+                lhs = deltas.get(ij[0])
+                if lhs is None:
+                    lhs = deltas[ij[0]] = {(k1, k2): t for k1, k2, t in coproduct(ij[0])}
+            if legs is None:
+                legs = [(rkey[k1], table[k1], table[k2], k1, k2, c) for k1, k2, c in coproduct(i)]
+            front = fronts.get(j)
+            if front is None:
+                front = fronts[j] = {gkey[l1]: (l1, l2, d) for l1, l2, d in coproduct(j)}
+            # every leg is multiplied, even after a mismatch, so products are
+            # reached in the object path's order
+            ok, hits = True, 0
+            for r, t1, t2, k1, k2, c in legs:
+                hit = front.get(r)
+                if hit is not None:
+                    l1, l2, d = hit
+                    left, right = t1[l1], t2[l2]
+                    if left is None:
+                        left = product(k1, l1)
+                    if right is None:
+                        right = product(k2, l2)
+                    if right:
+                        hits += 1
+                        t = lhs.get((left[0], right[0]))
+                        if t is None or c * d * left[1] * right[1] != ij[1] * t:
+                            ok = False
+            if not ok or hits != len(lhs):
+                return n
+            if (ij[1] if ij and gkey[ij[0]] == one_g else 0) != int(unit_i and gkey[j] == one_g):
+                return n
+        return None
 
     if len(ids) ** 2 <= PAIR_LIMIT:
-        report("bialgebra-compatibility", itertools.product(ids, repeat=2), bialg_ok)
+        rows = (((i,), ids) for i in ids)
     else:
-        patterns = ((i, j) for i in ids for j in row[rkey[i]])
-        report("bialgebra-compatibility", itertools.chain(patterns, sampled(2)), bialg_ok)
+        rows = itertools.chain((((i,), row[rkey[i]]) for i in ids), sampled(2))
+    report_rows("bialgebra-compatibility", rows, bialg_first_bad)
 
     # antipode convolution identities: m(S (x) id)Delta = unit . eps = m(id (x) S)Delta
     def antipode_ok(i):

@@ -17,6 +17,8 @@ T_f) and dual orbits O'_g = {g <| f} feed the comodule machinery.
 nested lists indexed by id, each entry filled on its first lookup through the
 public act_left/act_right, F.mul/F.inv or CocyclePair.sigma/tau, so each pair
 (g, f) is acted on once and each sigma/tau triple looked up once per call.
+CocyclePair.verify runs sigma-cocycle and compatibility as row kernels
+(PairTables.sweep_rows).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import product
 
 from .errors import BadWindow, InvalidAction, UndefinedGeneratorAction
 from .groups import closure
-from .reports import sweep
+from .reports import sweep, sweep_rows
 from .scalars import bare
 
 # The largest word-length window a sweep takes.  Instance counts grow with a
@@ -379,6 +381,14 @@ class PairTables:
     cocycle value is never zero (CocyclePair raises InvalidCocycle).  The
     value is kept bare (scalars.bare): an int or Fraction when rational, so
     the cocycle identities multiply Python rationals, else a Scalar.
+
+    sweep runs one call per instance; sweep_rows runs one kernel call per row
+    of the last letter's ids, for identities cheap enough that the call
+    dominates (sigma-cocycle, compatibility).  A kernel may read the ids and
+    the list rows that depend only on the outer ids once per row, since
+    filling and widening change a row in place and never replace it; it
+    reads every sigma/tau value inline, in its turn, so each is still looked
+    up in the object path's order.
     """
 
     def __init__(self, mp, word_bound, cp=None):
@@ -451,7 +461,19 @@ class PairTables:
 
     def sweep(self, check, kinds, ok):
         "reports.sweep over window ids, one G or F id per letter of kinds (e.g. 'GFF')."
+        ids, witness = self._quantifiers(kinds)
+        return sweep(check, product(*ids), ok, witness=witness)
+
+    def sweep_rows(self, check, kinds, first_bad):
+        """reports.sweep_rows over window ids: a row of the last letter's ids per
+        instance of the other letters, in the order of sweep."""
+        ids, witness = self._quantifiers(kinds)
+        last = ids.pop()
+        return sweep_rows(check, ((prefix, last) for prefix in product(*ids)), first_bad,
+                          witness=lambda prefix, i: witness(prefix + (i,)))
+
+    def _quantifiers(self, kinds):
+        "The window id range of each letter of kinds, and the witness of an id instance."
         seqs = [self.gs if k == "G" else self.fs for k in kinds]
         ids = [range(len(self.gs) if k == "G" else self.nf) for k in kinds]
-        return sweep(check, product(*ids), ok,
-                     witness=lambda inst: tuple(seq[i] for seq, i in zip(seqs, inst)))
+        return ids, lambda inst: tuple(seq[i] for seq, i in zip(seqs, inst))

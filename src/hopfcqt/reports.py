@@ -4,8 +4,11 @@ Every verifier in the library (matched-pair axioms, cocycle identities, Hopf
 axioms, CQT levels, necessary-condition battery) returns ConditionReports so
 the CLI and the catalog can diff outcomes against expectations.
 
-Every quantified check runs through one loop, `sweep(check, instances, ok,
-witness=tuple)`:
+Every quantified check runs through one of two loops.
+
+`sweep(check, instances, ok, witness=tuple)` is the general engine, used by
+every sweep but the four below (the CQT, battery and comodule sweeps among
+them):
 
 * `instances` is a lazy iterable of argument tuples; it is consumed only up
   to the first failure.  Values hoisted out of inner loops travel in the
@@ -18,6 +21,21 @@ witness=tuple)`:
 * None counts as unevaluated, never as a pass.  With no failure the status
   is OUT_OF_WINDOW when nothing was checked and something was unevaluated,
   and PASS otherwise (an empty sweep passes with `checked` = 0).
+
+`sweep_rows(check, rows, first_bad, witness)` is the row engine, for sweeps
+whose every instance is evaluated (no None case) and whose innermost
+quantifier is cheap enough that a call per instance dominates: the
+associativity and bialgebra sweeps of hopf.verify_hopf_axioms and the
+sigma-cocycle and compatibility sweeps of CocyclePair.verify.
+
+* `rows` is a lazy iterable of (prefix, items): prefix is the tuple of the
+  outer quantifiers, items a sequence of values of the innermost one, and
+  the instances are prefix + (item,) in order.
+* `first_bad(prefix, items)` evaluates the whole row in one loop and
+  returns the position of the first failing item, or None.
+* The first failure ends the sweep with a FAIL report whose witness is
+  `witness(prefix, item)`; `checked` counts every item up to and including
+  the failing one, exactly as `sweep` would on the flattened instances.
 """
 
 PASS = "pass"
@@ -83,8 +101,26 @@ def sweep(check, instances, ok, witness=tuple):
             continue
         checked += 1
         if not verdict:
-            return ConditionReport(check, FAIL, witness=witness(inst), checked=checked,
-                                   unevaluated=unevaluated)
+            return _report(check, checked, unevaluated, True, witness(inst))
+    return _report(check, checked, unevaluated)
+
+
+def sweep_rows(check, rows, first_bad, witness):
+    "One quantified check over rows of its innermost quantifier; see the module docstring."
+    checked = 0
+    for prefix, items in rows:
+        bad = first_bad(prefix, items)
+        if bad is not None:
+            return _report(check, checked + bad + 1, 0, True, witness(prefix, items[bad]))
+        checked += len(items)
+    return _report(check, checked, 0)
+
+
+def _report(check, checked, unevaluated, failed=False, witness=None):
+    "The report of a finished sweep; a failed one carries its witness."
+    if failed:
+        return ConditionReport(check, FAIL, witness=witness, checked=checked,
+                               unevaluated=unevaluated)
     status = OUT_OF_WINDOW if unevaluated and not checked else PASS
     return ConditionReport(check, status, checked=checked, unevaluated=unevaluated)
 

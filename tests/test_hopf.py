@@ -253,6 +253,19 @@ def _perturbed_context(eid, seed):
                                                cp.tau_default, name="%s~%d" % (eid, seed)))
 
 
+# Perturbed contexts past EXHAUSTIVE_LIMIT at bound 4, so associativity runs on
+# the product patterns (as does bialgebra-compatibility on Q8 past PAIR_LIMIT);
+# each stops inside a row of its innermost quantifier, not at the row's first item
+BOUND4_CONTEXTS = [(eid, seed) for eid in ("Q8_Z", "Q8_Dinf", "Z3_Dinf") for seed in (5, 6)]
+
+
+def _pattern_failure_mid_row(H, report, width, limit):
+    "True when report failed among the bound-4 patterns past limit, not at its row's first item."
+    fs, n = H.mp.window(4), len(H.basis_window(4))
+    return (report.failed and n ** width > limit and report.checked <= n * len(fs) ** (width - 1)
+            and report.witness[-1][1] != fs[0])
+
+
 def test_sweep_matches_object_reference_on_perturbed_cocycles():
     ids = entry_ids()
     failing = 0
@@ -262,6 +275,18 @@ def test_sweep_matches_object_reference_on_perturbed_cocycles():
         assert new == _report_json(verify_hopf_axioms_reference, H, 2), H.name
         failing += any(r["status"] == "fail" for r in new)
     assert failing >= 50
+    mid_row = {"associativity": 0, "bialgebra-compatibility": 0}
+    for eid, seed in BOUND4_CONTEXTS:
+        H = _perturbed_context(eid, seed)
+        reports = verify_hopf_axioms(H, 4)
+        assert ([r.to_json() for r in reports]
+                == _report_json(verify_hopf_axioms_reference, H, 4)), H.name
+        by_check = {r.check: r for r in reports}
+        mid_row["associativity"] += _pattern_failure_mid_row(
+            H, by_check["associativity"], 3, hopf.EXHAUSTIVE_LIMIT)
+        mid_row["bialgebra-compatibility"] += _pattern_failure_mid_row(
+            H, by_check["bialgebra-compatibility"], 2, hopf.PAIR_LIMIT)
+    assert mid_row == {"associativity": 6, "bialgebra-compatibility": 4}
 
 
 def test_sweep_evaluates_each_nonzero_product_once(monkeypatch):
@@ -308,6 +333,12 @@ def test_missing_entry_raises_like_reference(eid):
         assert str(new.value) == str(ref.value), (table, key)
 
 
+def _flipped_tau(g, gp, f):
+    "tau on Z2_Dinf that is -1 at (1, 1; y) and (1, 1; y^-1) and 1 elsewhere."
+    flip = g.is_identity() and gp.is_identity() and str(f) in ("y", "y^-1")
+    return MINUS_ONE if flip else ONE
+
+
 def test_missing_entry_order_on_infinite_f():
     # On Z2_Dinf at word bound 1, tau(1, 1; y) = tau(1, 1; y^-1) = -1 stops the
     # counit and coassociativity sweeps at their first instances, so
@@ -320,8 +351,7 @@ def test_missing_entry_order_on_infinite_f():
     reached = {}  # tau key -> value, in the reference's first-reach order
 
     def logged_tau(g, gp, f):
-        flip = g.is_identity() and gp.is_identity() and str(f) in ("y", "y^-1")
-        return reached.setdefault((g.key, gp.key, f.key), MINUS_ONE if flip else ONE)
+        return reached.setdefault((g.key, gp.key, f.key), _flipped_tau(g, gp, f))
 
     verify_hopf_axioms_reference(HopfAlgebra(CocyclePair(mp, lambda g, f, fp: ONE, logged_tau)),
                                  word_bound=1)
@@ -339,6 +369,81 @@ def test_missing_entry_order_on_infinite_f():
     assert new == [r.to_json() for r in verify_hopf_axioms_reference(H, word_bound=1)]
     assert [(r["check"], r["checked"]) for r in new if r["status"] != PASS] == [
         ("coassociativity", 1), ("counit", 1), ("bialgebra-compatibility", 4)]
+
+
+def _first_reach(cp, run):
+    "The (table, key) -> value of every sigma/tau lookup of run(copy of cp), in first-reach order."
+    reached = {}
+
+    def sigma(g, f, fp):
+        return reached.setdefault(("sigma", (g.key, f.key, fp.key)), cp.sigma(g, f, fp))
+
+    def tau(g, gp, f):
+        return reached.setdefault(("tau", (g.key, gp.key, f.key)), cp.tau(g, gp, f))
+
+    run(CocyclePair(cp.mp, sigma, tau))
+    return reached
+
+
+def assert_adjacent_missing_pairs_raise_alike(cp, new, reference, samples, seed):
+    """Drop two keys that the reference reaches one after the other; both sweeps
+    must raise MissingEntry for the same, earlier, one.
+
+    A lookup moved ahead of its turn is reached before the key the reference
+    reaches just before it, so some such pair separates the two orders; a
+    lookup moved out of an inner loop to the start of its row does so too."""
+    reached = _first_reach(cp, reference)
+    keys = list(reached)
+    starts = random.Random(seed).sample(range(len(keys) - 1), min(samples, len(keys) - 1))
+    for n in sorted(starts):
+        tables = {"sigma": {}, "tau": {}}
+        for (table, key), value in reached.items():
+            if (table, key) not in keys[n:n + 2]:
+                tables[table][key] = value
+        partial = CocyclePair.from_tables(cp.mp, tables["sigma"], tables["tau"],
+                                          sigma_default=None, tau_default=None)
+        with pytest.raises(MissingEntry) as got:
+            new(partial)
+        with pytest.raises(MissingEntry) as ref:
+            reference(partial)
+        assert str(got.value) == str(ref.value), keys[n:n + 2]
+
+
+@pytest.mark.parametrize("eid, bound", [("S3_Z2", 4), ("Z2_Dinf", 1), ("Z3_Dinf", 1),
+                                       ("Z2_Dinf-flipped", 1), ("Z2_Z2_trivial~19", 2),
+                                       ("Z2_Z~30", 2)])
+def test_missing_key_pairs_raise_like_reference(eid, bound):
+    # the flipped tau fails coassociativity, counit and bialgebra-compatibility,
+    # so the later sweeps reach keys that no earlier sweep memoized; on the two
+    # perturbed contexts bialgebra-compatibility fails at an instance whose
+    # later legs still reach new keys
+    if eid.endswith("-flipped"):
+        cp = CocyclePair(get_entry("Z2_Dinf").context().mp, lambda g, f, fp: ONE, _flipped_tau)
+    elif "~" in eid:
+        name, seed = eid.split("~")
+        cp = _perturbed_context(name, int(seed)).cp
+    else:
+        cp = get_entry(eid).context().cp
+    assert_adjacent_missing_pairs_raise_alike(
+        cp, lambda cp: verify_hopf_axioms(HopfAlgebra(cp), bound),
+        lambda cp: verify_hopf_axioms_reference(HopfAlgebra(cp), bound), 40, 19)
+
+
+def test_sweep_matches_object_reference_off_a_matched_pair():
+    # Z3 and Z3 with actions that break the matched-pair laws: g |> t^b = t^-b
+    # for the generator g alone, and g <| t = g^-1 for the generator t alone.
+    # The legs of Delta(p_i) Delta(p_j) then miss terms of Delta(p_i p_j), which
+    # the bialgebra kernel must see as a failure as the reference does.
+    G, F = cyclic_group(3), cyclic_group(3, gen_name="t")
+    g, t = G.parse("g"), F.parse("t")
+    mp = MatchedPair.from_functions(G, F, left=lambda a, f: F.inv(f) if a == g else f,
+                                    right=lambda a, f: G.inv(a) if f == t else a)
+    H = HopfAlgebra(CocyclePair.trivial(mp))
+    new = _report_json(verify_hopf_axioms, H, 4)
+    assert new == _report_json(verify_hopf_axioms_reference, H, 4)
+    assert [(r["check"], r["checked"]) for r in new if r["status"] != PASS] == [
+        ("associativity", 400), ("coassociativity", 2), ("bialgebra-compatibility", 10),
+        ("antipode-convolution", 2)]
 
 
 def test_rational_constants_skip_scalar_products(monkeypatch):

@@ -3,7 +3,8 @@
 import pytest
 
 from pair_reference import verify_cocycles_reference, verify_matched_pair_reference
-from test_hopf import _perturbed_context, _total_cocycles
+from test_hopf import (BOUND4_CONTEXTS, _perturbed_context, _total_cocycles,
+                       assert_adjacent_missing_pairs_raise_alike)
 from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.errors import HopfCqtError, InvalidCocycle, MissingEntry
@@ -35,6 +36,17 @@ def test_cocycle_sweep_matches_object_reference_on_perturbed_cocycles():
         assert new == _json(verify_cocycles_reference(cp, 2)), cp.name
         failing += any(r["status"] == "fail" for r in new)
     assert failing >= 50
+    # at bound 4, sigma-cocycle and compatibility each stop inside a row of their last F id
+    mid_row = {"sigma-cocycle": 0, "compatibility": 0}
+    for eid, seed in BOUND4_CONTEXTS:
+        cp = _perturbed_context(eid, seed).cp
+        reports = cp.verify(4)
+        assert _json(reports) == _json(verify_cocycles_reference(cp, 4)), cp.name
+        first = cp.mp.window(4)[0]
+        for r in reports:
+            if r.check in mid_row:
+                mid_row[r.check] += r.failed and r.witness[-1] != first
+    assert mid_row == {"sigma-cocycle": 6, "compatibility": 6}
 
 
 @pytest.mark.parametrize("table, key", [
@@ -51,6 +63,13 @@ def test_missing_entry_raises_like_reference(table, key):
     with pytest.raises(MissingEntry) as ref:
         verify_cocycles_reference(cp)
     assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("eid, bound", [("Z2_Z3_trivial", 4), ("Z3_Dinf", 1), ("Q8_Dinf", 1)])
+def test_missing_key_pairs_raise_like_reference(eid, bound):
+    assert_adjacent_missing_pairs_raise_alike(
+        get_entry(eid).context().cp, lambda cp: cp.verify(bound),
+        lambda cp: verify_cocycles_reference(cp, bound), 60, 19)
 
 
 def test_zero_rule_value_raises_library_error():

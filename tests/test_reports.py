@@ -1,6 +1,6 @@
 import pytest
 
-from hopfcqt.reports import FAIL, OUT_OF_WINDOW, PASS, ConditionReport, sweep
+from hopfcqt.reports import FAIL, OUT_OF_WINDOW, PASS, ConditionReport, sweep, sweep_rows
 
 
 def test_sweep_pass_counts_every_instance():
@@ -48,6 +48,28 @@ def test_sweep_custom_witness_sees_the_whole_instance():
 def test_sweep_empty_passes():
     r = sweep("c", iter(()), lambda: False)
     assert (r.status, r.checked, r.unevaluated) == (PASS, 0, 0)
+
+
+def test_sweep_rows_reports_like_sweep_on_the_flattened_instances():
+    # rows of unequal length, one of them empty; the kernel sees whole rows
+    rows = [((0,), [0, 1, 2]), ((1,), []), ((2,), [5]), ((3,), [0, 5, 1])]
+    seen = []
+
+    def first_bad(prefix, items):
+        seen.append(prefix)
+        return next((n for n, x in enumerate(items) if x + prefix[0] == 8), None)
+
+    flat = [prefix + (x,) for prefix, items in rows for x in items]
+    ok = lambda p, x: x + p != 8  # noqa: E731
+    for witness in (tuple, lambda inst: ("at",) + inst):
+        got = sweep_rows("c", iter(rows), first_bad, lambda p, x: witness(p + (x,)))
+        assert got.to_json() == sweep("c", flat, ok, witness=witness).to_json()
+    assert got.status == FAIL and got.witness == ("at", 3, 5) and got.checked == 6
+    assert seen[-1] == (3,)  # no row past the failing one
+    r = sweep_rows("c", rows[:3], first_bad, lambda p, x: p + (x,))
+    assert (r.status, r.checked, r.unevaluated, r.witness) == (PASS, 4, 0, None)
+    assert sweep_rows("c", iter(()), first_bad, tuple).to_json() == {
+        "check": "c", "status": PASS, "checked": 0}
 
 
 def test_fail_report_needs_a_witness():

@@ -127,6 +127,14 @@ def test_one_coercion_rule_for_every_entry_point():
             call()
     for v in (True, 3, Fraction(1, 2)):
         assert rational(v) == as_scalar(v) == H.element([("g", "t", v)]).coefficient("g", "t")
+    # both sides of * on an element follow the same rule
+    x = H.basis("g", "t")
+    for v in (2.0, "2", half):
+        for call in (lambda: x * v, lambda: v * x):
+            with pytest.raises(NotAScalar):
+                call()
+    for v in (True, 3, Fraction(1, 2), root_of_unity(4)):
+        assert v * x == x * v == x.scaled(v)
 
 
 def test_deeply_nested_literals():
