@@ -21,7 +21,7 @@ from .grothendieck import (Z2Label, Z2Simples, char_product, commutes, decompose
 from .hopf import (HopfAlgebra, HopfElement, TensorElement, antipode, comultiply,
                    counit, multiply, verify_hopf_axioms)
 from .matched_pair import MatchedPair
-from .reports import ConditionReport, all_passed, first_failure
+from .reports import ConditionReport, all_passed
 from .scalars import (Matrix, ONE, Scalar, ZERO, commutant_dimension,
                       cyclotomic_polynomial, format_scalar, parse_scalar, rational,
                       root_of_unity, solve_linear, sqrt_root_of_unity)

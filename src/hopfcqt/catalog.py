@@ -22,7 +22,7 @@ from .grothendieck import (Z2Simples, character_commutation_sweep,
                            multiset_equal, z2_S_abelian_check)
 from .hopf import HopfAlgebra, verify_hopf_axioms
 from .matched_pair import MatchedPair
-from .reports import FAIL, PASS, ConditionReport, all_passed, sweep
+from .reports import FAIL, PASS, all_passed, sweep, verdict
 from .scalars import MINUS_ONE
 
 
@@ -295,14 +295,12 @@ def _check_dual_orbit(entry, H, bound):
 
 def _check_battery(entry, H, bound):
     reports = necessary_battery(H, bound, quotients=entry.quotient_homs())
-    verdict = ConditionReport(
+    return reports + [verdict(
         "battery-verdict",
-        FAIL if battery_obstructed(reports) else PASS,
-        witness=next(((r.check,) + tuple(r.witness) for r in reports if r.failed), None),
+        next(((r.check,) + tuple(r.witness) for r in reports if r.failed), None),
         detail="some necessary condition fails: no coquasitriangular structure exists"
         if battery_obstructed(reports) else
-        "no applicable necessary condition fails on the window")
-    return reports + [verdict]
+        "no applicable necessary condition fails on the window")]
 
 
 def _check_gr_commutation(entry, H, bound):
@@ -320,9 +318,7 @@ def _check_z2_table(entry, H, bound):
 
 
 def _check_z2_s_abelian(entry, H, bound):
-    ok, wit = z2_S_abelian_check(H.mp, bound)
-    return [ConditionReport("z2-fixed-part-abelian", PASS if ok else FAIL,
-                            witness=wit)]
+    return [verdict("z2-fixed-part-abelian", z2_S_abelian_check(H.mp, bound)[1])]
 
 
 CHECKS = {

@@ -21,7 +21,7 @@ from .cqt import (bicharacter_restriction_check, necessary_battery, structural_z
 from .errors import HopfCqtError
 from .grothendieck import Z2Simples, char_product, commutes, decompose
 from .hopf import antipode, comultiply, verify_hopf_axioms
-from .reports import ConditionReport, FAIL
+from .reports import verdict
 from .scalars import format_scalar
 
 
@@ -177,13 +177,11 @@ def main(argv=None):
 def _dispatch(args):
     cmd = args.command
     if cmd == "list-entries":
-        for eid in catalog.entry_ids():
-            entry = catalog.get_entry(eid)
-            if args.json:
-                continue
-            print("%-18s %s" % (eid, entry.summary))
         if args.json:
             print(json.dumps({"entries": catalog.entry_ids()}, indent=2))
+            return 0
+        for eid in catalog.entry_ids():
+            print("%-18s %s" % (eid, catalog.get_entry(eid).summary))
         return 0
 
     if cmd == "run":
@@ -231,9 +229,8 @@ def _dispatch(args):
         return 0
     if cmd == "orbit-commutes":
         ok, wit = H.mp.orbit_product_commutes(H.F.parse(args.f), H.F.parse(args.f2))
-        rep = ConditionReport("orbit-product-commutation", "pass" if ok else FAIL,
-                              witness=None if ok else (wit,))
-        return _emit_reports(args, [rep])
+        return _emit_reports(args, [verdict("orbit-product-commutation",
+                                            None if ok else (wit,))])
     if cmd == "hopf-verify":
         return _emit_reports(args, verify_hopf_axioms(H, bound))
     if cmd == "hopf-mul":
@@ -294,10 +291,8 @@ def _dispatch(args):
         simples, labels = _parse_labels(H, args.labels)
         if len(labels) != 2:
             raise HopfCqtError("gr-commutes needs exactly two labels")
-        ok, key = commutes(simples.character(labels[0]), simples.character(labels[1]))
-        rep = ConditionReport("character-commutation", "pass" if ok else FAIL,
-                              witness=None if ok else key)
-        return _emit_reports(args, [rep])
+        _, key = commutes(simples.character(labels[0]), simples.character(labels[1]))
+        return _emit_reports(args, [verdict("character-commutation", key)])
     if cmd == "gr-z2-table":
         simples = Z2Simples(H)
         rows = simples.gr_table(min(bound, 2))
@@ -319,7 +314,7 @@ def _dispatch(args):
         R = serialize.rform_from_json(serialize.load_json(args.rform), H)
         violations = structural_zeros(R)
         if not violations:
-            return _emit_reports(args, [ConditionReport("structural-zeros", "pass")])
+            return _emit_reports(args, [verdict("structural-zeros", None)])
         return _emit_reports(args, violations)
     if cmd == "cqt-bicharacter":
         R = serialize.rform_from_json(serialize.load_json(args.rform), H)

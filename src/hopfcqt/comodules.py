@@ -41,7 +41,7 @@ from .errors import (DimensionMismatch, InvalidCocycle, NonAbelianStabilizer,
                      NotARootOfUnity, NotInStabilizer, WrongGroup)
 from .groups import closure
 from .hopf import HopfElement
-from .reports import FAIL, PASS, ConditionReport, sweep
+from .reports import sweep, verdict
 from .scalars import (Matrix, ONE, ZERO, as_scalar, bare, commutant_dimension,
                       root_of_unity)
 
@@ -188,9 +188,7 @@ class Comodule:
         G = C.H.G
         reports = []
         ident_ok = self.matrices[G.one.key] == Matrix.identity(self.dim)
-        reports.append(ConditionReport(
-            "comodule-counit", PASS if ident_ok else FAIL,
-            witness=None if ident_ok else (G.one,), checked=1))
+        reports.append(verdict("comodule-counit", None if ident_ok else (G.one,), checked=1))
         stab, mul = C.stabilizer, C._mul
         M = [self.matrices[g.key] for g in stab]
         reports.append(sweep(
@@ -221,11 +219,6 @@ def _generating_subset(mul, one):
             if len(closure(one, combo, lambda k, g: mul[k][g])) == len(mul):
                 return list(combo)
     raise AssertionError("unreachable")
-
-
-def _product_table(G, elements):
-    "{(a.key, b.key): a b} over a finite subgroup of G."
-    return {(a.key, b.key): G.mul(a, b) for a in elements for b in elements}
 
 
 def _product_positions(G, elements):
@@ -350,9 +343,8 @@ class InducedComodule:
             if g.is_identity():
                 total = total + M
         ok = total == Matrix.identity(self.dim)
-        reports.append(ConditionReport("induced-counit", PASS if ok else FAIL,
-                                       witness=None if ok else ("identity block sum",),
-                                       checked=1))
+        reports.append(verdict("induced-counit", None if ok else ("identity block sum",),
+                               checked=1))
         # quantify over G x U with U the orbit closure of the support's F parts;
         # outside U both sides of the axiom vanish identically
         fparts = {}
@@ -363,7 +355,8 @@ class InducedComodule:
         elems = G.elements()
         views = {(g.key, u.key): _sparse_rows(M, self.dim) for (g, u), M in self.blocks.items()}
         act = {(h.key, u.key): mp.act_left(h, u).key for h in elems for u in U}
-        prod = _product_table(G, elems)
+        at = {g.key: i for i, g in enumerate(elems)}
+        mul = _product_positions(G, elems)
         empty = {}
 
         def instances():
@@ -377,7 +370,7 @@ class InducedComodule:
         def holds(g, fk, h, u, B1):
             lhs = _sparse_mul(B1, views.get((h.key, u.key), empty))
             if fk.key == act[h.key, u.key]:
-                rhs = views.get((prod[g.key, h.key].key, u.key), empty)
+                rhs = views.get((elems[mul[at[g.key]][at[h.key]]].key, u.key), empty)
                 return lhs == _sparse_scale(rhs, cp.tau(g, h, u))
             return not lhs
 

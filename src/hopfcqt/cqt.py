@@ -28,7 +28,7 @@ from .errors import (BadWindow, IrrationalRoots, NonAbelianStabilizer, NotARootO
                      WrongGroup)
 from .hopf import HopfElement
 from .matched_pair import PairTables, check_window
-from .reports import FAIL, PASS, SKIPPED, ConditionReport, sweep
+from .reports import FAIL, SKIPPED, ConditionReport, sweep, verdict
 from .scalars import ONE, ZERO, as_scalar, bare, rational
 
 
@@ -73,9 +73,6 @@ class RForm:
         if v is None:
             raise OutOfWindow("R value outside the declared window")
         return v
-
-    def support(self):
-        return list(self.table.items())
 
     def perturbed(self, key1, key2, value):
         "Copy with one entry replaced; for sensitivity tests."
@@ -613,22 +610,19 @@ def bicharacter_restriction_check(R, word_bound=None):
     S = mp.fixed_points(bound)
 
     central = all(mp.act_right(g, f) == g for g in G.elements() for f in S)
-    reports.append(ConditionReport(
-        "central-on-fixed-part", PASS if central else FAIL,
-        witness=None if central else ("<| not trivial on the fixed part",),
-        checked=len(S) * G.order()))
+    reports.append(verdict("central-on-fixed-part",
+                           None if central else ("<| not trivial on the fixed part",),
+                           checked=len(S) * G.order()))
     if not central:
         return reports
 
     witness = next(((a, b) for a in S for b in S if F.mul(a, b) != F.mul(b, a)), None)
-    reports.append(ConditionReport("fixed-part-abelian", FAIL if witness else PASS,
-                                   witness=witness, checked=len(S) ** 2))
+    reports.append(verdict("fixed-part-abelian", witness, checked=len(S) ** 2))
 
     witness = next(((g, a, b) for g in G.elements() for a in S for b in S
                     if cp.sigma(g, a, b) != cp.sigma(g, b, a)), None)
-    reports.append(ConditionReport("sigma-symmetric-on-fixed-part",
-                                   FAIL if witness else PASS, witness=witness,
-                                   checked=G.order() * len(S) ** 2))
+    reports.append(verdict("sigma-symmetric-on-fixed-part", witness,
+                           checked=G.order() * len(S) ** 2))
 
     if not G.is_abelian():
         reports.append(ConditionReport(
@@ -644,9 +638,8 @@ def bicharacter_restriction_check(R, word_bound=None):
     for f, V, elem in gls:
         per_f[f.key] = per_f.get(f.key, 0) + 1
     full = all(n == G.order() for n in per_f.values()) and len(per_f) == len(S)
-    reports.append(ConditionReport(
-        "grouplike-basis", PASS if full else FAIL,
-        witness=None if full else ("per-base-point group-like counts", per_f),
+    reports.append(verdict(
+        "grouplike-basis", None if full else ("per-base-point group-like counts", per_f),
         detail="the fixed-part subalgebra is spanned by group-likes iff each "
                "base point carries |G| of them",
         checked=len(gls)))
@@ -847,24 +840,21 @@ def z2_shape_classify(R, qbound=None):
          or (b[3] == a[3] and not fixed(a[3]) and not fixed(b[1]))), None)
 
     if shape1:
-        verdict = "shape(1)"
+        shape = "shape(1)"
     elif shape2 and zero_product_witness is None:
-        verdict = "shape(2)"
+        shape = "shape(2)"
     else:
-        verdict = "nonconforming"
+        shape = "nonconforming"
     reports = [
-        ConditionReport("z2-shape-1", PASS if shape1 else FAIL,
-                        witness=shape1_witness, checked=len(R.table),
-                        detail="support confined to the (p_1, p_1) block"),
-        ConditionReport("z2-shape-2", PASS if shape2 else FAIL,
-                        witness=shape2_witness, checked=len(R.table),
-                        detail="support follows the four fixed/moved membership patterns"),
-        ConditionReport("z2-zero-products", FAIL if zero_product_witness else PASS,
-                        witness=zero_product_witness, checked=len(R.table) ** 2,
-                        detail="forced vanishing of (p_1,p_1) x (p_g,p_g) support pairs"),
+        verdict("z2-shape-1", shape1_witness, checked=len(R.table),
+                detail="support confined to the (p_1, p_1) block"),
+        verdict("z2-shape-2", shape2_witness, checked=len(R.table),
+                detail="support follows the four fixed/moved membership patterns"),
+        verdict("z2-zero-products", zero_product_witness, checked=len(R.table) ** 2,
+                detail="forced vanishing of (p_1,p_1) x (p_g,p_g) support pairs"),
         z2_remark_diagnostics(R, qbound),
     ]
-    return {"verdict": verdict, "shape1": shape1, "shape2": shape2, "reports": reports}
+    return {"verdict": shape, "shape1": shape1, "shape2": shape2, "reports": reports}
 
 
 # -- constrained enumeration -----------------------------------------------------

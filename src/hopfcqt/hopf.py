@@ -98,10 +98,6 @@ class HopfAlgebra:
         "The StructureConstants that every verify_R on this context shares, built on first use."
         return StructureConstants(self)
 
-    def dimension(self):
-        n = self.F.order()
-        return None if n is None else n * self.G.order()
-
     def __repr__(self):
         return "HopfAlgebra(%s)" % (self.name or "?")
 
@@ -128,9 +124,6 @@ class _Combination:
     def __init__(self, context, terms):
         self.context = context
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def support(self):
-        return list(self.terms.keys())
 
     def is_zero(self):
         return not self.terms
@@ -322,9 +315,7 @@ class StructureConstants:
 
     A memoized constant is bare (scalars.bare): an int or Fraction when it is
     rational, as nearly every catalog value is, else a Scalar.  Most are +-1,
-    and an int product is several times cheaper than a Scalar one.  Elements are
-    {index: value} dicts and tensors {(index, index): value} dicts, neither
-    holding a zero value.
+    and an int product is several times cheaper than a Scalar one.
     """
 
     def __init__(self, H):
@@ -382,37 +373,6 @@ class StructureConstants:
             hit = self._antipodes[i] = (self.index(key), bare(c))
         return hit
 
-    def mul(self, a, b):
-        acc = {}
-        for i, c in a.items():
-            for j, d in b.items():
-                hit = self.product(i, j)
-                if hit:
-                    k, s = hit
-                    acc[k] = acc.get(k, 0) + c * d * s
-        return _nonzero(acc)
-
-    def antipode_leg(self, delta, leg):
-        "S applied to leg 0 or leg 1 of a coproduct given as a list of (j1, j2, c)."
-        acc = {}
-        for j1, j2, c in delta:
-            if leg == 0:
-                j1, s = self.antipode(j1)
-            else:
-                j2, s = self.antipode(j2)
-            acc[(j1, j2)] = acc.get((j1, j2), 0) + c * s
-        return _nonzero(acc)
-
-    def multiply_legs(self, x):
-        "The multiplication H (x) H -> H."
-        acc = {}
-        for (k1, k2), c in x.items():
-            hit = self.product(k1, k2)
-            if hit:
-                k, s = hit
-                acc[k] = acc.get(k, 0) + c * s
-        return _nonzero(acc)
-
 
 def _nonzero(acc):
     return {k: v for k, v in acc.items() if v}
@@ -452,8 +412,7 @@ def verify_hopf_axioms(H, word_bound=4):
         reports.append(sweep(check, instances, ok, witness=witness))
 
     def report_rows(check, rows, first_bad):
-        reports.append(sweep_rows(check, rows, first_bad,
-                                  witness=lambda prefix, i: witness(prefix + (i,))))
+        reports.append(sweep_rows(check, rows, first_bad, witness))
 
     def sampled(width):
         # one-item rows drawn lazily in instance order, so a failure among the
@@ -496,11 +455,23 @@ def verify_hopf_axioms(H, word_bound=4):
                                sampled(3))
     report_rows("associativity", rows, assoc_first_bad)
 
+    def combine(terms):
+        "sum of c p_j p_k over (j, k, c) terms, as {index: nonzero value}"
+        acc = {}
+        for j, k, c in terms:
+            hit = product(j, k)
+            if hit:
+                m, s = hit
+                acc[m] = acc.get(m, 0) + c * s
+        return _nonzero(acc)
+
     one = {sc.index((g, H.F.one)): 1 for g in H.G.elements()}
 
     def unit_ok(i):
+        # the object path's order: 1 p_i unit by unit, then p_i 1 only if that holds
         a = {i: 1}
-        return sc.mul(one, a) == a and sc.mul(a, one) == a
+        return (combine((u, i, 1) for u in one) == a
+                and combine((i, u, 1) for u in one) == a)
 
     report("unit", ((i,) for i in ids), unit_ok)
 
@@ -584,12 +555,19 @@ def verify_hopf_axioms(H, word_bound=4):
     report_rows("bialgebra-compatibility", rows, bialg_first_bad)
 
     # antipode convolution identities: m(S (x) id)Delta = unit . eps = m(id (x) S)Delta
+    # both sides are computed before either is compared; each side's S-terms are
+    # summed in coproduct order, then multiplied in that order
     def antipode_ok(i):
         target = one if gkey[i] == one_g else {}
-        delta = coproduct(i)
-        left = sc.multiply_legs(sc.antipode_leg(delta, 0))
-        right = sc.multiply_legs(sc.antipode_leg(delta, 1))
-        return left == target and right == target
+        sides = []
+        for leg in (0, 1):
+            acc = {}
+            for j1, j2, c in coproduct(i):
+                j, s = sc.antipode((j1, j2)[leg])
+                kk = (j, j2) if leg == 0 else (j1, j)
+                acc[kk] = acc.get(kk, 0) + c * s
+            sides.append(combine((j1, j2, c) for (j1, j2), c in acc.items() if c))
+        return sides[0] == target and sides[1] == target
 
     report("antipode-convolution", ((i,) for i in ids), antipode_ok)
     return reports

@@ -470,7 +470,7 @@ class PairTables:
         ids, witness = self._quantifiers(kinds)
         last = ids.pop()
         return sweep_rows(check, ((prefix, last) for prefix in product(*ids)), first_bad,
-                          witness=lambda prefix, i: witness(prefix + (i,)))
+                          witness)
 
     def _quantifiers(self, kinds):
         "The window id range of each letter of kinds, and the witness of an id instance."

@@ -34,8 +34,14 @@ sigma-cocycle and compatibility sweeps of CocyclePair.verify.
 * `first_bad(prefix, items)` evaluates the whole row in one loop and
   returns the position of the first failing item, or None.
 * The first failure ends the sweep with a FAIL report whose witness is
-  `witness(prefix, item)`; `checked` counts every item up to and including
-  the failing one, exactly as `sweep` would on the flattened instances.
+  `witness(prefix + (item,))`, the flattened instance, so one witness
+  function serves both engines; `checked` counts every item up to and
+  including the failing one, exactly as `sweep` would on the flattened
+  instances.
+
+A check decided by one search rather than a sweep reports through
+`verdict(check, witness, checked=0, detail=None)`: FAIL carrying the witness,
+or PASS when the witness is None.
 """
 
 PASS = "pass"
@@ -95,12 +101,12 @@ def sweep(check, instances, ok, witness=tuple):
     "One quantified check over lazily generated instances; see the module docstring."
     checked = unevaluated = 0
     for inst in instances:
-        verdict = ok(*inst)
-        if verdict is None:
+        holds = ok(*inst)
+        if holds is None:
             unevaluated += 1
             continue
         checked += 1
-        if not verdict:
+        if not holds:
             return _report(check, checked, unevaluated, True, witness(inst))
     return _report(check, checked, unevaluated)
 
@@ -111,9 +117,16 @@ def sweep_rows(check, rows, first_bad, witness):
     for prefix, items in rows:
         bad = first_bad(prefix, items)
         if bad is not None:
-            return _report(check, checked + bad + 1, 0, True, witness(prefix, items[bad]))
+            return _report(check, checked + bad + 1, 0, True, witness(prefix + (items[bad],)))
         checked += len(items)
     return _report(check, checked, 0)
+
+
+def verdict(check, witness, checked=0, detail=None):
+    "The report of a check decided by one witness search: FAIL with the witness, PASS on None."
+    if witness is None:
+        return ConditionReport(check, PASS, detail=detail, checked=checked)
+    return ConditionReport(check, FAIL, witness=witness, detail=detail, checked=checked)
 
 
 def _report(check, checked, unevaluated, failed=False, witness=None):
@@ -128,10 +141,3 @@ def _report(check, checked, unevaluated, failed=False, witness=None):
 def all_passed(reports):
     "True when no report failed (skipped and out-of-window do not count as failures)."
     return not any(r.failed for r in reports)
-
-
-def first_failure(reports):
-    for r in reports:
-        if r.failed:
-            return r
-    return None

@@ -385,6 +385,16 @@ def _first_reach(cp, run):
     return reached
 
 
+def _without(cp, reached, dropped):
+    "A CocyclePair over cp.mp holding the (table, key) -> value entries of reached but dropped."
+    tables = {"sigma": {}, "tau": {}}
+    for (table, key), value in reached.items():
+        if (table, key) not in dropped:
+            tables[table][key] = value
+    return CocyclePair.from_tables(cp.mp, tables["sigma"], tables["tau"],
+                                   sigma_default=None, tau_default=None)
+
+
 def assert_adjacent_missing_pairs_raise_alike(cp, new, reference, samples, seed):
     """Drop two keys that the reference reaches one after the other; both sweeps
     must raise MissingEntry for the same, earlier, one.
@@ -396,12 +406,7 @@ def assert_adjacent_missing_pairs_raise_alike(cp, new, reference, samples, seed)
     keys = list(reached)
     starts = random.Random(seed).sample(range(len(keys) - 1), min(samples, len(keys) - 1))
     for n in sorted(starts):
-        tables = {"sigma": {}, "tau": {}}
-        for (table, key), value in reached.items():
-            if (table, key) not in keys[n:n + 2]:
-                tables[table][key] = value
-        partial = CocyclePair.from_tables(cp.mp, tables["sigma"], tables["tau"],
-                                          sigma_default=None, tau_default=None)
+        partial = _without(cp, reached, keys[n:n + 2])
         with pytest.raises(MissingEntry) as got:
             new(partial)
         with pytest.raises(MissingEntry) as ref:
@@ -427,6 +432,22 @@ def test_missing_key_pairs_raise_like_reference(eid, bound):
     assert_adjacent_missing_pairs_raise_alike(
         cp, lambda cp: verify_hopf_axioms(HopfAlgebra(cp), bound),
         lambda cp: verify_hopf_axioms_reference(HopfAlgebra(cp), bound), 40, 19)
+
+
+def test_antipode_sweep_computes_both_sides_before_comparing():
+    # on this perturbed S3_Z2 antipode-convolution fails on the left side of an
+    # instance whose right side makes the reference's last lookup; with that
+    # key missing, both sweeps must raise for it rather than report the failure
+    cp = _perturbed_context("S3_Z2", 37).cp
+    reached = _first_reach(cp, lambda cp: verify_hopf_axioms_reference(HopfAlgebra(cp), 2))
+    partial = _without(cp, reached, list(reached)[-1:])
+    with pytest.raises(MissingEntry) as new:
+        verify_hopf_axioms(HopfAlgebra(partial), 2)
+    with pytest.raises(MissingEntry) as ref:
+        verify_hopf_axioms_reference(HopfAlgebra(partial), 2)
+    assert str(new.value) == str(ref.value)
+    antipode_report = verify_hopf_axioms(HopfAlgebra(cp), 2)[-1]
+    assert antipode_report.failed and antipode_report.checked == 3
 
 
 def test_sweep_matches_object_reference_off_a_matched_pair():

@@ -1,6 +1,7 @@
 import pytest
 
-from hopfcqt.reports import FAIL, OUT_OF_WINDOW, PASS, ConditionReport, sweep, sweep_rows
+from hopfcqt.reports import (FAIL, OUT_OF_WINDOW, PASS, ConditionReport, sweep, sweep_rows,
+                             verdict)
 
 
 def test_sweep_pass_counts_every_instance():
@@ -62,11 +63,11 @@ def test_sweep_rows_reports_like_sweep_on_the_flattened_instances():
     flat = [prefix + (x,) for prefix, items in rows for x in items]
     ok = lambda p, x: x + p != 8  # noqa: E731
     for witness in (tuple, lambda inst: ("at",) + inst):
-        got = sweep_rows("c", iter(rows), first_bad, lambda p, x: witness(p + (x,)))
+        got = sweep_rows("c", iter(rows), first_bad, witness)
         assert got.to_json() == sweep("c", flat, ok, witness=witness).to_json()
     assert got.status == FAIL and got.witness == ("at", 3, 5) and got.checked == 6
     assert seen[-1] == (3,)  # no row past the failing one
-    r = sweep_rows("c", rows[:3], first_bad, lambda p, x: p + (x,))
+    r = sweep_rows("c", rows[:3], first_bad, tuple)
     assert (r.status, r.checked, r.unevaluated, r.witness) == (PASS, 4, 0, None)
     assert sweep_rows("c", iter(()), first_bad, tuple).to_json() == {
         "check": "c", "status": PASS, "checked": 0}
@@ -75,5 +76,14 @@ def test_sweep_rows_reports_like_sweep_on_the_flattened_instances():
 def test_fail_report_needs_a_witness():
     with pytest.raises(ValueError):
         ConditionReport("c", FAIL)
+    # verdict decides the status from the witness alone
+    r = verdict("c", None)
+    assert (r.status, r.witness, r.checked, r.detail) == (PASS, None, 0, None)
+    assert verdict("c", None, checked=3, detail="why").to_json() == {
+        "check": "c", "status": PASS, "checked": 3, "detail": "why"}
+    r = verdict("c", ("at", 2), checked=5, detail="why")
+    assert (r.status, r.witness) == (FAIL, ("at", 2))
+    assert r.to_json() == {"check": "c", "status": FAIL, "checked": 5,
+                           "witness": ["at", "2"], "detail": "why"}
     with pytest.raises(TypeError):
         ConditionReport("c", PASS, note="gone")

@@ -200,6 +200,11 @@ def test_cli_necessary_and_zeros(tmp_path, capsys):
                      "--rform", str(tmp_path / "bad.json")]) == 1
     out = capsys.readouterr().out
     assert "structural-zero" in out
+    serialize.save_json(serialize.rform_to_json(eps_tensor_eps(H, 2)), tmp_path / "good.json")
+    assert cli.main(["--json", "cqt-zeros", "--input", str(tmp_path / "ctx.json"),
+                     "--rform", str(tmp_path / "good.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"] == [
+        {"check": "structural-zeros", "checked": 0, "status": "pass"}]
 
 
 def test_cli_json_output(capsys):
