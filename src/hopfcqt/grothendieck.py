@@ -220,9 +220,7 @@ class Z2Simples:
             if sign == -ONE:
                 eps = -eps
             return [self.label("U" if eps == 1 else "V", f3)]
-        if uv1 and not uv2:
-            return [self.label("W", F.mul(f1, f2))]
-        if not uv1 and uv2:
+        if uv1 != uv2:
             return [self.label("W", F.mul(f1, f2))]
         out = []
         for part in (F.mul(f1, f2), F.mul(f1, H.mp.act_left(g, f2))):

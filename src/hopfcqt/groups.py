@@ -119,7 +119,17 @@ class Group:
         return a
 
     # family-specific: one, mul, inv, generators, letters, letter_decomposition,
-    # element_length, elements_up_to_length, is_abelian, parse, format, descriptor
+    # element_length, elements_up_to_length, is_abelian, parse, format
+
+    # a family without parameters (Z, Dinf) is one group; the others override these
+    def descriptor(self):
+        return {"family": self.family}
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Group) and other.family == self.family)
+
+    def __hash__(self):
+        return hash(self.family)
 
     @property
     def is_finite(self):
@@ -435,15 +445,6 @@ class IntegerGroup(Group):
     def format(self, a):
         return str(self._member(a).key)
 
-    def descriptor(self):
-        return {"family": "Z"}
-
-    def __eq__(self, other):
-        return self is other or isinstance(other, IntegerGroup)
-
-    def __hash__(self):
-        return hash("Z")
-
     def __repr__(self):
         return "IntegerGroup(Z)"
 
@@ -523,15 +524,6 @@ class InfiniteDihedralGroup(Group):
         if e:
             parts.append("x")
         return "*".join(parts) if parts else "1"
-
-    def descriptor(self):
-        return {"family": "Dinf"}
-
-    def __eq__(self, other):
-        return self is other or isinstance(other, InfiniteDihedralGroup)
-
-    def __hash__(self):
-        return hash("Dinf")
 
     def __repr__(self):
         return "InfiniteDihedralGroup()"
@@ -679,6 +671,18 @@ def group_from_descriptor(desc):
     return G
 
 
+def json_int(value, location):
+    "A JSON integer that is not a bool, or a string holding one; else SchemaError."
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SchemaError("expected an integer, got %r" % (value,), location)
+
+
 def _at_most_max_order(n):
     if n > MAX_DESCRIPTOR_ORDER:
         raise InvalidGroup("order %d is above the descriptor limit %d"
@@ -688,7 +692,7 @@ def _at_most_max_order(n):
 
 def _group_from_family(fam, desc):
     if fam == "Zn":
-        n = _at_most_max_order(int(desc["n"]))
+        n = _at_most_max_order(json_int(desc["n"], "group.n"))
         if n < 1:
             raise InvalidGroup("n must be >= 1, got %d" % n)
         return cyclic_group(n, gen_name=desc.get("gen", "g"))

@@ -12,6 +12,9 @@ one action table (g.key, f.key) -> (g <| f, g |> f): for finite F it is filled
 in full at construction, for infinite F each entry is folded once, on its
 first use.  Orbits O_f = {g |> f}, stabilizers G_f, transversals T_f (1 in
 T_f) and dual orbits O'_g = {g <| f} feed the comodule machinery.
+Orbit and dual-orbit products are compared by one rule (_product_sets_commute):
+A B = B A as sets, else the witness is the first product a b in a-major order
+missing from B A, or else the first product b a (b-major) missing from A B.
 
 `verify` and `CocyclePair.verify` sweep int ids over one PairTables per call:
 nested lists indexed by id, each entry filled on its first lookup through the
@@ -97,6 +100,19 @@ class OrbitData:
     def factorize(self, x):
         "x = g_x z_x with g_x in the stabilizer and z_x in the transversal."
         return self._factor[x.key]
+
+
+def _product_sets_commute(X, A, B):
+    "(True, None) when A B = B A as sets in the group X, else (False, witness); see above."
+    AB, BA = {}, {}
+    for S, T, out in ((A, B, AB), (B, A, BA)):
+        for s in S:
+            for t in T:
+                prod = X.mul(s, t)
+                out.setdefault(prod.key, prod)
+    if AB.keys() == BA.keys():
+        return True, None
+    return False, next(v for P, Q in ((AB, BA), (BA, AB)) for k, v in P.items() if k not in Q)
 
 
 class MatchedPair:
@@ -290,38 +306,12 @@ class MatchedPair:
         return list(self._dual_cache[g.key])
 
     def orbit_product_commutes(self, f, fp):
-        "Set equality of O_f O_f' and O_f' O_f; witness from the symmetric difference."
-        F = self.F
-        P = {}
-        for a in self.orbit(f):
-            for b in self.orbit(fp):
-                ab = F.mul(a, b)
-                P.setdefault(ab.key, ab)
-        Q = {}
-        for b in self.orbit(fp):
-            for a in self.orbit(f):
-                ba = F.mul(b, a)
-                Q.setdefault(ba.key, ba)
-        if set(P) == set(Q):
-            return True, None
-        for k, v in P.items():
-            if k not in Q:
-                return False, v
-        for k, v in Q.items():
-            if k not in P:
-                return False, v
-        raise AssertionError("unreachable")
+        "Set equality of O_f O_f' and O_f' O_f in F; witness as in _product_sets_commute."
+        return _product_sets_commute(self.F, self.orbit(f), self.orbit(fp))
 
     def dual_orbit_product_commutes(self, g, gp):
-        "Set equality of O'_g O'_g' and O'_g' O'_g in G."
-        G = self.G
-        P = {G.mul(a, b).key for a in self.dual_orbit(g) for b in self.dual_orbit(gp)}
-        Q = {G.mul(b, a).key for a in self.dual_orbit(g) for b in self.dual_orbit(gp)}
-        if P == Q:
-            return True, None
-        diff = (P - Q) or (Q - P)
-        key = sorted(diff, key=repr)[0]
-        return False, G._element(key)
+        "Set equality of O'_g O'_g' and O'_g' O'_g in G; witness as in _product_sets_commute."
+        return _product_sets_commute(self.G, self.dual_orbit(g), self.dual_orbit(gp))
 
     # -- hypothesis probes (bounded for infinite F) ------------------------------
 

@@ -15,7 +15,7 @@ from .cocycles import CocyclePair
 from .comodules import Comodule, TwistedCoalgebra
 from .cqt import RForm
 from .errors import SchemaError
-from .groups import group_from_descriptor
+from .groups import group_from_descriptor, json_int
 from .hopf import HopfAlgebra
 from .matched_pair import MatchedPair
 from .scalars import ONE, format_scalar, parse_scalar
@@ -55,16 +55,6 @@ def _literal(value, location):
 def _element(group, obj, field, location):
     "The element literal obj[field], parsed by group."
     return group.parse(_literal(_require(obj, field, location), location))
-
-
-def _int(value, location):
-    "A JSON integer, or a string holding one."
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    try:
-        return int(_literal(value, location))
-    except ValueError:
-        raise SchemaError("expected an integer, got %r" % (value,), location)
 
 
 # -- contexts -------------------------------------------------------------------
@@ -197,7 +187,7 @@ def rform_from_json(obj, H):
         raise SchemaError("R-form must be a JSON object")
     window = None
     if obj.get("window") is not None:
-        window = _int(_require(obj["window"], "maxlen", "window"), "window.maxlen")
+        window = json_int(_require(obj["window"], "maxlen", "window"), "window.maxlen")
     items = _require(obj, "entries", "rform")
     if not isinstance(items, list):
         raise SchemaError("entries must be a JSON list", "rform")
@@ -235,7 +225,7 @@ def comodule_from_json(obj, H):
     if not isinstance(obj, dict):
         raise SchemaError("comodule must be a JSON object")
     f = _element(H.F, obj, "f", "comodule")
-    dim = _int(_require(obj, "dim", "comodule"), "comodule.dim")
+    dim = json_int(_require(obj, "dim", "comodule"), "comodule.dim")
     if not 1 <= dim <= MAX_COMODULE_DIM:
         # Comodule allocates a dim x dim block per stabilizer element before any check
         raise SchemaError("dim must be between 1 and %d, got %d" % (MAX_COMODULE_DIM, dim),
@@ -244,7 +234,7 @@ def comodule_from_json(obj, H):
     coeffs = {}
     for key, val in _object(_require(obj, "a", "comodule"), "comodule.a").items():
         l, i, g = _split_key(key, 3, "comodule.a")
-        l, i = _int(l, "comodule.a"), _int(i, "comodule.a")
+        l, i = json_int(l, "comodule.a"), json_int(i, "comodule.a")
         if not (1 <= l <= dim and 1 <= i <= dim):
             raise SchemaError("index in key %r outside 1..%d" % (key, dim), "comodule.a")
         coeffs[(l, i, H.G.parse(g))] = parse_scalar(val)
@@ -276,36 +266,18 @@ def load_context(path):
 
 
 def contexts_equal(H1, H2, word_bound=4):
-    "Structural equality of two contexts on a verification window."
+    """Structural equality of two contexts on a verification window: equal G
+    and F, and equal |>, <|, tau and sigma at every point of the window."""
     if H1.G != H2.G or H1.F != H2.F:
         return False
-    G1 = H1.G
-    fs = H1.mp.window(word_bound)
-    fs2 = {f.key for f in H2.mp.window(word_bound)}
-    if {f.key for f in fs} != fs2:
-        return False
-    for g in G1.elements():
-        g2 = H2.G._element(g.key)
-        for f in fs:
-            f2 = H2.F._element(f.key)
-            if H1.mp.act_left(g, f).key != H2.mp.act_left(g2, f2).key:
+    points = {"G": H1.G.elements(), "F": H1.mp.window(word_bound)}
+    groups = {"G": H2.G, "F": H2.F}
+    for kinds, value1, value2 in (("GF", H1.mp.act_left, H2.mp.act_left),
+                                  ("GF", H1.mp.act_right, H2.mp.act_right),
+                                  ("GGF", H1.cp.tau, H2.cp.tau),
+                                  ("GFF", H1.cp.sigma, H2.cp.sigma)):
+        for args in itertools.product(*(points[k] for k in kinds)):
+            if value1(*args) != value2(*(groups[k]._element(a.key)
+                                         for k, a in zip(kinds, args))):
                 return False
-            if H1.mp.act_right(g, f).key != H2.mp.act_right(g2, f2).key:
-                return False
-    for g in G1.elements():
-        g2 = H2.G._element(g.key)
-        for gp in G1.elements():
-            gp2 = H2.G._element(gp.key)
-            for f in fs:
-                f2 = H2.F._element(f.key)
-                if H1.cp.tau(g, gp, f) != H2.cp.tau(g2, gp2, f2):
-                    return False
-    for g in G1.elements():
-        g2 = H2.G._element(g.key)
-        for f in fs:
-            f2 = H2.F._element(f.key)
-            for fp in fs:
-                fp2 = H2.F._element(fp.key)
-                if H1.cp.sigma(g, f, fp) != H2.cp.sigma(g2, f2, fp2):
-                    return False
     return True

@@ -6,7 +6,8 @@ on every catalog entry, on a context whose sigma is not symmetric (the only
 one here that fails sigma-symmetry-on-central-abelian), on a context whose
 |> leaves every word-length window, and on the S4 context of the known
 false obstruction; and both must raise the same error on a non-coassociative
-or non-counital tau and on a character read outside its stabilizer.
+or non-counital tau and on a character read outside its stabilizer.  The
+dual-orbit check's witness on A4 x Z2 is recomputed from its definition.
 """
 
 import itertools
@@ -19,7 +20,8 @@ from test_length_changing_action import _z2_flip_dinf
 from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.comodules import Comodule, TwistedCoalgebra
-from hopfcqt.cqt import battery_obstructed, eps_tensor_eps, necessary_battery, verify_R
+from hopfcqt.cqt import (battery_obstructed, check_dual_orbit_commutation, eps_tensor_eps,
+                         necessary_battery, verify_R)
 from hopfcqt.errors import InvalidCocycle, NotInStabilizer
 from hopfcqt.groups import cyclic_group, finite_group_from_elements, klein_four_group
 from hopfcqt.hopf import HopfAlgebra
@@ -117,6 +119,30 @@ def test_s4_counterexample_has_a_form_and_matches_reference():
     assert all_passed(verify_R(eps_tensor_eps(H), levels=(0, 1, 2, 3, 4, "inv")))
     by = _assert_same_battery(H)
     assert by["dual-orbit-product-commutation"]["status"] == "fail"
+
+
+def test_dual_orbit_witness_is_the_first_missing_product():
+    # G = A4 and F = {1, (1 3)}.  The witness rule of the orbit check: the first
+    # product a b of O'_g O'_g' (a-major order) missing from O'_g' O'_g, or else
+    # the first b a missing from O'_g O'_g'
+    a4 = [p for p in sorted(itertools.permutations(range(4)))
+          if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
+    H = _s4_pair(a4, [(0, 1, 2, 3), (2, 1, 0, 3)], "A4_Z2")
+    mp, G, F = H.mp, H.G, H.F
+    report = check_dual_orbit_commutation(mp)
+    assert (report.status, [G.format(x) for x in report.witness]) == ("fail", ["g1", "g2", "g7"])
+
+    def dual_orbit(g):  # {g <| f : f in F}, in the order of F = {1, t}
+        return list(dict.fromkeys(mp.act_right(g, f) for f in F.elements()))
+
+    def first_missing(A, B):
+        ba = {G.mul(b, a) for a in A for b in B}
+        return next((G.mul(a, b) for a in A for b in B if G.mul(a, b) not in ba), None)
+
+    witnesses = ((g, gp, first_missing(dual_orbit(g), dual_orbit(gp))
+                  or first_missing(dual_orbit(gp), dual_orbit(g)))
+                 for g, gp in itertools.product(G.elements(), repeat=2))
+    assert next(w for w in witnesses if w[2] is not None) == tuple(report.witness)
 
 
 @pytest.mark.xfail(strict=True, reason="dual-orbit-product-commutation is a module-side "

@@ -5,9 +5,10 @@ import pytest
 
 from hopfcqt.catalog import CHECKS, entry_ids, get_entry, run_entry
 from hopfcqt.errors import UnknownEntry
-from hopfcqt.serialize import bundle_to_json
+from hopfcqt.serialize import bundle_to_json, context_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
+CONTEXTS = GOLDEN / "contexts.json"
 
 
 def test_entry_listing():
@@ -47,3 +48,22 @@ def test_checks_registry_is_complete():
     for eid in entry_ids():
         used |= set(get_entry(eid).expected)
     assert used <= set(CHECKS)
+
+
+def contexts_snapshot():
+    "context_to_json of every entry's context at its default window, as one document."
+    return json.dumps({eid: context_to_json(get_entry(eid).context(),
+                                            get_entry(eid).default_bound)
+                       for eid in entry_ids()}, indent=2, sort_keys=True) + "\n"
+
+
+def test_catalog_contexts_match_golden():
+    # the groups, generator actions and cocycle tables of every entry; with
+    # test_action_table_matches_word_folding this pins each action on the window.
+    # Regenerate with `PYTHONPATH=src:tests python tests/test_catalog.py` only
+    # for a change that is meant to alter a catalog context.
+    assert contexts_snapshot() == CONTEXTS.read_text()
+
+
+if __name__ == "__main__":
+    CONTEXTS.write_text(contexts_snapshot())

@@ -10,8 +10,9 @@ from hopfcqt.cocycles import CocyclePair
 from hopfcqt.comodules import TwistedCoalgebra, enumerate_onedim
 from hopfcqt.cqt import RForm, eps_tensor_eps
 from hopfcqt.errors import SchemaError
+from hopfcqt.groups import cyclic_group, group_from_descriptor
 from hopfcqt.hopf import HopfAlgebra
-from hopfcqt.matched_pair import MAX_WINDOW
+from hopfcqt.matched_pair import MAX_WINDOW, MatchedPair
 from hopfcqt.scalars import MINUS_ONE, ONE, rational
 
 
@@ -43,6 +44,61 @@ def test_context_round_trip_nontrivial_tau(tmp_path):
     g = H2.G.parse("g")
     t = H2.F.parse("t")
     assert H2.cp.tau(g, g, t) == rational(-1)
+
+
+def _changed(fn, point, value):
+    "fn with its value at the argument tuple point replaced by value."
+    return lambda *args: value if args == point else fn(*args)
+
+
+def test_contexts_equal_sees_one_changed_value():
+    # S3_Z2 with exactly one of |>, <|, tau, sigma changed at one window point;
+    # F is finite, so the tabulated actions keep the change off the letters
+    H = get_entry("S3_Z2").context()
+    mp, G, F = H.mp, H.G, H.F
+    g, f = G.parse("g"), F.parse("(1 3)")
+    one = lambda *args: ONE
+
+    def rebuild(left=mp.act_left, right=mp.act_right, sigma=one, tau=one):
+        mp2 = MatchedPair.from_functions(G, F, left=left, right=right)
+        return HopfAlgebra(CocyclePair.from_functions(mp2, sigma, tau))
+
+    assert serialize.contexts_equal(H, rebuild())
+    changes = {"|>": rebuild(left=_changed(mp.act_left, (g, f), F.parse("(1 2 3)"))),
+               "<|": rebuild(right=_changed(mp.act_right, (g, f), G.one)),
+               "tau": rebuild(tau=_changed(one, (g, g, f), MINUS_ONE)),
+               "sigma": rebuild(sigma=_changed(one, (g, f, f), MINUS_ONE))}
+    for what, H2 in changes.items():
+        assert not serialize.contexts_equal(H, H2), what
+        assert not serialize.contexts_equal(H2, H), what
+
+
+def test_contexts_equal_sees_other_groups_and_the_window():
+    trivial = {eid: get_entry(eid).context() for eid in ("Z2_Z2_trivial", "Z2_Z3_trivial",
+                                                         "Z3_Z2_trivial")}
+    assert not serialize.contexts_equal(trivial["Z2_Z2_trivial"], trivial["Z2_Z3_trivial"])
+    assert not serialize.contexts_equal(trivial["Z2_Z2_trivial"], trivial["Z3_Z2_trivial"])
+    # sigma changed at (g, 2, 2) only: word length 2 is outside window 1, inside window 2
+    H = get_entry("Z2_Z").context()
+    g, two = H.G.parse("g"), H.F.parse("2")
+    H2 = _rule_based("Z2_Z", _changed(lambda *args: ONE, (g, two, two), MINUS_ONE),
+                     lambda a, b, f: ONE)
+    assert serialize.contexts_equal(H, H2, word_bound=1)
+    assert not serialize.contexts_equal(H, H2, word_bound=2)
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, True], ids=["2.7", "2.0", "true"])
+def test_non_integer_group_order_is_a_schema_error(tmp_path, capsys, n):
+    with pytest.raises(SchemaError, match="expected an integer"):
+        group_from_descriptor({"family": "Zn", "n": n})
+    obj = serialize.context_to_json(get_entry("Z2_Z2_trivial").context())
+    obj["G"]["n"] = n
+    path = tmp_path / "ctx.json"
+    serialize.save_json(obj, path)
+    assert cli.main(["verify-mp", "--input", str(path)]) == 2
+    assert "expected an integer" in capsys.readouterr().err
+    # a string holding an integer stays accepted, as for every integer field
+    assert group_from_descriptor({"family": "Zn", "n": "2"}) == cyclic_group(2)
 
 
 def _rule_based(eid, sigma, tau):
