@@ -707,10 +707,12 @@ def _group_from_family(fam, desc):
     if fam == "Dinf":
         return InfiniteDihedralGroup()
     if fam == "perm":
-        return permutation_group(desc["generators"], name=desc.get("name", "perm"))
+        gens = [[json_int(i, "group.generators") for i in p] for p in desc["generators"]]
+        return permutation_group(gens, name=desc.get("name", "perm"))
     if fam == "finite":
         _at_most_max_order(len(desc["names"]))
-        return FiniteGroup(desc.get("name", "finite"), desc["names"], desc["table"],
+        table = [[json_int(k, "group.table") for k in row] for row in desc["table"]]
+        return FiniteGroup(desc.get("name", "finite"), desc["names"], table,
                            desc.get("generators", [desc["names"][1]]))
     if fam == "product":
         return DirectProductGroup([group_from_descriptor(d) for d in desc["factors"]])

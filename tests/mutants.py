@@ -6,8 +6,7 @@ to run on the mutant.  A mutant without `survives` must fail at least one of
 its node ids (it is killed); a mutant with `survives` gives the reason no
 test notices it, and must pass all of its node ids.
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named mutants only
+    python tests/mutants.py
 
 applies each mutant to a temporary copy of src/ and runs its node ids there
 with `pytest -x`.  It exits 1 when a killed mutant passes, when a survivor is
@@ -205,14 +204,9 @@ def run(mutant):
                               stderr=subprocess.DEVNULL).returncode
 
 
-def main(names):
-    unknown = set(names) - {m["name"] for m in MUTANTS}
-    if unknown:
-        raise SystemExit("unknown mutant(s): %s" % ", ".join(sorted(unknown)))
+def main():
     bad = 0
     for mutant in MUTANTS:
-        if names and mutant["name"] not in names:
-            continue
         start = time.perf_counter()
         code = run(mutant)
         expected = "survives" if mutant.get("survives") else "killed"
@@ -227,4 +221,4 @@ def main(names):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -101,6 +101,17 @@ def test_non_integer_group_order_is_a_schema_error(tmp_path, capsys, n):
     assert group_from_descriptor({"family": "Zn", "n": "2"}) == cyclic_group(2)
 
 
+@pytest.mark.parametrize("desc", [
+    {"family": "perm", "generators": [[True, False]]},
+    {"family": "perm", "generators": [[1.0, 0]]},
+    {"family": "finite", "names": ["1", "a"], "table": [[False, True], [True, False]]},
+    {"family": "finite", "names": ["1", "a"], "table": [[0, 1], [1, 0.0]]},
+], ids=["perm-bool", "perm-float", "finite-bool", "finite-float"])
+def test_non_integer_permutation_or_table_entry_is_a_schema_error(desc):
+    with pytest.raises(SchemaError, match="expected an integer"):
+        group_from_descriptor(desc)
+
+
 def _rule_based(eid, sigma, tau):
     "The entry's matched pair with sigma and tau given as rules, not tables."
     mp = get_entry(eid).context().mp
