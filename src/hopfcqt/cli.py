@@ -1,10 +1,17 @@
 """Command-line surface: catalog checks, verification, and JSON pipelines.
 
-    hopfcqt <subcommand> [--entry ID | --input FILE] [--maxlen L] [--json]
+    hopfcqt <subcommand> (--entry ID | --input FILE) [--maxlen L] [--json]
 
-Contexts come either from the built-in catalog (--entry) or from a JSON file
-(--input).  Exit code 0 means every requested check passed or matched its
-expectation.
+Each subcommand takes only the options it reads.  A context comes from the
+built-in catalog (--entry) or from a JSON file (--input): one of the two is
+required, never both; `run` takes --entry only, and `list-entries` and
+`cqt-z2-r11` take neither.  --maxlen, a word-length window in 0..MAX_WINDOW,
+is offered by the nine subcommands that read it.
+
+Exit code 0 means every requested check passed or matched its expectation,
+1 that one did not, and 2 that the input was refused: argparse's usage error
+for a missing or unknown option, `error: ...` on stderr for anything else
+(an unreadable file, invalid JSON, a malformed context or literal).
 """
 
 from __future__ import annotations
@@ -21,37 +28,15 @@ from .cqt import (bicharacter_restriction_check, necessary_battery, structural_z
 from .errors import HopfCqtError
 from .grothendieck import Z2Simples, char_product, commutes, decompose
 from .hopf import antipode, comultiply, verify_hopf_axioms
+from .matched_pair import check_window
 from .reports import verdict
 from .scalars import format_scalar
 
 
-def _load_context(args):
-    if args.entry:
-        return catalog.get_entry(args.entry).context()
-    if args.input:
-        return serialize.load_context(args.input)
-    raise HopfCqtError("need --entry ID or --input FILE")
-
-
 def _levels(text):
-    "The --levels list, each name checked against the CQT condition families."
+    "The --levels list, each name mapped to its CQT level; verify_R rejects the rest."
     names = {str(level): level for level in cqt._LEVELS}
-    levels = []
-    for name in text.split(","):
-        name = name.strip()
-        if name not in names:
-            raise HopfCqtError("unknown CQT level %r (choose from %s)"
-                               % (name, ", ".join(names)))
-        levels.append(names[name])
-    return levels
-
-
-def _bound(args):
-    if args.maxlen is not None:
-        return args.maxlen
-    if args.entry:
-        return catalog.get_entry(args.entry).default_bound
-    return 4
+    return [names.get(name.strip(), name.strip()) for name in text.split(",")]
 
 
 def _emit_reports(args, reports, extra=None):
@@ -89,17 +74,17 @@ def _parse_labels(H, text):
     for chunk in text.split(","):
         chunk = chunk.strip()
         kind, _, f = chunk.partition(":")
-        if kind not in ("U", "V", "W") or not f:
+        if not f:
             raise HopfCqtError("bad label %r; use e.g. U:0,W:1" % chunk)
-        labels.append(simples.label(kind, f))
+        labels.append(simples.label(kind, f))  # Z2Label rejects a kind other than U, V, W
     return simples, labels
 
 
 def _load_element_arg(H, text):
     "Element argument: @file.json or an inline JSON list."
-    if text.startswith("@"):
-        return serialize.element_from_json(serialize.load_json(text[1:]), H)
-    return serialize.element_from_json(json.loads(text), H)
+    obj = (serialize.load_json(text[1:]) if text.startswith("@")
+           else serialize.parse_json(text, "inline element"))
+    return serialize.element_from_json(obj, H)
 
 
 @functools.cache
@@ -112,11 +97,17 @@ def _parser():
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **extra_args):
+    # a subcommand without --maxlen reads no window
+    parser.set_defaults(maxlen=None)
+
+    def add(name, help_text, context=True, window=False, **extra_args):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--entry", help="catalog entry id")
-        p.add_argument("--input", help="context JSON file")
-        p.add_argument("--maxlen", type=int, help="word-length window for infinite F")
+        if context:
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--entry", help="catalog entry id")
+            source.add_argument("--input", help="context JSON file")
+        if window:
+            p.add_argument("--maxlen", type=int, help="word-length window for infinite F")
         # SUPPRESS: an absent subcommand --json keeps the global one
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                        help="machine-readable output")
@@ -124,16 +115,18 @@ def _parser():
             p.add_argument(flag, **kw)
         return p
 
-    add("list-entries", "list catalog entries")
+    add("list-entries", "list catalog entries", context=False)
     add("run", "run a catalog entry's checks against its expected verdicts",
-        **{"--checks": {"help": "comma-separated check names (default: all expected)"}})
-    add("verify-mp", "matched-pair axioms")
-    add("verify-cocycles", "cocycle and compatibility identities")
+        context=False, window=True,
+        **{"--entry": {"required": True, "help": "catalog entry id"},
+           "--checks": {"help": "comma-separated check names (default: all expected)"}})
+    add("verify-mp", "matched-pair axioms", window=True)
+    add("verify-cocycles", "cocycle and compatibility identities", window=True)
     add("orbits", "orbit, stabilizer and transversal of a base point",
         **{"--f": {"required": True, "help": "base point literal"}})
     add("orbit-commutes", "set commutation of two orbit products",
         **{"--f": {"required": True}, "--f2": {"required": True}})
-    add("hopf-verify", "full axiom sweep on the window")
+    add("hopf-verify", "full axiom sweep on the window", window=True)
     add("hopf-mul", "product of two elements (inline JSON or @file)",
         **{"--a": {"required": True}, "--b": {"required": True}})
     add("hopf-delta", "coproduct of an element", **{"--a": {"required": True}})
@@ -150,18 +143,18 @@ def _parser():
         **{"--labels": {"required": True}, "--basis": {"required": True}})
     add("gr-commutes", "commutation of two labelled characters",
         **{"--labels": {"required": True}})
-    add("gr-z2-table", "closed tensor table over the window")
-    add("cqt-verify", "CQT condition families on a candidate R",
+    add("gr-z2-table", "closed tensor table over the window", window=True)
+    add("cqt-verify", "CQT condition families on a candidate R", window=True,
         **{"--rform": {"required": True},
            "--levels": {"default": "0,1,2,3", "help": "subset of 0,1,2,3,4,inv"}})
-    add("cqt-necessary", "necessary-condition battery")
+    add("cqt-necessary", "necessary-condition battery", window=True)
     add("cqt-zeros", "structural-zero scan of a candidate R",
         **{"--rform": {"required": True}})
-    add("cqt-bicharacter", "bicharacter restriction on the fixed part",
+    add("cqt-bicharacter", "bicharacter restriction on the fixed part", window=True,
         **{"--rform": {"required": True}})
-    add("cqt-z2-classify", "support-shape classification of a candidate R",
+    add("cqt-z2-classify", "support-shape classification of a candidate R", window=True,
         **{"--rform": {"required": True}})
-    add("cqt-z2-r11", "the forced identity-block dichotomy for |G| = 2")
+    add("cqt-z2-r11", "the forced identity-block dichotomy for |G| = 2", context=False)
     return parser
 
 
@@ -176,6 +169,7 @@ def main(argv=None):
 
 def _dispatch(args):
     cmd = args.command
+    check_window(args.maxlen)
     if cmd == "list-entries":
         if args.json:
             print(json.dumps({"entries": catalog.entry_ids()}, indent=2))
@@ -185,8 +179,6 @@ def _dispatch(args):
         return 0
 
     if cmd == "run":
-        if not args.entry:
-            raise HopfCqtError("run needs --entry")
         checks = args.checks.split(",") if args.checks else None
         bundle = catalog.run_entry(args.entry, checks=checks, word_bound=args.maxlen)
         if args.json:
@@ -208,8 +200,20 @@ def _dispatch(args):
         print(json.dumps(out, indent=2) if args.json else out)
         return 0
 
-    H = _load_context(args)
-    bound = _bound(args)
+    entry = None if args.entry is None else catalog.get_entry(args.entry)
+    H = serialize.load_context(args.input) if entry is None else entry.context()
+    bound = args.maxlen
+    if bound is None:
+        bound = 4 if entry is None else entry.default_bound
+    if "rform" in args:
+        R = serialize.rform_from_json(serialize.load_json(args.rform), H)
+    if "comodule" in args:
+        V = serialize.comodule_from_json(serialize.load_json(args.comodule), H)
+    if "labels" in args:
+        simples, labels = _parse_labels(H, args.labels)
+        if len(labels) != 2:
+            raise HopfCqtError("%s needs exactly two labels%s"
+                               % (cmd, " to multiply" if "basis" in args else ""))
 
     if cmd == "verify-mp":
         return _emit_reports(args, H.mp.verify(bound))
@@ -251,24 +255,18 @@ def _dispatch(args):
     if cmd == "hopf-antipode":
         return _emit_element(args, antipode(_load_element_arg(H, args.a)), "antipode")
     if cmd == "comodule-verify":
-        V = serialize.comodule_from_json(serialize.load_json(args.comodule), H)
         reports = V.verify()
         return _emit_reports(args, reports,
                              extra={"simple": V.is_simple() if all(r.passed for r in reports) else "n/a"})
     if cmd == "char":
-        V = serialize.comodule_from_json(serialize.load_json(args.comodule), H)
         return _emit_element(args, character(V).element, "character")
     if cmd == "induce":
-        V = serialize.comodule_from_json(serialize.load_json(args.comodule), H)
         W = induce(V)
         reports = W.verify()
         return _emit_reports(args, reports, extra={
             "dimension": W.dim,
             "character": repr(W.character_by_trace())})
     if cmd == "gr-product":
-        simples, labels = _parse_labels(H, args.labels)
-        if len(labels) != 2:
-            raise HopfCqtError("gr-product needs exactly two labels")
         prod = char_product(simples.character(labels[0]), simples.character(labels[1]))
         rule = simples.tensor_rule(labels[0], labels[1])
         if args.json:
@@ -278,9 +276,6 @@ def _dispatch(args):
             print("product: %r\nclosed form: %s" % (prod, rule))
         return 0
     if cmd == "gr-decompose":
-        simples, labels = _parse_labels(H, args.labels)
-        if len(labels) != 2:
-            raise HopfCqtError("gr-decompose needs exactly two labels to multiply")
         _, basis = _parse_labels(H, args.basis)
         prod = char_product(simples.character(labels[0]), simples.character(labels[1]))
         mults = decompose(prod, [simples.character(l) for l in basis])
@@ -288,9 +283,6 @@ def _dispatch(args):
         print(json.dumps(out, indent=2) if args.json else out)
         return 0
     if cmd == "gr-commutes":
-        simples, labels = _parse_labels(H, args.labels)
-        if len(labels) != 2:
-            raise HopfCqtError("gr-commutes needs exactly two labels")
         _, key = commutes(simples.character(labels[0]), simples.character(labels[1]))
         return _emit_reports(args, [verdict("character-commutation", key)])
     if cmd == "gr-z2-table":
@@ -305,22 +297,18 @@ def _dispatch(args):
                 print("%-10s (x) %-10s = %s" % (l1, l2, " + ".join(repr(x) for x in out)))
         return 0
     if cmd == "cqt-verify":
-        R = serialize.rform_from_json(serialize.load_json(args.rform), H)
         return _emit_reports(args, verify_R(R, _levels(args.levels), qbound=args.maxlen))
     if cmd == "cqt-necessary":
-        quotients = catalog.get_entry(args.entry).quotient_homs() if args.entry else []
+        quotients = [] if entry is None else entry.quotient_homs()
         return _emit_reports(args, necessary_battery(H, bound, quotients))
     if cmd == "cqt-zeros":
-        R = serialize.rform_from_json(serialize.load_json(args.rform), H)
         violations = structural_zeros(R)
         if not violations:
             return _emit_reports(args, [verdict("structural-zeros", None)])
         return _emit_reports(args, violations)
     if cmd == "cqt-bicharacter":
-        R = serialize.rform_from_json(serialize.load_json(args.rform), H)
         return _emit_reports(args, bicharacter_restriction_check(R, args.maxlen))
     if cmd == "cqt-z2-classify":
-        R = serialize.rform_from_json(serialize.load_json(args.rform), H)
         result = z2_shape_classify(R, qbound=args.maxlen)
         return _emit_reports(args, result["reports"], extra={"verdict": result["verdict"]})
     raise HopfCqtError("unhandled command %r" % cmd)

@@ -57,9 +57,7 @@ class TwistedCoalgebra:
     """
 
     def __init__(self, H, f):
-        if isinstance(f, str):
-            f = H.F.parse(f)
-        H.F._member(f)
+        f = H.F.coerce(f)
         self.H = H
         self.f = f
         od = H.mp.orbit_data(f)
@@ -146,8 +144,7 @@ class Comodule:
         self.label = label
         self.matrices = {}
         for g, M in matrices.items():
-            if isinstance(g, str):
-                g = coalgebra.H.G.parse(g)
+            g = coalgebra.H.G.coerce(g)
             if not coalgebra.contains(g):
                 raise NotInStabilizer("coefficient at %r outside the stabilizer" % g)
             if M.rows != dim or M.cols != dim:
@@ -159,21 +156,18 @@ class Comodule:
     @classmethod
     def from_coefficients(cls, coalgebra, dim, coeffs, label=""):
         "coeffs maps (l, i, g) with 1-based l, i to scalars: rho(v_i) = sum v_l (x) a_li^g p_g."
+        G = coalgebra.H.G
         mats = {}
         for (l, i, g), c in coeffs.items():
             if not all(isinstance(n, int) and 1 <= n <= dim for n in (l, i)):
                 raise DimensionMismatch("index (%r, %r) outside 1..%d" % (l, i, dim))
-            if isinstance(g, str):
-                g = coalgebra.H.G.parse(g)
-            M = mats.setdefault(g.key, [[ZERO] * dim for _ in range(dim)])
+            M = mats.setdefault(G.coerce(g).key, [[ZERO] * dim for _ in range(dim)])
             M[l - 1][i - 1] = M[l - 1][i - 1] + as_scalar(c)
-        G = coalgebra.H.G
         return cls(coalgebra, dim,
                    {G._element(k): Matrix(rows) for k, rows in mats.items()}, label=label)
 
     def matrix(self, g):
-        if isinstance(g, str):
-            g = self.coalgebra.H.G.parse(g)
+        g = self.coalgebra.H.G.coerce(g)
         if not self.coalgebra.contains(g):
             raise NotInStabilizer("%r outside the stabilizer" % g)
         return self.matrices[g.key]

@@ -294,7 +294,8 @@ def verify_R(R, levels=(0, 1, 2, 3), qbound=None):
     "Run the requested condition families over the quantifier range."
     for lv in levels:
         if lv not in _LEVELS:
-            raise UnknownLevel("unknown CQT level %r" % (lv,))
+            raise UnknownLevel("unknown CQT level %r (choose from %s)"
+                               % (lv, ", ".join(str(level) for level in _LEVELS)))
     sc = R.H.structure_constants
     grid = [[sc.index((g, f)) for f in _qrange(R, qbound)] for g in R.H.G.elements()]
     rv = Memo(lambda p: bare(R.try_value(sc.keys[p[0]], sc.keys[p[1]])))

@@ -137,8 +137,7 @@ class Z2Simples:
         return s
 
     def label(self, kind, f):
-        if isinstance(f, str):
-            f = self.H.F.parse(f)
+        f = self.H.F.coerce(f)
         lab = Z2Label(kind, f)  # rejects a kind other than U, V and W
         if kind in ("U", "V"):
             if not self.in_fixed_part(f):

@@ -118,6 +118,10 @@ class Group:
             raise MixedGroups("element %r does not belong to %r" % (a, self))
         return a
 
+    def coerce(self, x):
+        "x, or the element its literal names; one of another group raises MixedGroups."
+        return self.parse(x) if isinstance(x, str) else self._member(x)
+
     # family-specific: one, mul, inv, generators, letters, letter_decomposition,
     # element_length, elements_up_to_length, is_abelian, parse, format
 
@@ -656,14 +660,22 @@ class DirectProductGroup(Group):
 # refused before its table is built.
 MAX_DESCRIPTOR_ORDER = 128
 
+# The deepest nesting of "product" descriptors accepted.  Building, comparing
+# and formatting a direct product recurse once per level, so a deeper one
+# would end in RecursionError.
+MAX_DESCRIPTOR_DEPTH = 256
 
-def group_from_descriptor(desc):
+
+def group_from_descriptor(desc, depth=0):
     "Rebuild a group from its JSON descriptor; a malformed one raises SchemaError."
     if not isinstance(desc, dict) or "family" not in desc:
         raise SchemaError("group descriptor must be an object with a 'family'", "group")
+    if depth > MAX_DESCRIPTOR_DEPTH:
+        raise SchemaError("product descriptors nested more than %d deep"
+                          % MAX_DESCRIPTOR_DEPTH, "group")
     fam = desc["family"]
     try:
-        G = _group_from_family(fam, desc)
+        G = _group_from_family(fam, desc, depth)
         _at_most_max_order(G.order() or 0)  # a direct product of factors within it
     except (LookupError, TypeError, ValueError, OverflowError) as e:
         # the constructors reject bad arguments with these errors
@@ -690,7 +702,7 @@ def _at_most_max_order(n):
     return n
 
 
-def _group_from_family(fam, desc):
+def _group_from_family(fam, desc, depth):
     if fam == "Zn":
         n = _at_most_max_order(json_int(desc["n"], "group.n"))
         if n < 1:
@@ -715,7 +727,8 @@ def _group_from_family(fam, desc):
         return FiniteGroup(desc.get("name", "finite"), desc["names"], table,
                            desc.get("generators", [desc["names"][1]]))
     if fam == "product":
-        return DirectProductGroup([group_from_descriptor(d) for d in desc["factors"]])
+        return DirectProductGroup([group_from_descriptor(d, depth + 1)
+                                   for d in desc["factors"]])
     raise SchemaError("unknown group family %r" % fam, "group.family")
 
 
@@ -733,13 +746,7 @@ class GroupHom:
         self.codomain = codomain
         self.images = {}
         for gen, img in images.items():
-            if isinstance(gen, str):
-                gen = domain.parse(gen)
-            if isinstance(img, str):
-                img = codomain.parse(img)
-            domain._member(gen)
-            codomain._member(img)
-            self.images[gen.key] = img
+            self.images[domain.coerce(gen).key] = codomain.coerce(img)
         self._map = None
         if isinstance(domain, FiniteGroup):
             self._map = self._close_finite()

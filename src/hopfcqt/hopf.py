@@ -67,11 +67,7 @@ class HopfAlgebra:
 
     def _key(self, g, f):
         "The basis key (g, f); strings are parsed, elements of other groups rejected."
-        if isinstance(g, str):
-            g = self.G.parse(g)
-        if isinstance(f, str):
-            f = self.F.parse(f)
-        return self.G._member(g), self.F._member(f)
+        return self.G.coerce(g), self.F.coerce(f)
 
     def basis(self, g, f):
         "The basis element p_g # f."

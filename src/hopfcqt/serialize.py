@@ -100,8 +100,7 @@ def _cocycle_items(table, groups, lookup):
 
 
 def context_from_json(obj):
-    if not isinstance(obj, dict):
-        raise SchemaError("context must be a JSON object")
+    _object(obj, "context")
     G = group_from_descriptor(_require(obj, "G", "context"))
     F = group_from_descriptor(_require(obj, "F", "context"))
     left_tables, right_tables = {}, {}
@@ -183,8 +182,7 @@ def rform_to_json(R):
 
 
 def rform_from_json(obj, H):
-    if not isinstance(obj, dict):
-        raise SchemaError("R-form must be a JSON object")
+    _object(obj, "rform")
     window = None
     if obj.get("window") is not None:
         window = json_int(_require(obj["window"], "maxlen", "window"), "window.maxlen")
@@ -222,8 +220,7 @@ def comodule_to_json(V):
 
 
 def comodule_from_json(obj, H):
-    if not isinstance(obj, dict):
-        raise SchemaError("comodule must be a JSON object")
+    _object(obj, "comodule")
     f = _element(H.F, obj, "f", "comodule")
     dim = json_int(_require(obj, "dim", "comodule"), "comodule.dim")
     if not 1 <= dim <= MAX_COMODULE_DIM:
@@ -249,12 +246,22 @@ def save_json(obj, path):
         fh.write("\n")
 
 
+def parse_json(text, location):
+    "The JSON document in text; malformed or too deeply nested JSON raises SchemaError."
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise SchemaError("invalid JSON: %s" % e, location)
+
+
 def load_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError("invalid JSON: %s" % e, path)
+    "The JSON document in the UTF-8 file at path; an unreadable file raises SchemaError."
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise SchemaError("cannot read JSON file: %s" % e, path)
+    return parse_json(text, path)
 
 
 def save_context(H, path, word_bound=4):

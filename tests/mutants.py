@@ -121,18 +121,23 @@ MUTANTS = [
          new="if all(vals[p] is None for p in lreads):",
          tests=["tests/test_length_changing_action.py::"
                 "test_cqt3_marks_only_the_component_that_reads_outside_the_window"]),
-
-    # -- survivors --------------------------------------------------------------
     dict(name="cqt3-drops-tau", file="cqt.py",
          old="""                st = s * t
 """,
          new="""                st = 1
 """,
-         tests=["tests/test_cqt.py", "tests/test_cqt_reference.py",
-                "tests/test_sweeps_golden.py"],
-         survives="the only catalog context with nontrivial tau, Z2_Z2_tau, is commutative "
-                  "and cocommutative, so CQT3 holds there for every R with or without tau; "
-                  "a tau-twisted noncocommutative context would kill it"),
+         tests=["tests/test_cqt_reference.py::test_verify_R_agrees_with_the_definitions"
+                "[eps+1a:K4_Z2_tau]"]),
+    dict(name="parse-json-misses-recursion", file="serialize.py",
+         old="except (ValueError, RecursionError) as e:", new="except ValueError as e:",
+         tests=["tests/test_cli_boundary.py::test_unreadable_or_invalid_json_file_exits_2"
+                "[deep-json-input]"]),
+    dict(name="load-json-misses-oserror", file="serialize.py",
+         old="except (OSError, UnicodeDecodeError) as e:", new="except UnicodeDecodeError as e:",
+         tests=["tests/test_cli_boundary.py::test_unreadable_or_invalid_json_file_exits_2"
+                "[missing-input]"]),
+
+    # -- survivors --------------------------------------------------------------
     dict(name="battery-hits-fp-scans-orbit-of-fp", file="cqt.py",
          old="""        hits_fp = any(right(g, u) in stab_p for u in orbit_f)""",
          new="""        hits_fp = any(right(g, u) in stab_p for u in orbit_p)""",

@@ -151,16 +151,23 @@ def test_s4_counterexample_is_not_obstructed():
     assert not battery_obstructed(necessary_battery(_s3_on_k4()))
 
 
-def test_asymmetric_tau_passes_like_reference():
-    # tau(g, g'; t) = -1 when g has an a part and g' a b part, tau(., .; 1) = 1: a
-    # bicharacter of K4 in (g, g') and a character of F in t, so a valid cocycle pair,
-    # with tau(a, b; t) != tau(b, a; t)
+def k4_z2_asymmetric_tau():
+    """K4 . Z2 with trivial actions and tau(g, g'; t) = -1 when g has an a part and
+    g' a b part, tau(., .; 1) = 1: a bicharacter of K4 in (g, g') and a character
+    of F in t, so a valid cocycle pair, with tau(a, b; t) != tau(b, a; t).  H is
+    commutative and not cocommutative."""
     G, F = klein_four_group(), cyclic_group(2, "t")
     mp = MatchedPair.from_functions(G, F, left=lambda g, f: f, right=lambda g, f: g)
     t = F.elements()[1]
-    H = HopfAlgebra(CocyclePair.from_tables(
+    return HopfAlgebra(CocyclePair.from_tables(
         mp, {}, {(g.key, gp.key, t.key): MINUS_ONE
-                 for g in G.elements() for gp in G.elements() if g.key & 1 and gp.key & 2}))
+                 for g in G.elements() for gp in G.elements() if g.key & 1 and gp.key & 2}),
+        name="K4_Z2_tau")
+
+
+def test_asymmetric_tau_passes_like_reference():
+    H = k4_z2_asymmetric_tau()
+    G, t = H.G, H.F.elements()[1]
     assert all_passed(H.cp.verify())
     check_coalgebra_reference(H, t)
     a, b = G.generators()

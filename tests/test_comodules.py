@@ -95,7 +95,8 @@ def test_comodules_reject_foreign_group_elements():
     x = cyclic_group(5).parse("g")
     assert x.key in {g.key for g in C.stabilizer}
     for call in (lambda: C.contains(x), lambda: C.counit(x), lambda: C.delta(x),
-                 lambda: V.matrix(x), lambda: Comodule(C, 1, {x: Matrix([[ONE]])})):
+                 lambda: V.matrix(x), lambda: Comodule(C, 1, {x: Matrix([[ONE]])}),
+                 lambda: Comodule.from_coefficients(C, 1, {(1, 1, x): 1})):
         with pytest.raises(MixedGroups):
             call()
     g = H.G.parse("g")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cqt_reference import LEVELS, _legs, families
+from test_battery_tables import k4_z2_asymmetric_tau
 from hopfcqt.catalog import get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.cqt import RForm, eps_tensor_eps, verify_R, z2_r11_rform, z2_r11_solve
@@ -79,6 +80,18 @@ def _perturbed_forms(forms, count=8, seed=3):
     return out
 
 
+def _asymmetric_tau_forms():
+    """eps (x) eps on K4 . Z2 with an asymmetric tau, and the same with
+    R(p_1 # 1, p_a # t) = 1.  H is commutative, not cocommutative, so CQT3 reads
+    the tau coefficients of the coproduct legs: the first form passes every
+    family and the second fails every one."""
+    H = k4_z2_asymmetric_tau()
+    one, a = H.G.elements()[:2]
+    e, t = H.F.elements()
+    R = eps_tensor_eps(H)
+    return {"eps:K4_Z2_tau": R, "eps+1a:K4_Z2_tau": R.perturbed((one, e), (a, t), ONE)}
+
+
 def _verdicts(R):
     reports = verify_R(R, LEVELS)
     assert all(r.status in (PASS, FAIL) for r in reports)
@@ -87,6 +100,7 @@ def _verdicts(R):
 
 _FORMS = _forms()
 _FORMS.update(_perturbed_forms(_FORMS))
+_FORMS.update(_asymmetric_tau_forms())  # after the draws, which stay as they were
 
 
 @pytest.mark.parametrize("name", sorted(_FORMS))
