@@ -25,7 +25,7 @@ from . import catalog, cqt, serialize
 from .comodules import character, induce
 from .cqt import (bicharacter_restriction_check, necessary_battery, structural_zeros,
                   verify_R, z2_r11_solve, z2_shape_classify)
-from .errors import HopfCqtError
+from .errors import HopfCqtError, shown
 from .grothendieck import Z2Simples, char_product, commutes, decompose
 from .hopf import antipode, comultiply, verify_hopf_axioms
 from .matched_pair import check_window
@@ -75,7 +75,7 @@ def _parse_labels(H, text):
         chunk = chunk.strip()
         kind, _, f = chunk.partition(":")
         if not f:
-            raise HopfCqtError("bad label %r; use e.g. U:0,W:1" % chunk)
+            raise HopfCqtError("bad label %s; use e.g. U:0,W:1" % shown(chunk))
         labels.append(simples.label(kind, f))  # Z2Label rejects a kind other than U, V, W
     return simples, labels
 

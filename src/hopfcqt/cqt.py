@@ -129,9 +129,9 @@ class Memo(dict):
 # rational, else a Scalar.
 
 def _qrange(R, qbound):
-    "The F elements a CQT instance quantifies over: qbound, else R's window, else 2."
-    return R.H.mp.window(qbound if qbound is not None else
-                         (R.window if R.window is not None else 2))
+    """The F elements a CQT instance quantifies over: the window qbound, else R's
+    window, which is None, and so all of F, only over finite F."""
+    return R.H.mp.window(qbound if qbound is not None else R.window)
 
 
 def _sum(rv, terms):
@@ -345,12 +345,16 @@ def structural_zeros(R):
 
 # -- necessary-condition battery --------------------------------------------------
 
+def _product_commutation_sweep(check, points, commutes):
+    "commutes(p, q)[0] over points x points; a failure's witness is (p, q, commutes' witness)."
+    return sweep(check, itertools.product(points, points), lambda p, q: commutes(p, q)[0],
+                 witness=lambda pair: pair + (commutes(*pair)[1],))
+
+
 def check_orbit_commutation(mp, word_bound=4):
     "O_f O_f' = O_f' O_f for all pairs on the window."
-    fs = mp.window(word_bound)
-    report = sweep("orbit-product-commutation", itertools.product(fs, fs),
-                   lambda f, fp: mp.orbit_product_commutes(f, fp)[0],
-                   witness=lambda pair: pair + (mp.orbit_product_commutes(*pair)[1],))
+    report = _product_commutation_sweep("orbit-product-commutation", mp.window(word_bound),
+                                        mp.orbit_product_commutes)
     if report.failed:
         report.detail = "product element in only one of the two orbit sets"
     return report
@@ -361,10 +365,8 @@ def check_dual_orbit_commutation(mp):
     if not mp.F.is_finite:
         return ConditionReport("dual-orbit-product-commutation", SKIPPED,
                                detail="F infinite: the dual-orbit condition needs finite F")
-    gs = mp.G.elements()
-    return sweep("dual-orbit-product-commutation", itertools.product(gs, gs),
-                 lambda g, gp: mp.dual_orbit_product_commutes(g, gp)[0],
-                 witness=lambda pair: pair + (mp.dual_orbit_product_commutes(*pair)[1],))
+    return _product_commutation_sweep("dual-orbit-product-commutation", mp.G.elements(),
+                                      mp.dual_orbit_product_commutes)
 
 
 def _onedim_simples_at(H, f):
@@ -580,15 +582,15 @@ def battery_obstructed(reports):
 
 # -- bicharacter restriction -------------------------------------------------------
 
-def _grouplikes_on_fixed_part(H, word_bound):
-    """Group-like elements sum_g a^g p_g # f for f in the fixed part of the window.
+def _grouplikes_on_fixed_part(H, S):
+    """Group-like elements sum_g a^g p_g # f for f in the fixed part S.
 
     Solutions a of a^(yx) tau(y, x; f) = a^y a^x; for abelian G these are the
     twisted characters enumerated per base point.  Returns (f, comodule,
     element) triples.
     """
     out = []
-    for f in H.mp.fixed_points(word_bound):
+    for f in S:
         C = TwistedCoalgebra(H, f)
         for V in enumerate_onedim(C):
             elem = HopfElement(H, {(g, f): V.matrix(g)[0, 0] for g in H.G.elements()})
@@ -606,9 +608,8 @@ def bicharacter_restriction_check(R, word_bound=None):
     """
     H = R.H
     G, F, mp, cp = H.G, H.F, H.mp, H.cp
-    bound = word_bound if word_bound is not None else (R.window if R.window is not None else 4)
     reports = []
-    S = mp.fixed_points(bound)
+    S = mp.fixed_points(word_bound if word_bound is not None else R.window)
 
     central = all(mp.act_right(g, f) == g for g in G.elements() for f in S)
     reports.append(verdict("central-on-fixed-part",
@@ -617,8 +618,7 @@ def bicharacter_restriction_check(R, word_bound=None):
     if not central:
         return reports
 
-    witness = next(((a, b) for a in S for b in S if F.mul(a, b) != F.mul(b, a)), None)
-    reports.append(verdict("fixed-part-abelian", witness, checked=len(S) ** 2))
+    reports.append(verdict("fixed-part-abelian", F.noncommuting_pair(S), checked=len(S) ** 2))
 
     witness = next(((g, a, b) for g in G.elements() for a in S for b in S
                     if cp.sigma(g, a, b) != cp.sigma(g, b, a)), None)
@@ -631,7 +631,7 @@ def bicharacter_restriction_check(R, word_bound=None):
             detail="non-abelian G: one-dimensional simples not auto-enumerable"))
         return reports
     try:
-        gls = _grouplikes_on_fixed_part(H, bound)
+        gls = _grouplikes_on_fixed_part(H, S)
     except NotARootOfUnity as e:
         reports.append(ConditionReport("grouplike-basis", SKIPPED, detail=str(e)))
         return reports

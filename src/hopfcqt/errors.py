@@ -1,4 +1,19 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and `shown`, the one bounded
+repr through which their messages echo outside input."""
+
+import reprlib
+
+# reprlib elides a long string or number, and a container past 6 items (4 for a
+# dict) or 3 levels deep; what is still longer is cut at MAX_SHOWN characters
+_REPR = reprlib.Repr()
+_REPR.maxlevel, _REPR.maxstring, _REPR.maxother = 3, 60, 60
+MAX_SHOWN = 100
+
+
+def shown(value):
+    "repr(value) for an error message: whole when short, else elided to MAX_SHOWN characters."
+    text = _REPR.repr(value)
+    return text if len(text) <= MAX_SHOWN else text[:MAX_SHOWN - 3] + "..."
 
 
 class HopfCqtError(Exception):

@@ -123,12 +123,6 @@ class Z2Simples:
         "True when g |> f = f (the base point carries two one-dimensional simples)."
         return self.H.mp.act_left(self.g, f) == f
 
-    def canonical_w_base(self, f):
-        "Deterministic representative of the two-point orbit {f, g |> f}."
-        F = self.H.F
-        return min((f, self.H.mp.act_left(self.g, f)),
-                   key=lambda u: (F.element_length(u), F.format(u)))
-
     def sqrt_tau(self, f):
         "sqrt(tau(g, g; f)), keyed by f itself, so a foreign element misses and is rejected."
         s = self._sqrt_taus.get(f)
@@ -145,7 +139,7 @@ class Z2Simples:
             return lab
         if self.in_fixed_part(f):
             raise HopfCqtError("label W needs a moved base point, %r is fixed" % f)
-        return Z2Label("W", self.canonical_w_base(f))
+        return Z2Label("W", self.H.mp.orbit_representative(f))
 
     def labels(self, word_bound=4):
         "All simple labels with base point in the window, W orbits deduplicated."
@@ -156,7 +150,7 @@ class Z2Simples:
                 out.append(Z2Label("U", f))
                 out.append(Z2Label("V", f))
             else:
-                rep = self.canonical_w_base(f)
+                rep = self.H.mp.orbit_representative(f)
                 if rep.key not in seen_w:
                     seen_w.add(rep.key)
                     out.append(Z2Label("W", rep))
@@ -272,12 +266,8 @@ def z2_S_abelian_check(mp, word_bound=4):
     """
     if mp.G.order() != 2:
         raise WrongGroup("|G| = 2 required")
-    S = mp.fixed_points(word_bound)
-    for a in S:
-        for b in S:
-            if mp.F.mul(a, b) != mp.F.mul(b, a):
-                return False, (a, b)
-    return True, None
+    witness = mp.F.noncommuting_pair(mp.fixed_points(word_bound))
+    return witness is None, witness
 
 
 def character_commutation_sweep(chars):

@@ -6,17 +6,18 @@ dihedral group stores y^k x^e; its multiplication is the closed form coming
 from x^2 = 1 and x y x = y^-1, and the tests check it against an independent
 word-rewriting oracle (the affine action i |-> +-i + c on the integers).
 
-`closure` is the breadth-first search behind generation checks, shortest
-letter words, permutation groups, dual orbits and the generator words of the
-character solver; each reads its {node: first word} table.  Only
-`GroupHom._close_finite` walks its own, since it checks every edge it crosses.
+`closure` is the one breadth-first search: generation checks, shortest letter
+words, permutation groups, dual orbits, the generator words of the character
+solver and the images of a finite-domain homomorphism each read its
+{node: first word} table.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import InfiniteGroup, InvalidGroup, InvalidHomomorphism, MixedGroups, SchemaError
+from .errors import (InfiniteGroup, InvalidGroup, InvalidHomomorphism, MixedGroups, SchemaError,
+                     shown)
 
 
 def closure(start, letters, step, limit=None):
@@ -57,12 +58,12 @@ def _read_word(G, text, names):
             name, exp = exp, "1"
         name = name.strip()
         if name not in names:
-            raise SchemaError("unknown element %r of %s" % (chunk.strip(), where))
+            raise SchemaError("unknown element %s of %s" % (shown(chunk.strip()), where))
         try:
             power = int(exp)
         except ValueError:
-            raise SchemaError("exponent %r in element %r of %s is not an integer"
-                              % (exp.strip(), chunk.strip(), where)) from None
+            raise SchemaError("exponent %s in element %s of %s is not an integer"
+                              % (shown(exp.strip()), shown(chunk.strip()), where)) from None
         out = G.mul(out, G.power(names[name], power))
     return out
 
@@ -156,6 +157,11 @@ class Group:
             base = self.mul(base, base) if n > 1 else base
             n >>= 1
         return result
+
+    def noncommuting_pair(self, elements):
+        "The first (a, b) of elements x elements, a-major, with a b != b a; else None."
+        return next(((a, b) for a in elements for b in elements
+                     if self.mul(a, b) != self.mul(b, a)), None)
 
     def product(self, factors):
         out = self.one
@@ -373,7 +379,7 @@ def permutation_group(generator_images, name="perm"):
     gens = [tuple(p) for p in generator_images]
     for p in gens:
         if sorted(p) != list(range(degree)):
-            raise SchemaError("not a permutation: %r" % (p,))
+            raise SchemaError("not a permutation: %s" % shown(p))
     elems = list(closure(tuple(range(degree)), gens, _perm_mul, limit=MAX_DESCRIPTOR_ORDER))
     names = [_cycle_name(p) for p in elems]
     return finite_group_from_elements(
@@ -444,7 +450,7 @@ class IntegerGroup(Group):
         try:
             return self._element(int(text.strip()))
         except ValueError:
-            raise SchemaError("bad integer element %r" % text)
+            raise SchemaError("bad integer element %s" % shown(text))
 
     def format(self, a):
         return str(self._member(a).key)
@@ -630,7 +636,7 @@ class DirectProductGroup(Group):
             parts.append("".join(cur))
             if len(parts) == len(self.factors):
                 return self._wrap(f.parse(p).key for f, p in zip(self.factors, parts))
-        raise SchemaError("bad product element %r" % text)
+        raise SchemaError("bad product element %s" % shown(text))
 
     def format(self, a):
         return "(" + ", ".join(f.format(x) for f, x in
@@ -692,7 +698,7 @@ def json_int(value, location):
             return int(value)
         except ValueError:
             pass
-    raise SchemaError("expected an integer, got %r" % (value,), location)
+    raise SchemaError("expected an integer, got %s" % shown(value), location)
 
 
 def _at_most_max_order(n):
@@ -729,7 +735,7 @@ def _group_from_family(fam, desc, depth):
     if fam == "product":
         return DirectProductGroup([group_from_descriptor(d, depth + 1)
                                    for d in desc["factors"]])
-    raise SchemaError("unknown group family %r" % fam, "group.family")
+    raise SchemaError("unknown group family %s" % shown(fam), "group.family")
 
 
 # -- homomorphisms -------------------------------------------------------------
@@ -765,31 +771,22 @@ class GroupHom:
             raise InvalidHomomorphism("unsupported homomorphism domain %r" % domain)
 
     def _close_finite(self):
-        """{index: image} over D, walking right multiplication by the generators.
+        """{index: image} over D: each element's first word in the generators
+        (`closure`), mapped letter by letter.
 
-        Every edge must agree with the generator images; then the map is a
+        Every edge i -> i g must agree with the generator images; then the map is a
         homomorphism by induction on word length, so no |D|^2 check follows.
         """
         D, C = self.domain, self.codomain
-        for idx in D.generator_indices:
+        gens = D.generator_indices
+        for idx in gens:
             if idx not in self.images:
                 raise InvalidHomomorphism("missing image of generator %r"
                                  % D.element_names[idx])
-        full = {0: C.one}
-        frontier = [0]
-        while frontier:
-            new = []
-            for i in frontier:
-                for gidx in D.generator_indices:
-                    j = D.table[i][gidx]
-                    img = C.mul(full[i], self.images[gidx])
-                    if j in full:
-                        if full[j] != img:
-                            raise InvalidHomomorphism("generator images are inconsistent")
-                    else:
-                        full[j] = img
-                        new.append(j)
-            frontier = new
+        full = {i: C.product(self.images[g] for g in word)
+                for i, word in closure(0, gens, lambda i, g: D.table[i][g]).items()}
+        if any(C.mul(full[i], self.images[g]) != full[D.table[i][g]] for i in full for g in gens):
+            raise InvalidHomomorphism("generator images are inconsistent")
         return full
 
     def __call__(self, a):

@@ -8,10 +8,15 @@ A matched pair carries a right action <| of F on the set G and a left action
 
 Actions are given on generator letters and extended to arbitrary elements by
 folding those identities along the normal-form word.  Each MatchedPair keeps
-one action table (g.key, f.key) -> (g <| f, g |> f): for finite F it is filled
-in full at construction, for infinite F each entry is folded once, on its
-first use.  Orbits O_f = {g |> f}, stabilizers G_f, transversals T_f (1 in
-T_f) and dual orbits O'_g = {g <| f} feed the comodule machinery.
+one action table (g.key, f.key) -> (g <| f, g |> f): `from_functions` fills
+it in full for finite F from the given functions (the table `verify` then
+checks); otherwise each entry is folded once, on its first use.
+
+Orbits O_f = {g |> f}, stabilizers G_f, transversals T_f and dual orbits
+O'_g = {g <| f} feed the comodule machinery.  OrbitData reads the |G| images
+g |> f once: x joins T_f when x^-1 |> f is an orbit point not reached before,
+and z_x in x = g_x z_x is the first x that reached that point.  For a group
+action T_f is then the first element of each right coset G_f x, 1 first.
 Orbit and dual-orbit products are compared by one rule (_product_sets_commute):
 A B = B A as sets, else the witness is the first product a b in a-major order
 missing from B A, or else the first product b a (b-major) missing from A B.
@@ -53,18 +58,11 @@ class OrbitData:
 
     def __init__(self, mp, f):
         G = mp.G
+        gs = G.elements()
         self.f = f
-        orbit, seen = [], set()
-        stab = []
-        for g in G.elements():
-            gf = mp.act_left(g, f)
-            if gf.key not in seen:
-                seen.add(gf.key)
-                orbit.append(gf)
-            if gf == f:
-                stab.append(g)
-        self.orbit = orbit
-        self.stabilizer = stab
+        image = {g.key: mp.act_left(g, f) for g in gs}
+        self.orbit = list({u.key: u for u in image.values()}.values())  # in G order
+        stab = self.stabilizer = [g for g in gs if image[g.key] == f]
         self._stab_keys = {g.key for g in stab}
 
         def require(ok, what):
@@ -76,23 +74,17 @@ class OrbitData:
             for b in stab:
                 require(G.mul(a, b).key in self._stab_keys, "stabilizer not closed")
             require(G.inv(a).key in self._stab_keys, "stabilizer not inverse-closed")
-        trans = []
-        for x in G.elements():
-            if not any(G.mul(x, G.inv(z)).key in self._stab_keys for z in trans):
+        first, trans, self._factor = {}, [], {}
+        for x in gs:
+            z = first.setdefault(image[G.inv(x).key].key, x)
+            if z is x:
                 trans.append(x)
+            gx = G.mul(x, G.inv(z))
+            require(gx.key in self._stab_keys, "x z_x^-1 is not in the stabilizer")
+            self._factor[x.key] = (gx, z)
         self.transversal = trans
         require(trans[0].is_identity(), "transversal does not start at 1")
         require(len(trans) * len(stab) == G.order(), "cosets do not partition G")
-        self._factor = {}
-        for x in G.elements():
-            hits = [z for z in trans if G.mul(x, G.inv(z)).key in self._stab_keys]
-            require(len(hits) == 1, "coset representatives are not a transversal")
-            z = hits[0]
-            self._factor[x.key] = (G.mul(x, G.inv(z)), z)
-        # the transversal reaches the whole orbit: {z^-1 |> f} = O_f, no repeats
-        reached = {mp.act_left(G.inv(z), f).key for z in trans}
-        require(reached == seen and len(reached) == len(trans),
-                "the transversal does not reach the orbit once")
 
     def in_stabilizer(self, g):
         return g.key in self._stab_keys
@@ -119,8 +111,8 @@ class MatchedPair:
     """The pair (G finite, F) with its two actions.
 
     `act_left`, `act_right` and the orbit data read one action table,
-    (g.key, f.key) -> (g <| f, g |> f), total from construction for finite F
-    and filled on first use for infinite F, so each pair is folded at most once.
+    (g.key, f.key) -> (g <| f, g |> f), tabulated or filled on first use as
+    the module docstring says, so each pair is folded at most once.
     """
 
     def __init__(self, G, F, left_letter, right_letter, name=""):
@@ -160,7 +152,8 @@ class MatchedPair:
         """Build the pair from tables on generators only.
 
         Inverse-letter actions are derived: <| by u^-1 inverts the bijection
-        <| by u, and g |> u^-1 = ((g <| u^-1) |> u)^-1.
+        <| by u, and g |> u^-1 = ((g <| u^-1) |> u)^-1, so every letter acts
+        bijectively once each generator does.
         """
         left_letter, right_letter = {}, {}
         for gen in F.generators():
@@ -185,13 +178,7 @@ class MatchedPair:
                 for g in G.elements():
                     h = right_letter[(g.key, geninv.key)]
                     left_letter[(g.key, geninv.key)] = F.inv(left_letter[(h.key, gen.key)])
-        mp = cls(G, F, left_letter, right_letter, name=name)
-        mp._check_letter_bijections()
-        if F.is_finite:
-            for g in G.elements():
-                for f in F.elements():
-                    mp._action(g, f)
-        return mp
+        return cls(G, F, left_letter, right_letter, name=name)
 
     def _check_letter_bijections(self):
         for u in self._letters.values():

@@ -37,7 +37,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import (DimensionMismatch, DivisionByZero, InvalidScalar, NotARootOfUnity,
-                     NotAScalar, SchemaError)
+                     NotAScalar, SchemaError, shown)
 
 
 def divisors(n):
@@ -448,14 +448,14 @@ def parse_scalar(text):
     non-string (a JSON number, say) raises SchemaError too.
     """
     if not isinstance(text, str):
-        raise SchemaError("scalar literal must be a string, got %r" % (text,))
+        raise SchemaError("scalar literal must be a string, got %s" % shown(text))
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise SchemaError("bad scalar literal %r" % text, location="char %d" % pos)
+                raise SchemaError("bad scalar literal %s" % shown(text), location="char %d" % pos)
             break
         tokens.append(m.group(1))
         pos = m.end()
@@ -468,15 +468,23 @@ def parse_scalar(text):
     def take(expected=None):
         tok = tokens[state["i"]]
         if expected is not None and tok != expected:
-            raise SchemaError("expected %r in scalar literal %r" % (expected, text))
+            raise SchemaError("expected %r in scalar literal %s" % (expected, shown(text)))
         state["i"] += 1
         return tok
 
     def integer():
         tok = take()
         if tok is None or not tok.isdigit():
-            raise SchemaError("expected an integer in scalar literal %r" % text)
-        return int(tok)
+            raise SchemaError("expected an integer in scalar literal %s" % shown(text))
+        return number(int, tok)
+
+    def number(convert, tok):
+        "convert(tok); a number past int()'s digit limit raises SchemaError, not ValueError."
+        try:
+            return convert(tok)
+        except ValueError:
+            raise SchemaError("a %d-character number in scalar literal %s is too long"
+                              % (len(tok), shown(text))) from None
 
     def factor(depth):
         negate = False
@@ -501,7 +509,7 @@ def parse_scalar(text):
             take("(")
             n = integer()
             if n < 1:
-                raise SchemaError("zeta order must be >= 1 in scalar literal %r" % text)
+                raise SchemaError("zeta order must be >= 1 in scalar literal %s" % shown(text))
             order_bound(n)
             take(",")
             sign = 1
@@ -514,15 +522,15 @@ def parse_scalar(text):
         if tok is not None and re.fullmatch(r"\d+(/\d+)?", tok):
             take()
             try:
-                return rational(Fraction(tok))
+                return rational(number(Fraction, tok))
             except ZeroDivisionError:
-                raise SchemaError("zero denominator in scalar literal %r" % text)
-        raise SchemaError("bad scalar literal %r" % text)
+                raise SchemaError("zero denominator in scalar literal %s" % shown(text))
+        raise SchemaError("bad scalar literal %s" % shown(text))
 
     def order_bound(n):
         if n > MAX_LITERAL_ORDER:
-            raise SchemaError("scalar literal %r reaches zeta order %d, above %d"
-                              % (text, n, MAX_LITERAL_ORDER))
+            raise SchemaError("scalar literal %s reaches zeta order %d, above %d"
+                              % (shown(text), n, MAX_LITERAL_ORDER))
 
     def term(depth):
         v = factor(depth)
@@ -544,7 +552,7 @@ def parse_scalar(text):
 
     value = expr(0)
     if peek() is not None:
-        raise SchemaError("trailing junk in scalar literal %r" % text)
+        raise SchemaError("trailing junk in scalar literal %s" % shown(text))
     return value
 
 

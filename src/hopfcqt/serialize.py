@@ -14,7 +14,7 @@ import json
 from .cocycles import CocyclePair
 from .comodules import Comodule, TwistedCoalgebra
 from .cqt import RForm
-from .errors import SchemaError
+from .errors import SchemaError, shown
 from .groups import group_from_descriptor, json_int
 from .hopf import HopfAlgebra
 from .matched_pair import MatchedPair
@@ -27,7 +27,7 @@ def _split_key(key, parts, location):
     else:
         bits = key.split(",", parts - 1)
     if len(bits) != parts:
-        raise SchemaError("expected %d '|'-separated fields in key %r" % (parts, key),
+        raise SchemaError("expected %d '|'-separated fields in key %s" % (parts, shown(key)),
                           location)
     return [b.strip() for b in bits]
 
@@ -35,7 +35,7 @@ def _split_key(key, parts, location):
 def _object(obj, location):
     "obj itself when it is a JSON object."
     if not isinstance(obj, dict):
-        raise SchemaError("expected a JSON object, got %r" % (obj,), location)
+        raise SchemaError("expected a JSON object, got %s" % shown(obj), location)
     return obj
 
 
@@ -48,7 +48,7 @@ def _require(obj, field, location):
 def _literal(value, location):
     "value itself when it is a JSON string (an element or scalar literal)."
     if not isinstance(value, str):
-        raise SchemaError("expected a string literal, got %r" % (value,), location)
+        raise SchemaError("expected a string literal, got %s" % shown(value), location)
     return value
 
 
@@ -113,7 +113,7 @@ def context_from_json(obj):
                 gen = F.parse(gentxt)
                 dst[(g.key, gen.key)] = parser(_literal(val, loc))
             except SchemaError as e:
-                raise SchemaError(str(e), "%s[%r]" % (loc, key))
+                raise SchemaError(str(e), "%s[%s]" % (loc, shown(key)))
     mp = MatchedPair.from_generator_tables(G, F, left_tables, right_tables,
                                            name=obj.get("name", ""))
     sigma, sdef = _cocycle_table_from_json(obj.get("sigma", {}), G, F, F, "sigma")
@@ -134,7 +134,7 @@ def _cocycle_table_from_json(obj, A, B, C, loc):
         try:
             table[(A.parse(a).key, B.parse(b).key, C.parse(c).key)] = parse_scalar(val)
         except SchemaError as e:
-            raise SchemaError(str(e), "%s[%r]" % (loc, key))
+            raise SchemaError(str(e), "%s[%s]" % (loc, shown(key)))
     return table, default
 
 
@@ -233,7 +233,7 @@ def comodule_from_json(obj, H):
         l, i, g = _split_key(key, 3, "comodule.a")
         l, i = json_int(l, "comodule.a"), json_int(i, "comodule.a")
         if not (1 <= l <= dim and 1 <= i <= dim):
-            raise SchemaError("index in key %r outside 1..%d" % (key, dim), "comodule.a")
+            raise SchemaError("index in key %s outside 1..%d" % (shown(key), dim), "comodule.a")
         coeffs[(l, i, H.G.parse(g))] = parse_scalar(val)
     return Comodule.from_coefficients(C, dim, coeffs)
 

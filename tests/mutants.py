@@ -136,6 +136,19 @@ MUTANTS = [
          old="except (OSError, UnicodeDecodeError) as e:", new="except UnicodeDecodeError as e:",
          tests=["tests/test_cli_boundary.py::test_unreadable_or_invalid_json_file_exits_2"
                 "[missing-input]"]),
+    dict(name="orbit-data-reads-x-not-x-inverse", file="matched_pair.py",
+         old="image[G.inv(x).key]", new="image[x.key]",
+         tests=["tests/test_matched_pair.py::test_orbit_data_matches_its_definition[S3_K4]"]),
+    dict(name="noncommuting-pair-b-major", file="groups.py",
+         old="for a in elements for b in elements", new="for b in elements for a in elements",
+         tests=["tests/test_grothendieck.py::test_s_abelian_check"]),
+    dict(name="hom-closure-skips-edge-check", file="groups.py",
+         old="""        if any(C.mul(full[i], self.images[g]) != full[D.table[i][g]] for i in full for g in gens):
+            raise InvalidHomomorphism("generator images are inconsistent")
+""",
+         new="",
+         tests=["tests/test_groups.py::test_group_constructors_raise_library_errors"
+                "[<lambda>-inconsistent]"]),
 
     # -- survivors --------------------------------------------------------------
     dict(name="battery-hits-fp-scans-orbit-of-fp", file="cqt.py",

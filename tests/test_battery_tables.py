@@ -104,10 +104,21 @@ def _s3_on_k4():
     return _s4_pair(_S3, [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)], "S3_K4")
 
 
+def _z4_on_s3():
+    """G = Z4 = <(0 1 2 3)> and F = S3: both actions are nontrivial and the
+    transversals hold elements of order 4, so z^-1 |> f and z |> f differ."""
+    return _s4_pair([(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)], _S3, "Z4_S3")
+
+
+def _a4_on_z2():
+    "G = A4 and F = {1, (1 3)}."
+    a4 = [p for p in sorted(itertools.permutations(range(4)))
+          if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
+    return _s4_pair(a4, [(0, 1, 2, 3), (2, 1, 0, 3)], "A4_Z2")
+
+
 def test_two_sided_actions_match_reference():
-    # G = Z4 = <(0 1 2 3)> and F = S3: both actions are nontrivial and the
-    # transversals hold elements of order 4, so z^-1 |> f and z |> f differ
-    H = _s4_pair([(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)], _S3, "Z4_S3")
+    H = _z4_on_s3()
     assert all_passed(H.mp.verify())
     _assert_same_battery(H)
 
@@ -125,9 +136,7 @@ def test_dual_orbit_witness_is_the_first_missing_product():
     # G = A4 and F = {1, (1 3)}.  The witness rule of the orbit check: the first
     # product a b of O'_g O'_g' (a-major order) missing from O'_g' O'_g, or else
     # the first b a missing from O'_g O'_g'
-    a4 = [p for p in sorted(itertools.permutations(range(4)))
-          if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
-    H = _s4_pair(a4, [(0, 1, 2, 3), (2, 1, 0, 3)], "A4_Z2")
+    H = _a4_on_z2()
     mp, G, F = H.mp, H.G, H.F
     report = check_dual_orbit_commutation(mp)
     assert (report.status, [G.format(x) for x in report.witness]) == ("fail", ["g1", "g2", "g7"])

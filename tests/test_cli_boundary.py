@@ -9,9 +9,12 @@ else prints `error: ...` to stderr and returns 2.
 import pytest
 
 from hopfcqt import cli
+from hopfcqt.catalog import get_entry
 from hopfcqt.errors import SchemaError
-from hopfcqt.groups import MAX_DESCRIPTOR_DEPTH, group_from_descriptor
-from hopfcqt.serialize import save_json
+from hopfcqt.groups import (MAX_DESCRIPTOR_DEPTH, DirectProductGroup, InfiniteDihedralGroup,
+                            IntegerGroup, cyclic_group, group_from_descriptor)
+from hopfcqt.scalars import parse_scalar
+from hopfcqt.serialize import element_from_json, save_json
 
 # argv that reads one JSON file, the path last
 READERS = {
@@ -137,3 +140,49 @@ def test_unknown_level_lists_the_choices(tmp_path, capsys):
     err = _assert_error_exit(["cqt-verify", "--entry", "Z2_Z2_tau", "--rform", str(path),
                               "--levels", "0,7"], capsys)
     assert err == "error: unknown CQT level '7' (choose from 0, 1, 2, 3, 4, inv)\n"
+
+
+# an error message echoes outside input bounded, however large the input
+SHORT = 300
+
+
+def test_a_large_comodule_file_is_echoed_bounded(tmp_path, capsys):
+    path = tmp_path / "comodule.json"
+    save_json(list(range(20000)), path)
+    err = _assert_error_exit(["comodule-verify", "--entry", "Z2_Z", "--comodule", str(path)],
+                             capsys)
+    assert "expected a JSON object, got [0, 1, 2" in err and len(err) < SHORT
+
+
+def _schema_error(fn, *args):
+    with pytest.raises(SchemaError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_a_large_element_field_is_echoed_bounded():
+    H = get_entry("Z2_Z").context()
+    message = _schema_error(element_from_json, [{"g": ["g"] * 50000, "f": "0", "c": "1"}], H)
+    assert message.startswith("expected a string literal, got ['g', 'g'")
+    assert len(message) < SHORT
+
+
+@pytest.mark.parametrize("text", ["x" * 100001, "1" * 100001, "zeta(%s,1)" % ("9" * 100000)],
+                         ids=["junk", "long-number", "long-order"])
+def test_a_long_scalar_literal_is_echoed_bounded(text):
+    # int() refuses more than 4300 digits with ValueError; the literal's error is SchemaError
+    assert len(_schema_error(parse_scalar, text)) < SHORT
+
+
+@pytest.mark.parametrize("group", [cyclic_group(3), IntegerGroup(), InfiniteDihedralGroup(),
+                                   DirectProductGroup([cyclic_group(2), IntegerGroup()])],
+                         ids=["Z3", "Z", "Dinf", "Z2xZ"])
+@pytest.mark.parametrize("text", ["q" * 100000, "g^" + "1" * 100000, "(%s)" % ("q," * 50000)],
+                         ids=["name", "exponent", "tuple"])
+def test_a_long_element_name_is_echoed_bounded(group, text):
+    assert len(_schema_error(group.parse, text)) < SHORT
+
+
+def test_a_short_value_is_echoed_whole():
+    assert _schema_error(cyclic_group(3).parse, "q") == "unknown element 'q' of Z3"
+    assert _schema_error(parse_scalar, "1//2") == "bad scalar literal '1//2' (at char 1)"

@@ -185,8 +185,13 @@ def test_branch_sign_case():
 def test_s_abelian_check():
     ok, _ = z2_S_abelian_check(get_entry("Z2_Z").context().mp)
     assert ok
-    ok, witness = z2_S_abelian_check(get_entry("Z2_Dinf").context().mp, 2)
-    assert not ok and witness is not None
+    mp = get_entry("Z2_Dinf").context().mp
+    ok, witness = z2_S_abelian_check(mp, 2)
+    # the first pair of S x S, a-major, with ab != ba, S = {f : g |> f = f} on the window
+    g, F = mp.G.elements()[1], mp.F
+    S = [f for f in mp.window(2) if mp.act_left(g, f) == f]
+    pairs = [(a, b) for a in S for b in S if F.mul(a, b) != F.mul(b, a)]
+    assert not ok and witness == pairs[0] == (F.parse("y^-2"), F.parse("y^-1*x"))
     ok, _ = z2_S_abelian_check(get_entry("Z2_Z2_tau").context().mp)
     assert ok
     with pytest.raises(WrongGroup):

@@ -1,6 +1,8 @@
 import pytest
+from test_battery_tables import _a4_on_z2, _s3_on_k4, _z4_on_s3
 
 from hopfcqt.catalog import entry_ids, get_entry
+from hopfcqt.errors import InvalidAction
 from hopfcqt.groups import (IntegerGroup, InfiniteDihedralGroup, cyclic_group,
                             symmetric_group_s3)
 from hopfcqt.matched_pair import MatchedPair
@@ -89,6 +91,50 @@ def test_orbit_counting_and_transversal_bijection():
                 gx, zx = od.factorize(x)
                 assert od.in_stabilizer(gx)
                 assert mp.G.mul(gx, zx) == x
+
+
+def _orbit_data_by_definition(mp, f):
+    """(orbit, stabilizer, transversal, {x: (g_x, z_x)}) at f, each from its definition:
+    the distinct g |> f in G order, the g with g |> f = f, the first x in G order for
+    each point x^-1 |> f (the first of each right coset G_f x), and z_x the transversal
+    element with x z_x^-1 |> f = f, g_x = x z_x^-1."""
+    G = mp.G
+    orbit = []
+    for g in G.elements():
+        if mp.act_left(g, f) not in orbit:
+            orbit.append(mp.act_left(g, f))
+    stabilizer = [g for g in G.elements() if mp.act_left(g, f) == f]
+    transversal, reached = [], []
+    for x in G.elements():
+        if mp.act_left(G.inv(x), f) not in reached:
+            reached.append(mp.act_left(G.inv(x), f))
+            transversal.append(x)
+    factors = {}
+    for x in G.elements():
+        (z,) = [z for z in transversal if mp.act_left(G.mul(x, G.inv(z)), f) == f]
+        factors[x] = (G.mul(x, G.inv(z)), z)
+    return orbit, stabilizer, transversal, factors
+
+
+@pytest.mark.parametrize("mp", [_mp(e) for e in entry_ids()]
+                         + [H().mp for H in (_s3_on_k4, _z4_on_s3, _a4_on_z2)],
+                         ids=entry_ids() + ["S3_K4", "Z4_S3", "A4_Z2"])
+def test_orbit_data_matches_its_definition(mp):
+    for f in mp.window(2):
+        od = mp.orbit_data(f)
+        orbit, stabilizer, transversal, factors = _orbit_data_by_definition(mp, f)
+        assert (od.orbit, od.stabilizer, od.transversal) == (orbit, stabilizer, transversal), f
+        assert {x: od.factorize(x) for x in mp.G.elements()} == factors, f
+
+
+def test_orbit_data_refuses_a_non_action():
+    # Z3 on Z2 with a |> 0 = 0 but a^2 |> 0 = t: the stabilizer of 0 is {1, a}
+    G, F = cyclic_group(3, "a"), cyclic_group(2, "t")
+    a2, t = G.parse("a^2"), F.parse("t")
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: t if g == a2 else f,
+                                    right=lambda g, f: g)
+    with pytest.raises(InvalidAction, match="stabilizer not closed"):
+        mp.orbit_data(F.one)
 
 
 def test_fold_is_word_independent():
