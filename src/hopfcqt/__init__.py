@@ -17,7 +17,7 @@ from .groups import (DirectProductGroup, FiniteGroup, GroupElement, GroupHom,
                      group_from_descriptor, klein_four_group, permutation_group,
                      quaternion_group_q8, symmetric_group_s3)
 from .grothendieck import (Z2Label, Z2Simples, char_product, commutes, decompose,
-                           multiset_equal, z2_S_abelian_check, z2_tensor_rule)
+                           multiset_equal, z2_S_abelian_check)
 from .hopf import (HopfAlgebra, HopfElement, TensorElement, antipode, comultiply,
                    counit, multiply, verify_hopf_axioms)
 from .matched_pair import MatchedPair

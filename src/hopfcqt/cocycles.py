@@ -16,7 +16,8 @@ whole row of their last F id per kernel call (PairTables.sweep_rows).
 
 from __future__ import annotations
 
-from .errors import InvalidCocycle, MissingEntry, SchemaError, WrongGroup
+from .errors import InvalidCocycle, MissingEntry, SchemaError
+from .groups import z2_generator
 from .matched_pair import PairTables
 from .scalars import ONE
 
@@ -78,10 +79,6 @@ class CocyclePair:
 
         return cls(mp, sig, tv, name=name, sigma_table=sigma, tau_table=tau,
                    sigma_default=sigma_default, tau_default=tau_default)
-
-    @classmethod
-    def from_functions(cls, mp, sigma_fn, tau_fn, name=""):
-        return cls(mp, sigma_fn, tau_fn, name=name)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -178,10 +175,8 @@ class CocyclePair:
 
         Derived from compatibility, so it must hold whenever verify() passes.
         """
-        G, F = self.mp.G, self.mp.F
-        if G.order() != 2:
-            raise WrongGroup("identity specific to |G| = 2, got order %r" % G.order())
-        g = G.elements()[1]
+        g = z2_generator(self.mp.G)
+        F = self.mp.F
         lhs = self.tau(g, g, F.mul(f, fp))
         s = self.sigma(g, f, fp)
         rhs = s * s * self.tau(g, g, f) * self.tau(g, g, fp)

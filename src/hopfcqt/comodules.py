@@ -298,11 +298,9 @@ class InducedComodule:
         f = C.f
         m = source.dim
         trans = C.transversal
-        self.source = source
         self.H = H
         self.base_point = f
         self.dim = m * len(trans)
-        self.basis_labels = [(i, z) for z in trans for i in range(m)]
         pos = {(i, z.key): zi * m + i for zi, z in enumerate(trans) for i in range(m)}
         blocks = {}
         for zi, z in enumerate(trans):
@@ -372,9 +370,6 @@ class InducedComodule:
                              witness=lambda inst: ((inst[0], inst[1]), (inst[2], inst[3]))))
         return reports
 
-    def is_valid(self):
-        return all(r.passed for r in self.verify())
-
     def character_by_trace(self):
         "Trace of the coaction blocks; an independent route to the character."
         return HopfElement(self.H, {key: M.trace() for key, M in self.blocks.items()})
@@ -423,14 +418,13 @@ def induce(V):
 class Character:
     "The character of an induced comodule, as an element of the Hopf algebra."
 
-    __slots__ = ("element", "base_point", "dim", "label", "source")
+    __slots__ = ("element", "base_point", "dim", "label")
 
-    def __init__(self, element, base_point, dim, label="", source=None):
+    def __init__(self, element, base_point, dim, label=""):
         self.element = element
         self.base_point = base_point
         self.dim = dim
         self.label = label
-        self.source = source
 
     def __repr__(self):
         tag = self.label or ("chi@%r" % self.base_point)
@@ -467,7 +461,7 @@ def character(V, label=""):
             key = (zgz, fz)
             acc[key] = acc.get(key, ZERO) + coeff
     elem = HopfElement(H, acc)
-    return Character(elem, f, V.dim * len(C.transversal), label=label, source=V)
+    return Character(elem, f, V.dim * len(C.transversal), label=label)
 
 
 def trivial_comodule(coalgebra):

@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .comodules import TwistedCoalgebra, enumerate_onedim, group_comodules
+from .comodules import TwistedCoalgebra, character, enumerate_onedim, group_comodules
 from .errors import (BadWindow, IrrationalRoots, NonAbelianStabilizer, NotARootOfUnity,
                      NotInStabilizer, OutOfWindow, SearchSpaceTooLarge, UnknownLevel,
                      WrongGroup)
-from .hopf import HopfElement
+from .groups import z2_generator
 from .matched_pair import PairTables, check_window
 from .reports import FAIL, SKIPPED, ConditionReport, sweep, verdict
 from .scalars import ONE, ZERO, as_scalar, bare, rational
@@ -586,16 +586,12 @@ def _grouplikes_on_fixed_part(H, S):
     """Group-like elements sum_g a^g p_g # f for f in the fixed part S.
 
     Solutions a of a^(yx) tau(y, x; f) = a^y a^x; for abelian G these are the
-    twisted characters enumerated per base point.  Returns (f, comodule,
-    element) triples.
+    twisted characters enumerated per base point.  At a fixed f the stabilizer
+    is G and T_f = {1}, so the character of the one-dimensional comodule a is
+    that group-like.  Returns (f, comodule, element) triples.
     """
-    out = []
-    for f in S:
-        C = TwistedCoalgebra(H, f)
-        for V in enumerate_onedim(C):
-            elem = HopfElement(H, {(g, f): V.matrix(g)[0, 0] for g in H.G.elements()})
-            out.append((f, V, elem))
-    return out
+    return [(f, V, character(V).element)
+            for f in S for V in enumerate_onedim(TwistedCoalgebra(H, f))]
 
 
 def bicharacter_restriction_check(R, word_bound=None):
@@ -725,8 +721,7 @@ def z2_r11_solve():
 
 def z2_r11_rform(H, case):
     "Build the RForm on an F-trivial |G| = 2 context from a z2_r11_solve case."
-    if H.G.order() != 2:
-        raise WrongGroup("|G| = 2 required")
+    z2_generator(H.G)
     one_f = H.F.one
     entries = {}
     for (xn, yn), v in case["table"].items():
@@ -745,9 +740,7 @@ def z2_remark_diagnostics(R, qbound=None):
     """
     H = R.H
     G, mp, cp = H.G, H.mp, H.cp
-    if G.order() != 2:
-        raise WrongGroup("|G| = 2 required")
-    g = G.elements()[1]
+    g = z2_generator(G)
     one = G.one
     one_f = H.F.one
     k = R.try_value((one, one_f), (g, one_f))
@@ -804,29 +797,24 @@ def z2_shape_classify(R, qbound=None):
     """
     H = R.H
     G, F, mp = H.G, H.F, H.mp
-    if G.order() != 2:
-        raise WrongGroup("|G| = 2 required")
+    g = z2_generator(G)
     if not F.is_abelian():
         return {"verdict": "hypothesis-not-met",
                 "reports": [ConditionReport("z2-shape", SKIPPED, detail="F not abelian")]}
-    g = G.elements()[1]
     fs = _qrange(R, qbound)
-    if all(mp.act_left(g, f) == f for f in fs):
+
+    def fixed(f):
+        return mp.act_left(g, f) == f
+
+    if all(map(fixed, fs)):
         return {"verdict": "hypothesis-not-met",
                 "reports": [ConditionReport(
                     "z2-shape", SKIPPED,
                     detail="no moved base points in the window (the fixed part is everything)")]}
 
-    def fixed(f):
-        return mp.act_left(g, f) == f
-
     def conforms(x, f, y, fp):
-        "One of the four fixed/moved membership patterns of shape (2)."
-        xi, yi = x.is_identity(), y.is_identity()
-        return ((xi and yi and fixed(f) and fixed(fp)) or
-                (xi and not yi and not fixed(f) and fixed(fp)) or
-                (not xi and yi and fixed(f) and not fixed(fp)) or
-                (not xi and not yi and not fixed(f) and not fixed(fp)))
+        "The four membership patterns of shape (2): f is fixed iff y = 1, f' iff x = 1."
+        return fixed(f) == y.is_identity() and fixed(fp) == x.is_identity()
 
     entries = [(x, f, y, fp) for (x, f), (y, fp) in R.table]
     ones = [e for e in entries if e[0].is_identity() and e[2].is_identity()]

@@ -1,5 +1,6 @@
 """Exception types shared across the library, and `shown`, the one bounded
-repr through which their messages echo outside input."""
+repr through which their messages echo outside input (`cut` bounds a text,
+such as a group's own name, that they echo as it is)."""
 
 import reprlib
 
@@ -10,10 +11,14 @@ _REPR.maxlevel, _REPR.maxstring, _REPR.maxother = 3, 60, 60
 MAX_SHOWN = 100
 
 
+def cut(text):
+    "text whole when it has at most MAX_SHOWN characters, else cut to MAX_SHOWN with '...'."
+    return text if len(text) <= MAX_SHOWN else text[:MAX_SHOWN - 3] + "..."
+
+
 def shown(value):
     "repr(value) for an error message: whole when short, else elided to MAX_SHOWN characters."
-    text = _REPR.repr(value)
-    return text if len(text) <= MAX_SHOWN else text[:MAX_SHOWN - 3] + "..."
+    return cut(_REPR.repr(value))
 
 
 class HopfCqtError(Exception):

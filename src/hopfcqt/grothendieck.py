@@ -8,7 +8,9 @@ three families, labelled over the fixed/free part of F:
     f fixed by g:  U_f, V_f   (one-dimensional, coefficient +-sqrt(tau(g,g;f)))
     f moved by g:  W_f        (two-dimensional, W_f ~ W_(g|>f))
 
-and the closed tensor rules reproduce the label-level products, including the
+`Z2Simples.simples_at` is the one rule for the labels over a base point; the
+label list, the W (x) W rule and the decomposition candidates all read it.
+The closed tensor rules reproduce the label-level products, including the
 four-way split of W (x) W.  The U/V output label carries the square-root
 branch sign sqrt(tau(f)) sqrt(tau(f')) sigma(g;f,f') / sqrt(tau(ff')), which
 is +1 for trivial cocycles.
@@ -16,9 +18,10 @@ is +1 for trivial cocycles.
 
 from __future__ import annotations
 
-from .comodules import Character, TwistedCoalgebra, enumerate_onedim, trivial_comodule
+from .comodules import Character
 from .errors import (DependentCharacters, HopfCqtError, NonIntegralMultiplicity, NotInSpan,
-                     UnknownLabelKind, WrongGroup)
+                     UnknownLabelKind)
+from .groups import z2_generator
 from .hopf import multiply
 from .reports import sweep
 from .scalars import Matrix, ONE, ZERO, solve_linear, sqrt_root_of_unity
@@ -105,17 +108,14 @@ class Z2Label:
 class Z2Simples:
     """The simple comodules of a |G| = 2 context, by label.
 
-    For the life of the instance it memoizes the twisted coalgebra and
-    sqrt(tau(g, g; f)) per base point f and the closed character per label,
-    each computed on first use; a returned Character is shared, not copied.
+    For the life of the instance it memoizes sqrt(tau(g, g; f)) per base
+    point f and the closed character per label, each computed on first use; a
+    returned Character is shared, not copied.
     """
 
     def __init__(self, H):
-        if H.G.order() != 2:
-            raise WrongGroup("|G| = 2 required, got order %r" % H.G.order())
+        self.g = z2_generator(H.G)
         self.H = H
-        self.g = H.G.elements()[1]
-        self._coalgebras = {}
         self._sqrt_taus = {}
         self._characters = {}
 
@@ -141,35 +141,16 @@ class Z2Simples:
             raise HopfCqtError("label W needs a moved base point, %r is fixed" % f)
         return Z2Label("W", self.H.mp.orbit_representative(f))
 
+    def simples_at(self, f):
+        "The labels over f: U_f and V_f when g |> f = f, else W at f's orbit representative."
+        if self.in_fixed_part(f):
+            return [Z2Label("U", f), Z2Label("V", f)]
+        return [Z2Label("W", self.H.mp.orbit_representative(f))]
+
     def labels(self, word_bound=4):
         "All simple labels with base point in the window, W orbits deduplicated."
-        out = []
-        seen_w = set()
-        for f in self.H.mp.window(word_bound):
-            if self.in_fixed_part(f):
-                out.append(Z2Label("U", f))
-                out.append(Z2Label("V", f))
-            else:
-                rep = self.H.mp.orbit_representative(f)
-                if rep.key not in seen_w:
-                    seen_w.add(rep.key)
-                    out.append(Z2Label("W", rep))
-        return out
-
-    def comodule(self, label):
-        "The underlying stabilizer comodule of a label."
-        f = label.f
-        key = f.key
-        if key not in self._coalgebras:
-            self._coalgebras[key] = TwistedCoalgebra(self.H, f)
-        C = self._coalgebras[key]
-        if label.kind == "W":
-            return trivial_comodule(C)
-        want = self.sqrt_tau(f) if label.kind == "U" else -self.sqrt_tau(f)
-        for V in enumerate_onedim(C):
-            if V.matrix(self.g)[0, 0] == want:
-                return V
-        raise AssertionError("one-dimensional comodule with a^g = %r not found" % want)
+        return list(dict.fromkeys(lab for f in self.H.mp.window(word_bound)
+                                  for lab in self.simples_at(f)))
 
     def character(self, label):
         "chi(U_f) = p_1#f + sqrt(tau) p_g#f, chi(V_f) with -sqrt, chi(W_f) = p_1#f + p_1#(g|>f)."
@@ -215,14 +196,8 @@ class Z2Simples:
             return [self.label("U" if eps == 1 else "V", f3)]
         if uv1 != uv2:
             return [self.label("W", F.mul(f1, f2))]
-        out = []
-        for part in (F.mul(f1, f2), F.mul(f1, H.mp.act_left(g, f2))):
-            if self.in_fixed_part(part):
-                out.append(self.label("U", part))
-                out.append(self.label("V", part))
-            else:
-                out.append(self.label("W", part))
-        return out
+        return [lab for part in (F.mul(f1, f2), F.mul(f1, H.mp.act_left(g, f2)))
+                for lab in self.simples_at(part)]
 
     def tensor_by_decomposition(self, l1, l2):
         """The same product through the generic pipeline: multiply the two
@@ -231,16 +206,8 @@ class Z2Simples:
         """
         c1, c2 = self.character(l1), self.character(l2)
         prod = char_product(c1, c2)
-        cand = {}
-        for (gkey, u) in prod.terms:
-            if self.in_fixed_part(u):
-                for kind in ("U", "V"):
-                    lab = Z2Label(kind, u)
-                    cand[(kind, u.key)] = lab
-            else:
-                lab = self.label("W", u)
-                cand[("W", lab.f.key)] = lab
-        labels = sorted(cand.values(), key=lambda l: (l.kind, repr(l.f)))
+        cand = dict.fromkeys(lab for (_, u) in prod.terms for lab in self.simples_at(u))
+        labels = sorted(cand, key=lambda l: (l.kind, repr(l.f)))
         mults = decompose(prod, [self.character(l) for l in labels])
         out = []
         for lab, m in zip(labels, mults):
@@ -253,19 +220,12 @@ class Z2Simples:
         return [(l1, l2, self.tensor_rule(l1, l2)) for l1 in labels for l2 in labels]
 
 
-def z2_tensor_rule(H, label1, label2):
-    "Module-level convenience wrapper around Z2Simples.tensor_rule."
-    simples = Z2Simples(H)
-    return simples.tensor_rule(label1, label2)
-
-
 def z2_S_abelian_check(mp, word_bound=4):
     """Commutativity of the fixed-point part S = {f : g |> f = f} on the window.
 
     A necessary condition for the character ring to be commutative.
     """
-    if mp.G.order() != 2:
-        raise WrongGroup("|G| = 2 required")
+    z2_generator(mp.G)
     witness = mp.F.noncommuting_pair(mp.fixed_points(word_bound))
     return witness is None, witness
 

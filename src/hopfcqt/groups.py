@@ -9,7 +9,8 @@ word-rewriting oracle (the affine action i |-> +-i + c on the integers).
 `closure` is the one breadth-first search: generation checks, shortest letter
 words, permutation groups, dual orbits, the generator words of the character
 solver and the images of a finite-domain homomorphism each read its
-{node: first word} table.
+{node: first word} table.  `z2_generator` is the one |G| = 2 guard: every
+operation specific to the paper's G = Z2 takes its g != 1 from it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import (InfiniteGroup, InvalidGroup, InvalidHomomorphism, MixedGroups, SchemaError,
-                     shown)
+                     WrongGroup, cut, shown)
 
 
 def closure(start, letters, step, limit=None):
@@ -50,7 +51,7 @@ def _read_word(G, text, names):
     text = text.strip()
     if text in names:
         return names[text]
-    where = getattr(G, "name", G.family)
+    where = cut(str(getattr(G, "name", G.family)))
     out = G.one
     for chunk in text.split("*"):
         name, caret, exp = chunk.rpartition("^")
@@ -66,6 +67,13 @@ def _read_word(G, text, names):
                               % (shown(exp.strip()), shown(chunk.strip()), where)) from None
         out = G.mul(out, G.power(names[name], power))
     return out
+
+
+def z2_generator(G):
+    "The element g != 1 of a group of order 2; any other order raises WrongGroup."
+    if G.order() != 2:
+        raise WrongGroup("|G| = 2 required, got order %d" % G.order())
+    return G.elements()[1]
 
 
 class GroupElement:
@@ -223,7 +231,7 @@ class FiniteGroup(Group):
         self.generator_indices = [self.parse(g).key if isinstance(g, str) else g
                                   for g in generators]
         if len(closure(0, self.generator_indices, lambda i, g: self.table[i][g])) != n:
-            raise InvalidGroup("declared generators do not generate %s" % name)
+            raise InvalidGroup("declared generators do not generate %s" % cut(str(name)))
         self._decomp_cache = None
 
     def _check_axioms(self):
@@ -310,7 +318,7 @@ class FiniteGroup(Group):
         return hash(("finite", len(self.element_names)))
 
     def __repr__(self):
-        return "FiniteGroup(%s, order %d)" % (self.name, len(self.element_names))
+        return "FiniteGroup(%s, order %d)" % (cut(str(self.name)), len(self.element_names))
 
 
 def finite_group_from_elements(name, elems, mul_fn, names, generators, builtin=None):

@@ -376,8 +376,9 @@ class PairTables:
         self.nf = room = nf
         gid = self.gid = {g.key: i for i, g in enumerate(gs)}
         index = {f.key: i for i, f in enumerate(fs)}
-        fmul, finv = self.fmul, self.finv = _blank("FF", ng, nf), _blank("F", ng, nf)
-        left, right = self.left, self.right = _blank("GF", ng, nf), _blank("GF", ng, nf)
+        fmul, finv = _blank("FF", ng, nf), _blank("F", ng, nf)
+        left, right = _blank("GF", ng, nf), _blank("GF", ng, nf)
+        self.fmul, self.left = fmul, left  # cocycles.verify reads these two
         tables = [(fmul, "FF"), (finv, "F"), (left, "GF"), (right, "GF")]
         if cp is not None:
             sigma, tau = self.sigma, self.tau = _blank("GFF", ng, nf), _blank("GGF", ng, nf)

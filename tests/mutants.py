@@ -149,14 +149,21 @@ MUTANTS = [
          new="",
          tests=["tests/test_groups.py::test_group_constructors_raise_library_errors"
                 "[<lambda>-inconsistent]"]),
-
-    # -- survivors --------------------------------------------------------------
     dict(name="battery-hits-fp-scans-orbit-of-fp", file="cqt.py",
          old="""        hits_fp = any(right(g, u) in stab_p for u in orbit_f)""",
          new="""        hits_fp = any(right(g, u) in stab_p for u in orbit_p)""",
-         tests=["tests/test_battery_tables.py", "tests/test_cqt.py"],
-         survives="stabilizer-action-constraint gives the same reports on every catalog "
-                  "context and on every exact factorization of S4 and S5 tried"),
+         tests=["tests/test_battery_tables.py::"
+                "test_stabilizer_action_constraint_witness_from_its_definition"]),
+    dict(name="z2-shape-2-swaps-x-and-y", file="cqt.py",
+         old="return fixed(f) == y.is_identity() and fixed(fp) == x.is_identity()",
+         new="return fixed(f) == x.is_identity() and fixed(fp) == y.is_identity()",
+         tests=["tests/test_cqt.py::test_z2_shape_classify"]),
+    dict(name="z2-simples-w-at-f", file="grothendieck.py",
+         old="""return [Z2Label("W", self.H.mp.orbit_representative(f))]""",
+         new="""return [Z2Label("W", f)]""",
+         tests=["tests/test_grothendieck.py::test_z2_tensor_rule_four_way_split"]),
+
+    # -- survivors --------------------------------------------------------------
     dict(name="battery-moved-by-z", file="cqt.py",
          old="""        return zgz, right(zgz, left(zi, f))""",
          new="""        return zgz, right(zgz, left(z, f))""",

@@ -4,10 +4,12 @@ against the object-path reference in `battery_reference`.
 Both must give identical reports (status, witness, detail and `checked`)
 on every catalog entry, on a context whose sigma is not symmetric (the only
 one here that fails sigma-symmetry-on-central-abelian), on a context whose
-|> leaves every word-length window, and on the S4 context of the known
-false obstruction; and both must raise the same error on a non-coassociative
-or non-counital tau and on a character read outside its stabilizer.  The
-dual-orbit check's witness on A4 x Z2 is recomputed from its definition.
+|> leaves every word-length window, on the S4 context of the known false
+obstruction, and on an S4 x Z2 context that fails stabilizer-action-constraint;
+and both must raise the same error on a non-coassociative or non-counital tau
+and on a character read outside its stabilizer.  The witnesses of the
+dual-orbit check on A4 x Z2 and of stabilizer-action-constraint on S4 x Z2 are
+recomputed from their definitions.
 """
 
 import itertools
@@ -77,11 +79,12 @@ def test_length_changing_action_matches_reference(bound):
     _assert_same_battery(_z2_flip_dinf(), bound)
 
 
-def _s4_pair(gperms, fperms, name):
-    """The matched pair of an exact factorization S4 = F G of permutation subgroups
-    (identity first): g f = (g |> f)(g <| f), with trivial cocycles."""
+def _perm_pair(gperms, fperms, name):
+    """The matched pair of an exact factorization X = F G of two groups of
+    permutations of range(n), each listed identity first: g f = (g |> f)(g <| f),
+    with trivial cocycles."""
     comp = lambda p, q: tuple(p[i] for i in q)
-    inv = lambda p: tuple(sorted(range(4), key=p.__getitem__))
+    inv = lambda p: tuple(sorted(range(len(p)), key=p.__getitem__))
     G, F = (finite_group_from_elements(tag, perms, comp, [tag + str(i) for i in range(len(perms))],
                                        [tag + str(i) for i in range(1, len(perms))])
             for tag, perms in (("g", gperms), ("f", fperms)))
@@ -101,20 +104,20 @@ _S3 = [p + (3,) for p in itertools.permutations(range(3))]  # the stabilizer of 
 
 def _s3_on_k4():
     "F = K4 normal and G = S3: g |> f = g f g^-1 and g <| f = g."
-    return _s4_pair(_S3, [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)], "S3_K4")
+    return _perm_pair(_S3, [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)], "S3_K4")
 
 
 def _z4_on_s3():
     """G = Z4 = <(0 1 2 3)> and F = S3: both actions are nontrivial and the
     transversals hold elements of order 4, so z^-1 |> f and z |> f differ."""
-    return _s4_pair([(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)], _S3, "Z4_S3")
+    return _perm_pair([(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)], _S3, "Z4_S3")
 
 
 def _a4_on_z2():
     "G = A4 and F = {1, (1 3)}."
     a4 = [p for p in sorted(itertools.permutations(range(4)))
           if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
-    return _s4_pair(a4, [(0, 1, 2, 3), (2, 1, 0, 3)], "A4_Z2")
+    return _perm_pair(a4, [(0, 1, 2, 3), (2, 1, 0, 3)], "A4_Z2")
 
 
 def test_two_sided_actions_match_reference():
@@ -152,6 +155,43 @@ def test_dual_orbit_witness_is_the_first_missing_product():
                   or first_missing(dual_orbit(gp), dual_orbit(g)))
                  for g, gp in itertools.product(G.elements(), repeat=2))
     assert next(w for w in witnesses if w[2] is not None) == tuple(report.witness)
+
+
+def _k4_on_s3_z2():
+    """X = S4 x Z2 on six points, G = {(), (1 2)(3 4)(5 6), (1 3)(2 4), (1 4)(2 3)(5 6)}
+    and F = Sym{1,2,3} x <(5 6)>, each by sorted image tuple: the first context
+    on which stabilizer-action-constraint fails."""
+    gperms = [(0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 3, 0, 1, 4, 5), (3, 2, 1, 0, 5, 4)]
+    fperms = sorted(p + (3,) + q for p in itertools.permutations(range(3))
+                    for q in ((4, 5), (5, 4)))
+    return _perm_pair(gperms, fperms, "K4_S3xZ2")
+
+
+def test_stabilizer_action_constraint_witness_from_its_definition():
+    H = _k4_on_s3_z2()
+    mp, G, F = H.mp, H.G, H.F
+    assert all_passed(mp.verify()) and G.is_abelian()
+    by = _assert_same_battery(H)
+    # for g in G_f: part 1 (g not in G_f') fails when g <| u lies in G_f' for some u
+    # in O_f; part 2 (g in G_f') needs that to hold iff g <| u lies in G_f for some u in O_f'
+    orbit = {f: {mp.act_left(h, f) for h in G.elements()} for f in F.elements()}
+    stab = {f: {h for h in G.elements() if mp.act_left(h, f) == f} for f in F.elements()}
+
+    def hits(g, f, fp):
+        return any(mp.act_right(g, u) in stab[fp] for u in orbit[f])
+
+    instances = [(g, f, fp) for f in F.elements() for fp in F.elements() for g in G.elements()]
+    failing = [(n, ("part-2" if g in stab[fp] else "part-1", g, f, fp))
+               for n, (g, f, fp) in enumerate(instances, 1)
+               if g in stab[f] and (hits(g, f, fp) if g not in stab[fp]
+                                    else hits(g, f, fp) != hits(g, fp, f))]
+    checked, (part, g, f, fp) = failing[0]
+    # g = (1 4)(2 3)(5 6), f = (2 3), f' = (1 2 3)
+    assert (part, repr(g), repr(f), repr(fp), checked) == ("part-2", "g3", "f2", "f6", 124)
+    report = by["stabilizer-action-constraint"]
+    assert (report["status"], report["witness"], report["checked"]) == \
+        ("fail", [part, repr(g), repr(f), repr(fp)], checked)
+    assert by["orbit-product-commutation"]["status"] == "fail"
 
 
 @pytest.mark.xfail(strict=True, reason="dual-orbit-product-commutation is a module-side "

@@ -10,7 +10,7 @@ import pytest
 
 from hopfcqt import cli
 from hopfcqt.catalog import get_entry
-from hopfcqt.errors import SchemaError
+from hopfcqt.errors import MixedGroups, SchemaError
 from hopfcqt.groups import (MAX_DESCRIPTOR_DEPTH, DirectProductGroup, InfiniteDihedralGroup,
                             IntegerGroup, cyclic_group, group_from_descriptor)
 from hopfcqt.scalars import parse_scalar
@@ -181,6 +181,33 @@ def test_a_long_scalar_literal_is_echoed_bounded(text):
                          ids=["name", "exponent", "tuple"])
 def test_a_long_element_name_is_echoed_bounded(group, text):
     assert len(_schema_error(group.parse, text)) < SHORT
+
+
+_LONG_NAME = "n" * 100000
+_NAMED = {"family": "finite", "name": _LONG_NAME, "names": ["1", "a"], "table": [[0, 1], [1, 0]]}
+_NAMED_PERM = {"family": "perm", "name": _LONG_NAME, "generators": [[1, 0]]}
+
+
+def _mul_by_foreign(G):
+    return G.mul(G.one, cyclic_group(2).one)
+
+
+@pytest.mark.parametrize("error, fail", [
+    (SchemaError, lambda: group_from_descriptor(_NAMED).parse("q")),
+    (MixedGroups, lambda: _mul_by_foreign(group_from_descriptor(_NAMED))),
+    (SchemaError, lambda: group_from_descriptor(dict(_NAMED, generators=["1"]))),
+    (SchemaError, lambda: group_from_descriptor(_NAMED_PERM).parse("q")),
+], ids=["finite-parse", "finite-mixed", "finite-generators", "perm-parse"])
+def test_a_long_group_name_is_echoed_bounded(error, fail):
+    with pytest.raises(error) as info:
+        fail()
+    assert len(str(info.value)) < SHORT
+
+
+def test_a_schema_error_carries_its_location():
+    with pytest.raises(SchemaError) as info:
+        group_from_descriptor({"family": "Zn", "n": "x"})
+    assert info.value.location == "group.n"
 
 
 def test_a_short_value_is_echoed_whole():

@@ -1,12 +1,15 @@
 import pytest
 
 from hopfcqt.catalog import get_entry
+from hopfcqt.comodules import Comodule, TwistedCoalgebra, character, induce, trivial_comodule
+from hopfcqt.cqt import (eps_tensor_eps, z2_r11_rform, z2_r11_solve, z2_remark_diagnostics,
+                         z2_shape_classify)
 from hopfcqt.errors import (DependentCharacters, HopfCqtError, NonIntegralMultiplicity,
                             NotInSpan, UnknownLabelKind, WrongGroup)
 from hopfcqt.grothendieck import (Z2Label, Z2Simples, char_product, commutes, decompose,
-                                  multiset_equal, z2_S_abelian_check,
-                                  z2_tensor_rule)
-from hopfcqt.scalars import rational
+                                  multiset_equal, z2_S_abelian_check)
+from hopfcqt.reports import all_passed
+from hopfcqt.scalars import Matrix, rational, sqrt_root_of_unity
 
 
 def test_char_product_uu_is_u_of_product():
@@ -86,8 +89,6 @@ def test_z2_label_constraints():
         simples.label("U", "3")  # moved base point cannot carry U
     with pytest.raises(HopfCqtError):
         simples.label("W", "0")  # fixed base point cannot carry W
-    with pytest.raises(WrongGroup):
-        Z2Simples(get_entry("Z3_Z").context())
     for make in (lambda: Z2Label("X", H.F.parse("0")), lambda: simples.label("X", "1")):
         with pytest.raises(UnknownLabelKind, match="kind must be U, V or W, got 'X'") as err:
             make()
@@ -106,6 +107,7 @@ def test_z2_tensor_rule_examples():
     # W_(f') (x) U_f = W_(f'f)
     assert simples.tensor_rule(W1, U0) == [W1]
     assert simples.tensor_rule(U0, W1) == [W1]
+    assert [x.kind for x in simples.tensor_rule(U0, simples.label("W", "2"))] == ["W"]
 
 
 def test_z2_tensor_rule_mixed_cases_s3():
@@ -194,15 +196,22 @@ def test_s_abelian_check():
     assert not ok and witness == pairs[0] == (F.parse("y^-2"), F.parse("y^-1*x"))
     ok, _ = z2_S_abelian_check(get_entry("Z2_Z2_tau").context().mp)
     assert ok
-    with pytest.raises(WrongGroup):
-        z2_S_abelian_check(get_entry("Z3_Z").context().mp)
 
 
-def test_module_level_rule_wrapper():
-    H = get_entry("Z2_Z").context()
-    simples = Z2Simples(H)
-    out = z2_tensor_rule(H, simples.label("U", "0"), simples.label("W", "2"))
-    assert [x.kind for x in out] == ["W"]
+_Z2_ONLY = {
+    "Z2Simples": Z2Simples,
+    "z2_S_abelian_check": lambda H: z2_S_abelian_check(H.mp),
+    "z2_r11_rform": lambda H: z2_r11_rform(H, z2_r11_solve()[0]),
+    "z2_remark_diagnostics": lambda H: z2_remark_diagnostics(eps_tensor_eps(H, window=1)),
+    "z2_shape_classify": lambda H: z2_shape_classify(eps_tensor_eps(H, window=1)),
+    "tau_square_identity_check": lambda H: H.cp.tau_square_identity_check(H.F.one, H.F.one),
+}
+
+
+@pytest.mark.parametrize("call", _Z2_ONLY.values(), ids=list(_Z2_ONLY))
+def test_every_z2_operation_refuses_other_orders(call):
+    with pytest.raises(WrongGroup, match=r"^\|G\| = 2 required, got order 3$"):
+        call(get_entry("Z3_Z").context())
 
 
 @pytest.mark.parametrize("eid, bound", [("Z2_Dinf", 2), ("Z2_Z", 2), ("Z2_Z2_tau", 1)])
@@ -222,3 +231,27 @@ def test_memoized_simples_match_fresh(eid, bound):
             for name in ("tensor_rule", "tensor_by_decomposition"):
                 memoized = getattr(simples, name)(l1, l2)
                 assert memoized == getattr(Z2Simples(H), name)(l1, l2), (name, l1, l2)
+
+
+@pytest.mark.parametrize("eid, bound", [("Z2_Z", 4), ("Z2_Dinf", 3), ("Z2_Z2_tau", 2),
+                                        ("Z2_Z2xZ_central", 2), ("S3_Z2", 2)])
+def test_closed_characters_match_the_generic_formula(eid, bound):
+    # each label's comodule from the definitions: over a fixed f the one-dimensional
+    # comodule of the stabilizer coalgebra with a^g = +-sqrt(tau(g, g; f)) (U, V);
+    # over a moved f the trivial comodule of the coalgebra at f (W)
+    H = get_entry(eid).context()
+    simples = Z2Simples(H)
+    g = H.G.elements()[1]
+    for lab in simples.labels(bound):
+        C = TwistedCoalgebra(H, lab.f)
+        if lab.kind == "W":
+            V = trivial_comodule(C)
+        else:
+            s = sqrt_root_of_unity(H.cp.tau(g, g, lab.f))
+            a_g = s if lab.kind == "U" else -s
+            V = Comodule(C, 1, {H.G.one: Matrix([[1]]), g: Matrix([[a_g]])})
+            assert all_passed(V.verify()), lab
+        closed, generic, induced = simples.character(lab), character(V), induce(V)
+        assert closed.element == generic.element == induced.character_by_trace(), lab
+        assert closed.dim == generic.dim == induced.dim, lab
+        assert closed.base_point == generic.base_point == induced.base_point, lab

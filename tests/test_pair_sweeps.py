@@ -75,7 +75,7 @@ def test_missing_key_pairs_raise_like_reference(eid, bound):
 def test_zero_rule_value_raises_library_error():
     G, F = cyclic_group(2), cyclic_group(2, gen_name="t")
     mp = MatchedPair.from_functions(G, F, left=lambda g, f: f, right=lambda g, f: g)
-    cp = CocyclePair.from_functions(
+    cp = CocyclePair(
         mp, lambda a, f, fp: ZERO if not (a.is_identity() or f.is_identity()) else ONE,
         lambda a, b, f: ONE)
     with pytest.raises(InvalidCocycle) as new:

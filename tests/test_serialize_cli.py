@@ -61,7 +61,7 @@ def test_contexts_equal_sees_one_changed_value():
 
     def rebuild(left=mp.act_left, right=mp.act_right, sigma=one, tau=one):
         mp2 = MatchedPair.from_functions(G, F, left=left, right=right)
-        return HopfAlgebra(CocyclePair.from_functions(mp2, sigma, tau))
+        return HopfAlgebra(CocyclePair(mp2, sigma, tau))
 
     assert serialize.contexts_equal(H, rebuild())
     changes = {"|>": rebuild(left=_changed(mp.act_left, (g, f), F.parse("(1 2 3)"))),
@@ -115,7 +115,7 @@ def test_non_integer_permutation_or_table_entry_is_a_schema_error(desc):
 def _rule_based(eid, sigma, tau):
     "The entry's matched pair with sigma and tau given as rules, not tables."
     mp = get_entry(eid).context().mp
-    return HopfAlgebra(CocyclePair.from_functions(mp, sigma, tau), name=eid)
+    return HopfAlgebra(CocyclePair(mp, sigma, tau), name=eid)
 
 
 def test_context_json_of_rule_based_cocycles():
