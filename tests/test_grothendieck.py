@@ -107,7 +107,6 @@ def test_z2_tensor_rule_examples():
     # W_(f') (x) U_f = W_(f'f)
     assert simples.tensor_rule(W1, U0) == [W1]
     assert simples.tensor_rule(U0, W1) == [W1]
-    assert [x.kind for x in simples.tensor_rule(U0, simples.label("W", "2"))] == ["W"]
 
 
 def test_z2_tensor_rule_mixed_cases_s3():
@@ -196,6 +195,14 @@ def test_s_abelian_check():
     assert not ok and witness == pairs[0] == (F.parse("y^-2"), F.parse("y^-1*x"))
     ok, _ = z2_S_abelian_check(get_entry("Z2_Z2_tau").context().mp)
     assert ok
+
+
+def test_module_level_rule_wrapper():
+    # the rule on a fresh context, as the removed module-level wrapper called it
+    H = get_entry("Z2_Z").context()
+    simples = Z2Simples(H)
+    out = simples.tensor_rule(simples.label("U", "0"), simples.label("W", "2"))
+    assert [x.kind for x in out] == ["W"]
 
 
 _Z2_ONLY = {
