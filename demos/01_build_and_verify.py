@@ -17,8 +17,7 @@ t = F.parse("(1 2)")
 mp = MatchedPair.from_functions(
     G, F,
     left=lambda a, nu: nu if a.is_identity() else F.mul(F.mul(t, nu), t),
-    right=lambda a, nu: a,
-    name="S3 by Z2-conjugation")
+    right=lambda a, nu: a)
 
 print("matched-pair axioms:")
 for report in mp.verify():

@@ -66,8 +66,8 @@ class CatalogEntry:
 
 def _context(name, G, F, left=lambda g, f: f, right=lambda g, f: g):
     "The context with actions g |> f = left(g, f), g <| f = right(g, f) and trivial cocycles."
-    mp = MatchedPair.from_functions(G, F, left=left, right=right, name=name)
-    return HopfAlgebra(CocyclePair.trivial(mp, name=name), name=name)
+    mp = MatchedPair.from_functions(G, F, left=left, right=right)
+    return HopfAlgebra(CocyclePair.trivial(mp), name=name)
 
 
 def _odd_twist(name, G, F, theta, odd):
@@ -114,12 +114,10 @@ def _negate_z_factor(F):
 def _build_z2_z2_tau():
     G = cyclic_group(2)
     F = cyclic_group(2, gen_name="t")
-    mp = MatchedPair.from_functions(G, F, left=lambda g, f: f,
-                                    right=lambda g, f: g, name="Z2_Z2_tau")
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: f, right=lambda g, f: g)
     g = G.parse("g")
     t = F.parse("t")
-    cp = CocyclePair.from_tables(mp, {}, {(g.key, g.key, t.key): MINUS_ONE},
-                                 name="Z2_Z2_tau")
+    cp = CocyclePair.from_tables(mp, {}, {(g.key, g.key, t.key): MINUS_ONE})
     return HopfAlgebra(cp, name="Z2_Z2_tau")
 
 

@@ -5,13 +5,14 @@ tau:   G x G x F -> k*   twists the comultiplication,
 
 subject to normalization, the two cocycle identities, and the compatibility
 equation tying them together.  Values are Scalars (roots of unity times
-rationals); finite F uses tables, the infinite families use rule callables
-supplied by catalog entries.  `verify` runs on matched_pair.PairTables: its
-identities read sigma[g][f][f'] and tau[g][g'][f] from nested lists indexed
-by id, filling an entry through `sigma`/`tau` on its first lookup, so each
-distinct argument triple is looked up once per call, in the order the
-object path first reaches it.  sigma-cocycle and compatibility evaluate a
-whole row of their last F id per kernel call (PairTables.sweep_rows).
+rationals).  Every catalog entry builds its pair with `trivial` or
+`from_tables`; any other pair is given by two rule callables.  `verify` runs
+on matched_pair.PairTables: its identities read sigma[g][f][f'] and
+tau[g][g'][f] from nested lists indexed by id, filling an entry through
+`sigma`/`tau` on its first lookup, so each distinct argument triple is
+looked up once per call, in the order the object path first reaches it.
+sigma-cocycle and compatibility evaluate a whole row of their last F id per
+kernel call (PairTables.sweep_rows).
 """
 
 from __future__ import annotations
@@ -25,28 +26,24 @@ from .scalars import ONE
 class CocyclePair:
     "sigma and tau over a fixed matched pair."
 
-    def __init__(self, mp, sigma_fn, tau_fn, name="", sigma_table=None, tau_table=None,
-                 sigma_default=None, tau_default=None):
+    def __init__(self, mp, sigma, tau):
         self.mp = mp
-        self._sigma = sigma_fn
-        self._tau = tau_fn
-        self.name = name
-        # kept for serialization; None means rule-based
-        self.sigma_table = sigma_table
-        self.tau_table = tau_table
-        self.sigma_default = sigma_default
-        self.tau_default = tau_default
+        self._sigma = sigma
+        self._tau = tau
+        # {"sigma": (table, default), "tau": (table, default)} as from_tables
+        # takes them, for serialization; None for a pair given by rules
+        self.tables = None
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def trivial(cls, mp, name=""):
-        return cls(mp, lambda g, f, fp: ONE, lambda g, gp, f: ONE,
-                   name=name, sigma_table={}, tau_table={},
-                   sigma_default=ONE, tau_default=ONE)
+    def trivial(cls, mp):
+        cp = cls(mp, lambda g, f, fp: ONE, lambda g, gp, f: ONE)
+        cp.tables = {"sigma": ({}, ONE), "tau": ({}, ONE)}
+        return cp
 
     @classmethod
-    def from_tables(cls, mp, sigma, tau, sigma_default=ONE, tau_default=ONE, name=""):
+    def from_tables(cls, mp, sigma, tau, sigma_default=ONE, tau_default=ONE):
         """Tables keyed by (g.key, f.key, f'.key) and (g.key, g'.key, f.key).
 
         Lookups fall back to the default; a None default turns misses into
@@ -77,8 +74,9 @@ class CocyclePair:
                 raise MissingEntry("tau(%r, %r; %r) undeclared" % (g, gp, f))
             return v
 
-        return cls(mp, sig, tv, name=name, sigma_table=sigma, tau_table=tau,
-                   sigma_default=sigma_default, tau_default=tau_default)
+        cp = cls(mp, sig, tv)
+        cp.tables = {"sigma": (sigma, sigma_default), "tau": (tau, tau_default)}
+        return cp
 
     # -- evaluation -------------------------------------------------------------
 
@@ -197,4 +195,4 @@ class CocyclePair:
                    for g in mp.G.elements() for gp in mp.G.elements() for f in fs)
 
     def __repr__(self):
-        return "CocyclePair(%s)" % (self.name or "?")
+        return "CocyclePair(over %r)" % self.mp

@@ -138,10 +138,9 @@ class TwistedCoalgebra:
 class Comodule:
     "Right comodule over a twisted stabilizer coalgebra: matrices A^g, g in G_f."
 
-    def __init__(self, coalgebra, dim, matrices, label=""):
+    def __init__(self, coalgebra, dim, matrices):
         self.coalgebra = coalgebra
         self.dim = dim
-        self.label = label
         self.matrices = {}
         for g, M in matrices.items():
             g = coalgebra.H.G.coerce(g)
@@ -154,7 +153,7 @@ class Comodule:
             self.matrices.setdefault(g.key, Matrix.zeros(dim, dim))
 
     @classmethod
-    def from_coefficients(cls, coalgebra, dim, coeffs, label=""):
+    def from_coefficients(cls, coalgebra, dim, coeffs):
         "coeffs maps (l, i, g) with 1-based l, i to scalars: rho(v_i) = sum v_l (x) a_li^g p_g."
         G = coalgebra.H.G
         mats = {}
@@ -163,8 +162,7 @@ class Comodule:
                 raise DimensionMismatch("index (%r, %r) outside 1..%d" % (l, i, dim))
             M = mats.setdefault(G.coerce(g).key, [[ZERO] * dim for _ in range(dim)])
             M[l - 1][i - 1] = M[l - 1][i - 1] + as_scalar(c)
-        return cls(coalgebra, dim,
-                   {G._element(k): Matrix(rows) for k, rows in mats.items()}, label=label)
+        return cls(coalgebra, dim, {G._element(k): Matrix(rows) for k, rows in mats.items()})
 
     def matrix(self, g):
         g = self.coalgebra.H.G.coerce(g)
@@ -199,20 +197,22 @@ class Comodule:
         return commutant_dimension(self.matrices.values(), self.dim) == 1
 
     def __repr__(self):
-        return "Comodule(%sdim %d at f=%r)" % (
-            (self.label + ", ") if self.label else "", self.dim, self.coalgebra.f)
+        return "Comodule(dim %d at f=%r)" % (self.dim, self.coalgebra.f)
 
 
 # -- one-dimensional enumeration ----------------------------------------------
 
 def _generating_subset(mul, one):
-    "Smallest-by-size generating subset of a small group on positions, in stable order."
-    pool = [i for i in range(len(mul)) if i != one]
-    for size in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            if len(closure(one, combo, lambda k, g: mul[k][g])) == len(mul):
-                return list(combo)
-    raise AssertionError("unreachable")
+    """A generating subset of a finite group on positions: by decreasing element
+    order, then by position, every position outside the closure of those before."""
+    step = lambda k, g: mul[k][g]
+    order = [len(closure(one, (i,), step)) for i in range(len(mul))]
+    gens, reached = [], {one}
+    for i in sorted(range(len(mul)), key=lambda i: (-order[i], i)):
+        if i not in reached:
+            gens.append(i)
+            reached = closure(one, gens, step)
+    return gens
 
 
 def _product_positions(G, elements):
@@ -438,7 +438,7 @@ class Character:
     __hash__ = None
 
 
-def character(V, label=""):
+def character(V):
     """Closed character formula for the induced comodule of V:
 
         sum_{z in T_f} sum_{g in G_f} tau(z^-1, g; f)^-1 tau(z^-1 g z, z^-1; f)
@@ -461,15 +461,13 @@ def character(V, label=""):
             key = (zgz, fz)
             acc[key] = acc.get(key, ZERO) + coeff
     elem = HopfElement(H, acc)
-    return Character(elem, f, V.dim * len(C.transversal), label=label)
+    return Character(elem, f, V.dim * len(C.transversal))
 
 
 def trivial_comodule(coalgebra):
     "The one-dimensional comodule with every coefficient equal to 1 (a^g = 1)."
     G = coalgebra.H.G
-    return Comodule(coalgebra, 1,
-                    {g: Matrix([[ONE]]) for g in coalgebra.stabilizer},
-                    label="trivial")
+    return Comodule(coalgebra, 1, {g: Matrix([[ONE]]) for g in coalgebra.stabilizer})
 
 
 def group_comodules(H, quotient=None):
@@ -486,16 +484,8 @@ def group_comodules(H, quotient=None):
     Cq = pi.codomain
     if not Cq.is_abelian():
         raise WrongGroup("quotient characters need an abelian codomain")
-    out = []
-    for idx, char in enumerate(_abelian_character_tables(Cq)):
-        mats = {g: Matrix([[char[pi(g).key]]]) for g in H.G.elements()}
-        out.append(Comodule(C, 1, mats, label="lift#%d via %s" % (idx, _hom_tag(pi))))
-    return out
-
-
-def _hom_tag(pi):
-    return "%s->%s" % (getattr(pi.domain, "name", pi.domain.family),
-                       getattr(pi.codomain, "name", pi.codomain.family))
+    return [Comodule(C, 1, {g: Matrix([[char[pi(g).key]]]) for g in H.G.elements()})
+            for char in _abelian_character_tables(Cq)]
 
 
 def _abelian_character_tables(G):

@@ -848,13 +848,17 @@ def z2_shape_classify(R, qbound=None):
 
 # -- constrained enumeration -----------------------------------------------------
 
-def search_R(H, values, levels=(0, 1, 2, 3), max_nodes=10 ** 6):
-    """Enumerate R tables over a finite value set that pass the CQT levels.
+# The backtracking nodes search_R visits before it gives up.
+SEARCH_MAX_NODES = 10 ** 6
+
+
+def search_R(H, values):
+    """Enumerate R tables over a finite value set that pass CQT0-CQT3.
 
     Only for finite contexts with |G| * |F| <= 8.  The two mismatch zeros of
     _zero_rules prune the key set; the identity row/column sums (CQT0) prune
     during assignment; the survivors are verified in full.  Raises
-    SearchSpaceTooLarge beyond the node budget.
+    SearchSpaceTooLarge beyond SEARCH_MAX_NODES.
     """
     G, F = H.G, H.F
     if not F.is_finite or G.order() * F.order() > 8:
@@ -889,13 +893,13 @@ def search_R(H, values, levels=(0, 1, 2, 3), max_nodes=10 ** 6):
     def backtrack(pos):
         nonlocal nodes
         nodes += 1
-        if nodes > max_nodes:
-            raise SearchSpaceTooLarge("exceeded %d nodes" % max_nodes)
+        if nodes > SEARCH_MAX_NODES:
+            raise SearchSpaceTooLarge("exceeded %d nodes" % SEARCH_MAX_NODES)
         if pos == len(keys):
             entries = {keys[i]: assignment[i] for i in range(len(keys))
                        if not assignment[i].is_zero()}
             R = RForm(H, entries)
-            if passes_cqt(R, levels):
+            if passes_cqt(R):
                 found.append(R)
             return
         for v in values:

@@ -63,7 +63,7 @@ class HopfAlgebra:
         self.mp = cocycles.mp
         self.G = self.mp.G
         self.F = self.mp.F
-        self.name = name or cocycles.name or self.mp.name
+        self.name = name
 
     def _key(self, g, f):
         "The basis key (g, f); strings are parsed, elements of other groups rejected."

@@ -115,11 +115,10 @@ class MatchedPair:
     the module docstring says, so each pair is folded at most once.
     """
 
-    def __init__(self, G, F, left_letter, right_letter, name=""):
+    def __init__(self, G, F, left_letter, right_letter):
         # left_letter/right_letter: dict (g.key, letter.key) -> GroupElement
         self.G = G
         self.F = F
-        self.name = name
         self._letters = {u.key: u for u in F.letters()}
         self._left_letter = left_letter
         self._right_letter = right_letter
@@ -130,7 +129,7 @@ class MatchedPair:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_functions(cls, G, F, left, right, name=""):
+    def from_functions(cls, G, F, left, right):
         "Tabulate total action functions left(g, f) = g |> f, right(g, f) = g <| f."
         letters = F.letters()
         left_letter, right_letter = {}, {}
@@ -138,7 +137,7 @@ class MatchedPair:
             for u in letters:
                 left_letter[(g.key, u.key)] = F._member(left(g, u))
                 right_letter[(g.key, u.key)] = G._member(right(g, u))
-        mp = cls(G, F, left_letter, right_letter, name=name)
+        mp = cls(G, F, left_letter, right_letter)
         mp._check_letter_bijections()
         if F.is_finite:
             for g in G.elements():
@@ -148,7 +147,7 @@ class MatchedPair:
         return mp
 
     @classmethod
-    def from_generator_tables(cls, G, F, left_tables, right_tables, name=""):
+    def from_generator_tables(cls, G, F, left_tables, right_tables):
         """Build the pair from tables on generators only.
 
         Inverse-letter actions are derived: <| by u^-1 inverts the bijection
@@ -178,7 +177,7 @@ class MatchedPair:
                 for g in G.elements():
                     h = right_letter[(g.key, geninv.key)]
                     left_letter[(g.key, geninv.key)] = F.inv(left_letter[(h.key, gen.key)])
-        return cls(G, F, left_letter, right_letter, name=name)
+        return cls(G, F, left_letter, right_letter)
 
     def _check_letter_bijections(self):
         for u in self._letters.values():
@@ -316,7 +315,7 @@ class MatchedPair:
         return [f for f in self.window(word_bound) if len(self.orbit(f)) == 1]
 
     def __repr__(self):
-        return "MatchedPair(%s: G=%r, F=%r)" % (self.name or "?", self.G, self.F)
+        return "MatchedPair(G=%r, F=%r)" % (self.G, self.F)
 
 
 def _blank(kinds, ng, nf):

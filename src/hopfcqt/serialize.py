@@ -59,8 +59,14 @@ def _element(group, obj, field, location):
 
 # -- contexts -------------------------------------------------------------------
 
-def context_to_json(H, word_bound=4):
-    "Serializable description of a Hopf context; cocycles must be table-backed or trivial."
+def context_to_json(H):
+    """Serializable description of a Hopf context, exact or refused.
+
+    A table-backed cocycle (CocyclePair.tables) is written as its table and
+    default, and a cocycle given by rules over finite F as every value other
+    than 1.  A None default or a rule over infinite F raises SchemaError: no
+    JSON loads back as that pair.
+    """
     mp, cp = H.mp, H.cp
     G, F = H.G, H.F
     left, right = {}, {}
@@ -71,32 +77,22 @@ def context_to_json(H, word_bound=4):
             right[key] = G.format(mp.act_right(g, gen))
     out = {"name": H.name, "G": G.descriptor(), "F": F.descriptor(),
            "left_action": left, "right_action": right}
-    for tag, table, default, groups, lookup, trivial_on in (
-            ("sigma", cp.sigma_table, cp.sigma_default, (G, F, F), cp.sigma, cp.sigma_trivial_on),
-            ("tau", cp.tau_table, cp.tau_default, (G, G, F), cp.tau, cp.tau_trivial_on)):
-        if table is not None:
-            out[tag] = _cocycle_items(table, groups, lookup)
-            out[tag]["default"] = format_scalar(default if default is not None else ONE)
-        elif F.is_finite:  # every value other than 1 is listed
-            out[tag] = _cocycle_items(None, groups, lookup)
-            out[tag]["default"] = "1"
-        elif trivial_on(word_bound):
-            out[tag] = {"default": "1"}
+    for tag, groups, lookup in (("sigma", (G, F, F), cp.sigma), ("tau", (G, G, F), cp.tau)):
+        if cp.tables is not None:
+            table, default = cp.tables[tag]
+            if default is None:
+                raise SchemaError("%s table without a default is not serializable" % tag, tag)
+            items = table.items()
+        elif F.is_finite:
+            default = ONE
+            items = (((a.key, b.key, c.key), lookup(a, b, c))
+                     for a, b, c in itertools.product(*(X.elements() for X in groups)))
         else:
-            raise SchemaError("rule-based %s over infinite F is not serializable" % tag)
+            raise SchemaError("rule-based %s over infinite F is not serializable" % tag, tag)
+        out[tag] = {"|".join(X.format(X._element(k)) for X, k in zip(groups, keys)):
+                    format_scalar(v) for keys, v in items if v != default}
+        out[tag]["default"] = format_scalar(default)
     return out
-
-
-def _cocycle_items(table, groups, lookup):
-    """{'a|b|c': value} for the values other than 1 of a cocycle on groups
-    (A, B, C): those of its table, or without one, lookup over A x B x C."""
-    if table is None:
-        items = (((a.key, b.key, c.key), lookup(a, b, c))
-                 for a, b, c in itertools.product(*(X.elements() for X in groups)))
-    else:
-        items = table.items()
-    return {"|".join(X.format(X._element(k)) for X, k in zip(groups, keys)): format_scalar(v)
-            for keys, v in items if not v.is_one()}
 
 
 def context_from_json(obj):
@@ -114,12 +110,10 @@ def context_from_json(obj):
                 dst[(g.key, gen.key)] = parser(_literal(val, loc))
             except SchemaError as e:
                 raise SchemaError(str(e), "%s[%s]" % (loc, shown(key)))
-    mp = MatchedPair.from_generator_tables(G, F, left_tables, right_tables,
-                                           name=obj.get("name", ""))
+    mp = MatchedPair.from_generator_tables(G, F, left_tables, right_tables)
     sigma, sdef = _cocycle_table_from_json(obj.get("sigma", {}), G, F, F, "sigma")
     tau, tdef = _cocycle_table_from_json(obj.get("tau", {}), G, G, F, "tau")
-    cp = CocyclePair.from_tables(mp, sigma, tau, sigma_default=sdef, tau_default=tdef,
-                                 name=obj.get("name", ""))
+    cp = CocyclePair.from_tables(mp, sigma, tau, sigma_default=sdef, tau_default=tdef)
     return HopfAlgebra(cp, name=obj.get("name", ""))
 
 
@@ -264,8 +258,8 @@ def load_json(path):
     return parse_json(text, path)
 
 
-def save_context(H, path, word_bound=4):
-    save_json(context_to_json(H, word_bound), path)
+def save_context(H, path):
+    save_json(context_to_json(H), path)
 
 
 def load_context(path):

@@ -162,6 +162,15 @@ MUTANTS = [
          old="""return [Z2Label("W", self.H.mp.orbit_representative(f))]""",
          new="""return [Z2Label("W", f)]""",
          tests=["tests/test_grothendieck.py::test_z2_tensor_rule_four_way_split"]),
+    dict(name="generating-subset-by-position", file="comodules.py",
+         old="sorted(range(len(mul)), key=lambda i: (-order[i], i))",
+         new="range(len(mul))",
+         tests=["tests/test_comodules.py::test_generating_subset_matches_the_exhaustive_search"]),
+    dict(name="context-json-writes-none-default-as-one", file="serialize.py",
+         old="""raise SchemaError("%s table without a default is not serializable" % tag, tag)""",
+         new="""default = ONE""",
+         tests=["tests/test_serialize_cli.py::"
+                "test_context_json_refuses_what_it_cannot_write_exactly"]),
 
     # -- survivors --------------------------------------------------------------
     dict(name="battery-moved-by-z", file="cqt.py",

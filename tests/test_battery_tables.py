@@ -95,7 +95,7 @@ def _perm_pair(gperms, fperms, name):
         return F._element(i), G._element(gperms.index(comp(inv(fperms[i]), x)))
 
     mp = MatchedPair.from_functions(G, F, left=lambda g, f: split(g, f)[0],
-                                    right=lambda g, f: split(g, f)[1], name=name)
+                                    right=lambda g, f: split(g, f)[1])
     return HopfAlgebra(CocyclePair.trivial(mp), name=name)
 
 

@@ -52,10 +52,9 @@ def test_checks_registry_is_complete():
 
 
 def contexts_snapshot():
-    "context_to_json of every entry's context at its default window, as one document."
-    return json.dumps({eid: context_to_json(get_entry(eid).context(),
-                                            get_entry(eid).default_bound)
-                       for eid in entry_ids()}, indent=2, sort_keys=True) + "\n"
+    "context_to_json of every entry's context, as one document."
+    return json.dumps({eid: context_to_json(get_entry(eid).context()) for eid in entry_ids()},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def test_catalog_contexts_match_golden():
@@ -75,7 +74,7 @@ def test_catalog_contexts_match_golden():
 def test_battery_survives_a_json_round_trip(entry_id):
     entry = get_entry(entry_id)
     H, bound = entry.context(), entry.default_bound
-    loaded = context_from_json(context_to_json(H, bound))
+    loaded = context_from_json(context_to_json(H))
     assert ([r.to_json() for r in necessary_battery(loaded, bound)]
             == [r.to_json() for r in necessary_battery(H, bound, entry.quotient_homs())])
 

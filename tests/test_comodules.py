@@ -1,13 +1,15 @@
+import itertools
+
 import pytest
 
-from hopfcqt.catalog import get_entry
+from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.comodules import (Comodule, TwistedCoalgebra, _abelian_character_tables,
-                               character, enumerate_onedim, group_comodules, induce,
-                               trivial_comodule)
+                               _generating_subset, _product_positions, character,
+                               enumerate_onedim, group_comodules, induce, trivial_comodule)
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.errors import (DimensionMismatch, HopfCqtError, InvalidCocycle, MissingEntry,
                             MixedGroups, NonAbelianStabilizer, NotInStabilizer)
-from hopfcqt.groups import (DirectProductGroup, GroupHom, cyclic_group,
+from hopfcqt.groups import (DirectProductGroup, GroupHom, closure, cyclic_group,
                             klein_four_group)
 from hopfcqt.hopf import HopfAlgebra, HopfElement
 from hopfcqt.reports import all_passed
@@ -49,7 +51,8 @@ def _q8_z_tau_table(edit):
     G, f = H.G, H.F.parse("0")
     tau = {(a.key, b.key, f.key): H.cp.tau(a, b, f) for a in G.elements() for b in G.elements()}
     edit(tau, lambda a, b: (G.parse(a).key, G.parse(b).key, f.key))
-    cp = CocyclePair.from_tables(H.mp, H.cp.sigma_table, tau, H.cp.sigma_default, None)
+    sigma, sigma_default = H.cp.tables["sigma"]
+    cp = CocyclePair.from_tables(H.mp, sigma, tau, sigma_default, None)
     return HopfAlgebra(cp), f
 
 
@@ -290,6 +293,54 @@ def _assert_character_group(G, chars):
 def test_abelian_characters_form_the_dual_group(G):
     chars = [lambda a, c=c: c[a.key] for c in _abelian_character_tables(G)]
     _assert_character_group(G, chars)
+
+
+def _exhaustive_generating_subset(mul, one):
+    """The reference for `_generating_subset`: the first generating subset of
+    least size, subsets of one size taken in position order.  Exponential in
+    the order, so kept to orders <= 24."""
+    assert len(mul) <= 24
+    pool = [i for i in range(len(mul)) if i != one]
+    for size in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            if len(closure(one, combo, lambda k, g: mul[k][g])) == len(mul):
+                return list(combo)
+
+
+def _group_positions(G):
+    "(mul, one) of G positioned as `_abelian_character_tables` positions it."
+    elements = G.elements()
+    return (_product_positions(G, elements),
+            next(i for i, e in enumerate(elements) if e.is_identity()))
+
+
+def _abelian_position_tables():
+    """(mul, one) of every abelian stabilizer of the catalog contexts on the
+    window of length 2, and of small abelian groups."""
+    tables = []
+    for eid in entry_ids():
+        H = get_entry(eid).context()
+        for f in H.mp.window(2):
+            C = TwistedCoalgebra(H, f)
+            if all(row == col for row, col in zip(C._mul, zip(*C._mul))):
+                tables.append((C._mul, C._one))
+    Z2, Z3 = cyclic_group(2), cyclic_group(3)
+    groups = [cyclic_group(n) for n in range(1, 25)] + [
+        klein_four_group(), DirectProductGroup([Z2, Z3]), DirectProductGroup([Z3, Z2]),
+        DirectProductGroup([Z2, Z2, Z2]), DirectProductGroup([Z3, Z3])]
+    return tables + [_group_positions(G) for G in groups]
+
+
+def test_generating_subset_matches_the_exhaustive_search():
+    # the generators fix the order in which the one-dimensional comodules and
+    # the characters are listed, so the greedy rule must pick what the search did
+    for mul, one in _abelian_position_tables():
+        assert _generating_subset(mul, one) == _exhaustive_generating_subset(mul, one)
+    # Z2^7, out of the search's reach, takes one greedy pass per generator
+    mul, one = _group_positions(DirectProductGroup([cyclic_group(2)] * 7))
+    gens = _generating_subset(mul, one)
+    assert len(gens) == 7
+    assert len(closure(one, gens, lambda k, g: mul[k][g])) == 128
 
 
 def test_quotient_lift_characters_form_the_dual_group():

@@ -1,5 +1,6 @@
 """Dead-code guard: every function and class defined in src/hopfcqt is used,
-and every attribute that src/hopfcqt assigns is read.
+every attribute that src/hopfcqt assigns is read, and every defaulted
+parameter of its public functions is set by some caller.
 
 A definition counts as used when its name appears as an ast.Name or as the
 attribute of an ast.Attribute somewhere in src/, tests/, demos/ or perfbench/,
@@ -11,7 +12,13 @@ some file of those trees loads `.name`, updates it in place (`+=`), or calls
 getattr or hasattr with the literal "name".  WRITE_ONLY_EXEMPT lists the
 attributes that only code outside the project reads.
 
-Both guards match by name, so one use covers every definition or assignment
+A defaulted parameter of a public function, method or constructor in
+src/hopfcqt counts as set when some call outside the function's own class
+passes it, by keyword or by position; a call with *args or **kwargs passes
+every parameter.  Calls are matched by the callee's name (the class name for
+a constructor), so a parameter that no caller sets is a setting nobody uses.
+
+These guards match by name, so one use covers every definition or assignment
 of that name, whatever object it belongs to.  That is how the unused methods
 Z2Simples.comodule and InducedComodule.is_valid went unnoticed: cli.py reads
 `args.comodule`, and Comodule.is_valid is called.
@@ -95,3 +102,71 @@ def write_only_attributes():
 
 def test_every_assigned_attribute_is_read():
     assert write_only_attributes() == []
+
+
+def _callee(call):
+    "The name a call reaches its function by: a Name id or an Attribute attr."
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _public_functions(module):
+    """(class or None, callee name, function) of each public module-level
+    function and each public method or constructor of a public class."""
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield None, node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__"
+                                                        or not fn.name.startswith("_")):
+                    yield node, node.name if fn.name == "__init__" else fn.name, fn
+
+
+def _defaulted(fn, is_method):
+    "(name, position among the call's arguments, or None) of each defaulted parameter."
+    args = fn.args
+    params = args.posonlyargs + args.args
+    skip = int(is_method and not any(getattr(d, "id", None) == "staticmethod"
+                                     for d in fn.decorator_list))
+    first = len(params) - len(args.defaults)
+    return ([(p.arg, i - skip) for i, p in enumerate(params) if i >= first]
+            + [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _passes(call, name, position):
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def unset_parameters():
+    "(path, line, 'function(parameter)') of every defaulted parameter that no caller sets."
+    calls, defs = [], []
+    for tree in TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            module = ast.parse(path.read_text(), str(path))
+            owners = {}  # id of a node -> the classes it lies in
+            for cls in ast.walk(module):
+                if isinstance(cls, ast.ClassDef):
+                    for sub in ast.walk(cls):
+                        owners.setdefault(id(sub), []).append(cls)
+            calls += [(sub, owners.get(id(sub), [])) for sub in ast.walk(module)
+                      if isinstance(sub, ast.Call)]
+            if path.parent.name == "hopfcqt":
+                defs += [(path.relative_to(ROOT).as_posix(), cls, callee, fn)
+                         for cls, callee, fn in _public_functions(module)]
+    out = []
+    for path, cls, callee, fn in defs:
+        outside = [call for call, inside in calls
+                   if _callee(call) == callee and not any(cls is c for c in inside)]
+        title = fn.name if cls is None else "%s.%s" % (cls.name, fn.name)
+        out += [(path, fn.lineno, "%s(%s)" % (title, name))
+                for name, position in _defaulted(fn, cls is not None)
+                if not any(_passes(call, name, position) for call in outside)]
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    assert unset_parameters() == []

@@ -94,7 +94,7 @@ def _result_or_library_error(load, *args):
 
 
 CONTEXT_ENTRIES = ("Z2_Z2_tau", "S3_Z2", "Z2_Dinf", "Q8_Z", "Z2_Z2xZ_central")
-CONTEXTS = [serialize.context_to_json(get_entry(eid).context(), 2) for eid in CONTEXT_ENTRIES]
+CONTEXTS = [serialize.context_to_json(get_entry(eid).context()) for eid in CONTEXT_ENTRIES]
 
 
 def _payloads(eid, f):

@@ -136,8 +136,8 @@ def test_z2_tensor_rule_four_way_split():
             for x, y in [("1", "1"), ("a", "b"), ("b", "a"), ("a*b", "a*b")]}
     mp = MatchedPair.from_functions(
         G, F, left=lambda g, f: f if g.is_identity() else swap[f.key],
-        right=lambda g, f: g, name="Z2_K4_swap")
-    H = HopfAlgebra(CocyclePair.trivial(mp))
+        right=lambda g, f: g)
+    H = HopfAlgebra(CocyclePair.trivial(mp), name="Z2_K4_swap")
     simples = Z2Simples(H)
     assert sorted(str(l) for l in simples.labels()) == \
         ["U[1]", "U[a*b]", "V[1]", "V[a*b]", "W[a]"]

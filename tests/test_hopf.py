@@ -240,7 +240,8 @@ def _perturbed_context(eid, seed):
     cp = get_entry(eid).context().cp
     mp = cp.mp
     gs, fs = mp.G.elements(), mp.window(2)
-    sigma, tau = dict(cp.sigma_table), dict(cp.tau_table)
+    (sigma, sigma_default), (tau, tau_default) = cp.tables["sigma"], cp.tables["tau"]
+    sigma, tau = dict(sigma), dict(tau)
     values = [MINUS_ONE, root_of_unity(4), rational(2), root_of_unity(3)]
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.5:
@@ -249,8 +250,8 @@ def _perturbed_context(eid, seed):
         else:
             key = (rng.choice(gs).key, rng.choice(gs).key, rng.choice(fs).key)
             tau[key] = rng.choice(values)
-    return HopfAlgebra(CocyclePair.from_tables(mp, sigma, tau, cp.sigma_default,
-                                               cp.tau_default, name="%s~%d" % (eid, seed)))
+    return HopfAlgebra(CocyclePair.from_tables(mp, sigma, tau, sigma_default, tau_default),
+                       name="%s~%d" % (eid, seed))
 
 
 # Perturbed contexts past EXHAUSTIVE_LIMIT at bound 4, so associativity runs on
@@ -495,13 +496,13 @@ def _zeta4_context():
     gs, fs = G.elements(), F.elements()
     sigma = {(g.key, f.key, fp.key): root_of_unity(4, a * b * c)
              for a, g in enumerate(gs) for b, f in enumerate(fs) for c, fp in enumerate(fs)}
-    return HopfAlgebra(CocyclePair.from_tables(mp, sigma, {}, name="Z4_Z4_zeta4"))
+    return HopfAlgebra(CocyclePair.from_tables(mp, sigma, {}), name="Z4_Z4_zeta4")
 
 
 def test_cyclotomic_sigma_context_passes_every_sweep():
     # ints and zeta_4 Scalars meet in the sweeps' sums and must cancel exactly
     H = _zeta4_context()
-    assert {v.order for v in H.cp.sigma_table.values()} == {1, 4}
+    assert {v.order for v in H.cp.tables["sigma"][0].values()} == {1, 4}
     reports = verify_hopf_axioms(H, 4)
     assert all_passed(reports)
     assert [r.to_json() for r in reports] == [

@@ -28,7 +28,7 @@ def _z2_flip_dinf():
         k, e = f.key
         return f if a.is_identity() else F._element((e - k, e))
 
-    mp = MatchedPair.from_functions(G, F, left=left, right=lambda a, f: a, name="Z2_flip_Dinf")
+    mp = MatchedPair.from_functions(G, F, left=left, right=lambda a, f: a)
     return HopfAlgebra(CocyclePair.trivial(mp), name="Z2_flip_Dinf")
 
 

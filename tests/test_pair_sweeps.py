@@ -31,17 +31,18 @@ def test_cocycle_sweep_matches_object_reference_on_perturbed_cocycles():
     ids = entry_ids()
     failing = 0
     for seed in range(52):
-        cp = _perturbed_context(ids[seed % len(ids)], seed).cp
-        new = _json(cp.verify(2))
-        assert new == _json(verify_cocycles_reference(cp, 2)), cp.name
+        H = _perturbed_context(ids[seed % len(ids)], seed)
+        new = _json(H.cp.verify(2))
+        assert new == _json(verify_cocycles_reference(H.cp, 2)), H.name
         failing += any(r["status"] == "fail" for r in new)
     assert failing >= 50
     # at bound 4, sigma-cocycle and compatibility each stop inside a row of their last F id
     mid_row = {"sigma-cocycle": 0, "compatibility": 0}
     for eid, seed in BOUND4_CONTEXTS:
-        cp = _perturbed_context(eid, seed).cp
+        H = _perturbed_context(eid, seed)
+        cp = H.cp
         reports = cp.verify(4)
-        assert _json(reports) == _json(verify_cocycles_reference(cp, 4)), cp.name
+        assert _json(reports) == _json(verify_cocycles_reference(cp, 4)), H.name
         first = cp.mp.window(4)[0]
         for r in reports:
             if r.check in mid_row:

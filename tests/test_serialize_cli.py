@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from test_battery_tables import _z2_on_k4_with_sigma, k4_z2_asymmetric_tau
 from test_groups import REPEATED_NAME_K4
-from test_hopf import _perturbed_context
+from test_hopf import _perturbed_context, _zeta4_context
 from hopfcqt import cli, serialize
-from hopfcqt.catalog import get_entry
+from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.comodules import TwistedCoalgebra, enumerate_onedim
 from hopfcqt.cqt import RForm, eps_tensor_eps
@@ -128,15 +129,47 @@ def test_context_json_of_rule_based_cocycles():
     assert obj["tau"] == {"g|g|t": "-1", "default": "1"}
     assert serialize.contexts_equal(Hr, serialize.context_from_json(obj))
 
-    # over infinite F a rule serializes only when it is trivial on the window
-    trivial = _rule_based("Z2_Z", lambda a, f, fp: ONE, lambda a, b, f: ONE)
-    obj = serialize.context_to_json(trivial)
-    assert obj["sigma"] == obj["tau"] == {"default": "1"}
-    assert serialize.contexts_equal(trivial, serialize.context_from_json(obj), word_bound=3)
+
+def _tau_default_minus_one():
+    "Z2_Z2_trivial's matched pair with tau = -1 except tau(g, g; t) = 1, declared in the table."
+    mp = get_entry("Z2_Z2_trivial").context().mp
+    key = (mp.G.parse("g").key, mp.G.parse("g").key, mp.F.parse("t").key)
+    return HopfAlgebra(CocyclePair.from_tables(mp, {}, {key: ONE}, tau_default=MINUS_ONE))
+
+
+TABLE_CONTEXTS = {
+    "Z2_K4_sigma": lambda: _z2_on_k4_with_sigma(lambda f, fp: f.key & 1 and fp.key & 2),
+    "K4_Z2_tau": k4_z2_asymmetric_tau,
+    "Z4_Z4_zeta4": _zeta4_context,
+    "tau-default-minus-one": _tau_default_minus_one,
+}
+
+
+@pytest.mark.parametrize("name", entry_ids() + sorted(TABLE_CONTEXTS))
+def test_context_json_is_exact(name):
+    H = TABLE_CONTEXTS[name]() if name in TABLE_CONTEXTS else get_entry(name).context()
+    obj = serialize.context_to_json(H)
+    loaded = serialize.context_from_json(obj)
+    assert serialize.context_to_json(loaded) == obj
+    assert serialize.contexts_equal(H, loaded, word_bound=4)
+
+
+def test_context_json_refuses_what_it_cannot_write_exactly():
+    # a table without a default, whose undeclared values raise MissingEntry
+    mp = get_entry("Z2_Z2_tau").context().mp
+    with pytest.raises(SchemaError, match="sigma table without a default"):
+        serialize.context_to_json(HopfAlgebra(CocyclePair.from_tables(mp, {}, {}, None)))
+    # rules over infinite F: trivial on the window but -1 at (g; 5, 5), and nontrivial
+    H = get_entry("Z2_Z").context()
+    g, five = H.G.parse("g"), H.F.parse("5")
+    late = _rule_based("Z2_Z", lambda a, f, fp: MINUS_ONE if (a, f, fp) == (g, five, five)
+                       else ONE, lambda a, b, f: ONE)
+    assert late.cp.sigma_trivial_on(4)
     odd = _rule_based("Z2_Z", lambda a, f, fp: MINUS_ONE if f.key % 2 and fp.key % 2 else ONE,
                       lambda a, b, f: ONE)
-    with pytest.raises(SchemaError, match="rule-based sigma"):
-        serialize.context_to_json(odd)
+    for H in (late, odd):
+        with pytest.raises(SchemaError, match="rule-based sigma"):
+            serialize.context_to_json(H)
 
 
 def test_rform_round_trip_with_window(tmp_path):

@@ -211,11 +211,11 @@ def _structure_cases(out):
         out["battery/%s/2" % eid] = _json(necessary_battery(H, 2, quotients))
         cp, mp = H.cp, H.mp
         fs = mp.window(2)
-        sigma = dict(cp.sigma_table)
+        (sigma, sigma_default), (tau, tau_default) = cp.tables["sigma"], cp.tables["tau"]
+        sigma = dict(sigma)
         sigma[(rng.choice(mp.G.elements()).key, rng.choice(fs).key,
                rng.choice(fs).key)] = MINUS_ONE
-        Hs = HopfAlgebra(CocyclePair.from_tables(mp, sigma, cp.tau_table,
-                                                 cp.sigma_default, cp.tau_default))
+        Hs = HopfAlgebra(CocyclePair.from_tables(mp, sigma, tau, sigma_default, tau_default))
         out["battery/sigma-flipped/%s/2" % eid] = _json(necessary_battery(Hs, 2, quotients))
 
 
