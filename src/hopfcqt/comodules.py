@@ -109,7 +109,12 @@ class TwistedCoalgebra:
         return ONE if g.is_identity() else ZERO
 
     def _check_coalgebra(self):
-        "Coassociativity and counit of the twisted coproduct, exhaustively over G_f."
+        """Coassociativity and counit of the twisted coproduct, exhaustively over G_f.
+
+        The counit law reads tau(g, 1) and then tau(1, g) for each g: the terms
+        of Delta(p_g) with a leg at 1 are p_g (x) p_1 and p_1 (x) p_g, so these
+        are the only coefficients that eps (x) id and id (x) eps keep.
+        """
         stab, mul, taus, tau, one = self.stabilizer, self._mul, self._taus, self._tau, self._one
         n = len(stab)
         # a tau value is never zero (CocyclePair.tau raises), so `or` only fills
@@ -126,10 +131,8 @@ class TwistedCoalgebra:
                                              % (stab[a], stab[b], stab[c], stab[mul[ab][c]]))
         # (eps (x) id) Delta(p_g) and (id (x) eps) Delta(p_g) are p_g: tau(1, g) = tau(g, 1) = 1
         for g in range(n):
-            for x, xinv in enumerate(self._inv):
-                gx = mul[g][xinv]
-                if one in (gx, x) and (taus[gx][x] or tau(gx, x)) != 1:
-                    raise InvalidCocycle("counit law fails at %r" % stab[g])
+            if (taus[g][one] or tau(g, one)) != 1 or (taus[one][g] or tau(one, g)) != 1:
+                raise InvalidCocycle("counit law fails at %r" % stab[g])
 
     def __repr__(self):
         return "TwistedCoalgebra(f=%r, |G_f|=%d)" % (self.f, len(self.stabilizer))
@@ -225,16 +228,21 @@ def _onedim_tables(elements, mul, one, tau):
     """Solutions a: K -> k* of a^1 = 1, a^g a^h = tau(g, h) a^(g h) on the finite
     abelian group K = `elements`, taken by position: mul[i][j] is the position
     of the product (`_product_positions`), one that of the identity, and tau a
-    function of two positions.  Returns {position: Scalar} dicts.
+    normalized 2-cocycle given as a function of two positions.  Returns
+    {position: Scalar} dicts, keyed in breadth-first order from 1.
 
     The value on each generator h is an n-th root of the telescoped tau product,
     so the candidate sets are finite and the search is complete.  Exactly |K|
     many when any exist; tau = 1 gives the characters of K.
+
+    Each candidate is one breadth-first walk from 1 over the generator edges
+    k -> kh: the edge that first reaches kh sets a^(kh) = a^k a^h / tau(k, h),
+    and every other edge must agree.  The law at every (k, h) gives it at every
+    (x, y) by induction on the word of y, as tau is a 2-cocycle (checked by
+    TwistedCoalgebra._check_coalgebra; `_abelian_character_tables` passes 1):
+    a^x a^(yh) = tau(x, y) tau(xy, h) a^(xyh) / tau(y, h) = tau(x, yh) a^(xyh).
     """
     gens = _generating_subset(mul, one)
-    # fixed decomposition of every element as a generator word
-    words = closure(one, range(len(gens)), lambda k, gi: mul[k][gens[gi]])
-
     candidate_sets = []
     for g in gens:
         powers = list(closure(one, (g,), lambda k, h: mul[k][h]))  # 1, g, ..., g^(n-1)
@@ -251,20 +259,20 @@ def _onedim_tables(elements, mul, one, tau):
         assert all(t ** n == c for t in cands)
         candidate_sets.append(cands)
 
-    out = []
-    size = range(len(mul))
-    for values in itertools.product(*candidate_sets):
-        a = {}
-        for k, word in words.items():
-            acc, acc_val = one, ONE
-            for gi in word:
-                g = gens[gi]
-                acc_val = acc_val * values[gi] / tau(acc, g)
-                acc = mul[acc][g]
-            a[k] = acc_val
-        if all(a[x] * a[y] == tau(x, y) * a[mul[x][y]] for x in size for y in size):
-            out.append(a)
-    return out
+    def walk(values):
+        "The table a with a^h = values on the generators, or None when an edge disagrees."
+        a, queue = {one: ONE}, [one]
+        for k in queue:  # the queue grows as the walk reaches new elements
+            for g, v in zip(gens, values):
+                kg, x = mul[k][g], a[k] * v / tau(k, g)
+                if kg not in a:
+                    a[kg] = x
+                    queue.append(kg)
+                elif a[kg] != x:
+                    return None
+        return a
+
+    return [a for a in map(walk, itertools.product(*candidate_sets)) if a is not None]
 
 
 def enumerate_onedim(coalgebra):

@@ -23,9 +23,8 @@ import itertools
 from fractions import Fraction
 
 from .comodules import TwistedCoalgebra, character, enumerate_onedim, group_comodules
-from .errors import (BadWindow, IrrationalRoots, NonAbelianStabilizer, NotARootOfUnity,
-                     NotInStabilizer, OutOfWindow, SearchSpaceTooLarge, UnknownLevel,
-                     WrongGroup)
+from .errors import (BadWindow, NonAbelianStabilizer, NotARootOfUnity, NotInStabilizer,
+                     OutOfWindow, SearchSpaceTooLarge, UnknownLevel, WrongGroup)
 from .groups import z2_generator
 from .matched_pair import PairTables, check_window
 from .reports import FAIL, SKIPPED, ConditionReport, sweep, verdict
@@ -481,16 +480,17 @@ def necessary_battery(H, word_bound=4, quotients=()):
     def char_products():
         for f in reps:
             stab, _, trans, _ = orbits[f]
-            for V, v in simples_at[f]:
+            for V, _ in simples_at[f]:
                 for W, w in chars:
                     for g in stab:
-                        a = v[g]
                         for z in trans:
-                            yield f, V, W, g, z, a, w
+                            yield f, V, W, g, z, w
 
-    def char_products_commute(f, V, W, g, z, a, w):
+    def char_products_commute(f, V, W, g, z, w):
+        """v(g) w(gmoved) = v(g) w(zgz) with the factor v(g) cancelled: a value of a
+        one-dimensional comodule is never 0, as v(g) v(g^-1) = tau(g, g^-1) v(1)."""
         zgz, gmoved = moved(f, g, z)
-        return a * w[gmoved] == a * w[zgz]
+        return w[gmoved] == w[zgz]
 
     gate("character-product-commutation", [have_chars], char_products(),
          char_products_commute,
@@ -680,37 +680,15 @@ def bicharacter_restriction_check(R, word_bound=None):
 
 # -- |G| = 2 specials ---------------------------------------------------------------
 
-def _sqrt_fraction(q):
-    "Exact square root of a nonnegative rational, or None."
-    from math import isqrt
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def solve_rational_quadratic(a, b, c):
-    "Exact rational roots of a x^2 + b x + c = 0 (a != 0); raises if irrational."
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    disc = b * b - 4 * a * c
-    root = _sqrt_fraction(disc)
-    if root is None:
-        raise IrrationalRoots("discriminant %s is not a rational square" % disc)
-    return sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)})
-
-
 def z2_r11_solve():
     """The two possible value patterns of R on the four (., 1) x (., 1) entries.
 
     Parametrizing k = R(p_1 # 1, p_g # 1), the counit row/column sums force
     (1-k, k, k, -k), and the product condition at the identity forces
-    1 - k = (1 - k)^2 + k^2, i.e. 2k^2 - k = 0.
+    1 - k = (1 - k)^2 + k^2, i.e. 2k^2 - k = k (2k - 1) = 0: k = 0 or k = 1/2.
     """
     cases = []
-    for k in solve_rational_quadratic(2, -1, 0):
+    for k in (Fraction(0), Fraction(1, 2)):
         cases.append({
             "k": k,
             "table": {("1", "1"): rational(1 - k), ("1", "g"): rational(k),
@@ -859,6 +837,10 @@ def search_R(H, values):
     _zero_rules prune the key set; the identity row/column sums (CQT0) prune
     during assignment; the survivors are verified in full.  Raises
     SearchSpaceTooLarge beyond SEARCH_MAX_NODES.
+
+    Each sum is checked once, at the position of its last key, the first at
+    which all its keys hold values (closes[pos], rows before columns).  A sum
+    is collected from the keys that read it, so none is empty.
     """
     G, F = H.G, H.F
     if not F.is_finite or G.order() * F.order() > 8:
@@ -877,14 +859,10 @@ def search_R(H, values):
             row_groups.setdefault((h, fp), []).append(idx)
         if fp == one_f:
             col_groups.setdefault((g, f), []).append(idx)
-    sum_constraints = []
-    for (h, fp), idxs in row_groups.items():
-        sum_constraints.append((idxs, ONE if h.is_identity() else ZERO))
-    for (g, f), idxs in col_groups.items():
-        sum_constraints.append((idxs, ONE if g.is_identity() else ZERO))
-    last_touch = {}
-    for ci, (idxs, _) in enumerate(sum_constraints):
-        last_touch[ci] = max(idxs) if idxs else -1
+    closes = {}
+    for groups in (row_groups, col_groups):
+        for (x, _), idxs in groups.items():
+            closes.setdefault(idxs[-1], []).append((idxs, ONE if x.is_identity() else ZERO))
 
     found = []
     assignment = [None] * len(keys)
@@ -904,16 +882,8 @@ def search_R(H, values):
             return
         for v in values:
             assignment[pos] = v
-            ok = True
-            for ci, (idxs, want) in enumerate(sum_constraints):
-                if last_touch[ci] == pos:
-                    total = ZERO
-                    for i in idxs:
-                        total = total + assignment[i]
-                    if total != want:
-                        ok = False
-                        break
-            if ok:
+            if all(sum((assignment[i] for i in idxs), ZERO) == want
+                   for idxs, want in closes.get(pos, ())):
                 backtrack(pos + 1)
         assignment[pos] = None
 

@@ -89,10 +89,6 @@ class UnknownLevel(HopfCqtError, ValueError):
     "A CQT level that is not one of the condition families."
 
 
-class IrrationalRoots(HopfCqtError, ValueError):
-    "A quadratic whose discriminant is not a rational square."
-
-
 class ContextMismatch(HopfCqtError):
     "Operation on elements over different Hopf-algebra contexts."
 

@@ -19,8 +19,8 @@ is +1 for trivial cocycles.
 from __future__ import annotations
 
 from .comodules import Character
-from .errors import (DependentCharacters, HopfCqtError, NonIntegralMultiplicity, NotInSpan,
-                     UnknownLabelKind)
+from .errors import (DependentCharacters, HopfCqtError, InvalidCocycle,
+                     NonIntegralMultiplicity, NotInSpan, UnknownLabelKind)
 from .groups import z2_generator
 from .hopf import multiply
 from .reports import sweep
@@ -174,26 +174,26 @@ class Z2Simples:
     def tensor_rule(self, l1, l2):
         """Closed-form decomposition of l1 (x) l2 into labels.
 
-        U/V products carry the square-root branch sign; W (x) W splits four
-        ways on the fixed/moved membership of ff' and f(g|>f').
+        U/V products carry the square-root branch sign s(f1) s(f2) sigma(g; f1, f2)
+        / s(f1 f2), s the chosen square root of tau(g, g; .); its square is 1
+        exactly when the tau-square identity holds at (f1, f2), which is checked
+        first (InvalidCocycle otherwise).  The product is V when the V factors
+        and a -1 sign are odd in number, else U.  W (x) W splits four ways on
+        the fixed/moved membership of ff' and f(g|>f').
         """
         H, g = self.H, self.g
         F = H.F
         f1, f2 = l1.f, l2.f
         uv1, uv2 = l1.kind in ("U", "V"), l2.kind in ("U", "V")
         if uv1 and uv2:
+            if not H.cp.tau_square_identity_check(f1, f2):
+                raise InvalidCocycle("tau(g,g;ff') = sigma(g;f,f')^2 tau(g,g;f) tau(g,g;f') "
+                                     "fails at (%r, %r)" % (f1, f2))
             f3 = F.mul(f1, f2)
             sign = (self.sqrt_tau(f1) * self.sqrt_tau(f2)
                     * H.cp.sigma(g, f1, f2) / self.sqrt_tau(f3))
-            assert sign == ONE or sign == -ONE, "branch mismatch is always +-1"
-            eps = 1
-            if l1.kind == "V":
-                eps = -eps
-            if l2.kind == "V":
-                eps = -eps
-            if sign == -ONE:
-                eps = -eps
-            return [self.label("U" if eps == 1 else "V", f3)]
+            odd = (l1.kind == "V") + (l2.kind == "V") + (sign == -ONE)
+            return [self.label("V" if odd % 2 else "U", f3)]
         if uv1 != uv2:
             return [self.label("W", F.mul(f1, f2))]
         return [lab for part in (F.mul(f1, f2), F.mul(f1, H.mp.act_left(g, f2)))

@@ -290,9 +290,11 @@ class FiniteGroup(Group):
         return list(self._decomp_cache[self._member(a).key])
 
     def is_abelian(self):
-        n = len(self.element_names)
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(n) for j in range(i + 1, n))
+        """Whether the declared generators commute pairwise: the constructor checked
+        that they generate the group, and a group is abelian exactly when its
+        generators commute."""
+        t, gens = self.table, self.generator_indices
+        return all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def parse(self, text):
         return _read_word(self, text, self._by_name)

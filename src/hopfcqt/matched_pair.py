@@ -52,7 +52,12 @@ def check_window(bound):
 
 
 class OrbitData:
-    "Orbit, stabilizer, transversal and the g_x z_x factorization at one base point."
+    """Orbit, stabilizer, transversal and the g_x z_x factorization at one base point.
+
+    The stabilizer G_f is checked to be closed under products only: once a G_f
+    lies in G_f, left multiplication by a maps the finite set G_f into itself, so
+    every power of a, a^-1 among them, lies in G_f.
+    """
 
     __slots__ = ("f", "orbit", "stabilizer", "transversal", "_stab_keys", "_factor")
 
@@ -73,7 +78,6 @@ class OrbitData:
         for a in stab:
             for b in stab:
                 require(G.mul(a, b).key in self._stab_keys, "stabilizer not closed")
-            require(G.inv(a).key in self._stab_keys, "stabilizer not inverse-closed")
         first, trans, self._factor = {}, [], {}
         for x in gs:
             z = first.setdefault(image[G.inv(x).key].key, x)

@@ -171,6 +171,18 @@ MUTANTS = [
          new="""default = ONE""",
          tests=["tests/test_serialize_cli.py::"
                 "test_context_json_refuses_what_it_cannot_write_exactly"]),
+    dict(name="onedim-walk-skips-edge-check", file="comodules.py",
+         old="""                elif a[kg] != x:
+                    return None
+""",
+         new="",
+         tests=["tests/test_comodules.py::"
+                "test_onedim_tables_reject_the_candidates_that_break_the_law"]),
+    dict(name="z2-tensor-rule-skips-tau-square", file="grothendieck.py",
+         old="""            if not H.cp.tau_square_identity_check(f1, f2):""",
+         new="""            if False:""",
+         tests=["tests/test_cli_boundary.py::"
+                "test_label_products_refuse_a_broken_tau_square_identity"]),
 
     # -- survivors --------------------------------------------------------------
     dict(name="battery-moved-by-z", file="cqt.py",

@@ -127,11 +127,78 @@ def test_each_subcommand_offers_only_the_options_it_reads():
     offered = {name: set(p._option_string_actions) for name, p in subcommands.items()}
     assert {n for n, opts in offered.items() if "--maxlen" in opts} == WINDOWED
     assert {n for n, opts in offered.items() if "--input" in opts} == \
-        set(subcommands) - CONTEXT_FREE - {"run"}
+        set(subcommands) - CONTEXT_FREE - {"run"} == set(CONTEXT_ARGS)
     assert {n for n, opts in offered.items() if "--entry" in opts} == \
         set(subcommands) - CONTEXT_FREE
     slots = sum(len(opts & {"--entry", "--input", "--maxlen"}) for opts in offered.values())
     assert (len(subcommands), slots) == (23, 50)
+
+
+# contexts that load (the schema holds) but break a law: tau(g, g; t) = zeta_4 breaks
+# compatibility and the tau-square identity, a tau default of 2 the normalization,
+# sigma(g; t, t) = 1/2 the sigma cocycle, and Z3 moving t of Z2 is no action
+_Z2 = {"family": "Zn", "n": 2, "gen": "g"}
+_F2 = {"family": "Zn", "n": 2, "gen": "t"}
+_TRIVIAL2 = {"left_action": {"1|t": "t", "g|t": "t"}, "right_action": {"1|t": "1", "g|t": "g"}}
+BROKEN_CONTEXTS = {
+    "tau-zeta4": dict(_TRIVIAL2, G=_Z2, F=_F2, tau={"g|g|t": "zeta(4,1)", "default": "1"}),
+    "tau-default-2": dict(_TRIVIAL2, G=_Z2, F=_F2, tau={"default": "2"}),
+    "sigma-half": {"G": _Z2, "F": {"family": "Zn", "n": 3, "gen": "t"},
+                   "left_action": {"1|t": "t", "g|t": "t"},
+                   "right_action": {"1|t": "1", "g|t": "g"},
+                   "sigma": {"g|t|t": "1/2", "default": "1"}},
+    "non-action": {"G": {"family": "Zn", "n": 3, "gen": "g"}, "F": _F2,
+                   "left_action": {"1|t": "t", "g|t": "1", "g^2|t": "1"},
+                   "right_action": {"1|t": "1", "g|t": "g", "g^2|t": "g^2"}},
+}
+_ELEMENT = '[{"g": "g", "f": "t", "c": "1"}]'
+# the arguments past --input of each subcommand that loads a context; the
+# literals name elements of all four contexts
+CONTEXT_ARGS = {
+    "verify-mp": [], "verify-cocycles": [], "hopf-verify": [], "cqt-necessary": [],
+    "gr-z2-table": [],
+    "orbits": ["--f", "t"], "orbit-commutes": ["--f", "t", "--f2", "t"],
+    "hopf-mul": ["--a", _ELEMENT, "--b", _ELEMENT], "hopf-delta": ["--a", _ELEMENT],
+    "hopf-antipode": ["--a", _ELEMENT],
+    "comodule-verify": ["--comodule", "comodule"], "char": ["--comodule", "comodule"],
+    "induce": ["--comodule", "comodule"],
+    "gr-product": ["--labels", "U:t,U:t"], "gr-commutes": ["--labels", "U:t,V:t"],
+    "gr-decompose": ["--labels", "U:t,U:t", "--basis", "U:1,V:1"],
+    "cqt-verify": ["--rform", "rform"], "cqt-zeros": ["--rform", "rform"],
+    "cqt-bicharacter": ["--rform", "rform"], "cqt-z2-classify": ["--rform", "rform"],
+}
+_PAYLOADS = {
+    "comodule": {"f": "t", "dim": 1, "a": {"1,1,1": "1"}},
+    "rform": {"entries": [{"g": "1", "f": f, "h": "1", "f2": f2, "c": "1"}
+                          for f in ("1", "t") for f2 in ("1", "t")]},
+}
+
+
+@pytest.mark.parametrize("context", sorted(BROKEN_CONTEXTS))
+@pytest.mark.parametrize("command", sorted(CONTEXT_ARGS))
+def test_a_context_that_breaks_a_law_never_ends_in_a_traceback(tmp_path, capsys, context,
+                                                               command):
+    # exit 0, 1 or 2, whatever the subcommand reads of the broken law; an
+    # exception that escapes cli.main fails the test
+    path = tmp_path / "ctx.json"
+    save_json(BROKEN_CONTEXTS[context], path)
+    for name, doc in _PAYLOADS.items():
+        save_json(doc, tmp_path / (name + ".json"))
+    argv = [command, "--input", str(path)]
+    argv += [str(tmp_path / (a + ".json")) if a in _PAYLOADS else a
+             for a in CONTEXT_ARGS[command]]
+    assert cli.main(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["gr-product", "--labels", "U:t,U:t"], ["gr-z2-table"]],
+                         ids=["gr-product", "gr-z2-table"])
+def test_label_products_refuse_a_broken_tau_square_identity(tmp_path, capsys, argv):
+    # tau(g, g; t)^2 = -1 but tau(g, g; t t) = 1: the tau-square identity fails at (t, t)
+    path = tmp_path / "ctx.json"
+    save_json(BROKEN_CONTEXTS["tau-zeta4"], path)
+    err = _assert_error_exit(argv[:1] + ["--input", str(path)] + argv[1:], capsys)
+    assert err.endswith("fails at (t, t)\n")
 
 
 def test_unknown_level_lists_the_choices(tmp_path, capsys):

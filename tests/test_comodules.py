@@ -4,13 +4,13 @@ import pytest
 
 from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.comodules import (Comodule, TwistedCoalgebra, _abelian_character_tables,
-                               _generating_subset, _product_positions, character,
+                               _generating_subset, _onedim_tables, _product_positions, character,
                                enumerate_onedim, group_comodules, induce, trivial_comodule)
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.errors import (DimensionMismatch, HopfCqtError, InvalidCocycle, MissingEntry,
                             MixedGroups, NonAbelianStabilizer, NotInStabilizer)
 from hopfcqt.groups import (DirectProductGroup, GroupHom, closure, cyclic_group,
-                            klein_four_group)
+                            klein_four_group, quaternion_group_q8)
 from hopfcqt.hopf import HopfAlgebra, HopfElement
 from hopfcqt.reports import all_passed
 from hopfcqt.scalars import (Matrix, MINUS_ONE, ONE, ZERO, rational,
@@ -341,6 +341,92 @@ def test_generating_subset_matches_the_exhaustive_search():
     gens = _generating_subset(mul, one)
     assert len(gens) == 7
     assert len(closure(one, gens, lambda k, g: mul[k][g])) == 128
+
+
+def _onedim_tables_reference(elements, mul, one, tau):
+    """The reference for `_onedim_tables`: each candidate built along fixed
+    generator words, then checked against a^x a^y = tau(x, y) a^(xy) on all
+    |K|^2 pairs."""
+    gens = _generating_subset(mul, one)
+    words = closure(one, range(len(gens)), lambda k, gi: mul[k][gens[gi]])
+    candidate_sets = []
+    for g in gens:
+        powers = list(closure(one, (g,), lambda k, h: mul[k][h]))
+        c = ONE
+        for k in powers[1:]:
+            c = c * tau(g, k)
+        m, j = c.as_root_of_unity()
+        n = len(powers)
+        candidate_sets.append([root_of_unity(n * m, j + m * i) for i in range(n)])
+    out = []
+    for values in itertools.product(*candidate_sets):
+        a = {}
+        for k, word in words.items():
+            acc, acc_val = one, ONE
+            for gi in word:
+                acc_val = acc_val * values[gi] / tau(acc, gens[gi])
+                acc = mul[acc][gens[gi]]
+            a[k] = acc_val
+        if all(a[x] * a[y] == tau(x, y) * a[mul[x][y]] for x in a for y in a):
+            out.append(a)
+    return out
+
+
+def _untwisted(G):
+    "(elements, mul, one, tau = 1) of G positioned as `_abelian_character_tables` positions it."
+    mul, one = _group_positions(G)
+    return G.elements(), mul, one, lambda i, j: ONE
+
+
+def _onedim_cases():
+    """(name, elements, mul, one, tau) of the stabilizer coalgebra at every base
+    point of every catalog context on the window of length 3, and of Z2 x Z4,
+    Z4 x Z2 and Q8 with tau = 1."""
+    cases = []
+    for eid in entry_ids():
+        H = get_entry(eid).context()
+        for f in H.mp.window(3):
+            C = TwistedCoalgebra(H, f)
+            cases.append(("%s@%s" % (eid, f), C.stabilizer, C._mul, C._one, C._tau))
+    Z2, Z4 = cyclic_group(2), cyclic_group(4)
+    for name, G in (("Z2xZ4", DirectProductGroup([Z2, Z4])),
+                    ("Z4xZ2", DirectProductGroup([Z4, Z2])), ("Q8", quaternion_group_q8())):
+        cases.append((name,) + _untwisted(G))
+    return cases
+
+
+def test_onedim_tables_match_the_all_pairs_reference():
+    # one walk over the generator edges gives the tables, keys in order and
+    # values, that the word replay and the all-pairs check give
+    for name, *table in _onedim_cases():
+        got, want = _onedim_tables(*table), _onedim_tables_reference(*table)
+        assert [list(a.items()) for a in got] == [list(a.items()) for a in want], name
+
+
+@pytest.mark.parametrize("G, count", [
+    (DirectProductGroup([cyclic_group(2), cyclic_group(4)]), 8),
+    (DirectProductGroup([cyclic_group(4), cyclic_group(2)]), 8),
+    (quaternion_group_q8(), 4),
+], ids=["Z2xZ4", "Z4xZ2", "Q8"])
+def test_onedim_tables_reject_the_candidates_that_break_the_law(G, count):
+    # the greedy generators of these groups are not independent (Z2 x Z4 and
+    # Z4 x Z2 take two of order 4, Q8 has i^2 = j^2), so some candidates must be
+    # refused: a character of G is one of |G^ab| tables; Q8 is read directly,
+    # as enumerate_onedim refuses a non-abelian stabilizer
+    elements, mul, one, tau = _untwisted(G)
+    tables = _onedim_tables(elements, mul, one, tau)
+    assert len(tables) == count
+    for a in tables:
+        assert all(a[x] * a[y] == a[mul[x][y]] for x in a for y in a)
+
+
+def test_onedim_tables_on_the_twisted_sign_stabilizer():
+    # tau(g, g; t) = -1: a(g)^2 = -1, so the two tables take the values +-zeta_4 on g
+    H = get_entry("Z2_Z2_tau").context()
+    C = TwistedCoalgebra(H, "t")
+    g = C._pos[H.G.parse("g")]
+    tables = _onedim_tables(C.stabilizer, C._mul, C._one, C._tau)
+    assert [a[g] for a in tables] == [root_of_unity(4), -root_of_unity(4)]
 
 
 def test_quotient_lift_characters_form_the_dual_group():

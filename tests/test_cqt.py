@@ -7,12 +7,11 @@ from hopfcqt.catalog import get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.cqt import (RForm, bicharacter_restriction_check, battery_obstructed,
                          check_orbit_commutation, eps_tensor_eps,
-                         necessary_battery, passes_cqt, search_R,
-                         solve_rational_quadratic, structural_zeros, verify_R,
+                         necessary_battery, passes_cqt, search_R, structural_zeros, verify_R,
                          z2_r11_rform, z2_r11_solve, z2_remark_diagnostics,
                          z2_shape_classify)
-from hopfcqt.errors import (BadWindow, HopfCqtError, IrrationalRoots, NotAScalar, OutOfWindow,
-                           UnknownLevel, WrongGroup)
+from hopfcqt.errors import (BadWindow, HopfCqtError, NotAScalar, OutOfWindow, UnknownLevel,
+                           WrongGroup)
 from hopfcqt.groups import GroupHom, cyclic_group, klein_four_group
 from hopfcqt.hopf import HopfAlgebra
 from hopfcqt.matched_pair import MAX_WINDOW, MatchedPair
@@ -28,11 +27,26 @@ def _trivial_context(n_g, n_f):
     return HopfAlgebra(CocyclePair.trivial(mp))
 
 
-def test_rational_quadratic():
-    assert solve_rational_quadratic(2, -1, 0) == [Fraction(0), Fraction(1, 2)]
-    assert solve_rational_quadratic(1, -3, 2) == [Fraction(1), Fraction(2)]
-    with pytest.raises(ValueError):
-        solve_rational_quadratic(1, 0, -2)
+def _identity_block_form(H, k):
+    "The R-form with (1 - k, k, k, -k) on the (., 1) x (., 1) block and 0 elsewhere."
+    table = {("1", "1"): rational(1 - k), ("1", "g"): rational(k),
+             ("g", "1"): rational(k), ("g", "g"): rational(-k)}
+    return z2_r11_rform(H, {"k": k, "table": table})
+
+
+@pytest.mark.parametrize("k", ["0", "1/2", "-1", "1/3", "1", "2"])
+def test_r11_roots_are_the_identity_blocks_that_pass(k):
+    # k (2k - 1) = 0 is stated, not solved: its roots pass CQT0-CQT3 on the
+    # F-trivial |G| = 2 context, and other k fail the product conditions there
+    k = Fraction(k)
+    roots = [c["k"] for c in z2_r11_solve()]
+    reports = {r.check: r for r in verify_R(_identity_block_form(_trivial_context(2, 1), k),
+                                            (0, 1, 2, 3))}
+    if k in roots:
+        assert all(r.passed for r in reports.values())
+    else:
+        for level in ("CQT1", "CQT2"):
+            assert reports[level].failed and reports[level].witness is not None
 
 
 def test_r11_dichotomy():
@@ -393,7 +407,6 @@ def _windowed_form():
     (lambda: _windowed_form().perturbed(("1", "1"), ("1", "1"), "x"), NotAScalar, TypeError),
     (lambda: _windowed_form().value(("1", "2"), ("1", "0")), OutOfWindow, KeyError),
     (lambda: verify_R(_windowed_form(), (0, 7)), UnknownLevel, ValueError),
-    (lambda: solve_rational_quadratic(1, 0, -2), IrrationalRoots, ValueError),
     (lambda: RForm(get_entry("Z2_Z").context(), {}, window=-2), BadWindow, ValueError),
     (lambda: RForm(get_entry("Z2_Z2_tau").context(), {}, window=-2), BadWindow, ValueError),
     (lambda: RForm(get_entry("Z2_Z").context(), {}, window=MAX_WINDOW + 1), BadWindow,
@@ -403,7 +416,7 @@ def _windowed_form():
     (lambda: get_entry("S3_Z2").context().mp.window(MAX_WINDOW + 1), BadWindow, ValueError),
     (lambda: verify_R(_windowed_form(), (0,), qbound=-1), BadWindow, ValueError),
 ], ids=["rform-no-window", "eps-no-window", "entry-outside-window", "value-not-scalar",
-        "perturbed-not-scalar", "value-outside-window", "unknown-level", "irrational-roots",
+        "perturbed-not-scalar", "value-outside-window", "unknown-level",
         "rform-negative-window", "rform-negative-window-finite-F", "rform-window-above-limit",
         "negative-sweep-window", "no-sweep-window-infinite-F", "sweep-window-above-limit",
         "negative-qbound"])

@@ -18,7 +18,12 @@ passes it, by keyword or by position; a call with *args or **kwargs passes
 every parameter.  Calls are matched by the callee's name (the class name for
 a constructor), so a parameter that no caller sets is a setting nobody uses.
 
-These guards match by name, so one use covers every definition or assignment
+An assert statement in src/hopfcqt is gone under `python -O`, and otherwise
+ends in a traceback and exit 1 where a HopfCqtError would give exit 2.  So
+input is checked by raising, and ASSERTS_ALLOWED lists the only asserts kept:
+arithmetic invariants that no input can reach.
+
+The unused-code guards match by name, so one use covers every definition or assignment
 of that name, whatever object it belongs to.  That is how the unused methods
 Z2Simples.comodule and InducedComodule.is_valid went unnoticed: cli.py reads
 `args.comodule`, and Comodule.is_valid is called.
@@ -170,3 +175,28 @@ def unset_parameters():
 
 def test_every_defaulted_parameter_is_set_by_some_caller():
     assert unset_parameters() == []
+
+
+# (file, innermost enclosing function) of the asserts kept: the exact division
+# of x^n - 1 by the Phi_d, d < n, and the n-th roots of the telescoped tau product
+ASSERTS_ALLOWED = {("scalars.py", "cyclotomic_polynomial"), ("comodules.py", "_onedim_tables")}
+
+
+def _asserts(node, function=None):
+    "(line, innermost enclosing definition) of every assert statement under node."
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Assert):
+            yield child.lineno, function
+        yield from _asserts(child, child.name if isinstance(child, DEFS) else function)
+
+
+def asserts_outside_the_allowed():
+    "(path, line, function) of every assert in src/hopfcqt that ASSERTS_ALLOWED does not list."
+    return [(path.relative_to(ROOT).as_posix(), line, function)
+            for path in sorted((ROOT / "src" / "hopfcqt").glob("*.py"))
+            for line, function in _asserts(ast.parse(path.read_text(), str(path)))
+            if (path.name, function) not in ASSERTS_ALLOWED]
+
+
+def test_no_assert_checks_what_input_can_reach():
+    assert asserts_outside_the_allowed() == []
