@@ -12,6 +12,9 @@ Exit code 0 means every requested check passed or matched its expectation,
 1 that one did not, and 2 that the input was refused: argparse's usage error
 for a missing or unknown option, `error: ...` on stderr for anything else
 (an unreadable file, invalid JSON, a malformed context or literal).
+`cqt-necessary` also exits 2 when its context fails a matched-pair or
+cocycle sweep: the battery is read off a Hopf algebra, so it names the
+failing check and its witness instead of running.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from . import catalog, cqt, serialize
 from .comodules import character, induce
 from .cqt import (bicharacter_restriction_check, necessary_battery, structural_zeros,
                   verify_R, z2_r11_solve, z2_shape_classify)
-from .errors import HopfCqtError, shown
+from .errors import HopfCqtError, InvalidAction, InvalidCocycle, shown
 from .grothendieck import Z2Simples, char_product, commutes, decompose
 from .hopf import antipode, comultiply, verify_hopf_axioms
 from .matched_pair import check_window
@@ -299,6 +302,11 @@ def _dispatch(args):
     if cmd == "cqt-verify":
         return _emit_reports(args, verify_R(R, _levels(args.levels), qbound=args.maxlen))
     if cmd == "cqt-necessary":
+        for verify, error in ((H.mp.verify, InvalidAction), (H.cp.verify, InvalidCocycle)):
+            bad = next((r for r in verify(bound) if r.failed), None)
+            if bad is not None:
+                raise error("%s fails at %s: not a Hopf algebra, so the battery does not run"
+                            % (bad.check, shown(tuple(str(w) for w in bad.witness))))
         quotients = [] if entry is None else entry.quotient_homs()
         return _emit_reports(args, necessary_battery(H, bound, quotients))
     if cmd == "cqt-zeros":

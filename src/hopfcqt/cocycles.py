@@ -180,19 +180,5 @@ class CocyclePair:
         rhs = s * s * self.tau(g, g, f) * self.tau(g, g, fp)
         return lhs == rhs
 
-    # -- hypothesis probes -------------------------------------------------------
-
-    def sigma_trivial_on(self, word_bound=4):
-        mp = self.mp
-        fs = mp.window(word_bound)
-        return all(self.sigma(g, f, fp).is_one()
-                   for g in mp.G.elements() for f in fs for fp in fs)
-
-    def tau_trivial_on(self, word_bound=4):
-        mp = self.mp
-        fs = mp.window(word_bound)
-        return all(self.tau(g, gp, f).is_one()
-                   for g in mp.G.elements() for gp in mp.G.elements() for f in fs)
-
     def __repr__(self):
         return "CocyclePair(over %r)" % self.mp

@@ -23,8 +23,8 @@ import itertools
 from fractions import Fraction
 
 from .comodules import TwistedCoalgebra, character, enumerate_onedim, group_comodules
-from .errors import (BadWindow, NonAbelianStabilizer, NotARootOfUnity, NotInStabilizer,
-                     OutOfWindow, SearchSpaceTooLarge, UnknownLevel, WrongGroup)
+from .errors import (BadWindow, NonAbelianStabilizer, NotARootOfUnity, OutOfWindow,
+                     SearchSpaceTooLarge, UnknownLevel, WrongGroup)
 from .groups import z2_generator
 from .matched_pair import PairTables, check_window
 from .reports import FAIL, SKIPPED, ConditionReport, sweep, verdict
@@ -382,27 +382,11 @@ def _char_values(V):
     return "(" + ", ".join("%r:%r" % (g, V.matrix(g)[0, 0]) for g in C.stabilizer) + ")"
 
 
-class _OffStabilizer:
-    "The character value at a g outside its comodule's stabilizer: using it raises."
-
-    __slots__ = ("g",)
-
-    def __init__(self, g):
-        self.g = g
-
-    def _raise(self, other):
-        raise NotInStabilizer("%r outside the stabilizer" % self.g)
-
-    __mul__ = __rmul__ = __eq__ = __ne__ = _raise
-    __hash__ = None
-
-
 def _traces(V, gs):
     """(V, its character as a list of bare traces by G id), read once from V.matrices;
-    at a g outside V's stabilizer the entry raises NotInStabilizer when used, as
-    V.diagonal_sum(g) does."""
+    None at a g outside V's stabilizer, which no gate reads (necessary_battery)."""
     C, M = V.coalgebra, V.matrices
-    return V, [bare(M[g.key].trace()) if C.contains(g) else _OffStabilizer(g) for g in gs]
+    return V, [bare(M[g.key].trace()) if C.contains(g) else None for g in gs]
 
 
 def necessary_battery(H, word_bound=4, quotients=()):
@@ -421,12 +405,20 @@ def necessary_battery(H, word_bound=4, quotients=()):
     F = K4, G = S3 with trivial cocycles, where H is commutative and
     eps (x) eps is coquasitriangular (tests/test_battery_tables.py pins it).
 
-    The gates run on integer ids.  One matched_pair.PairTables per call holds
-    g <| f, g |> f and sigma as right[g][f], left[g][f] and sigma[g][f][f'],
-    each filled on its first read through MatchedPair.act_left/act_right or
-    CocyclePair.sigma, and each one-dimensional character is read once per
-    call into a list of bare traces by G id (`_traces`).  Witnesses are
-    mapped back to elements.
+    Precondition: H is a Hopf algebra on the window: H.mp.verify and H.cp.verify
+    pass (every catalog entry pins both, `hopfcqt cqt-necessary` runs both
+    first).  On a context that fails them, "no obstruction" says nothing.
+
+    The gates run on integer ids over one matched_pair.PairTables per call, each
+    entry filled on its first read through MatchedPair.act_left/act_right or
+    CocyclePair.sigma/tau; witnesses are mapped back to elements.  The four
+    hypotheses (|> trivial, <| trivial, sigma = 1, tau = 1 on G x window) are
+    read there, g-major, so a broken cocycle raises at the object path's first
+    lookup.  Each one-dimensional character is read once into a list of bare
+    traces by G id (`_traces`), None off its stabilizer, where no gate reads it:
+    the characters of G live at 1_F, whose stabilizer OrbitData checks to be G
+    (g |> 1 = 1), and central-character-exchange, the one gate that reads simples
+    elsewhere, runs only when |> is trivial on the window: every stabilizer is G.
     """
     mp, cp = H.mp, H.cp
     G, F = H.G, H.F
@@ -443,18 +435,21 @@ def necessary_battery(H, word_bound=4, quotients=()):
     gs, fs, gid = T.gs, T.fs, T.gid  # fs grows past the window as images get ids
     gids, fids = range(len(gs)), range(T.nf)
     gmul, ginv, left, right = T.gmul, T.ginv, T.act_left, T.act_right
-    S, sig = T.sigma, T.fill_sigma  # a sigma value is never 0, so `or` only fills
+    # a cocycle value is never 0, so `or` only fills
+    S, sig, Tau, tau = T.sigma, T.fill_sigma, T.tau, T.fill_tau
 
-    # one stabilizer coalgebra per base point for the whole battery; the stabilizer
-    # at 1_F is G, so its simples are characters of G, enumerated for abelian G only
+    # one stabilizer coalgebra per base point for the whole battery; OrbitData checks
+    # that the stabilizer at 1_F is G, whose characters are enumerated for abelian G only
     simples_at = Memo(lambda f: [_traces(V, gs) for V in _onedim_simples_at(H, fs[f])])
     chars = simples_at[T.fid(F.one)] + [_traces(V, gs) for pi in quotients
                                         for V in group_comodules(H, quotient=pi)]
 
-    left_trivial = mp.left_action_trivial(word_bound)
-    central = mp.is_central(word_bound)
-    sigma_triv = cp.sigma_trivial_on(word_bound)
-    tau_triv = cp.tau_trivial_on(word_bound)
+    left_trivial = all(left(g, f) == f for g in gids for f in fids)
+    central = all(right(g, f) == g for g in gids for f in fids)
+    sigma_triv = all((S[g][f][fp] or sig(g, f, fp)) == 1
+                     for g in gids for f in fids for fp in fids)
+    tau_triv = all((Tau[g][gp][f] or tau(g, gp, f)) == 1
+                   for g in gids for gp in gids for f in fids)
     g_ab = G.is_abelian()
     have_chars = (chars, "no simple comodules over the dual of G available")
 
@@ -467,11 +462,13 @@ def necessary_battery(H, word_bound=4, quotients=()):
 
     orbits = Memo(orbit_ids)
 
-    def moved(f, g, z):
-        "(z^-1 g z, (z^-1 g z) <| (z^-1 |> f))"
+    def invariant(f, g, z, w, *_):
+        """w(zgz <| (z^-1 |> f)) = w(zgz), zgz = z^-1 g z.  Character-product-commutation
+        multiplies both sides by v(g), v a simple at f, which cancels: a value of a
+        one-dimensional comodule is never 0, as v(g) v(g^-1) = tau(g, g^-1) v(1)."""
         zi = ginv[z]
         zgz = gmul[gmul[zi][g]][z]
-        return zgz, right(zgz, left(zi, f))
+        return w[right(zgz, left(zi, f))] == w[zgz]
 
     # character-product commutation constraint
     reps = [T.fid(rep) for rep in {rep.key: rep for rep in map(mp.orbit_representative,
@@ -484,18 +481,11 @@ def necessary_battery(H, word_bound=4, quotients=()):
                 for W, w in chars:
                     for g in stab:
                         for z in trans:
-                            yield f, V, W, g, z, w
+                            yield f, g, z, w, V, W
 
-    def char_products_commute(f, V, W, g, z, w):
-        """v(g) w(gmoved) = v(g) w(zgz) with the factor v(g) cancelled: a value of a
-        one-dimensional comodule is never 0, as v(g) v(g^-1) = tau(g, g^-1) v(1)."""
-        zgz, gmoved = moved(f, g, z)
-        return w[gmoved] == w[zgz]
-
-    gate("character-product-commutation", [have_chars], char_products(),
-         char_products_commute,
-         witness=lambda i: (fs[i[0]], _char_values(i[1]), _char_values(i[2]), gs[i[3]],
-                            gs[i[4]]))
+    gate("character-product-commutation", [have_chars], char_products(), invariant,
+         witness=lambda i: (fs[i[0]], _char_values(i[4]), _char_values(i[5]), gs[i[1]],
+                            gs[i[2]]))
 
     # stabilizer action constraint (abelian G, trivial tau)
     def stabilizer_action_ok(g, f, fp, of, op):
@@ -531,15 +521,11 @@ def necessary_battery(H, word_bound=4, quotients=()):
             for W, w in chars:
                 for g in stab:
                     for z in trans:
-                        yield f, W, g, z, w
-
-    def class_sum_invariant(f, W, g, z, w):
-        zgz, gmoved = moved(f, g, z)
-        return w[gmoved] == w[zgz]
+                        yield f, g, z, w, W
 
     gate("class-sum-action-invariance", [(tau_triv, "needs trivial tau"), have_chars],
-         class_sums(), class_sum_invariant,
-         witness=lambda i: (fs[i[0]], _char_values(i[1]), gs[i[2]], gs[i[3]]))
+         class_sums(), invariant,
+         witness=lambda i: (fs[i[0]], _char_values(i[4]), gs[i[1]], gs[i[2]]))
 
     # exchange identity when the left action is trivial
     def exchanges():

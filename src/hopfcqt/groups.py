@@ -711,6 +711,14 @@ def json_int(value, location):
     raise SchemaError("expected an integer, got %s" % shown(value), location)
 
 
+def _json_list(value, location, item):
+    "value itself when it is a JSON list of item (str or list) values; else SchemaError."
+    if not (isinstance(value, list) and all(isinstance(x, item) for x in value)):
+        raise SchemaError("expected a list of %s, got %s"
+                          % ("strings" if item is str else "lists", shown(value)), location)
+    return value
+
+
 def _at_most_max_order(n):
     if n > MAX_DESCRIPTOR_ORDER:
         raise InvalidGroup("order %d is above the descriptor limit %d"
@@ -735,13 +743,18 @@ def _group_from_family(fam, desc, depth):
     if fam == "Dinf":
         return InfiniteDihedralGroup()
     if fam == "perm":
-        gens = [[json_int(i, "group.generators") for i in p] for p in desc["generators"]]
+        gens = [[json_int(i, "group.generators") for i in p]
+                for p in _json_list(desc["generators"], "group.generators", list)]
         return permutation_group(gens, name=desc.get("name", "perm"))
     if fam == "finite":
-        _at_most_max_order(len(desc["names"]))
-        table = [[json_int(k, "group.table") for k in row] for row in desc["table"]]
-        return FiniteGroup(desc.get("name", "finite"), desc["names"], table,
-                           desc.get("generators", [desc["names"][1]]))
+        names = _json_list(desc["names"], "group.names", str)
+        _at_most_max_order(len(names))
+        table = [[json_int(k, "group.table") for k in row]
+                 for row in _json_list(desc["table"], "group.table", list)]
+        # names, not positions: FiniteGroup reads an int generator as an index
+        return FiniteGroup(desc.get("name", "finite"), names, table,
+                           _json_list(desc.get("generators", [names[1]]), "group.generators",
+                                      str))
     if fam == "product":
         return DirectProductGroup([group_from_descriptor(d, depth + 1)
                                    for d in desc["factors"]])

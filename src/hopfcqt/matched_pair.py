@@ -54,9 +54,12 @@ def check_window(bound):
 class OrbitData:
     """Orbit, stabilizer, transversal and the g_x z_x factorization at one base point.
 
-    The stabilizer G_f is checked to be closed under products only: once a G_f
-    lies in G_f, left multiplication by a maps the finite set G_f into itself, so
-    every power of a, a^-1 among them, lies in G_f.
+    At 1_F the unit law g |> 1 = 1 is checked, so G_1 = G.  G_f is checked to be
+    closed under products only: once a G_f lies in G_f, left multiplication by a
+    maps the finite set G_f into itself, so every power of a, a^-1 among them, lies
+    in G_f.  The transversal starts at 1 unchecked: G.elements() starts at the
+    identity in every finite family (FiniteGroup index 0, DirectProductGroup's
+    product of such lists), so x = 1 is the first element to reach its point.
     """
 
     __slots__ = ("f", "orbit", "stabilizer", "transversal", "_stab_keys", "_factor")
@@ -75,6 +78,8 @@ class OrbitData:
                 raise InvalidAction("%s at base point %r: |> is not a group action"
                                     % (what, f))
 
+        if f.is_identity() and len(stab) < len(gs):
+            require(False, "%r |> 1 is not 1" % next(g for g in gs if image[g.key] != f))
         for a in stab:
             for b in stab:
                 require(G.mul(a, b).key in self._stab_keys, "stabilizer not closed")
@@ -87,7 +92,6 @@ class OrbitData:
             require(gx.key in self._stab_keys, "x z_x^-1 is not in the stabilizer")
             self._factor[x.key] = (gx, z)
         self.transversal = trans
-        require(trans[0].is_identity(), "transversal does not start at 1")
         require(len(trans) * len(stab) == G.order(), "cosets do not partition G")
 
     def in_stabilizer(self, g):
@@ -302,17 +306,6 @@ class MatchedPair:
     def dual_orbit_product_commutes(self, g, gp):
         "Set equality of O'_g O'_g' and O'_g' O'_g in G; witness as in _product_sets_commute."
         return _product_sets_commute(self.G, self.dual_orbit(g), self.dual_orbit(gp))
-
-    # -- hypothesis probes (bounded for infinite F) ------------------------------
-
-    def left_action_trivial(self, word_bound=4):
-        return all(self.act_left(g, f) == f
-                   for g in self.G.elements() for f in self.window(word_bound))
-
-    def is_central(self, word_bound=4):
-        "g <| f = g everywhere on the window (the extension is central)."
-        return all(self.act_right(g, f) == g
-                   for g in self.G.elements() for f in self.window(word_bound))
 
     def fixed_points(self, word_bound=4):
         "Elements of the window fixed by every g (orbit of size one)."

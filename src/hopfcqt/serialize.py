@@ -99,6 +99,7 @@ def context_from_json(obj):
     _object(obj, "context")
     G = group_from_descriptor(_require(obj, "G", "context"))
     F = group_from_descriptor(_require(obj, "F", "context"))
+    gens = {u.key for u in F.generators()}
     left_tables, right_tables = {}, {}
     for dst, parser, loc in ((left_tables, F.parse, "left_action"),
                              (right_tables, G.parse, "right_action")):
@@ -107,6 +108,9 @@ def context_from_json(obj):
             try:
                 g = G.parse(gtxt)
                 gen = F.parse(gentxt)
+                if gen.key not in gens:  # from_generator_tables would never read it
+                    raise SchemaError("%s is not a generator of F; actions are given on "
+                                      "generators only" % shown(gentxt))
                 dst[(g.key, gen.key)] = parser(_literal(val, loc))
             except SchemaError as e:
                 raise SchemaError(str(e), "%s[%s]" % (loc, shown(key)))

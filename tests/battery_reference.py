@@ -65,10 +65,10 @@ def necessary_battery_reference(H, word_bound=4, quotients=()):
     simples_at = Memo(lambda f: _onedim_simples_at(H, f))
     chars = simples_at[F.one] + [V for pi in quotients for V in group_comodules(H, quotient=pi)]
 
-    left_trivial = mp.left_action_trivial(word_bound)
-    central = mp.is_central(word_bound)
-    sigma_triv = cp.sigma_trivial_on(word_bound)
-    tau_triv = cp.tau_trivial_on(word_bound)
+    left_trivial = all(mp.act_left(g, f) == f for g in gs for f in fs)
+    central = all(mp.act_right(g, f) == g for g in gs for f in fs)
+    sigma_triv = all(cp.sigma(g, f, fp).is_one() for g in gs for f in fs for fp in fs)
+    tau_triv = all(cp.tau(g, gp, f).is_one() for g in gs for gp in gs for f in fs)
     g_ab = G.is_abelian()
     have_chars = (chars, "no simple comodules over the dual of G available")
 

@@ -183,11 +183,34 @@ MUTANTS = [
          new="""            if False:""",
          tests=["tests/test_cli_boundary.py::"
                 "test_label_products_refuse_a_broken_tau_square_identity"]),
+    dict(name="orbit-data-skips-unit-law", file="matched_pair.py",
+         old="""        if f.is_identity() and len(stab) < len(gs):
+            require(False, "%r |> 1 is not 1" % next(g for g in gs if image[g.key] != f))
+""",
+         new="",
+         tests=["tests/test_matched_pair.py::test_orbit_data_refuses_a_non_action",
+                "tests/test_battery_tables.py::"
+                "test_character_outside_its_stabilizer_raises_like_reference"]),
+    dict(name="battery-left-trivial-reads-right", file="cqt.py",
+         old="left_trivial = all(left(g, f) == f for g in gids for f in fids)",
+         new="left_trivial = all(right(g, f) == f for g in gids for f in fids)",
+         tests=["tests/test_battery_tables.py::test_asymmetric_sigma_fails_like_reference"]),
+    dict(name="battery-sigma-trivial-always", file="cqt.py",
+         old="""    sigma_triv = all((S[g][f][fp] or sig(g, f, fp)) == 1
+                     for g in gids for f in fids for fp in fids)
+""",
+         new="""    sigma_triv = True
+""",
+         tests=["tests/test_battery_tables.py::test_asymmetric_sigma_fails_like_reference"]),
+    dict(name="action-key-off-generators-kept", file="serialize.py",
+         old="if gen.key not in gens:", new="if False:",
+         tests=["tests/test_serialize_cli.py::"
+                "test_action_key_off_the_generators_is_a_schema_error"]),
 
     # -- survivors --------------------------------------------------------------
     dict(name="battery-moved-by-z", file="cqt.py",
-         old="""        return zgz, right(zgz, left(zi, f))""",
-         new="""        return zgz, right(zgz, left(z, f))""",
+         old="""        return w[right(zgz, left(zi, f))] == w[zgz]""",
+         new="""        return w[right(zgz, left(z, f))] == w[zgz]""",
          tests=["tests/test_battery_tables.py", "tests/test_cqt.py"],
          survives="z |> f and z^-1 |> f lie in one orbit, and no tested context has a "
                   "character that tells them apart; needs characters over nonabelian "

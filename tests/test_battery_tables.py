@@ -7,7 +7,7 @@ one here that fails sigma-symmetry-on-central-abelian), on a context whose
 |> leaves every word-length window, on the S4 context of the known false
 obstruction, and on an S4 x Z2 context that fails stabilizer-action-constraint;
 and both must raise the same error on a non-coassociative or non-counital tau
-and on a character read outside its stabilizer.  The witnesses of the
+and on an action that breaks the unit law g |> 1 = 1.  The witnesses of the
 dual-orbit check on A4 x Z2 and of stabilizer-action-constraint on S4 x Z2 are
 recomputed from their definitions.
 """
@@ -24,7 +24,7 @@ from hopfcqt.cocycles import CocyclePair
 from hopfcqt.comodules import Comodule, TwistedCoalgebra
 from hopfcqt.cqt import (battery_obstructed, check_dual_orbit_commutation, eps_tensor_eps,
                          necessary_battery, verify_R)
-from hopfcqt.errors import InvalidCocycle, NotInStabilizer
+from hopfcqt.errors import InvalidAction, InvalidCocycle
 from hopfcqt.groups import cyclic_group, finite_group_from_elements, klein_four_group
 from hopfcqt.hopf import HopfAlgebra
 from hopfcqt.matched_pair import MatchedPair
@@ -230,7 +230,7 @@ def test_asymmetric_tau_passes_like_reference():
 
 
 def _raised(fn, *args):
-    with pytest.raises((InvalidCocycle, NotInStabilizer)) as info:
+    with pytest.raises((InvalidCocycle, InvalidAction)) as info:
         fn(*args)
     return info.type, str(info.value)
 
@@ -254,8 +254,9 @@ def test_bad_tau_raises_like_reference(eid):
 
 def test_character_outside_its_stabilizer_raises_like_reference():
     # an action that is not by automorphisms: s |> swaps 1 and t and fixes t^2, so the
-    # stabilizer of 1_F is {1}, yet G_(t^2) = G; the character-product check reads the
-    # trivial character of G_1 at s
+    # stabilizer of 1_F is {1}, yet G_(t^2) = G; the character-product check would read
+    # the trivial character of G_1 at s, but both paths stop at the orbit of 1_F first,
+    # where OrbitData checks the unit law
     G, F = cyclic_group(2, "s"), cyclic_group(3, "t")
     swap = {0: 1, 1: 0, 2: 2}
     mp = MatchedPair.from_functions(
@@ -263,7 +264,8 @@ def test_character_outside_its_stabilizer_raises_like_reference():
     H = HopfAlgebra(CocyclePair.trivial(mp))
     raised = _raised(necessary_battery, H)
     assert raised == _raised(necessary_battery_reference, H)
-    assert raised == (NotInStabilizer, "s outside the stabilizer")
+    assert raised == (InvalidAction, "s |> 1 is not 1 at base point 1: |> is not a group "
+                                     "action")
 
 
 def test_passing_gates_read_no_diagonal_sum(monkeypatch):

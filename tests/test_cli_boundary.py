@@ -201,6 +201,19 @@ def test_label_products_refuse_a_broken_tau_square_identity(tmp_path, capsys, ar
     assert err.endswith("fails at (t, t)\n")
 
 
+@pytest.mark.parametrize("context, check", [
+    ("tau-zeta4", "compatibility fails at ('g', 'g', 't', 't')"),
+    ("tau-default-2", "normalization fails at ('1', '1', '1', '1')"),
+    ("sigma-half", "sigma-cocycle fails at"), ("non-action", "left-action fails at")])
+def test_cqt_necessary_refuses_a_context_that_is_not_a_hopf_algebra(tmp_path, capsys,
+                                                                    context, check):
+    # the battery presumes a Hopf algebra; on these it used to exit 0 with no obstruction
+    path = tmp_path / "ctx.json"
+    save_json(BROKEN_CONTEXTS[context], path)
+    err = _assert_error_exit(["cqt-necessary", "--input", str(path)], capsys)
+    assert err.startswith("error: " + check), err
+
+
 def test_unknown_level_lists_the_choices(tmp_path, capsys):
     path = tmp_path / "r.json"
     save_json({"entries": []}, path)

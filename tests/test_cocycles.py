@@ -21,7 +21,9 @@ def _trivial_mp(n_g=2, n_f=2):
 def test_trivial_pair_passes():
     cp = CocyclePair.trivial(_trivial_mp())
     assert all_passed(cp.verify())
-    assert cp.sigma_trivial_on() and cp.tau_trivial_on()
+    G, F = cp.mp.G.elements(), cp.mp.F.elements()
+    assert all(cp.sigma(g, f, fp).is_one() for g in G for f in F for fp in F)
+    assert all(cp.tau(g, gp, f).is_one() for g in G for gp in G for f in F)
 
 
 def test_eval_examples():

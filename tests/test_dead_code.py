@@ -23,6 +23,10 @@ ends in a traceback and exit 1 where a HopfCqtError would give exit 2.  So
 input is checked by raising, and ASSERTS_ALLOWED lists the only asserts kept:
 arithmetic invariants that no input can reach.
 
+An exception class of errors.py counts as used only when some raise
+statement in src/hopfcqt names it, as `raise Name(...)` or `raise Name`: a
+class that tests name in pytest.raises but nothing raises guards nothing.
+
 The unused-code guards match by name, so one use covers every definition or assignment
 of that name, whatever object it belongs to.  That is how the unused methods
 Z2Simples.comodule and InducedComodule.is_valid went unnoticed: cli.py reads
@@ -200,3 +204,24 @@ def asserts_outside_the_allowed():
 
 def test_no_assert_checks_what_input_can_reach():
     assert asserts_outside_the_allowed() == []
+
+
+def _raised_name(node):
+    "The class name a raise statement names, or None (a bare raise, or a raise of a variable)."
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+
+
+def unraised_errors():
+    "The exception classes of errors.py that no raise statement in src/hopfcqt names."
+    src = ROOT / "src" / "hopfcqt"
+    classes = [node.name for node in ast.parse((src / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    raised = {_raised_name(node) for path in sorted(src.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    return [name for name in classes if name not in raised]
+
+
+def test_every_error_class_is_raised():
+    assert unraised_errors() == []

@@ -128,13 +128,19 @@ def test_orbit_data_matches_its_definition(mp):
 
 
 def test_orbit_data_refuses_a_non_action():
-    # Z3 on Z2 with a |> 0 = 0 but a^2 |> 0 = t: the stabilizer of 0 is {1, a}
+    # Z3 on Z2 with a |> 0 = 0 but a^2 |> 0 = t: the unit law fails at 1_F
     G, F = cyclic_group(3, "a"), cyclic_group(2, "t")
     a2, t = G.parse("a^2"), F.parse("t")
     mp = MatchedPair.from_functions(G, F, left=lambda g, f: t if g == a2 else f,
                                     right=lambda g, f: g)
-    with pytest.raises(InvalidAction, match="stabilizer not closed"):
+    with pytest.raises(InvalidAction, match=r"a\^2 \|> 1 is not 1 at base point 1"):
         mp.orbit_data(F.one)
+    # a |> t = t but a^2 |> t = 1, with 1 fixed: the stabilizer of t is {1, a}
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: F.one if g == a2 else f,
+                                    right=lambda g, f: g)
+    mp.orbit_data(F.one)
+    with pytest.raises(InvalidAction, match="stabilizer not closed at base point t"):
+        mp.orbit_data(t)
 
 
 def test_fold_is_word_independent():

@@ -113,6 +113,48 @@ def test_non_integer_permutation_or_table_entry_is_a_schema_error(desc):
         group_from_descriptor(desc)
 
 
+_Z2_TABLE = {"family": "finite", "names": ["1", "g"], "table": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("field, desc", [
+    ("group.names", {"family": "finite", "names": "1g", "table": ["01", "10"],
+                     "generators": [True]}),
+    ("group.table", dict(_Z2_TABLE, table=["01", "10"])),
+    ("group.generators", dict(_Z2_TABLE, generators=[True])),
+    ("group.generators", dict(_Z2_TABLE, generators=[-1])),
+    ("group.generators", dict(_Z2_TABLE, generators="g")),
+    ("group.generators", {"family": "perm", "generators": ["10"]}),
+], ids=["names-string", "table-strings", "generator-bool", "generator-negative",
+        "generators-string", "perm-generator-string"])
+def test_descriptor_lists_must_be_json_lists(tmp_path, capsys, field, desc):
+    # a string, a bool or a negative position used to load: "1g" as two names, True
+    # as position 1, -1 as the last element, "10" as the image list (1, 0)
+    with pytest.raises(SchemaError, match=r"expected a list of .*\(at %s\)$" % field):
+        group_from_descriptor(desc)
+    obj = serialize.context_to_json(get_entry("Z2_Z2_trivial").context())
+    obj["G"] = desc
+    path = tmp_path / "ctx.json"
+    serialize.save_json(obj, path)
+    assert cli.main(["verify-mp", "--input", str(path)]) == 2
+    assert "(at %s)" % field in capsys.readouterr().err
+    # generators given by name still load
+    assert group_from_descriptor(dict(_Z2_TABLE, generators=["g"])).order() == 2
+
+
+@pytest.mark.parametrize("table, key", [("left_action", "g|5"), ("left_action", "g|-1"),
+                                        ("right_action", "1|2")])
+def test_action_key_off_the_generators_is_a_schema_error(tmp_path, capsys, table, key):
+    # Z2_Z's actions are given on the generator 1 of Z; an entry at 5 or at the
+    # inverse letter -1 was dropped without a word
+    obj = serialize.context_to_json(get_entry("Z2_Z").context())
+    obj[table][key] = "3" if table == "left_action" else "g"
+    path = tmp_path / "ctx.json"
+    serialize.save_json(obj, path)
+    assert cli.main(["orbits", "--input", str(path), "--f", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "is not a generator of F" in err and "(at %s[%r])" % (table, key) in err
+
+
 def _rule_based(eid, sigma, tau):
     "The entry's matched pair with sigma and tau given as rules, not tables."
     mp = get_entry(eid).context().mp
@@ -164,7 +206,9 @@ def test_context_json_refuses_what_it_cannot_write_exactly():
     g, five = H.G.parse("g"), H.F.parse("5")
     late = _rule_based("Z2_Z", lambda a, f, fp: MINUS_ONE if (a, f, fp) == (g, five, five)
                        else ONE, lambda a, b, f: ONE)
-    assert late.cp.sigma_trivial_on(4)
+    window = late.mp.window(4)
+    assert all(late.cp.sigma(a, f, fp).is_one()
+               for a in late.G.elements() for f in window for fp in window)
     odd = _rule_based("Z2_Z", lambda a, f, fp: MINUS_ONE if f.key % 2 and fp.key % 2 else ONE,
                       lambda a, b, f: ONE)
     for H in (late, odd):
@@ -390,12 +434,13 @@ def test_cli_repeated_element_name_exits_2(tmp_path, capsys):
 
 
 def test_cli_non_cocycle_tau_exits_2(tmp_path, capsys):
-    # one tau entry overridden: a stabilizer's twisted coproduct is not coassociative
+    # overridden cocycle entries: a stabilizer's twisted coproduct is not coassociative,
+    # and before the battery builds it, the cocycle sweep of cqt-necessary fails
     path = tmp_path / "ctx.json"
     serialize.save_context(_perturbed_context("Q8_Dinf", 0), path)
     assert cli.main(["cqt-necessary", "--input", str(path), "--maxlen", "2"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: twisted coproduct not coassociative")
+    assert err.startswith("error: normalization fails at ('r^2*s', '1', 'y^2', 'y^-2')")
     assert "Traceback" not in err
 
 
@@ -473,10 +518,12 @@ def test_cli_non_action_exits_2(tmp_path, capsys):
     obj["left_action"]["g^2|t"] = "1"
     path = str(tmp_path / "ctx.json")
     serialize.save_json(obj, path)
-    for args in (["orbits", "--f", "t"], ["cqt-necessary"]):
+    # cqt-necessary stops at the matched-pair sweep before it builds an orbit
+    for args, message in ((["orbits", "--f", "t"], "stabilizer not closed at base point t"),
+                          (["cqt-necessary"], "left-action fails at ('g', 'g', 't')")):
         assert cli.main(args + ["--input", path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: stabilizer not closed at base point t")
+        assert err.startswith("error: " + message)
         assert "Traceback" not in err
 
 
