@@ -134,8 +134,8 @@ class CocyclePair:
                     q = fmul(fp, fpp)
                 if ((s_h[fpp] or sig(h, fp, fpp)) * (s_g[q] or sig(g, f, q))
                         != (s_g[fp] or sig(g, f, fp)) * (s_p[fpp] or sig(g, p, fpp))):
-                    return n
-            return None
+                    return n, 0
+            return None, 0
 
         def tau_cocycle(g, gp, gpp, f):
             "tau(g, g'; g'' |> f) tau(gg', g''; f) = tau(g, g'g''; f) tau(g', g''; f)"
@@ -160,8 +160,8 @@ class CocyclePair:
                 if ((s_a[fp] or sig(a, f, fp)) * (t_g[ff] or tau(g, gp, ff))
                         != ((s_u[w] or sig(g, u, w)) * (s_gp[fp] or sig(gp, f, fp))
                             * (t_g[f] or tau(g, gp, f)) * (t_x[fp] or tau(x, v, fp)))):
-                    return n
-            return None
+                    return n, 0
+            return None, 0
 
         return [P.sweep("normalization", "GGFF", normalization),
                 P.sweep_rows("sigma-cocycle", "GFFF", sigma_cocycle),

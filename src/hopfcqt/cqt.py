@@ -27,7 +27,7 @@ from .errors import (BadWindow, NonAbelianStabilizer, NotARootOfUnity, OutOfWind
                      SearchSpaceTooLarge, UnknownLevel, WrongGroup)
 from .groups import z2_generator
 from .matched_pair import PairTables, check_window
-from .reports import FAIL, SKIPPED, ConditionReport, sweep, verdict
+from .reports import FAIL, SKIPPED, ConditionReport, sweep, sweep_rows, verdict
 from .scalars import ONE, ZERO, as_scalar, bare, rational
 
 
@@ -122,10 +122,16 @@ class Memo(dict):
 # basis indices, a1 (x) a2 the coproduct legs of a, and grid[g][f] the index
 # of the window key (g, f).  An instance sums each side of its identity
 # exactly, reading R through rv, a memo of RForm.try_value on index pairs,
-# one per call.  CQT3, whose sides are elements, compiles each (x, y) once
-# per table into R-independent rows (see _cqt3).  R values, like the
-# structure constants, are kept bare (scalars.bare): an int or Fraction when
-# rational, else a Scalar.
+# one per call.  CQT1 and CQT2 run on the row engine (reports.sweep_rows),
+# a row of c per (a, b): CQT1 hoists table[b], R's row of a (rrow[a][q] is
+# rv[a, q]), the legs of a and a memo of the factors R(a2, b); CQT2 hoists ab
+# and R's rows of ab, a and b.  Like the per-instance sums they replace
+# (tests/cqt_reference.instance_sweep), they read R(a, bc) or R(ab, c), then
+# both factors of each term until one is out of the window, each on first
+# use, so rv calls RForm.try_value on the same arguments in the same order.
+# CQT3, whose sides are elements, compiles each (x, y) once per table into
+# R-independent rows (see _cqt3).  R values, like the structure constants,
+# are kept bare (scalars.bare): an int or Fraction when rational, else a Scalar.
 
 def _qrange(R, qbound):
     """The F elements a CQT instance quantifies over: the window qbound, else R's
@@ -171,29 +177,68 @@ def _cqt0(sc, rv, grid):
 def _cqt1(sc, rv, grid):
     "R(a, bc) = R(a1, c) R(a2, b)."
     ids = [i for row in grid for i in row]
+    rrow = Memo(lambda p: Memo(lambda q: rv[p, q]))
+    rcol = Memo(lambda q: Memo(lambda p: rv[p, q]))
+    legs = Memo(lambda a: [(rrow[a1], a2, t) for a1, a2, t in sc.coproduct(a)])
 
-    def ok(a, b, c):
-        bc = sc.product(b, c)
-        lhs = rv[a, bc[0]] if bc else 0  # R(a, bc) = bc[1] * lhs
-        rhs = None if lhs is None else _sum(rv, [(t, (a1, c), (a2, b))
-                                                 for a1, a2, t in sc.coproduct(a)])
-        return None if rhs is None else (lhs and lhs * bc[1]) == rhs
+    def first_bad(prefix, cs):
+        a, b = prefix
+        tb, ra, rb, skipped = sc.table[b], rrow[a], rcol[b], 0
+        for n, c in enumerate(cs):
+            bc = tb[c]
+            if bc is None:
+                bc = sc.product(b, c)
+            lhs = ra[bc[0]] if bc else 0  # R(a, bc) = bc[1] * lhs
+            if lhs is None:
+                skipped += 1
+                continue
+            rhs = 0
+            for r1, a2, t in legs[a]:
+                v, w = r1[c], rb[a2]
+                if v is None or w is None:
+                    rhs = None
+                    break
+                if v and w:
+                    rhs += t * v * w
+            if rhs is None:
+                skipped += 1
+            elif (lhs and lhs * bc[1]) != rhs:
+                return n, skipped
+        return None, skipped
 
-    return sweep("CQT1", ((a, b, c) for b in ids for row in grid for a in ids for c in row),
-                 ok, witness=_keys(sc))
+    return sweep_rows("CQT1", (((a, b), row) for b in ids for row in grid for a in ids),
+                      first_bad, _keys(sc))
 
 
 def _cqt2(sc, rv, grid):
     "R(ab, c) = R(a, c1) R(b, c2)."
-    def ok(a, b, c):
-        ab = sc.product(a, b)
-        lhs = rv[ab[0], c] if ab else 0  # R(ab, c) = ab[1] * lhs
-        rhs = None if lhs is None else _sum(rv, [(t, (a, c1), (b, c2))
-                                                 for c1, c2, t in sc.coproduct(c)])
-        return None if rhs is None else (lhs and lhs * ab[1]) == rhs
+    product, coproduct, rrow = sc.product, sc.coproduct, Memo(lambda p: Memo(lambda q: rv[p, q]))
 
-    return sweep("CQT2", ((a, b, c) for row in grid for a in row for brow in grid
-                          for crow in grid for b in brow for c in crow), ok, witness=_keys(sc))
+    def first_bad(prefix, cs):
+        a, b = prefix
+        ab = product(a, b)
+        rab, ra, rb, skipped = ab and rrow[ab[0]], rrow[a], rrow[b], 0
+        for n, c in enumerate(cs):
+            lhs = rab[c] if ab else 0  # R(ab, c) = ab[1] * lhs
+            if lhs is None:
+                skipped += 1
+                continue
+            rhs = 0
+            for c1, c2, t in coproduct(c):
+                v, w = ra[c1], rb[c2]
+                if v is None or w is None:
+                    rhs = None
+                    break
+                if v and w:
+                    rhs += t * v * w
+            if rhs is None:
+                skipped += 1
+            elif (lhs and lhs * ab[1]) != rhs:
+                return n, skipped
+        return None, skipped
+
+    return sweep_rows("CQT2", (((a, b), crow) for row in grid for a in row for brow in grid
+                               for crow in grid for b in brow), first_bad, _keys(sc))
 
 
 def _cqt3(sc, rv, grid):

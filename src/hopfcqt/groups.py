@@ -751,9 +751,9 @@ def _group_from_family(fam, desc, depth):
         _at_most_max_order(len(names))
         table = [[json_int(k, "group.table") for k in row]
                  for row in _json_list(desc["table"], "group.table", list)]
-        # names, not positions: FiniteGroup reads an int generator as an index
+        # names, not positions (FiniteGroup reads an int as an index); default: the second
         return FiniteGroup(desc.get("name", "finite"), names, table,
-                           _json_list(desc.get("generators", [names[1]]), "group.generators",
+                           _json_list(desc.get("generators", names[1:2]), "group.generators",
                                       str))
     if fam == "product":
         return DirectProductGroup([group_from_descriptor(d, depth + 1)

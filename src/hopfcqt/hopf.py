@@ -439,10 +439,10 @@ def verify_hopf_axioms(H, word_bound=4):
                 right = product(i, jk[0])
             if left and right:
                 if left[0] != right[0] or ij[1] * left[1] != jk[1] * right[1]:
-                    return n
+                    return n, 0
             elif left or right:
-                return n
-        return None
+                return n, 0
+        return None, 0
 
     if len(ids) ** 3 <= EXHAUSTIVE_LIMIT:
         rows = (((i, j), ids) for i in ids for j in ids)
@@ -539,10 +539,10 @@ def verify_hopf_axioms(H, word_bound=4):
                         if t is None or c * d * left[1] * right[1] != ij[1] * t:
                             ok = False
             if not ok or hits != len(lhs):
-                return n
+                return n, 0
             if (ij[1] if ij and gkey[ij[0]] == one_g else 0) != int(unit_i and gkey[j] == one_g):
-                return n
-        return None
+                return n, 0
+        return None, 0
 
     if len(ids) ** 2 <= PAIR_LIMIT:
         rows = (((i,), ids) for i in ids)

@@ -7,8 +7,8 @@ the CLI and the catalog can diff outcomes against expectations.
 Every quantified check runs through one of two loops.
 
 `sweep(check, instances, ok, witness=tuple)` is the general engine, used by
-every sweep but the four below (the CQT, battery and comodule sweeps among
-them):
+every sweep but the six below (CQT0, CQT3, CQT4, the convolution inverse, the
+battery and comodule sweeps among them):
 
 * `instances` is a lazy iterable of argument tuples; it is consumed only up
   to the first failure.  Values hoisted out of inner loops travel in the
@@ -23,21 +23,22 @@ them):
   and PASS otherwise (an empty sweep passes with `checked` = 0).
 
 `sweep_rows(check, rows, first_bad, witness)` is the row engine, for sweeps
-whose every instance is evaluated (no None case) and whose innermost
-quantifier is cheap enough that a call per instance dominates: the
-associativity and bialgebra sweeps of hopf.verify_hopf_axioms and the
-sigma-cocycle and compatibility sweeps of CocyclePair.verify.
+whose innermost quantifier is cheap enough that a call per instance
+dominates: the associativity and bialgebra sweeps of
+hopf.verify_hopf_axioms, the sigma-cocycle and compatibility sweeps of
+CocyclePair.verify, and CQT1 and CQT2 of cqt.verify_R.
 
 * `rows` is a lazy iterable of (prefix, items): prefix is the tuple of the
   outer quantifiers, items a sequence of values of the innermost one, and
   the instances are prefix + (item,) in order.
 * `first_bad(prefix, items)` evaluates the whole row in one loop and
-  returns the position of the first failing item, or None.
+  returns (bad, skipped): the position of the first failing item or None,
+  and the number of unevaluated items (the None case of `sweep`) before it
+  or in the whole row; a kernel without that case returns (n, 0) or (None, 0).
 * The first failure ends the sweep with a FAIL report whose witness is
   `witness(prefix + (item,))`, the flattened instance, so one witness
-  function serves both engines; `checked` counts every item up to and
-  including the failing one, exactly as `sweep` would on the flattened
-  instances.
+  function serves both engines.  Every report, `checked` and `unevaluated`
+  included, is the one `sweep` gives on the flattened instances.
 
 A check decided by one search rather than a sweep reports through
 `verdict(check, witness, checked=0, detail=None)`: FAIL carrying the witness,
@@ -113,13 +114,15 @@ def sweep(check, instances, ok, witness=tuple):
 
 def sweep_rows(check, rows, first_bad, witness):
     "One quantified check over rows of its innermost quantifier; see the module docstring."
-    checked = 0
+    checked = unevaluated = 0
     for prefix, items in rows:
-        bad = first_bad(prefix, items)
+        bad, skipped = first_bad(prefix, items)
+        unevaluated += skipped
         if bad is not None:
-            return _report(check, checked + bad + 1, 0, True, witness(prefix + (items[bad],)))
-        checked += len(items)
-    return _report(check, checked, 0)
+            return _report(check, checked + bad + 1 - skipped, unevaluated, True,
+                           witness(prefix + (items[bad],)))
+        checked += len(items) - skipped
+    return _report(check, checked, unevaluated)
 
 
 def verdict(check, witness, checked=0, detail=None):

@@ -14,12 +14,17 @@ basis element, pair or triple (x, y, z basis elements, x1 (x) x2 = Delta(x)):
 
 Families 0-3 and the invertibility of r define a coquasitriangular form
 (Larson-Towber, Comm. Algebra 19, 1991; Kassel, Quantum Groups, VIII.5).
+
+`instance_sweep` keeps the per-instance sweeps of families 1 and 2, for
+forms with a window (see its comment block).
 """
 
 import itertools
 
-from hopfcqt.hopf import HopfElement, antipode, comultiply, counit, multiply
-from hopfcqt.scalars import ONE, ZERO
+from hopfcqt.cqt import Memo
+from hopfcqt.hopf import HopfElement, StructureConstants, antipode, comultiply, counit, multiply
+from hopfcqt.reports import sweep
+from hopfcqt.scalars import ONE, ZERO, bare
 
 LEVELS = (0, 1, 2, 3, 4, "inv")
 
@@ -96,3 +101,56 @@ def families(R):
               4: (cotriangular_ok, 2), "inv": (inverse_ok, 2)}
     return {level: all(ok(*inst) for inst in itertools.product(basis, repeat=width))
             for level, (ok, width) in checks.items()}
+
+
+# -- per-instance sweeps of CQT1 and CQT2 ---------------------------------------
+#
+# families() needs a form without a window.  These are the per-instance
+# closures that cqt._cqt1 and cqt._cqt2 ran on the general engine
+# reports.sweep before both moved to row kernels: one ok(a, b, c) per
+# instance, R read through a memo of RForm.try_value.  They see windows, so
+# the row kernels must match their reports and their R reads on any form.
+
+def _sum(rv, terms):
+    "Sum of coef * R(p) * R(q) over (coef, p, q); None as soon as a term has a factor out of window."
+    total = 0
+    for coef, p, q in terms:
+        v = rv[p]
+        w = rv[q]
+        if v is None or w is None:
+            return None
+        if v and w:
+            total += coef * v * w
+    return total
+
+
+def instance_sweep(R, level, qbound=None):
+    "The ConditionReport of CQT1 or CQT2 (level 1 or 2) on R, one ok call per instance."
+    sc = StructureConstants(R.H)
+    fs = R.H.mp.window(qbound if qbound is not None else R.window)
+    grid = [[sc.index((g, f)) for f in fs] for g in R.H.G.elements()]
+    rv = Memo(lambda p: bare(R.try_value(sc.keys[p[0]], sc.keys[p[1]])))
+
+    def witness(inst):
+        return tuple(sc.keys[i][0] for i in inst) + tuple(sc.keys[i][1] for i in inst)
+
+    def cqt1_ok(a, b, c):
+        bc = sc.product(b, c)
+        lhs = rv[a, bc[0]] if bc else 0
+        rhs = None if lhs is None else _sum(rv, [(t, (a1, c), (a2, b))
+                                                 for a1, a2, t in sc.coproduct(a)])
+        return None if rhs is None else (lhs and lhs * bc[1]) == rhs
+
+    def cqt2_ok(a, b, c):
+        ab = sc.product(a, b)
+        lhs = rv[ab[0], c] if ab else 0
+        rhs = None if lhs is None else _sum(rv, [(t, (a, c1), (b, c2))
+                                                 for c1, c2, t in sc.coproduct(c)])
+        return None if rhs is None else (lhs and lhs * ab[1]) == rhs
+
+    if level == 1:
+        ids = [i for row in grid for i in row]
+        return sweep("CQT1", ((a, b, c) for b in ids for row in grid for a in ids for c in row),
+                     cqt1_ok, witness=witness)
+    return sweep("CQT2", ((a, b, c) for row in grid for a in row for brow in grid
+                          for crow in grid for b in brow for c in crow), cqt2_ok, witness=witness)

@@ -103,6 +103,15 @@ MUTANTS = [
     dict(name="sweep-rows-checked-short", file="reports.py",
          old="checked + bad + 1", new="checked + bad",
          tests=["tests/test_reports.py::test_sweep_rows_reports_like_sweep_on_the_flattened_instances"]),
+    dict(name="sweep-rows-counts-unevaluated-as-checked", file="reports.py",
+         old="checked += len(items) - skipped", new="checked += len(items)",
+         tests=["tests/test_reports.py::test_sweep_rows_reports_like_sweep_on_the_flattened_instances"]),
+    dict(name="cqt1-ignores-out-of-window-r-a2-b", file="cqt.py",
+         old="""                v, w = r1[c], rb[a2]
+                if v is None or w is None:""",
+         new="""                v, w = r1[c], rb[a2]
+                if v is None:""",
+         tests=["tests/test_cqt_row_kernels.py::test_standard_forms_at_windows[1-Z2_Z]"]),
     dict(name="sigma-cocycle-hoisted", file="cocycles.py",
          old="""            s_h, s_g, s_p, m_fp = S[h][fp], S[g][f], S[g][p], M[fp]
 """,

@@ -169,6 +169,21 @@ def test_descriptors_round_trip():
         assert G2 == G
 
 
+def test_finite_descriptor_generators_default_only_when_absent():
+    # the one-element group has no generators, and says so in its descriptor
+    triv = FiniteGroup("triv", ["1"], [[0]], [])
+    desc = {"family": "finite", "name": "triv", "names": ["1"], "table": [[0]],
+            "generators": []}
+    assert triv.descriptor() == desc
+    assert group_from_descriptor(desc) == triv
+    assert group_from_descriptor(desc).descriptor() == desc
+    del desc["generators"]
+    assert group_from_descriptor(desc).descriptor()["generators"] == []
+    # with two elements, an absent generator list still defaults to the second name
+    z2 = {"family": "finite", "names": ["e", "s"], "table": [[0, 1], [1, 0]]}
+    assert group_from_descriptor(z2).descriptor()["generators"] == ["s"]
+
+
 # K4 with its second and third elements both named "a"
 REPEATED_NAME_K4 = {"family": "finite", "name": "K4", "names": ["1", "a", "a", "b"],
                     "table": [[i ^ j for j in range(4)] for i in range(4)],

@@ -51,26 +51,58 @@ def test_sweep_empty_passes():
     assert (r.status, r.checked, r.unevaluated) == (PASS, 0, 0)
 
 
+def _row_kernel(ok, seen=None):
+    "The row kernel of the per-instance check ok: the first False, and the Nones before it."
+    def first_bad(prefix, items):
+        if seen is not None:
+            seen.append(prefix)
+        skipped = 0
+        for n, x in enumerate(items):
+            holds = ok(*prefix, x)
+            if holds is None:
+                skipped += 1
+            elif not holds:
+                return n, skipped
+        return None, skipped
+
+    return first_bad
+
+
+def _flat(rows):
+    return [prefix + (x,) for prefix, items in rows for x in items]
+
+
 def test_sweep_rows_reports_like_sweep_on_the_flattened_instances():
     # rows of unequal length, one of them empty; the kernel sees whole rows
     rows = [((0,), [0, 1, 2]), ((1,), []), ((2,), [5]), ((3,), [0, 5, 1])]
     seen = []
-
-    def first_bad(prefix, items):
-        seen.append(prefix)
-        return next((n for n, x in enumerate(items) if x + prefix[0] == 8), None)
-
-    flat = [prefix + (x,) for prefix, items in rows for x in items]
     ok = lambda p, x: x + p != 8  # noqa: E731
+    first_bad = _row_kernel(ok, seen)
     for witness in (tuple, lambda inst: ("at",) + inst):
         got = sweep_rows("c", iter(rows), first_bad, witness)
-        assert got.to_json() == sweep("c", flat, ok, witness=witness).to_json()
+        assert got.to_json() == sweep("c", _flat(rows), ok, witness=witness).to_json()
     assert got.status == FAIL and got.witness == ("at", 3, 5) and got.checked == 6
     assert seen[-1] == (3,)  # no row past the failing one
     r = sweep_rows("c", rows[:3], first_bad, tuple)
     assert (r.status, r.checked, r.unevaluated, r.witness) == (PASS, 4, 0, None)
     assert sweep_rows("c", iter(()), first_bad, tuple).to_json() == {
         "check": "c", "status": PASS, "checked": 0}
+
+    # items that are None (out of window), True or False, as sweep sees them
+    ok = lambda p, v: v  # noqa: E731
+    first_bad = _row_kernel(ok)
+    cases = [
+        # a failure after unevaluated items, in its own row and in rows before
+        ([((0,), [None, True]), ((1,), [None, None, False, None, True])], (FAIL, 2, 3)),
+        # nothing evaluated: out of window
+        ([((0,), [None, None]), ((1,), []), ((2,), [None])], (OUT_OF_WINDOW, 0, 3)),
+        # a pass that says what it left unevaluated
+        ([((0,), [True, None]), ((1,), [None, True, True])], (PASS, 3, 2)),
+    ]
+    for rows, (status, checked, unevaluated) in cases:
+        r = sweep_rows("c", iter(rows), first_bad, tuple)
+        assert (r.status, r.checked, r.unevaluated) == (status, checked, unevaluated)
+        assert r.to_json() == sweep("c", _flat(rows), ok).to_json()
 
 
 def test_fail_report_needs_a_witness():
