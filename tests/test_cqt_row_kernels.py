@@ -1,6 +1,7 @@
 """CQT1 and CQT2 run as row kernels on reports.sweep_rows.  They must report
 exactly what the per-instance sweeps of cqt_reference.instance_sweep report,
-out-of-window instances included, and read R at exactly the same arguments."""
+out-of-window instances included, and read R at the same arguments in the
+same order."""
 
 import pytest
 
@@ -31,16 +32,17 @@ def reads(monkeypatch):
 
 
 def _matches_instance_sweeps(R, qbound, reads):
-    "verify_R's CQT1 and CQT2 reports and R read counts, each equal to the reference's."
+    """verify_R's CQT1 and CQT2 reports, each equal to the reference's, with the
+    same RForm.try_value calls in the same order; returns the reports."""
     out = []
     for level in (1, 2):
         reads.clear()
         got, = verify_R(R, (level,), qbound)
-        n = len(reads)
+        kernel_reads = list(reads)
         reads.clear()
         expected = instance_sweep(R, level, qbound)
         assert got.to_json() == expected.to_json(), (level, R, qbound)
-        assert n == len(reads), (level, R, qbound)
+        assert kernel_reads == reads, (level, R, qbound)
         out.append(got)
     return out
 
