@@ -31,7 +31,7 @@ from .groups import (DirectProductGroup, GroupHom, IntegerGroup,
 from .grothendieck import (Z2Simples, character_commutation_sweep,
                            multiset_equal, z2_S_abelian_check)
 from .hopf import HopfAlgebra, verify_hopf_axioms
-from .matched_pair import MatchedPair
+from .matched_pair import MatchedPair, PairTables
 from .reports import FAIL, PASS, all_passed, sweep, verdict
 from .scalars import MINUS_ONE
 
@@ -233,28 +233,28 @@ def _status(reports):
     return PASS if all_passed(reports) else FAIL
 
 
-def _check_matched_pair(entry, H, bound):
-    return H.mp.verify(bound)
+def _check_matched_pair(entry, H, bound, tables):
+    return H.mp.verify(bound, tables)
 
 
-def _check_cocycles(entry, H, bound):
-    return H.cp.verify(bound)
+def _check_cocycles(entry, H, bound, tables):
+    return H.cp.verify(bound, tables)
 
 
-def _check_hopf(entry, H, bound):
-    return verify_hopf_axioms(H, bound)
+def _check_hopf(entry, H, bound, tables):
+    return verify_hopf_axioms(H, bound, tables)
 
 
-def _check_orbit(entry, H, bound):
+def _check_orbit(entry, H, bound, tables):
     return [check_orbit_commutation(H.mp, bound)]
 
 
-def _check_dual_orbit(entry, H, bound):
+def _check_dual_orbit(entry, H, bound, tables):
     return [check_dual_orbit_commutation(H.mp)]
 
 
-def _check_battery(entry, H, bound):
-    reports = necessary_battery(H, bound, quotients=entry.quotient_homs())
+def _check_battery(entry, H, bound, tables):
+    reports = necessary_battery(H, bound, entry.quotient_homs(), tables)
     return reports + [verdict(
         "battery-verdict",
         next(((r.check,) + tuple(r.witness) for r in reports if r.failed), None),
@@ -263,13 +263,13 @@ def _check_battery(entry, H, bound):
         "no applicable necessary condition fails on the window")]
 
 
-def _check_gr_commutation(entry, H, bound):
+def _check_gr_commutation(entry, H, bound, tables):
     simples = Z2Simples(H)
     chars = [simples.character(l) for l in simples.labels(bound)]
     return [character_commutation_sweep(chars)]
 
 
-def _check_z2_table(entry, H, bound):
+def _check_z2_table(entry, H, bound, tables):
     simples = Z2Simples(H)
     labels = simples.labels(min(bound, 2))
     return [sweep("z2-closed-table", itertools.product(labels, repeat=2),
@@ -277,7 +277,7 @@ def _check_z2_table(entry, H, bound):
                                                 simples.tensor_by_decomposition(l1, l2)))]
 
 
-def _check_z2_s_abelian(entry, H, bound):
+def _check_z2_s_abelian(entry, H, bound, tables):
     return [verdict("z2-fixed-part-abelian", z2_S_abelian_check(H.mp, bound)[1])]
 
 
@@ -304,12 +304,13 @@ def run_entry(entry_id, checks=None, word_bound=None):
     H = entry.context()
     bound = word_bound if word_bound is not None else entry.default_bound
     names = list(checks) if checks else sorted(entry.expected)
+    tables = PairTables(H.mp, bound, H.cp)  # read by every check; dropped on return
     records = []
     for name in names:
         if name not in CHECKS:
             raise UnknownEntry("unknown check %r (try: %s)"
                                % (name, ", ".join(sorted(CHECKS))))
-        reports = CHECKS[name](entry, H, bound)
+        reports = CHECKS[name](entry, H, bound, tables)
         observed = _status(reports)
         expected = entry.expected.get(name)
         records.append({

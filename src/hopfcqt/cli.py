@@ -31,7 +31,7 @@ from .cqt import (bicharacter_restriction_check, necessary_battery, structural_z
 from .errors import HopfCqtError, InvalidAction, InvalidCocycle, shown
 from .grothendieck import Z2Simples, char_product, commutes, decompose
 from .hopf import antipode, comultiply, verify_hopf_axioms
-from .matched_pair import check_window
+from .matched_pair import PairTables, check_window
 from .reports import verdict
 from .scalars import format_scalar
 
@@ -302,13 +302,14 @@ def _dispatch(args):
     if cmd == "cqt-verify":
         return _emit_reports(args, verify_R(R, _levels(args.levels), qbound=args.maxlen))
     if cmd == "cqt-necessary":
+        tables = PairTables(H.mp, bound, H.cp)  # one id table for all three; dropped on return
         for verify, error in ((H.mp.verify, InvalidAction), (H.cp.verify, InvalidCocycle)):
-            bad = next((r for r in verify(bound) if r.failed), None)
+            bad = next((r for r in verify(bound, tables) if r.failed), None)
             if bad is not None:
                 raise error("%s fails at %s: not a Hopf algebra, so the battery does not run"
                             % (bad.check, shown(tuple(str(w) for w in bad.witness))))
         quotients = [] if entry is None else entry.quotient_homs()
-        return _emit_reports(args, necessary_battery(H, bound, quotients))
+        return _emit_reports(args, necessary_battery(H, bound, quotients, tables))
     if cmd == "cqt-zeros":
         violations = structural_zeros(R)
         if not violations:

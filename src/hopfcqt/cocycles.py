@@ -7,12 +7,13 @@ subject to normalization, the two cocycle identities, and the compatibility
 equation tying them together.  Values are Scalars (roots of unity times
 rationals).  Every catalog entry builds its pair with `trivial` or
 `from_tables`; any other pair is given by two rule callables.  `verify` runs
-on matched_pair.PairTables: its identities read sigma[g][f][f'] and
-tau[g][g'][f] from nested lists indexed by id, filling an entry through
-`sigma`/`tau` on its first lookup, so each distinct argument triple is
-looked up once per call, in the order the object path first reaches it.
-sigma-cocycle and compatibility evaluate a whole row of their last F id per
-kernel call (PairTables.sweep_rows).
+on a matched_pair.PairTables, its own or the one catalog.run_entry shares
+among its checks: its identities read sigma[g][f][f'] and tau[g][g'][f]
+from nested lists indexed by id, filling an entry through `sigma`/`tau` on
+its first lookup, so each distinct argument triple is looked up once per
+table, in the order the object path first reaches it.  sigma-cocycle and
+compatibility evaluate a whole row of their last F id per kernel call
+(PairTables.sweep_rows).
 """
 
 from __future__ import annotations
@@ -100,13 +101,14 @@ class CocyclePair:
 
     # -- verification ---------------------------------------------------------
 
-    def verify(self, word_bound=4):
+    def verify(self, word_bound=4, tables=None):
         """Normalization, both cocycle identities, and compatibility.
 
         Exhaustive over finite F; over words of length <= word_bound in the
-        infinite families.
+        infinite families.  The window and ids are those of tables (built with
+        this pair), else of a fresh PairTables on word_bound.
         """
-        P = PairTables(self.mp, word_bound, self)
+        P = tables if tables is not None else PairTables(self.mp, word_bound, self)
         o, e = P.gid[self.mp.G.one.key], P.fid(self.mp.F.one)
         gmul, fmul, left, right = P.gmul, P.mul, P.act_left, P.act_right
         S, T, sig, tau = P.sigma, P.tau, P.fill_sigma, P.fill_tau

@@ -434,7 +434,7 @@ def _traces(V, gs):
     return V, [bare(M[g.key].trace()) if C.contains(g) else None for g in gs]
 
 
-def necessary_battery(H, word_bound=4, quotients=()):
+def necessary_battery(H, word_bound=4, quotients=(), tables=None):
     """The orbit and character conditions for a coquasitriangular structure to exist.
 
     Past the two orbit checks, each sub-check runs through one gate: it is
@@ -454,9 +454,10 @@ def necessary_battery(H, word_bound=4, quotients=()):
     pass (every catalog entry pins both, `hopfcqt cqt-necessary` runs both
     first).  On a context that fails them, "no obstruction" says nothing.
 
-    The gates run on integer ids over one matched_pair.PairTables per call, each
-    entry filled on its first read through MatchedPair.act_left/act_right or
-    CocyclePair.sigma/tau; witnesses are mapped back to elements.  The four
+    The gates run on integer ids over one matched_pair.PairTables, the one given
+    (catalog.run_entry and `hopfcqt cqt-necessary` share theirs) or else a fresh
+    one, each entry filled on its first read through MatchedPair.act_left/act_right
+    or CocyclePair.sigma/tau; witnesses are mapped back to elements.  The four
     hypotheses (|> trivial, <| trivial, sigma = 1, tau = 1 on G x window) are
     read there, g-major, so a broken cocycle raises at the object path's first
     lookup.  Each one-dimensional character is read once into a list of bare
@@ -476,7 +477,7 @@ def necessary_battery(H, word_bound=4, quotients=()):
         reports.append(sweep(name, instances, ok, witness) if unmet is None
                        else ConditionReport(name, SKIPPED, detail=unmet))
 
-    T = PairTables(mp, word_bound, cp)
+    T = tables if tables is not None else PairTables(mp, word_bound, cp)
     gs, fs, gid = T.gs, T.fs, T.gid  # fs grows past the window as images get ids
     gids, fids = range(len(gs)), range(T.nf)
     gmul, ginv, left, right = T.gmul, T.ginv, T.act_left, T.act_right

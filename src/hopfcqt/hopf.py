@@ -14,34 +14,40 @@ _Combination (storage, +, -, ==), and every map that sums terms builds its
 result through _collect.
 
 verify_hopf_axioms does not build HopfElements per instance.  Each call
-builds its own StructureConstants, which gives every basis key it reaches an
-int index, including products and coproduct legs outside the F window, and
-keeps per index the keys of g and g <| f, so a zero product is one int
-compare.  Products live in one dense table[i][j], filled on first lookup;
-products, coproducts and antipodes are evaluated once per call through
-_basis_product, _basis_coproduct and antipode_basis, and the six axioms run
-on int-keyed dicts.  Associativity and bialgebra compatibility run on the
-row engine (reports.sweep_rows): one kernel call per row of the innermost
+builds its own StructureConstants, a view over a matched_pair.PairTables:
+the one it is given (catalog.run_entry shares one with the matched-pair,
+cocycle and battery checks), else a fresh one on the window.  It gives
+every basis key it reaches an int index, a (G id, F id) pair of that table,
+including products and coproduct legs outside the F window, and keeps per
+index the G ids of g and g <| f, so a zero product is one int compare.
+Products live in one dense table[i][j], filled on first lookup; products,
+coproducts and antipodes are evaluated once per call from the PairTables'
+F products, actions and sigma/tau entries, in the order _basis_product,
+_basis_coproduct and antipode_basis reach them, so a value an earlier check
+filled is not looked up again, and the six axioms run on int-keyed dicts.
+Associativity and bialgebra compatibility run on the row engine
+(reports.sweep_rows): one kernel call per row of the innermost
 quantifier (k for a fixed (i, j), j for a fixed i), which reads the product
 table through rows hoisted out of its loop and calls product only on an
 unfilled entry, in the order the object path multiplies.  One kernel serves
 the exhaustive rows, the pattern rows and the seeded sample, whose draws are
 one-item rows.  The bialgebra kernel memoizes, per call, Delta(p_m) as a dict
-and Delta(p_j) keyed by the G key of its left leg, and compares the legs of
+and Delta(p_j) keyed by the G id of its left leg, and compares the legs of
 Delta(p_i) Delta(p_j) with Delta(p_i p_j) term by term.  A rational
 structure constant is stored bare, as its int or Fraction (scalars.bare), so
 the sweeps multiply Python rationals; a cyclotomic one stays a Scalar, whose
-reflected operators take the mixed cases.  That table is dropped when the
-call returns.  The tests keep the
-object-path sweep as a reference and require identical reports, witnesses
-and `checked` counts.
+reflected operators take the mixed cases.  The StructureConstants is
+dropped when the call returns, a shared PairTables when run_entry does.
+The tests keep the object-path sweep as a reference and require identical
+reports, witnesses and `checked` counts.
 
 cqt.verify_R evaluates the CQT families on the same kind of table, but not
 one per call: a HopfAlgebra owns one StructureConstants,
 `HopfAlgebra.structure_constants`, built on first use and kept for the life
 of the context, and every verify_R on that context shares it, since no
-structure constant depends on R.  It grows with the union of the quantifier
-ranges used on the context.
+structure constant depends on R.  It sits on a PairTables of its own, of
+window 0, and grows with the union of the quantifier ranges used on the
+context.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ import itertools
 import random
 
 from .errors import ContextMismatch
+from .matched_pair import PairTables
 from .reports import sweep, sweep_rows
 from .scalars import ONE, ZERO, as_scalar, bare
 
@@ -290,23 +297,25 @@ def antipode(a):
 # -- axiom verification --------------------------------------------------------
 
 class StructureConstants:
-    """Int-indexed basis keys and memoized structure constants.
+    """Int-indexed basis keys and memoized structure constants over one PairTables.
 
     Its owner decides how long it lives: verify_hopf_axioms builds one per
     call, and HopfAlgebra.structure_constants holds the one that every
-    cqt.verify_R on the context shares.  `cqt3_rows` belongs to cqt._cqt3,
-    which documents it.
+    cqt.verify_R on the context shares, on a PairTables of window 0 (all of
+    F when F is finite, else {1}; fid appends the rest).  `cqt3_rows`
+    belongs to cqt._cqt3, which documents it.
 
-    Keys are interned by (g.key, f.key) on first sight, products and
-    coproduct legs that leave the F window included.  gkey[i] and rkey[i] are
-    the keys of g and of g <| f, so the product of i and j is zero exactly
-    when rkey[i] != gkey[j].  table[i][j] holds the product of i and j: None
-    while not filled, False when it is zero, else (k, sigma) with
-    p_i p_j = sigma p_k; index() adds a row and a column for each new key.
-    product() is the one path that fills it, so a reader may take a filled
-    entry straight from the table and call product() on None.  Each nonzero
-    product, coproduct and antipode is evaluated once, by _basis_product,
-    _basis_coproduct and antipode_basis; a lookup that raises stores
+    The ids are the PairTables' (self.P): a basis key is interned as its
+    (G id, F id) pair on first sight, products and coproduct legs that leave
+    the F window included.  gkey[i] and rkey[i] are the G ids of g and of
+    g <| f, so the product of i and j is zero exactly when rkey[i] !=
+    gkey[j].  table[i][j] holds the product of i and j: None while not
+    filled, False when it is zero, else (k, sigma) with p_i p_j = sigma p_k;
+    _at adds a row and a column for each new key.  product() is the one
+    path that fills it, so a reader may take a filled entry straight from
+    the table and call product() on None.  Products, coproducts and
+    antipodes read P's entries in the order _basis_product, _basis_coproduct
+    and antipode_basis look them up, each once; a lookup that raises stores
     nothing, so the next visit raises again.
 
     A memoized constant is bare (scalars.bare): an int or Fraction when it is
@@ -314,27 +323,28 @@ class StructureConstants:
     and an int product is several times cheaper than a Scalar one.
     """
 
-    def __init__(self, H):
+    def __init__(self, H, tables=None):
         self.H = H
-        self.one_g = H.G.one.key
-        self.keys = []
-        self.gkey = []
-        self.rkey = []
-        self._index = {}
-        self.table = []
-        self._coproducts = {}
-        self._antipodes = {}
-        self.cqt3_rows = {}
+        P = self.P = tables if tables is not None else PairTables(H.mp, 0, H.cp)
+        self.one_g = P.gid[H.G.one.key]
+        self.keys, self.gkey, self.fkey, self.rkey, self.table = [], [], [], [], []
+        self._index, self._coproducts, self._antipodes, self.cqt3_rows = {}, {}, {}, {}
 
     def index(self, key):
-        "The index of a basis key, interning it on first sight."
+        "The index of a basis key (g, f), interning it on first sight."
         g, f = key
-        i = self._index.get((g.key, f.key))
+        return self._at(self.P.gid[g.key], self.P.fid(f))
+
+    def _at(self, g, f):
+        "The index of the basis key with G id g and F id f, interning it on first sight."
+        i = self._index.get((g, f))
         if i is None:
-            i = self._index[(g.key, f.key)] = len(self.keys)
-            self.keys.append(key)
-            self.gkey.append(g.key)
-            self.rkey.append(self.H.mp.act_right(g, f).key)
+            P = self.P
+            i = self._index[(g, f)] = len(self.keys)
+            self.keys.append((P.gs[g], P.fs[f]))
+            self.gkey.append(g)
+            self.fkey.append(f)
+            self.rkey.append(P.act_right(g, f))
             for row in self.table:
                 row.append(None)
             self.table.append([None] * (i + 1))
@@ -347,26 +357,38 @@ class StructureConstants:
             if self.rkey[i] != self.gkey[j]:
                 hit = False
             else:
-                key, s = _basis_product(self.H, self.keys[i], self.keys[j])
-                hit = (self.index(key), bare(s))
+                P, g, f, fp = self.P, self.gkey[i], self.fkey[i], self.fkey[j]
+                ffp = P.mul(f, fp)
+                s = P.sigma[g][f][fp] or P.fill_sigma(g, f, fp)
+                hit = (self._at(g, ffp), s)
             self.table[i][j] = hit
         return hit
 
     def coproduct(self, i):
-        "Delta(p_i) as a list of (j1, j2, tau)."
+        "Delta(p_i) as a list of (j1, j2, tau); every leg is read before any is interned."
         out = self._coproducts.get(i)
         if out is None:
-            out = self._coproducts[i] = [
-                (self.index(k1), self.index(k2), bare(t))
-                for (k1, k2), t in _basis_coproduct(self.H, self.keys[i]).items()]
+            P, g, f = self.P, self.gkey[i], self.fkey[i]
+            tau, legs = P.tau, []
+            for x in range(len(P.gs)):
+                gx = P.gmul[g][P.ginv[x]]
+                y = P.act_left(x, f)
+                legs.append((gx, y, x, tau[gx][x][f] or P.fill_tau(gx, x, f)))
+            out = self._coproducts[i] = [(self._at(gx, y), self._at(x, f), t)
+                                         for gx, y, x, t in legs]
         return out
 
     def antipode(self, i):
-        "(j, c) with S(p_i) = c p_j."
+        "(j, c) with S(p_i) = c p_j, read in antipode_basis's order."
         hit = self._antipodes.get(i)
         if hit is None:
-            key, c = antipode_basis(self.H, self.keys[i])
-            hit = self._antipodes[i] = (self.index(key), bare(c))
+            P, g, f = self.P, self.gkey[i], self.fkey[i]
+            gi, u = P.ginv[g], P.act_left(g, f)
+            ui = P.inv(u)
+            s = P.sigma[gi][u][ui] or P.fill_sigma(gi, u, ui)
+            t = P.tau[gi][g][f] or P.fill_tau(gi, g, f)
+            hit = self._antipodes[i] = (self._at(P.ginv[self.rkey[i]], ui),
+                                        bare(as_scalar(s * t).inverse()))
         return hit
 
 
@@ -382,17 +404,19 @@ SAMPLE = 2000
 SEED = 7
 
 
-def verify_hopf_axioms(H, word_bound=4):
+def verify_hopf_axioms(H, word_bound=4, tables=None):
     """Axiom sweep over basis elements with F part in the window.
 
     Associativity and the bialgebra law quantify over all basis triples/pairs
     when that stays under EXHAUSTIVE_LIMIT/PAIR_LIMIT; beyond them the sweep
     covers every potentially-nonzero product pattern plus a deterministic
     random sample (SAMPLE instances, seeded with SEED) of all triples/pairs,
-    and `checked` counts both.
+    and `checked` counts both.  The window and the ids are those of tables,
+    else of a fresh PairTables on word_bound.
     """
-    sc = StructureConstants(H)
-    ids = [sc.index(key) for key in H.basis_window(word_bound)]
+    P = tables if tables is not None else PairTables(H.mp, word_bound, H.cp)
+    sc = StructureConstants(H, P)
+    ids = [sc._at(g, f) for g in range(len(P.gs)) for f in range(P.nf)]
     table, product, coproduct = sc.table, sc.product, sc.coproduct
     gkey, rkey, one_g = sc.gkey, sc.rkey, sc.one_g
     row = {}  # G key -> the window indices with that G part, in window order

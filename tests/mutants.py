@@ -125,6 +125,11 @@ MUTANTS = [
     dict(name="associativity-drops-sigma", file="hopf.py",
          old="ij[1] * left[1] != jk[1] * right[1]", new="left[1] != right[1]",
          tests=["tests/test_hopf.py::test_cyclotomic_sigma_context_passes_every_sweep"]),
+    dict(name="table-product-swaps-sigma", file="hopf.py",
+         old="s = P.sigma[g][f][fp] or P.fill_sigma(g, f, fp)",
+         new="s = P.sigma[g][fp][f] or P.fill_sigma(g, fp, f)",
+         tests=["tests/test_shared_tables.py::test_table_constants_equal_the_object_path"
+                "[Z2_Z3_asymmetric_sigma-4]"]),
     dict(name="cqt3-out-of-window-needs-all", file="cqt.py",
          old="if any(vals[p] is None for p in lreads):",
          new="if all(vals[p] is None for p in lreads):",

@@ -1,0 +1,132 @@
+"""One matched_pair.PairTables per catalog run: the matched-pair, cocycle,
+Hopf-axiom and battery checks of run_entry read one id table, and
+verify_hopf_axioms' StructureConstants is a view over it.  An entry is a
+deterministic function of its ids and a lookup that raises stores nothing, so
+a check reports, and raises, exactly as it does on a table of its own."""
+
+import pytest
+
+from test_battery_tables import k4_z2_asymmetric_tau
+from test_hopf import _perturbed_context, _total_cocycles, assert_adjacent_missing_pairs_raise_alike
+from hopfcqt import hopf
+from hopfcqt.catalog import CHECKS, entry_ids, get_entry, run_entry
+from hopfcqt.cocycles import CocyclePair
+from hopfcqt.cqt import necessary_battery
+from hopfcqt.errors import MissingEntry
+from hopfcqt.groups import cyclic_group
+from hopfcqt.hopf import (HopfAlgebra, StructureConstants, _basis_coproduct, _basis_product,
+                          antipode_basis, verify_hopf_axioms)
+from hopfcqt.matched_pair import MatchedPair, PairTables
+from hopfcqt.scalars import MINUS_ONE, bare
+
+FINITE = [eid for eid in entry_ids() if get_entry(eid).context().F.is_finite]
+
+
+def _asymmetric_sigma():
+    """Z2 x Z3 with trivial actions and sigma(g; t, t^2) = -1, else 1: not a
+    cocycle pair, but sigma(g; f, f') differs from sigma(g; f', f)."""
+    G, F = cyclic_group(2), cyclic_group(3, gen_name="t")
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: f, right=lambda g, f: g)
+    g, (_, t, t2) = G.elements()[1], F.elements()
+    return HopfAlgebra(CocyclePair.from_tables(mp, {(g.key, t.key, t2.key): MINUS_ONE}, {}),
+                       name="Z2_Z3_asymmetric_sigma")
+
+
+def _contexts():
+    "(fresh context, window) pairs whose tables are compared with the object path."
+    return ([(HopfAlgebra(get_entry(eid).context().cp, name=eid), 4) for eid in FINITE]
+            + [(HopfAlgebra(get_entry("Z2_Z").context().cp, name="Z2_Z"), 2),
+               (k4_z2_asymmetric_tau(), 4), (_asymmetric_sigma(), 4)])
+
+
+@pytest.mark.parametrize("H, bound", _contexts(), ids=lambda v: getattr(v, "name", v))
+def test_table_constants_equal_the_object_path(monkeypatch, H, bound):
+    built = []
+
+    def kept(H, tables=None):
+        built.append(StructureConstants(H, tables))
+        return built[-1]
+
+    monkeypatch.setattr(hopf, "StructureConstants", kept)
+    verify_hopf_axioms(H, bound)
+    sc, = built
+    keys = sc.keys
+    assert len({(g.key, f.key) for g, f in keys}) == len(keys)
+    products = 0
+    for i, row in enumerate(sc.table):
+        for j, hit in enumerate(row):
+            if hit is False:
+                assert H.mp.act_right(*keys[i]) != keys[j][0]
+            elif hit is not None:
+                key, s = _basis_product(H, keys[i], keys[j])
+                assert (keys[hit[0]], hit[1]) == (key, bare(s)), (keys[i], keys[j])
+                products += 1
+    assert products and sc._coproducts and sc._antipodes
+    for i, legs in sc._coproducts.items():
+        assert ([((keys[j1], keys[j2]), t) for j1, j2, t in legs]
+                == [(kk, bare(t)) for kk, t in _basis_coproduct(H, keys[i]).items()])
+    for i, (j, c) in sc._antipodes.items():
+        key, s = antipode_basis(H, keys[i])
+        assert (keys[j], c) == (key, bare(s))
+
+
+def _alone(entry, name, bound):
+    "The report JSON of one check on a fresh context of the entry, on a table of its own."
+    H = HopfAlgebra(entry.context().cp)
+    return [r.to_json() for r in CHECKS[name](entry, H, bound, None)]
+
+
+@pytest.mark.parametrize("eid", entry_ids())
+def test_shared_run_equals_each_check_alone(eid):
+    entry = get_entry(eid)
+    for bound in (None, 1):
+        for rec in run_entry(eid, word_bound=bound)["records"]:
+            assert ([r.to_json() for r in rec["reports"]]
+                    == _alone(entry, rec["check"], bound or entry.default_bound)), \
+                (bound, rec["check"])
+
+
+def test_a_check_run_twice_on_one_table_reports_alike():
+    first, second = run_entry("Q8_Dinf", checks=["hopf-axioms", "hopf-axioms"])["records"]
+    assert ([r.to_json() for r in first["reports"]]
+            == [r.to_json() for r in second["reports"]])
+    assert first["observed"] == "pass"
+
+
+def _in_turn(cp, bound, shared):
+    """cocycles, hopf-axioms, matched-pair and necessary-battery, in run_entry's
+    order, on one shared PairTables or on a table of their own each."""
+    H = HopfAlgebra(cp)
+    tables = PairTables(cp.mp, bound, cp) if shared else None
+    H.cp.verify(bound, tables)
+    verify_hopf_axioms(H, bound, tables)
+    H.mp.verify(bound, tables)
+    necessary_battery(H, bound, (), tables)
+
+
+@pytest.mark.parametrize("eid", ["Z2_Z3_trivial", "S3_Z2"])
+def test_missing_entry_raises_alike_on_one_table(eid):
+    # one undeclared sigma or tau key of the total tables: the first check that
+    # reaches it raises the same error, shared table or not
+    mp, sigma, tau = _total_cocycles(eid)
+    for table, key in [("sigma", k) for k in sigma] + [("tau", k) for k in tau]:
+        tables = {"sigma": dict(sigma), "tau": dict(tau)}
+        del tables[table][key]
+        cp = CocyclePair.from_tables(mp, tables["sigma"], tables["tau"],
+                                     sigma_default=None, tau_default=None)
+        messages = []
+        for shared in (True, False):
+            with pytest.raises(MissingEntry) as err:
+                _in_turn(cp, 4, shared)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], (table, key)
+
+
+@pytest.mark.parametrize("eid, seed", [("Z2_Z", 7), ("Z2_Dinf", 6)])
+def test_adjacent_missing_keys_raise_alike_on_one_table(eid, seed):
+    # on these perturbed cocycles the cocycle sweep, run first, stops early, and
+    # the later checks reach 28 and 44 keys it never read (at window 2); every
+    # pair of keys that the fresh-table run reaches one after the other is dropped
+    cp = _perturbed_context(eid, seed).cp
+    assert_adjacent_missing_pairs_raise_alike(cp, lambda cp: _in_turn(cp, 2, True),
+                                              lambda cp: _in_turn(cp, 2, False), 10 ** 4, 0)
