@@ -11,7 +11,8 @@ is offered by the nine subcommands that read it.
 Exit code 0 means every requested check passed or matched its expectation,
 1 that one did not, and 2 that the input was refused: argparse's usage error
 for a missing or unknown option, `error: ...` on stderr for anything else
-(an unreadable file, invalid JSON, a malformed context or literal).
+(an unreadable file, invalid JSON, a malformed context or literal, or a Z
+or Dinf element literal longer than groups.MAX_WORD letters).
 `cqt-necessary` also exits 2 when its context fails a matched-pair or
 cocycle sweep: the battery is read off a Hopf algebra, so it names the
 failing check and its witness instead of running.

@@ -121,11 +121,11 @@ class Memo(dict):
 # for the life of the context and grown by every verify_R on it): a, b, c are
 # basis indices, a1 (x) a2 the coproduct legs of a, and grid[g][f] the index
 # of the window key (g, f).  An instance sums each side of its identity
-# exactly, reading R through rv, a memo of RForm.try_value on index pairs,
-# one per call.  CQT1 and CQT2 run on the row engine (reports.sweep_rows),
-# a row of c per (a, b): CQT1 hoists table[b], R's row of a (rrow[a][q] is
-# rv[a, q]), the legs of a and a memo of the factors R(a2, b); CQT2 hoists ab
-# and R's rows of ab, a and b.  Like the per-instance sums they replace
+# exactly, reading R through rv, one row memo per call for every level:
+# rv[p][q] is RForm.try_value on the basis indices p, q.  CQT1 and CQT2 run
+# on the row engine (reports.sweep_rows), a row of c per (a, b): CQT1 hoists
+# table[b], rv[a] and the legs of a with rv[a1] and rv[a2]; CQT2 hoists ab,
+# rv[ab], rv[a] and rv[b].  Like the per-instance sums they replace
 # (tests/cqt_reference.instance_sweep), they read R(a, bc) or R(ab, c), then
 # both factors of each term until one is out of the window, each on first
 # use, so rv calls RForm.try_value on the same arguments in the same order.
@@ -143,9 +143,9 @@ def _sum(rv, terms):
     """Sum of coef * R(p) * R(q) over the terms (coef, p, q).  None as soon as a
     term has a factor outside the window, even when its other factor is zero."""
     total = 0
-    for coef, p, q in terms:
-        v = rv[p]
-        w = rv[q]
+    for coef, (p1, p2), (q1, q2) in terms:
+        v = rv[p1][p2]
+        w = rv[q1][q2]
         if v is None or w is None:
             return None
         if v and w:
@@ -164,8 +164,8 @@ def _cqt0(sc, rv, grid):
 
     def ok(b):
         sums = [0, 0]
-        for side, p in [(0, (u, b)) for u in units] + [(1, (b, u)) for u in units]:
-            v = rv[p]
+        for side, p, q in [(0, u, b) for u in units] + [(1, b, u) for u in units]:
+            v = rv[p][q]
             if v is None:
                 return None
             sums[side] += v
@@ -177,13 +177,11 @@ def _cqt0(sc, rv, grid):
 def _cqt1(sc, rv, grid):
     "R(a, bc) = R(a1, c) R(a2, b)."
     ids = [i for row in grid for i in row]
-    rrow = Memo(lambda p: Memo(lambda q: rv[p, q]))
-    rcol = Memo(lambda q: Memo(lambda p: rv[p, q]))
-    legs = Memo(lambda a: [(rrow[a1], a2, t) for a1, a2, t in sc.coproduct(a)])
+    legs = Memo(lambda a: [(rv[a1], rv[a2], t) for a1, a2, t in sc.coproduct(a)])
 
     def first_bad(prefix, cs):
         a, b = prefix
-        tb, ra, rb, skipped = sc.table[b], rrow[a], rcol[b], 0
+        tb, ra, skipped = sc.table[b], rv[a], 0
         for n, c in enumerate(cs):
             bc = tb[c]
             if bc is None:
@@ -193,8 +191,8 @@ def _cqt1(sc, rv, grid):
                 skipped += 1
                 continue
             rhs = 0
-            for r1, a2, t in legs[a]:
-                v, w = r1[c], rb[a2]
+            for r1, r2, t in legs[a]:
+                v, w = r1[c], r2[b]
                 if v is None or w is None:
                     rhs = None
                     break
@@ -212,12 +210,12 @@ def _cqt1(sc, rv, grid):
 
 def _cqt2(sc, rv, grid):
     "R(ab, c) = R(a, c1) R(b, c2)."
-    product, coproduct, rrow = sc.product, sc.coproduct, Memo(lambda p: Memo(lambda q: rv[p, q]))
+    product, coproduct = sc.product, sc.coproduct
 
     def first_bad(prefix, cs):
         a, b = prefix
         ab = product(a, b)
-        rab, ra, rb, skipped = ab and rrow[ab[0]], rrow[a], rrow[b], 0
+        rab, ra, rb, skipped = ab and rv[ab[0]], rv[a], rv[b], 0
         for n, c in enumerate(cs):
             lhs = rab[c] if ab else 0  # R(ab, c) = ab[1] * lhs
             if lhs is None:
@@ -279,7 +277,7 @@ def _cqt3(sc, rv, grid):
     def compare(xy):
         "{l: both sides of (x, y) agree on p_l, None if a term is out of window}; absent l: 0 = 0."
         reads, comps = compiled.get(xy) or compile_rows(xy)
-        vals = {p: rv[p] for p in reads}
+        vals = {(p, q): rv[p][q] for p, q in reads}
         out = {}
         for l, lreads, rows in comps:
             if any(vals[p] is None for p in lreads):
@@ -342,7 +340,7 @@ def verify_R(R, levels=(0, 1, 2, 3), qbound=None):
                                % (lv, ", ".join(str(level) for level in _LEVELS)))
     sc = R.H.structure_constants
     grid = [[sc.index((g, f)) for f in _qrange(R, qbound)] for g in R.H.G.elements()]
-    rv = Memo(lambda p: bare(R.try_value(sc.keys[p[0]], sc.keys[p[1]])))
+    rv = Memo(lambda p: Memo(lambda q: bare(R.try_value(sc.keys[p], sc.keys[q]))))
     return [_LEVELS[lv](sc, rv, grid) for lv in levels]
 
 
@@ -454,9 +452,10 @@ def necessary_battery(H, word_bound=4, quotients=(), tables=None):
     pass (every catalog entry pins both, `hopfcqt cqt-necessary` runs both
     first).  On a context that fails them, "no obstruction" says nothing.
 
-    The gates run on integer ids over one matched_pair.PairTables, the one given
-    (catalog.run_entry and `hopfcqt cqt-necessary` share theirs) or else a fresh
-    one, each entry filled on its first read through MatchedPair.act_left/act_right
+    Every check reads the window of one matched_pair.PairTables, the one given
+    (catalog.run_entry and `hopfcqt cqt-necessary` share theirs; its window
+    overrides word_bound) or else a fresh one.  The gates run on its integer
+    ids, each entry filled on its first read through MatchedPair.act_left/act_right
     or CocyclePair.sigma/tau; witnesses are mapped back to elements.  The four
     hypotheses (|> trivial, <| trivial, sigma = 1, tau = 1 on G x window) are
     read there, g-major, so a broken cocycle raises at the object path's first
@@ -468,7 +467,8 @@ def necessary_battery(H, word_bound=4, quotients=(), tables=None):
     """
     mp, cp = H.mp, H.cp
     G, F = H.G, H.F
-    reports = [check_orbit_commutation(mp, word_bound),
+    T = tables if tables is not None else PairTables(mp, word_bound, cp)
+    reports = [check_orbit_commutation(mp, T.word_bound),
                check_dual_orbit_commutation(mp)]
 
     def gate(name, hypotheses, instances, ok, witness=tuple):
@@ -477,7 +477,6 @@ def necessary_battery(H, word_bound=4, quotients=(), tables=None):
         reports.append(sweep(name, instances, ok, witness) if unmet is None
                        else ConditionReport(name, SKIPPED, detail=unmet))
 
-    T = tables if tables is not None else PairTables(mp, word_bound, cp)
     gs, fs, gid = T.gs, T.fs, T.gid  # fs grows past the window as images get ids
     gids, fids = range(len(gs)), range(T.nf)
     gmul, ginv, left, right = T.gmul, T.ginv, T.act_left, T.act_right

@@ -20,6 +20,28 @@ import itertools
 from .errors import (InfiniteGroup, InvalidGroup, InvalidHomomorphism, MixedGroups, SchemaError,
                      WrongGroup, cut, shown)
 
+# The largest word-length window a sweep takes (matched_pair.check_window).
+# Instance counts grow with a power of the window: `hopfcqt hopf-verify --entry
+# Q8_Dinf` takes about 3 s at 20 and 13 s at 32 on a 2-vCPU box, and each
+# doubling costs about x8 more.
+MAX_WINDOW = 32
+
+# The longest word of a Z or Dinf element literal that parse accepts.  An
+# action folds a literal letter by letter (MatchedPair._action), so its cost is
+# linear in the word: at this bound one orbit on Q8_Z takes under 0.1 s, while
+# 10^8 would build a list of 10^8 letters and 10^23 ended in OverflowError.
+# It sits beside MAX_WINDOW because both bound word lengths: the window those
+# a sweep enumerates, this one a single element named in the input.
+MAX_WORD = 10000
+
+
+def _short(G, text, a):
+    "a, the element that text names, if its word is at most MAX_WORD letters long."
+    if G.element_length(a) > MAX_WORD:
+        raise SchemaError("element %s of %s is longer than %d letters"
+                          % (shown(text.strip()), G.family, MAX_WORD))
+    return a
+
 
 def closure(start, letters, step, limit=None):
     """Breadth-first closure of `start` under `step(node, letter)`.
@@ -458,7 +480,7 @@ class IntegerGroup(Group):
 
     def parse(self, text):
         try:
-            return self._element(int(text.strip()))
+            return _short(self, text, self._element(int(text.strip())))
         except ValueError:
             raise SchemaError("bad integer element %s" % shown(text))
 
@@ -532,7 +554,8 @@ class InfiniteDihedralGroup(Group):
         return False
 
     def parse(self, text):
-        return _read_word(self, text, {"1": self.one, "x": self.x, "y": self.y})
+        names = {"1": self.one, "x": self.x, "y": self.y}
+        return _short(self, text, _read_word(self, text, names))
 
     def format(self, a):
         k, e = self._member(a).key

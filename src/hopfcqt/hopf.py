@@ -31,9 +31,9 @@ quantifier (k for a fixed (i, j), j for a fixed i), which reads the product
 table through rows hoisted out of its loop and calls product only on an
 unfilled entry, in the order the object path multiplies.  One kernel serves
 the exhaustive rows, the pattern rows and the seeded sample, whose draws are
-one-item rows.  The bialgebra kernel memoizes, per call, Delta(p_m) as a dict
-and Delta(p_j) keyed by the G id of its left leg, and compares the legs of
-Delta(p_i) Delta(p_j) with Delta(p_i p_j) term by term.  A rational
+one-item rows.  Coproduct legs are read by position (StructureConstants):
+the counit reads legs g and 1, and the bialgebra kernel compares leg x of
+Delta(p_i) Delta(p_j) with leg x of Delta(p_i p_j), term by term.  A rational
 structure constant is stored bare, as its int or Fraction (scalars.bare), so
 the sweeps multiply Python rationals; a cyclotomic one stays a Scalar, whose
 reflected operators take the mixed cases.  The StructureConstants is
@@ -309,7 +309,9 @@ class StructureConstants:
     (G id, F id) pair on first sight, products and coproduct legs that leave
     the F window included.  gkey[i] and rkey[i] are the G ids of g and of
     g <| f, so the product of i and j is zero exactly when rkey[i] !=
-    gkey[j].  table[i][j] holds the product of i and j: None while not
+    gkey[j].  coproduct(i) lists Delta(p_g # f) by position: leg x is
+    p_(g x^-1) # (x |> f) (x) p_x # f, x a G id, so the leg with left G id r
+    is leg r^-1 g.  table[i][j] holds the product of i and j: None while not
     filled, False when it is zero, else (k, sigma) with p_i p_j = sigma p_k;
     _at adds a row and a column for each new key.  product() is the one
     path that fills it, so a reader may take a filled entry straight from
@@ -418,10 +420,8 @@ def verify_hopf_axioms(H, word_bound=4, tables=None):
     sc = StructureConstants(H, P)
     ids = [sc._at(g, f) for g in range(len(P.gs)) for f in range(P.nf)]
     table, product, coproduct = sc.table, sc.product, sc.coproduct
-    gkey, rkey, one_g = sc.gkey, sc.rkey, sc.one_g
-    row = {}  # G key -> the window indices with that G part, in window order
-    for i in ids:
-        row.setdefault(gkey[i], []).append(i)
+    gkey, rkey, one_g, gmul, ginv, nf = sc.gkey, sc.rkey, sc.one_g, P.gmul, P.ginv, P.nf
+    row = [ids[g * nf:(g + 1) * nf] for g in range(len(P.gs))]  # the window ids by G id
     rng = random.Random(SEED)
     reports = []
 
@@ -507,27 +507,19 @@ def verify_hopf_axioms(H, word_bound=4, tables=None):
            lambda i: triple_coproduct(i, True) == triple_coproduct(i, False))
 
     def counit_ok(i):
-        left, right = {}, {}
-        for j1, j2, c in coproduct(i):
-            if gkey[j1] == one_g:
-                left[j2] = left.get(j2, 0) + c
-            if gkey[j2] == one_g:
-                right[j1] = right.get(j1, 0) + c
-        a = {i: 1}
-        return _nonzero(left) == a and _nonzero(right) == a
+        # eps (x) id keeps leg x = g of Delta(p_i), id (x) eps keeps leg x = 1
+        legs = coproduct(i)
+        (_, j2, c), (j1, _, d) = legs[gkey[i]], legs[one_g]
+        return j2 == i and c == 1 and j1 == i and d == 1
 
     report("counit", ((i,) for i in ids), counit_ok)
 
     # bialgebra compatibility: Delta(ab) = Delta(a)Delta(b), eps(ab) = eps(a)eps(b),
-    # one row of j per i.  x1 y1 = 0 unless y1's G key is x1's rkey, and the
-    # legs of Delta(p_j) have distinct G keys in front, so each leg of
-    # Delta(p_i) meets at most one; the product of two legs has the G key of the
-    # right leg of Delta(p_i) in front of its right factor, so the terms of
-    # Delta(p_i)Delta(p_j) have distinct keys and are compared with
-    # Delta(p_i p_j) one by one, with no sum
-    deltas = {}  # m -> Delta(p_m) as {(k1, k2): tau}
-    fronts = {}  # j -> Delta(p_j) keyed by the G key of its left leg
-
+    # one row of j per i, legs read by position (StructureConstants): x1 y1 = 0
+    # unless y1's G id is x1's rkey r, and the one leg of Delta(p_j) with left G
+    # id r is leg r^-1 g_j.  Their product keeps G id x, that of leg x of
+    # Delta(p_i), in front of its right factor, so it is compared with leg x of
+    # Delta(p_i p_j), with no sum
     def bialg_first_bad(prefix, js):
         i, = prefix
         ti, unit_i, legs = table[i], gkey[i] == one_g, None
@@ -535,32 +527,27 @@ def verify_hopf_axioms(H, word_bound=4, tables=None):
             ij = ti[j]
             if ij is None:
                 ij = product(i, j)
-            lhs = {}
-            if ij:
-                lhs = deltas.get(ij[0])
-                if lhs is None:
-                    lhs = deltas[ij[0]] = {(k1, k2): t for k1, k2, t in coproduct(ij[0])}
+            lhs = coproduct(ij[0]) if ij else ()
             if legs is None:
-                legs = [(rkey[k1], table[k1], table[k2], k1, k2, c) for k1, k2, c in coproduct(i)]
-            front = fronts.get(j)
-            if front is None:
-                front = fronts[j] = {gkey[l1]: (l1, l2, d) for l1, l2, d in coproduct(j)}
+                legs = [(ginv[rkey[k1]], table[k1], table[k2], k1, k2, c)
+                        for k1, k2, c in coproduct(i)]
+            dj, gj = coproduct(j), gkey[j]
             # every leg is multiplied, even after a mismatch, so products are
             # reached in the object path's order
             ok, hits = True, 0
-            for r, t1, t2, k1, k2, c in legs:
-                hit = front.get(r)
-                if hit is not None:
-                    l1, l2, d = hit
-                    left, right = t1[l1], t2[l2]
-                    if left is None:
-                        left = product(k1, l1)
-                    if right is None:
-                        right = product(k2, l2)
-                    if right:
-                        hits += 1
-                        t = lhs.get((left[0], right[0]))
-                        if t is None or c * d * left[1] * right[1] != ij[1] * t:
+            for x, (ri, t1, t2, k1, k2, c) in enumerate(legs):
+                l1, l2, d = dj[gmul[ri][gj]]
+                left, right = t1[l1], t2[l2]
+                if left is None:
+                    left = product(k1, l1)
+                if right is None:
+                    right = product(k2, l2)
+                if right:
+                    hits += 1
+                    if lhs:
+                        m1, m2, t = lhs[x]
+                        if (m1 != left[0] or m2 != right[0]
+                                or c * d * left[1] * right[1] != ij[1] * t):
                             ok = False
             if not ok or hits != len(lhs):
                 return n, 0

@@ -34,14 +34,9 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import BadWindow, InvalidAction, UndefinedGeneratorAction
-from .groups import closure
+from .groups import MAX_WINDOW, closure
 from .reports import sweep, sweep_rows
 from .scalars import bare
-
-# The largest word-length window a sweep takes.  Instance counts grow with a
-# power of the window: `hopfcqt hopf-verify --entry Q8_Dinf` takes about 3 s at
-# 20 and 13 s at 32 on a 2-vCPU box, and each doubling costs about x8 more.
-MAX_WINDOW = 32
 
 
 def check_window(bound):
@@ -338,13 +333,14 @@ class PairTables:
     """Int ids and lazily filled tables for one verify call, or for every check of one
     catalog.run_entry or `hopfcqt cqt-necessary` call.
 
-    G ids follow G.elements(); F ids start with the window and append each
-    image that leaves it.  gmul[g][g'] and ginv[g] are filled in full.  The
-    other tables are nested lists indexed by id, None where not yet filled:
-    fmul[f][f'], finv[f], left[g][f] (g |> f), right[g][f] (g <| f) and,
-    given cp, sigma[g][f][f'] and tau[g][g'][f].  Every F axis has room for
-    the window at first; when fid appends past the room, every F axis of
-    every table doubles, so an out-of-window id indexes like a window id.
+    G ids follow G.elements(); F ids start with the window on word_bound,
+    which the table keeps, and append each image that leaves it.  gmul[g][g']
+    and ginv[g] are filled in full.  The other tables are nested lists indexed
+    by id, None where not yet filled: fmul[f][f'], finv[f], left[g][f]
+    (g |> f), right[g][f] (g <| f) and, given cp, sigma[g][f][f'] and
+    tau[g][g'][f].  Every F axis has room for the window at first; when fid
+    appends past the room, every F axis of every table doubles, so an
+    out-of-window id indexes like a window id.
 
     An entry is filled on its first lookup, through the public F.mul, F.inv,
     act_left, act_right, CocyclePair.sigma or CocyclePair.tau, so their
@@ -376,6 +372,7 @@ class PairTables:
     def __init__(self, mp, word_bound, cp=None):
         G, F = mp.G, mp.F
         gs = self.gs = G.elements()
+        self.word_bound = word_bound
         fs = self.fs = list(mp.window(word_bound))
         ng, nf = len(gs), len(fs)
         self.nf = room = nf

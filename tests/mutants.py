@@ -107,9 +107,9 @@ MUTANTS = [
          old="checked += len(items) - skipped", new="checked += len(items)",
          tests=["tests/test_reports.py::test_sweep_rows_reports_like_sweep_on_the_flattened_instances"]),
     dict(name="cqt1-ignores-out-of-window-r-a2-b", file="cqt.py",
-         old="""                v, w = r1[c], rb[a2]
+         old="""                v, w = r1[c], r2[b]
                 if v is None or w is None:""",
-         new="""                v, w = r1[c], rb[a2]
+         new="""                v, w = r1[c], r2[b]
                 if v is None:""",
          tests=["tests/test_cqt_row_kernels.py::test_standard_forms_at_windows[1-Z2_Z]"]),
     dict(name="sigma-cocycle-hoisted", file="cocycles.py",
@@ -122,6 +122,23 @@ MUTANTS = [
     dict(name="bialgebra-no-leg-count", file="hopf.py",
          old="if not ok or hits != len(lhs):", new="if not ok:",
          tests=["tests/test_hopf.py::test_sweep_matches_object_reference_off_a_matched_pair"]),
+    dict(name="bialgebra-indexes-empty-coproduct", file="hopf.py",
+         old="""                    if lhs:
+                        m1, m2, t = lhs[x]
+                        if (m1 != left[0] or m2 != right[0]
+                                or c * d * left[1] * right[1] != ij[1] * t):
+                            ok = False
+""",
+         new="""                    m1, m2, t = lhs[x]
+                    if (m1 != left[0] or m2 != right[0]
+                            or c * d * left[1] * right[1] != ij[1] * t):
+                        ok = False
+""",
+         tests=["tests/test_hopf.py::test_sweep_matches_object_reference_on_broken_matched_pairs"]),
+    dict(name="counit-skips-left-unit", file="hopf.py",
+         old="return j2 == i and c == 1 and j1 == i and d == 1",
+         new="return j2 == i and c == 1 and d == 1",
+         tests=["tests/test_hopf.py::test_sweep_matches_object_reference_on_broken_matched_pairs"]),
     dict(name="associativity-drops-sigma", file="hopf.py",
          old="ij[1] * left[1] != jk[1] * right[1]", new="left[1] != right[1]",
          tests=["tests/test_hopf.py::test_cyclotomic_sigma_context_passes_every_sweep"]),
@@ -239,21 +256,15 @@ MUTANTS = [
          survives="equivalent: tau-cocycle runs first and reaches every window tau, so "
                   "reading tau(g, g'; f) before the row changes no lookup order"),
     dict(name="bialgebra-legs-before-product-coproduct", file="hopf.py",
-         old="""            lhs = {}
-            if ij:
-                lhs = deltas.get(ij[0])
-                if lhs is None:
-                    lhs = deltas[ij[0]] = {(k1, k2): t for k1, k2, t in coproduct(ij[0])}
+         old="""            lhs = coproduct(ij[0]) if ij else ()
             if legs is None:
-                legs = [(rkey[k1], table[k1], table[k2], k1, k2, c) for k1, k2, c in coproduct(i)]
+                legs = [(ginv[rkey[k1]], table[k1], table[k2], k1, k2, c)
+                        for k1, k2, c in coproduct(i)]
 """,
          new="""            if legs is None:
-                legs = [(rkey[k1], table[k1], table[k2], k1, k2, c) for k1, k2, c in coproduct(i)]
-            lhs = {}
-            if ij:
-                lhs = deltas.get(ij[0])
-                if lhs is None:
-                    lhs = deltas[ij[0]] = {(k1, k2): t for k1, k2, t in coproduct(ij[0])}
+                legs = [(ginv[rkey[k1]], table[k1], table[k2], k1, k2, c)
+                        for k1, k2, c in coproduct(i)]
+            lhs = coproduct(ij[0]) if ij else ()
 """,
          tests=["tests/test_hopf.py::test_missing_key_pairs_raise_like_reference",
                 "tests/test_hopf.py::test_missing_entry_raises_like_reference"],

@@ -1,9 +1,10 @@
 """Outside input that the command line refuses: exit 2 and never a traceback.
 
 A file that cannot be read, invalid or too deeply nested JSON, nested
-product descriptors past their bound, and options a subcommand does not
-read.  Option misuse is argparse's usage error (SystemExit 2); everything
-else prints `error: ...` to stderr and returns 2.
+product descriptors past their bound, element literals past their word
+bound, and options a subcommand does not read.  Option misuse is
+argparse's usage error (SystemExit 2); everything else prints `error: ...`
+to stderr and returns 2.
 """
 
 import pytest
@@ -11,10 +12,11 @@ import pytest
 from hopfcqt import cli
 from hopfcqt.catalog import get_entry
 from hopfcqt.errors import MixedGroups, SchemaError
-from hopfcqt.groups import (MAX_DESCRIPTOR_DEPTH, DirectProductGroup, InfiniteDihedralGroup,
-                            IntegerGroup, cyclic_group, group_from_descriptor)
+from hopfcqt.groups import (MAX_DESCRIPTOR_DEPTH, MAX_WORD, DirectProductGroup,
+                            InfiniteDihedralGroup, IntegerGroup, cyclic_group,
+                            group_from_descriptor)
 from hopfcqt.scalars import parse_scalar
-from hopfcqt.serialize import element_from_json, save_json
+from hopfcqt.serialize import context_to_json, element_from_json, save_json
 
 # argv that reads one JSON file, the path last
 READERS = {
@@ -293,3 +295,47 @@ def test_a_schema_error_carries_its_location():
 def test_a_short_value_is_echoed_whole():
     assert _schema_error(cyclic_group(3).parse, "q") == "unknown element 'q' of Z3"
     assert _schema_error(parse_scalar, "1//2") == "bad scalar literal '1//2' (at char 1)"
+
+
+# an element literal of Z or Dinf past MAX_WORD letters; an action reads a
+# literal letter by letter, and these ended in OverflowError (exit 1)
+_HUGE = "9" * 23
+
+
+def _literal_argv(tmp_path, command, literal):
+    "argv of command with literal as the F element of Z2_Z that it reads from a file."
+    path = tmp_path / "doc.json"
+    if command == "verify-mp":
+        doc = context_to_json(get_entry("Z2_Z").context())
+        doc["left_action"]["g|1"] = literal
+        save_json(doc, path)
+        return [command, "--input", str(path)]
+    save_json({"f": literal, "dim": 1, "a": {"1,1,1": "1"}}, path)
+    return [command, "--entry", "Z2_Z", "--comodule", str(path)]
+
+
+@pytest.mark.parametrize("entry, literal", [
+    ("Z2_Z", _HUGE), ("Z3_Z", _HUGE), ("Q8_Z", _HUGE), ("Z2_Dinf", "y^" + _HUGE),
+    ("Z2_Z", str(-MAX_WORD - 1)), ("Z2_Dinf", "y^%d*x" % MAX_WORD)])
+def test_an_over_long_element_literal_exits_2(capsys, entry, literal):
+    err = _assert_error_exit(["orbits", "--entry", entry, "--f", literal], capsys)
+    assert err == "error: element %r of %s is longer than %d letters\n" % (
+        literal, "Dinf" if "Dinf" in entry else "Z", MAX_WORD)
+
+
+@pytest.mark.parametrize("command", ["verify-mp", "comodule-verify"])
+def test_an_over_long_literal_in_a_file_exits_2(tmp_path, capsys, command):
+    err = _assert_error_exit(_literal_argv(tmp_path, command, _HUGE), capsys)
+    assert "longer than %d letters" % MAX_WORD in err
+
+
+def test_a_literal_at_the_word_bound_is_read(tmp_path, capsys):
+    for entry, literal in [("Z2_Z", str(MAX_WORD)), ("Z2_Z", str(-MAX_WORD)),
+                           ("Z2_Dinf", "y^%d*x" % (MAX_WORD - 1))]:
+        assert cli.main(["orbits", "--entry", entry, "--f", literal]) == 0
+    for command in ("verify-mp", "comodule-verify"):
+        assert cli.main(_literal_argv(tmp_path, command, str(MAX_WORD))) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+    ZD = DirectProductGroup([IntegerGroup(), InfiniteDihedralGroup()])
+    assert ZD.element_length(ZD.parse("(%d, y^%d)" % (MAX_WORD, -MAX_WORD))) == 2 * MAX_WORD
+    assert "longer than" in _schema_error(ZD.parse, "(0, y^%d*x)" % MAX_WORD)

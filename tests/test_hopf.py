@@ -467,6 +467,53 @@ def test_sweep_matches_object_reference_off_a_matched_pair():
         ("antipode-convolution", 2)]
 
 
+def _broken_pair_context(seed):
+    """G in {Z2, Z3, S3} acting on F in {Z2, Z3, Z4} through a few random right-action
+    permutations and left-map entries, which break the matched-pair laws, with up to
+    three random sigma and tau entries."""
+    rng = random.Random(seed)
+    G = rng.choice([lambda: cyclic_group(2), lambda: cyclic_group(3), symmetric_group_s3])()
+    F = cyclic_group(rng.choice([2, 3, 4]), gen_name="t")
+    gs, fs = G.elements(), F.elements()
+    perms = {f.key: {g.key: g for g in gs} for f in fs}
+    for f in rng.sample(fs, rng.randint(0, len(fs))):
+        perms[f.key] = dict(zip([g.key for g in gs], rng.sample(gs, len(gs))))
+    lefts = {(g.key, f.key): f for g in gs for f in fs}
+    for _ in range(rng.randint(0, len(gs) * len(fs))):
+        lefts[rng.choice(gs).key, rng.choice(fs).key] = rng.choice(fs)
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: lefts[g.key, f.key],
+                                    right=lambda g, f: perms[f.key][g.key])
+    values = [MINUS_ONE, root_of_unity(4), rational(2), root_of_unity(3)]
+    sigma = {(rng.choice(gs).key, rng.choice(fs).key, rng.choice(fs).key): rng.choice(values)
+             for _ in range(rng.randint(0, 3))}
+    tau = {(rng.choice(gs).key, rng.choice(gs).key, rng.choice(fs).key): rng.choice(values)
+           for _ in range(rng.randint(0, 3))}
+    return HopfAlgebra(CocyclePair.from_tables(mp, sigma, tau), name="broken~%d" % seed)
+
+
+def test_sweep_matches_object_reference_on_broken_matched_pairs():
+    # the coproduct legs are read by position; a broken action moves no leg,
+    # so every sweep must still give the reference's reports
+    failed = {}
+    for seed in range(150):
+        H = _broken_pair_context(seed)
+        new = _report_json(verify_hopf_axioms, H, 4)
+        assert new == _report_json(verify_hopf_axioms_reference, H, 4), H.name
+        for r in new:
+            failed[r["check"]] = failed.get(r["check"], 0) + (r["status"] != PASS)
+    assert min(failed.values()) > 0 and max(failed.values()) < 150, failed
+    # 1 |> t = t^2 breaks the counit law on one side only: id (x) eps keeps the leg
+    # p_g # t^2 (x) p_1 # t of Delta(p_g # t), while eps (x) id keeps p_1 # 1 (x) p_g # t
+    G, F = cyclic_group(2), cyclic_group(3, gen_name="t")
+    t, t2 = F.parse("t"), F.parse("t^2")
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: t2 if f == t else f,
+                                    right=lambda g, f: g)
+    H = HopfAlgebra(CocyclePair.trivial(mp))
+    new = _report_json(verify_hopf_axioms, H, 4)
+    assert new == _report_json(verify_hopf_axioms_reference, H, 4)
+    assert {r["check"]: r["status"] for r in new}["counit"] != PASS
+
+
 def test_rational_constants_skip_scalar_products(monkeypatch):
     # rational structure constants, antipodes included, are stored as ints and
     # Fractions, so on Q8_Dinf neither the axiom sweep nor the cocycle sweep

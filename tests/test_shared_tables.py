@@ -93,6 +93,16 @@ def test_a_check_run_twice_on_one_table_reports_alike():
     assert first["observed"] == "pass"
 
 
+@pytest.mark.parametrize("eid", [eid for eid in entry_ids() if eid not in FINITE])
+def test_battery_takes_its_window_from_its_table(eid):
+    # the orbit reports read the table's window, as the gates do, not word_bound
+    entry = get_entry(eid)
+    H, quotients = entry.context(), entry.quotient_homs()
+    shared = necessary_battery(H, 1, quotients, PairTables(H.mp, 2, H.cp))
+    assert ([r.to_json() for r in shared]
+            == [r.to_json() for r in necessary_battery(entry.context(), 2, quotients)])
+
+
 def _in_turn(cp, bound, shared):
     """cocycles, hopf-axioms, matched-pair and necessary-battery, in run_entry's
     order, on one shared PairTables or on a table of their own each."""
