@@ -7,7 +7,7 @@ invariant under the right action.  The catalog's dihedral and integer-action
 entries each fail one of these, certifying that no such structure exists.
 """
 
-from hopfcqt import get_entry, necessary_battery, battery_obstructed
+from hopfcqt import all_passed, get_entry, necessary_battery
 
 # orbits of the sign-flip action of Z2 on the integers
 mp = get_entry("Z2_Z").context().mp
@@ -27,9 +27,9 @@ print("  witness element in only one product set:", witness)
 for eid in ("Q8_Dinf", "Z3_Z", "Q8_Z", "S3_Z2"):
     entry = get_entry(eid)
     H = entry.context()
-    reports = necessary_battery(H, word_bound=3, quotients=entry.quotient_homs())
+    reports = necessary_battery(H, window=3, quotients=entry.quotient_homs())
     verdict = ("no coquasitriangular structure can exist"
-               if battery_obstructed(reports) else
+               if not all_passed(reports) else
                "no applicable necessary condition fails")
     print("\n%s: %s" % (eid, verdict))
     for r in reports:

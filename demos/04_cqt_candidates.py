@@ -8,9 +8,9 @@ and on a central entry every passing form restricts to a bicharacter on the
 group-likes of the fixed part.
 """
 
-from hopfcqt import (CocyclePair, HopfAlgebra, MatchedPair, RForm,
+from hopfcqt import (CocyclePair, HopfAlgebra, MatchedPair, RForm, all_passed,
                      bicharacter_restriction_check, cyclic_group,
-                     eps_tensor_eps, get_entry, passes_cqt, search_R,
+                     eps_tensor_eps, get_entry, search_R,
                      structural_zeros, verify_R, z2_r11_rform, z2_r11_solve)
 from hopfcqt.scalars import MINUS_ONE, ONE, ZERO, rational
 
@@ -27,7 +27,7 @@ mp = MatchedPair.from_functions(G, F1, left=lambda g, f: f, right=lambda g, f: g
 H = HopfAlgebra(CocyclePair.trivial(mp), "Z2, trivial F")
 for case in z2_r11_solve():
     R = z2_r11_rform(H, case)
-    print("  k = %-4s passes CQT0-CQT3:" % case["k"], passes_cqt(R, (0, 1, 2, 3)))
+    print("  k = %-4s passes CQT0-CQT3:" % case["k"], all_passed(verify_R(R, (0, 1, 2, 3))))
 
 bad = z2_r11_rform(H, z2_r11_solve()[1]).perturbed(("g", "1"), ("g", "1"),
                                                    rational(1, 2))
@@ -50,6 +50,6 @@ for v in structural_zeros(R):
 Hc = get_entry("Z2_Z2xZ_central").context()
 Rstd = eps_tensor_eps(Hc, window=2)
 print("\ncentral entry: standard form passes CQT0-CQT3 on the window:",
-      passes_cqt(Rstd, (0, 1, 2, 3), qbound=2))
+      all_passed(verify_R(Rstd, (0, 1, 2, 3), qbound=2)))
 for report in bicharacter_restriction_check(Rstd, word_bound=1):
     print("  %-34s %s" % (report.check, report.status))

@@ -7,9 +7,8 @@ from .cocycles import CocyclePair
 from .comodules import (Character, Comodule, InducedComodule, TwistedCoalgebra,
                         character, enumerate_onedim, group_comodules, induce,
                         trivial_comodule)
-from .cqt import (RForm, bicharacter_restriction_check, battery_obstructed,
-                  check_dual_orbit_commutation, check_orbit_commutation,
-                  eps_tensor_eps, necessary_battery, passes_cqt, search_R,
+from .cqt import (RForm, bicharacter_restriction_check, check_dual_orbit_commutation,
+                  check_orbit_commutation, eps_tensor_eps, necessary_battery, search_R,
                   structural_zeros, verify_R, z2_r11_rform, z2_r11_solve,
                   z2_remark_diagnostics, z2_shape_classify)
 from .groups import (DirectProductGroup, FiniteGroup, GroupElement, GroupHom,

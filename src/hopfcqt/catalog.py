@@ -22,8 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .cocycles import CocyclePair
-from .cqt import (battery_obstructed, check_dual_orbit_commutation,
-                  check_orbit_commutation, necessary_battery)
+from .cqt import check_dual_orbit_commutation, check_orbit_commutation, necessary_battery
 from .errors import UnknownEntry
 from .groups import (DirectProductGroup, GroupHom, IntegerGroup,
                      InfiniteDihedralGroup, cyclic_group, klein_four_group,
@@ -229,56 +228,54 @@ def get_entry(entry_id):
 
 # -- the named checks ------------------------------------------------------------
 
-def _status(reports):
-    return PASS if all_passed(reports) else FAIL
+# each check reads the run's PairTables T, whose word_bound is the run's window
+
+def _check_matched_pair(entry, H, T):
+    return H.mp.verify(T)
 
 
-def _check_matched_pair(entry, H, bound, tables):
-    return H.mp.verify(bound, tables)
+def _check_cocycles(entry, H, T):
+    return H.cp.verify(T)
 
 
-def _check_cocycles(entry, H, bound, tables):
-    return H.cp.verify(bound, tables)
+def _check_hopf(entry, H, T):
+    return verify_hopf_axioms(H, T)
 
 
-def _check_hopf(entry, H, bound, tables):
-    return verify_hopf_axioms(H, bound, tables)
+def _check_orbit(entry, H, T):
+    return [check_orbit_commutation(H.mp, T.word_bound)]
 
 
-def _check_orbit(entry, H, bound, tables):
-    return [check_orbit_commutation(H.mp, bound)]
-
-
-def _check_dual_orbit(entry, H, bound, tables):
+def _check_dual_orbit(entry, H, T):
     return [check_dual_orbit_commutation(H.mp)]
 
 
-def _check_battery(entry, H, bound, tables):
-    reports = necessary_battery(H, bound, entry.quotient_homs(), tables)
+def _check_battery(entry, H, T):
+    reports = necessary_battery(H, T, entry.quotient_homs())
     return reports + [verdict(
         "battery-verdict",
         next(((r.check,) + tuple(r.witness) for r in reports if r.failed), None),
         detail="some necessary condition fails: no coquasitriangular structure exists"
-        if battery_obstructed(reports) else
+        if not all_passed(reports) else
         "no applicable necessary condition fails on the window")]
 
 
-def _check_gr_commutation(entry, H, bound, tables):
+def _check_gr_commutation(entry, H, T):
     simples = Z2Simples(H)
-    chars = [simples.character(l) for l in simples.labels(bound)]
+    chars = [simples.character(l) for l in simples.labels(T.word_bound)]
     return [character_commutation_sweep(chars)]
 
 
-def _check_z2_table(entry, H, bound, tables):
+def _check_z2_table(entry, H, T):
     simples = Z2Simples(H)
-    labels = simples.labels(min(bound, 2))
+    labels = simples.labels(min(T.word_bound, 2))
     return [sweep("z2-closed-table", itertools.product(labels, repeat=2),
                   lambda l1, l2: multiset_equal(simples.tensor_rule(l1, l2),
                                                 simples.tensor_by_decomposition(l1, l2)))]
 
 
-def _check_z2_s_abelian(entry, H, bound, tables):
-    return [verdict("z2-fixed-part-abelian", z2_S_abelian_check(H.mp, bound)[1])]
+def _check_z2_s_abelian(entry, H, T):
+    return [verdict("z2-fixed-part-abelian", z2_S_abelian_check(H.mp, T.word_bound)[1])]
 
 
 CHECKS = {
@@ -310,8 +307,8 @@ def run_entry(entry_id, checks=None, word_bound=None):
         if name not in CHECKS:
             raise UnknownEntry("unknown check %r (try: %s)"
                                % (name, ", ".join(sorted(CHECKS))))
-        reports = CHECKS[name](entry, H, bound, tables)
-        observed = _status(reports)
+        reports = CHECKS[name](entry, H, tables)
+        observed = PASS if all_passed(reports) else FAIL
         expected = entry.expected.get(name)
         records.append({
             "check": name,

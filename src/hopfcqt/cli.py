@@ -33,7 +33,7 @@ from .errors import HopfCqtError, InvalidAction, InvalidCocycle, shown
 from .grothendieck import Z2Simples, char_product, commutes, decompose
 from .hopf import antipode, comultiply, verify_hopf_axioms
 from .matched_pair import PairTables, check_window
-from .reports import verdict
+from .reports import all_passed, verdict
 from .scalars import format_scalar
 
 
@@ -44,9 +44,9 @@ def _levels(text):
 
 
 def _emit_reports(args, reports, extra=None):
-    failed = any(r.failed for r in reports)
+    ok = all_passed(reports)
     if args.json:
-        out = {"reports": [r.to_json() for r in reports], "ok": not failed}
+        out = {"reports": [r.to_json() for r in reports], "ok": ok}
         if extra:
             out.update(extra)
         print(json.dumps(out, indent=2, sort_keys=True))
@@ -61,7 +61,7 @@ def _emit_reports(args, reports, extra=None):
             if r.detail and (r.failed or r.status == "skipped"):
                 line += "   [%s]" % r.detail
             print(line)
-    return 1 if failed else 0
+    return 0 if ok else 1
 
 
 def _emit_element(args, x, tag="element"):
@@ -261,7 +261,7 @@ def _dispatch(args):
     if cmd == "comodule-verify":
         reports = V.verify()
         return _emit_reports(args, reports,
-                             extra={"simple": V.is_simple() if all(r.passed for r in reports) else "n/a"})
+                             extra={"simple": V.is_simple() if all_passed(reports) else "n/a"})
     if cmd == "char":
         return _emit_element(args, character(V).element, "character")
     if cmd == "induce":
@@ -305,12 +305,12 @@ def _dispatch(args):
     if cmd == "cqt-necessary":
         tables = PairTables(H.mp, bound, H.cp)  # one id table for all three; dropped on return
         for verify, error in ((H.mp.verify, InvalidAction), (H.cp.verify, InvalidCocycle)):
-            bad = next((r for r in verify(bound, tables) if r.failed), None)
+            bad = next((r for r in verify(tables) if r.failed), None)
             if bad is not None:
                 raise error("%s fails at %s: not a Hopf algebra, so the battery does not run"
                             % (bad.check, shown(tuple(str(w) for w in bad.witness))))
         quotients = [] if entry is None else entry.quotient_homs()
-        return _emit_reports(args, necessary_battery(H, bound, quotients, tables))
+        return _emit_reports(args, necessary_battery(H, tables, quotients))
     if cmd == "cqt-zeros":
         violations = structural_zeros(R)
         if not violations:

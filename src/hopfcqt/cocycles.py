@@ -7,13 +7,14 @@ subject to normalization, the two cocycle identities, and the compatibility
 equation tying them together.  Values are Scalars (roots of unity times
 rationals).  Every catalog entry builds its pair with `trivial` or
 `from_tables`; any other pair is given by two rule callables.  `verify` runs
-on a matched_pair.PairTables, its own or the one catalog.run_entry shares
-among its checks: its identities read sigma[g][f][f'] and tau[g][g'][f]
-from nested lists indexed by id, filling an entry through `sigma`/`tau` on
-its first lookup, so each distinct argument triple is looked up once per
-table, in the order the object path first reaches it.  sigma-cocycle and
-compatibility evaluate a whole row of their last F id per kernel call
-(PairTables.sweep_rows).
+on a matched_pair.PairTables: its window argument is a word-length bound,
+on which it builds its own, or the table catalog.run_entry shares among its
+checks, whose word_bound is the window.  Its identities read
+sigma[g][f][f'] and tau[g][g'][f] from nested lists indexed by id, filling
+an entry through `sigma`/`tau` on its first lookup, so each distinct
+argument triple is looked up once per table, in the order the object path
+first reaches it.  sigma-cocycle and compatibility evaluate a whole row of
+their last F id per kernel call (PairTables.sweep_rows).
 """
 
 from __future__ import annotations
@@ -101,14 +102,14 @@ class CocyclePair:
 
     # -- verification ---------------------------------------------------------
 
-    def verify(self, word_bound=4, tables=None):
+    def verify(self, window=4):
         """Normalization, both cocycle identities, and compatibility.
 
-        Exhaustive over finite F; over words of length <= word_bound in the
-        infinite families.  The window and ids are those of tables (built with
-        this pair), else of a fresh PairTables on word_bound.
+        Exhaustive over finite F; over words of length <= the window in the
+        infinite families.  window is a word-length bound, or a PairTables
+        built with this pair, whose word_bound it is and whose ids the sweeps read.
         """
-        P = tables if tables is not None else PairTables(self.mp, word_bound, self)
+        P = window if isinstance(window, PairTables) else PairTables(self.mp, window, self)
         o, e = P.gid[self.mp.G.one.key], P.fid(self.mp.F.one)
         gmul, fmul, left, right = P.gmul, P.mul, P.act_left, P.act_right
         S, T, sig, tau = P.sigma, P.tau, P.fill_sigma, P.fill_tau

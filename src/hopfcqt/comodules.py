@@ -192,9 +192,6 @@ class Comodule:
             witness=lambda inst: (stab[inst[0]], stab[inst[1]])))
         return reports
 
-    def is_valid(self):
-        return all(r.passed for r in self.verify())
-
     def is_simple(self):
         "Simple iff the coefficient blocks have a one-dimensional commutant."
         return commutant_dimension(self.matrices.values(), self.dim) == 1

@@ -27,7 +27,7 @@ from .errors import (BadWindow, NonAbelianStabilizer, NotARootOfUnity, OutOfWind
                      SearchSpaceTooLarge, UnknownLevel, WrongGroup)
 from .groups import z2_generator
 from .matched_pair import PairTables, check_window
-from .reports import FAIL, SKIPPED, ConditionReport, sweep, sweep_rows, verdict
+from .reports import FAIL, SKIPPED, ConditionReport, all_passed, sweep, sweep_rows, verdict
 from .scalars import ONE, ZERO, as_scalar, bare, rational
 
 
@@ -344,10 +344,6 @@ def verify_R(R, levels=(0, 1, 2, 3), qbound=None):
     return [_LEVELS[lv](sc, rv, grid) for lv in levels]
 
 
-def passes_cqt(R, levels=(0, 1, 2, 3), qbound=None):
-    return all(r.status != FAIL for r in verify_R(R, levels, qbound))
-
-
 # -- structural zeros -----------------------------------------------------------
 
 def _zero_rules(H):
@@ -432,7 +428,7 @@ def _traces(V, gs):
     return V, [bare(M[g.key].trace()) if C.contains(g) else None for g in gs]
 
 
-def necessary_battery(H, word_bound=4, quotients=(), tables=None):
+def necessary_battery(H, window=4, quotients=()):
     """The orbit and character conditions for a coquasitriangular structure to exist.
 
     Past the two orbit checks, each sub-check runs through one gate: it is
@@ -441,6 +437,7 @@ def necessary_battery(H, word_bound=4, quotients=(), tables=None):
     range over one list of characters of G: the auto-enumerated simples at
     1_F (abelian G) plus the lifts along the quotient maps.
 
+    The battery is obstructed when some report fails (not reports.all_passed).
     A failure of any sub-check but one certifies that no coquasitriangular
     structure exists.  The exception is dual-orbit-product-commutation: the
     dual orbits O'_g index the simple H-modules, so commuting their products
@@ -452,14 +449,14 @@ def necessary_battery(H, word_bound=4, quotients=(), tables=None):
     pass (every catalog entry pins both, `hopfcqt cqt-necessary` runs both
     first).  On a context that fails them, "no obstruction" says nothing.
 
-    Every check reads the window of one matched_pair.PairTables, the one given
-    (catalog.run_entry and `hopfcqt cqt-necessary` share theirs; its window
-    overrides word_bound) or else a fresh one.  The gates run on its integer
-    ids, each entry filled on its first read through MatchedPair.act_left/act_right
-    or CocyclePair.sigma/tau; witnesses are mapped back to elements.  The four
-    hypotheses (|> trivial, <| trivial, sigma = 1, tau = 1 on G x window) are
-    read there, g-major, so a broken cocycle raises at the object path's first
-    lookup.  Each one-dimensional character is read once into a list of bare
+    Every check reads the window of one matched_pair.PairTables: window when it
+    is one (catalog.run_entry and `hopfcqt cqt-necessary` share theirs), else a
+    fresh one on the bound window; the orbit checks read its word_bound too.
+    The gates run on its integer ids, each entry filled on its first read
+    through MatchedPair.act_left/act_right or CocyclePair.sigma/tau;
+    witnesses are mapped back to elements.  The four hypotheses (|> trivial,
+    <| trivial, sigma = 1, tau = 1 on G x window) are read there, g-major, so
+    a broken cocycle raises at the object path's first lookup.  Each one-dimensional character is read once into a list of bare
     traces by G id (`_traces`), None off its stabilizer, where no gate reads it:
     the characters of G live at 1_F, whose stabilizer OrbitData checks to be G
     (g |> 1 = 1), and central-character-exchange, the one gate that reads simples
@@ -467,7 +464,7 @@ def necessary_battery(H, word_bound=4, quotients=(), tables=None):
     """
     mp, cp = H.mp, H.cp
     G, F = H.G, H.F
-    T = tables if tables is not None else PairTables(mp, word_bound, cp)
+    T = window if isinstance(window, PairTables) else PairTables(mp, window, cp)
     reports = [check_orbit_commutation(mp, T.word_bound),
                check_dual_orbit_commutation(mp)]
 
@@ -604,11 +601,6 @@ def necessary_battery(H, word_bound=4, quotients=(), tables=None):
                             i[0][0].diagonal_sum(gs[i[1]]),
                             i[0][0].diagonal_sum(gs[right(i[1], i[2])])))
     return reports
-
-
-def battery_obstructed(reports):
-    "True when some applicable necessary condition failed."
-    return any(r.failed for r in reports)
 
 
 # -- bicharacter restriction -------------------------------------------------------
@@ -908,7 +900,7 @@ def search_R(H, values):
             entries = {keys[i]: assignment[i] for i in range(len(keys))
                        if not assignment[i].is_zero()}
             R = RForm(H, entries)
-            if passes_cqt(R):
+            if all_passed(verify_R(R)):
                 found.append(R)
             return
         for v in values:

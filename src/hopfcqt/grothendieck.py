@@ -22,7 +22,7 @@ from .comodules import Character
 from .errors import (DependentCharacters, HopfCqtError, InvalidCocycle,
                      NonIntegralMultiplicity, NotInSpan, UnknownLabelKind)
 from .groups import z2_generator
-from .hopf import multiply
+from .hopf import _same_context, multiply
 from .reports import sweep
 from .scalars import Matrix, ONE, ZERO, solve_linear, sqrt_root_of_unity
 
@@ -50,19 +50,20 @@ def commutes(c1, c2):
 
 def decompose(x, basis):
     """Multiplicities of x in the given characters; exact, and they must be
-    nonnegative integers (the positivity of the character ring).
+    nonnegative integers (the positivity of the character ring).  Every
+    character must live over x's context (ContextMismatch otherwise).
     """
     x = _as_element(x)
-    basis = list(basis)
+    basis = [_as_element(c) for c in basis]
     if not basis:
         raise NotInSpan("empty basis")
-    keys = set(x.terms)
     for c in basis:
-        keys |= set(_as_element(c).terms)
+        _same_context(x, c)
+    # rows in first-seen key order: a unique solution and the ranks do not depend on it
+    keys = list(dict.fromkeys(k for e in [x] + basis for k in e.terms))
     if not keys:
         raise DependentCharacters("every given character is zero")
-    keys = sorted(keys, key=repr)
-    A = Matrix._trusted([[_as_element(c).terms.get(k, ZERO) for c in basis] for k in keys])
+    A = Matrix._trusted([[c.terms.get(k, ZERO) for c in basis] for k in keys])
     b = Matrix._trusted([[x.terms.get(k, ZERO)] for k in keys])
     sol = solve_linear(A, b)
     if sol.status == "inconsistent":

@@ -15,11 +15,12 @@ result through _collect.
 
 verify_hopf_axioms does not build HopfElements per instance.  Each call
 builds its own StructureConstants, a view over a matched_pair.PairTables:
-the one it is given (catalog.run_entry shares one with the matched-pair,
-cocycle and battery checks), else a fresh one on the window.  It gives
-every basis key it reaches an int index, a (G id, F id) pair of that table,
-including products and coproduct legs outside the F window, and keeps per
-index the G ids of g and g <| f, so a zero product is one int compare.
+its window argument when that is one (catalog.run_entry shares one with the
+matched-pair, cocycle and battery checks), else a fresh one whose word_bound
+is the window.  It gives every basis key it reaches an int index, a (G id,
+F id) pair of that table, including products and coproduct legs outside the
+F window, and keeps per index the G ids of g and g <| f, so a zero product
+is one int compare.
 Products live in one dense table[i][j], filled on first lookup; products,
 coproducts and antipodes are evaluated once per call from the PairTables'
 F products, actions and sigma/tau entries, in the order _basis_product,
@@ -406,17 +407,17 @@ SAMPLE = 2000
 SEED = 7
 
 
-def verify_hopf_axioms(H, word_bound=4, tables=None):
+def verify_hopf_axioms(H, window=4):
     """Axiom sweep over basis elements with F part in the window.
 
     Associativity and the bialgebra law quantify over all basis triples/pairs
     when that stays under EXHAUSTIVE_LIMIT/PAIR_LIMIT; beyond them the sweep
     covers every potentially-nonzero product pattern plus a deterministic
     random sample (SAMPLE instances, seeded with SEED) of all triples/pairs,
-    and `checked` counts both.  The window and the ids are those of tables,
-    else of a fresh PairTables on word_bound.
+    and `checked` counts both.  window is a word-length bound, or a shared
+    PairTables whose word_bound it is and whose ids the sweeps read.
     """
-    P = tables if tables is not None else PairTables(H.mp, word_bound, H.cp)
+    P = window if isinstance(window, PairTables) else PairTables(H.mp, window, H.cp)
     sc = StructureConstants(H, P)
     ids = [sc._at(g, f) for g in range(len(P.gs)) for f in range(P.nf)]
     table, product, coproduct = sc.table, sc.product, sc.coproduct

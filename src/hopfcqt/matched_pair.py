@@ -24,8 +24,10 @@ missing from B A, or else the first product b a (b-major) missing from A B.
 `verify` and `CocyclePair.verify` sweep int ids over one PairTables: nested
 lists indexed by id, each entry filled on its first lookup through the public
 act_left/act_right, F.mul/F.inv or CocyclePair.sigma/tau, so each pair (g, f)
-is acted on once and each sigma/tau triple looked up once per table, which
-catalog.run_entry and `hopfcqt cqt-necessary` share among their checks.
+is acted on once and each sigma/tau triple looked up once per table.  Their
+one `window` argument is a word-length bound, on which they build a table of
+their own, or the PairTables that catalog.run_entry and `hopfcqt
+cqt-necessary` share among their checks, whose word_bound is the window.
 CocyclePair.verify runs sigma-cocycle and compatibility as row kernels.
 """
 
@@ -220,10 +222,6 @@ class MatchedPair:
         self.F._member(f)
         return self._action(g, f)[0]
 
-    def act_word(self, g, word):
-        "Fold an explicit letter word; for consistency tests against normal forms."
-        return self._fold(g, word)
-
     # -- windows --------------------------------------------------------------
 
     def window(self, bound):
@@ -237,10 +235,10 @@ class MatchedPair:
 
     # -- verification -----------------------------------------------------------
 
-    def verify(self, word_bound=4, tables=None):
-        """Check the action laws, the matched-pair axioms, and the inverse identities,
-        on the window and ids of tables, else of a fresh PairTables on word_bound."""
-        T = tables if tables is not None else PairTables(self, word_bound)
+    def verify(self, window=4):
+        """Check the action laws, the matched-pair axioms, and the inverse identities
+        on a window: a word-length bound, or a shared PairTables (module docstring)."""
+        T = window if isinstance(window, PairTables) else PairTables(self, window)
         o, e = T.gid[self.G.one.key], T.fid(self.F.one)
         gmul, ginv, fmul, finv, left, right = T.gmul, T.ginv, T.mul, T.inv, T.act_left, T.act_right
         return [
@@ -361,8 +359,10 @@ class PairTables:
     reads every sigma/tau value inline, in its turn, so each is still looked
     up in the object path's order.
 
-    Checks may share a table, as the four table checks of one run_entry do.
-    An entry is a deterministic function of its ids and a lookup that raises
+    Checks may share a table, as the four table checks of one run_entry do:
+    each of MatchedPair.verify, CocyclePair.verify, hopf.verify_hopf_axioms
+    and cqt.necessary_battery takes it as its window argument, and reads its
+    word_bound as the window.  An entry is a deterministic function of its ids and a lookup that raises
     stores nothing, so a check that reads an entry another filled sees the
     value it would have looked up itself, and raises at the same first
     failing key.  The sharer drops the table on return (13 tables kept on

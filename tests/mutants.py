@@ -237,6 +237,18 @@ MUTANTS = [
          old="if gen.key not in gens:", new="if False:",
          tests=["tests/test_serialize_cli.py::"
                 "test_action_key_off_the_generators_is_a_schema_error"]),
+    dict(name="decompose-skips-context-check", file="grothendieck.py",
+         old="""    for c in basis:
+        _same_context(x, c)
+""",
+         new="",
+         tests=["tests/test_grothendieck.py::"
+                "test_decompose_refuses_characters_of_another_context"]),
+    dict(name="battery-ignores-int-window", file="cqt.py",
+         old="else PairTables(mp, window, cp)",
+         new="else PairTables(mp, 4, cp)",
+         tests=["tests/test_shared_tables.py::test_both_window_forms_agree"
+                "[Z2_Z-necessary-battery]"]),
 
     # -- survivors --------------------------------------------------------------
     dict(name="battery-moved-by-z", file="cqt.py",

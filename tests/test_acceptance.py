@@ -13,9 +13,9 @@ from hopfcqt.catalog import get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.comodules import (TwistedCoalgebra, character, enumerate_onedim,
                                group_comodules, induce)
-from hopfcqt.cqt import (RForm, bicharacter_restriction_check, battery_obstructed,
-                         eps_tensor_eps, necessary_battery, passes_cqt,
-                         structural_zeros, verify_R, z2_r11_rform, z2_r11_solve)
+from hopfcqt.cqt import (RForm, bicharacter_restriction_check, eps_tensor_eps,
+                         necessary_battery, structural_zeros, verify_R, z2_r11_rform,
+                         z2_r11_solve)
 from hopfcqt.errors import NonAbelianStabilizer
 from hopfcqt.groups import cyclic_group
 from hopfcqt.grothendieck import Z2Simples, multiset_equal
@@ -107,7 +107,7 @@ def test_criterion_3_necessary_battery_verdicts():
 
     # S3_Z2 passes every applicable check including the dual-orbit condition
     reports_s = necessary_battery(get_entry("S3_Z2").context(), 4)
-    checks.append(not battery_obstructed(reports_s))
+    checks.append(all_passed(reports_s))
     by_s = {r.check: r for r in reports_s}
     checks.append(by_s["dual-orbit-product-commutation"].status == PASS)
 
@@ -155,7 +155,7 @@ def test_criterion_5_r11_dichotomy():
     mp = MatchedPair.from_functions(G, F, left=lambda g, f: f, right=lambda g, f: g)
     H = HopfAlgebra(CocyclePair.trivial(mp), "Z2_trivial_F")
     Rhalf = z2_r11_rform(H, cases[1])
-    ok = ok and passes_cqt(Rhalf, (0, 1, 2, 3))
+    ok = ok and all_passed(verify_R(Rhalf, (0, 1, 2, 3)))
     bad = Rhalf.perturbed(("g", "1"), ("g", "1"), rational(1, 2))
     bad_reports = {r.check: r for r in verify_R(bad, (0, 1, 2, 3))}
     ok = ok and bad_reports["CQT1"].failed and bad_reports["CQT1"].witness is not None
@@ -178,7 +178,7 @@ def test_criterion_6_cqt_soundness():
         for n_f in (2, 3):
             H = _trivial_context(n_g, n_f)
             R = eps_tensor_eps(H)
-            if not passes_cqt(R, (0, 1, 2, 3, 4)):
+            if not all_passed(verify_R(R, (0, 1, 2, 3, 4))):
                 ok = False
             keys = [(g, f) for g in H.G.elements() for f in H.F.elements()]
             for k1 in keys:
@@ -265,7 +265,7 @@ def test_criterion_8_bicharacter_restriction():
     candidates["sign-bicharacter"] = RForm(H, entries, window=2)
     ok = True
     for name, R in candidates.items():
-        if not passes_cqt(R, (0, 1, 2, 3), qbound=2):
+        if not all_passed(verify_R(R, (0, 1, 2, 3), qbound=2)):
             ok = False
         reports = bicharacter_restriction_check(R, word_bound=1)
         by = {r.check: r for r in reports}

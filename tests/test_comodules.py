@@ -132,13 +132,13 @@ def test_comodule_validity_and_simplicity():
     g = H.G.parse("g")
     s = root_of_unity(4)  # sqrt(-1)
     U = Comodule(C, 1, {H.G.one: Matrix.identity(1), g: Matrix([[s]])})
-    assert U.is_valid() and U.is_simple()
+    assert all_passed(U.verify()) and U.is_simple()
     UV = Comodule(C, 2, {H.G.one: Matrix.identity(2),
                          g: Matrix([[s, ZERO], [ZERO, -s]])})
-    assert UV.is_valid() and not UV.is_simple()
+    assert all_passed(UV.verify()) and not UV.is_simple()
     # corrupt one side of the coefficient identity
     bad = Comodule(C, 1, {H.G.one: Matrix.identity(1), g: Matrix([[ONE]])})
-    assert not bad.is_valid()
+    assert not all_passed(bad.verify())
 
 
 def test_enumerate_onedim_z3():
@@ -268,7 +268,7 @@ def test_group_comodules_quotient_lift():
                 name = "s" if k == 0 else name + "*s"
             want = MINUS_ONE if k % 2 else ONE
             assert X.matrix(name)[0, 0] == want
-    assert X.is_valid() and X.is_simple()
+    assert all_passed(X.verify()) and X.is_simple()
 
 
 def _assert_character_group(G, chars):

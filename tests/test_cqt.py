@@ -5,17 +5,16 @@ import pytest
 
 from hopfcqt.catalog import get_entry
 from hopfcqt.cocycles import CocyclePair
-from hopfcqt.cqt import (RForm, bicharacter_restriction_check, battery_obstructed,
-                         check_orbit_commutation, eps_tensor_eps,
-                         necessary_battery, passes_cqt, search_R, structural_zeros, verify_R,
-                         z2_r11_rform, z2_r11_solve, z2_remark_diagnostics,
+from hopfcqt.cqt import (RForm, bicharacter_restriction_check, check_orbit_commutation,
+                         eps_tensor_eps, necessary_battery, search_R, structural_zeros,
+                         verify_R, z2_r11_rform, z2_r11_solve, z2_remark_diagnostics,
                          z2_shape_classify)
 from hopfcqt.errors import (BadWindow, HopfCqtError, NotAScalar, OutOfWindow, UnknownLevel,
                            WrongGroup)
 from hopfcqt.groups import GroupHom, cyclic_group, klein_four_group
 from hopfcqt.hopf import HopfAlgebra
 from hopfcqt.matched_pair import MAX_WINDOW, MatchedPair
-from hopfcqt.reports import FAIL, PASS
+from hopfcqt.reports import FAIL, PASS, all_passed
 from hopfcqt.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
 
 
@@ -64,8 +63,8 @@ def test_r11_tables_pass_on_f_trivial_context():
     H = _trivial_context(2, 1)
     for case in z2_r11_solve():
         R = z2_r11_rform(H, case)
-        assert passes_cqt(R, (0, 1, 2, 3))
-        assert passes_cqt(R, (4, "inv"))
+        assert all_passed(verify_R(R, (0, 1, 2, 3)))
+        assert all_passed(verify_R(R, (4, "inv")))
 
 
 def test_perturbed_r11_fails_with_cqt1_witness():
@@ -82,7 +81,7 @@ def test_eps_eps_passes_everything_on_trivial_contexts():
         for n_f in (2, 3):
             H = _trivial_context(n_g, n_f)
             R = eps_tensor_eps(H)
-            assert passes_cqt(R, (0, 1, 2, 3, 4, "inv"))
+            assert all_passed(verify_R(R, (0, 1, 2, 3, 4, "inv")))
 
 
 def test_single_entry_perturbations_all_fail():
@@ -187,7 +186,7 @@ def test_structural_zeros_empty_for_passing_forms():
         for n_f in (2, 3):
             H = _trivial_context(n_g, n_f)
             R = eps_tensor_eps(H)
-            assert passes_cqt(R, (0, 1, 2, 3))
+            assert all_passed(verify_R(R, (0, 1, 2, 3)))
             assert structural_zeros(R) == []
 
 
@@ -207,7 +206,7 @@ def _pullback_sign_rform(H, window=None):
 def test_pullback_sign_form_passes_and_zeros_hold():
     H = _trivial_context(2, 2)
     R = _pullback_sign_rform(H)
-    assert passes_cqt(R, (0, 1, 2, 3))
+    assert all_passed(verify_R(R, (0, 1, 2, 3)))
     assert structural_zeros(R) == []
 
 
@@ -223,7 +222,7 @@ def test_necessary_battery_reproduces_example_verdicts():
     ent = get_entry("Z3_Z")
     reports = necessary_battery(ent.context(), 4)
     by = {r.check: r for r in reports}
-    assert battery_obstructed(reports)
+    assert not all_passed(reports)
     inv = by["onedim-character-action-invariance"]
     assert inv.failed
     # the witness names the character (1, w, w^2) and its moved value
@@ -232,7 +231,7 @@ def test_necessary_battery_reproduces_example_verdicts():
     ent = get_entry("Q8_Z")
     reports = necessary_battery(ent.context(), 4, quotients=ent.quotient_homs())
     by = {r.check: r for r in reports}
-    assert battery_obstructed(reports)
+    assert not all_passed(reports)
     assert by["quotient-character-exchange"].failed
     assert by["onedim-character-action-invariance"].failed
 
@@ -242,7 +241,7 @@ def test_necessary_battery_reproduces_example_verdicts():
         assert by["orbit-product-commutation"].failed
 
     reports = necessary_battery(get_entry("S3_Z2").context(), 4)
-    assert not battery_obstructed(reports)
+    assert all_passed(reports)
     by = {r.check: r for r in reports}
     assert by["dual-orbit-product-commutation"].status == PASS
 
@@ -277,7 +276,7 @@ def test_battery_failure_implies_candidates_fail(seed=31):
     "Spot-check: on an obstructed finite-like context, sampled forms fail CQT0-3."
     rng = random.Random(seed)
     H = get_entry("Z3_Z").context()
-    assert battery_obstructed(necessary_battery(H, 3))
+    assert not all_passed(necessary_battery(H, 3))
     keys = [(g, f) for g in H.G.elements() for f in H.mp.window(2)]
     values = [ZERO, ONE, MINUS_ONE, rational(1, 2), root_of_unity(3)]
     for _ in range(40):
@@ -285,13 +284,13 @@ def test_battery_failure_implies_candidates_fail(seed=31):
         for _ in range(rng.randrange(1, 8)):
             entries[(rng.choice(keys), rng.choice(keys))] = rng.choice(values)
         R = RForm(H, entries, window=2)
-        assert not passes_cqt(R, (0, 1, 2, 3), qbound=2)
+        assert not all_passed(verify_R(R, (0, 1, 2, 3), qbound=2))
 
 
 def test_bicharacter_restriction_eps_eps():
     H = get_entry("Z2_Z2xZ_central").context()
     R = eps_tensor_eps(H, window=2)
-    assert passes_cqt(R, (0, 1, 2, 3), qbound=2)
+    assert all_passed(verify_R(R, (0, 1, 2, 3), qbound=2))
     reports = bicharacter_restriction_check(R, word_bound=1)
     by = {r.check: r for r in reports}
     for name in ("central-on-fixed-part", "fixed-part-abelian",
@@ -316,7 +315,7 @@ def _sign_bicharacter_rform(H, window):
 def test_bicharacter_restriction_sign_form():
     H = get_entry("Z2_Z2xZ_central").context()
     R = _sign_bicharacter_rform(H, 2)
-    assert passes_cqt(R, (0, 1, 2, 3), qbound=2)
+    assert all_passed(verify_R(R, (0, 1, 2, 3), qbound=2))
     reports = bicharacter_restriction_check(R, word_bound=1)
     assert all(r.status == PASS for r in reports)
 

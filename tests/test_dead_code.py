@@ -30,7 +30,7 @@ class that tests name in pytest.raises but nothing raises guards nothing.
 The unused-code guards match by name, so one use covers every definition or assignment
 of that name, whatever object it belongs to.  That is how the unused methods
 Z2Simples.comodule and InducedComodule.is_valid went unnoticed: cli.py reads
-`args.comodule`, and Comodule.is_valid is called.
+`args.comodule`, and Comodule.is_valid (since removed) was called.
 """
 
 import ast

@@ -1,13 +1,16 @@
+import itertools
+
 import pytest
 
 from hopfcqt.catalog import get_entry
 from hopfcqt.comodules import Comodule, TwistedCoalgebra, character, induce, trivial_comodule
 from hopfcqt.cqt import (eps_tensor_eps, z2_r11_rform, z2_r11_solve, z2_remark_diagnostics,
                          z2_shape_classify)
-from hopfcqt.errors import (DependentCharacters, HopfCqtError, NonIntegralMultiplicity,
-                            NotInSpan, UnknownLabelKind, WrongGroup)
+from hopfcqt.errors import (ContextMismatch, DependentCharacters, HopfCqtError,
+                            NonIntegralMultiplicity, NotInSpan, UnknownLabelKind, WrongGroup)
 from hopfcqt.grothendieck import (Z2Label, Z2Simples, char_product, commutes, decompose,
                                   multiset_equal, z2_S_abelian_check)
+from hopfcqt.hopf import HopfAlgebra
 from hopfcqt.reports import all_passed
 from hopfcqt.scalars import Matrix, rational, sqrt_root_of_unity
 
@@ -61,6 +64,40 @@ def test_decompose_examples():
     zero = H.basis("1", "0").scaled(0)
     with pytest.raises(DependentCharacters):
         decompose(zero, [zero])
+
+
+def test_decompose_refuses_characters_of_another_context():
+    # a second HopfAlgebra on the same cocycle pair is another context, as in char_product
+    H = get_entry("Z2_Z").context()
+    H2 = HopfAlgebra(H.cp)
+    U0 = Z2Simples(H).character(Z2Simples(H).label("U", "0"))
+    other = Z2Simples(H2).character(Z2Simples(H2).label("U", "0"))
+    with pytest.raises(ContextMismatch):
+        char_product(U0, other)
+    with pytest.raises(ContextMismatch):
+        decompose(char_product(U0, U0), [other])
+    with pytest.raises(ContextMismatch):
+        decompose(char_product(U0, U0), [U0, other])
+
+
+def test_decompose_permutes_with_its_basis():
+    # the rows follow first-seen key order, so the basis order changes the system
+    # but not its unique solution, and not the ranks that pick the error
+    H = get_entry("Z2_Z").context()
+    simples = Z2Simples(H)
+    W1, W2, U0, V0 = (simples.character(simples.label(k, f))
+                      for k, f in (("W", "1"), ("W", "2"), ("U", "0"), ("V", "0")))
+    x = char_product(W1, W1).scaled(2) + U0.element + W1.element.scaled(5)
+    basis, mults = [W2, U0, V0, W1], [2, 3, 2, 5]
+    assert decompose(x, basis) == mults
+    for perm in itertools.permutations(range(4)):
+        assert decompose(x, [basis[i] for i in perm]) == [mults[i] for i in perm], perm
+    for error, y, chars in ((NotInSpan, H.basis("1", "3"), [U0, V0, W2]),
+                            (DependentCharacters, U0, [U0, V0, U0]),
+                            (NonIntegralMultiplicity, H.basis("g", "0"), [U0, V0, W1])):
+        for perm in itertools.permutations(chars):
+            with pytest.raises(error):
+                decompose(y, list(perm))
 
 
 def test_commutes_examples():

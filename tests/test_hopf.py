@@ -360,12 +360,12 @@ def test_missing_entry_order_on_infinite_f():
         H = HopfAlgebra(CocyclePair.from_tables(mp, {}, {k: reached[k] for k in keys[:n]},
                                                 tau_default=None))
         with pytest.raises(MissingEntry) as new:
-            verify_hopf_axioms(H, word_bound=1)
+            verify_hopf_axioms(H, window=1)
         with pytest.raises(MissingEntry) as ref:
             verify_hopf_axioms_reference(H, word_bound=1)
         assert str(new.value) == str(ref.value), n
     H = HopfAlgebra(CocyclePair.from_tables(mp, {}, reached, tau_default=None))
-    new = [r.to_json() for r in verify_hopf_axioms(H, word_bound=1)]
+    new = [r.to_json() for r in verify_hopf_axioms(H, window=1)]
     assert new == [r.to_json() for r in verify_hopf_axioms_reference(H, word_bound=1)]
     assert [(r["check"], r["checked"]) for r in new if r["status"] != PASS] == [
         ("coassociativity", 1), ("counit", 1), ("bialgebra-compatibility", 4)]

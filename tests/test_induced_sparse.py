@@ -81,7 +81,7 @@ def _sum_cases():
 def test_two_dimensional_sources_match_dense_reference(conjugate):
     for name, V1, V2 in _sum_cases():
         V = _direct_sum(V1, V2, conjugate)
-        assert V.is_valid(), name
+        assert all_passed(V.verify()), name
         W = induce(V)
         assert W.dim == 2 * len(V.coalgebra.transversal)
         _assert_same_reports(W)

@@ -151,13 +151,13 @@ def test_fold_is_word_independent():
     # 3 = t t t = t t t t t^-1 t t^-1
     w1 = [t, t, t]
     w2 = [t, t, t, t, tinv, t, tinv]
-    assert mp.act_word(g, w1) == mp.act_word(g, w2)
+    assert mp._fold(g, w1) == mp._fold(g, w2)
     mpd = _mp("Q8_Dinf")
     D = mpd.F
     x, y, yinv = D.x, D.y, D.y.inverse()
     # y x = x y^-1: two words for the same element
     r = mpd.G.parse("r")
-    assert mpd.act_word(r, [y, x]) == mpd.act_word(r, [x, yinv])
+    assert mpd._fold(r, [y, x]) == mpd._fold(r, [x, yinv])
 
 
 @pytest.mark.parametrize("entry_id", entry_ids())
@@ -173,7 +173,7 @@ def test_action_table_matches_word_folding(entry_id):
             points.setdefault(ab.key, ab)
     for g in G.elements():
         for f in points.values():
-            right, left = mp.act_word(g, F.letter_decomposition(f))
+            right, left = mp._fold(g, F.letter_decomposition(f))
             assert mp.act_left(g, f) == left, (g, f)
             assert mp.act_right(g, f) == right, (g, f)
 

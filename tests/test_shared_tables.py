@@ -2,7 +2,9 @@
 Hopf-axiom and battery checks of run_entry read one id table, and
 verify_hopf_axioms' StructureConstants is a view over it.  An entry is a
 deterministic function of its ids and a lookup that raises stores nothing, so
-a check reports, and raises, exactly as it does on a table of its own."""
+a check reports, and raises, exactly as it does on a table of its own.  Each
+of the four verifiers takes its window as a word-length bound or as a table,
+whose word_bound is the window, and reports alike either way."""
 
 import pytest
 
@@ -73,7 +75,7 @@ def test_table_constants_equal_the_object_path(monkeypatch, H, bound):
 def _alone(entry, name, bound):
     "The report JSON of one check on a fresh context of the entry, on a table of its own."
     H = HopfAlgebra(entry.context().cp)
-    return [r.to_json() for r in CHECKS[name](entry, H, bound, None)]
+    return [r.to_json() for r in CHECKS[name](entry, H, PairTables(H.mp, bound, H.cp))]
 
 
 @pytest.mark.parametrize("eid", entry_ids())
@@ -95,23 +97,43 @@ def test_a_check_run_twice_on_one_table_reports_alike():
 
 @pytest.mark.parametrize("eid", [eid for eid in entry_ids() if eid not in FINITE])
 def test_battery_takes_its_window_from_its_table(eid):
-    # the orbit reports read the table's window, as the gates do, not word_bound
+    # the orbit reports read the table's window, as the gates do
     entry = get_entry(eid)
     H, quotients = entry.context(), entry.quotient_homs()
-    shared = necessary_battery(H, 1, quotients, PairTables(H.mp, 2, H.cp))
+    shared = necessary_battery(H, PairTables(H.mp, 2, H.cp), quotients)
     assert ([r.to_json() for r in shared]
             == [r.to_json() for r in necessary_battery(entry.context(), 2, quotients)])
 
 
+VERIFIERS = {
+    "matched-pair": lambda entry, H, window: H.mp.verify(window),
+    "cocycles": lambda entry, H, window: H.cp.verify(window),
+    "hopf-axioms": lambda entry, H, window: verify_hopf_axioms(H, window),
+    "necessary-battery": lambda entry, H, window: necessary_battery(H, window,
+                                                                    entry.quotient_homs()),
+}
+
+
+@pytest.mark.parametrize("name", VERIFIERS)
+@pytest.mark.parametrize("eid", entry_ids())
+def test_both_window_forms_agree(eid, name):
+    # a word-length bound b and a PairTables on b are one window
+    entry, verify = get_entry(eid), VERIFIERS[name]
+    H = entry.context()
+    for bound in sorted({1, 2, entry.default_bound}):
+        assert ([r.to_json() for r in verify(entry, H, bound)]
+                == [r.to_json() for r in verify(entry, H, PairTables(H.mp, bound, H.cp))]), bound
+
+
 def _in_turn(cp, bound, shared):
     """cocycles, hopf-axioms, matched-pair and necessary-battery, in run_entry's
-    order, on one shared PairTables or on a table of their own each."""
+    order, on one shared PairTables or on the bound, so each builds a table of its own."""
     H = HopfAlgebra(cp)
-    tables = PairTables(cp.mp, bound, cp) if shared else None
-    H.cp.verify(bound, tables)
-    verify_hopf_axioms(H, bound, tables)
-    H.mp.verify(bound, tables)
-    necessary_battery(H, bound, (), tables)
+    window = PairTables(cp.mp, bound, cp) if shared else bound
+    H.cp.verify(window)
+    verify_hopf_axioms(H, window)
+    H.mp.verify(window)
+    necessary_battery(H, window)
 
 
 @pytest.mark.parametrize("eid", ["Z2_Z3_trivial", "S3_Z2"])
