@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .errors import InvalidCocycle, MissingEntry, SchemaError
 from .groups import z2_generator
-from .matched_pair import PairTables
+from .matched_pair import window_tables
 from .scalars import ONE
 
 
@@ -107,9 +107,10 @@ class CocyclePair:
 
         Exhaustive over finite F; over words of length <= the window in the
         infinite families.  window is a word-length bound, or a PairTables
-        built with this pair, whose word_bound it is and whose ids the sweeps read.
+        built with this pair, whose word_bound it is and whose ids the sweeps read
+        (matched_pair.window_tables: any other table raises ContextMismatch).
         """
-        P = window if isinstance(window, PairTables) else PairTables(self.mp, window, self)
+        P = window_tables(window, self.mp, self)
         o, e = P.gid[self.mp.G.one.key], P.fid(self.mp.F.one)
         gmul, fmul, left, right = P.gmul, P.mul, P.act_left, P.act_right
         S, T, sig, tau = P.sigma, P.tau, P.fill_sigma, P.fill_tau

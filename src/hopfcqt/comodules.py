@@ -13,24 +13,28 @@ algebra; its character is both computed by the closed one-line formula and,
 independently, as the trace of the induced coaction (two code paths that the
 tests compare).
 
-A TwistedCoalgebra indexes G by position, stabilizer first, and holds for
-its own lifetime the G_f product as a position table (built with it) and one
-tau(., .; f) memo indexed by two positions, each value filled on its first
-read through `CocyclePair.tau` (so its checks and errors are those of the
-cocycle pair) and kept bare (scalars.bare): an int or Fraction when
-rational, else a Scalar.  Its coalgebra check multiplies those bare values,
-and the comodule check and one-dimensional solver read both tables by
-position; the public `tau(a, b)`, which `induce` and `character` read at
-their base point f, returns the memo's value as a Scalar.  Nothing is cached
-on the Hopf algebra; the one table the Hopf algebra holds,
-HopfAlgebra.structure_constants, serves cqt.verify_R.
+G ids come from the matched pair's one G id table, MatchedPair.gids (gs, gid,
+gmul, ginv), and the stabilizer, transversal and x = g_x z_x factorization
+from the pair's OrbitData at f, as G ids too; so products and inverses in G
+are list lookups.  A TwistedCoalgebra indexes G by position, stabilizer
+first (`_at` maps a G id to its position), takes the G_f product as a
+position table from gmul, and holds one tau(., .; f) memo indexed by two
+positions, each value filled on its first read through `CocyclePair.tau`
+(so its checks and errors are those of the cocycle pair) and kept bare
+(scalars.bare): an int or Fraction when rational, else a Scalar.  Its
+coalgebra check multiplies those bare values, and the comodule check and
+one-dimensional solver read both tables by position.  `induce` and
+`character` read the memo too and sum their coefficients as bare values,
+converting each to a Scalar once, where the blocks and the HopfElement are
+built; the public `tau(a, b)` returns a memo value as a Scalar.
 
 An InducedComodule keeps its coaction as a public dict of dense Matrix blocks,
 which callers may read and replace.  Each block is mostly zero: from a source
 of dimension m, one m x m sub-block per block is nonzero.  So `verify` builds
-sparse row views {row: {col: nonzero value}} of the current blocks once per
-call, together with the action and product tables over G x U, and its
-coassociativity sweep multiplies, scales by tau and compares those views.
+sparse row views {row: {col: nonzero bare value}} of the current blocks once
+per call, indexed by G id and by position in the orbit closure U of their F
+parts, together with the action table over G x U, and its coassociativity
+sweep multiplies, scales by tau and compares those views.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from .errors import (DimensionMismatch, InvalidCocycle, NonAbelianStabilizer,
 from .groups import closure
 from .hopf import HopfElement
 from .reports import sweep, verdict
-from .scalars import (Matrix, ONE, ZERO, as_scalar, bare, commutant_dimension,
+from .matched_pair import group_ids
+from .scalars import (Matrix, ONE, ZERO, as_scalar, bare, bare_inverse, commutant_dimension,
                       root_of_unity)
 
 
@@ -50,10 +55,11 @@ class TwistedCoalgebra:
     """k^(G_f) with the comultiplication twisted by tau(., .; f).
 
     `_elements` lists G with the stabilizer first, so position i < |G_f| is a
-    stabilizer element.  _mul[i][j] and _inv[i] are the positions of products
-    and inverses in G_f, and one memo, _taus[i][j], holds tau(., .; f) at two
-    positions, each value filled on its first read through `CocyclePair.tau`
-    and kept bare (scalars.bare), for the life of the object.
+    stabilizer element, and `_at[x]` is the position of the G id x.
+    _mul[i][j] and _inv[i] are the positions of products and inverses in G_f,
+    read from the pair's gmul and ginv, and one memo, _taus[i][j], holds
+    tau(., .; f) at two positions, each value filled on its first read through
+    `CocyclePair.tau` and kept bare (scalars.bare), for the life of the object.
     """
 
     def __init__(self, H, f):
@@ -61,15 +67,21 @@ class TwistedCoalgebra:
         self.H = H
         self.f = f
         od = H.mp.orbit_data(f)
-        stab = self.stabilizer = od.stabilizer
+        self.stabilizer = od.stabilizer
         self.transversal = od.transversal
         self._od = od
-        self._elements = stab + [g for g in H.G.elements() if not od.in_stabilizer(g)]
+        gs, _, gmul, ginv = H.mp.gids
+        sids, in_stab = od.stab_ids, set(od.stab_ids)
+        ids = sids + [x for x in range(len(gs)) if x not in in_stab]
+        at = self._at = [0] * len(gs)
+        for i, x in enumerate(ids):
+            at[x] = i
+        self._elements = [gs[x] for x in ids]
         self._pos = {g: i for i, g in enumerate(self._elements)}
         self._one = self._pos[H.G.one]
-        self._mul = _product_positions(H.G, stab)
-        self._inv = [row.index(self._one) for row in self._mul]
-        n = len(self._elements)
+        self._mul = [[at[gmul[a][b]] for b in sids] for a in sids]
+        self._inv = [at[ginv[a]] for a in sids]
+        n = len(ids)
         self._taus = [[None] * n for _ in range(n)]
         self._check_coalgebra()
 
@@ -215,18 +227,12 @@ def _generating_subset(mul, one):
     return gens
 
 
-def _product_positions(G, elements):
-    "mul[i][j], the position in `elements` of elements[i] elements[j], over a finite subgroup of G."
-    index = {e.key: i for i, e in enumerate(elements)}
-    return [[index[G.mul(a, b).key] for b in elements] for a in elements]
-
-
 def _onedim_tables(elements, mul, one, tau):
     """Solutions a: K -> k* of a^1 = 1, a^g a^h = tau(g, h) a^(g h) on the finite
     abelian group K = `elements`, taken by position: mul[i][j] is the position
-    of the product (`_product_positions`), one that of the identity, and tau a
-    normalized 2-cocycle given as a function of two positions.  Returns
-    {position: Scalar} dicts, keyed in breadth-first order from 1.
+    of the product, one that of the identity, and tau a normalized 2-cocycle
+    given as a function of two positions, with bare values (scalars.bare).
+    Returns {position: Scalar} dicts, keyed in breadth-first order from 1.
 
     The value on each generator h is an n-th root of the telescoped tau product,
     so the candidate sets are finite and the search is complete.  Exactly |K|
@@ -234,9 +240,10 @@ def _onedim_tables(elements, mul, one, tau):
 
     Each candidate is one breadth-first walk from 1 over the generator edges
     k -> kh: the edge that first reaches kh sets a^(kh) = a^k a^h / tau(k, h),
-    and every other edge must agree.  The law at every (k, h) gives it at every
-    (x, y) by induction on the word of y, as tau is a 2-cocycle (checked by
-    TwistedCoalgebra._check_coalgebra; `_abelian_character_tables` passes 1):
+    dividing only when tau(k, h) != 1, and every other edge must agree.  The
+    law at every (k, h) gives it at every (x, y) by induction on the word of y,
+    as tau is a 2-cocycle (checked by TwistedCoalgebra._check_coalgebra;
+    `_abelian_character_tables` passes 1):
     a^x a^(yh) = tau(x, y) tau(xy, h) a^(xyh) / tau(y, h) = tau(x, yh) a^(xyh).
     """
     gens = _generating_subset(mul, one)
@@ -261,7 +268,9 @@ def _onedim_tables(elements, mul, one, tau):
         a, queue = {one: ONE}, [one]
         for k in queue:  # the queue grows as the walk reaches new elements
             for g, v in zip(gens, values):
-                kg, x = mul[k][g], a[k] * v / tau(k, g)
+                kg, x, t = mul[k][g], a[k] * v, tau(k, g)
+                if t != 1:
+                    x = x / t
                 if kg not in a:
                     a[kg] = x
                     queue.append(kg)
@@ -293,47 +302,53 @@ class InducedComodule:
         sum_{x in G} tau(z_x^-1, g_x^-1; f)^-1 tau(z_x^-1 g_x^-1 z, z^-1; f)
                      A^(g_x^-1)[l, i]  (l, z_x) (x) p_(x^-1 z) # (z^-1 |> f)
 
-    with x = g_x z_x the stabilizer/transversal factorization.
+    with x = g_x z_x the stabilizer/transversal factorization.  Each (z, x)
+    writes one block of its own: the blocks of one z differ in x^-1 z, and
+    those of two z in z^-1 |> f, as T_f holds one z per such point.
     """
 
     def __init__(self, source):
         C = source.coalgebra
         H = C.H
-        G, mp = H.G, H.mp
+        gs, _, gmul, ginv = H.mp.gids
         f = C.f
         m = source.dim
-        trans = C.transversal
+        od, at, tau = C._od, C._at, C._tau
         self.H = H
         self.base_point = f
-        self.dim = m * len(trans)
-        pos = {(i, z.key): zi * m + i for zi, z in enumerate(trans) for i in range(m)}
+        n = self.dim = m * len(od.trans_ids)
+        offset = {z: k * m for k, z in enumerate(od.trans_ids)}  # row of (0, z)
+        # the nonzero source entries (l, i, A^g[l, i]) per stabilizer G id g, bare
+        entries = {g: [(l, i, bare(v)) for l, row in enumerate(source.matrices[gs[g].key].entries)
+                       for i, v in enumerate(row) if v]
+                   for g in od.stab_ids}
         blocks = {}
-        for zi, z in enumerate(trans):
-            zinv = G.inv(z)
-            ftarget = mp.act_left(zinv, f)
-            for x in G.elements():
-                gx, zx = C._od.factorize(x)
-                gxi, zxi = G.inv(gx), G.inv(zx)
-                coeff = C.tau(zxi, gxi).inverse() * C.tau(G.mul(G.mul(zxi, gxi), z), zinv)
-                A = source.matrices[gxi.key]
-                hkey = (G.mul(G.inv(x), z), ftarget)
-                M = blocks.setdefault(hkey, [[ZERO] * self.dim for _ in range(self.dim)])
-                for l in range(m):
-                    for i in range(m):
-                        if A.entries[l][i]:
-                            r, c = pos[(l, zx.key)], pos[(i, z.key)]
-                            M[r][c] = M[r][c] + coeff * A.entries[l][i]
-        self.blocks = {k: Matrix._trusted(rows) for k, rows in blocks.items()
-                       if any(any(v for v in row) for row in rows)}
+        for z in od.trans_ids:
+            zinv, c0 = ginv[z], offset[z]
+            ftarget = H.mp.act_left(gs[zinv], f)
+            for x, (gx, zx) in enumerate(od.factor_ids):
+                gxi, zxi = ginv[gx], ginv[zx]
+                t = tau(at[zxi], at[gxi])
+                coeff = tau(at[gmul[gmul[zxi][gxi]][z]], at[zinv])
+                if t != 1:
+                    coeff = coeff * bare_inverse(t)
+                if entries[gxi]:
+                    rows, r0 = [[ZERO] * n for _ in range(n)], offset[zx]
+                    for l, i, a in entries[gxi]:
+                        rows[r0 + l][c0 + i] = as_scalar(coeff * a)
+                    blocks[gs[gmul[ginv[x]][z]], ftarget] = Matrix._trusted(rows)
+        self.blocks = blocks
 
     def verify(self):
         """Comodule axioms over the full Hopf algebra, on the block support.
 
         The coassociativity sweep multiplies and compares sparse row views of
-        the current blocks (`_sparse_rows`), built once per call.
+        the current blocks (`_sparse_rows`), built once per call and indexed by
+        G id and by position in U.
         """
         H = self.H
-        G, mp, cp = H.G, H.mp, H.cp
+        mp, cp = H.mp, H.cp
+        gs, _, gmul, _ = mp.gids
         reports = []
         total = Matrix.zeros(self.dim, self.dim)
         for (g, u), M in self.blocks.items():
@@ -349,30 +364,31 @@ class InducedComodule:
             for v in mp.orbit(u):
                 fparts.setdefault(v.key, v)
         U = list(fparts.values())
-        elems = G.elements()
+        uid = {key: i for i, key in enumerate(fparts)}
         views = {(g.key, u.key): _sparse_rows(M, self.dim) for (g, u), M in self.blocks.items()}
-        act = {(h.key, u.key): mp.act_left(h, u).key for h in elems for u in U}
-        at = {g.key: i for i, g in enumerate(elems)}
-        mul = _product_positions(G, elems)
         empty = {}
+        view = [[views.get((g.key, u.key), empty) for u in U] for g in gs]
+        act = [[uid[mp.act_left(h, u).key] for u in U] for h in gs]
+        ng, nu = len(gs), len(U)
 
         def instances():
-            for g in elems:
-                for fk in U:
-                    B1 = views.get((g.key, fk.key), empty)
-                    for h in elems:
-                        for u in U:
+            for g in range(ng):
+                for fk in range(nu):
+                    B1 = view[g][fk]
+                    for h in range(ng):
+                        for u in range(nu):
                             yield g, fk, h, u, B1
 
         def holds(g, fk, h, u, B1):
-            lhs = _sparse_mul(B1, views.get((h.key, u.key), empty))
-            if fk.key == act[h.key, u.key]:
-                rhs = views.get((elems[mul[at[g.key]][at[h.key]]].key, u.key), empty)
-                return lhs == _sparse_scale(rhs, cp.tau(g, h, u))
+            lhs = _sparse_mul(B1, view[h][u])
+            if fk == act[h][u]:
+                return lhs == _sparse_scale(view[gmul[g][h]][u],
+                                            bare(cp.tau(gs[g], gs[h], U[u])))
             return not lhs
 
         reports.append(sweep("induced-coassociativity", instances(), holds,
-                             witness=lambda inst: ((inst[0], inst[1]), (inst[2], inst[3]))))
+                             witness=lambda inst: ((gs[inst[0]], U[inst[1]]),
+                                                   (gs[inst[2]], U[inst[3]]))))
         return reports
 
     def character_by_trace(self):
@@ -384,12 +400,12 @@ class InducedComodule:
 
 
 def _sparse_rows(M, n):
-    "{row: {col: value}} over the nonzero entries of M, which must be n x n."
+    "{row: {col: bare value}} over the nonzero entries of M, which must be n x n."
     if M.rows != n or M.cols != n:
         raise DimensionMismatch("coaction block is %dx%d, not %dx%d" % (M.rows, M.cols, n, n))
     out = {}
     for r, row in enumerate(M.entries):
-        nonzero = {c: v for c, v in enumerate(row) if v}
+        nonzero = {c: bare(v) for c, v in enumerate(row) if v}
         if nonzero:
             out[r] = nonzero
     return out
@@ -412,7 +428,9 @@ def _sparse_mul(A, B):
 
 
 def _sparse_scale(A, s):
-    "The sparse row view of A * s for a nonzero scalar s; the support is A's."
+    "The sparse row view of A * s for a nonzero scalar s, A itself when s == 1; A's support."
+    if s == 1:
+        return A
     return {r: {c: v * s for c, v in row.items()} for r, row in A.items()}
 
 
@@ -451,21 +469,25 @@ def character(V):
     """
     C = V.coalgebra
     H = C.H
-    G, mp = H.G, H.mp
+    gs, _, gmul, ginv = H.mp.gids
+    od, at, tau = C._od, C._at, C._tau
     f = C.f
+    diags = [(g, bare(V.matrices[gs[g].key].trace())) for g in od.stab_ids]
     acc = {}
-    for z in C.transversal:
-        zinv = G.inv(z)
-        fz = mp.act_left(zinv, f)
-        for g in C.stabilizer:
-            diag = V.diagonal_sum(g)
+    for z in od.trans_ids:
+        zinv = ginv[z]
+        fz = H.mp.act_left(gs[zinv], f)
+        for g, diag in diags:
             if not diag:
                 continue
-            zgz = G.mul(G.mul(zinv, g), z)
-            coeff = C.tau(zinv, g).inverse() * C.tau(zgz, zinv) * diag
-            key = (zgz, fz)
-            acc[key] = acc.get(key, ZERO) + coeff
-    elem = HopfElement(H, acc)
+            zgz = gmul[gmul[zinv][g]][z]
+            t = tau(at[zinv], at[g])
+            coeff = tau(at[zgz], at[zinv]) * diag
+            if t != 1:
+                coeff = coeff * bare_inverse(t)
+            key = (gs[zgz], fz)
+            acc[key] = acc[key] + coeff if key in acc else coeff
+    elem = HopfElement(H, {key: as_scalar(v) for key, v in acc.items()})
     return Character(elem, f, V.dim * len(C.transversal))
 
 
@@ -495,8 +517,7 @@ def group_comodules(H, quotient=None):
 
 def _abelian_character_tables(G):
     "Characters of a finite abelian group: the tau = 1 solutions of `_onedim_tables`."
-    elements = G.elements()
+    elements, _, mul, _ = group_ids(G)
     one = next(i for i, e in enumerate(elements) if e.is_identity())
     return [{elements[i].key: v for i, v in a.items()}
-            for a in _onedim_tables(elements, _product_positions(G, elements), one,
-                                    lambda i, j: ONE)]
+            for a in _onedim_tables(elements, mul, one, lambda i, j: 1)]

@@ -26,7 +26,7 @@ from .comodules import TwistedCoalgebra, character, enumerate_onedim, group_como
 from .errors import (BadWindow, NonAbelianStabilizer, NotARootOfUnity, OutOfWindow,
                      SearchSpaceTooLarge, UnknownLevel, WrongGroup)
 from .groups import z2_generator
-from .matched_pair import PairTables, check_window
+from .matched_pair import check_window, window_tables
 from .reports import FAIL, SKIPPED, ConditionReport, all_passed, sweep, sweep_rows, verdict
 from .scalars import ONE, ZERO, as_scalar, bare, rational
 
@@ -450,8 +450,9 @@ def necessary_battery(H, window=4, quotients=()):
     first).  On a context that fails them, "no obstruction" says nothing.
 
     Every check reads the window of one matched_pair.PairTables: window when it
-    is one (catalog.run_entry and `hopfcqt cqt-necessary` share theirs), else a
-    fresh one on the bound window; the orbit checks read its word_bound too.
+    is one built on H's pair and cocycles (catalog.run_entry and `hopfcqt
+    cqt-necessary` share theirs; any other table raises ContextMismatch), else
+    a fresh one on the bound window; the orbit checks read its word_bound too.
     The gates run on its integer ids, each entry filled on its first read
     through MatchedPair.act_left/act_right or CocyclePair.sigma/tau;
     witnesses are mapped back to elements.  The four hypotheses (|> trivial,
@@ -464,7 +465,7 @@ def necessary_battery(H, window=4, quotients=()):
     """
     mp, cp = H.mp, H.cp
     G, F = H.G, H.F
-    T = window if isinstance(window, PairTables) else PairTables(mp, window, cp)
+    T = window_tables(window, mp, cp)
     reports = [check_orbit_commutation(mp, T.word_bound),
                check_dual_orbit_commutation(mp)]
 

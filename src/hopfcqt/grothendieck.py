@@ -109,16 +109,19 @@ class Z2Label:
 class Z2Simples:
     """The simple comodules of a |G| = 2 context, by label.
 
-    For the life of the instance it memoizes sqrt(tau(g, g; f)) per base
-    point f and the closed character per label, each computed on first use; a
-    returned Character is shared, not copied.
+    For the life of the instance it memoizes, each on first use, the labels
+    over each base point f (`simples_at`) and sqrt(tau(g, g; f)) per f, and
+    per label its closed character and its sort key; a returned Character is
+    shared, not copied.
     """
 
     def __init__(self, H):
         self.g = z2_generator(H.G)
         self.H = H
+        self._simples = {}
         self._sqrt_taus = {}
         self._characters = {}
+        self._sort_keys = {}
 
     def in_fixed_part(self, f):
         "True when g |> f = f (the base point carries two one-dimensional simples)."
@@ -134,19 +137,32 @@ class Z2Simples:
     def label(self, kind, f):
         f = self.H.F.coerce(f)
         lab = Z2Label(kind, f)  # rejects a kind other than U, V and W
+        simples = self.simples_at(f)
         if kind in ("U", "V"):
-            if not self.in_fixed_part(f):
+            if simples[0].kind == "W":
                 raise HopfCqtError("label %s needs a fixed base point, %r is moved" % (kind, f))
             return lab
-        if self.in_fixed_part(f):
+        if simples[0].kind != "W":
             raise HopfCqtError("label W needs a moved base point, %r is fixed" % f)
-        return Z2Label("W", self.H.mp.orbit_representative(f))
+        return simples[0]
 
     def simples_at(self, f):
-        "The labels over f: U_f and V_f when g |> f = f, else W at f's orbit representative."
-        if self.in_fixed_part(f):
-            return [Z2Label("U", f), Z2Label("V", f)]
-        return [Z2Label("W", self.H.mp.orbit_representative(f))]
+        """The labels over f: U_f and V_f when g |> f = f, else W at f's orbit
+        representative.  A shared tuple, keyed by f itself, so a foreign element
+        misses and is rejected."""
+        labs = self._simples.get(f)
+        if labs is None:
+            labs = self._simples[f] = ((Z2Label("U", f), Z2Label("V", f))
+                                       if self.in_fixed_part(f) else
+                                       (Z2Label("W", self.H.mp.orbit_representative(f)),))
+        return labs
+
+    def _sort_key(self, label):
+        "(kind, repr of the base point): the order of the decomposition candidates."
+        key = self._sort_keys.get(label)
+        if key is None:
+            key = self._sort_keys[label] = (label.kind, repr(label.f))
+        return key
 
     def labels(self, word_bound=4):
         "All simple labels with base point in the window, W orbits deduplicated."
@@ -208,7 +224,7 @@ class Z2Simples:
         c1, c2 = self.character(l1), self.character(l2)
         prod = char_product(c1, c2)
         cand = dict.fromkeys(lab for (_, u) in prod.terms for lab in self.simples_at(u))
-        labels = sorted(cand, key=lambda l: (l.kind, repr(l.f)))
+        labels = sorted(cand, key=self._sort_key)
         mults = decompose(prod, [self.character(l) for l in labels])
         out = []
         for lab, m in zip(labels, mults):

@@ -58,7 +58,7 @@ import itertools
 import random
 
 from .errors import ContextMismatch
-from .matched_pair import PairTables
+from .matched_pair import window_tables
 from .reports import sweep, sweep_rows
 from .scalars import ONE, ZERO, as_scalar, bare
 
@@ -306,9 +306,10 @@ class StructureConstants:
     F when F is finite, else {1}; fid appends the rest).  `cqt3_rows`
     belongs to cqt._cqt3, which documents it.
 
-    The ids are the PairTables' (self.P): a basis key is interned as its
-    (G id, F id) pair on first sight, products and coproduct legs that leave
-    the F window included.  gkey[i] and rkey[i] are the G ids of g and of
+    The ids are the PairTables' (self.P), which must be built on H's pair and
+    cocycles (window_tables; ContextMismatch otherwise): a basis key is
+    interned as its (G id, F id) pair on first sight, products and coproduct
+    legs that leave the F window included.  gkey[i] and rkey[i] are the G ids of g and of
     g <| f, so the product of i and j is zero exactly when rkey[i] !=
     gkey[j].  coproduct(i) lists Delta(p_g # f) by position: leg x is
     p_(g x^-1) # (x |> f) (x) p_x # f, x a G id, so the leg with left G id r
@@ -328,7 +329,7 @@ class StructureConstants:
 
     def __init__(self, H, tables=None):
         self.H = H
-        P = self.P = tables if tables is not None else PairTables(H.mp, 0, H.cp)
+        P = self.P = window_tables(0 if tables is None else tables, H.mp, H.cp)
         self.one_g = P.gid[H.G.one.key]
         self.keys, self.gkey, self.fkey, self.rkey, self.table = [], [], [], [], []
         self._index, self._coproducts, self._antipodes, self.cqt3_rows = {}, {}, {}, {}
@@ -415,9 +416,10 @@ def verify_hopf_axioms(H, window=4):
     covers every potentially-nonzero product pattern plus a deterministic
     random sample (SAMPLE instances, seeded with SEED) of all triples/pairs,
     and `checked` counts both.  window is a word-length bound, or a shared
-    PairTables whose word_bound it is and whose ids the sweeps read.
+    PairTables built on H's pair and cocycles, whose word_bound it is and whose
+    ids the sweeps read (any other table raises ContextMismatch).
     """
-    P = window if isinstance(window, PairTables) else PairTables(H.mp, window, H.cp)
+    P = window_tables(window, H.mp, H.cp)
     sc = StructureConstants(H, P)
     ids = [sc._at(g, f) for g in range(len(P.gs)) for f in range(P.nf)]
     table, product, coproduct = sc.table, sc.product, sc.coproduct

@@ -12,6 +12,11 @@ one action table (g.key, f.key) -> (g <| f, g |> f): `from_functions` fills
 it in full for finite F from the given functions (the table `verify` then
 checks); otherwise each entry is folded once, on its first use.
 
+Each MatchedPair also holds one G id table (`gids`, built on first use):
+G ids follow G.elements(), with the product and inverse as id lists
+(group_ids).  OrbitData and the comodule side (comodules.py) read G through
+it, so they multiply and invert by list lookups, not G.mul and G.inv.
+
 Orbits O_f = {g |> f}, stabilizers G_f, transversals T_f and dual orbits
 O'_g = {g <| f} feed the comodule machinery.  OrbitData reads the |G| images
 g |> f once: x joins T_f when x^-1 |> f is an orbit point not reached before,
@@ -33,9 +38,10 @@ CocyclePair.verify runs sigma-cocycle and compatibility as row kernels.
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 
-from .errors import BadWindow, InvalidAction, UndefinedGeneratorAction
+from .errors import BadWindow, ContextMismatch, InvalidAction, UndefinedGeneratorAction
 from .groups import MAX_WINDOW, closure
 from .reports import sweep, sweep_rows
 from .scalars import bare
@@ -48,6 +54,15 @@ def check_window(bound):
     return bound
 
 
+def group_ids(G):
+    """(gs, gid, gmul, ginv) for a finite group G: gs = G.elements(), gid[g.key] the
+    id of g in gs, gmul[i][j] the id of gs[i] gs[j] and ginv[i] that of gs[i]^-1."""
+    gs = G.elements()
+    gid = {g.key: i for i, g in enumerate(gs)}
+    return (gs, gid, [[gid[G.mul(a, b).key] for b in gs] for a in gs],
+            [gid[G.inv(a).key] for a in gs])
+
+
 class OrbitData:
     """Orbit, stabilizer, transversal and the g_x z_x factorization at one base point.
 
@@ -57,18 +72,24 @@ class OrbitData:
     in G_f.  The transversal starts at 1 unchecked: G.elements() starts at the
     identity in every finite family (FiniteGroup index 0, DirectProductGroup's
     product of such lists), so x = 1 is the first element to reach its point.
+
+    The checks run on the pair's G ids (MatchedPair.gids).  stab_ids and
+    trans_ids are G_f and T_f as G ids, in G order, and factor_ids[x] is the
+    pair of G ids (g_x, z_x) for the G id x.
     """
 
-    __slots__ = ("f", "orbit", "stabilizer", "transversal", "_stab_keys", "_factor")
+    __slots__ = ("f", "orbit", "stabilizer", "transversal", "stab_ids", "trans_ids",
+                 "factor_ids", "_stab_keys", "_gids")
 
     def __init__(self, mp, f):
-        G = mp.G
-        gs = G.elements()
+        gs, gid, gmul, ginv = self._gids = mp.gids
         self.f = f
-        image = {g.key: mp.act_left(g, f) for g in gs}
-        self.orbit = list({u.key: u for u in image.values()}.values())  # in G order
-        stab = self.stabilizer = [g for g in gs if image[g.key] == f]
+        image = [mp.act_left(g, f) for g in gs]
+        self.orbit = list({u.key: u for u in image}.values())  # in G order
+        sids = self.stab_ids = [i for i, u in enumerate(image) if u == f]
+        stab = self.stabilizer = [gs[i] for i in sids]
         self._stab_keys = {g.key for g in stab}
+        in_stab = set(sids)
 
         def require(ok, what):
             if not ok:
@@ -76,27 +97,30 @@ class OrbitData:
                                     % (what, f))
 
         if f.is_identity() and len(stab) < len(gs):
-            require(False, "%r |> 1 is not 1" % next(g for g in gs if image[g.key] != f))
-        for a in stab:
-            for b in stab:
-                require(G.mul(a, b).key in self._stab_keys, "stabilizer not closed")
-        first, trans, self._factor = {}, [], {}
-        for x in gs:
-            z = first.setdefault(image[G.inv(x).key].key, x)
-            if z is x:
+            require(False, "%r |> 1 is not 1" % next(g for g, u in zip(gs, image) if u != f))
+        for a in sids:
+            for b in sids:
+                require(gmul[a][b] in in_stab, "stabilizer not closed")
+        first, trans, factor = {}, [], []
+        for x in range(len(gs)):
+            z = first.setdefault(image[ginv[x]].key, x)
+            if z == x:
                 trans.append(x)
-            gx = G.mul(x, G.inv(z))
-            require(gx.key in self._stab_keys, "x z_x^-1 is not in the stabilizer")
-            self._factor[x.key] = (gx, z)
-        self.transversal = trans
-        require(len(trans) * len(stab) == G.order(), "cosets do not partition G")
+            gx = gmul[x][ginv[z]]
+            require(gx in in_stab, "x z_x^-1 is not in the stabilizer")
+            factor.append((gx, z))
+        self.trans_ids, self.factor_ids = trans, factor
+        self.transversal = [gs[z] for z in trans]
+        require(len(trans) * len(stab) == len(gs), "cosets do not partition G")
 
     def in_stabilizer(self, g):
         return g.key in self._stab_keys
 
     def factorize(self, x):
         "x = g_x z_x with g_x in the stabilizer and z_x in the transversal."
-        return self._factor[x.key]
+        gs, gid = self._gids[:2]
+        gx, z = self.factor_ids[gid[x.key]]
+        return gs[gx], gs[z]
 
 
 def _product_sets_commute(X, A, B):
@@ -118,6 +142,12 @@ class MatchedPair:
     `act_left`, `act_right` and the orbit data read one action table,
     (g.key, f.key) -> (g <| f, g |> f), tabulated or filled on first use as
     the module docstring says, so each pair is folded at most once.
+
+    `gids` is the pair's one G id table (gs, gid, gmul, ginv) of group_ids,
+    built on first use and kept: gs lists G.elements(), gid maps g.key to its
+    id, gmul and ginv give products and inverses as ids.  OrbitData,
+    TwistedCoalgebra, InducedComodule and `character` read it.  A PairTables
+    builds its own gmul and ginv and drops them with itself.
     """
 
     def __init__(self, G, F, left_letter, right_letter):
@@ -130,6 +160,11 @@ class MatchedPair:
         self._table = {}
         self._orbit_cache = {}
         self._dual_cache = {}
+
+    @functools.cached_property
+    def gids(self):
+        "The G id table (gs, gid, gmul, ginv) of group_ids, built on first use."
+        return group_ids(self.G)
 
     # -- construction -----------------------------------------------------
 
@@ -237,8 +272,9 @@ class MatchedPair:
 
     def verify(self, window=4):
         """Check the action laws, the matched-pair axioms, and the inverse identities
-        on a window: a word-length bound, or a shared PairTables (module docstring)."""
-        T = window if isinstance(window, PairTables) else PairTables(self, window)
+        on a window: a word-length bound, or a shared PairTables built on this pair
+        (module docstring; window_tables)."""
+        T = window_tables(window, self)
         o, e = T.gid[self.G.one.key], T.fid(self.F.one)
         gmul, ginv, fmul, finv, left, right = T.gmul, T.ginv, T.mul, T.inv, T.act_left, T.act_right
         return [
@@ -362,21 +398,24 @@ class PairTables:
     Checks may share a table, as the four table checks of one run_entry do:
     each of MatchedPair.verify, CocyclePair.verify, hopf.verify_hopf_axioms
     and cqt.necessary_battery takes it as its window argument, and reads its
-    word_bound as the window.  An entry is a deterministic function of its ids and a lookup that raises
-    stores nothing, so a check that reads an entry another filled sees the
+    word_bound as the window; window_tables refuses a table built on another
+    pair, or without the cocycle pair the verifier reads.  An entry is a
+    deterministic function of its ids and a lookup that raises stores
+    nothing, so a check that reads an entry another filled sees the
     value it would have looked up itself, and raises at the same first
     failing key.  The sharer drops the table on return (13 tables kept on
     the catalog contexts measured 3.6 MB).
     """
 
     def __init__(self, mp, word_bound, cp=None):
-        G, F = mp.G, mp.F
-        gs = self.gs = G.elements()
+        F = mp.F
+        self.mp, self.cp = mp, cp
+        gs, gid, self.gmul, self.ginv = group_ids(mp.G)
+        self.gs, self.gid = gs, gid
         self.word_bound = word_bound
         fs = self.fs = list(mp.window(word_bound))
         ng, nf = len(gs), len(fs)
         self.nf = room = nf
-        gid = self.gid = {g.key: i for i, g in enumerate(gs)}
         index = {f.key: i for i, f in enumerate(fs)}
         fmul, finv = _blank("FF", ng, nf), _blank("F", ng, nf)
         left, right = _blank("GF", ng, nf), _blank("GF", ng, nf)
@@ -385,8 +424,6 @@ class PairTables:
         if cp is not None:
             sigma, tau = self.sigma, self.tau = _blank("GFF", ng, nf), _blank("GGF", ng, nf)
             tables += [(sigma, "GFF"), (tau, "GGF")]
-        self.gmul = [[gid[G.mul(a, b).key] for b in gs] for a in gs]
-        self.ginv = [gid[G.inv(a).key] for a in gs]
 
         # the fills close over the tables, not self: no cycle, so they go with the call
         def fid(f):
@@ -457,3 +494,21 @@ class PairTables:
         seqs = [self.gs if k == "G" else self.fs for k in kinds]
         ids = [range(len(self.gs) if k == "G" else self.nf) for k in kinds]
         return ids, lambda inst: tuple(seq[i] for seq, i in zip(seqs, inst))
+
+
+def window_tables(window, mp, cp=None):
+    """The PairTables a verifier of mp (and of cp, when it reads sigma and tau) runs on.
+
+    window is a word-length bound, on which a fresh table is built, or a shared
+    PairTables, returned as it is when it was built on mp and, given cp, on cp;
+    a table of another pair, or one built without cp, raises ContextMismatch.
+    """
+    if not isinstance(window, PairTables):
+        return PairTables(mp, window, cp)
+    if window.mp is not mp:
+        raise ContextMismatch("the PairTables was built on another matched pair")
+    if cp is not None and window.cp is not cp:
+        raise ContextMismatch("the PairTables was built %s"
+                              % ("without a cocycle pair" if window.cp is None
+                                 else "on another cocycle pair"))
+    return window

@@ -396,6 +396,13 @@ def bare(v):
     return v.coeffs[0] if v.__class__ is Scalar and v.order == 1 else v
 
 
+def bare_inverse(v):
+    "1 / v for a nonzero bare value v (int, Fraction or Scalar), itself bare."
+    if v.__class__ is Scalar:
+        return bare(v.inverse())
+    return v if v == 1 or v == -1 else _norm(Fraction(1, v))
+
+
 def rational(p, q=1):
     "The rational number p/q as a Scalar; p and q are ints or Fractions."
     p, q = _coefficient(p), _coefficient(q)
@@ -708,27 +715,38 @@ def solve_linear(A, b=None):
     """Exact Gaussian elimination for A x = b (b a column Matrix or None).
 
     With b None only the homogeneous system is analyzed (particular = zero
-    vector).  No rounding anywhere; pivots are exact nonzero tests.
+    vector).  No rounding anywhere; pivots are exact nonzero tests.  The
+    elimination runs on bare values (`bare`): each entry is converted once,
+    each pivot inverted once, and a row update reads only the nonzero entries
+    of the pivot row.  The solution and kernel are returned as Scalars.
     """
-    if b is None:
-        b = Matrix.zeros(A.rows, 1)
-    if b.rows != A.rows or b.cols != 1:
+    if b is not None and (b.rows != A.rows or b.cols != 1):
         raise DimensionMismatch("rhs must be a %dx1 column" % A.rows)
     m, n = A.rows, A.cols
-    aug = [[A.entries[i][j] for j in range(n)] + [b.entries[i][0]] for i in range(m)]
+    aug = [[bare(v) for v in A.entries[i]] + [0 if b is None else bare(b.entries[i][0])]
+           for i in range(m)]
     pivots = []
     row = 0
     for col in range(n):
         pivot_row = next((r for r in range(row, m) if aug[r][col]), None)
         if pivot_row is None:
             continue
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [v * inv for v in aug[row]]
+        prow = aug[pivot_row]
+        aug[row], aug[pivot_row] = prow, aug[row]
+        # left of col the pivot row is zero: earlier pivot columns are eliminated,
+        # and the other earlier columns are zero from this row down
+        nonzero = [(j, prow[j]) for j in range(col, n + 1) if prow[j]]
+        inv = bare_inverse(prow[col])
+        if inv != 1:
+            nonzero = [(j, v * inv) for j, v in nonzero]
+            for j, v in nonzero:
+                prow[j] = v
         for r in range(m):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+            factor = aug[r][col]
+            if r != row and factor:
+                target = aug[r]
+                for j, v in nonzero:
+                    target[j] = target[j] - factor * v
         pivots.append(col)
         row += 1
         if row == m:
@@ -739,14 +757,14 @@ def solve_linear(A, b=None):
             return LinearSolution("inconsistent", None, [], rank)
     particular = [ZERO] * n
     for r, col in enumerate(pivots):
-        particular[col] = aug[r][n]
+        particular[col] = as_scalar(aug[r][n])
     free_cols = [c for c in range(n) if c not in pivots]
     kernel = []
     for fc in free_cols:
         vec = [ZERO] * n
         vec[fc] = ONE
         for r, col in enumerate(pivots):
-            vec[col] = -aug[r][fc]
+            vec[col] = as_scalar(-aug[r][fc])
         kernel.append(vec)
     status = "unique" if not kernel else "parametric"
     return LinearSolution(status, particular, kernel, rank)

@@ -79,6 +79,19 @@ MUTANTS = [
          new="",
          tests=["tests/test_induced_sparse.py::test_two_dimensional_sources_match_dense_reference"
                 "[conjugated]"]),
+    dict(name="sparse-scale-skips-every-s", file="comodules.py",
+         old="""    if s == 1:
+        return A
+""",
+         new="""    return A
+""",
+         tests=["tests/test_induced_sparse.py::test_twisted_sources_match_dense_reference"]),
+    dict(name="induce-drops-tau-inverse", file="comodules.py",
+         old="""                if t != 1:
+                    coeff = coeff * bare_inverse(t)
+                if entries[gxi]:""",
+         new="""                if entries[gxi]:""",
+         tests=["tests/test_induced_sparse.py::test_twisted_sources_match_dense_reference"]),
     dict(name="convolution-drops-coefficients", file="cqt.py",
          old="term(a1, a2, b1, b2, s * t)",
          new="term(a1, a2, b1, b2, 1)",
@@ -168,7 +181,7 @@ MUTANTS = [
          tests=["tests/test_cli_boundary.py::test_unreadable_or_invalid_json_file_exits_2"
                 "[missing-input]"]),
     dict(name="orbit-data-reads-x-not-x-inverse", file="matched_pair.py",
-         old="image[G.inv(x).key]", new="image[x.key]",
+         old="image[ginv[x]]", new="image[x]",
          tests=["tests/test_matched_pair.py::test_orbit_data_matches_its_definition[S3_K4]"]),
     dict(name="noncommuting-pair-b-major", file="groups.py",
          old="for a in elements for b in elements", new="for b in elements for a in elements",
@@ -190,8 +203,8 @@ MUTANTS = [
          new="return fixed(f) == x.is_identity() and fixed(fp) == y.is_identity()",
          tests=["tests/test_cqt.py::test_z2_shape_classify"]),
     dict(name="z2-simples-w-at-f", file="grothendieck.py",
-         old="""return [Z2Label("W", self.H.mp.orbit_representative(f))]""",
-         new="""return [Z2Label("W", f)]""",
+         old="""(Z2Label("W", self.H.mp.orbit_representative(f)),)""",
+         new="""(Z2Label("W", f),)""",
          tests=["tests/test_grothendieck.py::test_z2_tensor_rule_four_way_split"]),
     dict(name="generating-subset-by-position", file="comodules.py",
          old="sorted(range(len(mul)), key=lambda i: (-order[i], i))",
@@ -216,7 +229,7 @@ MUTANTS = [
                 "test_label_products_refuse_a_broken_tau_square_identity"]),
     dict(name="orbit-data-skips-unit-law", file="matched_pair.py",
          old="""        if f.is_identity() and len(stab) < len(gs):
-            require(False, "%r |> 1 is not 1" % next(g for g in gs if image[g.key] != f))
+            require(False, "%r |> 1 is not 1" % next(g for g, u in zip(gs, image) if u != f))
 """,
          new="",
          tests=["tests/test_matched_pair.py::test_orbit_data_refuses_a_non_action",
@@ -244,9 +257,9 @@ MUTANTS = [
          new="",
          tests=["tests/test_grothendieck.py::"
                 "test_decompose_refuses_characters_of_another_context"]),
-    dict(name="battery-ignores-int-window", file="cqt.py",
-         old="else PairTables(mp, window, cp)",
-         new="else PairTables(mp, 4, cp)",
+    dict(name="battery-ignores-int-window", file="matched_pair.py",
+         old="return PairTables(mp, window, cp)",
+         new="return PairTables(mp, 4, cp)",
          tests=["tests/test_shared_tables.py::test_both_window_forms_agree"
                 "[Z2_Z-necessary-battery]"]),
 

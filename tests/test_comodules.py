@@ -2,9 +2,12 @@ import itertools
 
 import pytest
 
+from test_battery_tables import k4_z2_asymmetric_tau
+from test_induced_sparse import z4_z8_tau
+
 from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.comodules import (Comodule, TwistedCoalgebra, _abelian_character_tables,
-                               _generating_subset, _onedim_tables, _product_positions, character,
+                               _generating_subset, _onedim_tables, character,
                                enumerate_onedim, group_comodules, induce, trivial_comodule)
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.errors import (DimensionMismatch, HopfCqtError, InvalidCocycle, MissingEntry,
@@ -12,6 +15,7 @@ from hopfcqt.errors import (DimensionMismatch, HopfCqtError, InvalidCocycle, Mis
 from hopfcqt.groups import (DirectProductGroup, GroupHom, closure, cyclic_group,
                             klein_four_group, quaternion_group_q8)
 from hopfcqt.hopf import HopfAlgebra, HopfElement
+from hopfcqt.matched_pair import group_ids
 from hopfcqt.reports import all_passed
 from hopfcqt.scalars import (Matrix, MINUS_ONE, ONE, ZERO, rational,
                              root_of_unity)
@@ -234,12 +238,16 @@ def test_character_identity_coefficient():
 
 
 def test_character_cross_check_trace_vs_formula():
-    # two independent code paths: the closed formula vs the induced-coaction trace
-    cases = [("Z2_Z", ["0", "1", "2", "3"]), ("Z2_Z2_tau", ["1", "t"]),
-             ("S3_Z2", ["()", "(1 2)", "(1 3)", "(1 2 3)"]),
-             ("Z3_Z", ["0", "1"]), ("Z2_Dinf", ["1", "x", "y"])]
-    for eid, pts in cases:
-        H = get_entry(eid).context()
+    # two independent code paths: the closed formula vs the induced-coaction trace;
+    # K4_Z2_tau and Z4_Z8_tau carry tau != 1, Z4_Z8_tau also at its moved points
+    cases = [(get_entry(eid).context(), pts) for eid, pts in (
+        ("Z2_Z", ["0", "1", "2", "3"]), ("Z2_Z2_tau", ["1", "t"]),
+        ("S3_Z2", ["()", "(1 2)", "(1 3)", "(1 2 3)"]),
+        ("Z3_Z", ["0", "1"]), ("Z2_Dinf", ["1", "x", "y"]))]
+    cases += [(k4_z2_asymmetric_tau(), ["1", "t"]),
+              (z4_z8_tau(), ["1", "t", "t^2", "t^3", "t^4"])]
+    for H, pts in cases:
+        eid = H.name
         for p in pts:
             C = TwistedCoalgebra(H, p)
             try:
@@ -309,9 +317,8 @@ def _exhaustive_generating_subset(mul, one):
 
 def _group_positions(G):
     "(mul, one) of G positioned as `_abelian_character_tables` positions it."
-    elements = G.elements()
-    return (_product_positions(G, elements),
-            next(i for i, e in enumerate(elements) if e.is_identity()))
+    elements, _, mul, _ = group_ids(G)
+    return mul, next(i for i, e in enumerate(elements) if e.is_identity())
 
 
 def _abelian_position_tables():

@@ -3,19 +3,27 @@
 Both must give identical reports (status, witness and `checked`) on every
 induced comodule of the catalog's one-dimensional stabilizer simples, on
 two-dimensional sources (direct sums, plain and conjugated, whose products
-cancel inside a sum) and on corrupted blocks.
+cancel inside a sum), on corrupted blocks, and on sources over tau != 1:
+Z2_Z2_tau, K4_Z2_tau (tau(a, b; t) = -1 != tau(b, a; t)) and Z4_Z8_tau, whose
+moved point makes the tau(z_x^-1, g_x^-1; f)^-1 factor of `induce` zeta_4 and
+-1, and whose sweep scales by tau in {-1, zeta_4}.
 """
 
 import pytest
 
 from induced_reference import dense_verify
+from test_battery_tables import k4_z2_asymmetric_tau
 
 from hopfcqt.catalog import entry_ids, get_entry
+from hopfcqt.cocycles import CocyclePair
 from hopfcqt.comodules import (Comodule, TwistedCoalgebra, character, enumerate_onedim,
                                induce, trivial_comodule)
 from hopfcqt.errors import DimensionMismatch, NonAbelianStabilizer, NotARootOfUnity
+from hopfcqt.groups import cyclic_group
+from hopfcqt.hopf import HopfAlgebra
+from hopfcqt.matched_pair import MatchedPair
 from hopfcqt.reports import all_passed
-from hopfcqt.scalars import Matrix, ONE, ZERO, rational
+from hopfcqt.scalars import Matrix, ONE, ZERO, rational, root_of_unity
 
 
 def _json(reports):
@@ -131,3 +139,63 @@ def test_misshapen_block_raises_like_dense_reference():
         W.blocks[list(W.blocks)[-1]] = Matrix([[ONE]])
         with pytest.raises(DimensionMismatch):
             verify(W)
+
+
+def z4_z8_tau():
+    """Z4 = <r> acting on Z8 = <t> by r |> t = t^5 (<| trivial), sigma = 1 and
+    tau(r^a, r^b; t^n) = zeta_4^(n c(a, b)), c(a, b) = [a + b >= 4] the carry
+    cocycle of Z4.  For each t^n, tau is a 2-cocycle in (g, g'); for each
+    (g, g'), a character of Z8 fixed by the action (zeta_4^5 = zeta_4).  So it
+    is a cocycle pair (the test checks it).  t is moved: G_t = {1, r^2},
+    T_t = {1, r}, and tau(r^3, r^2; t) = zeta_4 is a factor of the induced
+    coaction.  t^2 is fixed, with tau(r^2, r^2; t^2) = -1."""
+    G, F = cyclic_group(4, "r"), cyclic_group(8, "t")
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: F._element(f.key * 5 ** g.key % 8),
+                                    right=lambda g, f: g)
+    tau = lambda g, gp, f: root_of_unity(4, f.key * (g.key + gp.key >= 4))
+    return HopfAlgebra(CocyclePair(mp, lambda g, f, fp: ONE, tau), name="Z4_Z8_tau")
+
+
+def _twisted_sources():
+    """(name, V) over tau != 1: one- and two-dimensional sources at fixed and
+    moved points, the two-dimensional ones conjugated by _P."""
+    H = get_entry("Z2_Z2_tau").context()
+    Ut, Vt = enumerate_onedim(TwistedCoalgebra(H, "t"))
+    yield "Z2_Z2_tau@t", _direct_sum(Ut, Vt, conjugate=True)
+    H = k4_z2_asymmetric_tau()
+    G, t = H.G, H.F.elements()[1]
+    a, b = G.generators()
+    X, Z = Matrix([[0, 1], [1, 0]]), Matrix([[1, 0], [0, -1]])
+    yield "K4_Z2_tau@t", Comodule(TwistedCoalgebra(H, t), 2, {
+        G.one: Matrix.identity(2), a: X, b: Z, G.mul(a, b): X * Z * -1})
+    for V in enumerate_onedim(TwistedCoalgebra(H, H.F.one)):
+        yield "K4_Z2_tau@1", V
+    H = z4_z8_tau()
+    for f in H.F.elements():
+        simples = enumerate_onedim(TwistedCoalgebra(H, f))
+        for V in simples:
+            yield "Z4_Z8_tau@%r" % f, V
+        yield "Z4_Z8_tau@%r+" % f, _direct_sum(simples[0], simples[-1], conjugate=True)
+
+
+def test_z4_z8_tau_is_a_cocycle_pair():
+    H = z4_z8_tau()
+    assert all_passed(H.mp.verify()) and all_passed(H.cp.verify())
+    C = TwistedCoalgebra(H, "t")
+    r2, r3 = H.G.parse("r^2"), H.G.parse("r^3")
+    assert [repr(g) for g in C.transversal] == ["1", "r"]
+    assert (C.tau(r3, r2), TwistedCoalgebra(H, "t^2").tau(r2, r2)) == (root_of_unity(4), -ONE)
+
+
+def test_twisted_sources_match_dense_reference():
+    seen = 0
+    for name, V in _twisted_sources():
+        assert all_passed(V.verify()), name
+        W = induce(V)
+        assert W.dim == V.dim * len(V.coalgebra.transversal), name
+        _assert_same_reports(W)
+        assert all_passed(W.verify()), name
+        assert W.character_by_trace() == character(V).element, name
+        seen += 1
+    # Z2_Z2_tau, K4_Z2_tau at t and at 1, Z4_Z8_tau at its 4 fixed and 4 moved points
+    assert seen == 1 + 1 + 4 + 4 * (4 + 1) + 4 * (2 + 1)

@@ -4,7 +4,8 @@ verify_hopf_axioms' StructureConstants is a view over it.  An entry is a
 deterministic function of its ids and a lookup that raises stores nothing, so
 a check reports, and raises, exactly as it does on a table of its own.  Each
 of the four verifiers takes its window as a word-length bound or as a table,
-whose word_bound is the window, and reports alike either way."""
+whose word_bound is the window, and reports alike either way; each refuses,
+with ContextMismatch, a table built on another pair or without its cocycles."""
 
 import pytest
 
@@ -14,7 +15,7 @@ from hopfcqt import hopf
 from hopfcqt.catalog import CHECKS, entry_ids, get_entry, run_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.cqt import necessary_battery
-from hopfcqt.errors import MissingEntry
+from hopfcqt.errors import ContextMismatch, MissingEntry
 from hopfcqt.groups import cyclic_group
 from hopfcqt.hopf import (HopfAlgebra, StructureConstants, _basis_coproduct, _basis_product,
                           antipode_basis, verify_hopf_axioms)
@@ -162,3 +163,45 @@ def test_adjacent_missing_keys_raise_alike_on_one_table(eid, seed):
     cp = _perturbed_context(eid, seed).cp
     assert_adjacent_missing_pairs_raise_alike(cp, lambda cp: _in_turn(cp, 2, True),
                                               lambda cp: _in_turn(cp, 2, False), 10 ** 4, 0)
+
+
+def _z3_z_and_a_z2_z_table():
+    "The Z3_Z context, and a PairTables at window 2 built on Z2_Z's pair and cocycles."
+    Z2_Z = get_entry("Z2_Z").context()
+    return get_entry("Z3_Z").context(), PairTables(Z2_Z.mp, 2, Z2_Z.cp)
+
+
+def test_matched_pair_verify_refuses_a_table_of_another_pair():
+    # Z3_Z's verify on Z2_Z's table passed, with Z2_Z's counts (unit-laws 10 against 15)
+    H, foreign = _z3_z_and_a_z2_z_table()
+    with pytest.raises(ContextMismatch):
+        H.mp.verify(foreign)
+    assert [r.to_json() for r in H.mp.verify(PairTables(H.mp, 2))] == \
+        [r.to_json() for r in H.mp.verify(2)]
+
+
+def test_cocycle_verify_refuses_a_table_without_its_cocycles():
+    # a table built without cp has no sigma/tau tables (AttributeError before)
+    H, foreign = _z3_z_and_a_z2_z_table()
+    for table in (PairTables(H.mp, 2), foreign, PairTables(H.mp, 2, CocyclePair.trivial(H.mp))):
+        with pytest.raises(ContextMismatch):
+            H.cp.verify(table)
+
+
+def test_hopf_axioms_refuse_a_table_of_another_context():
+    # Z2_Z's table ended in KeyError: 2 (a G id Z2 does not have); a
+    # StructureConstants on it interned Z3's g as Z2's
+    H, foreign = _z3_z_and_a_z2_z_table()
+    for table in (foreign, PairTables(H.mp, 2)):
+        with pytest.raises(ContextMismatch):
+            verify_hopf_axioms(H, table)
+        with pytest.raises(ContextMismatch):
+            StructureConstants(H, table)
+
+
+def test_battery_refuses_a_table_of_another_context():
+    # Z2_Z's table ended in MixedGroups
+    H, foreign = _z3_z_and_a_z2_z_table()
+    for table in (foreign, PairTables(H.mp, 2)):
+        with pytest.raises(ContextMismatch):
+            necessary_battery(H, table)
