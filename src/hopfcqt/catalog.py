@@ -243,7 +243,7 @@ def _check_hopf(entry, H, T):
 
 
 def _check_orbit(entry, H, T):
-    return [check_orbit_commutation(H.mp, T.word_bound)]
+    return [check_orbit_commutation(H.mp, T)]
 
 
 def _check_dual_orbit(entry, H, T):

@@ -13,8 +13,9 @@ checks, whose word_bound is the window.  Its identities read
 sigma[g][f][f'] and tau[g][g'][f] from nested lists indexed by id, filling
 an entry through `sigma`/`tau` on its first lookup, so each distinct
 argument triple is looked up once per table, in the order the object path
-first reaches it.  sigma-cocycle and compatibility evaluate a whole row of
-their last F id per kernel call (PairTables.sweep_rows).
+first reaches it.  All four identities evaluate a whole row of their last F
+id per kernel call (PairTables.sweep_rows); normalization reads its values
+that do not depend on that id at the row's first item.
 """
 
 from __future__ import annotations
@@ -116,17 +117,25 @@ class CocyclePair:
         S, T, sig, tau = P.sigma, P.tau, P.fill_sigma, P.fill_tau
         M, L = P.fmul, P.left
 
-        def normalization(g, gp, f, fp):
-            """sigma(g; 1, f), sigma(g; f, 1), sigma(1; f, f'), tau(1, g; f), tau(g, 1; f)
-            and tau(g, g'; 1) are 1"""
-            return ((S[g][e][f] or sig(g, e, f)) == 1 and (S[g][f][e] or sig(g, f, e)) == 1
-                    and (S[o][f][fp] or sig(o, f, fp)) == 1
-                    and (T[o][g][f] or tau(o, g, f)) == 1
-                    and (T[g][o][f] or tau(g, o, f)) == 1
-                    and (T[g][gp][e] or tau(g, gp, e)) == 1)
-
         # row kernels (PairTables.sweep_rows): ids and rows of the outer ids are
         # read once per row, every sigma/tau value inline in its turn
+        def normalization(prefix, fps):
+            """sigma(g; 1, f), sigma(g; f, 1), sigma(1; f, f'), tau(1, g; f), tau(g, 1; f)
+            and tau(g, g'; 1) are 1; the values that do not read f' are read at the
+            row's first item, in this order, and decide it and so the row"""
+            g, gp, f = prefix
+            if (S[g][e][f] or sig(g, e, f)) != 1 or (S[g][f][e] or sig(g, f, e)) != 1:
+                return 0, 0
+            s_of = S[o][f]
+            for n, fp in enumerate(fps):
+                if (s_of[fp] or sig(o, f, fp)) != 1:
+                    return n, 0
+                if n == 0 and ((T[o][g][f] or tau(o, g, f)) != 1
+                               or (T[g][o][f] or tau(g, o, f)) != 1
+                               or (T[g][gp][e] or tau(g, gp, e)) != 1):
+                    return 0, 0
+            return None, 0
+
         def sigma_cocycle(prefix, fpps):
             "sigma(g <| f; f', f'') sigma(g; f, f'f'') = sigma(g; f, f') sigma(g; ff', f'')"
             g, f, fp = prefix
@@ -141,11 +150,19 @@ class CocyclePair:
                     return n, 0
             return None, 0
 
-        def tau_cocycle(g, gp, gpp, f):
+        def tau_cocycle(prefix, fids):
             "tau(g, g'; g'' |> f) tau(gg', g''; f) = tau(g, g'g''; f) tau(g', g''; f)"
-            h, a, b = left(gpp, f), gmul[g][gp], gmul[gp][gpp]
-            return ((T[g][gp][h] or tau(g, gp, h)) * (T[a][gpp][f] or tau(a, gpp, f))
-                    == (T[g][b][f] or tau(g, b, f)) * (T[gp][gpp][f] or tau(gp, gpp, f)))
+            g, gp, gpp = prefix
+            a, b = gmul[g][gp], gmul[gp][gpp]
+            t_g, t_a, t_b, t_gp, l_gpp = T[g][gp], T[a][gpp], T[g][b], T[gp][gpp], L[gpp]
+            for n, f in enumerate(fids):
+                h = l_gpp[f]
+                if h is None:
+                    h = left(gpp, f)
+                if ((t_g[h] or tau(g, gp, h)) * (t_a[f] or tau(a, gpp, f))
+                        != (t_b[f] or tau(g, b, f)) * (t_gp[f] or tau(gp, gpp, f))):
+                    return n, 0
+            return None, 0
 
         def compatibility(prefix, fps):
             """sigma(gg'; f, f') tau(g, g'; ff') = sigma(g; u, v |> f') sigma(g'; f, f')
@@ -167,9 +184,9 @@ class CocyclePair:
                     return n, 0
             return None, 0
 
-        return [P.sweep("normalization", "GGFF", normalization),
+        return [P.sweep_rows("normalization", "GGFF", normalization),
                 P.sweep_rows("sigma-cocycle", "GFFF", sigma_cocycle),
-                P.sweep("tau-cocycle", "GGGF", tau_cocycle),
+                P.sweep_rows("tau-cocycle", "GGGF", tau_cocycle),
                 P.sweep_rows("compatibility", "GGFF", compatibility)]
 
     def tau_square_identity_check(self, f, fp):

@@ -26,7 +26,7 @@ from .comodules import TwistedCoalgebra, character, enumerate_onedim, group_como
 from .errors import (BadWindow, NonAbelianStabilizer, NotARootOfUnity, OutOfWindow,
                      SearchSpaceTooLarge, UnknownLevel, WrongGroup)
 from .groups import z2_generator
-from .matched_pair import check_window, window_tables
+from .matched_pair import _product_sets_commute, check_window, window_tables
 from .reports import FAIL, SKIPPED, ConditionReport, all_passed, sweep, sweep_rows, verdict
 from .scalars import ONE, ZERO, as_scalar, bare, rational
 
@@ -389,11 +389,28 @@ def _product_commutation_sweep(check, points, commutes):
                  witness=lambda pair: pair + (commutes(*pair)[1],))
 
 
-def check_orbit_commutation(mp, word_bound=4):
-    "O_f O_f' = O_f' O_f for all pairs on the window."
-    report = _product_commutation_sweep("orbit-product-commutation", mp.window(word_bound),
-                                        mp.orbit_product_commutes)
+def _orbit_ids(T, f):
+    "(stabilizer ids, their set, transversal ids, orbit F ids) at the F id f of T."
+    od = T.mp.orbit_data(T.fs[f])
+    return od.stab_ids, set(od.stab_ids), od.trans_ids, [T.fid(u) for u in od.orbit]
+
+
+def check_orbit_commutation(mp, window=4):
+    """O_f O_f' = O_f' O_f for all pairs on the window: a word-length bound, or a
+    PairTables built on mp whose word_bound it is (matched_pair.window_tables).
+    The orbits are read as F ids of that table and multiplied through its mul;
+    the witness, as in MatchedPair.orbit_product_commutes, is mapped back to
+    elements."""
+    T = window_tables(window, mp)
+    fs, mul = T.fs, T.mul
+    orbits = Memo(lambda f: _orbit_ids(T, f)[3])
+
+    def commutes(f, fp):
+        return _product_sets_commute(mul, orbits[f], orbits[fp])
+
+    report = _product_commutation_sweep("orbit-product-commutation", range(T.nf), commutes)
     if report.failed:
+        report.witness = tuple(fs[i] for i in report.witness)
         report.detail = "product element in only one of the two orbit sets"
     return report
 
@@ -452,7 +469,8 @@ def necessary_battery(H, window=4, quotients=()):
     Every check reads the window of one matched_pair.PairTables: window when it
     is one built on H's pair and cocycles (catalog.run_entry and `hopfcqt
     cqt-necessary` share theirs; any other table raises ContextMismatch), else
-    a fresh one on the bound window; the orbit checks read its word_bound too.
+    a fresh one on the bound window; the orbit check runs on it too, the
+    dual-orbit check needs no window.
     The gates run on its integer ids, each entry filled on its first read
     through MatchedPair.act_left/act_right or CocyclePair.sigma/tau;
     witnesses are mapped back to elements.  The four hypotheses (|> trivial,
@@ -466,8 +484,7 @@ def necessary_battery(H, window=4, quotients=()):
     mp, cp = H.mp, H.cp
     G, F = H.G, H.F
     T = window_tables(window, mp, cp)
-    reports = [check_orbit_commutation(mp, T.word_bound),
-               check_dual_orbit_commutation(mp)]
+    reports = [check_orbit_commutation(mp, T), check_dual_orbit_commutation(mp)]
 
     def gate(name, hypotheses, instances, ok, witness=tuple):
         "SKIPPED with the detail of the first failing (holds, detail), else the sweep."
@@ -475,7 +492,7 @@ def necessary_battery(H, window=4, quotients=()):
         reports.append(sweep(name, instances, ok, witness) if unmet is None
                        else ConditionReport(name, SKIPPED, detail=unmet))
 
-    gs, fs, gid = T.gs, T.fs, T.gid  # fs grows past the window as images get ids
+    gs, fs = T.gs, T.fs  # fs grows past the window as images get ids
     gids, fids = range(len(gs)), range(T.nf)
     gmul, ginv, left, right = T.gmul, T.ginv, T.act_left, T.act_right
     # a cocycle value is never 0, so `or` only fills
@@ -496,14 +513,7 @@ def necessary_battery(H, window=4, quotients=()):
     g_ab = G.is_abelian()
     have_chars = (chars, "no simple comodules over the dual of G available")
 
-    def orbit_ids(f):
-        "(stabilizer ids, their set, transversal ids, orbit ids) at the F id f."
-        od = mp.orbit_data(fs[f])
-        stab = [gid[g.key] for g in od.stabilizer]
-        return (stab, set(stab), [gid[z.key] for z in od.transversal],
-                [T.fid(u) for u in od.orbit])
-
-    orbits = Memo(orbit_ids)
+    orbits = Memo(lambda f: _orbit_ids(T, f))
 
     def invariant(f, g, z, w, *_):
         """w(zgz <| (z^-1 |> f)) = w(zgz), zgz = z^-1 g z.  Character-product-commutation

@@ -25,19 +25,24 @@ Products live in one dense table[i][j], filled on first lookup; products,
 coproducts and antipodes are evaluated once per call from the PairTables'
 F products, actions and sigma/tau entries, in the order _basis_product,
 _basis_coproduct and antipode_basis reach them, so a value an earlier check
-filled is not looked up again, and the six axioms run on int-keyed dicts.
+filled is not looked up again, and the six axioms run on int indices.
 Associativity and bialgebra compatibility run on the row engine
 (reports.sweep_rows): one kernel call per row of the innermost
 quantifier (k for a fixed (i, j), j for a fixed i), which reads the product
 table through rows hoisted out of its loop and calls product only on an
 unfilled entry, in the order the object path multiplies.  One kernel serves
 the exhaustive rows, the pattern rows and the seeded sample, whose draws are
-one-item rows.  Coproduct legs are read by position (StructureConstants):
-the counit reads legs g and 1, and the bialgebra kernel compares leg x of
-Delta(p_i) Delta(p_j) with leg x of Delta(p_i p_j), term by term.  A rational
-structure constant is stored bare, as its int or Fraction (scalars.bare), so
-the sweeps multiply Python rationals; a cyclotomic one stays a Scalar, whose
-reflected operators take the mixed cases.  The StructureConstants is
+one-item rows (_sampled): each id is rng.choice(ids) with the loop of
+random.choice inlined, so the stream is the one the reference sweep draws,
+and the bialgebra kernel builds the legs of Delta(p_i) once per i, not once
+per sample row.  Coproduct legs are read by position (StructureConstants):
+the counit reads legs g and 1, the bialgebra kernel compares leg x of
+Delta(p_i) Delta(p_j) with leg x of Delta(p_i p_j), term by term, and
+coassociativity compares term (x, y) of (Delta (x) id)Delta(p_i) with term
+(yx, x) of (id (x) Delta)Delta(p_i), the one term with the same G ids.  A
+rational structure constant is stored bare, as its int or Fraction
+(scalars.bare), so the sweeps multiply Python rationals; a cyclotomic one
+stays a Scalar, whose reflected operators take the mixed cases.  The StructureConstants is
 dropped when the call returns, a shared PairTables when run_entry does.
 The tests keep the object-path sweep as a reference and require identical
 reports, witnesses and `checked` counts.
@@ -408,6 +413,21 @@ SAMPLE = 2000
 SEED = 7
 
 
+def _sampled(rng, ids, width):
+    """SAMPLE instances of width ids, as one-item rows (prefix, [last]), drawn
+    lazily in instance order.  Each id is rng.choice(ids) inlined: getrandbits
+    of n.bit_length() bits, n = len(ids), redrawn while it is not below n."""
+    n, bits = len(ids), rng.getrandbits
+    k = n.bit_length()
+    for _ in range(SAMPLE):
+        inst = []
+        while len(inst) < width:
+            r = bits(k)
+            if r < n:
+                inst.append(ids[r])
+        yield tuple(inst[:-1]), inst[-1:]
+
+
 def verify_hopf_axioms(H, window=4):
     """Axiom sweep over basis elements with F part in the window.
 
@@ -436,12 +456,6 @@ def verify_hopf_axioms(H, window=4):
 
     def report_rows(check, rows, first_bad):
         reports.append(sweep_rows(check, rows, first_bad, witness))
-
-    def sampled(width):
-        # one-item rows drawn lazily in instance order, so a failure among the
-        # patterns leaves rng untouched
-        return ((tuple(rng.choice(ids) for _ in range(width - 1)), (rng.choice(ids),))
-                for _ in range(SAMPLE))
 
     # associativity (and unit), one row of k per (i, j)
     # the kernels below read sc.table through hoisted rows and call product
@@ -475,7 +489,7 @@ def verify_hopf_axioms(H, window=4):
         rows = (((i, j), ids) for i in ids for j in ids)
     else:
         rows = itertools.chain((((i, j), row[rkey[j]]) for i in ids for j in row[rkey[i]]),
-                               sampled(3))
+                               _sampled(rng, ids, 3))
     report_rows("associativity", rows, assoc_first_bad)
 
     def combine(terms):
@@ -498,16 +512,24 @@ def verify_hopf_axioms(H, window=4):
 
     report("unit", ((i,) for i in ids), unit_ok)
 
-    def triple_coproduct(i, left_first):
-        acc = {}
-        for j1, j2, c in coproduct(i):
-            for k1, k2, d in coproduct(j1 if left_first else j2):
-                kk = (k1, k2, j2) if left_first else (j1, k1, k2)
-                acc[kk] = acc.get(kk, 0) + c * d
-        return _nonzero(acc)
+    # coassociativity by position: term (x, y) of (Delta (x) id)Delta(p_i), leg y
+    # of Delta(leg x's left factor), has G ids (g x^-1 y^-1, y, x), as has term
+    # (yx, x) of (id (x) Delta)Delta(p_i); on each side these triples are
+    # distinct and tau is never 0, so the two sums are equal exactly when each
+    # pair of terms is.  Every left coproduct is read before any right one
+    def coassoc_ok(i):
+        legs = coproduct(i)
+        lefts = [coproduct(j1) for j1, _, _ in legs]
+        rights = [coproduct(j2) for _, j2, _ in legs]
+        for x, (_, j2, c) in enumerate(legs):
+            for y, (k1, k2, d) in enumerate(lefts[x]):
+                z = gmul[y][x]
+                m1, m2, e = rights[z][x]
+                if k1 != legs[z][0] or k2 != m1 or j2 != m2 or c * d != legs[z][2] * e:
+                    return False
+        return True
 
-    report("coassociativity", ((i,) for i in ids),
-           lambda i: triple_coproduct(i, True) == triple_coproduct(i, False))
+    report("coassociativity", ((i,) for i in ids), coassoc_ok)
 
     def counit_ok(i):
         # eps (x) id keeps leg x = g of Delta(p_i), id (x) eps keeps leg x = 1
@@ -523,17 +545,19 @@ def verify_hopf_axioms(H, window=4):
     # id r is leg r^-1 g_j.  Their product keeps G id x, that of leg x of
     # Delta(p_i), in front of its right factor, so it is compared with leg x of
     # Delta(p_i p_j), with no sum
+    bialg_legs = {}  # i -> the legs of Delta(p_i), built at i's first item
+
     def bialg_first_bad(prefix, js):
         i, = prefix
-        ti, unit_i, legs = table[i], gkey[i] == one_g, None
+        ti, unit_i, legs = table[i], gkey[i] == one_g, bialg_legs.get(i)
         for n, j in enumerate(js):
             ij = ti[j]
             if ij is None:
                 ij = product(i, j)
             lhs = coproduct(ij[0]) if ij else ()
             if legs is None:
-                legs = [(ginv[rkey[k1]], table[k1], table[k2], k1, k2, c)
-                        for k1, k2, c in coproduct(i)]
+                legs = bialg_legs[i] = [(ginv[rkey[k1]], table[k1], table[k2], k1, k2, c)
+                                        for k1, k2, c in coproduct(i)]
             dj, gj = coproduct(j), gkey[j]
             # every leg is multiplied, even after a mismatch, so products are
             # reached in the object path's order
@@ -561,7 +585,7 @@ def verify_hopf_axioms(H, window=4):
     if len(ids) ** 2 <= PAIR_LIMIT:
         rows = (((i,), ids) for i in ids)
     else:
-        rows = itertools.chain((((i,), row[rkey[i]]) for i in ids), sampled(2))
+        rows = itertools.chain((((i,), row[rkey[i]]) for i in ids), _sampled(rng, ids, 2))
     report_rows("bialgebra-compatibility", rows, bialg_first_bad)
 
     # antipode convolution identities: m(S (x) id)Delta = unit . eps = m(id (x) S)Delta

@@ -22,9 +22,11 @@ O'_g = {g <| f} feed the comodule machinery.  OrbitData reads the |G| images
 g |> f once: x joins T_f when x^-1 |> f is an orbit point not reached before,
 and z_x in x = g_x z_x is the first x that reached that point.  For a group
 action T_f is then the first element of each right coset G_f x, 1 first.
-Orbit and dual-orbit products are compared by one rule (_product_sets_commute):
-A B = B A as sets, else the witness is the first product a b in a-major order
-missing from B A, or else the first product b a (b-major) missing from A B.
+Orbit and dual-orbit products are compared by one rule (_product_sets_commute),
+on group elements or on ids: A B = B A as sets, else the witness is the first
+product a b in a-major order missing from B A, or else the first product b a
+(b-major) missing from A B.  cqt.check_orbit_commutation applies it to orbits
+as F ids of a PairTables.
 
 `verify` and `CocyclePair.verify` sweep int ids over one PairTables: nested
 lists indexed by id, each entry filled on its first lookup through the public
@@ -33,7 +35,7 @@ is acted on once and each sigma/tau triple looked up once per table.  Their
 one `window` argument is a word-length bound, on which they build a table of
 their own, or the PairTables that catalog.run_entry and `hopfcqt
 cqt-necessary` share among their checks, whose word_bound is the window.
-CocyclePair.verify runs sigma-cocycle and compatibility as row kernels.
+CocyclePair.verify runs all four of its identities as row kernels.
 """
 
 from __future__ import annotations
@@ -123,17 +125,14 @@ class OrbitData:
         return gs[gx], gs[z]
 
 
-def _product_sets_commute(X, A, B):
-    "(True, None) when A B = B A as sets in the group X, else (False, witness); see above."
-    AB, BA = {}, {}
-    for S, T, out in ((A, B, AB), (B, A, BA)):
-        for s in S:
-            for t in T:
-                prod = X.mul(s, t)
-                out.setdefault(prod.key, prod)
+def _product_sets_commute(mul, A, B):
+    """(True, None) when A B = B A as sets, else (False, witness); see above.  A and B
+    are group elements or ids, mul multiplies two of them."""
+    AB = dict.fromkeys(mul(a, b) for a in A for b in B)
+    BA = dict.fromkeys(mul(b, a) for b in B for a in A)
     if AB.keys() == BA.keys():
         return True, None
-    return False, next(v for P, Q in ((AB, BA), (BA, AB)) for k, v in P.items() if k not in Q)
+    return False, next(v for P, Q in ((AB, BA), (BA, AB)) for v in P if v not in Q)
 
 
 class MatchedPair:
@@ -331,11 +330,11 @@ class MatchedPair:
 
     def orbit_product_commutes(self, f, fp):
         "Set equality of O_f O_f' and O_f' O_f in F; witness as in _product_sets_commute."
-        return _product_sets_commute(self.F, self.orbit(f), self.orbit(fp))
+        return _product_sets_commute(self.F.mul, self.orbit(f), self.orbit(fp))
 
     def dual_orbit_product_commutes(self, g, gp):
         "Set equality of O'_g O'_g' and O'_g' O'_g in G; witness as in _product_sets_commute."
-        return _product_sets_commute(self.G, self.dual_orbit(g), self.dual_orbit(gp))
+        return _product_sets_commute(self.G.mul, self.dual_orbit(g), self.dual_orbit(gp))
 
     def fixed_points(self, word_bound=4):
         "Elements of the window fixed by every g (orbit of size one)."
@@ -389,7 +388,7 @@ class PairTables:
 
     sweep runs one call per instance; sweep_rows runs one kernel call per row
     of the last letter's ids, for identities cheap enough that the call
-    dominates (sigma-cocycle, compatibility).  A kernel may read the ids and
+    dominates (the four cocycle identities).  A kernel may read the ids and
     the list rows that depend only on the outer ids once per row, since
     filling and widening change a row in place and never replace it; it
     reads every sigma/tau value inline, in its turn, so each is still looked

@@ -7,7 +7,7 @@ the CLI and the catalog can diff outcomes against expectations.
 Every quantified check runs through one of two loops.
 
 `sweep(check, instances, ok, witness=tuple)` is the general engine, used by
-every sweep but the six below (CQT0, CQT3, CQT4, the convolution inverse, the
+every sweep but the eight below (CQT0, CQT3, CQT4, the convolution inverse, the
 battery and comodule sweeps among them):
 
 * `instances` is a lazy iterable of argument tuples; it is consumed only up
@@ -25,8 +25,9 @@ battery and comodule sweeps among them):
 `sweep_rows(check, rows, first_bad, witness)` is the row engine, for sweeps
 whose innermost quantifier is cheap enough that a call per instance
 dominates: the associativity and bialgebra sweeps of
-hopf.verify_hopf_axioms, the sigma-cocycle and compatibility sweeps of
-CocyclePair.verify, and CQT1 and CQT2 of cqt.verify_R.
+hopf.verify_hopf_axioms, the four sweeps of CocyclePair.verify
+(normalization, sigma-cocycle, tau-cocycle and compatibility), and CQT1 and
+CQT2 of cqt.verify_R.
 
 * `rows` is a lazy iterable of (prefix, items): prefix is the tuple of the
   outer quantifiers, items a sequence of values of the innermost one, and

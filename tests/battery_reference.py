@@ -5,16 +5,16 @@ as they were written on group elements: every instance calls the public
 actions, group products and sigma/tau lookups, and reads a character as
 `diagonal_sum` of a 1 x 1 matrix.  The library runs the same gates on
 integer ids over `matched_pair.PairTables` and per-call lists of bare
-traces, and the coalgebra check on position tables of bare tau values; the
-tests require both to return the same reports (witness and `checked`
+traces, the orbit-product check on F ids, and the coalgebra check on
+position tables of bare tau values; the orbit-product reference here sweeps
+elements through `MatchedPair.orbit_product_commutes`.  The tests require both to return the same reports (witness and `checked`
 included) and to raise the same error.
 """
 
 import itertools
 
 from hopfcqt.comodules import group_comodules
-from hopfcqt.cqt import (Memo, _char_values, _onedim_simples_at, check_dual_orbit_commutation,
-                         check_orbit_commutation)
+from hopfcqt.cqt import Memo, _char_values, _onedim_simples_at, check_dual_orbit_commutation
 from hopfcqt.errors import InvalidCocycle
 from hopfcqt.reports import SKIPPED, ConditionReport, sweep
 
@@ -48,13 +48,25 @@ def check_coalgebra_reference(H, f):
                 raise InvalidCocycle("counit law fails at %r" % g)
 
 
+def check_orbit_commutation_reference(mp, word_bound=4):
+    "cqt.check_orbit_commutation on elements, through MatchedPair.orbit_product_commutes."
+    fs = mp.window(word_bound)
+    commutes = mp.orbit_product_commutes
+    report = sweep("orbit-product-commutation", itertools.product(fs, fs),
+                   lambda f, fp: commutes(f, fp)[0],
+                   witness=lambda pair: pair + (commutes(*pair)[1],))
+    if report.failed:
+        report.detail = "product element in only one of the two orbit sets"
+    return report
+
+
 def necessary_battery_reference(H, word_bound=4, quotients=()):
     "The object-path battery; same arguments and reports as cqt.necessary_battery."
     mp, cp = H.mp, H.cp
     G, F = H.G, H.F
     gs = G.elements()
     fs = mp.window(word_bound)
-    reports = [check_orbit_commutation(mp, word_bound),
+    reports = [check_orbit_commutation_reference(mp, word_bound),
                check_dual_orbit_commutation(mp)]
 
     def gate(name, hypotheses, instances, ok, witness=tuple):

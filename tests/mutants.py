@@ -262,6 +262,25 @@ MUTANTS = [
          new="return PairTables(mp, 4, cp)",
          tests=["tests/test_shared_tables.py::test_both_window_forms_agree"
                 "[Z2_Z-necessary-battery]"]),
+    dict(name="coassociativity-pairs-xy", file="hopf.py",
+         old="z = gmul[y][x]", new="z = gmul[x][y]",
+         tests=["tests/test_hopf.py::test_sweep_matches_object_reference_on_catalog[Q8_Z]"]),
+    dict(name="normalization-drops-tau-g-1-f", file="cocycles.py",
+         old="""                               or (T[g][o][f] or tau(g, o, f)) != 1
+""",
+         new="",
+         tests=["tests/test_pair_sweeps.py::"
+                "test_each_normalization_value_fails_like_reference[tau(g,1;f)-S3_Z2]"]),
+    dict(name="tau-cocycle-reads-f-for-h", file="cocycles.py",
+         old="(t_g[h] or tau(g, gp, h))", new="(t_g[f] or tau(g, gp, f))",
+         tests=["tests/test_pair_sweeps.py::"
+                "test_cocycle_sweep_matches_object_reference_on_perturbed_cocycles"]),
+    dict(name="sample-draws-n-minus-1-bits", file="hopf.py",
+         old="k = n.bit_length()", new="k = (n - 1).bit_length()",
+         tests=["tests/test_hopf.py::test_sample_draws_are_the_rng_choice_stream[2]"]),
+    dict(name="product-sets-compare-ab-with-itself", file="matched_pair.py",
+         old="if AB.keys() == BA.keys():", new="if AB.keys() == AB.keys():",
+         tests=["tests/test_cqt.py::test_necessary_battery_reproduces_example_verdicts"]),
 
     # -- survivors --------------------------------------------------------------
     dict(name="battery-moved-by-z", file="cqt.py",
@@ -283,12 +302,12 @@ MUTANTS = [
     dict(name="bialgebra-legs-before-product-coproduct", file="hopf.py",
          old="""            lhs = coproduct(ij[0]) if ij else ()
             if legs is None:
-                legs = [(ginv[rkey[k1]], table[k1], table[k2], k1, k2, c)
-                        for k1, k2, c in coproduct(i)]
+                legs = bialg_legs[i] = [(ginv[rkey[k1]], table[k1], table[k2], k1, k2, c)
+                                        for k1, k2, c in coproduct(i)]
 """,
          new="""            if legs is None:
-                legs = [(ginv[rkey[k1]], table[k1], table[k2], k1, k2, c)
-                        for k1, k2, c in coproduct(i)]
+                legs = bialg_legs[i] = [(ginv[rkey[k1]], table[k1], table[k2], k1, k2, c)
+                                        for k1, k2, c in coproduct(i)]
             lhs = coproduct(ij[0]) if ij else ()
 """,
          tests=["tests/test_hopf.py::test_missing_key_pairs_raise_like_reference",

@@ -558,3 +558,16 @@ def test_cyclotomic_sigma_context_passes_every_sweep():
         r.to_json() for r in verify_cocycles_reference(H.cp, 4)]
     levels = (0, 1, 2, 3, 4, "inv")
     assert [r.status for r in verify_R(eps_tensor_eps(H), levels)] == [PASS] * len(levels)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_sample_draws_are_the_rng_choice_stream(width):
+    # the sample tail inlines random.choice; its draws must be the stream that
+    # rng.choice(ids) gives, as the reference sweep draws it
+    for n in range(1, 161):
+        ids = list(range(1000, 1000 + n))
+        drawn = [prefix + tuple(last)
+                 for prefix, last in hopf._sampled(random.Random(hopf.SEED), ids, width)]
+        rng = random.Random(hopf.SEED)
+        assert drawn == [tuple(rng.choice(ids) for _ in range(width))
+                         for _ in range(hopf.SAMPLE)], n

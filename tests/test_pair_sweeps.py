@@ -120,3 +120,22 @@ def test_matched_pair_sweep_acts_once_per_pair(monkeypatch):
     calls.clear()
     verify_matched_pair_reference(mp)
     assert new == list(dict.fromkeys(calls))
+
+
+@pytest.mark.parametrize("eid", ["Z2_Z3_trivial", "S3_Z2"])
+@pytest.mark.parametrize("clause", ["sigma(g;1,f)", "sigma(g;f,1)", "sigma(1;f,f')",
+                                    "tau(1,g;f)", "tau(g,1;f)", "tau(g,g';1)"])
+def test_each_normalization_value_fails_like_reference(eid, clause):
+    # one normalization value set to -1 at a key whose other arguments are not
+    # the identity, so exactly one clause of the row kernel reads it
+    mp, sigma, tau = _total_cocycles(eid)
+    gs, fs = mp.G.elements(), mp.F.elements()
+    o, e, g, f = gs[0].key, fs[0].key, gs[-1].key, fs[-1].key
+    table, key = {"sigma(g;1,f)": (sigma, (g, e, f)), "sigma(g;f,1)": (sigma, (g, f, e)),
+                  "sigma(1;f,f')": (sigma, (o, f, f)), "tau(1,g;f)": (tau, (o, g, f)),
+                  "tau(g,1;f)": (tau, (g, o, f)), "tau(g,g';1)": (tau, (g, g, e))}[clause]
+    table[key] = -table[key]
+    cp = CocyclePair.from_tables(mp, sigma, tau, sigma_default=None, tau_default=None)
+    new = _json(cp.verify())
+    assert new == _json(verify_cocycles_reference(cp))
+    assert new[0]["status"] == "fail"
