@@ -36,7 +36,9 @@ class RForm:
 
     Inside the window an absent entry is exactly zero; outside the window the
     value is unknown and every condition instance that needs it is reported as
-    out-of-window.
+    out-of-window.  `_lengths` keeps each F element's word length, keyed by the
+    element itself: one of another group never equals it and still raises
+    MixedGroups.
     """
 
     def __init__(self, H, entries, window=None):
@@ -44,6 +46,7 @@ class RForm:
         if window is None and not H.F.is_finite:
             raise BadWindow("an RForm over infinite F needs a word-length window")
         self.window = check_window(window)
+        self._lengths = {}
         table = {}
         for (k1, k2), v in entries.items():
             v = as_scalar(v)
@@ -59,7 +62,10 @@ class RForm:
     def in_window(self, f):
         if self.window is None:
             return True
-        return self.H.F.element_length(f) <= self.window
+        n = self._lengths.get(f)
+        if n is None:
+            n = self._lengths[f] = self.H.F.element_length(f)
+        return n <= self.window
 
     def try_value(self, key1, key2):
         "Scalar inside the window, None outside it."
@@ -129,9 +135,11 @@ class Memo(dict):
 # (tests/cqt_reference.instance_sweep), they read R(a, bc) or R(ab, c), then
 # both factors of each term until one is out of the window, each on first
 # use, so rv calls RForm.try_value on the same arguments in the same order.
-# CQT3, whose sides are elements, compiles each (x, y) once per table into
-# R-independent rows (see _cqt3).  R values, like the structure constants,
-# are kept bare (scalars.bare): an int or Fraction when rational, else a Scalar.
+# CQT0 hoists the unit rows rv[u].  CQT3, whose sides are elements, compiles
+# each (x, y) once per table into R-independent rows over read positions (see
+# _cqt3).  RForm decides each F element's window once.  R values, like the
+# structure constants, are kept bare (scalars.bare): an int or Fraction when
+# rational, else a Scalar.
 
 def _qrange(R, qbound):
     """The F elements a CQT instance quantifies over: the window qbound, else R's
@@ -161,15 +169,22 @@ def _keys(sc):
 def _cqt0(sc, rv, grid):
     "R(1, b) = eps(b) and R(b, 1) = eps(b), where 1 is the sum of the p_u # 1."
     units = [sc.index((x, sc.H.F.one)) for x in sc.H.G.elements()]
+    unit_rows = [rv[u] for u in units]
 
     def ok(b):
-        sums = [0, 0]
-        for side, p, q in [(0, u, b) for u in units] + [(1, b, u) for u in units]:
-            v = rv[p][q]
+        left = right = 0
+        for ru in unit_rows:
+            v = ru[b]
             if v is None:
                 return None
-            sums[side] += v
-        return sums[0] == sums[1] == int(sc.gkey[b] == sc.one_g)
+            left += v
+        rb = rv[b]
+        for u in units:
+            v = rb[u]
+            if v is None:
+                return None
+            right += v
+        return left == right == int(sc.gkey[b] == sc.one_g)
 
     return sweep("CQT0", ((b,) for row in grid for b in row), ok, witness=_keys(sc))
 
@@ -244,11 +259,12 @@ def _cqt3(sc, rv, grid):
 
     No term of either side depends on R, so each (x, y) is compiled on its
     first visit into sc.cqt3_rows[x, y], kept for the life of the table:
-    (reads, components), reads the R arguments of its terms in read order,
-    and per component l a triple (l, the arguments l reads, rows), one row
-    per basis index k, [(argument, merged coefficient of left - right)] with
-    zero merges dropped.  Every visit evaluates the rows: a component with a
-    read out of the window is None, else it holds when every row sums to 0.
+    (reads, components), reads the distinct R arguments of its terms in read
+    order, and per component l a triple (l, the positions in reads that l
+    reads, rows), one row per basis index k, [(position, merged coefficient
+    of left - right)] with zero merges dropped.  Every visit reads the values
+    at reads once, in order, and evaluates the rows: a component with a read
+    out of the window is None, else it holds when every row sums to 0.
     """
     gkey, compiled = sc.gkey, sc.cqt3_rows
 
@@ -264,30 +280,32 @@ def _cqt3(sc, rv, grid):
                         k, c = hit
                         key = gkey[k], k, pair
                         merged[key] = merged.get(key, 0) + coef * c
-        comps = {}  # l -> (arguments read, {k: row})
+        pos = {pair: i for i, pair in enumerate(dict.fromkeys(pair for _, _, pair in merged))}
+        comps = {}  # l -> (positions read, {k: row})
         for (l, k, pair), c in merged.items():
             reads, rows = comps.setdefault(l, ([], {}))
-            reads.append(pair)
+            reads.append(pos[pair])
             if c:
-                rows.setdefault(k, []).append((pair, c))
-        compiled[xy] = (list(dict.fromkeys(pair for _, _, pair in merged)),
+                rows.setdefault(k, []).append((pos[pair], c))
+        compiled[xy] = (list(pos),
                         [(l, reads, list(rows.values())) for l, (reads, rows) in comps.items()])
         return compiled[xy]
 
     def compare(xy):
         "{l: both sides of (x, y) agree on p_l, None if a term is out of window}; absent l: 0 = 0."
         reads, comps = compiled.get(xy) or compile_rows(xy)
-        vals = {(p, q): rv[p][q] for p, q in reads}
+        vals = [rv[p][q] for p, q in reads]
+        partial = any(v is None for v in vals)
         out = {}
         for l, lreads, rows in comps:
-            if any(vals[p] is None for p in lreads):
+            if partial and any(vals[i] is None for i in lreads):
                 out[l] = None
                 continue
             out[l] = True
             for row in rows:
                 total = 0
-                for p, c in row:
-                    v = vals[p]
+                for i, c in row:
+                    v = vals[i]
                     if v:
                         total += c * v
                 if total:

@@ -303,6 +303,7 @@ class FiniteGroup(Group):
 
     def element_length(self, a):
         # finite groups are always inside any verification window
+        self._member(a)
         return 0
 
     def letter_decomposition(self, a):

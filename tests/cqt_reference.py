@@ -15,7 +15,7 @@ basis element, pair or triple (x, y, z basis elements, x1 (x) x2 = Delta(x)):
 Families 0-3 and the invertibility of r define a coquasitriangular form
 (Larson-Towber, Comm. Algebra 19, 1991; Kassel, Quantum Groups, VIII.5).
 
-`instance_sweep` keeps the per-instance sweeps of families 1 and 2, for
+`instance_sweep` keeps the per-instance sweeps of families 0, 1 and 2, for
 forms with a window (see its comment block).
 """
 
@@ -103,13 +103,14 @@ def families(R):
             for level, (ok, width) in checks.items()}
 
 
-# -- per-instance sweeps of CQT1 and CQT2 ---------------------------------------
+# -- per-instance sweeps of CQT0, CQT1 and CQT2 ---------------------------------
 #
 # families() needs a form without a window.  These are the per-instance
-# closures that cqt._cqt1 and cqt._cqt2 ran on the general engine
-# reports.sweep before both moved to row kernels: one ok(a, b, c) per
-# instance, R read through a memo of RForm.try_value.  They see windows, so
-# the row kernels must match their reports and their R reads on any form.
+# closures that cqt._cqt0, cqt._cqt1 and cqt._cqt2 ran on the general engine
+# reports.sweep before CQT0 moved to hoisted unit rows and CQT1 and CQT2 to
+# row kernels: one ok per instance, R read through a memo of
+# RForm.try_value.  They see windows, so the sweeps must match their reports
+# and their R reads on any form.
 
 def _sum(rv, terms):
     "Sum of coef * R(p) * R(q) over (coef, p, q); None as soon as a term has a factor out of window."
@@ -125,7 +126,7 @@ def _sum(rv, terms):
 
 
 def instance_sweep(R, level, qbound=None):
-    "The ConditionReport of CQT1 or CQT2 (level 1 or 2) on R, one ok call per instance."
+    "The ConditionReport of CQT0, CQT1 or CQT2 (level 0, 1 or 2) on R, one ok call per instance."
     sc = StructureConstants(R.H)
     fs = R.H.mp.window(qbound if qbound is not None else R.window)
     grid = [[sc.index((g, f)) for f in fs] for g in R.H.G.elements()]
@@ -133,6 +134,17 @@ def instance_sweep(R, level, qbound=None):
 
     def witness(inst):
         return tuple(sc.keys[i][0] for i in inst) + tuple(sc.keys[i][1] for i in inst)
+
+    units = [sc.index((x, R.H.F.one)) for x in R.H.G.elements()]
+
+    def cqt0_ok(b):
+        sums = [0, 0]
+        for side, p, q in [(0, u, b) for u in units] + [(1, b, u) for u in units]:
+            v = rv[p, q]
+            if v is None:
+                return None
+            sums[side] += v
+        return sums[0] == sums[1] == int(sc.gkey[b] == sc.one_g)
 
     def cqt1_ok(a, b, c):
         bc = sc.product(b, c)
@@ -148,6 +160,8 @@ def instance_sweep(R, level, qbound=None):
                                                  for c1, c2, t in sc.coproduct(c)])
         return None if rhs is None else (lhs and lhs * ab[1]) == rhs
 
+    if level == 0:
+        return sweep("CQT0", ((b,) for row in grid for b in row), cqt0_ok, witness=witness)
     if level == 1:
         ids = [i for row in grid for i in row]
         return sweep("CQT1", ((a, b, c) for b in ids for row in grid for a in ids for c in row),

@@ -161,10 +161,37 @@ MUTANTS = [
          tests=["tests/test_shared_tables.py::test_table_constants_equal_the_object_path"
                 "[Z2_Z3_asymmetric_sigma-4]"]),
     dict(name="cqt3-out-of-window-needs-all", file="cqt.py",
-         old="if any(vals[p] is None for p in lreads):",
-         new="if all(vals[p] is None for p in lreads):",
+         old="if partial and any(vals[i] is None for i in lreads):",
+         new="if partial and all(vals[i] is None for i in lreads):",
          tests=["tests/test_length_changing_action.py::"
                 "test_cqt3_marks_only_the_component_that_reads_outside_the_window"]),
+    dict(name="cqt3-out-of-window-reads-first-only", file="cqt.py",
+         old="if partial and any(vals[i] is None for i in lreads):",
+         new="if partial and vals[lreads[0]] is None:",
+         tests=["tests/test_length_changing_action.py::"
+                "test_cqt3_marks_only_the_component_that_reads_outside_the_window"]),
+    dict(name="cqt3-row-term-at-component-position", file="cqt.py",
+         old="rows.setdefault(k, []).append((pos[pair], c))",
+         new="rows.setdefault(k, []).append((len(reads) - 1, c))",
+         tests=["tests/test_cqt_reference.py::test_verify_R_agrees_with_the_definitions"
+                "[eps:K4_Z2_tau]"]),
+    dict(name="cqt0-right-side-reads-r-u-b", file="cqt.py",
+         old="""            v = rb[u]
+""",
+         new="""            v = rv[u][b]
+""",
+         tests=["tests/test_cqt_row_kernels.py::test_every_single_entry_perturbation"
+                "[Z2_Z2_trivial]"]),
+    dict(name="window-lengths-keyed-by-f-key", file="cqt.py",
+         old="""        n = self._lengths.get(f)
+        if n is None:
+            n = self._lengths[f] = self.H.F.element_length(f)
+""",
+         new="""        n = self._lengths.get(f.key)
+        if n is None:
+            n = self._lengths[f.key] = self.H.F.element_length(f)
+""",
+         tests=["tests/test_cqt.py::test_foreign_element_with_a_kept_key_raises_every_time"]),
     dict(name="cqt3-drops-tau", file="cqt.py",
          old="""                st = s * t
 """,

@@ -9,8 +9,8 @@ from hopfcqt.cqt import (RForm, bicharacter_restriction_check, check_orbit_commu
                          eps_tensor_eps, necessary_battery, search_R, structural_zeros,
                          verify_R, z2_r11_rform, z2_r11_solve, z2_remark_diagnostics,
                          z2_shape_classify)
-from hopfcqt.errors import (BadWindow, HopfCqtError, NotAScalar, OutOfWindow, UnknownLevel,
-                           WrongGroup)
+from hopfcqt.errors import (BadWindow, HopfCqtError, MixedGroups, NotAScalar, OutOfWindow,
+                           UnknownLevel, WrongGroup)
 from hopfcqt.groups import GroupHom, cyclic_group, klein_four_group
 from hopfcqt.hopf import HopfAlgebra
 from hopfcqt.matched_pair import MAX_WINDOW, MatchedPair
@@ -424,3 +424,73 @@ def test_cqt_errors_are_library_errors(call, error, builtin):
     with pytest.raises(error) as err:
         call()
     assert isinstance(err.value, HopfCqtError) and isinstance(err.value, builtin)
+
+
+# -- the window memo of RForm ------------------------------------------------------
+
+@pytest.fixture
+def length_calls(monkeypatch):
+    "Every later element_length call on Z2_Z2xZ_central's F, as the element it was asked for."
+    H = get_entry("Z2_Z2xZ_central").context()
+    calls = []
+    element_length = type(H.F).element_length
+
+    def counted(self, a):
+        calls.append(a)
+        return element_length(self, a)
+
+    monkeypatch.setattr(type(H.F), "element_length", counted)
+    return H, calls
+
+
+def test_window_is_decided_once_per_element(length_calls):
+    H, calls = length_calls
+    one, f = H.G.one, H.F.parse("(1, 2)")
+    R = RForm(H, {((one, f), (one, f)): 5}, window=2)
+    assert calls == [f]
+    assert [R.try_value((one, f), (one, f)) for _ in range(3)] == [5] * 3
+    assert calls == [f]
+
+
+def test_element_past_the_window_stays_outside(length_calls):
+    H, calls = length_calls
+    R = RForm(H, {}, window=2)
+    one, f, past = H.G.one, H.F.parse("(a, 2)"), H.F.parse("(1, 3)")
+    assert [R.try_value((one, past), (one, f)) for _ in range(3)] == [None] * 3
+    assert [R.try_value((one, f), (one, past)) for _ in range(3)] == [None] * 3
+    assert calls == [past, f]
+
+
+def test_perturbed_copy_keeps_its_own_lengths(length_calls):
+    H, calls = length_calls
+    R = RForm(H, {}, window=2)
+    one, f = H.G.one, H.F.parse("(1, 1)")
+    assert R.try_value((one, f), (one, f)) == ZERO
+    S = R.perturbed((one, f), (one, f), 3)
+    assert calls == [f, f]  # S's constructor asked again
+    assert S.try_value((one, f), (one, f)) == 3
+    assert R.try_value((one, f), (one, f)) == ZERO
+    assert calls == [f, f]
+
+
+def test_foreign_element_with_a_kept_key_raises_every_time():
+    # Dinf's x has key (0, 1), as Z2 x Z's (1, 1) does
+    H = get_entry("Z2_Z2xZ_central").context()
+    x = get_entry("Z2_Dinf").context().F.x
+    R = eps_tensor_eps(H, window=2)
+    f = next(f for f in H.mp.window(2) if f.key == x.key)
+    one = H.G.one
+    assert R.try_value((one, f), (one, f)) == ONE
+    for _ in range(3):
+        with pytest.raises(MixedGroups):
+            R.try_value((one, x), (one, f))
+
+
+def test_finite_F_window_rejects_an_element_of_another_group():
+    H = get_entry("Z2_Z2_trivial").context()
+    R = eps_tensor_eps(H, window=1)
+    foreign = get_entry("Z3_Z3_trivial").context().F.elements()[1]
+    one = H.G.one
+    for key1, key2 in (((one, foreign), (one, H.F.one)), ((one, H.F.one), (one, foreign))):
+        with pytest.raises(MixedGroups):
+            R.try_value(key1, key2)
