@@ -23,9 +23,9 @@ F window, and keeps per index the G ids of g and g <| f, so a zero product
 is one int compare.
 Products live in one dense table[i][j], filled on first lookup; products,
 coproducts and antipodes are evaluated once per call from the PairTables'
-F products, actions and sigma/tau entries, in the order _basis_product,
-_basis_coproduct and antipode_basis reach them, so a value an earlier check
-filled is not looked up again, and the six axioms run on int indices.
+F products, actions and sigma/tau entries, in the order the formulas above
+read them, so a value an earlier check filled is not looked up again, and
+the six axioms run on int indices.
 Associativity and bialgebra compatibility run on the row engine
 (reports.sweep_rows): one kernel call per row of the innermost
 quantifier (k for a fixed (i, j), j for a fixed i), which reads the product
@@ -44,16 +44,20 @@ rational structure constant is stored bare, as its int or Fraction
 (scalars.bare), so the sweeps multiply Python rationals; a cyclotomic one
 stays a Scalar, whose reflected operators take the mixed cases.  The StructureConstants is
 dropped when the call returns, a shared PairTables when run_entry does.
-The tests keep the object-path sweep as a reference and require identical
-reports, witnesses and `checked` counts.
+tests/hopf_reference.py keeps the object-path maps and sweep as the reference;
+the tests require identical reports, witnesses and `checked` counts.
 
 cqt.verify_R evaluates the CQT families on the same kind of table, but not
 one per call: a HopfAlgebra owns one StructureConstants,
 `HopfAlgebra.structure_constants`, built on first use and kept for the life
 of the context, and every verify_R on that context shares it, since no
 structure constant depends on R.  It sits on a PairTables of its own, of
-window 0, and grows with the union of the quantifier ranges used on the
-context.
+window 0, and grows with the quantifier ranges and elements used on the
+context.  StructureConstants is the one evaluator of the structure maps:
+multiply, comultiply and antipode index their keys once in the shared one
+(StructureConstants.index checks G and F membership) and map its entries
+back to keys, products through _basis_product, coproducts through
+_basis_coproduct.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ class HopfAlgebra:
 
     @functools.cached_property
     def structure_constants(self):
-        "The StructureConstants that every verify_R on this context shares, built on first use."
+        "The StructureConstants that element arithmetic and verify_R share and grow, built lazily."
         return StructureConstants(self)
 
     def __repr__(self):
@@ -200,78 +204,42 @@ class TensorElement(_Combination):
 
     __slots__ = ()
 
-    def __mul__(self, other):
-        "(a (x) b)(c (x) d) = ac (x) bd, bilinearly."
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        _same_context(self, other)
-        H = self.context
-        return _collect(TensorElement, H, (
-            ((left[0], right[0]), c * d * left[1] * right[1])
-            for (k1, k2), c in self.terms.items() for (l1, l2), d in other.terms.items()
-            if (left := _product_or_none(H, k1, l1)) and (right := _product_or_none(H, k2, l2))))
-
-    def multiply_legs(self):
-        "Apply the multiplication H (x) H -> H."
-        H = self.context
-        return _collect(HopfElement, H, ((hit[0], c * hit[1]) for (k1, k2), c in self.terms.items()
-                                         if (hit := _product_or_none(H, k1, k2))))
-
-    def map_left(self, fn):
-        "Apply a basis-key -> HopfElement map to the left leg, linearly."
-        return _collect(TensorElement, self.context, (
-            ((key, k2), c * s) for (k1, k2), c in self.terms.items()
-            for key, s in fn(k1).terms.items()))
-
-    def map_right(self, fn):
-        return _collect(TensorElement, self.context, (
-            ((k1, key), c * s) for (k1, k2), c in self.terms.items()
-            for key, s in fn(k2).terms.items()))
-
     def __repr__(self):
         return " + ".join(_coeff(c) + _term(k1) + " (x) " + _term(k2)
                           for (k1, k2), c in self.terms.items()) or "0"
 
 
-def _basis_product(H, key1, key2):
-    """Product of two basis symbols (g, f), (g', f') whose product is nonzero, that is
-    g <| f = g': ((g, ff'), sigma coefficient).  The caller settles that it is nonzero."""
-    g, f = key1
-    return (g, H.F.mul(f, key2[1])), H.cp.sigma(g, f, key2[1])
-
-
-def _product_or_none(H, key1, key2):
-    "Product of two basis symbols: None when g <| f differs from g', else _basis_product."
-    if H.mp.act_right(*key1) != key2[0]:
-        return None
-    return _basis_product(H, key1, key2)
+def _basis_product(sc, i, j):
+    """Product of the basis symbols with indices i and j of the StructureConstants
+    sc: (key, sigma as a Scalar), or False when it is zero."""
+    hit = sc.product(i, j)
+    return hit and (sc.keys[hit[0]], as_scalar(hit[1]))
 
 
 def multiply(a, b):
-    "Bilinear extension of the basis product."
+    "Bilinear extension of the basis product; each factor's keys are indexed once."
     _same_context(a, b)
     H = a.context
+    sc = H.structure_constants
+    left = [(sc.index(key), c) for key, c in a.terms.items()]
+    right = [(sc.index(key), d) for key, d in b.terms.items()]
     return _collect(HopfElement, H, (
-        (hit[0], c * d * hit[1]) for k1, c in a.terms.items() for k2, d in b.terms.items()
-        if (hit := _product_or_none(H, k1, k2))))
+        (hit[0], c * d * hit[1]) for i, c in left for j, d in right
+        if (hit := _basis_product(sc, i, j))))
 
 
-def _basis_coproduct(H, key):
-    "Delta on one basis symbol, as {((g1,f1),(g2,f2)): coeff}."
-    g, f = key
-    G, mp, cp = H.G, H.mp, H.cp
-    out = {}
-    for x in G.elements():
-        gx = G.mul(g, G.inv(x))
-        out[((gx, mp.act_left(x, f)), (x, f))] = cp.tau(gx, x, f)
-    return out
+def _basis_coproduct(sc, i):
+    "Delta(p_i) as [((key1, key2), tau as a Scalar)], its legs in G order."
+    keys = sc.keys
+    return [((keys[j1], keys[j2]), as_scalar(t)) for j1, j2, t in sc.coproduct(i)]
 
 
 def comultiply(a):
     "Delta, linearly extended."
     H = a.context
+    sc = H.structure_constants
     return _collect(TensorElement, H, ((kk, c * t) for key, c in a.terms.items()
-                                       for kk, t in _basis_coproduct(H, key).items()))
+                                       for kk, t in _basis_coproduct(sc, sc.index(key))))
 
 
 def counit(a):
@@ -283,32 +251,23 @@ def counit(a):
     return total
 
 
-def antipode_basis(H, key):
-    "S on one basis symbol: (new key, coefficient)."
-    g, f = key
-    G, F, mp, cp = H.G, H.F, H.mp, H.cp
-    ginv = G.inv(g)
-    gf = mp.act_left(g, f)
-    coeff = (cp.sigma(ginv, gf, F.inv(gf)) * cp.tau(ginv, g, f)).inverse()
-    return (G.inv(mp.act_right(g, f)), F.inv(gf)), coeff
-
-
 def antipode(a):
     "Antipode, linearly extended."
     H = a.context
-    images = ((antipode_basis(H, key), c) for key, c in a.terms.items())
-    return _collect(HopfElement, H, ((kk, c * s) for (kk, s), c in images))
+    sc = H.structure_constants
+    images = (sc.antipode(sc.index(key)) + (c,) for key, c in a.terms.items())
+    return _collect(HopfElement, H, ((sc.keys[j], c * s) for j, s, c in images))
 
 
-# -- axiom verification --------------------------------------------------------
+# -- structure constants and axiom verification ------------------------------
 
 class StructureConstants:
     """Int-indexed basis keys and memoized structure constants over one PairTables.
 
     Its owner decides how long it lives: verify_hopf_axioms builds one per
-    call, and HopfAlgebra.structure_constants holds the one that every
-    cqt.verify_R on the context shares, on a PairTables of window 0 (all of
-    F when F is finite, else {1}; fid appends the rest).  `cqt3_rows`
+    call, and HopfAlgebra.structure_constants holds the one that element
+    arithmetic and every cqt.verify_R on the context share, on a PairTables
+    of window 0 (all of F when F is finite, else {1}; fid appends the rest).  `cqt3_rows`
     belongs to cqt._cqt3, which documents it.
 
     The ids are the PairTables' (self.P), which must be built on H's pair and
@@ -323,9 +282,11 @@ class StructureConstants:
     _at adds a row and a column for each new key.  product() is the one
     path that fills it, so a reader may take a filled entry straight from
     the table and call product() on None.  Products, coproducts and
-    antipodes read P's entries in the order _basis_product, _basis_coproduct
-    and antipode_basis look them up, each once; a lookup that raises stores
-    nothing, so the next visit raises again.
+    antipodes read P's entries in the order the module docstring's formulas
+    do, each once: the product ff', then sigma(g; f, f'); per leg x in G
+    order, g x^-1, x |> f and tau(g x^-1, x; f); for S, g |> f and its
+    inverse, then sigma and tau.  A lookup that raises stores nothing, so the
+    next visit raises again.
 
     A memoized constant is bare (scalars.bare): an int or Fraction when it is
     rational, as nearly every catalog value is, else a Scalar.  Most are +-1,
@@ -340,9 +301,12 @@ class StructureConstants:
         self._index, self._coproducts, self._antipodes, self.cqt3_rows = {}, {}, {}, {}
 
     def index(self, key):
-        "The index of a basis key (g, f), interning it on first sight."
+        """The index of a basis key (g, f), interning it on first sight; the one
+        point where a key enters the ids, so an element of another group raises
+        MixedGroups here."""
         g, f = key
-        return self._at(self.P.gid[g.key], self.P.fid(f))
+        H = self.H
+        return self._at(self.P.gid[H.G._member(g).key], self.P.fid(H.F._member(f)))
 
     def _at(self, g, f):
         "The index of the basis key with G id g and F id f, interning it on first sight."
@@ -388,7 +352,7 @@ class StructureConstants:
         return out
 
     def antipode(self, i):
-        "(j, c) with S(p_i) = c p_j, read in antipode_basis's order."
+        "(j, c) with S(p_i) = c p_j: u = g |> f, then sigma(g^-1; u, u^-1), then tau(g^-1, g; f)."
         hit = self._antipodes.get(i)
         if hit is None:
             P, g, f = self.P, self.gkey[i], self.fkey[i]

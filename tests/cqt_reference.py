@@ -1,9 +1,12 @@
 """Definition-level oracle for the CQT condition families of `cqt.verify_R`.
 
 Built only from the object-path structure maps `multiply`, `comultiply`,
-`counit` and `antipode` and from `RForm.bilinear`, so it shares no code with
-the int-indexed sweep.  On a finite context it checks each identity on every
-basis element, pair or triple (x, y, z basis elements, x1 (x) x2 = Delta(x)):
+`counit` and `antipode` of hopf_reference, which evaluate each product,
+coproduct and antipode from G.mul, F.mul, the actions and sigma/tau, and
+from `RForm.bilinear`, so it shares no code with the int-indexed sweep or
+with the StructureConstants table that hopfcqt's element arithmetic reads.
+On a finite context it checks each identity on every basis element, pair or
+triple (x, y, z basis elements, x1 (x) x2 = Delta(x)):
 
     0    r(1, x) = eps(x) = r(x, 1)
     1    r(x, yz) = r(x1, z) r(x2, y)
@@ -21,8 +24,9 @@ forms with a window (see its comment block).
 
 import itertools
 
+from hopf_reference import antipode, comultiply, counit, multiply
 from hopfcqt.cqt import Memo
-from hopfcqt.hopf import HopfElement, StructureConstants, antipode, comultiply, counit, multiply
+from hopfcqt.hopf import HopfElement, StructureConstants
 from hopfcqt.reports import sweep
 from hopfcqt.scalars import ONE, ZERO, bare
 

@@ -160,6 +160,18 @@ MUTANTS = [
          new="s = P.sigma[g][fp][f] or P.fill_sigma(g, fp, f)",
          tests=["tests/test_shared_tables.py::test_table_constants_equal_the_object_path"
                 "[Z2_Z3_asymmetric_sigma-4]"]),
+    dict(name="element-coproduct-swaps-legs", file="hopf.py",
+         old="((keys[j1], keys[j2]), as_scalar(t))", new="((keys[j2], keys[j1]), as_scalar(t))",
+         tests=["tests/test_shared_tables.py::test_element_maps_equal_the_reference_maps"
+                "[Z2_Z-2]"]),
+    dict(name="element-product-reads-j-i", file="hopf.py",
+         old="hit = sc.product(i, j)", new="hit = sc.product(j, i)",
+         tests=["tests/test_shared_tables.py::test_element_maps_equal_the_reference_maps"
+                "[S3_Z2-None]"]),
+    dict(name="index-skips-membership", file="hopf.py",
+         old="self._at(self.P.gid[H.G._member(g).key], self.P.fid(H.F._member(f)))",
+         new="self._at(self.P.gid[g.key], self.P.fid(f))",
+         tests=["tests/test_hopf.py::test_element_maps_refuse_keys_of_other_groups"]),
     dict(name="cqt3-out-of-window-needs-all", file="cqt.py",
          old="if partial and any(vals[i] is None for i in lreads):",
          new="if partial and all(vals[i] is None for i in lreads):",

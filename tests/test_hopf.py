@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hopf_reference import verify_hopf_axioms_reference
+from hopf_reference import map_left, multiply_legs, verify_hopf_axioms_reference
 from pair_reference import verify_cocycles_reference
 from hopfcqt import hopf
 from hopfcqt.catalog import entry_ids, get_entry
@@ -130,12 +130,27 @@ def test_corrupted_sigma_fails_bialgebra():
 
 
 def test_convolution_identity_pointwise():
+    # comultiply and antipode of the table path, legs multiplied by the reference
     H = get_entry("Z2_Z2_tau").context()
     for key in H.basis_window():
         a = H.basis(*key)
         d = comultiply(a)
-        left = d.map_left(lambda k: antipode(H.basis(*k))).multiply_legs()
+        left = multiply_legs(map_left(d, lambda k: antipode(H.basis(*k))))
         assert left == H.unit().scaled(counit(a))
+
+
+def test_element_maps_refuse_keys_of_other_groups():
+    # each map checks the groups of its keys, whichever factor holds the foreign
+    # key and even when the other factor is zero
+    H = get_entry("Z2_Z2_trivial").context()
+    a = H.basis("g", "t")
+    z3 = cyclic_group(3)
+    for key in ((z3.parse("g"), H.F.one), (H.G.one, z3.parse("g"))):
+        b = hopf.HopfElement(H, {key: ONE})
+        for call in (lambda: a * b, lambda: b * a, lambda: multiply(H.zero(), b),
+                     lambda: comultiply(b), lambda: antipode(b)):
+            with pytest.raises(MixedGroups):
+                call()
 
 
 def test_context_mismatch():

@@ -5,20 +5,26 @@ deterministic function of its ids and a lookup that raises stores nothing, so
 a check reports, and raises, exactly as it does on a table of its own.  Each
 of the four verifiers takes its window as a word-length bound or as a table,
 whose word_bound is the window, and reports alike either way; each refuses,
-with ContextMismatch, a table built on another pair or without its cocycles."""
+with ContextMismatch, a table built on another pair or without its cocycles.
+The structure constants in those tables, and the element maps that read a
+context's shared table, equal the object-path maps of hopf_reference."""
+
+import random
 
 import pytest
 
+import hopf_reference
+from hopf_reference import basis_antipode, basis_coproduct, basis_product
 from test_battery_tables import k4_z2_asymmetric_tau
 from test_hopf import _perturbed_context, _total_cocycles, assert_adjacent_missing_pairs_raise_alike
+from test_induced_sparse import z4_z8_tau
 from hopfcqt import hopf
 from hopfcqt.catalog import CHECKS, entry_ids, get_entry, run_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.cqt import necessary_battery
 from hopfcqt.errors import ContextMismatch, MissingEntry
 from hopfcqt.groups import cyclic_group
-from hopfcqt.hopf import (HopfAlgebra, StructureConstants, _basis_coproduct, _basis_product,
-                          antipode_basis, verify_hopf_axioms)
+from hopfcqt.hopf import HopfAlgebra, StructureConstants, verify_hopf_axioms
 from hopfcqt.matched_pair import MatchedPair, PairTables
 from hopfcqt.scalars import MINUS_ONE, bare
 
@@ -59,18 +65,76 @@ def test_table_constants_equal_the_object_path(monkeypatch, H, bound):
     for i, row in enumerate(sc.table):
         for j, hit in enumerate(row):
             if hit is False:
-                assert H.mp.act_right(*keys[i]) != keys[j][0]
+                assert basis_product(H, keys[i], keys[j]) is None
             elif hit is not None:
-                key, s = _basis_product(H, keys[i], keys[j])
+                key, s = basis_product(H, keys[i], keys[j])
                 assert (keys[hit[0]], hit[1]) == (key, bare(s)), (keys[i], keys[j])
                 products += 1
     assert products and sc._coproducts and sc._antipodes
     for i, legs in sc._coproducts.items():
         assert ([((keys[j1], keys[j2]), t) for j1, j2, t in legs]
-                == [(kk, bare(t)) for kk, t in _basis_coproduct(H, keys[i]).items()])
+                == [(kk, bare(t)) for kk, t in basis_coproduct(H, keys[i]).items()])
     for i, (j, c) in sc._antipodes.items():
-        key, s = antipode_basis(H, keys[i])
+        key, s = basis_antipode(H, keys[i])
         assert (keys[j], c) == (key, bare(s))
+
+
+def _element_contexts():
+    "(fresh context, window) pairs whose element maps are compared with the reference maps."
+    named = [(eid, None) for eid in FINITE] + [(eid, 2) for eid in ("Z2_Z", "Z2_Dinf",
+                                                                     "Z2_Z2xZ_central")]
+    return ([(HopfAlgebra(get_entry(eid).context().cp, name=eid), bound) for eid, bound in named]
+            + [(k4_z2_asymmetric_tau(), None), (_asymmetric_sigma(), None), (z4_z8_tau(), None)])
+
+
+def _assert_same(new, ref):
+    "Equal terms, in the same order, and so the same repr."
+    assert list(new.terms.items()) == list(ref.terms.items())
+    assert repr(new) == repr(ref)
+
+
+def _missing_products(H, mul, bound):
+    """(a, b, message) of each MissingEntry that mul raises on the window's basis
+    pairs, in a-major order, and then on x x, x the sum of n p_n over the
+    window's n-th basis key."""
+    keys = H.basis_window(bound)
+    x = H.element([(g, f, n + 1) for n, (g, f) in enumerate(keys)])
+    pairs = [(H.basis(*k1), H.basis(*k2)) for k1 in keys for k2 in keys]
+    found = []
+    for a, b in pairs + [(x, x)]:
+        try:
+            mul(a, b)
+        except MissingEntry as e:
+            found.append((repr(a), repr(b), str(e)))
+    return found
+
+
+@pytest.mark.parametrize("H, bound", _element_contexts(), ids=lambda v: getattr(v, "name", v))
+def test_element_maps_equal_the_reference_maps(H, bound):
+    # multiply, comultiply and antipode read the context's shared table; the
+    # reference evaluates every product, coproduct and antipode from sigma/tau
+    keys = H.basis_window(bound)
+    basis = [H.basis(*key) for key in keys]
+    for a in basis:
+        _assert_same(hopf.comultiply(a), hopf_reference.comultiply(a))
+        _assert_same(hopf.antipode(a), hopf_reference.antipode(a))
+        for b in basis:
+            _assert_same(hopf.multiply(a, b), hopf_reference.multiply(a, b))
+    # distinct coefficients, so terms collect and keep their order
+    x = H.element([(g, f, n + 1) for n, (g, f) in enumerate(keys)])
+    _assert_same(hopf.multiply(x, x), hopf_reference.multiply(x, x))
+    _assert_same(hopf.comultiply(x), hopf_reference.comultiply(x))
+    _assert_same(hopf.antipode(x), hopf_reference.antipode(x))
+    # sigma as a table without a default, two window keys missing: both paths
+    # raise at the same products, first for the same key
+    gs, fs = H.G.elements(), H.mp.window(bound)
+    sigma = {(g.key, f.key, fp.key): H.cp.sigma(g, f, fp) for g in gs for f in fs for fp in fs}
+    dropped = random.Random(len(sigma)).sample(list(sigma), 2)
+    cp = CocyclePair.from_tables(H.mp, {k: v for k, v in sigma.items() if k not in dropped},
+                                 {}, sigma_default=None)
+    new = _missing_products(HopfAlgebra(cp), hopf.multiply, bound)
+    assert len(new) == 3
+    assert new == _missing_products(HopfAlgebra(cp), hopf_reference.multiply, bound)
 
 
 def _alone(entry, name, bound):
