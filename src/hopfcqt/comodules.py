@@ -14,10 +14,11 @@ independently, as the trace of the induced coaction (two code paths that the
 tests compare).
 
 G ids come from the matched pair's one G id table, MatchedPair.gids (gs, gid,
-gmul, ginv), and the stabilizer, transversal and x = g_x z_x factorization
-from the pair's OrbitData at f, as G ids too; so products and inverses in G
-are list lookups.  A TwistedCoalgebra indexes G by position, stabilizer
-first (`_at` maps a G id to its position), takes the G_f product as a
+gmul, ginv), and the stabilizer, transversal, images x |> f and x = g_x z_x
+factorization from the pair's OrbitData at f, as G ids too; so products and
+inverses in G are list lookups, and `induce` and `character` read each
+z^-1 |> f from OrbitData.images.  A TwistedCoalgebra indexes G by position,
+stabilizer first (`_at` maps a G id to its position), takes the G_f product as a
 position table from gmul, and holds one tau(., .; f) memo indexed by two
 positions, each value filled on its first read through `CocyclePair.tau`
 (so its checks and errors are those of the cocycle pair) and kept bare
@@ -33,8 +34,14 @@ which callers may read and replace.  Each block is mostly zero: from a source
 of dimension m, one m x m sub-block per block is nonzero.  So `verify` builds
 sparse row views {row: {col: nonzero bare value}} of the current blocks once
 per call, indexed by G id and by position in the orbit closure U of their F
-parts, together with the action table over G x U, and its coassociativity
-sweep multiplies, scales by tau and compares those views.
+parts, sums the identity blocks' views for the counit, and its
+coassociativity sweep multiplies, scales by tau and compares those views.
+Its ids, its action table over G x U and tau come from the context's shared
+table, H.structure_constants.P (the window-0 PairTables that element
+arithmetic and cqt.verify_R read): each g |> u and each tau(g, h; u) is
+filled there on its first read, through MatchedPair.act_left and
+`CocyclePair.tau` (`fill_tau`), so the simples induced from one base point
+look each one up once per context, not once per call.
 """
 
 from __future__ import annotations
@@ -325,7 +332,7 @@ class InducedComodule:
         blocks = {}
         for z in od.trans_ids:
             zinv, c0 = ginv[z], offset[z]
-            ftarget = H.mp.act_left(gs[zinv], f)
+            ftarget = od.images[zinv]
             for x, (gx, zx) in enumerate(od.factor_ids):
                 gxi, zxi = ginv[gx], ginv[zx]
                 t = tau(at[zxi], at[gxi])
@@ -342,34 +349,45 @@ class InducedComodule:
     def verify(self):
         """Comodule axioms over the full Hopf algebra, on the block support.
 
-        The coassociativity sweep multiplies and compares sparse row views of
-        the current blocks (`_sparse_rows`), built once per call and indexed by
-        G id and by position in U.
+        The counit sums the identity blocks' sparse row views (`_sparse_rows`,
+        which rejects a block that is not dim x dim), and the coassociativity
+        sweep multiplies, scales and compares those views, built once per call
+        and indexed by G id and by position in U.  Ids, actions and tau come
+        from the context's shared table (H.structure_constants.P): each g |> u
+        and each tau(g, h; u) is read there, so once per context, not per call.
         """
         H = self.H
-        mp, cp = H.mp, H.cp
-        gs, _, gmul, _ = mp.gids
-        reports = []
-        total = Matrix.zeros(self.dim, self.dim)
-        for (g, u), M in self.blocks.items():
-            if g.is_identity():
-                total = total + M
-        ok = total == Matrix.identity(self.dim)
-        reports.append(verdict("induced-counit", None if ok else ("identity block sum",),
-                               checked=1))
+        G, mp = H.G, H.mp
+        P = H.structure_constants.P
+        gs, gmul, tau, fill_tau = P.gs, P.gmul, P.tau, P.fill_tau
+        n = self.dim
+        # a block keyed by another group's element raises MixedGroups, not read as its twin
+        gids = [P.gid[G._member(g).key] for g, _ in self.blocks]
+        views = [_sparse_rows(M, n) for M in self.blocks.values()]
+        one = P.gid[G.one.key]
+        total = {}
+        for g, rows in zip(gids, views):
+            if g == one:
+                for r, row in rows.items():
+                    acc = total.setdefault(r, {})
+                    for c, v in row.items():
+                        acc[c] = acc[c] + v if c in acc else v
+        ok = all({c: v for c, v in total.get(r, {}).items() if v} == {r: 1} for r in range(n))
+        reports = [verdict("induced-counit", None if ok else ("identity block sum",),
+                           checked=1)]
         # quantify over G x U with U the orbit closure of the support's F parts;
-        # outside U both sides of the axiom vanish identically
-        fparts = {}
-        for (_, u) in self.blocks:
-            for v in mp.orbit(u):
-                fparts.setdefault(v.key, v)
-        U = list(fparts.values())
-        uid = {key: i for i, key in enumerate(fparts)}
-        views = {(g.key, u.key): _sparse_rows(M, self.dim) for (g, u), M in self.blocks.items()}
-        empty = {}
-        view = [[views.get((g.key, u.key), empty) for u in U] for g in gs]
-        act = [[uid[mp.act_left(h, u).key] for u in U] for h in gs]
+        # outside U both sides of the axiom vanish identically.  orbit_data checks
+        # each F part's membership before P.fid interns the orbit.
+        parts = dict.fromkeys(u for _, u in self.blocks)
+        U = list(dict.fromkeys(v for u in parts for v in mp.orbit_data(u).orbit))
+        fids = [P.fid(v) for v in U]
+        pos = {v: i for i, v in enumerate(U)}
         ng, nu = len(gs), len(U)
+        empty = {}
+        view = [[empty] * nu for _ in range(ng)]
+        for g, (_, u), rows in zip(gids, self.blocks, views):
+            view[g][pos[u]] = rows
+        act = [[P.act_left(h, v) for v in fids] for h in range(ng)]
 
         def instances():
             for g in range(ng):
@@ -381,9 +399,10 @@ class InducedComodule:
 
         def holds(g, fk, h, u, B1):
             lhs = _sparse_mul(B1, view[h][u])
-            if fk == act[h][u]:
+            if fids[fk] == act[h][u]:
+                v = fids[u]
                 return lhs == _sparse_scale(view[gmul[g][h]][u],
-                                            bare(cp.tau(gs[g], gs[h], U[u])))
+                                            tau[g][h][v] or fill_tau(g, h, v))
             return not lhs
 
         reports.append(sweep("induced-coassociativity", instances(), holds,
@@ -476,7 +495,7 @@ def character(V):
     acc = {}
     for z in od.trans_ids:
         zinv = ginv[z]
-        fz = H.mp.act_left(gs[zinv], f)
+        fz = od.images[zinv]
         for g, diag in diags:
             if not diag:
                 continue

@@ -24,7 +24,7 @@ from .errors import (DependentCharacters, HopfCqtError, InvalidCocycle,
 from .groups import z2_generator
 from .hopf import _same_context, multiply
 from .reports import sweep
-from .scalars import Matrix, ONE, ZERO, solve_linear, sqrt_root_of_unity
+from .scalars import ONE, ZERO, Scalar, _eliminate, bare, sqrt_root_of_unity
 
 
 def _as_element(c):
@@ -52,6 +52,13 @@ def decompose(x, basis):
     """Multiplicities of x in the given characters; exact, and they must be
     nonnegative integers (the positivity of the character ring).  Every
     character must live over x's context (ContextMismatch otherwise).
+
+    One row per basis key, in first-seen key order, of bare values (scalars.bare),
+    the characters' coefficients and then x's, is eliminated in place by
+    scalars._eliminate; a unique solution and the ranks that pick the error do
+    not depend on the row order.  Elimination can leave a rational value as a
+    Scalar (of order 1), so a Scalar multiplicity is tested by is_rational, not
+    taken as non-rational for its type.
     """
     x = _as_element(x)
     basis = [_as_element(c) for c in basis]
@@ -59,22 +66,24 @@ def decompose(x, basis):
         raise NotInSpan("empty basis")
     for c in basis:
         _same_context(x, c)
-    # rows in first-seen key order: a unique solution and the ranks do not depend on it
     keys = list(dict.fromkeys(k for e in [x] + basis for k in e.terms))
     if not keys:
         raise DependentCharacters("every given character is zero")
-    A = Matrix._trusted([[c.terms.get(k, ZERO) for c in basis] for k in keys])
-    b = Matrix._trusted([[x.terms.get(k, ZERO)] for k in keys])
-    sol = solve_linear(A, b)
-    if sol.status == "inconsistent":
+    n = len(basis)
+    aug = [[bare(e.terms.get(k, ZERO)) for e in basis] + [bare(x.terms.get(k, ZERO))]
+           for k in keys]
+    pivots = _eliminate(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
         raise NotInSpan("element is not a combination of the given characters")
-    if sol.status != "unique":
+    if len(pivots) < n:
         raise DependentCharacters("characters are not linearly independent")
     mults = []
-    for v in sol.particular:
-        if not v.is_rational():
-            raise NonIntegralMultiplicity("non-rational multiplicity %r" % v)
-        q = v.as_rational()
+    for row in aug[:n]:  # rank n: row r holds the pivot of column r
+        q = row[n]
+        if q.__class__ is Scalar:
+            if not q.is_rational():
+                raise NonIntegralMultiplicity("non-rational multiplicity %r" % q)
+            q = q.as_rational()
         if q.denominator != 1 or q < 0:
             raise NonIntegralMultiplicity("multiplicity %s is not a nonnegative integer" % q)
         mults.append(int(q))

@@ -57,7 +57,8 @@ context.  StructureConstants is the one evaluator of the structure maps:
 multiply, comultiply and antipode index their keys once in the shared one
 (StructureConstants.index checks G and F membership) and map its entries
 back to keys, products through _basis_product, coproducts through
-_basis_coproduct.
+_basis_coproduct.  comodules.InducedComodule.verify reads the ids, actions
+and tau of the same PairTables.
 """
 
 from __future__ import annotations

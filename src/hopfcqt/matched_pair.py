@@ -19,7 +19,8 @@ it, so they multiply and invert by list lookups, not G.mul and G.inv.
 
 Orbits O_f = {g |> f}, stabilizers G_f, transversals T_f and dual orbits
 O'_g = {g <| f} feed the comodule machinery.  OrbitData reads the |G| images
-g |> f once: x joins T_f when x^-1 |> f is an orbit point not reached before,
+g |> f once and keeps them (`images`, by G id; `induce` and `character` read
+them): x joins T_f when x^-1 |> f is an orbit point not reached before,
 and z_x in x = g_x z_x is the first x that reached that point.  For a group
 action T_f is then the first element of each right coset G_f x, 1 first.
 Orbit and dual-orbit products are compared by one rule (_product_sets_commute),
@@ -75,18 +76,19 @@ class OrbitData:
     identity in every finite family (FiniteGroup index 0, DirectProductGroup's
     product of such lists), so x = 1 is the first element to reach its point.
 
-    The checks run on the pair's G ids (MatchedPair.gids).  stab_ids and
+    The checks run on the pair's G ids (MatchedPair.gids).  images[x] is
+    x |> f for the G id x, each read once through act_left; stab_ids and
     trans_ids are G_f and T_f as G ids, in G order, and factor_ids[x] is the
     pair of G ids (g_x, z_x) for the G id x.
     """
 
-    __slots__ = ("f", "orbit", "stabilizer", "transversal", "stab_ids", "trans_ids",
-                 "factor_ids", "_stab_keys", "_gids")
+    __slots__ = ("f", "images", "orbit", "stabilizer", "transversal", "stab_ids",
+                 "trans_ids", "factor_ids", "_stab_keys", "_gids")
 
     def __init__(self, mp, f):
         gs, gid, gmul, ginv = self._gids = mp.gids
         self.f = f
-        image = [mp.act_left(g, f) for g in gs]
+        image = self.images = [mp.act_left(g, f) for g in gs]
         self.orbit = list({u.key: u for u in image}.values())  # in G order
         sids = self.stab_ids = [i for i, u in enumerate(image) if u == f]
         stab = self.stabilizer = [gs[i] for i in sids]

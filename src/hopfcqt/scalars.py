@@ -711,20 +711,16 @@ class LinearSolution:
         return len(self.kernel)
 
 
-def solve_linear(A, b=None):
-    """Exact Gaussian elimination for A x = b (b a column Matrix or None).
+def _eliminate(aug, n):
+    """Gauss-Jordan elimination, in place, of the bare augmented rows aug (each
+    of length n + 1) over their first n columns; returns the pivot columns.
 
-    With b None only the homogeneous system is analyzed (particular = zero
-    vector).  No rounding anywhere; pivots are exact nonzero tests.  The
-    elimination runs on bare values (`bare`): each entry is converted once,
-    each pivot inverted once, and a row update reads only the nonzero entries
-    of the pivot row.  The solution and kernel are returned as Scalars.
+    Pivots are exact nonzero tests: each pivot row is scaled to a leading 1,
+    its pivot inverted once, and a row update reads only the nonzero entries
+    of the pivot row.  On return row r < len(pivots) holds the r-th pivot, and
+    the rows below are zero on the first n columns.
     """
-    if b is not None and (b.rows != A.rows or b.cols != 1):
-        raise DimensionMismatch("rhs must be a %dx1 column" % A.rows)
-    m, n = A.rows, A.cols
-    aug = [[bare(v) for v in A.entries[i]] + [0 if b is None else bare(b.entries[i][0])]
-           for i in range(m)]
+    m = len(aug)
     pivots = []
     row = 0
     for col in range(n):
@@ -751,6 +747,23 @@ def solve_linear(A, b=None):
         row += 1
         if row == m:
             break
+    return pivots
+
+
+def solve_linear(A, b=None):
+    """Exact Gaussian elimination for A x = b (b a column Matrix or None).
+
+    With b None only the homogeneous system is analyzed (particular = zero
+    vector).  No rounding anywhere.  Each entry is converted to a bare value
+    (`bare`) once, and `_eliminate` runs on those; the solution and kernel
+    are returned as Scalars.
+    """
+    if b is not None and (b.rows != A.rows or b.cols != 1):
+        raise DimensionMismatch("rhs must be a %dx1 column" % A.rows)
+    m, n = A.rows, A.cols
+    aug = [[bare(v) for v in A.entries[i]] + [0 if b is None else bare(b.entries[i][0])]
+           for i in range(m)]
+    pivots = _eliminate(aug, n)
     rank = len(pivots)
     for r in range(rank, m):
         if aug[r][n]:

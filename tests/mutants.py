@@ -92,6 +92,21 @@ MUTANTS = [
                 if entries[gxi]:""",
          new="""                if entries[gxi]:""",
          tests=["tests/test_induced_sparse.py::test_twisted_sources_match_dense_reference"]),
+    dict(name="induced-verify-reads-tau-at-hg", file="comodules.py",
+         old="tau[g][h][v] or fill_tau(g, h, v)",
+         new="tau[h][g][v] or fill_tau(h, g, v)",
+         tests=["tests/test_induced_sparse.py::test_twisted_sources_match_dense_reference"]),
+    dict(name="induce-reads-image-at-z", file="comodules.py",
+         old="ftarget = od.images[zinv]",
+         new="ftarget = od.images[z]",
+         tests=["tests/test_induced_sparse.py::test_three_point_orbits_match_dense_reference"]),
+    dict(name="decompose-skips-rationality-test", file="grothendieck.py",
+         old="""            if not q.is_rational():
+                raise NonIntegralMultiplicity("non-rational multiplicity %r" % q)
+""",
+         new="",
+         tests=["tests/test_grothendieck.py::"
+                "test_decompose_reads_a_rational_scalar_multiplicity"]),
     dict(name="convolution-drops-coefficients", file="cqt.py",
          old="term(a1, a2, b1, b2, s * t)",
          new="term(a1, a2, b1, b2, 1)",

@@ -8,11 +8,13 @@ from hopfcqt.cqt import (eps_tensor_eps, z2_r11_rform, z2_r11_solve, z2_remark_d
                          z2_shape_classify)
 from hopfcqt.errors import (ContextMismatch, DependentCharacters, HopfCqtError,
                             NonIntegralMultiplicity, NotInSpan, UnknownLabelKind, WrongGroup)
+from hopfcqt import grothendieck
 from hopfcqt.grothendieck import (Z2Label, Z2Simples, char_product, commutes, decompose,
                                   multiset_equal, z2_S_abelian_check)
-from hopfcqt.hopf import HopfAlgebra
+from hopfcqt.hopf import HopfAlgebra, _same_context
 from hopfcqt.reports import all_passed
-from hopfcqt.scalars import Matrix, rational, sqrt_root_of_unity
+from hopfcqt.scalars import (Matrix, Scalar, ZERO, _eliminate, bare, rational, root_of_unity,
+                             solve_linear, sqrt_root_of_unity)
 
 
 def test_char_product_uu_is_u_of_product():
@@ -98,6 +100,114 @@ def test_decompose_permutes_with_its_basis():
         for perm in itertools.permutations(chars):
             with pytest.raises(error):
                 decompose(y, list(perm))
+
+
+def _scalar_path_decompose(x, basis):
+    "decompose as it ran on a Matrix and solve_linear's LinearSolution: the oracle."
+    x = grothendieck._as_element(x)
+    basis = [grothendieck._as_element(c) for c in basis]
+    if not basis:
+        raise NotInSpan("empty basis")
+    for c in basis:
+        _same_context(x, c)
+    keys = list(dict.fromkeys(k for e in [x] + basis for k in e.terms))
+    if not keys:
+        raise DependentCharacters("every given character is zero")
+    A = Matrix._trusted([[c.terms.get(k, ZERO) for c in basis] for k in keys])
+    b = Matrix._trusted([[x.terms.get(k, ZERO)] for k in keys])
+    sol = solve_linear(A, b)
+    if sol.status == "inconsistent":
+        raise NotInSpan("element is not a combination of the given characters")
+    if sol.status != "unique":
+        raise DependentCharacters("characters are not linearly independent")
+    mults = []
+    for v in sol.particular:
+        if not v.is_rational():
+            raise NonIntegralMultiplicity("non-rational multiplicity %r" % v)
+        q = v.as_rational()
+        if q.denominator != 1 or q < 0:
+            raise NonIntegralMultiplicity("multiplicity %s is not a nonnegative integer" % q)
+        mults.append(int(q))
+    return mults
+
+
+def _outcome(decomposer, x, basis):
+    "The multiplicities, or the error class and message."
+    try:
+        return decomposer(x, basis)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _assert_matches_scalar_path(x, basis):
+    got = _outcome(decompose, x, basis)
+    assert got == _outcome(_scalar_path_decompose, x, basis)
+    return got
+
+
+# the label entries of the characters workload, with their label windows
+_LABEL_ENTRIES = {"Z2_Z": 8, "Z2_Z2_tau": 1, "Z2_Dinf": 3, "Z2_Z2xZ_central": 3}
+
+
+def test_decompose_matches_the_scalar_path_on_every_label_system(monkeypatch):
+    systems = []
+
+    def recorded(x, basis):
+        systems.append((x, list(basis)))
+        return decompose(x, basis)
+
+    monkeypatch.setattr(grothendieck, "decompose", recorded)
+    counts = {}
+    for eid, bound in _LABEL_ENTRIES.items():
+        simples = Z2Simples(get_entry(eid).context())
+        labels = simples.labels(bound)
+        before = len(systems)
+        for l1 in labels:
+            for l2 in labels:
+                simples.tensor_by_decomposition(l1, l2)
+        counts[eid] = len(systems) - before
+    assert counts == {"Z2_Z": 100, "Z2_Z2_tau": 16, "Z2_Dinf": 576, "Z2_Z2xZ_central": 100}
+    for x, basis in systems:
+        assert isinstance(_assert_matches_scalar_path(x, basis), list)
+
+
+def test_decompose_errors_match_the_scalar_path():
+    H = get_entry("Z2_Z").context()
+    simples = Z2Simples(H)
+    W1, W2, U0, V0 = (simples.character(simples.label(k, f))
+                      for k, f in (("W", "1"), ("W", "2"), ("U", "0"), ("V", "0")))
+    zero = H.basis("1", "0").scaled(0)
+    cases = [(H.basis("g", "0"), [U0, V0], NonIntegralMultiplicity),
+             (H.basis("1", "3"), [U0, V0], NotInSpan),
+             (U0, [U0, V0, U0], DependentCharacters),
+             (zero, [zero], DependentCharacters),
+             (U0, [], NotInSpan),
+             (U0.element.scaled(-1), [U0], NonIntegralMultiplicity)]
+    cases += [(y, list(perm), error)
+              for y, chars, error in ((H.basis("1", "3"), [U0, V0, W2], NotInSpan),
+                                      (U0, [U0, V0, U0], DependentCharacters),
+                                      (H.basis("g", "0"), [U0, V0, W1],
+                                       NonIntegralMultiplicity))
+              for perm in itertools.permutations(chars)]
+    for x, basis, error in cases:
+        assert _assert_matches_scalar_path(x, basis)[0] is error
+
+
+def test_decompose_reads_a_rational_scalar_multiplicity():
+    # the cyclotomic pivot leaves the multiplicity 2 as a Scalar of order 1, which
+    # is rational although its bare value is not an int or Fraction
+    H = get_entry("Z2_Z").context()
+    z = root_of_unity(4)
+    c = H.element([("g", "0", z), ("1", "0", 1)])
+    x = H.element([("g", "0", z * 2), ("1", "0", 2)])
+    aug = [[bare(c.terms[k]), bare(x.terms[k])] for k in x.terms]
+    assert _eliminate(aug, 1) == [0]
+    assert aug[0][1].__class__ is Scalar and aug[0][1].is_rational()
+    assert _assert_matches_scalar_path(x, [c]) == [2]
+    assert _assert_matches_scalar_path(c.scaled(z), [c]) == (
+        NonIntegralMultiplicity, "non-rational multiplicity %r" % z)
+    assert _assert_matches_scalar_path(c.scaled(rational(1, 2)), [c]) == (
+        NonIntegralMultiplicity, "multiplicity 1/2 is not a nonnegative integer")
 
 
 def test_commutes_examples():

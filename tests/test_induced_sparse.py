@@ -7,6 +7,10 @@ cancel inside a sum), on corrupted blocks, and on sources over tau != 1:
 Z2_Z2_tau, K4_Z2_tau (tau(a, b; t) = -1 != tau(b, a; t)) and Z4_Z8_tau, whose
 moved point makes the tau(z_x^-1, g_x^-1; f)^-1 factor of `induce` zeta_4 and
 -1, and whose sweep scales by tau in {-1, zeta_4}.
+
+`verify` reads tau and the actions from the context's shared table, so no
+tau(g, h; u) reaches `CocyclePair.tau` twice from it on one context, and a
+block keyed by an element of another group raises MixedGroups.
 """
 
 import pytest
@@ -18,7 +22,8 @@ from hopfcqt.catalog import entry_ids, get_entry
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.comodules import (Comodule, TwistedCoalgebra, character, enumerate_onedim,
                                induce, trivial_comodule)
-from hopfcqt.errors import DimensionMismatch, NonAbelianStabilizer, NotARootOfUnity
+from hopfcqt.errors import (DimensionMismatch, MixedGroups, NonAbelianStabilizer,
+                            NotARootOfUnity)
 from hopfcqt.groups import cyclic_group
 from hopfcqt.hopf import HopfAlgebra
 from hopfcqt.matched_pair import MatchedPair
@@ -141,6 +146,34 @@ def test_misshapen_block_raises_like_dense_reference():
             verify(W)
 
 
+def test_block_of_another_group_raises_mixed_groups():
+    # a block re-keyed under Z3_Z's G element of the same key was read as its Z2 twin,
+    # so verify passed where the dense reference fails
+    H = get_entry("Z2_Z").context()
+    G3 = get_entry("Z3_Z").context().G
+    V = enumerate_onedim(TwistedCoalgebra(H, "1"))[0]
+    for k in range(len(induce(V).blocks)):
+        W = induce(V)
+        g, u = list(W.blocks)[k]
+        W.blocks[G3._element(g.key), u] = W.blocks.pop((g, u))
+        dense = _json(dense_verify(W))
+        assert dense[1]["status"] == "fail", k
+        if k == 0:
+            assert dense[1]["checked"] == 4
+            assert dense[1]["witness"] == ["(1, 1)", "(g, -1)"]
+        with pytest.raises(MixedGroups):
+            W.verify()
+
+
+def test_block_with_an_f_part_of_another_group_raises_mixed_groups():
+    H = get_entry("Z2_Z").context()
+    W = induce(enumerate_onedim(TwistedCoalgebra(H, "1"))[0])
+    g, u = next(iter(W.blocks))
+    W.blocks[g, get_entry("Z2_Dinf").context().F.parse("x")] = W.blocks.pop((g, u))
+    with pytest.raises(MixedGroups):
+        W.verify()
+
+
 def z4_z8_tau():
     """Z4 = <r> acting on Z8 = <t> by r |> t = t^5 (<| trivial), sigma = 1 and
     tau(r^a, r^b; t^n) = zeta_4^(n c(a, b)), c(a, b) = [a + b >= 4] the carry
@@ -199,3 +232,70 @@ def test_twisted_sources_match_dense_reference():
         seen += 1
     # Z2_Z2_tau, K4_Z2_tau at t and at 1, Z4_Z8_tau at its 4 fixed and 4 moved points
     assert seen == 1 + 1 + 4 + 4 * (4 + 1) + 4 * (2 + 1)
+
+
+def z3_z7():
+    """Z3 = <r> acting on Z7 = <t> by r |> t = t^2 (<| trivial), trivial cocycles.
+    Each moved orbit has three points, so z |> f != z^-1 |> f for z = r: the
+    one catalog-free case where `induce` places a block by which of the two it reads."""
+    G, F = cyclic_group(3, "r"), cyclic_group(7, "t")
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: F._element(f.key * 2 ** g.key % 7),
+                                    right=lambda g, f: g)
+    return HopfAlgebra(CocyclePair.trivial(mp), name="Z3_Z7")
+
+
+def test_three_point_orbits_match_dense_reference():
+    H = z3_z7()
+    assert all_passed(H.mp.verify()) and all_passed(H.cp.verify())
+    r, t = H.G.parse("r"), H.F.parse("t")
+    assert H.mp.act_left(r, t) != H.mp.act_left(H.G.inv(r), t)
+    seen = 0
+    for f in H.F.elements():
+        for V in enumerate_onedim(TwistedCoalgebra(H, f)):
+            W = induce(V)
+            _assert_same_reports(W)
+            assert all_passed(W.verify()), f
+            assert W.character_by_trace() == character(V).element, f
+            seen += 1
+    assert seen == 3 + 6  # three simples at t^0, one at each moved point
+
+
+def _fresh_simples(H, base_points):
+    "Every one-dimensional stabilizer simple of H over the base points."
+    for f in base_points:
+        try:
+            yield from enumerate_onedim(TwistedCoalgebra(H, f))
+        except (NonAbelianStabilizer, NotARootOfUnity):
+            continue
+
+
+def test_verify_reads_each_tau_once_per_context(monkeypatch):
+    """Every simple at every base point, on a fresh context: no tau(g, h; u)
+    reaches CocyclePair.tau twice from verify, and the reports stay the dense
+    reference's, on the corruption cases too."""
+    reads, inside = {}, [False]
+    lookup = CocyclePair.tau
+
+    def counted(cp, g, gp, f):
+        if inside[0]:
+            key = (id(cp), g.key, gp.key, f.key)
+            reads[key] = reads.get(key, 0) + 1
+        return lookup(cp, g, gp, f)
+
+    monkeypatch.setattr(CocyclePair, "tau", counted)
+
+    def verify(W):
+        inside[0] = True
+        try:
+            return _json(W.verify())
+        finally:
+            inside[0] = False
+
+    H = get_entry("Z3_Dinf")._build()
+    cases = [induce(V) for V in _fresh_simples(H, H.mp.window(20))]
+    H = z4_z8_tau()
+    cases += [induce(V) for V in _fresh_simples(H, H.F.elements())]
+    cases += [W for _, W in _corruptions()]
+    for W in cases:
+        assert verify(W) == _json(dense_verify(W))
+    assert reads and max(reads.values()) == 1
