@@ -13,21 +13,21 @@ algebra; its character is both computed by the closed one-line formula and,
 independently, as the trace of the induced coaction (two code paths that the
 tests compare).
 
-G ids come from the matched pair's one G id table, MatchedPair.gids (gs, gid,
-gmul, ginv), and the stabilizer, transversal, images x |> f and x = g_x z_x
-factorization from the pair's OrbitData at f, as G ids too; so products and
-inverses in G are list lookups, and `induce` and `character` read each
-z^-1 |> f from OrbitData.images.  A TwistedCoalgebra indexes G by position,
-stabilizer first (`_at` maps a G id to its position), takes the G_f product as a
-position table from gmul, and holds one tau(., .; f) memo indexed by two
-positions, each value filled on its first read through `CocyclePair.tau`
-(so its checks and errors are those of the cocycle pair) and kept bare
-(scalars.bare): an int or Fraction when rational, else a Scalar.  Its
-coalgebra check multiplies those bare values, and the comodule check and
-one-dimensional solver read both tables by position.  `induce` and
-`character` read the memo too and sum their coefficients as bare values,
-converting each to a Scalar once, where the blocks and the HopfElement are
-built; the public `tau(a, b)` returns a memo value as a Scalar.
+The whole comodule side reads one table, the context's shared
+H.structure_constants.P (the window-0 PairTables that element arithmetic and
+cqt.verify_R read).  Its G ids number G as MatchedPair.gids and OrbitData do,
+so the stabilizer, transversal, images x |> f and x = g_x z_x factorization
+of the pair's OrbitData at f are P ids too, products and inverses in G are
+the list lookups P.gmul and P.ginv, and `induce` and `character` read each
+z^-1 |> f from OrbitData.images.  Each tau(g, h; u) is read from P.tau,
+filled on its first read on the context through `CocyclePair.tau`
+(`fill_tau`, so its checks and errors are those of the cocycle pair) and
+kept bare (scalars.bare): an int or Fraction when rational, else a Scalar.
+So the coalgebra check, the comodule check, the one-dimensional solver,
+`induce`, `character` and InducedComodule.verify look each value up once
+per context.  They multiply and sum bare values, converting each to a Scalar
+once, where the blocks and the HopfElement are built; the public
+TwistedCoalgebra.tau(a, b) returns a value as a Scalar.
 
 An InducedComodule keeps its coaction as a public dict of dense Matrix blocks,
 which callers may read and replace.  Each block is mostly zero: from a source
@@ -36,12 +36,8 @@ sparse row views {row: {col: nonzero bare value}} of the current blocks once
 per call, indexed by G id and by position in the orbit closure U of their F
 parts, sums the identity blocks' views for the counit, and its
 coassociativity sweep multiplies, scales by tau and compares those views.
-Its ids, its action table over G x U and tau come from the context's shared
-table, H.structure_constants.P (the window-0 PairTables that element
-arithmetic and cqt.verify_R read): each g |> u and each tau(g, h; u) is
-filled there on its first read, through MatchedPair.act_left and
-`CocyclePair.tau` (`fill_tau`), so the simples induced from one base point
-look each one up once per context, not once per call.
+It reads its action table over G x U from P too: each g |> u is filled there
+on its first read, through MatchedPair.act_left.
 """
 
 from __future__ import annotations
@@ -61,51 +57,36 @@ from .scalars import (Matrix, ONE, ZERO, as_scalar, bare, bare_inverse, commutan
 class TwistedCoalgebra:
     """k^(G_f) with the comultiplication twisted by tau(., .; f).
 
-    `_elements` lists G with the stabilizer first, so position i < |G_f| is a
-    stabilizer element, and `_at[x]` is the position of the G id x.
-    _mul[i][j] and _inv[i] are the positions of products and inverses in G_f,
-    read from the pair's gmul and ginv, and one memo, _taus[i][j], holds
-    tau(., .; f) at two positions, each value filled on its first read through
-    `CocyclePair.tau` and kept bare (scalars.bare), for the life of the object.
+    G is indexed by the ids of the context's shared table, P =
+    H.structure_constants.P, which number G as MatchedPair.gids and
+    OrbitData do, so the stabilizer is `_od.stab_ids`, the identity `_one`, and
+    products and inverses are P.gmul and P.ginv.  tau(a, b; f) is read from P as
+    P.tau[a][b][fi] or P.fill_tau(a, b, fi), fi = P.fid(f): filled on its
+    first read on the context, through `CocyclePair.tau`, and kept bare
+    (scalars.bare).
     """
 
     def __init__(self, H, f):
         f = H.F.coerce(f)
         self.H = H
         self.f = f
-        od = H.mp.orbit_data(f)
+        od = self._od = H.mp.orbit_data(f)
         self.stabilizer = od.stabilizer
         self.transversal = od.transversal
-        self._od = od
-        gs, _, gmul, ginv = H.mp.gids
-        sids, in_stab = od.stab_ids, set(od.stab_ids)
-        ids = sids + [x for x in range(len(gs)) if x not in in_stab]
-        at = self._at = [0] * len(gs)
-        for i, x in enumerate(ids):
-            at[x] = i
-        self._elements = [gs[x] for x in ids]
-        self._pos = {g: i for i, g in enumerate(self._elements)}
-        self._one = self._pos[H.G.one]
-        self._mul = [[at[gmul[a][b]] for b in sids] for a in sids]
-        self._inv = [at[ginv[a]] for a in sids]
-        n = len(ids)
-        self._taus = [[None] * n for _ in range(n)]
+        sc = H.structure_constants
+        self.P, self._one = sc.P, sc.one_g
+        self._fi = self.P.fid(f)
         self._check_coalgebra()
 
-    def _tau(self, i, j):
-        "tau(., .; f) at positions i, j, bare; filled on its first read."
-        v = self._taus[i][j]
-        if v is None:
-            v = self._taus[i][j] = bare(self.H.cp.tau(self._elements[i], self._elements[j],
-                                                      self.f))
-        return v
+    def _tau(self, a, b):
+        "tau(a, b; f) at G ids a, b, bare, from the shared table."
+        P, fi = self.P, self._fi
+        return P.tau[a][b][fi] or P.fill_tau(a, b, fi)
 
     def tau(self, a, b):
-        "tau(a, b; f) as a Scalar; CocyclePair.tau rejects an element of another group."
-        i, j = self._pos.get(a), self._pos.get(b)
-        if i is None or j is None:
-            return self.H.cp.tau(a, b, self.f)
-        return as_scalar(self._tau(i, j))
+        "tau(a, b; f) as a Scalar; an element of another group raises MixedGroups."
+        G, gid = self.H.G, self.P.gid
+        return as_scalar(self._tau(gid[G._member(a).key], gid[G._member(b).key]))
 
     def contains(self, g):
         "Whether g stabilizes f; an element of another group raises MixedGroups."
@@ -115,11 +96,12 @@ class TwistedCoalgebra:
         "The twisted coproduct of p_g, as {(g1, g2): coeff} over G_f x G_f."
         if not self.contains(g):
             raise NotInStabilizer("%r does not stabilize %r" % (g, self.f))
-        stab, row = self.stabilizer, self._mul[self._pos[g]]
+        P = self.P
+        gs, ginv, row = P.gs, P.ginv, P.gmul[P.gid[g.key]]
         out = {}
-        for x, xinv in enumerate(self._inv):
-            gx = row[xinv]
-            out[(stab[gx], stab[x])] = as_scalar(self._tau(gx, x))
+        for x in self._od.stab_ids:
+            gx = row[ginv[x]]
+            out[(gs[gx], gs[x])] = as_scalar(self._tau(gx, x))
         return out
 
     def counit(self, g):
@@ -134,24 +116,26 @@ class TwistedCoalgebra:
         of Delta(p_g) with a leg at 1 are p_g (x) p_1 and p_1 (x) p_g, so these
         are the only coefficients that eps (x) id and id (x) eps keep.
         """
-        stab, mul, taus, tau, one = self.stabilizer, self._mul, self._taus, self._tau, self._one
-        n = len(stab)
+        P, fi, sids = self.P, self._fi, self._od.stab_ids
+        gs, mul, taus, fill, one = P.gs, P.gmul, P.tau, P.fill_tau, self._one
         # a tau value is never zero (CocyclePair.tau raises), so `or` only fills
-        for a in range(n):
-            for b in range(n):
+        for a in sids:
+            for b in sids:
                 ab = mul[a][b]
-                for c in range(n):
+                for c in sids:
                     # coefficient of p_a (x) p_b (x) p_c in both triple coproducts of p_(abc)
                     bc = mul[b][c]
-                    if ((taus[ab][c] or tau(ab, c)) * (taus[a][b] or tau(a, b))
-                            != (taus[a][bc] or tau(a, bc)) * (taus[b][c] or tau(b, c))):
+                    if ((taus[ab][c][fi] or fill(ab, c, fi)) * (taus[a][b][fi] or fill(a, b, fi))
+                            != (taus[a][bc][fi] or fill(a, bc, fi))
+                            * (taus[b][c][fi] or fill(b, c, fi))):
                         raise InvalidCocycle("twisted coproduct not coassociative at "
                                              "(%r, %r, %r) over %r"
-                                             % (stab[a], stab[b], stab[c], stab[mul[ab][c]]))
+                                             % (gs[a], gs[b], gs[c], gs[mul[ab][c]]))
         # (eps (x) id) Delta(p_g) and (id (x) eps) Delta(p_g) are p_g: tau(1, g) = tau(g, 1) = 1
-        for g in range(n):
-            if (taus[g][one] or tau(g, one)) != 1 or (taus[one][g] or tau(one, g)) != 1:
-                raise InvalidCocycle("counit law fails at %r" % stab[g])
+        for g in sids:
+            if ((taus[g][one][fi] or fill(g, one, fi)) != 1
+                    or (taus[one][g][fi] or fill(one, g, fi)) != 1):
+                raise InvalidCocycle("counit law fails at %r" % gs[g])
 
     def __repr__(self):
         return "TwistedCoalgebra(f=%r, |G_f|=%d)" % (self.f, len(self.stabilizer))
@@ -203,12 +187,12 @@ class Comodule:
         reports = []
         ident_ok = self.matrices[G.one.key] == Matrix.identity(self.dim)
         reports.append(verdict("comodule-counit", None if ident_ok else (G.one,), checked=1))
-        stab, mul = C.stabilizer, C._mul
-        M = [self.matrices[g.key] for g in stab]
+        gs, mul = C.P.gs, C.P.gmul
+        M = {a: self.matrices[gs[a].key] for a in C._od.stab_ids}
         reports.append(sweep(
-            "comodule-coassociativity", itertools.product(range(len(stab)), repeat=2),
+            "comodule-coassociativity", itertools.product(M, repeat=2),
             lambda a, b: M[a] * M[b] == M[mul[a][b]] * C._tau(a, b),
-            witness=lambda inst: (stab[inst[0]], stab[inst[1]])))
+            witness=lambda inst: (gs[inst[0]], gs[inst[1]])))
         return reports
 
     def is_simple(self):
@@ -221,25 +205,26 @@ class Comodule:
 
 # -- one-dimensional enumeration ----------------------------------------------
 
-def _generating_subset(mul, one):
-    """A generating subset of a finite group on positions: by decreasing element
-    order, then by position, every position outside the closure of those before."""
+def _generating_subset(ids, mul, one):
+    """A generating subset of the finite group of the ids `ids`: by decreasing
+    element order, then by id, every id outside the closure of those before."""
     step = lambda k, g: mul[k][g]
-    order = [len(closure(one, (i,), step)) for i in range(len(mul))]
+    order = {i: len(closure(one, (i,), step)) for i in ids}
     gens, reached = [], {one}
-    for i in sorted(range(len(mul)), key=lambda i: (-order[i], i)):
+    for i in sorted(ids, key=lambda i: (-order[i], i)):
         if i not in reached:
             gens.append(i)
             reached = closure(one, gens, step)
     return gens
 
 
-def _onedim_tables(elements, mul, one, tau):
+def _onedim_tables(elements, ids, mul, one, tau):
     """Solutions a: K -> k* of a^1 = 1, a^g a^h = tau(g, h) a^(g h) on the finite
-    abelian group K = `elements`, taken by position: mul[i][j] is the position
-    of the product, one that of the identity, and tau a normalized 2-cocycle
-    given as a function of two positions, with bare values (scalars.bare).
-    Returns {position: Scalar} dicts, keyed in breadth-first order from 1.
+    abelian group K of the ids `ids`, elements[i] the element of id i:
+    mul[i][j] is the id of the product, one that of the identity, and tau a
+    normalized 2-cocycle given as a function of two ids, with bare values
+    (scalars.bare).  Returns {id: Scalar} dicts, keyed in breadth-first order
+    from 1.
 
     The value on each generator h is an n-th root of the telescoped tau product,
     so the candidate sets are finite and the search is complete.  Exactly |K|
@@ -253,7 +238,7 @@ def _onedim_tables(elements, mul, one, tau):
     `_abelian_character_tables` passes 1):
     a^x a^(yh) = tau(x, y) tau(xy, h) a^(xyh) / tau(y, h) = tau(x, yh) a^(xyh).
     """
-    gens = _generating_subset(mul, one)
+    gens = _generating_subset(ids, mul, one)
     candidate_sets = []
     for g in gens:
         powers = list(closure(one, (g,), lambda k, h: mul[k][h]))  # 1, g, ..., g^(n-1)
@@ -291,12 +276,12 @@ def _onedim_tables(elements, mul, one, tau):
 def enumerate_onedim(coalgebra):
     """All one-dimensional comodules over an abelian twisted stabilizer coalgebra:
     the solutions of `_onedim_tables` with tau = tau(., .; f)."""
-    C = coalgebra
-    stab, mul = C.stabilizer, C._mul
-    if any(mul[a][b] != mul[b][a] for a in range(len(stab)) for b in range(a)):
+    C, P = coalgebra, coalgebra.P
+    sids, gs, mul = C._od.stab_ids, P.gs, P.gmul
+    if any(mul[a][b] != mul[b][a] for i, a in enumerate(sids) for b in sids[:i]):
         raise NonAbelianStabilizer("stabilizer of %r is non-abelian" % C.f)
-    return [Comodule(C, 1, {stab[i]: Matrix._trusted([[v]]) for i, v in a.items()})
-            for a in _onedim_tables(stab, mul, C._one, C._tau)]
+    return [Comodule(C, 1, {gs[i]: Matrix._trusted([[v]]) for i, v in a.items()})
+            for a in _onedim_tables(gs, sids, mul, C._one, C._tau)]
 
 
 # -- induction and characters ----------------------------------------------------
@@ -317,10 +302,10 @@ class InducedComodule:
     def __init__(self, source):
         C = source.coalgebra
         H = C.H
-        gs, _, gmul, ginv = H.mp.gids
+        gs, gmul, ginv = C.P.gs, C.P.gmul, C.P.ginv
         f = C.f
         m = source.dim
-        od, at, tau = C._od, C._at, C._tau
+        od, tau = C._od, C._tau
         self.H = H
         self.base_point = f
         n = self.dim = m * len(od.trans_ids)
@@ -335,8 +320,8 @@ class InducedComodule:
             ftarget = od.images[zinv]
             for x, (gx, zx) in enumerate(od.factor_ids):
                 gxi, zxi = ginv[gx], ginv[zx]
-                t = tau(at[zxi], at[gxi])
-                coeff = tau(at[gmul[gmul[zxi][gxi]][z]], at[zinv])
+                t = tau(zxi, gxi)
+                coeff = tau(gmul[gmul[zxi][gxi]][z], zinv)
                 if t != 1:
                     coeff = coeff * bare_inverse(t)
                 if entries[gxi]:
@@ -488,8 +473,8 @@ def character(V):
     """
     C = V.coalgebra
     H = C.H
-    gs, _, gmul, ginv = H.mp.gids
-    od, at, tau = C._od, C._at, C._tau
+    gs, gmul, ginv = C.P.gs, C.P.gmul, C.P.ginv
+    od, tau = C._od, C._tau
     f = C.f
     diags = [(g, bare(V.matrices[gs[g].key].trace())) for g in od.stab_ids]
     acc = {}
@@ -500,8 +485,8 @@ def character(V):
             if not diag:
                 continue
             zgz = gmul[gmul[zinv][g]][z]
-            t = tau(at[zinv], at[g])
-            coeff = tau(at[zgz], at[zinv]) * diag
+            t = tau(zinv, g)
+            coeff = tau(zgz, zinv) * diag
             if t != 1:
                 coeff = coeff * bare_inverse(t)
             key = (gs[zgz], fz)
@@ -512,7 +497,6 @@ def character(V):
 
 def trivial_comodule(coalgebra):
     "The one-dimensional comodule with every coefficient equal to 1 (a^g = 1)."
-    G = coalgebra.H.G
     return Comodule(coalgebra, 1, {g: Matrix([[ONE]]) for g in coalgebra.stabilizer})
 
 
@@ -539,4 +523,4 @@ def _abelian_character_tables(G):
     elements, _, mul, _ = group_ids(G)
     one = next(i for i, e in enumerate(elements) if e.is_identity())
     return [{elements[i].key: v for i, v in a.items()}
-            for a in _onedim_tables(elements, mul, one, lambda i, j: 1)]
+            for a in _onedim_tables(elements, range(len(elements)), mul, one, lambda i, j: 1)]

@@ -57,8 +57,10 @@ context.  StructureConstants is the one evaluator of the structure maps:
 multiply, comultiply and antipode index their keys once in the shared one
 (StructureConstants.index checks G and F membership) and map its entries
 back to keys, products through _basis_product, coproducts through
-_basis_coproduct.  comodules.InducedComodule.verify reads the ids, actions
-and tau of the same PairTables.
+_basis_coproduct.  The whole comodule side reads the ids, products and tau
+of the same PairTables (comodules.py): the twisted stabilizer coalgebras,
+the one-dimensional solver, induction, characters and
+InducedComodule.verify, which reads its actions there too.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ checks); otherwise each entry is folded once, on its first use.
 
 Each MatchedPair also holds one G id table (`gids`, built on first use):
 G ids follow G.elements(), with the product and inverse as id lists
-(group_ids).  OrbitData and the comodule side (comodules.py) read G through
-it, so they multiply and invert by list lookups, not G.mul and G.inv.
+(group_ids).  OrbitData alone reads G through it, so it multiplies and
+inverts by list lookups, not G.mul and G.inv.  Its ids are those of every
+PairTables, which numbers G the same way, so the comodule side (comodules.py)
+reads OrbitData's ids on the context's shared PairTables.
 
 Orbits O_f = {g |> f}, stabilizers G_f, transversals T_f and dual orbits
 O'_g = {g <| f} feed the comodule machinery.  OrbitData reads the |G| images
@@ -146,9 +148,10 @@ class MatchedPair:
 
     `gids` is the pair's one G id table (gs, gid, gmul, ginv) of group_ids,
     built on first use and kept: gs lists G.elements(), gid maps g.key to its
-    id, gmul and ginv give products and inverses as ids.  OrbitData,
-    TwistedCoalgebra, InducedComodule and `character` read it.  A PairTables
-    builds its own gmul and ginv and drops them with itself.
+    id, gmul and ginv give products and inverses as ids.  Only OrbitData
+    reads it; the comodule side reads the same ids, with products, inverses
+    and tau, on the context's shared PairTables.  A PairTables builds its own
+    gmul and ginv and drops them with itself.
     """
 
     def __init__(self, G, F, left_letter, right_letter):

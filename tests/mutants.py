@@ -100,6 +100,15 @@ MUTANTS = [
          old="ftarget = od.images[zinv]",
          new="ftarget = od.images[z]",
          tests=["tests/test_induced_sparse.py::test_three_point_orbits_match_dense_reference"]),
+    dict(name="coalgebra-reads-tau-at-ba", file="comodules.py",
+         old="return P.tau[a][b][fi] or P.fill_tau(a, b, fi)",
+         new="return P.tau[b][a][fi] or P.fill_tau(b, a, fi)",
+         tests=["tests/test_comodules.py::test_twisted_tau_matches_cocycle_pair",
+                "tests/test_induced_sparse.py::test_twisted_sources_match_dense_reference"]),
+    dict(name="coalgebra-reads-tau-at-unit-point", file="comodules.py",
+         old="self._fi = self.P.fid(f)",
+         new="self._fi = self.P.fid(H.F.one)",
+         tests=["tests/test_comodules.py::test_twisted_delta_sign_twist"]),
     dict(name="decompose-skips-rationality-test", file="grothendieck.py",
          old="""            if not q.is_rational():
                 raise NonIntegralMultiplicity("non-rational multiplicity %r" % q)
@@ -261,8 +270,8 @@ MUTANTS = [
          new="""(Z2Label("W", f),)""",
          tests=["tests/test_grothendieck.py::test_z2_tensor_rule_four_way_split"]),
     dict(name="generating-subset-by-position", file="comodules.py",
-         old="sorted(range(len(mul)), key=lambda i: (-order[i], i))",
-         new="range(len(mul))",
+         old="sorted(ids, key=lambda i: (-order[i], i))",
+         new="ids",
          tests=["tests/test_comodules.py::test_generating_subset_matches_the_exhaustive_search"]),
     dict(name="context-json-writes-none-default-as-one", file="serialize.py",
          old="""raise SchemaError("%s table without a default is not serializable" % tag, tag)""",
@@ -337,6 +346,13 @@ MUTANTS = [
          tests=["tests/test_cqt.py::test_necessary_battery_reproduces_example_verdicts"]),
 
     # -- survivors --------------------------------------------------------------
+    dict(name="coalgebra-counit-reads-g-1-twice", file="comodules.py",
+         old="or (taus[one][g][fi] or fill(one, g, fi)) != 1):",
+         new="or (taus[g][one][fi] or fill(g, one, fi)) != 1):",
+         tests=["tests/test_comodules.py", "tests/test_induced_sparse.py"],
+         survives="equivalent: the counit law runs after the coassociativity sweep has "
+                  "passed and read every tau(1, g), so tau is a 2-cocycle on G_f and "
+                  "tau(1, g) = tau(1, 1) = tau(g, 1)"),
     dict(name="battery-moved-by-z", file="cqt.py",
          old="""        return w[right(zgz, left(zi, f))] == w[zgz]""",
          new="""        return w[right(zgz, left(z, f))] == w[zgz]""",

@@ -50,14 +50,16 @@ def test_twisted_coassociativity_all_catalog_points():
 
 
 def _q8_z_tau_table(edit):
-    "Q8_Z's tau at base point 0 as a table without default, changed by edit."
+    """Q8_Z's tau at base points 0 and 1 as a table without default, its entries
+    at 0 changed by edit; returns the context and the two points."""
     H = get_entry("Q8_Z").context()
-    G, f = H.G, H.F.parse("0")
-    tau = {(a.key, b.key, f.key): H.cp.tau(a, b, f) for a in G.elements() for b in G.elements()}
+    G, f, other = H.G, H.F.parse("0"), H.F.parse("1")
+    tau = {(a.key, b.key, u.key): H.cp.tau(a, b, u)
+           for u in (f, other) for a in G.elements() for b in G.elements()}
     edit(tau, lambda a, b: (G.parse(a).key, G.parse(b).key, f.key))
     sigma, sigma_default = H.cp.tables["sigma"]
     cp = CocyclePair.from_tables(H.mp, sigma, tau, sigma_default, None)
-    return HopfAlgebra(cp), f
+    return HopfAlgebra(cp), f, other
 
 
 @pytest.mark.parametrize("edit, error, message", [
@@ -71,20 +73,34 @@ def _q8_z_tau_table(edit):
      InvalidCocycle, "twisted coproduct not coassociative at (r, s, r^2) over r^3*s"),
 ], ids=["missing-pair", "missing-first-reached", "non-coassociative", "non-coassociative-2"])
 def test_twisted_coalgebra_errors_keep_first_reach(edit, error, message):
-    # the tau memo is filled lookup by lookup in the order of the coassociativity
-    # sweep, so the first bad entry it reaches names the error, as without a memo
-    H, f = _q8_z_tau_table(edit)
-    with pytest.raises(error) as err:
-        TwistedCoalgebra(H, f)
-    assert str(err.value) == message
+    # the context's shared table is filled lookup by lookup in the order of the
+    # coassociativity sweep, so the first bad entry it reaches names the error,
+    # as without a table; a lookup that raises stores nothing, so a second build
+    # raises the same, also after the coalgebra at another point has filled
+    # part of the table and widened its F axis
+    H, f, other = _q8_z_tau_table(edit)
+
+    def first_error():
+        with pytest.raises(error) as err:
+            TwistedCoalgebra(H, f)
+        return type(err.value), str(err.value)
+
+    assert first_error() == first_error() == (error, message)
+    sc = H.structure_constants
+    TwistedCoalgebra(H, other)
+    assert sc.P.tau[sc.one_g][sc.one_g][sc.P.fid(other)] is not None  # tau(1, 1; 1) filled
+    assert first_error() == (error, message)
 
 
-def test_twisted_tau_memo_matches_cocycle_pair():
-    H = get_entry("Q8_Z").context()
-    C = TwistedCoalgebra(H, "0")
-    for a in C.stabilizer:
-        for b in C.stabilizer:
-            assert C.tau(a, b) == H.cp.tau(a, b, C.f)
+def test_twisted_tau_matches_cocycle_pair():
+    # K4_Z2_tau has tau(a, b; t) != tau(b, a; t), so a read at (b, a) shows
+    K4_Z2, Q8_Z = k4_z2_asymmetric_tau(), get_entry("Q8_Z").context()
+    for H, f in ((Q8_Z, "0"), (K4_Z2, K4_Z2.F.elements()[1])):
+        C = TwistedCoalgebra(H, f)
+        for a in C.stabilizer:
+            for b in C.stabilizer:
+                assert C.tau(a, b) == H.cp.tau(a, b, C.f)
+    C = TwistedCoalgebra(Q8_Z, "0")
     foreign = cyclic_group(8).parse("g")
     assert foreign.key in {g.key for g in C.stabilizer}
     with pytest.raises(MixedGroups):
@@ -303,58 +319,63 @@ def test_abelian_characters_form_the_dual_group(G):
     _assert_character_group(G, chars)
 
 
-def _exhaustive_generating_subset(mul, one):
+def _exhaustive_generating_subset(ids, mul, one):
     """The reference for `_generating_subset`: the first generating subset of
-    least size, subsets of one size taken in position order.  Exponential in
-    the order, so kept to orders <= 24."""
-    assert len(mul) <= 24
-    pool = [i for i in range(len(mul)) if i != one]
+    least size, subsets of one size taken in id order.  Exponential in the
+    order, so kept to orders <= 24."""
+    assert len(ids) <= 24
+    pool = [i for i in ids if i != one]
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
-            if len(closure(one, combo, lambda k, g: mul[k][g])) == len(mul):
+            if len(closure(one, combo, lambda k, g: mul[k][g])) == len(ids):
                 return list(combo)
 
 
-def _group_positions(G):
-    "(mul, one) of G positioned as `_abelian_character_tables` positions it."
+def _group_tables(G):
+    "(ids, mul, one) of G numbered as `_abelian_character_tables` numbers it."
     elements, _, mul, _ = group_ids(G)
-    return mul, next(i for i, e in enumerate(elements) if e.is_identity())
+    return range(len(elements)), mul, next(i for i, e in enumerate(elements) if e.is_identity())
 
 
-def _abelian_position_tables():
-    """(mul, one) of every abelian stabilizer of the catalog contexts on the
+def _coalgebra_tables(C):
+    "(elements, ids, mul, one, tau) of C's stabilizer, as enumerate_onedim reads them."
+    return C.P.gs, C._od.stab_ids, C.P.gmul, C._one, C._tau
+
+
+def _abelian_tables():
+    """(ids, mul, one) of every abelian stabilizer of the catalog contexts on the
     window of length 2, and of small abelian groups."""
     tables = []
     for eid in entry_ids():
         H = get_entry(eid).context()
         for f in H.mp.window(2):
-            C = TwistedCoalgebra(H, f)
-            if all(row == col for row, col in zip(C._mul, zip(*C._mul))):
-                tables.append((C._mul, C._one))
+            _, ids, mul, one, _ = _coalgebra_tables(TwistedCoalgebra(H, f))
+            if all(mul[a][b] == mul[b][a] for a in ids for b in ids):
+                tables.append((ids, mul, one))
     Z2, Z3 = cyclic_group(2), cyclic_group(3)
     groups = [cyclic_group(n) for n in range(1, 25)] + [
         klein_four_group(), DirectProductGroup([Z2, Z3]), DirectProductGroup([Z3, Z2]),
         DirectProductGroup([Z2, Z2, Z2]), DirectProductGroup([Z3, Z3])]
-    return tables + [_group_positions(G) for G in groups]
+    return tables + [_group_tables(G) for G in groups]
 
 
 def test_generating_subset_matches_the_exhaustive_search():
     # the generators fix the order in which the one-dimensional comodules and
     # the characters are listed, so the greedy rule must pick what the search did
-    for mul, one in _abelian_position_tables():
-        assert _generating_subset(mul, one) == _exhaustive_generating_subset(mul, one)
+    for ids, mul, one in _abelian_tables():
+        assert _generating_subset(ids, mul, one) == _exhaustive_generating_subset(ids, mul, one)
     # Z2^7, out of the search's reach, takes one greedy pass per generator
-    mul, one = _group_positions(DirectProductGroup([cyclic_group(2)] * 7))
-    gens = _generating_subset(mul, one)
+    ids, mul, one = _group_tables(DirectProductGroup([cyclic_group(2)] * 7))
+    gens = _generating_subset(ids, mul, one)
     assert len(gens) == 7
     assert len(closure(one, gens, lambda k, g: mul[k][g])) == 128
 
 
-def _onedim_tables_reference(elements, mul, one, tau):
+def _onedim_tables_reference(elements, ids, mul, one, tau):
     """The reference for `_onedim_tables`: each candidate built along fixed
     generator words, then checked against a^x a^y = tau(x, y) a^(xy) on all
     |K|^2 pairs."""
-    gens = _generating_subset(mul, one)
+    gens = _generating_subset(ids, mul, one)
     words = closure(one, range(len(gens)), lambda k, gi: mul[k][gens[gi]])
     candidate_sets = []
     for g in gens:
@@ -380,21 +401,19 @@ def _onedim_tables_reference(elements, mul, one, tau):
 
 
 def _untwisted(G):
-    "(elements, mul, one, tau = 1) of G positioned as `_abelian_character_tables` positions it."
-    mul, one = _group_positions(G)
-    return G.elements(), mul, one, lambda i, j: ONE
+    "(elements, ids, mul, one, tau = 1) of G numbered as `_abelian_character_tables` numbers it."
+    return (G.elements(),) + _group_tables(G) + (lambda i, j: ONE,)
 
 
 def _onedim_cases():
-    """(name, elements, mul, one, tau) of the stabilizer coalgebra at every base
-    point of every catalog context on the window of length 3, and of Z2 x Z4,
-    Z4 x Z2 and Q8 with tau = 1."""
+    """(name, elements, ids, mul, one, tau) of the stabilizer coalgebra at every
+    base point of every catalog context on the window of length 3, and of
+    Z2 x Z4, Z4 x Z2 and Q8 with tau = 1."""
     cases = []
     for eid in entry_ids():
         H = get_entry(eid).context()
         for f in H.mp.window(3):
-            C = TwistedCoalgebra(H, f)
-            cases.append(("%s@%s" % (eid, f), C.stabilizer, C._mul, C._one, C._tau))
+            cases.append(("%s@%s" % (eid, f),) + _coalgebra_tables(TwistedCoalgebra(H, f)))
     Z2, Z4 = cyclic_group(2), cyclic_group(4)
     for name, G in (("Z2xZ4", DirectProductGroup([Z2, Z4])),
                     ("Z4xZ2", DirectProductGroup([Z4, Z2])), ("Q8", quaternion_group_q8())):
@@ -420,8 +439,8 @@ def test_onedim_tables_reject_the_candidates_that_break_the_law(G, count):
     # Z4 x Z2 take two of order 4, Q8 has i^2 = j^2), so some candidates must be
     # refused: a character of G is one of |G^ab| tables; Q8 is read directly,
     # as enumerate_onedim refuses a non-abelian stabilizer
-    elements, mul, one, tau = _untwisted(G)
-    tables = _onedim_tables(elements, mul, one, tau)
+    elements, ids, mul, one, tau = _untwisted(G)
+    tables = _onedim_tables(elements, ids, mul, one, tau)
     assert len(tables) == count
     for a in tables:
         assert all(a[x] * a[y] == a[mul[x][y]] for x in a for y in a)
@@ -431,8 +450,8 @@ def test_onedim_tables_on_the_twisted_sign_stabilizer():
     # tau(g, g; t) = -1: a(g)^2 = -1, so the two tables take the values +-zeta_4 on g
     H = get_entry("Z2_Z2_tau").context()
     C = TwistedCoalgebra(H, "t")
-    g = C._pos[H.G.parse("g")]
-    tables = _onedim_tables(C.stabilizer, C._mul, C._one, C._tau)
+    g = C.P.gid[H.G.parse("g").key]
+    tables = _onedim_tables(*_coalgebra_tables(C))
     assert [a[g] for a in tables] == [root_of_unity(4), -root_of_unity(4)]
 
 

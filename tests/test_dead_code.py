@@ -18,6 +18,11 @@ passes it, by keyword or by position; a call with *args or **kwargs passes
 every parameter.  Calls are matched by the callee's name (the class name for
 a constructor), so a parameter that no caller sets is a setting nobody uses.
 
+A local that a plain `name = value` statement binds in a function of
+src/hopfcqt counts as read when the function, or a function nested in it,
+loads the name; tuple-unpacking and loop targets are exempt, as unpacking
+names the parts it skips.
+
 An assert statement in src/hopfcqt is gone under `python -O`, and otherwise
 ends in a traceback and exit 1 where a HopfCqtError would give exit 2.  So
 input is checked by raising, and ASSERTS_ALLOWED lists the only asserts kept:
@@ -179,6 +184,41 @@ def unset_parameters():
 
 def test_every_defaulted_parameter_is_set_by_some_caller():
     assert unset_parameters() == []
+
+
+def _scope_assigns(fn):
+    """The plain `name = value` statements of fn's own scope: not those of a
+    nested function, lambda or class, which have scopes of their own."""
+    for child in ast.iter_child_nodes(fn):
+        if isinstance(child, ast.Assign):
+            yield child
+        if not isinstance(child, DEFS + (ast.Lambda,)):
+            yield from _scope_assigns(child)
+
+
+def unread_locals():
+    """(path, line, function, name) of every local of a function in src/hopfcqt
+    that a plain `name = value` statement binds and nothing in the function,
+    its nested functions included, reads.  A name in a tuple target or a loop
+    target is exempt, and so is one the function declares global or nonlocal."""
+    out = []
+    for path in sorted((ROOT / "src" / "hopfcqt").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            shared = {name for sub in ast.walk(fn) if isinstance(sub, (ast.Global, ast.Nonlocal))
+                      for name in sub.names}
+            read = {sub.id for sub in ast.walk(fn)
+                    if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
+            out += [(path.relative_to(ROOT).as_posix(), node.lineno, fn.name, target.id)
+                    for node in _scope_assigns(fn) for target in node.targets
+                    if isinstance(target, ast.Name)
+                    and target.id not in read and target.id not in shared]
+    return out
+
+
+def test_every_assigned_local_is_read():
+    assert unread_locals() == []
 
 
 # (file, innermost enclosing function) of the asserts kept: the exact division

@@ -299,3 +299,29 @@ def test_verify_reads_each_tau_once_per_context(monkeypatch):
     for W in cases:
         assert verify(W) == _json(dense_verify(W))
     assert reads and max(reads.values()) == 1
+
+
+def test_pipeline_reads_each_tau_once_per_context(monkeypatch):
+    """The coalgebra check, the one-dimensional solver, induction, verify and the
+    closed character all read tau from the context's shared table: on fresh
+    contexts, building each coalgebra twice and running the whole pipeline on
+    each simple looks no tau(g, h; u) up twice."""
+    reads = {}
+    lookup = CocyclePair.tau
+
+    def counted(cp, g, gp, f):
+        key = (id(cp), g.key, gp.key, f.key)
+        reads[key] = reads.get(key, 0) + 1
+        return lookup(cp, g, gp, f)
+
+    monkeypatch.setattr(CocyclePair, "tau", counted)
+    Z3_Dinf, Q8_Z, Z4_Z8 = get_entry("Z3_Dinf")._build(), get_entry("Q8_Z")._build(), z4_z8_tau()
+    for H, base_points in ((Z3_Dinf, Z3_Dinf.mp.window(20)), (Z4_Z8, Z4_Z8.F.elements()),
+                           (Q8_Z, Q8_Z.mp.window(20))):
+        for f in base_points:
+            TwistedCoalgebra(H, f)
+        for V in _fresh_simples(H, base_points):
+            W = induce(V)
+            assert all_passed(W.verify())
+            assert W.character_by_trace() == character(V).element
+    assert reads and max(reads.values()) == 1
