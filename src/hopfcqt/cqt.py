@@ -128,18 +128,22 @@ class Memo(dict):
 # basis indices, a1 (x) a2 the coproduct legs of a, and grid[g][f] the index
 # of the window key (g, f).  An instance sums each side of its identity
 # exactly, reading R through rv, one row memo per call for every level:
-# rv[p][q] is RForm.try_value on the basis indices p, q.  CQT1 and CQT2 run
-# on the row engine (reports.sweep_rows), a row of c per (a, b): CQT1 hoists
-# table[b], rv[a] and the legs of a with rv[a1] and rv[a2]; CQT2 hoists ab,
-# rv[ab], rv[a] and rv[b].  Like the per-instance sums they replace
+# rv[p][q] is RForm.try_value on the basis indices p, q.  Each level takes
+# (R, sc, rv, grid).  CQT1 and CQT2 run on the row engine
+# (reports.sweep_rows), a row of c per (a, b): CQT1 hoists table[b], rv[a]
+# and the legs of a with rv[a1] and rv[a2]; CQT2 hoists ab, rv[ab], rv[a] and
+# rv[b].  Like the per-instance sums they replace
 # (tests/cqt_reference.instance_sweep), they read R(a, bc) or R(ab, c), then
 # both factors of each term until one is out of the window, each on first
 # use, so rv calls RForm.try_value on the same arguments in the same order.
 # CQT0 hoists the unit rows rv[u].  CQT3, whose sides are elements, compiles
-# each (x, y) once per table into R-independent rows over read positions (see
-# _cqt3).  RForm decides each F element's window once.  R values, like the
-# structure constants, are kept bare (scalars.bare): an int or Fraction when
-# rational, else a Scalar.
+# each (x, y) once per table into R-independent rows over read positions, and
+# has two read paths (see _cqt3): a windowed form reads every R argument of
+# each (x, y), in term order; a form without a window reads only its support,
+# since the identity is linear in R and an (x, y) whose reads all miss the
+# support is 0 = 0.  RForm decides each F element's window once.  R values,
+# like the structure constants, are kept bare (scalars.bare): an int or
+# Fraction when rational, else a Scalar.
 
 def _qrange(R, qbound):
     """The F elements a CQT instance quantifies over: the window qbound, else R's
@@ -166,7 +170,7 @@ def _keys(sc):
     return lambda inst: tuple(sc.keys[i][0] for i in inst) + tuple(sc.keys[i][1] for i in inst)
 
 
-def _cqt0(sc, rv, grid):
+def _cqt0(R, sc, rv, grid):
     "R(1, b) = eps(b) and R(b, 1) = eps(b), where 1 is the sum of the p_u # 1."
     units = [sc.index((x, sc.H.F.one)) for x in sc.H.G.elements()]
     unit_rows = [rv[u] for u in units]
@@ -189,7 +193,7 @@ def _cqt0(sc, rv, grid):
     return sweep("CQT0", ((b,) for row in grid for b in row), ok, witness=_keys(sc))
 
 
-def _cqt1(sc, rv, grid):
+def _cqt1(R, sc, rv, grid):
     "R(a, bc) = R(a1, c) R(a2, b)."
     ids = [i for row in grid for i in row]
     legs = Memo(lambda a: [(rv[a1], rv[a2], t) for a1, a2, t in sc.coproduct(a)])
@@ -223,7 +227,7 @@ def _cqt1(sc, rv, grid):
                       first_bad, _keys(sc))
 
 
-def _cqt2(sc, rv, grid):
+def _cqt2(R, sc, rv, grid):
     "R(ab, c) = R(a, c1) R(b, c2)."
     product, coproduct = sc.product, sc.coproduct
 
@@ -254,7 +258,7 @@ def _cqt2(sc, rv, grid):
                                for crow in grid for b in brow), first_bad, _keys(sc))
 
 
-def _cqt3(sc, rv, grid):
+def _cqt3(R, sc, rv, grid):
     """y1 x1 R(x2, y2) = R(x1, y1) x2 y2 on the p_l component, l the G part of m.
 
     No term of either side depends on R, so each (x, y) is compiled on its
@@ -262,9 +266,19 @@ def _cqt3(sc, rv, grid):
     (reads, components), reads the distinct R arguments of its terms in read
     order, and per component l a triple (l, the positions in reads that l
     reads, rows), one row per basis index k, [(position, merged coefficient
-    of left - right)] with zero merges dropped.  Every visit reads the values
-    at reads once, in order, and evaluates the rows: a component with a read
-    out of the window is None, else it holds when every row sums to 0.
+    of left - right)] with zero merges dropped.  A component holds when every
+    row sums to 0.  The instances (x, y, m) run x's G row, y's G row, m's G
+    row, x, y, and a failure's witness is (g, h, l, f, f') of the basis keys
+    (g, f) of x, (h, f') of y and (l, .) of m.
+
+    A windowed form reads the values at reads once per (x, y), in order, on
+    the first instance of each; a component with a read out of the window is
+    None.  A form without a window reads only its support, once, in
+    R.table order: the identity is linear in R, so an (x, y) whose reads all
+    miss the support is 0 = 0 on every component.  The walk evaluates the
+    other pairs block by block (x's G row, y's G row) and stops after the
+    first block that holds a failure; `checked` is the position of the
+    block's first failing instance, or every instance on a pass.
     """
     gkey, compiled = sc.gkey, sc.cqt3_rows
 
@@ -291,30 +305,52 @@ def _cqt3(sc, rv, grid):
                         [(l, reads, list(rows.values())) for l, (reads, rows) in comps.items()])
         return compiled[xy]
 
+    def holds(rows, vals):
+        "Whether every row of a component sums to 0 on the values at the read positions."
+        for row in rows:
+            total = 0
+            for i, c in row:
+                v = vals[i]
+                if v:
+                    total += c * v
+            if total:
+                return False
+        return True
+
+    witness = _keys(sc)
+    if R.window is None:
+        support = {}
+        for k1, k2 in R.table:
+            p, q = sc.index(k1), sc.index(k2)
+            support[p, q] = rv[p][q]
+        hits = support.keys()
+        nG, nF = len(grid), len(grid[0])
+        row_of = {gkey[row[0]]: n for n, row in enumerate(grid)}
+        for gx, xrow in enumerate(grid):
+            for gy, yrow in enumerate(grid):
+                bad = []  # (l's G row, ix, iy) of each failing component of the block
+                for ix, x in enumerate(xrow):
+                    for iy, y in enumerate(yrow):
+                        reads, comps = compiled.get((x, y)) or compile_rows((x, y))
+                        if not hits.isdisjoint(reads):
+                            vals = [support.get(pair, 0) for pair in reads]
+                            bad += [(row_of[l], ix, iy) for l, _, rows in comps
+                                    if not holds(rows, vals)]
+                if bad:
+                    gl, ix, iy = min(bad)
+                    return verdict("CQT3", witness((xrow[ix], yrow[iy], grid[gl][0]))[:5],
+                                   ((gx * nG + gy) * nG + gl) * nF * nF + ix * nF + iy + 1)
+        return verdict("CQT3", None, nG ** 3 * nF * nF)
+
     def compare(xy):
         "{l: both sides of (x, y) agree on p_l, None if a term is out of window}; absent l: 0 = 0."
         reads, comps = compiled.get(xy) or compile_rows(xy)
         vals = [rv[p][q] for p, q in reads]
         partial = any(v is None for v in vals)
-        out = {}
-        for l, lreads, rows in comps:
-            if partial and any(vals[i] is None for i in lreads):
-                out[l] = None
-                continue
-            out[l] = True
-            for row in rows:
-                total = 0
-                for i, c in row:
-                    v = vals[i]
-                    if v:
-                        total += c * v
-                if total:
-                    out[l] = False
-                    break
-        return out
+        return {l: None if partial and any(vals[i] is None for i in lreads) else holds(rows, vals)
+                for l, lreads, rows in comps}
 
     sides = Memo(compare)
-    witness = _keys(sc)  # (g, h, l, f, f') of the basis keys (g, f), (h, f'), (l, .)
     return sweep("CQT3", ((x, y, lrow[0]) for xrow in grid for yrow in grid for lrow in grid
                           for x in xrow for y in yrow),
                  lambda x, y, m: sides[x, y].get(gkey[m], True),
@@ -332,13 +368,13 @@ def _convolution(check, sc, rv, grid, term):
                  ok, witness=_keys(sc))
 
 
-def _cqt4(sc, rv, grid):
+def _cqt4(R, sc, rv, grid):
     "R(a1, b1) R(b2, a2) = eps(a) eps(b), the cotriangular R * R21 = eps (x) eps."
     return _convolution("CQT4", sc, rv, grid,
                         lambda a1, a2, b1, b2, c: (c, (a1, b1), (b2, a2)))
 
 
-def _cqt_inverse(sc, rv, grid):
+def _cqt_inverse(R, sc, rv, grid):
     "R(S(a1), b1) R(a2, b2) = eps(a) eps(b): R(S(.), .) is a convolution inverse of R."
     def term(a1, a2, b1, b2, c):
         s, d = sc.antipode(a1)
@@ -359,7 +395,7 @@ def verify_R(R, levels=(0, 1, 2, 3), qbound=None):
     sc = R.H.structure_constants
     grid = [[sc.index((g, f)) for f in _qrange(R, qbound)] for g in R.H.G.elements()]
     rv = Memo(lambda p: Memo(lambda q: bare(R.try_value(sc.keys[p], sc.keys[q]))))
-    return [_LEVELS[lv](sc, rv, grid) for lv in levels]
+    return [_LEVELS[lv](R, sc, rv, grid) for lv in levels]
 
 
 # -- structural zeros -----------------------------------------------------------

@@ -18,8 +18,8 @@ triple (x, y, z basis elements, x1 (x) x2 = Delta(x)):
 Families 0-3 and the invertibility of r define a coquasitriangular form
 (Larson-Towber, Comm. Algebra 19, 1991; Kassel, Quantum Groups, VIII.5).
 
-`instance_sweep` keeps the per-instance sweeps of families 0, 1 and 2, for
-forms with a window (see its comment block).
+`instance_sweep` keeps the per-instance sweeps of families 0, 1, 2 and 3,
+for forms with a window (see its comment block).
 """
 
 import itertools
@@ -107,14 +107,19 @@ def families(R):
             for level, (ok, width) in checks.items()}
 
 
-# -- per-instance sweeps of CQT0, CQT1 and CQT2 ---------------------------------
+# -- per-instance sweeps of CQT0, CQT1, CQT2 and CQT3 ---------------------------
 #
 # families() needs a form without a window.  These are the per-instance
 # closures that cqt._cqt0, cqt._cqt1 and cqt._cqt2 ran on the general engine
 # reports.sweep before CQT0 moved to hoisted unit rows and CQT1 and CQT2 to
 # row kernels: one ok per instance, R read through a memo of
 # RForm.try_value.  They see windows, so the sweeps must match their reports
-# and their R reads on any form.
+# and their R reads on any form.  CQT3 sums both sides of each instance
+# (x, y, m) from the products and coproduct legs of the table, never from its
+# compiled rows: it is unevaluated when a term on the p_l component, l the G
+# part of m, reads R out of the window, even a term whose coefficient cancels
+# against another; its R reads follow the terms, so only its report is
+# compared.
 
 def _sum(rv, terms):
     "Sum of coef * R(p) * R(q) over (coef, p, q); None as soon as a term has a factor out of window."
@@ -130,7 +135,7 @@ def _sum(rv, terms):
 
 
 def instance_sweep(R, level, qbound=None):
-    "The ConditionReport of CQT0, CQT1 or CQT2 (level 0, 1 or 2) on R, one ok call per instance."
+    "The ConditionReport of CQT0, CQT1, CQT2 or CQT3 (level 0 to 3) on R, one ok per instance."
     sc = StructureConstants(R.H)
     fs = R.H.mp.window(qbound if qbound is not None else R.window)
     grid = [[sc.index((g, f)) for f in fs] for g in R.H.G.elements()]
@@ -164,11 +169,29 @@ def instance_sweep(R, level, qbound=None):
                                                  for c1, c2, t in sc.coproduct(c)])
         return None if rhs is None else (lhs and lhs * ab[1]) == rhs
 
+    def cqt3_ok(x, y, m):
+        l, sums = sc.gkey[m], {}
+        for x1, x2, s in sc.coproduct(x):
+            for y1, y2, t in sc.coproduct(y):
+                for coef, hit, pair in ((s * t, sc.product(y1, x1), (x2, y2)),
+                                        (-s * t, sc.product(x2, y2), (x1, y1))):
+                    if hit and sc.gkey[hit[0]] == l:
+                        v = rv[pair]
+                        if v is None:
+                            return None
+                        sums[hit[0]] = sums.get(hit[0], 0) + coef * hit[1] * v
+        return not any(sums.values())
+
     if level == 0:
         return sweep("CQT0", ((b,) for row in grid for b in row), cqt0_ok, witness=witness)
     if level == 1:
         ids = [i for row in grid for i in row]
         return sweep("CQT1", ((a, b, c) for b in ids for row in grid for a in ids for c in row),
                      cqt1_ok, witness=witness)
-    return sweep("CQT2", ((a, b, c) for row in grid for a in row for brow in grid
-                          for crow in grid for b in brow for c in crow), cqt2_ok, witness=witness)
+    if level == 2:
+        return sweep("CQT2", ((a, b, c) for row in grid for a in row for brow in grid
+                              for crow in grid for b in brow for c in crow), cqt2_ok,
+                     witness=witness)
+    return sweep("CQT3", ((x, y, lrow[0]) for xrow in grid for yrow in grid for lrow in grid
+                          for x in xrow for y in yrow), cqt3_ok,
+                 witness=lambda inst: witness(inst)[:5])

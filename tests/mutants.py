@@ -109,6 +109,9 @@ MUTANTS = [
          old="self._fi = self.P.fid(f)",
          new="self._fi = self.P.fid(H.F.one)",
          tests=["tests/test_comodules.py::test_twisted_delta_sign_twist"]),
+    dict(name="coalgebra-delta-left-leg-x-inverse-g", file="comodules.py",
+         old="gx = row[ginv[x]]", new="gx = P.gmul[ginv[x]][P.gid[g.key]]",
+         tests=["tests/test_comodules.py::test_twisted_delta_on_a_nonabelian_stabilizer"]),
     dict(name="decompose-skips-rationality-test", file="grothendieck.py",
          old="""            if not q.is_rational():
                 raise NonIntegralMultiplicity("non-rational multiplicity %r" % q)
@@ -197,13 +200,13 @@ MUTANTS = [
          new="self._at(self.P.gid[g.key], self.P.fid(f))",
          tests=["tests/test_hopf.py::test_element_maps_refuse_keys_of_other_groups"]),
     dict(name="cqt3-out-of-window-needs-all", file="cqt.py",
-         old="if partial and any(vals[i] is None for i in lreads):",
-         new="if partial and all(vals[i] is None for i in lreads):",
+         old="partial and any(vals[i] is None for i in lreads)",
+         new="partial and all(vals[i] is None for i in lreads)",
          tests=["tests/test_length_changing_action.py::"
                 "test_cqt3_marks_only_the_component_that_reads_outside_the_window"]),
     dict(name="cqt3-out-of-window-reads-first-only", file="cqt.py",
-         old="if partial and any(vals[i] is None for i in lreads):",
-         new="if partial and vals[lreads[0]] is None:",
+         old="partial and any(vals[i] is None for i in lreads)",
+         new="partial and vals[lreads[0]] is None",
          tests=["tests/test_length_changing_action.py::"
                 "test_cqt3_marks_only_the_component_that_reads_outside_the_window"]),
     dict(name="cqt3-row-term-at-component-position", file="cqt.py",
@@ -211,6 +214,31 @@ MUTANTS = [
          new="rows.setdefault(k, []).append((len(reads) - 1, c))",
          tests=["tests/test_cqt_reference.py::test_verify_R_agrees_with_the_definitions"
                 "[eps:K4_Z2_tau]"]),
+    dict(name="cqt3-support-position-swaps-ix-iy", file="cqt.py",
+         old="((gx * nG + gy) * nG + gl) * nF * nF + ix * nF + iy + 1",
+         new="((gx * nG + gy) * nG + gl) * nF * nF + iy * nF + ix + 1",
+         tests=["tests/test_cqt3_support.py::test_every_single_entry_perturbation[S3_Z2]"]),
+    dict(name="cqt3-support-skips-on-the-first-read", file="cqt.py",
+         old="if not hits.isdisjoint(reads):", new="if reads[0] in hits:",
+         tests=["tests/test_cqt3_support.py::test_every_single_entry_form[S3_Z2]"]),
+    dict(name="cqt3-support-stops-inside-the-pair-loop", file="cqt.py",
+         old="""                                    if not holds(rows, vals)]
+                if bad:
+                    gl, ix, iy = min(bad)
+                    return verdict("CQT3", witness((xrow[ix], yrow[iy], grid[gl][0]))[:5],
+                                   ((gx * nG + gy) * nG + gl) * nF * nF + ix * nF + iy + 1)
+""",
+         new="""                                    if not holds(rows, vals)]
+                        if bad:
+                            gl, ix, iy = min(bad)
+                            return verdict("CQT3",
+                                           witness((xrow[ix], yrow[iy], grid[gl][0]))[:5],
+                                           ((gx * nG + gy) * nG + gl) * nF * nF + ix * nF + iy + 1)
+""",
+         tests=["tests/test_cqt3_support.py::test_a_failing_block_reports_its_first_instance"]),
+    dict(name="cqt3-support-takes-the-last-failure", file="cqt.py",
+         old="gl, ix, iy = min(bad)", new="gl, ix, iy = bad[-1]",
+         tests=["tests/test_cqt3_support.py::test_every_single_entry_form[S3_Z2]"]),
     dict(name="cqt0-right-side-reads-r-u-b", file="cqt.py",
          old="""            v = rb[u]
 """,

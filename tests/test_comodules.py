@@ -42,6 +42,18 @@ def test_twisted_delta_sign_twist():
             get_entry("Z2_Z").context().G.parse("g"))
 
 
+def test_twisted_delta_on_a_nonabelian_stabilizer():
+    # Q8_Z's stabilizer at 0 is all of Q8, where the left leg g x^-1 of
+    # Delta(p_g) = sum_x tau(g x^-1, x; 0) p_(g x^-1) (x) p_x differs from x^-1 g
+    H = get_entry("Q8_Z").context()
+    G = H.G
+    C = TwistedCoalgebra(H, "0")
+    assert len(C.stabilizer) == G.order() == 8 and not G.is_abelian()
+    for g in C.stabilizer:
+        legs = [(G.mul(g, G.inv(x)), x) for x in C.stabilizer]
+        assert C.delta(g) == {(a, x): H.cp.tau(a, x, C.f) for a, x in legs}
+
+
 def test_twisted_coassociativity_all_catalog_points():
     for eid in ("Z2_Z", "S3_Z2", "Z2_Z2_tau", "Z3_Z"):
         H = get_entry(eid).context()
