@@ -6,7 +6,8 @@ Each subcommand takes only the options it reads.  A context comes from the
 built-in catalog (--entry) or from a JSON file (--input): one of the two is
 required, never both; `run` takes --entry only, and `list-entries` and
 `cqt-z2-r11` take neither.  --maxlen, a word-length window in 0..MAX_WINDOW,
-is offered by the nine subcommands that read it.
+is offered by the nine subcommands that read it; it bounds F word length over
+infinite F, and over finite F every element is swept whatever the bound.
 
 Exit code 0 means every requested check passed or matched its expectation,
 1 that one did not, and 2 that the input was refused: argparse's usage error
@@ -111,7 +112,8 @@ def _parser():
             source.add_argument("--entry", help="catalog entry id")
             source.add_argument("--input", help="context JSON file")
         if window:
-            p.add_argument("--maxlen", type=int, help="word-length window for infinite F")
+            p.add_argument("--maxlen", type=int,
+                           help="F word-length window; finite F is swept whole whatever the bound")
         # SUPPRESS: an absent subcommand --json keeps the global one
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                        help="machine-readable output")

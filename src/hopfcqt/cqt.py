@@ -137,13 +137,11 @@ class Memo(dict):
 # both factors of each term until one is out of the window, each on first
 # use, so rv calls RForm.try_value on the same arguments in the same order.
 # CQT0 hoists the unit rows rv[u].  CQT3, whose sides are elements, compiles
-# each (x, y) once per table into R-independent rows over read positions, and
-# has two read paths (see _cqt3): a windowed form reads every R argument of
-# each (x, y), in term order; a form without a window reads only its support,
-# since the identity is linear in R and an (x, y) whose reads all miss the
-# support is 0 = 0.  RForm decides each F element's window once.  R values,
-# like the structure constants, are kept bare (scalars.bare): an int or
-# Fraction when rational, else a Scalar.
+# each (x, y) once per table into R-independent rows over read positions and
+# runs on the row engine too, a row per block (x's G row, y's G row) that
+# reads only R's support (see _cqt3).  RForm decides each F element's window
+# once.  R values, like the structure constants, are kept bare
+# (scalars.bare): an int or Fraction when rational, else a Scalar.
 
 def _qrange(R, qbound):
     """The F elements a CQT instance quantifies over: the window qbound, else R's
@@ -267,18 +265,14 @@ def _cqt3(R, sc, rv, grid):
     order, and per component l a triple (l, the positions in reads that l
     reads, rows), one row per basis index k, [(position, merged coefficient
     of left - right)] with zero merges dropped.  A component holds when every
-    row sums to 0.  The instances (x, y, m) run x's G row, y's G row, m's G
-    row, x, y, and a failure's witness is (g, h, l, f, f') of the basis keys
-    (g, f) of x, (h, f') of y and (l, .) of m.
+    row sums to 0.
 
-    A windowed form reads the values at reads once per (x, y), in order, on
-    the first instance of each; a component with a read out of the window is
-    None.  A form without a window reads only its support, once, in
-    R.table order: the identity is linear in R, so an (x, y) whose reads all
-    miss the support is 0 = 0 on every component.  The walk evaluates the
-    other pairs block by block (x's G row, y's G row) and stops after the
-    first block that holds a failure; `checked` is the position of the
-    block's first failing instance, or every instance on a pass.
+    A row of the engine is a block (x's G row, y's G row), whose item
+    t = (l's G row * nF + ix) * nF + iy is the instance (x, y, m), m the first
+    index of l's G row; a failure's witness is (g, h, l, f, f') of the keys
+    (g, f) of x, (h, f') of y and (l, .) of m.  R's support is read once, in
+    R.table order: the identity is linear in R, so a pair whose reads all miss it is 0 = 0.
+    A component with a read outside R's window is unevaluated, even at a zero coefficient.
     """
     gkey, compiled = sc.gkey, sc.cqt3_rows
 
@@ -317,44 +311,47 @@ def _cqt3(R, sc, rv, grid):
                 return False
         return True
 
-    witness = _keys(sc)
-    if R.window is None:
-        support = {}
-        for k1, k2 in R.table:
-            p, q = sc.index(k1), sc.index(k2)
-            support[p, q] = rv[p][q]
-        hits = support.keys()
-        nG, nF = len(grid), len(grid[0])
-        row_of = {gkey[row[0]]: n for n, row in enumerate(grid)}
-        for gx, xrow in enumerate(grid):
-            for gy, yrow in enumerate(grid):
-                bad = []  # (l's G row, ix, iy) of each failing component of the block
-                for ix, x in enumerate(xrow):
-                    for iy, y in enumerate(yrow):
-                        reads, comps = compiled.get((x, y)) or compile_rows((x, y))
-                        if not hits.isdisjoint(reads):
-                            vals = [support.get(pair, 0) for pair in reads]
-                            bad += [(row_of[l], ix, iy) for l, _, rows in comps
-                                    if not holds(rows, vals)]
-                if bad:
-                    gl, ix, iy = min(bad)
-                    return verdict("CQT3", witness((xrow[ix], yrow[iy], grid[gl][0]))[:5],
-                                   ((gx * nG + gy) * nG + gl) * nF * nF + ix * nF + iy + 1)
-        return verdict("CQT3", None, nG ** 3 * nF * nF)
+    support = {}
+    for k1, k2 in R.table:
+        p, q = sc.index(k1), sc.index(k2)
+        support[p, q] = rv[p][q]
+    hits = support.keys()
+    nF = len(grid[0])
+    row_of = {gkey[row[0]]: n for n, row in enumerate(grid)}
+    windowed = R.window is not None
+    outside = Memo(lambda i: not R.in_window(sc.keys[i][1]))
 
-    def compare(xy):
-        "{l: both sides of (x, y) agree on p_l, None if a term is out of window}; absent l: 0 = 0."
-        reads, comps = compiled.get(xy) or compile_rows(xy)
-        vals = [rv[p][q] for p, q in reads]
-        partial = any(v is None for v in vals)
-        return {l: None if partial and any(vals[i] is None for i in lreads) else holds(rows, vals)
-                for l, lreads, rows in comps}
+    def first_bad(prefix, items):
+        xrow, yrow = prefix
+        bad, skipped = [], []  # the items t that fail, and those unevaluated
+        for ix, x in enumerate(xrow):
+            for iy, y in enumerate(yrow):
+                reads, comps = compiled.get((x, y)) or compile_rows((x, y))
+                out = windowed and {i for i, (p, q) in enumerate(reads)
+                                    if outside[p] or outside[q]}
+                if not out and hits.isdisjoint(reads):
+                    continue  # 0 = 0 on every component
+                vals = [support.get(pair, 0) for pair in reads]
+                for l, lreads, rows in comps:
+                    t = (row_of[l] * nF + ix) * nF + iy
+                    if out and not out.isdisjoint(lreads):
+                        skipped.append(t)
+                    elif not holds(rows, vals):
+                        bad.append(t)
+        if not bad:
+            return None, len(skipped)
+        t = min(bad)
+        return t, sum(u < t for u in skipped)
 
-    sides = Memo(compare)
-    return sweep("CQT3", ((x, y, lrow[0]) for xrow in grid for yrow in grid for lrow in grid
-                          for x in xrow for y in yrow),
-                 lambda x, y, m: sides[x, y].get(gkey[m], True),
-                 witness=lambda inst: witness(inst)[:5])
+    def witness(inst):
+        xrow, yrow, t = inst
+        lx, iy = divmod(t, nF)
+        gl, ix = divmod(lx, nF)
+        return _keys(sc)((xrow[ix], yrow[iy], grid[gl][0]))[:5]
+
+    items = range(len(grid) * nF * nF)
+    return sweep_rows("CQT3", (((xrow, yrow), items) for xrow in grid for yrow in grid),
+                      first_bad, witness)
 
 
 def _convolution(check, sc, rv, grid, term):
@@ -387,7 +384,8 @@ _LEVELS = {0: _cqt0, 1: _cqt1, 2: _cqt2, 3: _cqt3, 4: _cqt4, "inv": _cqt_inverse
 
 
 def verify_R(R, levels=(0, 1, 2, 3), qbound=None):
-    "Run the requested condition families over the quantifier range."
+    """Run the requested condition families over the quantifier range: qbound bounds F
+    word length over infinite F; over finite F every element is swept whatever the bound."""
     for lv in levels:
         if lv not in _LEVELS:
             raise UnknownLevel("unknown CQT level %r (choose from %s)"

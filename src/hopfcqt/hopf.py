@@ -272,8 +272,7 @@ class StructureConstants:
     arithmetic and every cqt.verify_R on the context share, on a PairTables
     of window 0 (all of F when F is finite, else {1}; fid appends the rest).  `cqt3_rows`
     holds the R-independent rows of each (x, y) that cqt._cqt3 has visited,
-    which both of its read paths (windowed, and R's support alone) evaluate;
-    cqt._cqt3 documents them.
+    which its walk over R's support evaluates; cqt._cqt3 documents them.
 
     The ids are the PairTables' (self.P), which must be built on H's pair and
     cocycles (window_tables; ContextMismatch otherwise): a basis key is

@@ -7,7 +7,7 @@ the CLI and the catalog can diff outcomes against expectations.
 Every quantified check runs through one of two loops.
 
 `sweep(check, instances, ok, witness=tuple)` is the general engine, used by
-every sweep but the eight below (CQT0, CQT3, CQT4, the convolution inverse, the
+every sweep but the nine below (CQT0, CQT4, the convolution inverse, the
 battery and comodule sweeps among them):
 
 * `instances` is a lazy iterable of argument tuples; it is consumed only up
@@ -26,8 +26,8 @@ battery and comodule sweeps among them):
 whose innermost quantifier is cheap enough that a call per instance
 dominates: the associativity and bialgebra sweeps of
 hopf.verify_hopf_axioms, the four sweeps of CocyclePair.verify
-(normalization, sigma-cocycle, tau-cocycle and compatibility), and CQT1 and
-CQT2 of cqt.verify_R.
+(normalization, sigma-cocycle, tau-cocycle and compatibility), and CQT1,
+CQT2 and CQT3 of cqt.verify_R.
 
 * `rows` is a lazy iterable of (prefix, items): prefix is the tuple of the
   outer quantifiers, items a sequence of values of the innermost one, and

@@ -200,13 +200,18 @@ MUTANTS = [
          new="self._at(self.P.gid[g.key], self.P.fid(f))",
          tests=["tests/test_hopf.py::test_element_maps_refuse_keys_of_other_groups"]),
     dict(name="cqt3-out-of-window-needs-all", file="cqt.py",
-         old="partial and any(vals[i] is None for i in lreads)",
-         new="partial and all(vals[i] is None for i in lreads)",
+         old="if out and not out.isdisjoint(lreads):",
+         new="if out and out.issuperset(lreads):",
          tests=["tests/test_length_changing_action.py::"
                 "test_cqt3_marks_only_the_component_that_reads_outside_the_window"]),
     dict(name="cqt3-out-of-window-reads-first-only", file="cqt.py",
-         old="partial and any(vals[i] is None for i in lreads)",
-         new="partial and vals[lreads[0]] is None",
+         old="if out and not out.isdisjoint(lreads):",
+         new="if out and lreads[0] in out:",
+         tests=["tests/test_length_changing_action.py::"
+                "test_cqt3_marks_only_the_component_that_reads_outside_the_window"]),
+    dict(name="cqt3-out-of-window-on-any-read-of-the-pair", file="cqt.py",
+         old="if out and not out.isdisjoint(lreads):",
+         new="if out:",
          tests=["tests/test_length_changing_action.py::"
                 "test_cqt3_marks_only_the_component_that_reads_outside_the_window"]),
     dict(name="cqt3-row-term-at-component-position", file="cqt.py",
@@ -215,30 +220,40 @@ MUTANTS = [
          tests=["tests/test_cqt_reference.py::test_verify_R_agrees_with_the_definitions"
                 "[eps:K4_Z2_tau]"]),
     dict(name="cqt3-support-position-swaps-ix-iy", file="cqt.py",
-         old="((gx * nG + gy) * nG + gl) * nF * nF + ix * nF + iy + 1",
-         new="((gx * nG + gy) * nG + gl) * nF * nF + iy * nF + ix + 1",
-         tests=["tests/test_cqt3_support.py::test_every_single_entry_perturbation[S3_Z2]"]),
-    dict(name="cqt3-support-skips-on-the-first-read", file="cqt.py",
-         old="if not hits.isdisjoint(reads):", new="if reads[0] in hits:",
+         old="t = (row_of[l] * nF + ix) * nF + iy",
+         new="t = (row_of[l] * nF + iy) * nF + ix",
          tests=["tests/test_cqt3_support.py::test_every_single_entry_form[S3_Z2]"]),
+    dict(name="cqt3-witness-swaps-ix-iy", file="cqt.py",
+         old="return _keys(sc)((xrow[ix], yrow[iy], grid[gl][0]))[:5]",
+         new="return _keys(sc)((xrow[iy], yrow[ix], grid[gl][0]))[:5]",
+         tests=["tests/test_cqt3_support.py::test_every_single_entry_form[S3_Z2]"]),
+    dict(name="cqt3-support-skips-on-the-first-read", file="cqt.py",
+         old="if not out and hits.isdisjoint(reads):",
+         new="if not out and reads[0] not in hits:",
+         tests=["tests/test_cqt3_support.py::test_every_single_entry_form[S3_Z2]"]),
+    dict(name="cqt3-skip-ignores-out-of-window-reads", file="cqt.py",
+         old="if not out and hits.isdisjoint(reads):",
+         new="if hits.isdisjoint(reads):",
+         tests=["tests/test_cqt3_support.py::test_windowed_standard_forms"]),
     dict(name="cqt3-support-stops-inside-the-pair-loop", file="cqt.py",
-         old="""                                    if not holds(rows, vals)]
-                if bad:
-                    gl, ix, iy = min(bad)
-                    return verdict("CQT3", witness((xrow[ix], yrow[iy], grid[gl][0]))[:5],
-                                   ((gx * nG + gy) * nG + gl) * nF * nF + ix * nF + iy + 1)
+         old="""                    elif not holds(rows, vals):
+                        bad.append(t)
 """,
-         new="""                                    if not holds(rows, vals)]
-                        if bad:
-                            gl, ix, iy = min(bad)
-                            return verdict("CQT3",
-                                           witness((xrow[ix], yrow[iy], grid[gl][0]))[:5],
-                                           ((gx * nG + gy) * nG + gl) * nF * nF + ix * nF + iy + 1)
+         new="""                    elif not holds(rows, vals):
+                        bad.append(t)
+                if bad:
+                    return min(bad), sum(u < min(bad) for u in skipped)
 """,
          tests=["tests/test_cqt3_support.py::test_a_failing_block_reports_its_first_instance"]),
     dict(name="cqt3-support-takes-the-last-failure", file="cqt.py",
-         old="gl, ix, iy = min(bad)", new="gl, ix, iy = bad[-1]",
+         old="t = min(bad)", new="t = bad[-1]",
          tests=["tests/test_cqt3_support.py::test_every_single_entry_form[S3_Z2]"]),
+    dict(name="cqt3-unevaluated-counts-the-whole-failing-block", file="cqt.py",
+         old="return t, sum(u < t for u in skipped)", new="return t, len(skipped)",
+         tests=["tests/test_cqt3_support.py::test_windowed_perturbations"]),
+    dict(name="cqt3-passing-block-counts-no-unevaluated", file="cqt.py",
+         old="return None, len(skipped)", new="return None, 0",
+         tests=["tests/test_cqt3_support.py::test_windowed_standard_forms"]),
     dict(name="cqt0-right-side-reads-r-u-b", file="cqt.py",
          old="""            v = rb[u]
 """,

@@ -1,5 +1,5 @@
-"""CQT3 walks R's support on a form without a window and sweeps every instance
-on a windowed one.  Both must report exactly what the per-instance sweep of
+"""CQT3 walks R's support block by block, on forms with a window and without.
+It must report exactly what the per-instance sweep of
 cqt_reference.instance_sweep reports: status, witness, `checked` and
 `unevaluated`."""
 
