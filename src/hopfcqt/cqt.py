@@ -125,23 +125,33 @@ class Memo(dict):
 # Each family is its defining identity over the int-indexed basis of the
 # context's shared StructureConstants (HopfAlgebra.structure_constants, kept
 # for the life of the context and grown by every verify_R on it): a, b, c are
-# basis indices, a1 (x) a2 the coproduct legs of a, and grid[g][f] the index
-# of the window key (g, f).  An instance sums each side of its identity
-# exactly, reading R through rv, one row memo per call for every level:
-# rv[p][q] is RForm.try_value on the basis indices p, q.  Each level takes
-# (R, sc, rv, grid).  CQT1 and CQT2 run on the row engine
-# (reports.sweep_rows), a row of c per (a, b): CQT1 hoists table[b], rv[a]
-# and the legs of a with rv[a1] and rv[a2]; CQT2 hoists ab, rv[ab], rv[a] and
-# rv[b].  Like the per-instance sums they replace
-# (tests/cqt_reference.instance_sweep), they read R(a, bc) or R(ab, c), then
-# both factors of each term until one is out of the window, each on first
-# use, so rv calls RForm.try_value on the same arguments in the same order.
-# CQT0 hoists the unit rows rv[u].  CQT3, whose sides are elements, compiles
-# each (x, y) once per table into R-independent rows over read positions and
-# runs on the row engine too, a row per block (x's G row, y's G row) that
-# reads only R's support (see _cqt3).  RForm decides each F element's window
-# once.  R values, like the structure constants, are kept bare
+# basis indices, a1 (x) a2 the coproduct legs of a, and grid[g][f] the index of
+# the window key (g, f).  An instance sums each side of its identity exactly.
+# Each level takes (sc, rv, grid) and reads R only through rv, the one _RView
+# of R that verify_R builds per call: rv.support[p, q] is R's value at each
+# entry of R.table, read once through RForm.try_value, in R.table order;
+# rv.out[i], only when R has a window (else rv.out is None), is whether basis
+# index i's F part lies outside it, tested once per index; and rv[p][q] is None
+# when out[p] or out[q], else support.get((p, q), 0).  CQT1 and CQT2 run on the
+# row engine (reports.sweep_rows), a row of c per (a, b): CQT1 hoists table[b],
+# rv[a] and the legs of a with rv[a1] and rv[a2]; CQT2 hoists ab, rv[ab], rv[a]
+# and rv[b].  CQT0 hoists the unit rows rv[u].  CQT3, whose sides are elements,
+# compiles each (x, y) once per table into R-independent rows over read
+# positions and walks rv.support block by block on the row engine too (see
+# _cqt3).  R values, like the structure constants, are kept bare
 # (scalars.bare): an int or Fraction when rational, else a Scalar.
+
+class _RView(Memo):
+    "rv[p][q] on the basis indices of sc, with rv.support and rv.out (see above)."
+
+    def __init__(self, R, sc):
+        support = self.support = {(sc.index(k1), sc.index(k2)): bare(R.try_value(k1, k2))
+                                  for k1, k2 in R.table}
+        out = self.out = None if R.window is None else Memo(
+            lambda i: not R.in_window(sc.keys[i][1]))
+        super().__init__(lambda p: Memo(lambda q: None if out is not None and (out[p] or out[q])
+                                        else support.get((p, q), 0)))
+
 
 def _qrange(R, qbound):
     """The F elements a CQT instance quantifies over: the window qbound, else R's
@@ -168,30 +178,25 @@ def _keys(sc):
     return lambda inst: tuple(sc.keys[i][0] for i in inst) + tuple(sc.keys[i][1] for i in inst)
 
 
-def _cqt0(R, sc, rv, grid):
-    "R(1, b) = eps(b) and R(b, 1) = eps(b), where 1 is the sum of the p_u # 1."
+def _cqt0(sc, rv, grid):
+    """R(1, b) = eps(b) and R(b, 1) = eps(b), where 1 is the sum of the p_u # 1.  A
+    unit's F part is in every window, so the left sum meets an out-of-window b first."""
     units = [sc.index((x, sc.H.F.one)) for x in sc.H.G.elements()]
     unit_rows = [rv[u] for u in units]
 
     def ok(b):
-        left = right = 0
+        left = 0
         for ru in unit_rows:
             v = ru[b]
             if v is None:
                 return None
             left += v
-        rb = rv[b]
-        for u in units:
-            v = rb[u]
-            if v is None:
-                return None
-            right += v
-        return left == right == int(sc.gkey[b] == sc.one_g)
+        return left == sum(rv[b][u] for u in units) == int(sc.gkey[b] == sc.one_g)
 
     return sweep("CQT0", ((b,) for row in grid for b in row), ok, witness=_keys(sc))
 
 
-def _cqt1(R, sc, rv, grid):
+def _cqt1(sc, rv, grid):
     "R(a, bc) = R(a1, c) R(a2, b)."
     ids = [i for row in grid for i in row]
     legs = Memo(lambda a: [(rv[a1], rv[a2], t) for a1, a2, t in sc.coproduct(a)])
@@ -225,7 +230,7 @@ def _cqt1(R, sc, rv, grid):
                       first_bad, _keys(sc))
 
 
-def _cqt2(R, sc, rv, grid):
+def _cqt2(sc, rv, grid):
     "R(ab, c) = R(a, c1) R(b, c2)."
     product, coproduct = sc.product, sc.coproduct
 
@@ -256,7 +261,7 @@ def _cqt2(R, sc, rv, grid):
                                for crow in grid for b in brow), first_bad, _keys(sc))
 
 
-def _cqt3(R, sc, rv, grid):
+def _cqt3(sc, rv, grid):
     """y1 x1 R(x2, y2) = R(x1, y1) x2 y2 on the p_l component, l the G part of m.
 
     No term of either side depends on R, so each (x, y) is compiled on its
@@ -270,9 +275,9 @@ def _cqt3(R, sc, rv, grid):
     A row of the engine is a block (x's G row, y's G row), whose item
     t = (l's G row * nF + ix) * nF + iy is the instance (x, y, m), m the first
     index of l's G row; a failure's witness is (g, h, l, f, f') of the keys
-    (g, f) of x, (h, f') of y and (l, .) of m.  R's support is read once, in
-    R.table order: the identity is linear in R, so a pair whose reads all miss it is 0 = 0.
-    A component with a read outside R's window is unevaluated, even at a zero coefficient.
+    (g, f) of x, (h, f') of y and (l, .) of m.  The identity is linear in R,
+    so a pair whose reads all miss rv.support is 0 = 0.  A component with a
+    read outside R's window (rv.out) is unevaluated, even at a zero coefficient.
     """
     gkey, compiled = sc.gkey, sc.cqt3_rows
 
@@ -311,15 +316,9 @@ def _cqt3(R, sc, rv, grid):
                 return False
         return True
 
-    support = {}
-    for k1, k2 in R.table:
-        p, q = sc.index(k1), sc.index(k2)
-        support[p, q] = rv[p][q]
+    support, outside, nF = rv.support, rv.out, len(grid[0])
     hits = support.keys()
-    nF = len(grid[0])
     row_of = {gkey[row[0]]: n for n, row in enumerate(grid)}
-    windowed = R.window is not None
-    outside = Memo(lambda i: not R.in_window(sc.keys[i][1]))
 
     def first_bad(prefix, items):
         xrow, yrow = prefix
@@ -327,8 +326,8 @@ def _cqt3(R, sc, rv, grid):
         for ix, x in enumerate(xrow):
             for iy, y in enumerate(yrow):
                 reads, comps = compiled.get((x, y)) or compile_rows((x, y))
-                out = windowed and {i for i, (p, q) in enumerate(reads)
-                                    if outside[p] or outside[q]}
+                out = outside is not None and {i for i, (p, q) in enumerate(reads)
+                                               if outside[p] or outside[q]}
                 if not out and hits.isdisjoint(reads):
                     continue  # 0 = 0 on every component
                 vals = [support.get(pair, 0) for pair in reads]
@@ -365,13 +364,13 @@ def _convolution(check, sc, rv, grid, term):
                  ok, witness=_keys(sc))
 
 
-def _cqt4(R, sc, rv, grid):
+def _cqt4(sc, rv, grid):
     "R(a1, b1) R(b2, a2) = eps(a) eps(b), the cotriangular R * R21 = eps (x) eps."
     return _convolution("CQT4", sc, rv, grid,
                         lambda a1, a2, b1, b2, c: (c, (a1, b1), (b2, a2)))
 
 
-def _cqt_inverse(R, sc, rv, grid):
+def _cqt_inverse(sc, rv, grid):
     "R(S(a1), b1) R(a2, b2) = eps(a) eps(b): R(S(.), .) is a convolution inverse of R."
     def term(a1, a2, b1, b2, c):
         s, d = sc.antipode(a1)
@@ -392,8 +391,8 @@ def verify_R(R, levels=(0, 1, 2, 3), qbound=None):
                                % (lv, ", ".join(str(level) for level in _LEVELS)))
     sc = R.H.structure_constants
     grid = [[sc.index((g, f)) for f in _qrange(R, qbound)] for g in R.H.G.elements()]
-    rv = Memo(lambda p: Memo(lambda q: bare(R.try_value(sc.keys[p], sc.keys[q]))))
-    return [_LEVELS[lv](R, sc, rv, grid) for lv in levels]
+    rv = _RView(R, sc)
+    return [_LEVELS[lv](sc, rv, grid) for lv in levels]
 
 
 # -- structural zeros -----------------------------------------------------------

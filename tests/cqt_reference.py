@@ -113,13 +113,12 @@ def families(R):
 # closures that cqt._cqt0, cqt._cqt1 and cqt._cqt2 ran on the general engine
 # reports.sweep before CQT0 moved to hoisted unit rows and CQT1 and CQT2 to
 # row kernels: one ok per instance, R read through a memo of
-# RForm.try_value.  They see windows, so the sweeps must match their reports
-# and their R reads on any form.  CQT3 sums both sides of each instance
-# (x, y, m) from the products and coproduct legs of the table, never from its
-# compiled rows: it is unevaluated when a term on the p_l component, l the G
-# part of m, reads R out of the window, even a term whose coefficient cancels
-# against another; its R reads follow the terms, so only its report is
-# compared.
+# RForm.try_value at each instance's arguments.  They see windows, so the
+# sweeps must match their reports on any form.  CQT3 sums both sides of each
+# instance (x, y, m) from the products and coproduct legs of the table, never
+# from its compiled rows: it is unevaluated when a term on the p_l component,
+# l the G part of m, reads R out of the window, even a term whose coefficient
+# cancels against another.
 
 def _sum(rv, terms):
     "Sum of coef * R(p) * R(q) over (coef, p, q); None as soon as a term has a factor out of window."

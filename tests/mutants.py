@@ -255,10 +255,16 @@ MUTANTS = [
          old="return None, len(skipped)", new="return None, 0",
          tests=["tests/test_cqt3_support.py::test_windowed_standard_forms"]),
     dict(name="cqt0-right-side-reads-r-u-b", file="cqt.py",
-         old="""            v = rb[u]
-""",
-         new="""            v = rv[u][b]
-""",
+         old="sum(rv[b][u] for u in units)", new="sum(rv[u][b] for u in units)",
+         tests=["tests/test_cqt_row_kernels.py::test_every_single_entry_perturbation"
+                "[Z2_Z2_trivial]"]),
+    dict(name="view-window-test-on-one-argument", file="cqt.py",
+         old="None if out is not None and (out[p] or out[q])",
+         new="None if out is not None and out[p]",
+         tests=["tests/test_cqt_row_kernels.py::test_standard_forms_at_windows[1-Z2_Z]"]),
+    dict(name="view-support-keyed-q-p", file="cqt.py",
+         old="{(sc.index(k1), sc.index(k2)): bare(R.try_value(k1, k2))",
+         new="{(sc.index(k2), sc.index(k1)): bare(R.try_value(k1, k2))",
          tests=["tests/test_cqt_row_kernels.py::test_every_single_entry_perturbation"
                 "[Z2_Z2_trivial]"]),
     dict(name="window-lengths-keyed-by-f-key", file="cqt.py",

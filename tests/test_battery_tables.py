@@ -5,11 +5,11 @@ Both must give identical reports (status, witness, detail and `checked`)
 on every catalog entry, on a context whose sigma is not symmetric (the only
 one here that fails sigma-symmetry-on-central-abelian), on a context whose
 |> leaves every word-length window, on the S4 context of the known false
-obstruction, and on an S4 x Z2 context that fails stabilizer-action-constraint;
-and both must raise the same error on a non-coassociative or non-counital tau
-and on an action that breaks the unit law g |> 1 = 1.  The witnesses of the
-dual-orbit check on A4 x Z2 and of stabilizer-action-constraint on S4 x Z2 are
-recomputed from their definitions.
+obstruction, on D(S3)* (the same false obstruction), and on an S4 x Z2 context
+that fails stabilizer-action-constraint; and both must raise the same error on
+a non-coassociative or non-counital tau and on an action that breaks the unit
+law g |> 1 = 1.  The witnesses of the dual-orbit check on A4 x Z2 and of
+stabilizer-action-constraint on S4 x Z2 are recomputed from their definitions.
 """
 
 import itertools
@@ -17,6 +17,7 @@ import itertools
 import pytest
 
 from battery_reference import check_coalgebra_reference, necessary_battery_reference
+from test_drinfeld_double import double_dual
 from test_length_changing_action import _z2_flip_dinf
 
 from hopfcqt.catalog import entry_ids, get_entry
@@ -25,7 +26,8 @@ from hopfcqt.comodules import Comodule, TwistedCoalgebra
 from hopfcqt.cqt import (check_dual_orbit_commutation, eps_tensor_eps, necessary_battery,
                          verify_R)
 from hopfcqt.errors import InvalidAction, InvalidCocycle
-from hopfcqt.groups import cyclic_group, finite_group_from_elements, klein_four_group
+from hopfcqt.groups import (cyclic_group, finite_group_from_elements, klein_four_group,
+                            symmetric_group_s3)
 from hopfcqt.hopf import HopfAlgebra
 from hopfcqt.matched_pair import MatchedPair
 from hopfcqt.reports import all_passed
@@ -198,6 +200,19 @@ def test_stabilizer_action_constraint_witness_from_its_definition():
                                        "condition, yet the battery counts its failure")
 def test_s4_counterexample_is_not_obstructed():
     assert all_passed(necessary_battery(_s3_on_k4()))
+
+
+def test_double_s3_fails_only_the_dual_orbit_check():
+    # D(S3)* carries two closed-form forms (tests/test_drinfeld_double.py)
+    by = _assert_same_battery(double_dual(symmetric_group_s3(), "D(S3)*"))
+    assert [c for c, r in by.items() if r["status"] == "fail"] == \
+        ["dual-orbit-product-commutation"]
+
+
+@pytest.mark.xfail(strict=True, reason="dual-orbit-product-commutation is a module-side "
+                                       "condition, yet the battery counts its failure")
+def test_double_s3_is_not_obstructed():
+    assert all_passed(necessary_battery(double_dual(symmetric_group_s3(), "D(S3)*")))
 
 
 def k4_z2_asymmetric_tau():

@@ -339,3 +339,20 @@ def test_a_literal_at_the_word_bound_is_read(tmp_path, capsys):
     ZD = DirectProductGroup([IntegerGroup(), InfiniteDihedralGroup()])
     assert ZD.element_length(ZD.parse("(%d, y^%d)" % (MAX_WORD, -MAX_WORD))) == 2 * MAX_WORD
     assert "longer than" in _schema_error(ZD.parse, "(0, y^%d*x)" % MAX_WORD)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ("U0,W:1", "error: bad label 'U0'; use e.g. U:0,W:1\n"),
+    ("U:0", "error: gr-product needs exactly two labels\n")], ids=["no-colon", "one-label"])
+def test_malformed_labels_exit_2(capsys, labels, message):
+    assert _assert_error_exit(["gr-product", "--entry", "Z2_Z", "--labels", labels],
+                              capsys) == message
+
+
+def test_a_right_action_generator_that_is_not_a_bijection_exits_2(tmp_path, capsys):
+    doc = context_to_json(get_entry("Z2_Z").context())
+    doc["right_action"] = {"1|1": "g", "g|1": "g"}  # both elements go to g
+    path = tmp_path / "ctx.json"
+    save_json(doc, path)
+    err = _assert_error_exit(["verify-mp", "--input", str(path)], capsys)
+    assert err == "error: <| by generator 1 is not a bijection of G\n"

@@ -4,7 +4,7 @@ import pytest
 
 from hopfcqt.catalog import get_entry
 from hopfcqt.cocycles import CocyclePair
-from hopfcqt.errors import MissingEntry, SchemaError
+from hopfcqt.errors import InvalidCocycle, MissingEntry, SchemaError
 from hopfcqt.groups import cyclic_group
 from hopfcqt.matched_pair import MatchedPair
 from hopfcqt.reports import all_passed
@@ -24,6 +24,15 @@ def test_trivial_pair_passes():
     G, F = cp.mp.G.elements(), cp.mp.F.elements()
     assert all(cp.sigma(g, f, fp).is_one() for g in G for f in F for fp in F)
     assert all(cp.tau(g, gp, f).is_one() for g in G for gp in G for f in F)
+
+
+def test_a_zero_tau_rule_raises():
+    # from_tables refuses a zero value up front; a rule is checked at each lookup
+    mp = _trivial_mp()
+    cp = CocyclePair(mp, lambda g, f, fp: ONE, lambda g, gp, f: ZERO)
+    g, t = mp.G.elements()[1], mp.F.elements()[1]
+    with pytest.raises(InvalidCocycle, match=r"tau value is zero at \(g, g; t\)"):
+        cp.tau(g, g, t)
 
 
 def test_eval_examples():

@@ -11,11 +11,12 @@ from hopfcqt.comodules import (Comodule, TwistedCoalgebra, _abelian_character_ta
                                enumerate_onedim, group_comodules, induce, trivial_comodule)
 from hopfcqt.cocycles import CocyclePair
 from hopfcqt.errors import (DimensionMismatch, HopfCqtError, InvalidCocycle, MissingEntry,
-                            MixedGroups, NonAbelianStabilizer, NotInStabilizer)
+                            MixedGroups, NonAbelianStabilizer, NotARootOfUnity,
+                            NotInStabilizer, WrongGroup)
 from hopfcqt.groups import (DirectProductGroup, GroupHom, closure, cyclic_group,
-                            klein_four_group, quaternion_group_q8)
+                            klein_four_group, quaternion_group_q8, symmetric_group_s3)
 from hopfcqt.hopf import HopfAlgebra, HopfElement
-from hopfcqt.matched_pair import group_ids
+from hopfcqt.matched_pair import MatchedPair, group_ids
 from hopfcqt.reports import all_passed
 from hopfcqt.scalars import (Matrix, MINUS_ONE, ONE, ZERO, rational,
                              root_of_unity)
@@ -284,6 +285,31 @@ def test_character_cross_check_trace_vs_formula():
                 continue
             for V in sols:
                 assert induce(V).character_by_trace() == character(V).element, (eid, p)
+
+
+def test_group_comodules_without_a_quotient_are_the_characters_at_one():
+    H = get_entry("Z2_Z").context()
+    chars = group_comodules(H)
+    assert [V.coalgebra.f for V in chars] == [H.F.one] * 2
+    assert sorted(repr(V.matrix("g")[0, 0]) for V in chars) == ["-1", "1"]
+
+
+def test_group_comodules_refuse_a_nonabelian_codomain():
+    H = get_entry("Z2_Z").context()
+    pi = GroupHom(H.G, symmetric_group_s3(), {"g": "(1 2)"})
+    with pytest.raises(WrongGroup, match="abelian codomain"):
+        group_comodules(H, quotient=pi)
+
+
+def test_a_telescoped_tau_off_the_unit_circle_has_no_onedim_comodules():
+    # tau(g, g; t) = 2 on Z2 x Z2 is a normalized cocycle, but a^g a^g = 2 has
+    # no root-of-unity solution
+    G, F = cyclic_group(2), cyclic_group(2, "t")
+    mp = MatchedPair.from_functions(G, F, left=lambda g, f: f, right=lambda g, f: g)
+    g, t = G.elements()[1], F.elements()[1]
+    H = HopfAlgebra(CocyclePair.from_tables(mp, {}, {(g.key, g.key, t.key): rational(2)}))
+    with pytest.raises(NotARootOfUnity, match="not a root of unity: 2"):
+        enumerate_onedim(TwistedCoalgebra(H, t))
 
 
 def test_group_comodules_quotient_lift():

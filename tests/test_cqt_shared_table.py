@@ -93,15 +93,17 @@ def test_warm_context_reads_R_in_the_fresh_order(eid, qbound, levels, monkeypatc
         assert reads == fresh
 
 
+@pytest.mark.parametrize("level", LEVELS)
 @pytest.mark.parametrize("eid,window", [("Z2_Z2_tau", None), ("Z3_Z3_trivial", None),
                                         ("Z2_Z", 1), ("Z2_Z2xZ_central", 1), ("Z2_Z2xZ_central", 2)])
-def test_cqt3_reads_R_in_term_order(eid, window, monkeypatch):
-    # CQT3 is linear in R, so on every form, windowed or not, it reads R's
-    # support, each entry once, in R.table order, and nothing else; window 1
-    # at qbound 2 quantifies over instances outside R's window
+def test_every_level_reads_R_once_in_table_order(eid, window, level, monkeypatch):
+    # verify_R reads R once per call, into one view that every level reads: on
+    # every form, windowed or not, each support entry once, in R.table order,
+    # and nothing else; window 1 at qbound 2 quantifies over instances outside
+    # R's window
     reads = _log_reads(monkeypatch)
     R = eps_tensor_eps(HopfAlgebra(get_entry(eid).context().cp), window=window)
-    (report,) = verify_R(R, (3,), 2)
+    (report,) = verify_R(R, (level,), 2)
     assert report.status == PASS
     assert reads == list(R.table)
 

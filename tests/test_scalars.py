@@ -31,6 +31,8 @@ def test_field_op_examples():
     z4 = root_of_unity(4)
     assert z4 * z4 == MINUS_ONE
     assert rational(1, 2).inverse() == 2
+    # zeta_3^-1 = zeta_3^2 = -1 - zeta_3, by division and by a negative power alike
+    assert repr(1 / z3) == repr(z3 ** -1) == "-1 - zeta(3,1)"
 
 
 def test_root_of_unity_examples():
